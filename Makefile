@@ -4,18 +4,19 @@ GO ?= go
 
 # bench-json output file; committed per PR (BENCH_4.json, BENCH_5.json,
 # ...) so benchmark trajectories survive across sessions.
-BENCH_JSON ?= BENCH_10.json
+BENCH_JSON ?= BENCH_15.json
 
 # Committed baselines guarding the zero-allocation steady state:
 # bench-json fails if a benchmark that was 0 allocs/op in any of these
-# is >0 now.
-BENCH_BASELINES ?= BENCH_4.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json BENCH_9.json
+# is >0 now. Every committed BENCH_*.json but the one being written
+# guards, so a new baseline joins without anyone editing a list.
+BENCH_BASELINES ?= $(filter-out $(BENCH_JSON),$(sort $(wildcard BENCH_*.json)))
 
 # insitulint is the repo's analyzer suite (internal/analysis); built
 # into ./bin so the vettool path is hermetic to the checkout.
 LINT_BIN := bin/insitulint
 
-.PHONY: all build test race vet fmt lint bench bench-json chaos obs cover ci clean
+.PHONY: all build test race vet fmt lint bench bench-json bench-e2e bench-layers chaos obs cover ci clean
 
 all: ci
 
@@ -59,6 +60,7 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkRenderd -benchtime 1x ./internal/serve/
 	$(GO) test -run '^$$' -bench BenchmarkClusterThroughput -benchtime 1x ./internal/cluster/
 	$(GO) test -run '^$$' -bench 'BenchmarkHistogramObserve|BenchmarkTraceSpan|BenchmarkDriftObserve' -benchtime 1x ./internal/obs/
+	$(GO) test -run '^$$' -bench 'BenchmarkHitRay|BenchmarkIntersectClosest|BenchmarkIntersectAny' -benchtime 1x ./internal/vecmath/ ./internal/bvh/
 
 # bench-json records the render, dispatch, small-plan study, and
 # renderd serving-path benchmarks (ns/op + allocs/op via -benchmem) as
@@ -76,9 +78,21 @@ bench-json:
 	@$(GO) test -run '^$$' -bench BenchmarkRenderd -benchtime 2s -benchmem ./internal/serve/ > $(BENCH_JSON).serve.tmp
 	@$(GO) test -run '^$$' -bench BenchmarkClusterThroughput -benchtime 2s -benchmem ./internal/cluster/ > $(BENCH_JSON).cluster.tmp
 	@$(GO) test -run '^$$' -bench 'BenchmarkHistogramObserve|BenchmarkTraceSpan|BenchmarkDriftObserve' -benchtime 2s -benchmem ./internal/obs/ > $(BENCH_JSON).obs.tmp
-	@cat $(BENCH_JSON).render.tmp $(BENCH_JSON).dispatch.tmp $(BENCH_JSON).study.tmp $(BENCH_JSON).serve.tmp $(BENCH_JSON).cluster.tmp $(BENCH_JSON).obs.tmp | $(GO) run ./tools/benchjson $(foreach b,$(BENCH_BASELINES),-baseline $(b)) > $(BENCH_JSON)
-	@rm -f $(BENCH_JSON).render.tmp $(BENCH_JSON).dispatch.tmp $(BENCH_JSON).study.tmp $(BENCH_JSON).serve.tmp $(BENCH_JSON).cluster.tmp $(BENCH_JSON).obs.tmp
+	@$(GO) test -run '^$$' -bench 'BenchmarkHitRay|BenchmarkIntersectClosest|BenchmarkIntersectAny' -benchtime 2s -benchmem ./internal/vecmath/ ./internal/bvh/ > $(BENCH_JSON).traverse.tmp
+	@cat $(BENCH_JSON).render.tmp $(BENCH_JSON).dispatch.tmp $(BENCH_JSON).study.tmp $(BENCH_JSON).serve.tmp $(BENCH_JSON).cluster.tmp $(BENCH_JSON).obs.tmp $(BENCH_JSON).traverse.tmp | $(GO) run ./tools/benchjson $(foreach b,$(BENCH_BASELINES),-baseline $(b)) > $(BENCH_JSON)
+	@rm -f $(BENCH_JSON).render.tmp $(BENCH_JSON).dispatch.tmp $(BENCH_JSON).study.tmp $(BENCH_JSON).serve.tmp $(BENCH_JSON).cluster.tmp $(BENCH_JSON).obs.tmp $(BENCH_JSON).traverse.tmp
 	@echo "wrote $(BENCH_JSON)"
+
+# bench-e2e and bench-layers run the BENCHMARK.json benchmark (bench/ is
+# its own module, see bench/README.md): every workload end to end
+# against a renderd subprocess (HTTP request -> PNG), then the traced
+# in-process replay behind the per-layer metrics. One JSON result per
+# workload on stdout, the readable report on stderr.
+bench-e2e:
+	$(GO) run -C bench .
+
+bench-layers:
+	$(GO) run -C bench . --trace 1
 
 # chaos runs the fault-injection suite under the race detector: rank
 # kills, stalled links, seeded packet loss, blame-driven eviction, and

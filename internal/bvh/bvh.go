@@ -4,6 +4,20 @@
 // structure behind the paper's ray-tracing performance model; a median
 // split and a binned-SAH builder are provided for the architecture-tuned
 // baselines and ablation benches.
+//
+// Layout. A tree is three flat arrays. Nodes holds 64-byte nodes (box,
+// two child indices, leaf range), root at index 0. PrimIDs is the mesh's
+// triangle indices permuted so every leaf owns one contiguous run. Tris
+// mirrors PrimIDs with the triangles' corner positions copied out of the
+// mesh (72 bytes each), so a leaf's intersection loop streams one run of
+// memory instead of chasing PrimIDs -> Conn -> X/Y/Z per corner; PrimIDs
+// is read only to name the winning triangle in a Hit.
+//
+// Traversal is exact-math: the kernels in traverse.go may do less work
+// than a textbook loop but never different arithmetic, because rendered
+// frames are compared byte for byte across devices, shards and commits.
+// IntersectClosest documents the visit protocol; vecmath.AABB.HitRay the
+// slab test's NaN and signed-zero contract.
 package bvh
 
 import (
@@ -18,18 +32,28 @@ import (
 )
 
 // Node is one flat-array BVH node. Leaves have Count > 0 and reference
-// PrimIDs[Start : Start+Count]; inner nodes reference children by index.
+// PrimIDs[Start : Start+Count] (and the same range of Tris); inner nodes
+// reference children by index.
 type Node struct {
 	Bounds       vecmath.AABB
 	Left, Right  int32
 	Start, Count int32
 }
 
+// Triangle is the corner positions of one mesh triangle, copied out of
+// the mesh's structure-of-arrays layout.
+type Triangle struct {
+	A, B, C vecmath.Vec3
+}
+
 // BVH is a flattened hierarchy over a triangle mesh.
 type BVH struct {
 	Nodes   []Node
 	PrimIDs []int32
-	Mesh    *mesh.TriangleMesh
+	// Tris[i] holds the corners of mesh triangle PrimIDs[i], so a leaf's
+	// triangles are the contiguous run Tris[Start : Start+Count].
+	Tris []Triangle
+	Mesh *mesh.TriangleMesh
 	// BuildTime records wall-clock construction cost; the ray-tracing
 	// model's c0*O + c1 term is fitted against it.
 	BuildTime time.Duration
@@ -113,6 +137,13 @@ func Build(d *device.Device, m *mesh.TriangleMesh, builder Builder) *BVH {
 		b.PrimIDs = ids
 		b.buildSpatialRange(bounds, centroids, 0, n, builder)
 	}
+	b.Tris = make([]Triangle, n)
+	dpp.For(d, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			t := &b.Tris[i]
+			t.A, t.B, t.C = m.TriVerts(int(b.PrimIDs[i]))
+		}
+	})
 	b.BuildTime = time.Since(start)
 	return b
 }

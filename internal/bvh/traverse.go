@@ -40,11 +40,27 @@ func IntersectTriangle(orig, dir, a, b, c vecmath.Vec3) (t, u, v float64, ok boo
 	return t, u, v, true
 }
 
+// stackEntry is a deferred subtree: a node whose box the ray is known to
+// enter at distance entry.
+type stackEntry struct {
+	node  int32
+	entry float64
+}
+
 // IntersectClosest finds the nearest triangle hit along the ray between
 // tmin and tmax, traversing children front to back. It returns a Hit with
-// Prim == -1 when nothing is hit, along with the number of node and
+// Prim == -1 when nothing is hit, along with the number of box and
 // triangle tests performed (the workload counters behind the model's
 // AP*log2(O) term).
+//
+// Every box is tested exactly once, by its parent: a visited interior
+// node tests both children against the current best distance, descends
+// into the nearer one (the left on a tie) and defers the farther with its
+// entry distance. A deferred node is dropped on pop when entry > best —
+// its exit already cleared the slab test, so that compare is the whole
+// re-test against the shrunken interval. Visit order and the strict
+// t < best tie-break decide which of two equidistant triangles wins, and
+// so are part of the result.
 //
 //insitu:noalloc
 func (b *BVH) IntersectClosest(orig, dir vecmath.Vec3, tmin, tmax float64) (Hit, int, int) {
@@ -53,57 +69,63 @@ func (b *BVH) IntersectClosest(orig, dir vecmath.Vec3, tmin, tmax float64) (Hit,
 		return hit, 0, 0
 	}
 	inv := vecmath.V(1/dir.X, 1/dir.Y, 1/dir.Z)
-	m := b.Mesh
-	nodeTests, triTests := 0, 0
+	nodes := b.Nodes
 	best := tmax
+	if _, _, ok := nodes[0].Bounds.HitRay(orig, inv, tmin, best); !ok {
+		return hit, 1, 0
+	}
+	nodeTests, triTests := 1, 0
 
-	var stack [64]int32
+	var stack [64]stackEntry
 	sp := 0
-	stack[sp] = 0
-	sp++
-	for sp > 0 {
-		sp--
-		ni := stack[sp]
-		node := &b.Nodes[ni]
-		nodeTests++
-		if _, _, ok := node.Bounds.HitRay(orig, inv, tmin, best); !ok {
-			continue
-		}
+	ni := int32(0)
+	for {
+		node := &nodes[ni]
 		if node.Count > 0 {
-			for i := node.Start; i < node.Start+node.Count; i++ {
-				prim := b.PrimIDs[i]
-				triTests++
-				va, vb, vc := m.TriVerts(int(prim))
-				if t, u, v, ok := IntersectTriangle(orig, dir, va, vb, vc); ok && t > tmin && t < best {
+			tris := b.Tris[node.Start : node.Start+node.Count]
+			triTests += len(tris)
+			for i := range tris {
+				tri := &tris[i]
+				if t, u, v, ok := IntersectTriangle(orig, dir, tri.A, tri.B, tri.C); ok && t > tmin && t < best {
 					best = t
-					hit = Hit{Prim: prim, T: t, U: u, V: v}
+					hit = Hit{Prim: b.PrimIDs[int(node.Start)+i], T: t, U: u, V: v}
 				}
 			}
-			continue
-		}
-		// Push the farther child first so the nearer pops first.
-		l, r := node.Left, node.Right
-		lt, _, lok := b.Nodes[l].Bounds.HitRay(orig, inv, tmin, best)
-		rt, _, rok := b.Nodes[r].Bounds.HitRay(orig, inv, tmin, best)
-		switch {
-		case lok && rok:
-			if lt > rt {
-				l, r = r, l
+		} else {
+			l, r := node.Left, node.Right
+			lt, _, lok := nodes[l].Bounds.HitRay(orig, inv, tmin, best)
+			rt, _, rok := nodes[r].Bounds.HitRay(orig, inv, tmin, best)
+			nodeTests += 2
+			if lok && rok {
+				if lt > rt {
+					l, r = r, l
+					lt, rt = rt, lt
+				}
+				stack[sp] = stackEntry{node: r, entry: rt}
+				sp++
+				ni = l
+				continue
 			}
-			stack[sp] = r
-			sp++
-			stack[sp] = l
-			sp++
-		case lok:
-			stack[sp] = l
-			sp++
-		case rok:
-			stack[sp] = r
-			sp++
+			if lok {
+				ni = l
+				continue
+			}
+			if rok {
+				ni = r
+				continue
+			}
 		}
-		nodeTests += 2
+		for {
+			if sp == 0 {
+				return hit, nodeTests, triTests
+			}
+			sp--
+			if stack[sp].entry <= best {
+				break
+			}
+		}
+		ni = stack[sp].node
 	}
-	return hit, nodeTests, triTests
 }
 
 // IntersectAny reports whether any triangle is hit in (tmin, tmax), the
@@ -115,22 +137,22 @@ func (b *BVH) IntersectAny(orig, dir vecmath.Vec3, tmin, tmax float64) bool {
 		return false
 	}
 	inv := vecmath.V(1/dir.X, 1/dir.Y, 1/dir.Z)
-	m := b.Mesh
+	nodes := b.Nodes
 	var stack [64]int32
 	sp := 0
 	stack[sp] = 0
 	sp++
 	for sp > 0 {
 		sp--
-		node := &b.Nodes[stack[sp]]
+		node := &nodes[stack[sp]]
 		if _, _, ok := node.Bounds.HitRay(orig, inv, tmin, tmax); !ok {
 			continue
 		}
 		if node.Count > 0 {
-			for i := node.Start; i < node.Start+node.Count; i++ {
-				prim := b.PrimIDs[i]
-				va, vb, vc := m.TriVerts(int(prim))
-				if t, _, _, ok := IntersectTriangle(orig, dir, va, vb, vc); ok && t > tmin && t < tmax {
+			tris := b.Tris[node.Start : node.Start+node.Count]
+			for i := range tris {
+				tri := &tris[i]
+				if t, _, _, ok := IntersectTriangle(orig, dir, tri.A, tri.B, tri.C); ok && t > tmin && t < tmax {
 					return true
 				}
 			}
@@ -166,7 +188,7 @@ func (s *PacketScratch) Ensure(width int) {
 }
 
 // IntersectClosestPacket traces a bundle of coherent rays through the tree
-// together, amortizing node tests across the packet: a node is descended
+// together, amortizing node visits across the packet: a node is descended
 // if any ray's interval hits it. This is the vector-unit ("ISPC") backend
 // of the tracer; with VectorWidth 1 it degenerates to per-ray traversal.
 func (b *BVH) IntersectClosestPacket(orig, dir []vecmath.Vec3, tmin float64, hits []Hit) {
@@ -176,15 +198,17 @@ func (b *BVH) IntersectClosestPacket(orig, dir []vecmath.Vec3, tmin float64, hit
 
 // IntersectClosestPacketScratch is IntersectClosestPacket with
 // caller-owned scratch, for steady-state loops that trace many packets.
+// It returns the box and triangle tests executed, counted per ray like
+// IntersectClosest's.
 //
 //insitu:noalloc
-func (b *BVH) IntersectClosestPacketScratch(orig, dir []vecmath.Vec3, tmin float64, hits []Hit, scratch *PacketScratch) {
+func (b *BVH) IntersectClosestPacketScratch(orig, dir []vecmath.Vec3, tmin float64, hits []Hit, scratch *PacketScratch) (int, int) {
 	n := len(orig)
 	for i := range hits {
 		hits[i] = Hit{Prim: -1, T: math.Inf(1)}
 	}
 	if len(b.Nodes) == 0 || n == 0 {
-		return
+		return 0, 0
 	}
 	scratch.Ensure(n)
 	inv := scratch.inv[:n]
@@ -193,16 +217,18 @@ func (b *BVH) IntersectClosestPacketScratch(orig, dir []vecmath.Vec3, tmin float
 		inv[i] = vecmath.V(1/dir[i].X, 1/dir[i].Y, 1/dir[i].Z)
 		best[i] = math.Inf(1)
 	}
-	m := b.Mesh
+	nodes := b.Nodes
+	nodeTests, triTests := 0, 0
 	var stack [64]int32
 	sp := 0
 	stack[sp] = 0
 	sp++
 	for sp > 0 {
 		sp--
-		node := &b.Nodes[stack[sp]]
+		node := &nodes[stack[sp]]
 		any := false
 		for i := 0; i < n; i++ {
+			nodeTests++
 			if _, _, ok := node.Bounds.HitRay(orig[i], inv[i], tmin, best[i]); ok {
 				any = true
 				break
@@ -212,13 +238,14 @@ func (b *BVH) IntersectClosestPacketScratch(orig, dir []vecmath.Vec3, tmin float
 			continue
 		}
 		if node.Count > 0 {
-			for pi := node.Start; pi < node.Start+node.Count; pi++ {
-				prim := b.PrimIDs[pi]
-				va, vb, vc := m.TriVerts(int(prim))
+			tris := b.Tris[node.Start : node.Start+node.Count]
+			triTests += len(tris) * n
+			for pi := range tris {
+				tri := &tris[pi]
 				for i := 0; i < n; i++ {
-					if t, u, v, ok := IntersectTriangle(orig[i], dir[i], va, vb, vc); ok && t > tmin && t < best[i] {
+					if t, u, v, ok := IntersectTriangle(orig[i], dir[i], tri.A, tri.B, tri.C); ok && t > tmin && t < best[i] {
 						best[i] = t
-						hits[i] = Hit{Prim: prim, T: t, U: u, V: v}
+						hits[i] = Hit{Prim: b.PrimIDs[int(node.Start)+pi], T: t, U: u, V: v}
 					}
 				}
 			}
@@ -229,6 +256,7 @@ func (b *BVH) IntersectClosestPacketScratch(orig, dir []vecmath.Vec3, tmin float
 		stack[sp] = node.Right
 		sp++
 	}
+	return nodeTests, triTests
 }
 
 // Depth returns the maximum leaf depth, a tree-quality diagnostic.

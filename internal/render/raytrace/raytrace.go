@@ -78,8 +78,13 @@ type Stats struct {
 	PrimaryRays  int
 	TotalRays    int64
 	ActivePixels int
-	NodeTests    int64
-	TriTests     int64
+	// NodeTests and TriTests are the box (slab) tests and triangle tests
+	// the primary-ray traversal executed this frame, on the scalar and the
+	// packet path alike. They are the measured counterpart of the model's
+	// c2*AP*log2(O) term: work that is a pure function of scene, camera
+	// and kernel, and so repeats exactly where the phase timings do not.
+	NodeTests int64
+	TriTests  int64
 }
 
 // MRaysPerSec returns primary rays per second (in millions) using the
@@ -444,6 +449,7 @@ func (a *frameArena) tracePacketKernel(worker, lo, hi int) {
 	rays := &a.rays
 	width := a.r.Dev.VectorWidth
 	ps := &a.packets[worker]
+	var localNode, localTri int
 	for base := lo; base < hi; base += width {
 		cnt := width
 		if base+cnt > hi {
@@ -453,7 +459,9 @@ func (a *frameArena) tracePacketKernel(worker, lo, hi int) {
 			ps.origs[k] = rays.orig(base + k)
 			ps.dirs[k] = rays.dir(base + k)
 		}
-		a.r.BVH.IntersectClosestPacketScratch(ps.origs[:cnt], ps.dirs[:cnt], 1e-9, ps.hits[:cnt], &ps.trav)
+		nt, tt := a.r.BVH.IntersectClosestPacketScratch(ps.origs[:cnt], ps.dirs[:cnt], 1e-9, ps.hits[:cnt], &ps.trav)
+		localNode += nt
+		localTri += tt
 		for k := 0; k < cnt; k++ {
 			rays.hitPrim[base+k] = ps.hits[k].Prim
 			rays.hitT[base+k] = ps.hits[k].T
@@ -461,6 +469,8 @@ func (a *frameArena) tracePacketKernel(worker, lo, hi int) {
 			rays.hitV[base+k] = ps.hits[k].V
 		}
 	}
+	a.nodeTests.Add(int64(localNode))
+	a.triTests.Add(int64(localTri))
 }
 
 // flagsKernel marks rays that hit geometry for stream compaction.

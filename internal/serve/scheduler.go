@@ -70,11 +70,19 @@ func (h *jobHeap) Pop() any {
 
 // bgJob is one queued background (speculative prefetch) render. cancel
 // runs when the job is shed without executing, so the submitter can
-// release whatever the job was accounted against.
+// release whatever the job was accounted against. The job is not
+// runnable before ready (submission time + the scheduler's bgGrace).
 type bgJob struct {
 	run    func(ws *workerState)
 	cancel func()
+	ready  time.Time
 }
+
+// speculationGrace is the bgGrace a Server runs its scheduler with (see
+// scheduler): long against writing a response and waking its reader
+// (tens of microseconds), short against the think times worth
+// speculating into (tens of milliseconds), so it costs no prefetch hit.
+const speculationGrace = 500 * time.Microsecond
 
 // scheduler is a bounded worker pool with two priority classes.
 //
@@ -94,7 +102,14 @@ type bgJob struct {
 //     reserved for foreground arrivals) unless the pool has a single
 //     worker, which then speculates only while idle;
 //   - shed first: oldest-first when the background queue overflows
-//     (older predictions are the stalest) and wholesale on close.
+//     (older predictions are the stalest) and wholesale on close;
+//   - runnable only bgGrace after submission. A speculative job is
+//     queued from inside the Frame call whose response is still to be
+//     written, and a render fans out over every device worker; started
+//     at once on a host with no idle core it takes the CPU from the
+//     delivery of the very frame that triggered it (loopback clients
+//     measure milliseconds on a cache hit). The job waits in the queue,
+//     not on a worker, so foreground arrivals are served meanwhile.
 //
 // A background job that has already started cannot be preempted — Go has
 // no goroutine preemption points we control — which is why the reserve
@@ -108,6 +123,7 @@ type scheduler struct {
 	queueCap int
 	bgCap    int
 	workers  int
+	bgGrace  time.Duration // set before the first submitBackground
 	seq      uint64
 	closed   bool
 	wg       sync.WaitGroup
@@ -182,8 +198,12 @@ func (s *scheduler) submitBackground(run func(ws *workerState), cancel func()) e
 		copy(s.bg, s.bg[1:])
 		s.bg = s.bg[:len(s.bg)-1]
 	}
-	s.bg = append(s.bg, bgJob{run: run, cancel: cancel})
-	s.cond.Signal()
+	s.bg = append(s.bg, bgJob{run: run, cancel: cancel, ready: time.Now().Add(s.bgGrace)})
+	if s.bgGrace > 0 {
+		time.AfterFunc(s.bgGrace, s.cond.Signal)
+	} else {
+		s.cond.Signal()
+	}
 	s.mu.Unlock()
 	if haveShed && shed.cancel != nil {
 		shed.cancel()
@@ -261,9 +281,12 @@ func (s *scheduler) worker() {
 }
 
 // canRunBackgroundLocked: background work runs only when the foreground
-// heap is empty and a background execution slot is free.
+// heap is empty, a background execution slot is free, and the oldest
+// queued job (the queue is FIFO, so the first to become ready) has sat
+// out its grace.
 func (s *scheduler) canRunBackgroundLocked() bool {
-	return len(s.bg) > 0 && len(s.jobs) == 0 && s.bgActive < s.bgSlots()
+	return len(s.bg) > 0 && len(s.jobs) == 0 && s.bgActive < s.bgSlots() &&
+		!time.Now().Before(s.bg[0].ready)
 }
 
 // close stops accepting jobs, sheds every queued background job (their

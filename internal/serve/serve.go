@@ -374,6 +374,7 @@ func New(engine *advisor.Engine, cfg Config) *Server {
 		tracer:   obs.NewTracer(4, 256),
 		stageLat: &obs.StageLatency{},
 	}
+	s.sched.bgGrace = speculationGrace
 	var rkeys []obs.ResidualKey
 	for _, name := range scenario.Names() {
 		rkeys = append(rkeys,

@@ -54,7 +54,20 @@ func (b AABB) Contains(p Vec3) bool {
 // HitRay performs the slab test against a ray given its origin and
 // reciprocal direction. It returns the parametric entry and exit distances
 // clipped to [tmin, tmax] and whether the interval is non-empty.
-func (b AABB) HitRay(orig, invDir Vec3, tmin, tmax float64) (float64, float64, bool) {
+//
+// The result is, bit for bit, the nested math.Max/math.Min fold in
+// hitRayGeneral. Those calls do not inline and dominated BVH traversal,
+// so the fold runs on the min/max builtins, which compile to inline
+// compare-and-select and agree with math.Max/math.Min on every input
+// without a NaN (infinities order normally, -0 sorts below +0). With a
+// NaN they part ways — math.Max(+Inf, NaN) is +Inf and a propagated NaN
+// carries math.NaN's payload — so any NaN takes the general fold: after
+// the per-axis ordering, t0 <= t1 holds exactly when neither is NaN (an
+// inverted [tmin, tmax] takes the general fold too, which costs only time).
+// Rays parallel to an axis whose origin lies on that slab's plane still
+// produce 0*Inf = NaN and miss: traversal order, and with it every
+// rendered pixel, depends on that staying so.
+func (b *AABB) HitRay(orig, invDir Vec3, tmin, tmax float64) (float64, float64, bool) {
 	t0x := (b.Min.X - orig.X) * invDir.X
 	t1x := (b.Max.X - orig.X) * invDir.X
 	if t0x > t1x {
@@ -70,6 +83,17 @@ func (b AABB) HitRay(orig, invDir Vec3, tmin, tmax float64) (float64, float64, b
 	if t0z > t1z {
 		t0z, t1z = t1z, t0z
 	}
+	if t0x <= t1x && t0y <= t1y && t0z <= t1z && tmin <= tmax {
+		t0 := max(max(t0x, t0y), max(t0z, tmin))
+		t1 := min(min(t1x, t1y), min(t1z, tmax))
+		return t0, t1, t0 <= t1
+	}
+	return hitRayGeneral(t0x, t1x, t0y, t1y, t0z, t1z, tmin, tmax)
+}
+
+// hitRayGeneral folds the per-axis slab intervals with math.Max/math.Min,
+// whose NaN, infinity and signed-zero rules define HitRay's result.
+func hitRayGeneral(t0x, t1x, t0y, t1y, t0z, t1z, tmin, tmax float64) (float64, float64, bool) {
 	t0 := math.Max(math.Max(t0x, t0y), math.Max(t0z, tmin))
 	t1 := math.Min(math.Min(t1x, t1y), math.Min(t1z, tmax))
 	return t0, t1, t0 <= t1
