@@ -66,6 +66,14 @@ type errorBody struct {
 	Rejection *serve.RejectionError `json:"rejection,omitempty"`
 }
 
+// writeServeError answers a serving error as a JSON errorBody, carrying
+// the model's verdict when the error is a deadline rejection.
+func writeServeError(w http.ResponseWriter, err error, status int) {
+	body := errorBody{Error: err.Error()}
+	errors.As(err, &body.Rejection)
+	writeJSON(w, status, body)
+}
+
 // frameErrStatus maps serving errors to HTTP statuses: client mistakes
 // are 400, unknown models 404, deadline rejections 422 (the request is
 // well-formed, the physics disagree), backpressure 503.
@@ -90,12 +98,7 @@ func frameErrStatus(err error) int {
 func (s *webServer) serveFrame(w http.ResponseWriter, req serve.FrameRequest) {
 	res, err := s.srv.Render(req)
 	if err != nil {
-		body := errorBody{Error: err.Error()}
-		var rej *serve.RejectionError
-		if errors.As(err, &rej) {
-			body.Rejection = rej
-		}
-		writeJSON(w, frameErrStatus(err), body)
+		writeServeError(w, err, frameErrStatus(err))
 		return
 	}
 	h := w.Header()

@@ -34,12 +34,7 @@ func (s *webServer) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, err := s.srv.OpenSession(req)
 	if err != nil {
-		body := errorBody{Error: err.Error()}
-		var rej *serve.RejectionError
-		if errors.As(err, &rej) {
-			body.Rejection = rej
-		}
-		writeJSON(w, sessionErrStatus(err), body)
+		writeServeError(w, err, sessionErrStatus(err))
 		return
 	}
 	writeJSON(w, http.StatusCreated, sess.Info())
@@ -111,12 +106,7 @@ func (s *webServer) handleSessionFrame(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := sess.Frame(azimuth, zoom)
 	if err != nil {
-		body := errorBody{Error: err.Error()}
-		var rej *serve.RejectionError
-		if errors.As(err, &rej) {
-			body.Rejection = rej
-		}
-		writeJSON(w, sessionErrStatus(err), body)
+		writeServeError(w, err, sessionErrStatus(err))
 		return
 	}
 	h := w.Header()

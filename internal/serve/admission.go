@@ -99,6 +99,16 @@ type decision struct {
 	degraded           bool
 }
 
+// rejection is the refusal of a request this decision found infeasible.
+func (d decision) rejection(req *FrameRequest) error {
+	return &RejectionError{
+		DeadlineSeconds:       req.DeadlineMillis / 1e3,
+		PredictedSeconds:      d.requestedPredicted,
+		FloorPredictedSeconds: d.predicted,
+		Steps:                 d.steps,
+	}
+}
+
 // workload1Derate scales the fitted shaded-workload prediction when the
 // ladder drops the ray tracer to primary visibility only. Workload is
 // not a model input (the models are fitted at the paper's Workload2),
@@ -119,7 +129,7 @@ const maxDegradeSteps = 32
 // workload — until the prediction fits or every knob is at its floor.
 func (s *Server) decide(req *FrameRequest, surface bool) (decision, error) {
 	deadline := req.DeadlineMillis / 1e3
-	requested := quality{W: req.Width, H: req.Height, N: req.N, Shards: maxInt(req.Shards, 1)}
+	requested := quality{W: req.Width, H: req.Height, N: req.N, Shards: max(req.Shards, 1)}
 	q := requested
 	d := decision{q: q}
 	p, comp, err := s.predictQuality(req.Arch, req.Backend, q)
@@ -162,8 +172,8 @@ func (s *Server) decide(req *FrameRequest, surface bool) (decision, error) {
 // geometry, then ray tracing workload as the last resort. Returns the
 // new quality and whether anything changed (false = ladder exhausted).
 func (s *Server) degradeOnce(req *FrameRequest, q quality, surface bool, deadline float64) (quality, bool) {
-	minW := minInt(s.cfg.MinImageSize, req.Width)
-	minH := minInt(s.cfg.MinImageSize, req.Height)
+	minW := min(s.cfg.MinImageSize, req.Width)
+	minH := min(s.cfg.MinImageSize, req.Height)
 	// Sharded frames first trade shard count against resolution by
 	// predicted totals: halving shards sheds compositing cost and shrinks
 	// the weak-scaled dataset, halving resolution sheds per-pixel cost —
@@ -171,11 +181,11 @@ func (s *Server) degradeOnce(req *FrameRequest, q quality, surface bool, deadlin
 	// until the frame is down to one shard.
 	if q.Shards > 1 {
 		byRes := q
-		byRes.W = maxInt(q.W/2, minW)
-		byRes.H = maxInt(q.H/2, minH)
+		byRes.W = max(q.W/2, minW)
+		byRes.H = max(q.H/2, minH)
 		resPossible := byRes != q
 		byShards := q
-		byShards.Shards = maxInt(q.Shards/2, 1)
+		byShards.Shards = max(q.Shards/2, 1)
 		switch {
 		case !resPossible:
 			return byShards, true
@@ -189,11 +199,11 @@ func (s *Server) degradeOnce(req *FrameRequest, q quality, surface bool, deadlin
 		}
 	}
 	if q.W > minW || q.H > minH {
-		q.W = maxInt(q.W/2, minW)
-		q.H = maxInt(q.H/2, minH)
+		q.W = max(q.W/2, minW)
+		q.H = max(q.H/2, minH)
 		return q, true
 	}
-	minN := minInt(s.cfg.MinN, req.N)
+	minN := min(s.cfg.MinN, req.N)
 	if q.N > minN {
 		if surface {
 			// Invert the model: the largest geometry that fits the
@@ -204,7 +214,7 @@ func (s *Server) degradeOnce(req *FrameRequest, q quality, surface bool, deadlin
 			}
 			mt, err := s.engine.MaxTriangles(advisor.MaxTrianglesRequest{
 				Arch: req.Arch, Renderer: string(req.Backend), Tasks: 1,
-				ImageSize:             maxInt(q.W, q.H),
+				ImageSize:             max(q.W, q.H),
 				PerImageBudgetSeconds: budget,
 				Renderings:            s.cfg.RunnerReuse,
 			})
@@ -213,7 +223,7 @@ func (s *Server) degradeOnce(req *FrameRequest, q quality, surface bool, deadlin
 				return q, true
 			}
 		}
-		q.N = maxInt(q.N/2, minN)
+		q.N = max(q.N/2, minN)
 		return q, true
 	}
 	if req.Backend == core.RayTrace && q.RTWorkload == 0 {
@@ -231,7 +241,7 @@ func (s *Server) degradeOnce(req *FrameRequest, q quality, surface bool, deadlin
 func (s *Server) predictQuality(arch string, backend core.Renderer, q quality) (float64, float64, error) {
 	resp, err := s.engine.Predict(advisor.PredictRequest{
 		Arch: arch, Renderer: string(backend),
-		N: q.N, Tasks: maxInt(q.Shards, 1), Width: q.W, Height: q.H,
+		N: q.N, Tasks: max(q.Shards, 1), Width: q.W, Height: q.H,
 		Renderings: s.cfg.RunnerReuse,
 	})
 	if err != nil {
@@ -243,18 +253,4 @@ func (s *Server) predictQuality(arch string, backend core.Renderer, q quality) (
 		p *= workload1Derate
 	}
 	return p, comp, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

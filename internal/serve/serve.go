@@ -21,6 +21,16 @@
 // cost against the measured client think time, shed first under
 // pressure — so a predictable camera path sees cache-hit
 // time-to-photon while foreground deadline traffic is never delayed.
+//
+// Frame pipeline: Render and OpenSession share one front half (front:
+// validate, fleet-health clamp, memoized admission, rejection). A frame
+// cache hit is then answered allocation-free; a miss goes to the one
+// flight leader (lead) that foreground misses and speculative prefetch
+// share. It draws on one of three execution paths — a leased warm runner
+// (spans runner_lease, render), the worker fleet (shard_dispatch with
+// rank_render and composite nested), or the standalone fallback (render
+// with composite nested) — and all three end in one tail, finishFrame:
+// encode, deadline test, residuals, calibration feed.
 package serve
 
 import (
@@ -197,60 +207,30 @@ func (c *Config) setDefaults() {
 	if c.Arch == "" {
 		c.Arch = "cpu"
 	}
-	if c.Workers < 1 {
-		c.Workers = 2
-	}
-	if c.QueueCap < 1 {
-		c.QueueCap = 64
-	}
+	orDefault(&c.Workers, 1, 2)
+	orDefault(&c.QueueCap, 1, 64)
 	if c.FrameCacheEntries == 0 {
 		c.FrameCacheEntries = 256
 	}
 	if c.AdmitCacheEntries == 0 {
 		c.AdmitCacheEntries = 4096
 	}
-	if c.RunnerCacheEntries < 1 {
-		c.RunnerCacheEntries = 8
-	}
-	if c.RunnerReuse < 1 {
-		c.RunnerReuse = 100
-	}
-	if c.MinImageSize < 1 {
-		c.MinImageSize = 64
-	}
-	if c.MinN < 4 {
-		c.MinN = 8
-	}
-	if c.MaxImageSize < 1 {
-		c.MaxImageSize = 2048
-	}
-	if c.MaxN < 4 {
-		c.MaxN = 64
-	}
-	if c.ClusterTimeout <= 0 {
-		c.ClusterTimeout = 60 * time.Second
-	}
-	if c.BreakerThreshold < 1 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
+	orDefault(&c.RunnerCacheEntries, 1, 8)
+	orDefault(&c.RunnerReuse, 1, 100)
+	orDefault(&c.MinImageSize, 1, 64)
+	orDefault(&c.MinN, 4, 8)
+	orDefault(&c.MaxImageSize, 1, 2048)
+	orDefault(&c.MaxN, 4, 64)
+	orDefault(&c.ClusterTimeout, 1, 60*time.Second)
+	orDefault(&c.BreakerThreshold, 1, 3)
+	orDefault(&c.BreakerCooldown, 1, 5*time.Second)
 	if c.PrefetchDepth == 0 {
 		c.PrefetchDepth = 3
 	}
-	if c.PrefetchDepth > MaxPrefetchDepth {
-		c.PrefetchDepth = MaxPrefetchDepth
-	}
-	if c.MaxSessions < 1 {
-		c.MaxSessions = 4096
-	}
-	if c.SessionIdleTimeout <= 0 {
-		c.SessionIdleTimeout = 5 * time.Minute
-	}
-	if c.PrefetchQueueCap < 1 {
-		c.PrefetchQueueCap = 64
-	}
+	c.PrefetchDepth = min(c.PrefetchDepth, MaxPrefetchDepth)
+	orDefault(&c.MaxSessions, 1, 4096)
+	orDefault(&c.SessionIdleTimeout, 1, 5*time.Minute)
+	orDefault(&c.PrefetchQueueCap, 1, 64)
 	if c.Predictor == nil {
 		c.Predictor = OrbitPredictor{}
 	}
@@ -259,17 +239,23 @@ func (c *Config) setDefaults() {
 	}
 }
 
+// orDefault replaces a setting below floor with its default.
+func orDefault[T int | time.Duration](v *T, floor, def T) {
+	if *v < floor {
+		*v = def
+	}
+}
+
 // frameKey identifies a served frame: who renders what, from where, at
 // which (possibly degraded) quality. Camera angles are quantized to
 // millidegrees so float noise cannot fragment the cache (normalize
 // bounds them, so the quantization cannot overflow).
 type frameKey struct {
-	arch      string
-	backend   core.Renderer
-	sim       string
-	azMilli   int64
-	zoomMilli int64
-	q         quality
+	arch    string
+	backend core.Renderer
+	sim     string
+	cam     cameraKey
+	q       quality
 }
 
 // runnerKey identifies a prepared runner: the frame key minus the
@@ -553,60 +539,69 @@ func (s *Server) admitRequest(req *FrameRequest) (decision, error) {
 	return d, nil
 }
 
-// serveFrame is the shared frame path behind Render and Session.Frame:
-// validate, admit, probe the frame cache, and on a miss render through
-// the scheduler. sess, when non-nil, receives prefetch-hit accounting.
-// The cache-hit path performs zero heap allocations.
-//
-//insitu:noalloc
-func (s *Server) serveFrame(req FrameRequest, sess *Session) (FrameResult, decision, error) {
-	start := time.Now()
-	//insitu:noalloc-ok normalize is read-only for accepted requests; only rejections build errors
-	if err := s.normalize(&req); err != nil {
-		s.stats.badRequests.Add(1)
-		return FrameResult{}, decision{}, err
+// validate normalizes the request and checks that its backend/sim pair
+// is servable — the request-shape half of front.
+func (s *Server) validate(req *FrameRequest) error {
+	if err := s.normalize(req); err != nil {
+		return err
 	}
-	//insitu:noalloc-ok registry probe is a map read; its error path only runs on rejected requests
 	backend, err := scenario.Lookup(req.Backend)
 	if err != nil {
-		s.stats.badRequests.Add(1)
-		//insitu:noalloc-ok bad-request path, never taken by a cache hit
-		return FrameResult{}, decision{}, fmt.Errorf("%w: %s", ErrBadRequest, err)
+		return fmt.Errorf("%w: %s", ErrBadRequest, err)
 	}
 	if backend.NeedsStructured() && !sim.Structured(req.Sim) {
-		s.stats.badRequests.Add(1)
-		//insitu:noalloc-ok bad-request path, never taken by a cache hit
-		return FrameResult{}, decision{}, badRequestf("%s needs a structured block; sim %q publishes an unstructured one", req.Backend, req.Sim)
+		return badRequestf("%s needs a structured block; sim %q publishes an unstructured one", req.Backend, req.Sim)
 	}
+	return nil
+}
 
+// front is the request front half shared by serveFrame and OpenSession:
+// validate, clamp the shard count to the surviving fleet, run the
+// memoized admission, and refuse what no quality fits. fleetClamped
+// reports the clamp. Accepted requests run it allocation-free.
+//
+//insitu:noalloc
+func (s *Server) front(req *FrameRequest) (d decision, fleetClamped bool, err error) {
+	//insitu:noalloc-ok validate is read-only for accepted requests; only rejections build errors
+	if err := s.validate(req); err != nil {
+		s.stats.badRequests.Add(1)
+		return decision{}, false, err
+	}
 	// Fleet-health clamp: a request sharded wider than the surviving
 	// workers re-plans at the feasible width before admission, so the
 	// degrade ladder (and the admission memo, keyed on the clamped
 	// count) works against what the fleet can actually place. The static
 	// Workers() cap in normalize stays a 400; losing ranks degrades.
-	fleetClamped := false
 	if req.Shards > 1 && s.cfg.Cluster != nil {
 		if alive := s.cfg.Cluster.AliveWorkers(); req.Shards > alive {
-			req.Shards = maxInt(alive, 1)
+			req.Shards = max(alive, 1)
 			fleetClamped = true
 			s.stats.fleetClamped.Add(1)
 		}
 	}
-
-	d, err := s.admitRequest(&req)
-	if err != nil {
+	if d, err = s.admitRequest(req); err != nil {
 		s.stats.errors.Add(1)
-		return FrameResult{}, decision{}, err
+		return decision{}, fleetClamped, err
 	}
 	if !d.ok {
 		s.stats.rejected.Add(1)
 		//insitu:noalloc-ok rejection path, never taken by a cache hit
-		return FrameResult{}, d, &RejectionError{
-			DeadlineSeconds:       req.DeadlineMillis / 1e3,
-			PredictedSeconds:      d.requestedPredicted,
-			FloorPredictedSeconds: d.predicted,
-			Steps:                 d.steps,
-		}
+		return d, fleetClamped, d.rejection(req)
+	}
+	return d, fleetClamped, nil
+}
+
+// serveFrame is the shared frame path behind Render and Session.Frame:
+// the front half, then the frame cache, and on a miss a render through
+// the flight leader. sess, when non-nil, receives prefetch-hit
+// accounting. The cache-hit path performs zero heap allocations.
+//
+//insitu:noalloc
+func (s *Server) serveFrame(req FrameRequest, sess *Session) (res FrameResult, d decision, err error) {
+	start := time.Now()
+	d, fleetClamped, err := s.front(&req)
+	if err != nil {
+		return FrameResult{}, d, err
 	}
 	s.stats.admitted.Add(1)
 	if d.degraded {
@@ -616,42 +611,66 @@ func (s *Server) serveFrame(req FrameRequest, sess *Session) (FrameResult, decis
 	admitDur := time.Since(start)
 	fk := frameKeyFor(&req, d.q)
 	if cf, ok := s.frames.Get(fk); ok {
-		s.stats.cacheHits.Add(1)
-		if cf.speculative {
-			s.stats.prefetchHits.Add(1)
-			if sess != nil {
-				sess.prefetchHits.Add(1)
-			}
-		}
-		// The hit path's trace lives on this stack frame and commits by
-		// copy — sharing the miss path's trace would make it escape into
-		// the scheduler closure and heap-allocate every hit.
-		var tr obs.FrameTrace
-		tr.Seq = s.tracer.NextSeq()
-		traceIdentity(&tr, &req, d.q)
-		tr.CacheHit, tr.Degraded = true, d.degraded
-		tr.Begin(start)
-		tr.Span(obs.StageAdmit, start, admitDur)
-		s.commitTrace(&tr, time.Now())
-		return FrameResult{
-			PNG:   cf.png,
-			Width: d.q.W, Height: d.q.H, N: d.q.N, RTWorkload: d.q.RTWorkload,
-			PrefetchHit:      cf.speculative,
-			PredictedSeconds: d.predicted, RenderSeconds: cf.renderSeconds,
-			Shards:                    d.q.Shards,
-			CompositeSeconds:          cf.compositeSeconds,
-			PredictedCompositeSeconds: d.predictedComposite,
-			RankRenderSeconds:         cf.rankRenderSeconds,
-			RankCompositeSeconds:      cf.rankCompositeSeconds,
-			CacheHit:                  true, Degraded: d.degraded, DegradeSteps: d.steps,
-			FleetDegraded: fleetClamped,
-		}, d, nil
+		s.hitFrame(&res, &cf, &d, sess)
+		res.FleetDegraded = fleetClamped
+		s.commitHitTrace(&req, &d, start, admitDur)
+		return res, d, nil
 	}
 	s.stats.cacheMisses.Add(1)
 	//insitu:noalloc-ok the miss path renders a frame; only the hit path above is allocation-free
-	res, err := s.renderMiss(req, d, fk, sess, start, admitDur)
+	res, err = s.renderMiss(req, d, fk, sess, start, admitDur)
 	res.FleetDegraded = res.FleetDegraded || fleetClamped
 	return res, d, err
+}
+
+// hitFrame accounts a frame served from the cache and fills res from the
+// cached measurements at the admitted quality (in place: the result is
+// large, and the hit path is where its copies show).
+//
+//insitu:noalloc
+func (s *Server) hitFrame(res *FrameResult, cf *cachedFrame, d *decision, sess *Session) {
+	s.stats.cacheHits.Add(1)
+	if cf.speculative {
+		s.prefetchHit(sess)
+	}
+	*res = FrameResult{
+		PNG:   cf.png,
+		Width: d.q.W, Height: d.q.H, N: d.q.N, RTWorkload: d.q.RTWorkload,
+		PrefetchHit:      cf.speculative,
+		PredictedSeconds: d.predicted, RenderSeconds: cf.renderSeconds,
+		Shards:                    d.q.Shards,
+		CompositeSeconds:          cf.compositeSeconds,
+		PredictedCompositeSeconds: d.predictedComposite,
+		RankRenderSeconds:         cf.rankRenderSeconds,
+		RankCompositeSeconds:      cf.rankCompositeSeconds,
+		CacheHit:                  true, Degraded: d.degraded, DegradeSteps: d.steps,
+	}
+}
+
+// prefetchHit counts a frame served from a speculative render.
+//
+//insitu:noalloc
+func (s *Server) prefetchHit(sess *Session) {
+	s.stats.prefetchHits.Add(1)
+	if sess != nil {
+		sess.prefetchHits.Add(1)
+	}
+}
+
+// commitHitTrace commits the trace of a frame served without rendering
+// (a cache hit or a coalesced follower): admission only, flagged as a
+// hit. The trace lives on this stack frame and commits by copy — sharing
+// the miss path's heap trace would make every hit allocate.
+//
+//insitu:noalloc
+func (s *Server) commitHitTrace(req *FrameRequest, d *decision, start time.Time, admitDur time.Duration) {
+	var tr obs.FrameTrace
+	tr.Seq = s.tracer.NextSeq()
+	traceIdentity(&tr, req, d.q)
+	tr.CacheHit, tr.Degraded = true, d.degraded
+	tr.Begin(start)
+	tr.Span(obs.StageAdmit, start, admitDur)
+	s.commitTrace(&tr, time.Now())
 }
 
 // frameKeyFor builds the cache identity of a normalized request at the
@@ -662,58 +681,67 @@ func (s *Server) serveFrame(req FrameRequest, sess *Session) (FrameResult, decis
 func frameKeyFor(req *FrameRequest, q quality) frameKey {
 	return frameKey{
 		arch: req.Arch, backend: req.Backend, sim: req.Sim,
-		azMilli:   int64(math.Round(req.Azimuth * 1e3)),
-		zoomMilli: int64(math.Round(req.Zoom * 1e3)),
-		q:         q,
+		cam: cameraKeyFor(Pose{Azimuth: req.Azimuth, Zoom: req.Zoom}),
+		q:   q,
 	}
 }
 
-// renderMiss coalesces concurrent identical misses and renders through
-// the deadline scheduler. A miss that finds a speculative render
-// already in flight waits for it instead of queueing a duplicate — the
-// prefetch landed mid-render.
+// renderMiss serves a foreground cache miss: lead a flight that renders
+// through the deadline scheduler, or, when the same frame is already in
+// flight, wait for its leader instead of queueing a duplicate — a
+// speculative leader is a prefetch that landed mid-render.
 func (s *Server) renderMiss(req FrameRequest, d decision, fk frameKey, sess *Session, start time.Time, admitDur time.Duration) (FrameResult, error) {
-	s.flightMu.Lock()
-	if f, ok := s.flights[fk]; ok {
-		s.flightMu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return FrameResult{}, f.err
-		}
-		res := f.res
-		res.CacheHit = true // served from the leader's render
-		s.stats.coalesced.Add(1)
-		if f.speculative {
-			res.PrefetchHit = true
-			s.stats.prefetchHits.Add(1)
-			if sess != nil {
-				sess.prefetchHits.Add(1)
-			}
-		}
-		// The leader's flight committed the render trace; the follower
-		// traces as a hit (its wall time is the wait on the flight).
-		var tr obs.FrameTrace
-		tr.Seq = s.tracer.NextSeq()
-		traceIdentity(&tr, &req, d.q)
-		tr.CacheHit, tr.Degraded = true, d.degraded
-		tr.Begin(start)
-		tr.Span(obs.StageAdmit, start, admitDur)
-		s.commitTrace(&tr, time.Now())
-		return res, nil
+	f, led := s.lead(nil, &req, d, fk, start, admitDur)
+	if led {
+		return f.res, f.err
 	}
-	f := &flight{done: make(chan struct{})}
+	<-f.done
+	if f.err != nil {
+		return FrameResult{}, f.err
+	}
+	res := f.res
+	res.CacheHit = true // served from the leader's render
+	s.stats.coalesced.Add(1)
+	if f.speculative {
+		res.PrefetchHit = true
+		s.prefetchHit(sess)
+	}
+	// The leader committed the render trace; the follower traces as a hit
+	// (its wall time is the wait on the flight).
+	s.commitHitTrace(&req, &d, start, admitDur)
+	return res, nil
+}
+
+// lead is the one flight leader behind foreground misses and speculative
+// prefetch: register a flight for fk, render the frame, store it in the
+// frame cache, commit its trace, and release the followers. When fk is
+// already in flight it renders nothing and returns that flight with
+// led=false. A foreground leader (ws nil) traces its admission and queues
+// on the deadline scheduler; a speculative one already runs on worker ws
+// and stores its frame marked speculative.
+func (s *Server) lead(ws *workerState, req *FrameRequest, d decision, fk frameKey, start time.Time, admitDur time.Duration) (*flight, bool) {
+	speculative := ws != nil
+	s.flightMu.Lock()
+	if f, busy := s.flights[fk]; busy {
+		s.flightMu.Unlock()
+		return f, false
+	}
+	f := &flight{done: make(chan struct{}), speculative: speculative}
 	s.flights[fk] = f
 	s.flightMu.Unlock()
 
-	// The miss path's trace is heap-shared with the scheduler closure —
-	// a render allocates regardless, so escape here is free.
+	// The leader's trace is heap-shared with the scheduler closure — a
+	// render allocates regardless, so escape here is free.
 	tr := &obs.FrameTrace{Seq: s.tracer.NextSeq()}
-	traceIdentity(tr, &req, d.q)
+	traceIdentity(tr, req, d.q)
 	tr.Degraded = d.degraded
 	tr.Begin(start)
-	tr.Span(obs.StageAdmit, start, admitDur)
-
-	f.res, f.err = s.renderScheduled(req, d, fk, tr)
+	if speculative {
+		f.res, f.err = s.renderFrame(ws, req, d, time.Time{}, tr)
+	} else {
+		tr.Span(obs.StageAdmit, start, admitDur)
+		f.res, f.err = s.renderScheduled(req, d, tr)
+	}
 	if f.err == nil {
 		storeStart := time.Now()
 		s.frames.Add(fk, cachedFrame{
@@ -722,128 +750,118 @@ func (s *Server) renderMiss(req FrameRequest, d decision, fk frameKey, sess *Ses
 			compositeSeconds:     f.res.CompositeSeconds,
 			rankRenderSeconds:    f.res.RankRenderSeconds,
 			rankCompositeSeconds: f.res.RankCompositeSeconds,
+			speculative:          speculative,
 		})
 		tr.Span(obs.StageCacheStore, storeStart, time.Since(storeStart))
-		tr.DeadlineMiss = f.res.DeadlineMiss
 		s.commitTrace(tr, time.Now())
 	}
 	s.flightMu.Lock()
 	delete(s.flights, fk)
 	s.flightMu.Unlock()
 	close(f.done)
-	return f.res, f.err
+	return f, true
 }
 
 // renderScheduled queues the render with its absolute deadline and
 // waits for a worker, charging the queue wait to the frame's trace.
-func (s *Server) renderScheduled(req FrameRequest, d decision, fk frameKey, tr *obs.FrameTrace) (FrameResult, error) {
+func (s *Server) renderScheduled(req *FrameRequest, d decision, tr *obs.FrameTrace) (FrameResult, error) {
 	var deadline time.Time
 	if req.DeadlineMillis > 0 {
 		deadline = time.Now().Add(time.Duration(req.DeadlineMillis * float64(time.Millisecond)))
 	}
-	type outcome struct {
-		res FrameResult
-		err error
-	}
-	ch := make(chan outcome, 1)
+	var res FrameResult
+	done := make(chan error, 1)
 	submitT := time.Now()
 	err := s.sched.submit(deadline, d.predicted, func(ws *workerState) {
 		waited := time.Since(submitT)
 		tr.Span(obs.StageQueueWait, submitT, waited)
-		res, err := s.renderFrame(ws, &req, d, fk, deadline, tr)
+		var err error
+		res, err = s.renderFrame(ws, req, d, deadline, tr)
 		res.QueueSeconds = waited.Seconds()
-		ch <- outcome{res, err}
+		done <- err
 	})
 	if err != nil {
 		s.stats.queueFull.Add(1)
 		return FrameResult{}, err
 	}
-	out := <-ch
-	if out.err != nil {
+	if err := <-done; err != nil {
 		s.stats.errors.Add(1)
+		return FrameResult{}, err
 	}
-	return out.res, out.err
+	return res, nil
 }
 
-// renderFrame runs on a scheduler worker: lease the (cached) runner,
-// point its camera at this request's orbit position, render, encode,
-// and feed the measurement back to calibration. Sharded frames are
-// routed to the cluster fleet instead of the local runner cache;
-// deadline (zero = none) bounds a cluster frame's recovery retries.
-func (s *Server) renderFrame(ws *workerState, req *FrameRequest, d decision, fk frameKey, deadline time.Time, tr *obs.FrameTrace) (FrameResult, error) {
-	if d.q.Shards > 1 {
-		return s.renderClusterFrame(ws, req, d, deadline, tr)
+// renderFrame runs on a scheduler worker: draw the frame on its execution
+// path — a leased warm runner for one shard, else the worker fleet, else
+// (fleet failed or breaker open) the standalone renderer — and measure it
+// through the one tail. The paths differ only in how they draw.
+// deadline (zero = none) bounds a fleet frame's recovery retries.
+func (s *Server) renderFrame(ws *workerState, req *FrameRequest, d decision, deadline time.Time, tr *obs.FrameTrace) (FrameResult, error) {
+	if d.q.Shards <= 1 {
+		lease, res, err := s.drawLocal(req, d.q, tr)
+		if err != nil {
+			return FrameResult{}, err
+		}
+		// The image lives in the runner's arena: hold the lease across the tail.
+		defer lease.Release()
+		return s.finishFrame(ws, req, d, res, false, tr)
 	}
-	leaseStart := time.Now()
-	rk := runnerKey{arch: req.Arch, backend: req.Backend, sim: req.Sim, q: d.q}
-	lease, err := s.runners.Acquire(rk, func() (scenario.FrameRunner, func(), error) {
-		return s.prepareRunner(req, d.q)
-	})
+	job := cluster.Job{
+		Backend: string(req.Backend), Sim: req.Sim, Arch: req.Arch,
+		N: d.q.N, Width: d.q.W, Height: d.q.H,
+		Shards: d.q.Shards, RTWorkload: d.q.RTWorkload,
+		Azimuth: req.Azimuth, Zoom: req.Zoom,
+	}
+	if res := s.drawFleet(job, d, deadline, tr); res != nil {
+		return s.finishFrame(ws, req, d, res, false, tr)
+	}
+	res, err := s.drawFallback(job, tr)
 	if err != nil {
 		return FrameResult{}, err
+	}
+	return s.finishFrame(ws, req, d, res, true, tr)
+}
+
+// drawLocal leases the (cached) runner, points its camera at this
+// request's orbit position, and renders. The caller releases the lease.
+func (s *Server) drawLocal(req *FrameRequest, q quality, tr *obs.FrameTrace) (*scenario.RunnerLease[runnerKey], *cluster.Result, error) {
+	leaseStart := time.Now()
+	rk := runnerKey{arch: req.Arch, backend: req.Backend, sim: req.Sim, q: q}
+	lease, err := s.runners.Acquire(rk, func() (scenario.FrameRunner, func(), error) {
+		return s.prepareRunner(req, q)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	tr.Span(obs.StageRunnerLease, leaseStart, time.Since(leaseStart))
 	pr := lease.Runner().(*preparedRunner)
 	pr.SetCamera(render.OrbitCamera(pr.bounds, req.Azimuth, 20, req.Zoom))
-	in := core.Inputs{Pixels: float64(d.q.W * d.q.H), Tasks: 1}
+	in := core.Inputs{Pixels: float64(q.W * q.H), Tasks: 1}
 	renderStart := time.Now()
 	elapsed, img, err := pr.RenderFrame(&in)
 	if err != nil {
 		lease.Release()
-		return FrameResult{}, fmt.Errorf("serve: rendering %s/%s: %w", req.Backend, req.Sim, err)
+		return nil, nil, fmt.Errorf("serve: rendering %s/%s: %w", req.Backend, req.Sim, err)
 	}
 	tr.Span(obs.StageRender, renderStart, elapsed)
 	in.AvgAP = in.AP
-	build := pr.BuildSeconds()
-
-	encStart := time.Now()
-	var buf bytes.Buffer
-	encErr := ws.enc.Encode(&buf, img)
-	lease.Release()
-	if encErr != nil {
-		return FrameResult{}, fmt.Errorf("serve: encoding frame: %w", encErr)
-	}
-	tr.Span(obs.StageEncode, encStart, time.Since(encStart))
-
-	wall := elapsed.Seconds()
-	s.stats.framesRendered.Add(1)
-	s.stats.renderNanos.Add(uint64(elapsed.Nanoseconds()))
-	miss := false
-	if dl := req.DeadlineMillis / 1e3; dl > 0 && wall > dl {
-		s.stats.deadlineMisses.Add(1)
-		miss = true
-		tr.DeadlineMiss = true
-	}
-	s.residuals.Observe(string(req.Backend), "render", d.predicted, wall)
-	s.feedObservation(req, d.q, in, build, wall, 0)
-
-	return FrameResult{
-		PNG:   buf.Bytes(),
-		Width: d.q.W, Height: d.q.H, N: d.q.N, RTWorkload: d.q.RTWorkload,
-		PredictedSeconds: d.predicted, RenderSeconds: wall,
-		Shards:   1,
-		Degraded: d.degraded, DegradeSteps: d.steps,
-		DeadlineMiss: miss,
+	return lease, &cluster.Result{
+		//insitu:leaselife-ok the caller holds the lease, and with it the arena, until the tail is done
+		Image: img, In: in, BuildSeconds: pr.BuildSeconds(), RenderSeconds: elapsed.Seconds(),
 	}, nil
 }
 
-// renderClusterFrame runs on a scheduler worker like any other frame,
-// but delegates the pixels to the worker fleet: dispatch the admitted
-// quality's shard group, wait for the composited image, encode it, and
-// feed the reduced measurement — including the measured compositing
-// time the Tc model refits on — back to calibration.
-//
-// Fault handling wraps the dispatch, not the steady state: the circuit
-// breaker decides whether the fleet gets the frame at all, the render
-// context carries the request deadline so recovery retries are charged
-// against it, and a frame the fleet cannot deliver is re-rendered by the
+// drawFleet renders the job on the worker fleet, or returns nil when the
+// fleet cannot deliver it: the circuit breaker is open, or the dispatch
+// failed. The render context carries the request deadline, so recovery
+// retries are charged against it. A nil result falls back to the
 // standalone path at the same admitted quality — byte-identical by
 // construction, so the frame cache and clients see degraded placement,
 // never degraded pixels.
-func (s *Server) renderClusterFrame(ws *workerState, req *FrameRequest, d decision, deadline time.Time, tr *obs.FrameTrace) (FrameResult, error) {
+func (s *Server) drawFleet(job cluster.Job, d decision, deadline time.Time, tr *obs.FrameTrace) *cluster.Result {
 	if !s.brk.allow() {
 		s.stats.breakerShortCircuits.Add(1)
-		return s.renderClusterFallback(ws, req, d, tr)
+		return nil
 	}
 	limit := time.Now().Add(s.cfg.ClusterTimeout)
 	if !deadline.IsZero() && deadline.Before(limit) {
@@ -851,12 +869,7 @@ func (s *Server) renderClusterFrame(ws *workerState, req *FrameRequest, d decisi
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), limit)
 	dispatchStart := time.Now()
-	res, err := s.cfg.Cluster.Render(ctx, cluster.Job{
-		Backend: string(req.Backend), Sim: req.Sim, Arch: req.Arch,
-		N: d.q.N, Width: d.q.W, Height: d.q.H,
-		Shards: d.q.Shards, RTWorkload: d.q.RTWorkload,
-		Azimuth: req.Azimuth, Zoom: req.Zoom,
-	})
+	res, err := s.cfg.Cluster.Render(ctx, job)
 	cancel()
 	if err != nil {
 		s.stats.clusterFailures.Add(1)
@@ -865,115 +878,85 @@ func (s *Server) renderClusterFrame(ws *workerState, req *FrameRequest, d decisi
 			s.cfg.Logf("serve: circuit breaker opened after cluster failure: %v", err)
 		}
 		s.cfg.Logf("serve: cluster render %s/%s x%d failed, falling back to standalone: %v",
-			req.Backend, req.Sim, d.q.Shards, err)
-		return s.renderClusterFallback(ws, req, d, tr)
+			job.Backend, job.Sim, job.Shards, err)
+		return nil
 	}
 	s.brk.success()
-	if res.Retries > 0 {
-		s.stats.clusterRetries.Add(uint64(res.Retries))
-	}
 	// The dispatch span is the fleet round trip; the slowest rank's
 	// render and the sort-last exchange nest inside it, placed from the
 	// remote measurements (the fleet's clocks are this process's clocks —
 	// the workers are in-process ranks).
 	tr.Span(obs.StageShardDispatch, dispatchStart, time.Since(dispatchStart))
-	dispatchOff := tr.StartOffset(obs.StageShardDispatch)
-	tr.SpanNanos(obs.StageRankRender, int64(dispatchOff), int64(res.RenderSeconds*1e9))
-	tr.SpanNanos(obs.StageComposite, int64(dispatchOff)+int64(res.RenderSeconds*1e9), int64(res.CompositeSeconds*1e9))
-
-	encStart := time.Now()
-	var buf bytes.Buffer
-	if err := ws.enc.Encode(&buf, res.Image); err != nil {
-		return FrameResult{}, fmt.Errorf("serve: encoding cluster frame: %w", err)
-	}
-	tr.Span(obs.StageEncode, encStart, time.Since(encStart))
-
-	wall := res.RenderSeconds
-	s.stats.framesRendered.Add(1)
-	s.stats.renderNanos.Add(uint64(wall * 1e9))
+	off, rankNanos := int64(tr.StartOffset(obs.StageShardDispatch)), int64(res.RenderSeconds*1e9)
+	tr.SpanNanos(obs.StageRankRender, off, rankNanos)
+	tr.SpanNanos(obs.StageComposite, off+rankNanos, int64(res.CompositeSeconds*1e9))
+	s.stats.clusterRetries.Add(uint64(res.Retries))
 	s.stats.clusterFrames.Add(1)
-	s.stats.clusterShards.Add(uint64(d.q.Shards))
+	s.stats.clusterShards.Add(uint64(job.Shards))
 	s.stats.clusterCompositeNanos.Add(uint64(res.CompositeSeconds * 1e9))
 	s.stats.clusterPredictedCompositeNanos.Add(uint64(d.predictedComposite * 1e9))
-	miss := false
-	if dl := req.DeadlineMillis / 1e3; dl > 0 && wall+res.CompositeSeconds > dl {
-		s.stats.deadlineMisses.Add(1)
-		miss = true
-		tr.DeadlineMiss = true
-	}
-	s.residuals.Observe(string(req.Backend), "render", d.predicted, wall)
-	s.residuals.Observe(string(req.Backend), "composite", d.predictedComposite, res.CompositeSeconds)
-	s.feedObservation(req, d.q, res.In, res.BuildSeconds, wall, res.CompositeSeconds)
-
-	return FrameResult{
-		PNG:   buf.Bytes(),
-		Width: d.q.W, Height: d.q.H, N: d.q.N, RTWorkload: d.q.RTWorkload,
-		PredictedSeconds: d.predicted, RenderSeconds: wall,
-		Shards:                    d.q.Shards,
-		CompositeSeconds:          res.CompositeSeconds,
-		PredictedCompositeSeconds: d.predictedComposite,
-		RankRenderSeconds:         res.RankRenderSeconds,
-		RankCompositeSeconds:      res.RankCompositeSeconds,
-		Degraded:                  d.degraded, DegradeSteps: d.steps,
-		DeadlineMiss: miss,
-		Retries:      res.Retries,
-	}, nil
+	return res
 }
 
-// renderClusterFallback serves a sharded frame the fleet could not: the
+// drawFallback serves a sharded frame the fleet could not: the
 // standalone renderer runs the identical job — same decomposition, same
 // collectives, same composite — in one process, so the frame is
 // byte-identical to what the healthy cluster would have produced and the
 // cache key does not churn. This is the graceful-degradation floor: a
 // burning fleet costs latency, never availability or pixels.
-func (s *Server) renderClusterFallback(ws *workerState, req *FrameRequest, d decision, tr *obs.FrameTrace) (FrameResult, error) {
+func (s *Server) drawFallback(job cluster.Job, tr *obs.FrameTrace) (*cluster.Result, error) {
 	renderStart := time.Now()
-	res, err := cluster.RenderStandalone(cluster.Job{
-		Backend: string(req.Backend), Sim: req.Sim, Arch: req.Arch,
-		N: d.q.N, Width: d.q.W, Height: d.q.H,
-		Shards: d.q.Shards, RTWorkload: d.q.RTWorkload,
-		Azimuth: req.Azimuth, Zoom: req.Zoom,
-	})
+	res, err := cluster.RenderStandalone(job)
 	if err != nil {
-		return FrameResult{}, fmt.Errorf("serve: standalone fallback %s/%s x%d: %w", req.Backend, req.Sim, d.q.Shards, err)
+		return nil, fmt.Errorf("serve: standalone fallback %s/%s x%d: %w", job.Backend, job.Sim, job.Shards, err)
 	}
 	s.stats.clusterFallbacks.Add(1)
 	tr.Span(obs.StageRender, renderStart, time.Since(renderStart))
-	renderOff := tr.StartOffset(obs.StageRender)
-	tr.SpanNanos(obs.StageComposite, int64(renderOff)+int64(res.RenderSeconds*1e9), int64(res.CompositeSeconds*1e9))
+	off := int64(tr.StartOffset(obs.StageRender))
+	tr.SpanNanos(obs.StageComposite, off+int64(res.RenderSeconds*1e9), int64(res.CompositeSeconds*1e9))
+	return res, nil
+}
 
+// finishFrame is the measure half of the frame loop, one copy for every
+// execution path: encode, count the render, test the deadline against
+// render + composite, record the model residuals (the composite term
+// only for sharded frames), and feed the measurement to calibration —
+// including the measured compositing time the Tc model refits on.
+func (s *Server) finishFrame(ws *workerState, req *FrameRequest, d decision, res *cluster.Result, fleetDegraded bool, tr *obs.FrameTrace) (FrameResult, error) {
 	encStart := time.Now()
 	var buf bytes.Buffer
 	if err := ws.enc.Encode(&buf, res.Image); err != nil {
-		return FrameResult{}, fmt.Errorf("serve: encoding fallback frame: %w", err)
+		return FrameResult{}, fmt.Errorf("serve: encoding frame: %w", err)
 	}
 	tr.Span(obs.StageEncode, encStart, time.Since(encStart))
 
-	wall := res.RenderSeconds
+	wall, comp := res.RenderSeconds, res.CompositeSeconds
 	s.stats.framesRendered.Add(1)
 	s.stats.renderNanos.Add(uint64(wall * 1e9))
-	miss := false
-	if dl := req.DeadlineMillis / 1e3; dl > 0 && wall+res.CompositeSeconds > dl {
+	dl := req.DeadlineMillis / 1e3
+	tr.DeadlineMiss = dl > 0 && wall+comp > dl
+	if tr.DeadlineMiss {
 		s.stats.deadlineMisses.Add(1)
-		miss = true
-		tr.DeadlineMiss = true
 	}
 	s.residuals.Observe(string(req.Backend), "render", d.predicted, wall)
-	s.residuals.Observe(string(req.Backend), "composite", d.predictedComposite, res.CompositeSeconds)
-	s.feedObservation(req, d.q, res.In, res.BuildSeconds, wall, res.CompositeSeconds)
+	if d.q.Shards > 1 {
+		s.residuals.Observe(string(req.Backend), "composite", d.predictedComposite, comp)
+	}
+	s.feedObservation(req, d.q, res.In, res.BuildSeconds, wall, comp)
 
 	return FrameResult{
 		PNG:   buf.Bytes(),
 		Width: d.q.W, Height: d.q.H, N: d.q.N, RTWorkload: d.q.RTWorkload,
 		PredictedSeconds: d.predicted, RenderSeconds: wall,
 		Shards:                    d.q.Shards,
-		CompositeSeconds:          res.CompositeSeconds,
+		CompositeSeconds:          comp,
 		PredictedCompositeSeconds: d.predictedComposite,
 		RankRenderSeconds:         res.RankRenderSeconds,
 		RankCompositeSeconds:      res.RankCompositeSeconds,
 		Degraded:                  d.degraded, DegradeSteps: d.steps,
-		DeadlineMiss:  miss,
-		FleetDegraded: true,
+		DeadlineMiss:  tr.DeadlineMiss,
+		Retries:       res.Retries,
+		FleetDegraded: fleetDegraded,
 	}, nil
 }
 

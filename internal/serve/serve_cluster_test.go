@@ -356,3 +356,90 @@ func TestConcurrentShardedServing(t *testing.T) {
 		t.Errorf("cluster counters did not advance: %+v", st)
 	}
 }
+
+// TestFrameTailAcrossPaths drives the one render tail through each
+// execution path — local runner, worker fleet, breaker-forced standalone
+// fallback — once with no deadline and once with a 1 µs deadline. The
+// models are scaled down a millionfold, so the 1 µs deadline is admitted
+// at the requested quality and missed by every real render.
+func TestFrameTailAcrossPaths(t *testing.T) {
+	snap := clusterSnapshot()
+	scale := func(f *registry.FitDoc) {
+		for i := range f.Coef {
+			f.Coef[i] *= 1e-6
+		}
+	}
+	for i := range snap.Models {
+		scale(&snap.Models[i].Fit)
+		if snap.Models[i].BuildFit != nil {
+			scale(snap.Models[i].BuildFit)
+		}
+	}
+	scale(&snap.Compositing.Fit)
+	compositeDrift := func(s *Server) uint64 {
+		for _, d := range s.Stats().ModelDrift {
+			if d.Backend == string(core.Volume) && d.Term == "composite" {
+				return d.Count
+			}
+		}
+		return 0
+	}
+
+	for _, row := range []struct {
+		name     string
+		shards   int
+		fallback bool
+	}{
+		{"local", 1, false},
+		{"fleet", 2, false},
+		{"fallback", 2, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := Config{}
+			if row.fallback {
+				cfg.BreakerThreshold, cfg.BreakerCooldown = 1, time.Hour
+			}
+			s, _, _ := clusterServerSnap(t, 2, cfg, snap)
+			if row.fallback && !s.brk.failure() {
+				t.Fatal("one injected failure did not open a threshold-1 breaker")
+			}
+			for i, deadlineMillis := range []float64{0, 1e-3} {
+				missesBefore, driftBefore := s.Stats().DeadlineMisses, compositeDrift(s)
+				res, err := s.Render(FrameRequest{
+					Backend: core.Volume, Sim: "kripke", N: 8, Width: 32,
+					Azimuth: float64(40 * i), Shards: row.shards, DeadlineMillis: deadlineMillis,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.CacheHit || res.Degraded || res.Shards != row.shards {
+					t.Fatalf("deadline %vms: served %+v, want a fresh %d-shard render at the requested quality", deadlineMillis, res, row.shards)
+				}
+				wantMiss := deadlineMillis > 0
+				if res.DeadlineMiss != wantMiss {
+					t.Errorf("deadline %vms: DeadlineMiss = %v, want %v", deadlineMillis, res.DeadlineMiss, wantMiss)
+				}
+				wantMisses := uint64(0)
+				if wantMiss {
+					wantMisses = 1
+				}
+				if got := s.Stats().DeadlineMisses - missesBefore; got != wantMisses {
+					t.Errorf("deadline %vms: deadline_misses grew by %d, want %d", deadlineMillis, got, wantMisses)
+				}
+				if grew := compositeDrift(s) > driftBefore; grew != (row.shards > 1) {
+					t.Errorf("deadline %vms: composite drift series grew = %v on a %d-shard frame", deadlineMillis, grew, row.shards)
+				}
+				// The request deadline also bounds a sharded frame's fleet
+				// dispatch: at 1 µs it has expired before the fleet can
+				// answer, so that frame is served by the fallback too.
+				wantFleetDegraded := row.fallback || (row.shards > 1 && wantMiss)
+				if res.FleetDegraded != wantFleetDegraded {
+					t.Errorf("deadline %vms: FleetDegraded = %v, want %v", deadlineMillis, res.FleetDegraded, wantFleetDegraded)
+				}
+				if res.Retries != 0 {
+					t.Errorf("deadline %vms: %d retries on a healthy fleet", deadlineMillis, res.Retries)
+				}
+			}
+		})
+	}
+}

@@ -223,3 +223,31 @@ func TestBreakerOpensShortCircuitsAndRecovers(t *testing.T) {
 		t.Errorf("breaker state %q after successful probe, want closed", st.BreakerState)
 	}
 }
+
+// TestOpenSessionClampsToSurvivingFleet: a session opened while a rank is
+// dead gets the same fleet-health clamp a one-shot Render does, so it
+// reports and memoizes the shard count the survivors can place.
+func TestOpenSessionClampsToSurvivingFleet(t *testing.T) {
+	plan := comm.NewFaultPlan(41)
+	s, cl := faultClusterServer(t, 3, fastFaultOpts(plan), Config{})
+	plan.KillRank(2)
+	deadline := time.Now().Add(10 * time.Second)
+	for cl.AliveWorkers() != 2 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := cl.AliveWorkers(); got != 2 {
+		t.Fatalf("alive workers %d after kill, want 2", got)
+	}
+
+	sess, err := s.OpenSession(FrameRequest{Backend: core.Raster, Sim: "lulesh", N: 8, Width: 40, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if got := sess.Info().Shards; got != 2 {
+		t.Errorf("session opened on 2 surviving workers admitted %d shards, want 2", got)
+	}
+	if st := s.Stats(); st.FleetClamped != 1 {
+		t.Errorf("fleet_clamped %d after the session open, want 1", st.FleetClamped)
+	}
+}

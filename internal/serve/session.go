@@ -2,16 +2,11 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"insitu/internal/obs"
-	"insitu/internal/scenario"
-	"insitu/internal/sim"
 )
 
 // MaxPrefetchDepth caps how many predicted poses ahead a session may
@@ -79,39 +74,23 @@ type Session struct {
 	gen         uint64   // model generation sess.d was admitted under
 }
 
-// validate normalizes the request and checks that its backend/sim pair
-// is servable — the request-shape half of serveFrame, shared with
-// OpenSession.
-func (s *Server) validate(req *FrameRequest) error {
-	if err := s.normalize(req); err != nil {
-		return err
-	}
-	backend, err := scenario.Lookup(req.Backend)
-	if err != nil {
-		return fmt.Errorf("%w: %s", ErrBadRequest, err)
-	}
-	if backend.NeedsStructured() && !sim.Structured(req.Sim) {
-		return badRequestf("%s needs a structured block; sim %q publishes an unstructured one", req.Backend, req.Sim)
-	}
-	return nil
-}
-
 // prefetchCand is one predicted pose whose frame is not cached yet.
 type prefetchCand struct {
 	pose Pose
 	fk   frameKey
 }
 
-// cameraKey is the camera half of a frameKey: the quantized pose. A
-// session's verified-pose window stores these instead of full frame
-// keys — within one admitted quality they identify a frame uniquely,
-// and comparing two is a pair of integer compares.
+// cameraKey is the camera half of a frameKey: the pose quantized to
+// millidegrees. A session's verified-pose window stores these instead of
+// full frame keys — within one admitted quality they identify a frame
+// uniquely, and comparing two is a pair of integer compares.
 type cameraKey struct {
 	azMilli   int64
 	zoomMilli int64
 }
 
-// cameraKeyFor quantizes a pose exactly like frameKeyFor does.
+// cameraKeyFor quantizes a pose (normalize bounds the camera, so the
+// quantization cannot overflow).
 //
 //insitu:noalloc
 func cameraKeyFor(p Pose) cameraKey {
@@ -137,30 +116,17 @@ type SessionInfo struct {
 	PrefetchHits     uint64  `json:"prefetch_hits"`
 }
 
-// OpenSession validates and admits the request once (camera fields are
-// the opening pose), registers the session, and soft-pins its runner so
-// the scene stays warm between frames. A deadline no quality fits is
-// refused with the same RejectionError a one-shot Render would get. At
-// MaxSessions, sessions idle longer than SessionIdleTimeout are reaped
-// to make room; with none to reap, ErrTooManySessions.
+// OpenSession runs the request front half once (camera fields are the
+// opening pose) — validation, the fleet-health clamp, admission —
+// registers the session, and soft-pins its runner so the scene stays
+// warm between frames. A deadline no quality fits is refused with the
+// same RejectionError a one-shot Render would get. At MaxSessions,
+// sessions idle longer than SessionIdleTimeout are reaped to make room;
+// with none to reap, ErrTooManySessions.
 func (s *Server) OpenSession(req FrameRequest) (*Session, error) {
-	if err := s.validate(&req); err != nil {
-		s.stats.badRequests.Add(1)
-		return nil, err
-	}
-	d, err := s.admitRequest(&req)
+	d, _, err := s.front(&req)
 	if err != nil {
-		s.stats.errors.Add(1)
 		return nil, err
-	}
-	if !d.ok {
-		s.stats.rejected.Add(1)
-		return nil, &RejectionError{
-			DeadlineSeconds:       req.DeadlineMillis / 1e3,
-			PredictedSeconds:      d.requestedPredicted,
-			FloorPredictedSeconds: d.predicted,
-			Steps:                 d.steps,
-		}
 	}
 
 	s.sessMu.Lock()
@@ -185,16 +151,9 @@ func (s *Server) OpenSession(req FrameRequest) (*Session, error) {
 	}
 	now := time.Now()
 	sess.lastUsed.Store(now.UnixNano())
-	sess.lastT = now
 	sess.hist[0] = Pose{Azimuth: req.Azimuth, Zoom: req.Zoom}
 	sess.nhist = 1
-	sess.d = d
-	sess.gen = s.engine.Registry().Generation()
-	if d.q.Shards <= 1 {
-		sess.pinned = runnerKey{arch: req.Arch, backend: req.Backend, sim: req.Sim, q: d.q}
-		sess.hasPin = true
-		s.runners.Pin(sess.pinned)
-	}
+	sess.refreshDecision(&req, d)
 	s.sessions[sess.id] = sess
 	s.sessMu.Unlock()
 	s.stats.sessionsOpened.Add(1)
@@ -265,10 +224,10 @@ func (sess *Session) Info() SessionInfo {
 	return SessionInfo{
 		ID:    sess.token,
 		Width: d.q.W, Height: d.q.H, N: d.q.N,
-		RTWorkload: d.q.RTWorkload, Shards: maxInt(d.q.Shards, 1),
+		RTWorkload: d.q.RTWorkload, Shards: max(d.q.Shards, 1),
 		PredictedSeconds: d.predicted,
 		Degraded:         d.degraded,
-		PrefetchDepth:    maxInt(sess.depth, 0),
+		PrefetchDepth:    max(sess.depth, 0),
 		Frames:           sess.frames.Load(),
 		PrefetchHits:     sess.prefetchHits.Load(),
 	}
@@ -380,7 +339,7 @@ func (sess *Session) Frame(azimuth, zoom float64) (FrameResult, error) {
 // cache miss — the caller then takes the full serveFrame path.
 //
 //insitu:noalloc
-func (sess *Session) fastFrame(req *FrameRequest) (FrameResult, decision, bool) {
+func (sess *Session) fastFrame(req *FrameRequest) (res FrameResult, d decision, served bool) {
 	s := sess.srv
 	start := time.Now()
 	gen := s.engine.Registry().Generation()
@@ -399,50 +358,35 @@ func (sess *Session) fastFrame(req *FrameRequest) (FrameResult, decision, bool) 
 	if d.degraded {
 		s.stats.degraded.Add(1)
 	}
-	s.stats.cacheHits.Add(1)
-	if cf.speculative {
-		s.stats.prefetchHits.Add(1)
-		sess.prefetchHits.Add(1)
-	}
-	// Same stack-local discipline as serveFrame's hit path: the trace
-	// commits by copy, so it never escapes and the fast path stays
-	// allocation-free.
-	var tr obs.FrameTrace
-	tr.Seq = s.tracer.NextSeq()
-	traceIdentity(&tr, req, d.q)
-	tr.CacheHit, tr.Degraded = true, d.degraded
-	tr.Begin(start)
-	tr.Span(obs.StageAdmit, start, time.Since(start))
-	s.commitTrace(&tr, time.Now())
-	return FrameResult{
-		PNG:   cf.png,
-		Width: d.q.W, Height: d.q.H, N: d.q.N, RTWorkload: d.q.RTWorkload,
-		PrefetchHit:      cf.speculative,
-		PredictedSeconds: d.predicted, RenderSeconds: cf.renderSeconds,
-		Shards:                    d.q.Shards,
-		CompositeSeconds:          cf.compositeSeconds,
-		PredictedCompositeSeconds: d.predictedComposite,
-		RankRenderSeconds:         cf.rankRenderSeconds,
-		RankCompositeSeconds:      cf.rankCompositeSeconds,
-		CacheHit:                  true, Degraded: d.degraded, DegradeSteps: d.steps,
-	}, d, true
+	s.hitFrame(&res, &cf, &d, sess)
+	s.commitHitTrace(req, &d, start, time.Since(start))
+	return res, d, true
 }
 
-// refreshDecision re-memoizes the slow path's admission outcome and
-// moves the runner pin when a model refit changed the admitted quality.
+// refreshDecision memoizes an admission outcome: the opening one, then
+// each one the slow path re-admits. When the admitted quality changed
+// (at open, or after a continuous-calibration refit), the soft runner
+// pin moves to the new quality.
 func (sess *Session) refreshDecision(req *FrameRequest, d decision) {
-	gen := sess.srv.engine.Registry().Generation()
+	s := sess.srv
+	gen := s.engine.Registry().Generation()
 	sess.mu.Lock()
 	qChanged := d.q != sess.d.q
+	old, unpin := sess.pinned, sess.hasPin && qChanged
 	sess.d, sess.gen = d, gen
 	if qChanged {
 		// Verified poses identified frames at the old quality; the new
 		// quality's frames must be re-probed.
 		sess.nVerified = 0
+		sess.hasPin = d.q.Shards <= 1
+		if sess.hasPin {
+			sess.pinned = runnerKey{arch: req.Arch, backend: req.Backend, sim: req.Sim, q: d.q}
+			s.runners.Pin(sess.pinned)
+		}
 	}
 	sess.mu.Unlock()
-	if qChanged {
-		sess.repin(req, d)
+	if unpin {
+		s.runners.Unpin(old)
 	}
 }
 
@@ -460,24 +404,6 @@ func (sess *Session) pushPoseLocked(p Pose) {
 	sess.hist[len(sess.hist)-1] = p
 }
 
-// repin moves the session's soft pin to the newly admitted quality
-// (a continuous-calibration refit changed the degrade ladder's outcome).
-func (sess *Session) repin(req *FrameRequest, d decision) {
-	s := sess.srv
-	sess.mu.Lock()
-	old, hadPin := sess.pinned, sess.hasPin
-	sess.d = d
-	sess.hasPin = d.q.Shards <= 1
-	if sess.hasPin {
-		sess.pinned = runnerKey{arch: req.Arch, backend: req.Backend, sim: req.Sim, q: d.q}
-		s.runners.Pin(sess.pinned)
-	}
-	sess.mu.Unlock()
-	if hadPin {
-		s.runners.Unpin(old)
-	}
-}
-
 // planPrefetch extrapolates the next poses and fills sess.cands with
 // the ones whose frames are not cached, verified recently, or already
 // in flight. It is the zero-allocation half of prefetch: predictions
@@ -489,8 +415,10 @@ func (sess *Session) planPrefetch(now time.Time, req *FrameRequest, d decision) 
 	s := sess.srv
 	sess.mu.Lock()
 	// The inter-frame gap EMA is the measured think time — the idle
-	// headroom budget speculative renders must fit into.
-	if dt := now.Sub(sess.lastT).Seconds(); dt > 0 && sess.nhist > 0 {
+	// headroom budget speculative renders must fit into. The first frame
+	// has no previous frame to measure from (opening is not a frame), so
+	// it leaves the EMA unmeasured and speculation bootstraps.
+	if dt := now.Sub(sess.lastT).Seconds(); dt > 0 && !sess.lastT.IsZero() {
 		if sess.emaGap == 0 {
 			sess.emaGap = dt
 		} else {
@@ -612,7 +540,7 @@ func (sess *Session) submitPrefetch(req *FrameRequest, d decision, n int) {
 		// Frame does not re-candidate them while they render.
 		sess.mu.Lock()
 		if sess.nVerified < len(sess.verified) {
-			sess.verified[sess.nVerified] = cameraKey{azMilli: fk.azMilli, zoomMilli: fk.zoomMilli}
+			sess.verified[sess.nVerified] = fk.cam
 			sess.nVerified++
 		}
 		sess.mu.Unlock()
@@ -621,11 +549,10 @@ func (sess *Session) submitPrefetch(req *FrameRequest, d decision, n int) {
 
 // runPrefetchJob is the background half of speculation, running on a
 // scheduler worker during idle headroom: re-check that the frame is
-// still wanted and uncached, lead a flight (so a foreground miss
-// arriving mid-render waits instead of duplicating), render at the
-// admitted quality, and publish the frame to the cache marked
-// speculative. The rendered frame's measurement feeds calibration like
-// any other — speculative frames are real frames.
+// still wanted, uncached and not in flight, then lead its flight (so a
+// foreground miss arriving mid-render waits instead of duplicating).
+// Speculative frames are real frames: they trace, cache and feed
+// calibration like any other, minus the admit/queue-wait stages.
 func (s *Server) runPrefetchJob(ws *workerState, sess *Session, req FrameRequest, d decision, fk frameKey) {
 	defer sess.inflight.Add(-1)
 	if sess.closed.Load() {
@@ -636,42 +563,13 @@ func (s *Server) runPrefetchJob(ws *workerState, sess *Session, req FrameRequest
 		s.stats.prefetchStale.Add(1)
 		return
 	}
-	s.flightMu.Lock()
-	if _, busy := s.flights[fk]; busy {
-		s.flightMu.Unlock()
+	f, led := s.lead(ws, &req, d, fk, time.Now(), 0)
+	switch {
+	case !led:
 		s.stats.prefetchStale.Add(1)
-		return
-	}
-	f := &flight{done: make(chan struct{}), speculative: true}
-	s.flights[fk] = f
-	s.flightMu.Unlock()
-
-	// Speculative frames trace like any other render — they are real
-	// frames — minus the admit/queue-wait stages a client request pays.
-	tr := &obs.FrameTrace{Seq: s.tracer.NextSeq()}
-	traceIdentity(tr, &req, d.q)
-	tr.Degraded = d.degraded
-	tr.Begin(time.Now())
-
-	f.res, f.err = s.renderFrame(ws, &req, d, fk, time.Time{}, tr)
-	if f.err == nil {
-		s.stats.prefetchRendered.Add(1)
-		storeStart := time.Now()
-		s.frames.Add(fk, cachedFrame{
-			png:                  f.res.PNG,
-			renderSeconds:        f.res.RenderSeconds,
-			compositeSeconds:     f.res.CompositeSeconds,
-			rankRenderSeconds:    f.res.RankRenderSeconds,
-			rankCompositeSeconds: f.res.RankCompositeSeconds,
-			speculative:          true,
-		})
-		tr.Span(obs.StageCacheStore, storeStart, time.Since(storeStart))
-		s.commitTrace(tr, time.Now())
-	} else {
+	case f.err != nil:
 		s.stats.prefetchErrors.Add(1)
+	default:
+		s.stats.prefetchRendered.Add(1)
 	}
-	s.flightMu.Lock()
-	delete(s.flights, fk)
-	s.flightMu.Unlock()
-	close(f.done)
 }
