@@ -4,7 +4,7 @@ GO ?= go
 
 # bench-json output file; committed per PR (BENCH_4.json, BENCH_5.json,
 # ...) so benchmark trajectories survive across sessions.
-BENCH_JSON ?= BENCH_15.json
+BENCH_JSON ?= BENCH_24.json
 
 # Committed baselines guarding the zero-allocation steady state:
 # bench-json fails if a benchmark that was 0 allocs/op in any of these
@@ -16,7 +16,7 @@ BENCH_BASELINES ?= $(filter-out $(BENCH_JSON),$(sort $(wildcard BENCH_*.json)))
 # into ./bin so the vettool path is hermetic to the checkout.
 LINT_BIN := bin/insitulint
 
-.PHONY: all build test race vet fmt lint bench bench-json bench-e2e bench-layers chaos obs cover ci clean
+.PHONY: all build test race vet fmt lint oracles bench bench-json bench-e2e bench-layers chaos obs cover ci clean
 
 all: ci
 
@@ -44,6 +44,19 @@ lint:
 	$(GO) build -o $(LINT_BIN) ./tools/insitulint
 	$(GO) vet -vettool=$(CURDIR)/$(LINT_BIN) ./...
 
+# oracles runs the bitwise oracle tests of the rewritten kernels (slab
+# test, BVH traversal, volume sampling loop, PNG writer) at the default
+# GOAMD64 and at v3, whose instruction selection differs, so any
+# level-dependent code generation shows up as changed bits. (Go 1.24
+# emits no fused multiply-add on amd64 at either level; arm64 fuses,
+# which is why the bench goldens are per GOARCH.) The v3 half needs an
+# AVX2 + FMA host.
+ORACLE_TESTS := 'Oracle|HitRayMatches|TFTable|PNGEncoder|Clamp8'
+ORACLE_PKGS := ./internal/vecmath/ ./internal/bvh/ ./internal/render/volume/ ./internal/framebuffer/
+oracles:
+	$(GO) test -count=1 -run $(ORACLE_TESTS) $(ORACLE_PKGS)
+	GOAMD64=v3 $(GO) test -count=1 -run $(ORACLE_TESTS) $(ORACLE_PKGS)
+
 # fmt fails if any file needs reformatting (CI-friendly gofmt check).
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -61,9 +74,10 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkClusterThroughput -benchtime 1x ./internal/cluster/
 	$(GO) test -run '^$$' -bench 'BenchmarkHistogramObserve|BenchmarkTraceSpan|BenchmarkDriftObserve' -benchtime 1x ./internal/obs/
 	$(GO) test -run '^$$' -bench 'BenchmarkHitRay|BenchmarkIntersectClosest|BenchmarkIntersectAny' -benchtime 1x ./internal/vecmath/ ./internal/bvh/
+	$(GO) test -run '^$$' -bench 'BenchmarkPNGEncode|BenchmarkStructuredVolume' -benchtime 1x ./internal/framebuffer/ ./internal/render/volume/
 
-# bench-json records the render, dispatch, small-plan study, and
-# renderd serving-path benchmarks (ns/op + allocs/op via -benchmem) as
+# bench-json records the render, dispatch, small-plan study, renderd
+# serving-path, traversal, PNG encode and volume sampling benchmarks (ns/op + allocs/op via -benchmem) as
 # $(BENCH_JSON), a benchstat-compatible baseline (the raw lines are
 # embedded: `jq -r '.raw[]' $(BENCH_JSON)` reproduces benchstat input).
 # Render benchmarks warm their frame arenas before the timer, so
@@ -82,8 +96,9 @@ bench-json:
 	@$(GO) test -run '^$$' -bench BenchmarkClusterThroughput -benchtime 2s -benchmem ./internal/cluster/ > $(BENCH_JSON).cluster.tmp
 	@$(GO) test -run '^$$' -bench 'BenchmarkHistogramObserve|BenchmarkTraceSpan|BenchmarkDriftObserve' -benchtime 2s -benchmem ./internal/obs/ > $(BENCH_JSON).obs.tmp
 	@$(GO) test -run '^$$' -bench 'BenchmarkHitRay|BenchmarkIntersectClosest|BenchmarkIntersectAny' -benchtime 2s -benchmem ./internal/vecmath/ ./internal/bvh/ > $(BENCH_JSON).traverse.tmp
-	@cat $(BENCH_JSON).render.tmp $(BENCH_JSON).dispatch.tmp $(BENCH_JSON).study.tmp $(BENCH_JSON).serve.tmp $(BENCH_JSON).cluster.tmp $(BENCH_JSON).obs.tmp $(BENCH_JSON).traverse.tmp | $(GO) run ./tools/benchjson $(foreach b,$(BENCH_BASELINES),-baseline $(b)) > $(BENCH_JSON)
-	@rm -f $(BENCH_JSON).render.tmp $(BENCH_JSON).dispatch.tmp $(BENCH_JSON).study.tmp $(BENCH_JSON).serve.tmp $(BENCH_JSON).cluster.tmp $(BENCH_JSON).obs.tmp $(BENCH_JSON).traverse.tmp
+	@$(GO) test -run '^$$' -bench 'BenchmarkPNGEncode|BenchmarkStructuredVolume' -benchtime 20x -benchmem ./internal/framebuffer/ ./internal/render/volume/ > $(BENCH_JSON).miss.tmp
+	@cat $(BENCH_JSON).render.tmp $(BENCH_JSON).dispatch.tmp $(BENCH_JSON).study.tmp $(BENCH_JSON).serve.tmp $(BENCH_JSON).cluster.tmp $(BENCH_JSON).obs.tmp $(BENCH_JSON).traverse.tmp $(BENCH_JSON).miss.tmp | $(GO) run ./tools/benchjson $(foreach b,$(BENCH_BASELINES),-baseline $(b)) > $(BENCH_JSON)
+	@rm -f $(BENCH_JSON).render.tmp $(BENCH_JSON).dispatch.tmp $(BENCH_JSON).study.tmp $(BENCH_JSON).serve.tmp $(BENCH_JSON).cluster.tmp $(BENCH_JSON).obs.tmp $(BENCH_JSON).traverse.tmp $(BENCH_JSON).miss.tmp
 	@echo "wrote $(BENCH_JSON)"
 
 # bench-e2e and bench-layers run the BENCHMARK.json benchmark (bench/ is

@@ -14,8 +14,24 @@ func NewColorMap(positions []float64, colors []vecmath.Vec3) *ColorMap {
 	if len(positions) != len(colors) || len(positions) < 2 {
 		panic("framebuffer: color map needs >= 2 matched stops")
 	}
+	mustBeSorted(positions)
 	return &ColorMap{positions: positions, colors: colors}
 }
+
+// mustBeSorted panics unless stop positions are non-decreasing (NaN
+// included), the order the stop loops — and the segment tables renderers
+// build from Stops — rely on.
+func mustBeSorted(positions []float64) {
+	for i := 1; i < len(positions); i++ {
+		if !(positions[i-1] <= positions[i]) {
+			panic("framebuffer: stop positions must be sorted")
+		}
+	}
+}
+
+// Stops returns the map's stop positions and colors. The slices are the
+// map's own; callers must not modify them.
+func (cm *ColorMap) Stops() ([]float64, []vecmath.Vec3) { return cm.positions, cm.colors }
 
 // CoolToWarm is the default scientific-visualization diverging map.
 func CoolToWarm() *ColorMap {
@@ -84,8 +100,13 @@ func NewTransferFunction(cm *ColorMap, positions, opacities []float64) *Transfer
 	if len(positions) != len(opacities) || len(positions) < 2 {
 		panic("framebuffer: transfer function needs >= 2 matched opacity stops")
 	}
+	mustBeSorted(positions)
 	return &TransferFunction{Colors: cm, opacityP: positions, opacityV: opacities}
 }
+
+// OpacityStops returns the opacity ramp's positions and values. The
+// slices are the transfer function's own; callers must not modify them.
+func (tf *TransferFunction) OpacityStops() ([]float64, []float64) { return tf.opacityP, tf.opacityV }
 
 // DefaultTransferFunction emphasizes high scalar values, the common default
 // for density-like fields.

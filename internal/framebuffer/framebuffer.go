@@ -1,13 +1,16 @@
 // Package framebuffer provides the image types shared by the renderers and
 // the compositor: float RGBA color plus depth, a lock-free packed depth
-// buffer for the rasterizer, color maps, and PNG output.
+// buffer for the rasterizer, color maps and transfer functions, and PNG
+// output. Every PNG the repository writes goes through PNGEncoder, a
+// one-pass writer: rows are composited over white, Up-filtered and
+// deflated at BestSpeed as they are converted. Its pixels decode to
+// exactly ToRGBA's; its bytes are not the standard library encoder's.
 package framebuffer
 
 import (
 	"fmt"
 	"image"
 	"image/color"
-	"image/png"
 	"io"
 	"math"
 	"os"
@@ -217,19 +220,24 @@ func (im *Image) ToRGBA() *image.RGBA {
 	return out
 }
 
+// clamp8 converts one channel to 8 bits, rounding to nearest. NaN maps to
+// 0 explicitly: converting an out-of-range float to an integer is
+// implementation-defined in Go, and 0 is what amd64 produced before.
 func clamp8(v float32) uint8 {
-	if v <= 0 {
-		return 0
-	}
 	if v >= 1 {
 		return 255
 	}
-	return uint8(v*255 + 0.5)
+	if v > 0 {
+		return uint8(v*255 + 0.5)
+	}
+	return 0 // v <= 0 or NaN
 }
 
-// EncodePNG writes the image as PNG.
+// EncodePNG writes the image as PNG through a fresh PNGEncoder; encode
+// many frames through one retained PNGEncoder instead.
 func (im *Image) EncodePNG(w io.Writer) error {
-	return png.Encode(w, im.ToRGBA())
+	var e PNGEncoder
+	return e.Encode(w, im)
 }
 
 // SavePNG writes the image to a PNG file.

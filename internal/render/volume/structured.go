@@ -78,6 +78,7 @@ type structuredArena struct {
 	cam           render.Camera
 	raygen        render.RayGen
 	tf            *framebuffer.TransferFunction
+	tfTab         tfTable
 	defaultTF     *framebuffer.TransferFunction
 	norm          render.Normalizer
 	bounds        vecmath.AABB
@@ -144,7 +145,7 @@ func (r *StructuredRenderer) Render(opts StructuredOptions) (*framebuffer.Image,
 	cx, cy, cz := g.CellDims()
 	stats := &a.stats
 	stats.Phases.Reset()
-	stats.CellsSpanned = maxInt(cx, maxInt(cy, cz))
+	stats.CellsSpanned = max(cx, cy, cz)
 	stats.Objects = g.NumCells()
 	stats.ActivePixels, stats.TotalSamples = 0, 0
 	a.img.EnsureSize(opts.Width, opts.Height)
@@ -159,6 +160,7 @@ func (r *StructuredRenderer) Render(opts StructuredOptions) (*framebuffer.Image,
 		}
 	}
 	a.norm = render.Normalizer{Min: lo, Max: hi}
+	a.tfTab.build(a.tf, a.norm)
 
 	a.bounds = g.Bounds()
 	diag := a.bounds.Diagonal().Length()
@@ -179,33 +181,108 @@ func (r *StructuredRenderer) Render(opts StructuredOptions) (*framebuffer.Image,
 	return img, stats, nil
 }
 
-// castKernel ray-casts one pixel range.
+// castKernel ray-casts one pixel range. It computes exactly what a
+// per-sample grid lookup, Normalizer.Normalize and
+// TransferFunction.Sample computed — every floating-point expression
+// keeps its operands and evaluation order — with less work around the
+// arithmetic: grid invariants are precomputed in the sampler and read
+// in place (so the loop's registers go to the per-ray state), the cell
+// corners and the x-differences the trilinear blend takes of them are
+// reloaded only when a sample lands in a new cell, and normalization and
+// the transfer function come from the frame's tfTable. castKernelOracle
+// in structured_oracle_test.go is the loop it replaced; the oracle test
+// compares every output bit against it.
 func (a *structuredArena) castKernel(plo, phi int) {
-	opts := &a.opts
-	sampler := a.r.sampler
+	s := a.r.sampler
+	tab := &a.tfTab
+	width := a.opts.Width
 	step := a.step
 	exp := step / a.refStep
 	var localSamples int64
 	for p := plo; p < phi; p++ {
-		px := float64(p % opts.Width)
-		py := float64(p / opts.Width)
+		px := float64(p % width)
+		py := float64(p / width)
 		ray := a.raygen.Ray(px, py, 0.5, 0.5)
 		t0, t1, ok := a.bounds.HitRay(ray.Orig, ray.InvDir(), 0, math.Inf(1))
 		if !ok {
 			continue
 		}
+		o, d := ray.Orig, ray.Dir
+		c := cell{i: -1, j: -1, k: -1}
 		var cr, cg, cb, ca float64
 		firstT := float32(framebuffer.MaxDepth)
 		for t := t0 + step/2; t < t1; t += step {
-			pos := ray.At(t)
-			v, inside := sampler.sample(pos)
-			if !inside {
-				continue
+			qx, qy, qz := o.X+d.X*t, o.Y+d.Y*t, o.Z+d.Z*t
+			var i, j, k int
+			var fx, fy, fz float64
+			if s.uniform {
+				rx, ry, rz := (qx-s.origin.X)*s.invSpace.X, (qy-s.origin.Y)*s.invSpace.Y, (qz-s.origin.Z)*s.invSpace.Z
+				if rx < 0 || ry < 0 || rz < 0 {
+					continue
+				}
+				i, j, k = int(rx), int(ry), int(rz)
+				if i >= s.nx-1 {
+					if rx > s.lim.X {
+						continue
+					}
+					i = s.nx - 2
+				}
+				if j >= s.ny-1 {
+					if ry > s.lim.Y {
+						continue
+					}
+					j = s.ny - 2
+				}
+				if k >= s.nz-1 {
+					if rz > s.lim.Z {
+						continue
+					}
+					k = s.nz - 2
+				}
+				fx, fy, fz = rx-float64(i), ry-float64(j), rz-float64(k)
+			} else {
+				var in bool
+				if i, fx, in = locateRect(s.xs, qx); !in {
+					continue
+				}
+				if j, fy, in = locateRect(s.ys, qy); !in {
+					continue
+				}
+				if k, fz, in = locateRect(s.zs, qz); !in {
+					continue
+				}
 			}
+			if i != c.i || j != c.j || k != c.k {
+				c.load(s, i, j, k)
+			}
+			c00 := c.v000 + fx*c.d100
+			c10 := c.v010 + fx*c.d110
+			c01 := c.v001 + fx*c.d101
+			c11 := c.v011 + fx*c.d111
+			c0 := c00 + fy*(c10-c00)
+			c1 := c01 + fy*(c11-c01)
+			v := c0 + fz*(c1-c0)
 			localSamples++
-			sr, sg, sb, sa := a.tf.Sample(a.norm.Normalize(v))
-			if sa <= 0 {
-				continue
+
+			// Normalize, then the transfer function: opacity first, so a
+			// transparent sample skips the color segment.
+			tn := 0.5
+			if !tab.flat {
+				tn = vecmath.Clamp((v-tab.normMin)/tab.normSpan, 0, 1)
+			}
+			var sr, sg, sb, sa float64
+			if tn > tab.first {
+				if sa = tab.alphaAt(tn); sa <= 0 {
+					continue
+				}
+				sr, sg, sb = tab.colorAt(tn)
+			} else {
+				// At or below a first stop, or NaN: the table's
+				// counting does not apply, the stop-by-stop loop does.
+				sr, sg, sb, sa = a.tf.Sample(tn)
+				if sa <= 0 {
+					continue
+				}
 			}
 			// Correct opacity for the step size, then front-to-back
 			// "under" accumulation in premultiplied space. Pow(x, 1) is
@@ -235,17 +312,135 @@ func (a *structuredArena) castKernel(plo, phi int) {
 	a.totalSamples.Add(localSamples)
 }
 
+// cell is the grid cell a ray is sampling: its index and the corner
+// values and x-differences the trilinear blend reads.
+type cell struct {
+	i, j, k                                        int
+	v000, v010, v001, v011, d100, d110, d101, d111 float64
+}
+
+// load makes c cell (i, j, k) of s. The differences are the ones the
+// blend takes, computed once per cell instead of once per sample.
+func (c *cell) load(s *gridSampler, i, j, k int) {
+	c.i, c.j, c.k = i, j, k
+	v := s.vals
+	b := (k*s.ny+j)*s.nx + i
+	c.v000, c.v010, c.v001, c.v011 = v[b], v[b+s.sy], v[b+s.sz], v[b+s.sy+s.sz]
+	c.d100 = v[b+1] - c.v000
+	c.d110 = v[b+s.sy+1] - c.v010
+	c.d101 = v[b+s.sz+1] - c.v001
+	c.d111 = v[b+s.sy+s.sz+1] - c.v011
+}
+
+// tfTable is the frame's scalar-to-RGBA mapping as the kernel reads it:
+// the normalizer with its span precomputed, and the transfer function
+// unrolled into per-segment terms. For a normalized t above both first
+// stops (the only t the segments serve), the segment
+// TransferFunction.Sample's stop loop ends in is the one whose index is
+// the number of upper stops below t — stops are sorted, as the
+// framebuffer constructors enforce — and a segment's stop, span and delta
+// are the values that loop computes for it.
+type tfTable struct {
+	normMin, normSpan float64 // Min, Max - Min
+	flat              bool    // Max <= Min: every value normalizes to 0.5
+
+	first float64 // the larger of the two first stops
+	color []colorSeg
+	alpha []alphaSeg
+}
+
+type colorSeg struct {
+	lo, hi, span float64 // the bounding stops and hi - lo
+	base, delta  vecmath.Vec3
+}
+
+type alphaSeg struct {
+	lo, hi, span, base, delta float64
+}
+
+// alphaAt is TransferFunction.Sample's opacity for a normalized t above
+// both first stops.
+func (tb *tfTable) alphaAt(t float64) float64 {
+	n := 0
+	for i := range tb.alpha {
+		if tb.alpha[i].hi < t {
+			n++
+		}
+	}
+	seg := &tb.alpha[n]
+	f := 0.0
+	if seg.span > 0 {
+		f = (t - seg.lo) / seg.span
+	}
+	return seg.base + f*seg.delta
+}
+
+// colorAt is TransferFunction.Sample's color for a normalized t above
+// both first stops: vecmath.Vec3.Lerp's base + delta*f per channel.
+func (tb *tfTable) colorAt(t float64) (r, g, b float64) {
+	n := 0
+	for i := range tb.color {
+		if tb.color[i].hi < t {
+			n++
+		}
+	}
+	seg := &tb.color[n]
+	f := 0.0
+	if seg.span > 0 {
+		f = (t - seg.lo) / seg.span
+	}
+	return seg.base.X + seg.delta.X*f, seg.base.Y + seg.delta.Y*f, seg.base.Z + seg.delta.Z*f
+}
+
+// negZero is -0.0. As a delta it makes base + delta*0 exactly base for
+// every base, -0 and NaN included (+0 would turn a -0 base into +0).
+var negZero = math.Copysign(0, -1)
+
+// build fills the table from tf and norm, reusing its slices. Each list
+// ends in a segment past the last stop — hi +Inf so it is never counted,
+// span 0 so f is 0, delta -0 — that yields the last stop's value as
+// TransferFunction.Sample does for t beyond it.
+func (tb *tfTable) build(tf *framebuffer.TransferFunction, norm render.Normalizer) {
+	tb.normMin, tb.normSpan, tb.flat = norm.Min, norm.Max-norm.Min, norm.Max <= norm.Min
+	cp, cv := tf.Colors.Stops()
+	op, ov := tf.OpacityStops()
+	tb.first = max(cp[0], op[0])
+	inf := math.Inf(1)
+	tb.color = tb.color[:0]
+	for i := 1; i < len(cp); i++ {
+		tb.color = append(tb.color, colorSeg{lo: cp[i-1], hi: cp[i], span: cp[i] - cp[i-1], base: cv[i-1], delta: cv[i].Sub(cv[i-1])})
+	}
+	last := cp[len(cp)-1]
+	tb.color = append(tb.color, colorSeg{lo: last, hi: inf, base: cv[len(cv)-1], delta: vecmath.V(negZero, negZero, negZero)})
+	tb.alpha = tb.alpha[:0]
+	for i := 1; i < len(op); i++ {
+		tb.alpha = append(tb.alpha, alphaSeg{lo: op[i-1], hi: op[i], span: op[i] - op[i-1], base: ov[i-1], delta: ov[i] - ov[i-1]})
+	}
+	tb.alpha = append(tb.alpha, alphaSeg{lo: op[len(op)-1], hi: inf, base: ov[len(ov)-1], delta: negZero})
+}
+
 // gridSampler performs trilinear interpolation on uniform or rectilinear
 // structured grids.
 type gridSampler struct {
-	g        *mesh.StructuredGrid
-	vals     []float64
-	uniform  bool
-	invSpace vecmath.Vec3
+	g          *mesh.StructuredGrid
+	vals       []float64
+	uniform    bool
+	nx, ny, nz int
+	sy, sz     int // point-index strides of j and k
+	// Uniform grids: origin, inverse spacing, and the far-face tolerance
+	// float64(N-1)+1e-9 per axis.
+	origin, invSpace, lim vecmath.Vec3
+	xs, ys, zs            []float64 // rectilinear coordinates
 }
 
 func newGridSampler(g *mesh.StructuredGrid, vals []float64) (*gridSampler, error) {
-	s := &gridSampler{g: g, vals: vals, uniform: g.XCoords == nil}
+	s := &gridSampler{
+		g: g, vals: vals, uniform: g.XCoords == nil,
+		nx: g.Nx, ny: g.Ny, nz: g.Nz, sy: g.Nx, sz: g.Nx * g.Ny,
+		origin: g.Origin,
+		lim:    vecmath.V(float64(g.Nx-1)+1e-9, float64(g.Ny-1)+1e-9, float64(g.Nz-1)+1e-9),
+		xs:     g.XCoords, ys: g.YCoords, zs: g.ZCoords,
+	}
 	if g.Nx < 2 || g.Ny < 2 || g.Nz < 2 {
 		return nil, fmt.Errorf("volume: grid too small (%dx%dx%d)", g.Nx, g.Ny, g.Nz)
 	}
@@ -279,74 +474,4 @@ func locateRect(coords []float64, v float64) (int, float64, bool) {
 		f = (v - coords[i]) / span
 	}
 	return i, f, true
-}
-
-// sample returns the trilinear field value at pos and whether pos is
-// inside the grid.
-func (s *gridSampler) sample(pos vecmath.Vec3) (float64, bool) {
-	g := s.g
-	var i, j, k int
-	var fx, fy, fz float64
-	if s.uniform {
-		rel := pos.Sub(g.Origin).Mul(s.invSpace)
-		if rel.X < 0 || rel.Y < 0 || rel.Z < 0 {
-			return 0, false
-		}
-		i, j, k = int(rel.X), int(rel.Y), int(rel.Z)
-		if i >= g.Nx-1 {
-			if rel.X > float64(g.Nx-1)+1e-9 {
-				return 0, false
-			}
-			i = g.Nx - 2
-		}
-		if j >= g.Ny-1 {
-			if rel.Y > float64(g.Ny-1)+1e-9 {
-				return 0, false
-			}
-			j = g.Ny - 2
-		}
-		if k >= g.Nz-1 {
-			if rel.Z > float64(g.Nz-1)+1e-9 {
-				return 0, false
-			}
-			k = g.Nz - 2
-		}
-		fx, fy, fz = rel.X-float64(i), rel.Y-float64(j), rel.Z-float64(k)
-	} else {
-		var ok bool
-		i, fx, ok = locateRect(g.XCoords, pos.X)
-		if !ok {
-			return 0, false
-		}
-		j, fy, ok = locateRect(g.YCoords, pos.Y)
-		if !ok {
-			return 0, false
-		}
-		k, fz, ok = locateRect(g.ZCoords, pos.Z)
-		if !ok {
-			return 0, false
-		}
-	}
-	v000 := s.vals[g.PointIndex(i, j, k)]
-	v100 := s.vals[g.PointIndex(i+1, j, k)]
-	v010 := s.vals[g.PointIndex(i, j+1, k)]
-	v110 := s.vals[g.PointIndex(i+1, j+1, k)]
-	v001 := s.vals[g.PointIndex(i, j, k+1)]
-	v101 := s.vals[g.PointIndex(i+1, j, k+1)]
-	v011 := s.vals[g.PointIndex(i, j+1, k+1)]
-	v111 := s.vals[g.PointIndex(i+1, j+1, k+1)]
-	c00 := v000 + fx*(v100-v000)
-	c10 := v010 + fx*(v110-v010)
-	c01 := v001 + fx*(v101-v001)
-	c11 := v011 + fx*(v111-v011)
-	c0 := c00 + fy*(c10-c00)
-	c1 := c01 + fy*(c11-c01)
-	return c0 + fz*(c1-c0), true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"container/heap"
 	"errors"
 	"sync"
@@ -21,10 +22,12 @@ var ErrClosed = errors.New("serve: server closed")
 var errNoHeadroom = errors.New("serve: no idle headroom for background work")
 
 // workerState is the per-worker scratch that persists across jobs: the
-// PNG encoder's staging image and compression buffers stay warm, so
-// steady-state frame encoding allocates only the output bytes.
+// PNG encoder's compressor and buffers and the buffer it encodes into
+// stay warm, so steady-state frame encoding allocates only the
+// exact-size copy of the PNG a frame result publishes.
 type workerState struct {
 	enc framebuffer.PNGEncoder
+	png bytes.Buffer
 }
 
 // job is one queued foreground render with its absolute deadline (zero

@@ -924,10 +924,13 @@ func (s *Server) drawFallback(job cluster.Job, tr *obs.FrameTrace) (*cluster.Res
 // including the measured compositing time the Tc model refits on.
 func (s *Server) finishFrame(ws *workerState, req *FrameRequest, d decision, res *cluster.Result, fleetDegraded bool, tr *obs.FrameTrace) (FrameResult, error) {
 	encStart := time.Now()
-	var buf bytes.Buffer
-	if err := ws.enc.Encode(&buf, res.Image); err != nil {
+	ws.png.Reset()
+	if err := ws.enc.Encode(&ws.png, res.Image); err != nil {
 		return FrameResult{}, fmt.Errorf("serve: encoding frame: %w", err)
 	}
+	// The published PNG is an exact-size copy: the frame cache may hold
+	// it for a long time, and must not pin a growth buffer's spare room.
+	png := bytes.Clone(ws.png.Bytes())
 	tr.Span(obs.StageEncode, encStart, time.Since(encStart))
 
 	wall, comp := res.RenderSeconds, res.CompositeSeconds
@@ -945,7 +948,7 @@ func (s *Server) finishFrame(ws *workerState, req *FrameRequest, d decision, res
 	s.feedObservation(req, d.q, res.In, res.BuildSeconds, wall, comp)
 
 	return FrameResult{
-		PNG:   buf.Bytes(),
+		PNG:   png,
 		Width: d.q.W, Height: d.q.H, N: d.q.N, RTWorkload: d.q.RTWorkload,
 		PredictedSeconds: d.predicted, RenderSeconds: wall,
 		Shards:                    d.q.Shards,
