@@ -6,24 +6,152 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"insitu/internal/obs"
 )
 
-// obsServer renders a couple of frames (one miss, one hit) so every
-// observability surface has data to show.
+// obsServer renders a few frames on a two-worker cluster server (one
+// miss, one hit, one sharded frame) so every observability surface,
+// fleet section included, has data to show.
 func obsServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts, _ := startRenderd(t, 1000)
-	for i := 0; i < 2; i++ {
-		resp, body := getFrame(t, ts, "backend=raytracer&sim=kripke&n=8&size=64")
+	ts, _ := startRenderdCluster(t, 1000, 2)
+	for _, q := range []string{
+		"backend=raytracer&sim=kripke&n=8&size=64",
+		"backend=raytracer&sim=kripke&n=8&size=64",
+		"backend=volume&sim=kripke&n=8&size=48&shards=2",
+	} {
+		resp, body := getFrame(t, ts, q)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("frame status %d: %s", resp.StatusCode, body)
+			t.Fatalf("frame %s: status %d: %s", q, resp.StatusCode, body)
 		}
 	}
 	return ts
+}
+
+// sortedKeys returns the keys of a decoded JSON object, sorted.
+func sortedKeys(t *testing.T, v any) []string {
+	t.Helper()
+	m, ok := v.(map[string]any)
+	if !ok {
+		t.Fatalf("not an object: %T", v)
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// assertKeySet fails with the full difference when got and want (both
+// sorted) disagree.
+func assertKeySet(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if slices.Equal(got, want) {
+		return
+	}
+	var missing, extra []string
+	for _, k := range want {
+		if !slices.Contains(got, k) {
+			missing = append(missing, k)
+		}
+	}
+	for _, k := range got {
+		if !slices.Contains(want, k) {
+			extra = append(extra, k)
+		}
+	}
+	t.Errorf("%s: missing %q, unexpected %q\ngot: %q", what, missing, extra, got)
+}
+
+// serveKeys is the complete key set of /v1/metrics' serve section on a
+// cluster server that has served a miss, a hit and a sharded frame —
+// the contract dashboards, bench/ and the Prometheus names rest on.
+var serveKeys = []string{
+	"admitted", "bad_requests", "breaker_opens", "breaker_short_circuits",
+	"breaker_state", "cache_hits", "cache_misses", "cached_frames", "cluster",
+	"cluster_composite_seconds_total", "cluster_failures",
+	"cluster_fallbacks", "cluster_frames",
+	"cluster_predicted_composite_seconds_total", "cluster_retries",
+	"cluster_shards_total", "coalesced", "deadline_misses", "degraded",
+	"errors", "fleet_clamped", "foreground_load_seconds", "frame_stages",
+	"frames_rendered", "model_drift", "observations_dropped",
+	"observations_queued", "observations_skipped", "prefetch_errors",
+	"prefetch_hits", "prefetch_no_headroom", "prefetch_queue_depth",
+	"prefetch_rendered", "prefetch_scheduled", "prefetch_shed",
+	"prefetch_stale", "queue_depth", "queue_full", "refits", "rejected",
+	"render_seconds_total", "runner_cache", "runners_live", "session_frames",
+	"sessions_closed", "sessions_open", "sessions_opened",
+}
+
+// serveClusterKeys is the complete key set of serve.cluster.
+var serveClusterKeys = []string{
+	"alive_workers", "bytes_sent", "evictions", "frames_dispatched", "links",
+	"messages_sent", "rank_failures", "ranks", "retries", "snapshot_errors",
+	"snapshots_acked", "snapshots_pushed", "stale_drops",
+	"worker_generations", "workers",
+}
+
+// servePromNames is every renderd_serve_* metric name /metrics exposes
+// for the same traffic.
+var servePromNames = []string{
+	"renderd_serve_admitted", "renderd_serve_bad_requests",
+	"renderd_serve_breaker_opens", "renderd_serve_breaker_short_circuits",
+	"renderd_serve_breaker_state", "renderd_serve_cache_hits",
+	"renderd_serve_cache_misses", "renderd_serve_cached_frames",
+	"renderd_serve_cluster_alive_workers", "renderd_serve_cluster_bytes_sent",
+	"renderd_serve_cluster_composite_seconds_total",
+	"renderd_serve_cluster_evictions", "renderd_serve_cluster_failures",
+	"renderd_serve_cluster_fallbacks", "renderd_serve_cluster_frames",
+	"renderd_serve_cluster_frames_dispatched",
+	"renderd_serve_cluster_links_bytes", "renderd_serve_cluster_links_from",
+	"renderd_serve_cluster_links_messages", "renderd_serve_cluster_links_to",
+	"renderd_serve_cluster_messages_sent",
+	"renderd_serve_cluster_predicted_composite_seconds_total",
+	"renderd_serve_cluster_rank_failures",
+	"renderd_serve_cluster_ranks_alive", "renderd_serve_cluster_ranks_blame",
+	"renderd_serve_cluster_ranks_heartbeat_age_seconds",
+	"renderd_serve_cluster_ranks_rank", "renderd_serve_cluster_retries",
+	"renderd_serve_cluster_shards_total",
+	"renderd_serve_cluster_snapshot_errors",
+	"renderd_serve_cluster_snapshots_acked",
+	"renderd_serve_cluster_snapshots_pushed",
+	"renderd_serve_cluster_stale_drops",
+	"renderd_serve_cluster_worker_generations",
+	"renderd_serve_cluster_workers", "renderd_serve_coalesced",
+	"renderd_serve_deadline_misses", "renderd_serve_degraded",
+	"renderd_serve_errors", "renderd_serve_fleet_clamped",
+	"renderd_serve_foreground_load_seconds",
+	"renderd_serve_frame_stages_stages_histogramjson_bucket",
+	"renderd_serve_frame_stages_stages_histogramjson_count",
+	"renderd_serve_frame_stages_stages_histogramjson_sum",
+	"renderd_serve_frame_stages_total_bucket",
+	"renderd_serve_frame_stages_total_count",
+	"renderd_serve_frame_stages_total_sum", "renderd_serve_frames_rendered",
+	"renderd_serve_model_drift_bucket", "renderd_serve_model_drift_count",
+	"renderd_serve_model_drift_mean_abs_error",
+	"renderd_serve_model_drift_sum", "renderd_serve_observations_dropped",
+	"renderd_serve_observations_queued", "renderd_serve_observations_skipped",
+	"renderd_serve_prefetch_errors", "renderd_serve_prefetch_hits",
+	"renderd_serve_prefetch_no_headroom",
+	"renderd_serve_prefetch_queue_depth", "renderd_serve_prefetch_rendered",
+	"renderd_serve_prefetch_scheduled", "renderd_serve_prefetch_shed",
+	"renderd_serve_prefetch_stale", "renderd_serve_queue_depth",
+	"renderd_serve_queue_full", "renderd_serve_refits",
+	"renderd_serve_rejected", "renderd_serve_render_seconds_total",
+	"renderd_serve_runner_cache_evicted",
+	"renderd_serve_runner_cache_evicted_pinned",
+	"renderd_serve_runner_cache_hits", "renderd_serve_runner_cache_leases",
+	"renderd_serve_runner_cache_live", "renderd_serve_runner_cache_pinned",
+	"renderd_serve_runner_cache_prepare_errors",
+	"renderd_serve_runner_cache_prepared", "renderd_serve_runners_live",
+	"renderd_serve_session_frames", "renderd_serve_sessions_closed",
+	"renderd_serve_sessions_open", "renderd_serve_sessions_opened",
 }
 
 // walkJSON descends a decoded JSON document by key path, failing the
@@ -63,9 +191,8 @@ func TestMetricsJSONShape(t *testing.T) {
 	for _, key := range []string{"uptime_seconds", "generation", "serve", "ops", "predict_cache"} {
 		walkJSON(t, doc, key)
 	}
-	for _, key := range []string{"admitted", "cache_hits", "frames_rendered", "frame_stages"} {
-		walkJSON(t, doc, "serve", key)
-	}
+	assertKeySet(t, "serve", sortedKeys(t, walkJSON(t, doc, "serve")), serveKeys)
+	assertKeySet(t, "serve.cluster", sortedKeys(t, walkJSON(t, doc, "serve", "cluster")), serveClusterKeys)
 
 	// The total histogram carries count, quantiles, and buckets.
 	total := walkJSON(t, doc, "serve", "frame_stages", "total")
@@ -131,6 +258,19 @@ func TestPromExposition(t *testing.T) {
 	if err := obs.ValidatePromText(text); err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, text)
 	}
+	names := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		if name, _, _ := strings.Cut(line, " "); strings.HasPrefix(name, "renderd_serve_") {
+			name, _, _ = strings.Cut(name, "{")
+			names[name] = true
+		}
+	}
+	got := make([]string, 0, len(names))
+	for name := range names {
+		got = append(got, name)
+	}
+	sort.Strings(got)
+	assertKeySet(t, "renderd_serve_* metric names", got, servePromNames)
 	for _, want := range []string{
 		"renderd_serve_frames_rendered ",
 		"renderd_serve_frame_stages_total_count ",
