@@ -11,6 +11,7 @@ import (
 	"insitu/internal/comm"
 	"insitu/internal/core"
 	"insitu/internal/framebuffer"
+	"insitu/internal/obs"
 	"insitu/internal/registry"
 )
 
@@ -50,22 +51,29 @@ type Result struct {
 	Retries int
 }
 
+// Counters is the router's monotonic fleet counts, declared once: the
+// fleet bumps its live block with atomic.AddInt64 and Stats embeds an
+// atomic copy (obs.LoadCounters), served under these JSON tags.
+type Counters struct {
+	FramesDispatched int64 `json:"frames_dispatched"`
+	Evictions        int64 `json:"evictions"`
+	Retries          int64 `json:"retries"`
+	RankFailures     int64 `json:"rank_failures"`
+	SnapshotsPushed  int64 `json:"snapshots_pushed"`
+	SnapshotsAcked   int64 `json:"snapshots_acked"`
+	SnapshotErrors   int64 `json:"snapshot_errors"`
+}
+
 // Stats is a point-in-time view of cluster transport, replication, and
 // health counters.
 type Stats struct {
+	Counters
 	Workers           int      `json:"workers"`
 	AliveWorkers      int      `json:"alive_workers"`
 	DeadRanks         []int    `json:"dead_ranks,omitempty"`
-	FramesDispatched  int64    `json:"frames_dispatched"`
 	BytesSent         int64    `json:"bytes_sent"`
 	MessagesSent      int64    `json:"messages_sent"`
 	StaleDrops        int64    `json:"stale_drops"`
-	Evictions         int64    `json:"evictions"`
-	Retries           int64    `json:"retries"`
-	RankFailures      int64    `json:"rank_failures"`
-	SnapshotsPushed   int64    `json:"snapshots_pushed"`
-	SnapshotsAcked    int64    `json:"snapshots_acked"`
-	SnapshotErrors    int64    `json:"snapshot_errors"`
 	WorkerGenerations []uint64 `json:"worker_generations"`
 	// Ranks is per-rank health: heartbeat age and blame are the gauges
 	// the failure detector acts on, surfaced so an operator can watch a
@@ -90,6 +98,10 @@ type RankHealth struct {
 // dispatches sharded frames, replicates registry snapshots, and routes
 // finished frames back to concurrent callers.
 type Cluster struct {
+	// n is the live counter block. First in the struct so its 64-bit
+	// fields are 8-byte aligned on 32-bit platforms too.
+	n Counters
+
 	world   *comm.World
 	router  *comm.Comm
 	reg     *registry.Registry
@@ -135,14 +147,6 @@ type Cluster struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-
-	framesDispatched atomic.Int64
-	snapshotsPushed  atomic.Int64
-	snapshotsAcked   atomic.Int64
-	snapshotErrors   atomic.Int64
-	evictions        atomic.Int64
-	retries          atomic.Int64
-	rankFailures     atomic.Int64
 }
 
 // attemptCtl is the router-side handle of one in-flight attempt.
@@ -227,19 +231,13 @@ func (cl *Cluster) Close() {
 // Stats snapshots the transport, replication, and health counters.
 func (cl *Cluster) Stats() Stats {
 	return Stats{
+		Counters:          obs.LoadCounters(&cl.n),
 		Workers:           cl.workers,
 		AliveWorkers:      cl.AliveWorkers(),
 		DeadRanks:         cl.DeadRanks(),
-		FramesDispatched:  cl.framesDispatched.Load(),
 		BytesSent:         cl.world.BytesSent(),
 		MessagesSent:      cl.world.MessagesSent(),
 		StaleDrops:        cl.world.StaleDrops(),
-		Evictions:         cl.evictions.Load(),
-		Retries:           cl.retries.Load(),
-		RankFailures:      cl.rankFailures.Load(),
-		SnapshotsPushed:   cl.snapshotsPushed.Load(),
-		SnapshotsAcked:    cl.snapshotsAcked.Load(),
-		SnapshotErrors:    cl.snapshotErrors.Load(),
 		WorkerGenerations: cl.WorkerGenerations(),
 		Ranks:             cl.RankHealths(),
 		Links:             cl.world.LinkStats(),
@@ -294,7 +292,7 @@ func (cl *Cluster) Render(ctx context.Context, job Job) (*Result, error) {
 		members, err := placeShards(cl.workers, cl.isDead, &job)
 		if err != nil {
 			if dead := cl.DeadRanks(); len(dead) > 0 {
-				cl.rankFailures.Add(1)
+				atomic.AddInt64(&cl.n.RankFailures, 1)
 				if lastErr == nil {
 					lastErr = err
 				}
@@ -312,10 +310,10 @@ func (cl *Cluster) Render(ctx context.Context, job Job) (*Result, error) {
 		}
 		lastErr = rerr
 		if attempt >= cl.opts.MaxAttempts {
-			cl.rankFailures.Add(1)
+			atomic.AddInt64(&cl.n.RankFailures, 1)
 			return nil, &RankFailure{Ranks: cl.DeadRanks(), Attempts: attempt, Last: rerr}
 		}
-		cl.retries.Add(1)
+		atomic.AddInt64(&cl.n.Retries, 1)
 		select {
 		case <-time.After(backoff):
 		case <-ctx.Done():
@@ -392,7 +390,7 @@ func (cl *Cluster) renderAttempt(ctx context.Context, job *Job, members []int) (
 			return nil, fmt.Errorf("cluster: dispatch to worker %d: %w", w, err), false
 		}
 	}
-	cl.framesDispatched.Add(1)
+	atomic.AddInt64(&cl.n.FramesDispatched, 1)
 	cl.dispatchMu.Unlock()
 
 	finish := func(m *wireResultMsg) (*Result, error, bool) {
@@ -461,11 +459,11 @@ func (cl *Cluster) replicateLocked() {
 		if msg == nil {
 			b, err := snap.EncodeBytes()
 			if err != nil {
-				cl.snapshotErrors.Add(1)
+				atomic.AddInt64(&cl.n.SnapshotErrors, 1)
 				return
 			}
 			if msg, err = packJSON(&wireSnapshot{Gen: gen, Snapshot: json.RawMessage(b)}); err != nil {
-				cl.snapshotErrors.Add(1)
+				atomic.AddInt64(&cl.n.SnapshotErrors, 1)
 				return
 			}
 		}
@@ -473,7 +471,7 @@ func (cl *Cluster) replicateLocked() {
 			return // shutting down
 		}
 		cl.lastGen[w] = gen
-		cl.snapshotsPushed.Add(1)
+		atomic.AddInt64(&cl.n.SnapshotsPushed, 1)
 	}
 }
 
@@ -583,10 +581,10 @@ func (cl *Cluster) demuxLoop(w int) {
 		case tagSnapshotAck:
 			var ack wireAck
 			if _, err := unpackJSON(data, &ack); err != nil || ack.Err != "" {
-				cl.snapshotErrors.Add(1)
+				atomic.AddInt64(&cl.n.SnapshotErrors, 1)
 				continue
 			}
-			cl.snapshotsAcked.Add(1)
+			atomic.AddInt64(&cl.n.SnapshotsAcked, 1)
 		case tagResult:
 			res, img, err := decodeResult(data)
 			if err != nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"insitu/internal/comm"
@@ -127,7 +128,7 @@ func (cl *Cluster) evict(w int, reason string) {
 		return
 	}
 	cl.alive.Add(-1)
-	cl.evictions.Add(1)
+	atomic.AddInt64(&cl.n.Evictions, 1)
 	cl.reasonMu.Lock()
 	cl.evictReasons[w] = reason
 	cl.reasonMu.Unlock()

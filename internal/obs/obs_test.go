@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -288,7 +290,15 @@ func TestWriteProm(t *testing.T) {
 		Backend string  `json:"backend"`
 		Seconds float64 `json:"seconds"`
 	}
+	type Counts struct {
+		Frames uint64 `json:"frames"`
+	}
+	type Tagged struct {
+		N int64 `json:"n"`
+	}
 	type top struct {
+		Counts
+		Tagged  `json:"tagged"`
 		Uptime  float64          `json:"uptime_seconds"`
 		Live    bool             `json:"live"`
 		Cache   inner            `json:"cache"`
@@ -307,6 +317,7 @@ func TestWriteProm(t *testing.T) {
 	hsnap := h.Snapshot()
 	hj := hsnap.JSON()
 	v := top{
+		Counts: Counts{Frames: 4}, Tagged: Tagged{N: 6},
 		Uptime: 12.5, Live: true,
 		Cache:  inner{Hits: 3, Rate: 0.75, State: "warm", hidden: 9},
 		Ops:    []op{{Backend: "raytrace", Seconds: 0.01}, {Backend: "volume", Seconds: 0.02}},
@@ -320,6 +331,8 @@ func TestWriteProm(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
+		"renderd_frames 4",
+		"renderd_tagged_n 6",
 		"renderd_uptime_seconds 12.5",
 		"renderd_live 1",
 		"renderd_cache_hits 3",
@@ -342,6 +355,9 @@ func TestWriteProm(t *testing.T) {
 	if strings.Contains(out, "hidden") {
 		t.Error("unexported field should be skipped")
 	}
+	if strings.Contains(out, "counts") {
+		t.Error("untagged embedded struct should add no name segment")
+	}
 	// Histogram buckets must be cumulative.
 	var cum []uint64
 	for _, line := range strings.Split(out, "\n") {
@@ -359,4 +375,34 @@ func TestWriteProm(t *testing.T) {
 	if err := ValidatePromText(out); err != nil {
 		t.Errorf("exposition fails validator: %v", err)
 	}
+}
+
+func TestLoadCounters(t *testing.T) {
+	type block struct {
+		A uint64 `json:"a"`
+		B int64  `json:"b"`
+	}
+	var live block
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				atomic.AddUint64(&live.A, 1)
+				atomic.AddInt64(&live.B, -1)
+				_ = LoadCounters(&live)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := LoadCounters(&live); got != (block{A: 4000, B: -4000}) {
+		t.Errorf("LoadCounters = %+v", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a non-counter field should panic")
+		}
+	}()
+	LoadCounters(&struct{ S string }{})
 }

@@ -16,7 +16,9 @@ import (
 // (JSON) and /metrics (Prometheus), so the two surfaces cannot drift:
 //
 //   - numeric and bool fields become `prefix_path_to_field value`
-//   - nested structs extend the metric name with their tag path
+//   - nested structs extend the metric name with their tag path;
+//     untagged embedded structs add nothing, as encoding/json promotes
+//     their fields into the parent object
 //   - string fields inside slice elements become labels on that
 //     element's numeric fields (e.g. Ops []OpStats → op{backend="..."})
 //   - map[string]T entries get a {key="..."} label
@@ -97,6 +99,17 @@ func jsonTag(f reflect.StructField) (name string, skip bool) {
 	return name, false
 }
 
+// promoted reports whether f is an untagged embedded struct, whose
+// fields encoding/json promotes into the enclosing object.
+func promoted(f reflect.StructField) bool {
+	t := f.Type
+	if t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+	return f.Anonymous && name == "" && t.Kind() == reflect.Struct
+}
+
 func (p *promWriter) emit(name string, labels []string, rv reflect.Value) {
 	if p.err != nil {
 		return
@@ -150,6 +163,10 @@ func (p *promWriter) structFields(name string, labels []string, rv reflect.Value
 	// numeric fields when the struct is a slice element (handled in
 	// slice); at top level they render as info gauges instead.
 	for i := 0; i < t.NumField(); i++ {
+		if promoted(t.Field(i)) {
+			p.emit(name, labels, rv.Field(i))
+			continue
+		}
 		tag, skip := jsonTag(t.Field(i))
 		if skip {
 			continue
@@ -198,6 +215,8 @@ func (p *promWriter) slice(name string, labels []string, rv reflect.Value) {
 				elLabels = append(elLabels, label("index", fmt.Sprintf("%d", i)))
 			}
 			// Emit only the non-string fields; strings were consumed as labels.
+			// Embedded structs keep their type-name segment here (the
+			// published frame_stages_stages_histogramjson_* family).
 			for j := 0; j < t.NumField(); j++ {
 				tag, skip := jsonTag(t.Field(j))
 				if skip || el.Field(j).Kind() == reflect.String {

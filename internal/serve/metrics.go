@@ -1,59 +1,18 @@
 package serve
 
 import (
-	"sync/atomic"
-
 	"insitu/internal/cluster"
 	"insitu/internal/obs"
 	"insitu/internal/scenario"
 )
 
-// counters is the serving-path instrumentation; all atomics so the
-// frame path never takes a lock (and never allocates) to account for
-// itself.
-type counters struct {
-	admitted            atomic.Uint64
-	degraded            atomic.Uint64
-	rejected            atomic.Uint64
-	badRequests         atomic.Uint64
-	errors              atomic.Uint64
-	cacheHits           atomic.Uint64
-	cacheMisses         atomic.Uint64
-	coalesced           atomic.Uint64
-	framesRendered      atomic.Uint64
-	renderNanos         atomic.Uint64
-	deadlineMisses      atomic.Uint64
-	queueFull           atomic.Uint64
-	observationsQueued  atomic.Uint64
-	observationsDropped atomic.Uint64
-	observationsSkipped atomic.Uint64
-	refits              atomic.Uint64
-
-	clusterFrames                  atomic.Uint64
-	clusterShards                  atomic.Uint64
-	clusterCompositeNanos          atomic.Uint64
-	clusterPredictedCompositeNanos atomic.Uint64
-	clusterRetries                 atomic.Uint64
-	clusterFailures                atomic.Uint64
-	clusterFallbacks               atomic.Uint64
-	breakerOpens                   atomic.Uint64
-	breakerShortCircuits           atomic.Uint64
-	fleetClamped                   atomic.Uint64
-
-	sessionsOpened     atomic.Uint64
-	sessionsClosed     atomic.Uint64
-	sessionFrames      atomic.Uint64
-	prefetchHits       atomic.Uint64
-	prefetchScheduled  atomic.Uint64
-	prefetchRendered   atomic.Uint64
-	prefetchStale      atomic.Uint64
-	prefetchShed       atomic.Uint64
-	prefetchNoHeadroom atomic.Uint64
-	prefetchErrors     atomic.Uint64
-}
-
-// Stats is one metrics snapshot, JSON-shaped for /v1/metrics.
-type Stats struct {
+// Counters is every monotonic count of the serving path, declared once.
+// Hot paths bump the server's live block with atomic.AddUint64 — one
+// locked add, no lock, no allocation; Stats embeds an atomic copy, so
+// each field is served under its JSON tag on /v1/metrics and, through
+// obs.WriteProm, on /metrics. All fields are uint64 (see
+// obs.LoadCounters).
+type Counters struct {
 	// Admission outcomes. Degraded counts admissions that changed
 	// quality; Rejected infeasible-even-degraded refusals.
 	Admitted    uint64 `json:"admitted"`
@@ -64,20 +23,18 @@ type Stats struct {
 
 	// Frame cache effectiveness. Coalesced counts misses served from a
 	// concurrent identical render instead of a duplicate job.
-	CacheHits    uint64 `json:"cache_hits"`
-	CacheMisses  uint64 `json:"cache_misses"`
-	CachedFrames int    `json:"cached_frames"`
-	Coalesced    uint64 `json:"coalesced"`
+	CacheHits   uint64 `json:"cache_hits"`
+	CacheMisses uint64 `json:"cache_misses"`
+	Coalesced   uint64 `json:"coalesced"`
 
 	// Render throughput. DeadlineMisses counts served frames whose
 	// measured time exceeded their deadline (the model's admission was
 	// too optimistic — exactly what calibration feedback corrects).
-	FramesRendered     uint64  `json:"frames_rendered"`
-	RenderSecondsTotal float64 `json:"render_seconds_total"`
-	DeadlineMisses     uint64  `json:"deadline_misses"`
-	QueueFull          uint64  `json:"queue_full"`
-	QueueDepth         int     `json:"queue_depth"`
-	RunnersLive        int     `json:"runners_live"`
+	// RenderNanos is served as Stats.RenderSecondsTotal.
+	FramesRendered uint64 `json:"frames_rendered"`
+	RenderNanos    uint64 `json:"-"`
+	DeadlineMisses uint64 `json:"deadline_misses"`
+	QueueFull      uint64 `json:"queue_full"`
 
 	// Calibration feedback.
 	ObservationsQueued  uint64 `json:"observations_queued"`
@@ -86,29 +43,25 @@ type Stats struct {
 	Refits              uint64 `json:"refits"`
 
 	// Cluster serving. ClusterShardsTotal sums served shard counts
-	// (total partial renders); the composite totals pair the fitted Tc
-	// model's admission-time predictions with the measured sort-last
-	// times, so Tc drift is observable from /v1/metrics alone. Cluster
-	// carries the fleet's transport and replication counters when this
-	// server fronts one.
-	ClusterFrames                         uint64         `json:"cluster_frames"`
-	ClusterShardsTotal                    uint64         `json:"cluster_shards_total"`
-	ClusterCompositeSecondsTotal          float64        `json:"cluster_composite_seconds_total"`
-	ClusterPredictedCompositeSecondsTotal float64        `json:"cluster_predicted_composite_seconds_total"`
-	Cluster                               *cluster.Stats `json:"cluster,omitempty"`
+	// (total partial renders); the composite nanosecond totals pair the
+	// fitted Tc model's admission-time predictions with the measured
+	// sort-last times (served in seconds by Stats), so Tc drift is
+	// observable from /v1/metrics alone.
+	ClusterFrames                  uint64 `json:"cluster_frames"`
+	ClusterShardsTotal             uint64 `json:"cluster_shards_total"`
+	ClusterCompositeNanos          uint64 `json:"-"`
+	ClusterPredictedCompositeNanos uint64 `json:"-"`
 
 	// Fleet fault tolerance. ClusterRetries sums per-frame recovery
 	// retries; ClusterFailures counts frames the fleet gave up on (each
 	// served by the standalone fallback, with ClusterFallbacks also
 	// counting breaker short-circuits); FleetClamped counts requests
 	// whose shard count was re-planned to the surviving workers.
-	// BreakerState is "closed", "open", or "half-open".
 	ClusterRetries       uint64 `json:"cluster_retries"`
 	ClusterFailures      uint64 `json:"cluster_failures"`
 	ClusterFallbacks     uint64 `json:"cluster_fallbacks"`
 	BreakerOpens         uint64 `json:"breaker_opens"`
 	BreakerShortCircuits uint64 `json:"breaker_short_circuits"`
-	BreakerState         string `json:"breaker_state,omitempty"`
 	FleetClamped         uint64 `json:"fleet_clamped"`
 
 	// Interactive sessions and speculative prefetch. PrefetchHits counts
@@ -121,7 +74,6 @@ type Stats struct {
 	// foreground load or per-session caps left no idle capacity.
 	SessionsOpened uint64 `json:"sessions_opened"`
 	SessionsClosed uint64 `json:"sessions_closed"`
-	SessionsOpen   int    `json:"sessions_open"`
 	SessionFrames  uint64 `json:"session_frames"`
 
 	PrefetchHits       uint64 `json:"prefetch_hits"`
@@ -131,6 +83,30 @@ type Stats struct {
 	PrefetchShed       uint64 `json:"prefetch_shed"`
 	PrefetchNoHeadroom uint64 `json:"prefetch_no_headroom"`
 	PrefetchErrors     uint64 `json:"prefetch_errors"`
+}
+
+// Stats is one metrics snapshot, JSON-shaped for /v1/metrics: the
+// counters plus the gauges and totals derived from them.
+type Stats struct {
+	Counters
+
+	// CachedFrames is the frame cache's entry count; QueueDepth the
+	// queued foreground jobs; RunnersLive the warm runners held.
+	CachedFrames int `json:"cached_frames"`
+	QueueDepth   int `json:"queue_depth"`
+	RunnersLive  int `json:"runners_live"`
+
+	RenderSecondsTotal                    float64 `json:"render_seconds_total"`
+	ClusterCompositeSecondsTotal          float64 `json:"cluster_composite_seconds_total"`
+	ClusterPredictedCompositeSecondsTotal float64 `json:"cluster_predicted_composite_seconds_total"`
+
+	// Cluster carries the fleet's transport and replication counters
+	// when this server fronts one; BreakerState is then "closed",
+	// "open", or "half-open".
+	Cluster      *cluster.Stats `json:"cluster,omitempty"`
+	BreakerState string         `json:"breaker_state,omitempty"`
+
+	SessionsOpen int `json:"sessions_open"`
 	// PrefetchQueueDepth is the queued (not yet running) speculative
 	// render count; ForegroundLoadSeconds the model-predicted cost of
 	// queued plus running foreground work — the headroom signal
@@ -153,68 +129,28 @@ type Stats struct {
 	ModelDrift []obs.DriftJSON `json:"model_drift,omitempty"`
 }
 
-// Stats snapshots the serving counters.
+// Stats snapshots the serving counters and gauges.
 func (s *Server) Stats() Stats {
-	var fleet *cluster.Stats
-	breakerState := ""
+	n := obs.LoadCounters(&s.n)
+	st := Stats{
+		Counters:                              n,
+		CachedFrames:                          s.frames.Len(),
+		QueueDepth:                            s.sched.depth(),
+		RunnersLive:                           s.runners.Len(),
+		RenderSecondsTotal:                    float64(n.RenderNanos) / 1e9,
+		ClusterCompositeSecondsTotal:          float64(n.ClusterCompositeNanos) / 1e9,
+		ClusterPredictedCompositeSecondsTotal: float64(n.ClusterPredictedCompositeNanos) / 1e9,
+		SessionsOpen:                          s.SessionsOpen(),
+		PrefetchQueueDepth:                    s.sched.bgDepth(),
+		ForegroundLoadSeconds:                 s.sched.foregroundLoad(),
+		RunnerCache:                           s.runners.Stats(),
+		FrameStages:                           s.stageLat.JSON(),
+		ModelDrift:                            s.residuals.JSON(),
+	}
 	if s.cfg.Cluster != nil {
-		st := s.cfg.Cluster.Stats()
-		fleet = &st
-		breakerState = s.brk.snapshot().String()
+		fleet := s.cfg.Cluster.Stats()
+		st.Cluster = &fleet
+		st.BreakerState = s.brk.snapshot().String()
 	}
-	return Stats{
-		Admitted:            s.stats.admitted.Load(),
-		Degraded:            s.stats.degraded.Load(),
-		Rejected:            s.stats.rejected.Load(),
-		BadRequests:         s.stats.badRequests.Load(),
-		Errors:              s.stats.errors.Load(),
-		CacheHits:           s.stats.cacheHits.Load(),
-		CacheMisses:         s.stats.cacheMisses.Load(),
-		CachedFrames:        s.frames.Len(),
-		Coalesced:           s.stats.coalesced.Load(),
-		FramesRendered:      s.stats.framesRendered.Load(),
-		RenderSecondsTotal:  float64(s.stats.renderNanos.Load()) / 1e9,
-		DeadlineMisses:      s.stats.deadlineMisses.Load(),
-		QueueFull:           s.stats.queueFull.Load(),
-		QueueDepth:          s.sched.depth(),
-		RunnersLive:         s.runners.Len(),
-		ObservationsQueued:  s.stats.observationsQueued.Load(),
-		ObservationsDropped: s.stats.observationsDropped.Load(),
-		ObservationsSkipped: s.stats.observationsSkipped.Load(),
-		Refits:              s.stats.refits.Load(),
-
-		ClusterFrames:                         s.stats.clusterFrames.Load(),
-		ClusterShardsTotal:                    s.stats.clusterShards.Load(),
-		ClusterCompositeSecondsTotal:          float64(s.stats.clusterCompositeNanos.Load()) / 1e9,
-		ClusterPredictedCompositeSecondsTotal: float64(s.stats.clusterPredictedCompositeNanos.Load()) / 1e9,
-		Cluster:                               fleet,
-
-		ClusterRetries:       s.stats.clusterRetries.Load(),
-		ClusterFailures:      s.stats.clusterFailures.Load(),
-		ClusterFallbacks:     s.stats.clusterFallbacks.Load(),
-		BreakerOpens:         s.stats.breakerOpens.Load(),
-		BreakerShortCircuits: s.stats.breakerShortCircuits.Load(),
-		BreakerState:         breakerState,
-		FleetClamped:         s.stats.fleetClamped.Load(),
-
-		SessionsOpened: s.stats.sessionsOpened.Load(),
-		SessionsClosed: s.stats.sessionsClosed.Load(),
-		SessionsOpen:   s.SessionsOpen(),
-		SessionFrames:  s.stats.sessionFrames.Load(),
-
-		PrefetchHits:          s.stats.prefetchHits.Load(),
-		PrefetchScheduled:     s.stats.prefetchScheduled.Load(),
-		PrefetchRendered:      s.stats.prefetchRendered.Load(),
-		PrefetchStale:         s.stats.prefetchStale.Load(),
-		PrefetchShed:          s.stats.prefetchShed.Load(),
-		PrefetchNoHeadroom:    s.stats.prefetchNoHeadroom.Load(),
-		PrefetchErrors:        s.stats.prefetchErrors.Load(),
-		PrefetchQueueDepth:    s.sched.bgDepth(),
-		ForegroundLoadSeconds: s.sched.foregroundLoad(),
-
-		RunnerCache: s.runners.Stats(),
-
-		FrameStages: s.stageLat.JSON(),
-		ModelDrift:  s.residuals.JSON(),
-	}
+	return st
 }

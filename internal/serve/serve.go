@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"insitu/internal/advisor"
@@ -304,6 +305,11 @@ type flight struct {
 // Server is the render-serving subsystem: admission, scheduling,
 // caching, and calibration feedback behind one Render call.
 type Server struct {
+	// n is the live counter block, bumped with atomic.AddUint64. First
+	// in the struct so its 64-bit fields are 8-byte aligned on 32-bit
+	// platforms too.
+	n Counters
+
 	engine *advisor.Engine
 	cfg    Config
 
@@ -328,8 +334,6 @@ type Server struct {
 	obsWG     sync.WaitGroup
 	obsMu     sync.Mutex
 	obsClosed bool
-
-	stats counters
 
 	// Frame-lifecycle observability: every served frame commits a
 	// FrameTrace into the tracer's rings and folds into the per-stage
@@ -564,7 +568,7 @@ func (s *Server) validate(req *FrameRequest) error {
 func (s *Server) front(req *FrameRequest) (d decision, fleetClamped bool, err error) {
 	//insitu:noalloc-ok validate is read-only for accepted requests; only rejections build errors
 	if err := s.validate(req); err != nil {
-		s.stats.badRequests.Add(1)
+		atomic.AddUint64(&s.n.BadRequests, 1)
 		return decision{}, false, err
 	}
 	// Fleet-health clamp: a request sharded wider than the surviving
@@ -576,15 +580,15 @@ func (s *Server) front(req *FrameRequest) (d decision, fleetClamped bool, err er
 		if alive := s.cfg.Cluster.AliveWorkers(); req.Shards > alive {
 			req.Shards = max(alive, 1)
 			fleetClamped = true
-			s.stats.fleetClamped.Add(1)
+			atomic.AddUint64(&s.n.FleetClamped, 1)
 		}
 	}
 	if d, err = s.admitRequest(req); err != nil {
-		s.stats.errors.Add(1)
+		atomic.AddUint64(&s.n.Errors, 1)
 		return decision{}, fleetClamped, err
 	}
 	if !d.ok {
-		s.stats.rejected.Add(1)
+		atomic.AddUint64(&s.n.Rejected, 1)
 		//insitu:noalloc-ok rejection path, never taken by a cache hit
 		return d, fleetClamped, d.rejection(req)
 	}
@@ -603,9 +607,9 @@ func (s *Server) serveFrame(req FrameRequest, sess *Session) (res FrameResult, d
 	if err != nil {
 		return FrameResult{}, d, err
 	}
-	s.stats.admitted.Add(1)
+	atomic.AddUint64(&s.n.Admitted, 1)
 	if d.degraded {
-		s.stats.degraded.Add(1)
+		atomic.AddUint64(&s.n.Degraded, 1)
 	}
 
 	admitDur := time.Since(start)
@@ -616,7 +620,7 @@ func (s *Server) serveFrame(req FrameRequest, sess *Session) (res FrameResult, d
 		s.commitHitTrace(&req, &d, start, admitDur)
 		return res, d, nil
 	}
-	s.stats.cacheMisses.Add(1)
+	atomic.AddUint64(&s.n.CacheMisses, 1)
 	//insitu:noalloc-ok the miss path renders a frame; only the hit path above is allocation-free
 	res, err = s.renderMiss(req, d, fk, sess, start, admitDur)
 	res.FleetDegraded = res.FleetDegraded || fleetClamped
@@ -629,7 +633,7 @@ func (s *Server) serveFrame(req FrameRequest, sess *Session) (res FrameResult, d
 //
 //insitu:noalloc
 func (s *Server) hitFrame(res *FrameResult, cf *cachedFrame, d *decision, sess *Session) {
-	s.stats.cacheHits.Add(1)
+	atomic.AddUint64(&s.n.CacheHits, 1)
 	if cf.speculative {
 		s.prefetchHit(sess)
 	}
@@ -651,7 +655,7 @@ func (s *Server) hitFrame(res *FrameResult, cf *cachedFrame, d *decision, sess *
 //
 //insitu:noalloc
 func (s *Server) prefetchHit(sess *Session) {
-	s.stats.prefetchHits.Add(1)
+	atomic.AddUint64(&s.n.PrefetchHits, 1)
 	if sess != nil {
 		sess.prefetchHits.Add(1)
 	}
@@ -701,7 +705,7 @@ func (s *Server) renderMiss(req FrameRequest, d decision, fk frameKey, sess *Ses
 	}
 	res := f.res
 	res.CacheHit = true // served from the leader's render
-	s.stats.coalesced.Add(1)
+	atomic.AddUint64(&s.n.Coalesced, 1)
 	if f.speculative {
 		res.PrefetchHit = true
 		s.prefetchHit(sess)
@@ -781,11 +785,11 @@ func (s *Server) renderScheduled(req *FrameRequest, d decision, tr *obs.FrameTra
 		done <- err
 	})
 	if err != nil {
-		s.stats.queueFull.Add(1)
+		atomic.AddUint64(&s.n.QueueFull, 1)
 		return FrameResult{}, err
 	}
 	if err := <-done; err != nil {
-		s.stats.errors.Add(1)
+		atomic.AddUint64(&s.n.Errors, 1)
 		return FrameResult{}, err
 	}
 	return res, nil
@@ -860,7 +864,7 @@ func (s *Server) drawLocal(req *FrameRequest, q quality, tr *obs.FrameTrace) (*s
 // never degraded pixels.
 func (s *Server) drawFleet(job cluster.Job, d decision, deadline time.Time, tr *obs.FrameTrace) *cluster.Result {
 	if !s.brk.allow() {
-		s.stats.breakerShortCircuits.Add(1)
+		atomic.AddUint64(&s.n.BreakerShortCircuits, 1)
 		return nil
 	}
 	limit := time.Now().Add(s.cfg.ClusterTimeout)
@@ -872,9 +876,9 @@ func (s *Server) drawFleet(job cluster.Job, d decision, deadline time.Time, tr *
 	res, err := s.cfg.Cluster.Render(ctx, job)
 	cancel()
 	if err != nil {
-		s.stats.clusterFailures.Add(1)
+		atomic.AddUint64(&s.n.ClusterFailures, 1)
 		if s.brk.failure() {
-			s.stats.breakerOpens.Add(1)
+			atomic.AddUint64(&s.n.BreakerOpens, 1)
 			s.cfg.Logf("serve: circuit breaker opened after cluster failure: %v", err)
 		}
 		s.cfg.Logf("serve: cluster render %s/%s x%d failed, falling back to standalone: %v",
@@ -890,11 +894,11 @@ func (s *Server) drawFleet(job cluster.Job, d decision, deadline time.Time, tr *
 	off, rankNanos := int64(tr.StartOffset(obs.StageShardDispatch)), int64(res.RenderSeconds*1e9)
 	tr.SpanNanos(obs.StageRankRender, off, rankNanos)
 	tr.SpanNanos(obs.StageComposite, off+rankNanos, int64(res.CompositeSeconds*1e9))
-	s.stats.clusterRetries.Add(uint64(res.Retries))
-	s.stats.clusterFrames.Add(1)
-	s.stats.clusterShards.Add(uint64(job.Shards))
-	s.stats.clusterCompositeNanos.Add(uint64(res.CompositeSeconds * 1e9))
-	s.stats.clusterPredictedCompositeNanos.Add(uint64(d.predictedComposite * 1e9))
+	atomic.AddUint64(&s.n.ClusterRetries, uint64(res.Retries))
+	atomic.AddUint64(&s.n.ClusterFrames, 1)
+	atomic.AddUint64(&s.n.ClusterShardsTotal, uint64(job.Shards))
+	atomic.AddUint64(&s.n.ClusterCompositeNanos, uint64(res.CompositeSeconds*1e9))
+	atomic.AddUint64(&s.n.ClusterPredictedCompositeNanos, uint64(d.predictedComposite*1e9))
 	return res
 }
 
@@ -910,7 +914,7 @@ func (s *Server) drawFallback(job cluster.Job, tr *obs.FrameTrace) (*cluster.Res
 	if err != nil {
 		return nil, fmt.Errorf("serve: standalone fallback %s/%s x%d: %w", job.Backend, job.Sim, job.Shards, err)
 	}
-	s.stats.clusterFallbacks.Add(1)
+	atomic.AddUint64(&s.n.ClusterFallbacks, 1)
 	tr.Span(obs.StageRender, renderStart, time.Since(renderStart))
 	off := int64(tr.StartOffset(obs.StageRender))
 	tr.SpanNanos(obs.StageComposite, off+int64(res.RenderSeconds*1e9), int64(res.CompositeSeconds*1e9))
@@ -934,12 +938,12 @@ func (s *Server) finishFrame(ws *workerState, req *FrameRequest, d decision, res
 	tr.Span(obs.StageEncode, encStart, time.Since(encStart))
 
 	wall, comp := res.RenderSeconds, res.CompositeSeconds
-	s.stats.framesRendered.Add(1)
-	s.stats.renderNanos.Add(uint64(wall * 1e9))
+	atomic.AddUint64(&s.n.FramesRendered, 1)
+	atomic.AddUint64(&s.n.RenderNanos, uint64(wall*1e9))
 	dl := req.DeadlineMillis / 1e3
 	tr.DeadlineMiss = dl > 0 && wall+comp > dl
 	if tr.DeadlineMiss {
-		s.stats.deadlineMisses.Add(1)
+		atomic.AddUint64(&s.n.DeadlineMisses, 1)
 	}
 	s.residuals.Observe(string(req.Backend), "render", d.predicted, wall)
 	if d.q.Shards > 1 {
@@ -1017,7 +1021,7 @@ func (s *Server) feedObservation(req *FrameRequest, q quality, in core.Inputs, b
 		return
 	}
 	if req.Backend == core.RayTrace && q.RTWorkload != 0 {
-		s.stats.observationsSkipped.Add(1)
+		atomic.AddUint64(&s.n.ObservationsSkipped, 1)
 		return
 	}
 	sample := core.Sample{
@@ -1032,9 +1036,9 @@ func (s *Server) feedObservation(req *FrameRequest, q quality, in core.Inputs, b
 	}
 	select {
 	case s.obsCh <- sample:
-		s.stats.observationsQueued.Add(1)
+		atomic.AddUint64(&s.n.ObservationsQueued, 1)
 	default:
-		s.stats.observationsDropped.Add(1)
+		atomic.AddUint64(&s.n.ObservationsDropped, 1)
 	}
 }
 
@@ -1062,7 +1066,7 @@ func (s *Server) observeLoop() {
 			continue
 		}
 		if resp.Published {
-			s.stats.refits.Add(1)
+			atomic.AddUint64(&s.n.Refits, 1)
 			s.cfg.Logf("serve: calibration published generation %d (corpus %d)", resp.Generation, resp.CorpusSize)
 		}
 	}

@@ -156,7 +156,7 @@ func (s *Server) OpenSession(req FrameRequest) (*Session, error) {
 	sess.refreshDecision(&req, d)
 	s.sessions[sess.id] = sess
 	s.sessMu.Unlock()
-	s.stats.sessionsOpened.Add(1)
+	atomic.AddUint64(&s.n.SessionsOpened, 1)
 	return sess, nil
 }
 
@@ -273,7 +273,7 @@ func (sess *Session) finish() {
 	if hasPin {
 		sess.srv.runners.Unpin(pinned)
 	}
-	sess.srv.stats.sessionsClosed.Add(1)
+	atomic.AddUint64(&sess.srv.n.SessionsClosed, 1)
 }
 
 // Frame serves the session's next camera pose (zoom <= 0 keeps the
@@ -302,7 +302,7 @@ func (sess *Session) Frame(azimuth, zoom float64) (FrameResult, error) {
 	// validated at open and copied from base).
 	if math.IsNaN(azimuth) || math.Abs(azimuth) > maxAzimuthDegrees ||
 		math.IsNaN(req.Zoom) || req.Zoom <= 0 || req.Zoom > maxZoom {
-		s.stats.badRequests.Add(1)
+		atomic.AddUint64(&s.n.BadRequests, 1)
 		//insitu:noalloc-ok rejected camera — the refusal path may allocate its error
 		return FrameResult{}, badRequestf("session camera out of range: azimuth %g zoom %g", azimuth, req.Zoom)
 	}
@@ -323,7 +323,7 @@ func (sess *Session) Frame(azimuth, zoom float64) (FrameResult, error) {
 		sess.refreshDecision(&req, d)
 	}
 	sess.frames.Add(1)
-	s.stats.sessionFrames.Add(1)
+	atomic.AddUint64(&s.n.SessionFrames, 1)
 
 	if n := sess.planPrefetch(now, &req, d); n > 0 {
 		//insitu:noalloc-ok submission runs only for uncached predictions — the prefetch miss path
@@ -354,9 +354,9 @@ func (sess *Session) fastFrame(req *FrameRequest) (res FrameResult, d decision, 
 	if !ok {
 		return FrameResult{}, decision{}, false
 	}
-	s.stats.admitted.Add(1)
+	atomic.AddUint64(&s.n.Admitted, 1)
 	if d.degraded {
-		s.stats.degraded.Add(1)
+		atomic.AddUint64(&s.n.Degraded, 1)
 	}
 	s.hitFrame(&res, &cf, &d, sess)
 	s.commitHitTrace(req, &d, start, time.Since(start))
@@ -506,11 +506,11 @@ func (sess *Session) submitPrefetch(req *FrameRequest, d decision, n int) {
 	for i := 0; i < n; i++ {
 		cand := cands[i]
 		if int(sess.inflight.Load()) >= sess.depth {
-			s.stats.prefetchNoHeadroom.Add(1)
+			atomic.AddUint64(&s.n.PrefetchNoHeadroom, 1)
 			continue
 		}
 		if budget > 0 && spent+d.predicted > budget {
-			s.stats.prefetchNoHeadroom.Add(1)
+			atomic.AddUint64(&s.n.PrefetchNoHeadroom, 1)
 			continue
 		}
 		pr := *req
@@ -522,19 +522,19 @@ func (sess *Session) submitPrefetch(req *FrameRequest, d decision, n int) {
 			func(ws *workerState) { s.runPrefetchJob(ws, sess, pr, d, fk) },
 			func() {
 				sess.inflight.Add(-1)
-				s.stats.prefetchShed.Add(1)
+				atomic.AddUint64(&s.n.PrefetchShed, 1)
 			},
 		)
 		if err != nil {
 			sess.inflight.Add(-1)
 			if errors.Is(err, errNoHeadroom) {
-				s.stats.prefetchNoHeadroom.Add(1)
+				atomic.AddUint64(&s.n.PrefetchNoHeadroom, 1)
 			} else {
-				s.stats.prefetchShed.Add(1)
+				atomic.AddUint64(&s.n.PrefetchShed, 1)
 			}
 			return // no headroom now; further candidates fare no better
 		}
-		s.stats.prefetchScheduled.Add(1)
+		atomic.AddUint64(&s.n.PrefetchScheduled, 1)
 		spent += d.predicted
 		// Submitted predictions join the verified window so the next
 		// Frame does not re-candidate them while they render.
@@ -556,20 +556,20 @@ func (sess *Session) submitPrefetch(req *FrameRequest, d decision, n int) {
 func (s *Server) runPrefetchJob(ws *workerState, sess *Session, req FrameRequest, d decision, fk frameKey) {
 	defer sess.inflight.Add(-1)
 	if sess.closed.Load() {
-		s.stats.prefetchStale.Add(1)
+		atomic.AddUint64(&s.n.PrefetchStale, 1)
 		return
 	}
 	if _, ok := s.frames.Get(fk); ok {
-		s.stats.prefetchStale.Add(1)
+		atomic.AddUint64(&s.n.PrefetchStale, 1)
 		return
 	}
 	f, led := s.lead(ws, &req, d, fk, time.Now(), 0)
 	switch {
 	case !led:
-		s.stats.prefetchStale.Add(1)
+		atomic.AddUint64(&s.n.PrefetchStale, 1)
 	case f.err != nil:
-		s.stats.prefetchErrors.Add(1)
+		atomic.AddUint64(&s.n.PrefetchErrors, 1)
 	default:
-		s.stats.prefetchRendered.Add(1)
+		atomic.AddUint64(&s.n.PrefetchRendered, 1)
 	}
 }
