@@ -82,7 +82,9 @@ var serveKeys = []string{
 	"errors", "fleet_clamped", "foreground_load_seconds", "frame_stages",
 	"frames_rendered", "model_drift", "observations_dropped",
 	"observations_queued", "observations_skipped", "prefetch_errors",
-	"prefetch_hits", "prefetch_no_headroom", "prefetch_queue_depth",
+	"prefetch_hits", "prefetch_no_headroom", "prefetch_no_headroom_budget",
+	"prefetch_no_headroom_inflight", "prefetch_no_headroom_scheduler",
+	"prefetch_queue_depth",
 	"prefetch_rendered", "prefetch_scheduled", "prefetch_shed",
 	"prefetch_stale", "queue_depth", "queue_full", "refits", "rejected",
 	"render_seconds_total", "runner_cache", "runners_live", "session_frames",
@@ -139,6 +141,9 @@ var servePromNames = []string{
 	"renderd_serve_observations_queued", "renderd_serve_observations_skipped",
 	"renderd_serve_prefetch_errors", "renderd_serve_prefetch_hits",
 	"renderd_serve_prefetch_no_headroom",
+	"renderd_serve_prefetch_no_headroom_budget",
+	"renderd_serve_prefetch_no_headroom_inflight",
+	"renderd_serve_prefetch_no_headroom_scheduler",
 	"renderd_serve_prefetch_queue_depth", "renderd_serve_prefetch_rendered",
 	"renderd_serve_prefetch_scheduled", "renderd_serve_prefetch_shed",
 	"renderd_serve_prefetch_stale", "renderd_serve_queue_depth",

@@ -94,11 +94,11 @@ func main() {
 
 	// 4. The counters behind it: how many frames were answered from a
 	// speculatively rendered cache entry, and what the speculation cost.
-	st := srv.Stats()
-	fmt.Printf("\nsession: %d frames, %d prefetch hits\n",
-		sess.Frames(), sess.PrefetchHits())
-	fmt.Printf("server:  %d speculative renders scheduled, %d rendered, %d stale, %d held back (no headroom)\n",
-		st.PrefetchScheduled, st.PrefetchRendered, st.PrefetchStale, st.PrefetchNoHeadroom)
+	st, info := srv.Stats(), sess.Info()
+	fmt.Printf("\nsession: %d frames, %d prefetch hits\n", info.Frames, info.PrefetchHits)
+	fmt.Printf("server:  %d speculative renders scheduled, %d rendered, %d stale, %d held back (no headroom: %d in-flight cap, %d think-time budget, %d foreground load)\n",
+		st.PrefetchScheduled, st.PrefetchRendered, st.PrefetchStale, st.PrefetchNoHeadroom,
+		st.PrefetchNoHeadroomInflight, st.PrefetchNoHeadroomBudget, st.PrefetchNoHeadroomScheduler)
 	fmt.Printf("runner cache: %d leases, %d pinned\n",
 		st.RunnerCache.Leases, st.RunnerCache.Pinned)
 }

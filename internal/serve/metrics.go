@@ -70,19 +70,23 @@ type Counters struct {
 	// predictor's hit rate. Scheduled/Rendered/Stale partition submitted
 	// speculation by outcome (stale: the frame arrived or a flight
 	// started before the job ran); Shed counts jobs dropped by queue
-	// overflow or shutdown; NoHeadroom counts submissions refused because
-	// foreground load or per-session caps left no idle capacity.
+	// overflow or shutdown. The NoHeadroom counts are submissions
+	// refused for lack of idle capacity, by reason: the session's
+	// in-flight depth cap, its think-time budget, or the scheduler's
+	// foreground-load gate.
 	SessionsOpened uint64 `json:"sessions_opened"`
 	SessionsClosed uint64 `json:"sessions_closed"`
 	SessionFrames  uint64 `json:"session_frames"`
 
-	PrefetchHits       uint64 `json:"prefetch_hits"`
-	PrefetchScheduled  uint64 `json:"prefetch_scheduled"`
-	PrefetchRendered   uint64 `json:"prefetch_rendered"`
-	PrefetchStale      uint64 `json:"prefetch_stale"`
-	PrefetchShed       uint64 `json:"prefetch_shed"`
-	PrefetchNoHeadroom uint64 `json:"prefetch_no_headroom"`
-	PrefetchErrors     uint64 `json:"prefetch_errors"`
+	PrefetchHits                uint64 `json:"prefetch_hits"`
+	PrefetchScheduled           uint64 `json:"prefetch_scheduled"`
+	PrefetchRendered            uint64 `json:"prefetch_rendered"`
+	PrefetchStale               uint64 `json:"prefetch_stale"`
+	PrefetchShed                uint64 `json:"prefetch_shed"`
+	PrefetchNoHeadroomInflight  uint64 `json:"prefetch_no_headroom_inflight"`
+	PrefetchNoHeadroomBudget    uint64 `json:"prefetch_no_headroom_budget"`
+	PrefetchNoHeadroomScheduler uint64 `json:"prefetch_no_headroom_scheduler"`
+	PrefetchErrors              uint64 `json:"prefetch_errors"`
 }
 
 // Stats is one metrics snapshot, JSON-shaped for /v1/metrics: the
@@ -107,6 +111,8 @@ type Stats struct {
 	BreakerState string         `json:"breaker_state,omitempty"`
 
 	SessionsOpen int `json:"sessions_open"`
+	// PrefetchNoHeadroom is the total of the three NoHeadroom reasons.
+	PrefetchNoHeadroom uint64 `json:"prefetch_no_headroom"`
 	// PrefetchQueueDepth is the queued (not yet running) speculative
 	// render count; ForegroundLoadSeconds the model-predicted cost of
 	// queued plus running foreground work — the headroom signal
@@ -141,6 +147,7 @@ func (s *Server) Stats() Stats {
 		ClusterCompositeSecondsTotal:          float64(n.ClusterCompositeNanos) / 1e9,
 		ClusterPredictedCompositeSecondsTotal: float64(n.ClusterPredictedCompositeNanos) / 1e9,
 		SessionsOpen:                          s.SessionsOpen(),
+		PrefetchNoHeadroom:                    n.PrefetchNoHeadroomInflight + n.PrefetchNoHeadroomBudget + n.PrefetchNoHeadroomScheduler,
 		PrefetchQueueDepth:                    s.sched.bgDepth(),
 		ForegroundLoadSeconds:                 s.sched.foregroundLoad(),
 		RunnerCache:                           s.runners.Stats(),

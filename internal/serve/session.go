@@ -233,13 +233,6 @@ func (sess *Session) Info() SessionInfo {
 	}
 }
 
-// PrefetchHits reports how many of this session's frames were served
-// from a speculatively rendered cache entry.
-func (sess *Session) PrefetchHits() uint64 { return sess.prefetchHits.Load() }
-
-// Frames reports how many frames this session has served.
-func (sess *Session) Frames() uint64 { return sess.frames.Load() }
-
 // LastPose returns the most recent camera pose the session served.
 func (sess *Session) LastPose() Pose {
 	sess.mu.Lock()
@@ -506,11 +499,11 @@ func (sess *Session) submitPrefetch(req *FrameRequest, d decision, n int) {
 	for i := 0; i < n; i++ {
 		cand := cands[i]
 		if int(sess.inflight.Load()) >= sess.depth {
-			atomic.AddUint64(&s.n.PrefetchNoHeadroom, 1)
+			atomic.AddUint64(&s.n.PrefetchNoHeadroomInflight, 1)
 			continue
 		}
 		if budget > 0 && spent+d.predicted > budget {
-			atomic.AddUint64(&s.n.PrefetchNoHeadroom, 1)
+			atomic.AddUint64(&s.n.PrefetchNoHeadroomBudget, 1)
 			continue
 		}
 		pr := *req
@@ -528,7 +521,7 @@ func (sess *Session) submitPrefetch(req *FrameRequest, d decision, n int) {
 		if err != nil {
 			sess.inflight.Add(-1)
 			if errors.Is(err, errNoHeadroom) {
-				atomic.AddUint64(&s.n.PrefetchNoHeadroom, 1)
+				atomic.AddUint64(&s.n.PrefetchNoHeadroomScheduler, 1)
 			} else {
 				atomic.AddUint64(&s.n.PrefetchShed, 1)
 			}

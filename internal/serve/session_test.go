@@ -118,7 +118,7 @@ func TestSessionOrbitPrefetchHits(t *testing.T) {
 	if hits == 0 {
 		t.Fatalf("no prefetch hits over a constant-velocity orbit; stats %+v", s.Stats())
 	}
-	if got := sess.PrefetchHits(); got != uint64(hits) {
+	if got := sess.Info().PrefetchHits; got != uint64(hits) {
 		t.Errorf("session counted %d prefetch hits, result flags said %d", got, hits)
 	}
 	st := s.Stats()
@@ -459,8 +459,12 @@ func TestSessionPrefetchUnderForegroundPressure(t *testing.T) {
 	if st.SessionFrames != 12 {
 		t.Errorf("session frames %d, want 12", st.SessionFrames)
 	}
-	t.Logf("under pressure: scheduled=%d noHeadroom=%d shed=%d hits=%d",
-		st.PrefetchScheduled, st.PrefetchNoHeadroom, st.PrefetchShed, st.PrefetchHits)
+	if sum := st.PrefetchNoHeadroomInflight + st.PrefetchNoHeadroomBudget + st.PrefetchNoHeadroomScheduler; sum != st.PrefetchNoHeadroom {
+		t.Errorf("no-headroom reasons sum to %d, total %d", sum, st.PrefetchNoHeadroom)
+	}
+	t.Logf("under pressure: scheduled=%d noHeadroom=%d (inflight=%d budget=%d scheduler=%d) shed=%d hits=%d",
+		st.PrefetchScheduled, st.PrefetchNoHeadroom, st.PrefetchNoHeadroomInflight,
+		st.PrefetchNoHeadroomBudget, st.PrefetchNoHeadroomScheduler, st.PrefetchShed, st.PrefetchHits)
 }
 
 // TestSessionConcurrentFramesRace hammers one session from many
