@@ -342,25 +342,18 @@ func (s *server) handleObservations(w http.ResponseWriter, r *http.Request) {
 
 // metricsBody reports per-operation latency and cache effectiveness.
 type metricsBody struct {
-	UptimeSeconds int64             `json:"uptime_seconds"`
-	Generation    uint64            `json:"generation"`
-	Ops           []advisor.OpStats `json:"ops"`
-	Cache         cacheBody         `json:"cache"`
-}
-
-type cacheBody struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	Size   int    `json:"size"`
+	UptimeSeconds int64               `json:"uptime_seconds"`
+	Generation    uint64              `json:"generation"`
+	Ops           []advisor.OpStats   `json:"ops"`
+	Cache         registry.CacheStats `json:"cache"`
 }
 
 func (s *server) metricsSnapshot() metricsBody {
-	hits, misses, size := s.engine.Registry().CacheStats()
 	return metricsBody{
 		UptimeSeconds: int64(time.Since(s.start).Seconds()),
 		Generation:    s.engine.Registry().Generation(),
 		Ops:           s.engine.Metrics(),
-		Cache:         cacheBody{Hits: hits, Misses: misses, Size: size},
+		Cache:         s.engine.Registry().CacheStats(),
 	}
 }
 

@@ -301,28 +301,21 @@ func (s *webServer) handleModels(w http.ResponseWriter, r *http.Request) {
 // engine's per-operation latencies and the registry's prediction-cache
 // stats.
 type metricsBody struct {
-	UptimeSeconds int64             `json:"uptime_seconds"`
-	Generation    uint64            `json:"generation"`
-	Serve         serve.Stats       `json:"serve"`
-	Ops           []advisor.OpStats `json:"ops"`
-	PredictCache  cacheBody         `json:"predict_cache"`
-}
-
-type cacheBody struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	Size   int    `json:"size"`
+	UptimeSeconds int64               `json:"uptime_seconds"`
+	Generation    uint64              `json:"generation"`
+	Serve         serve.Stats         `json:"serve"`
+	Ops           []advisor.OpStats   `json:"ops"`
+	PredictCache  registry.CacheStats `json:"predict_cache"`
 }
 
 func (s *webServer) metricsSnapshot() metricsBody {
 	eng := s.srv.Engine()
-	hits, misses, size := eng.Registry().CacheStats()
 	return metricsBody{
 		UptimeSeconds: int64(time.Since(s.start).Seconds()),
 		Generation:    eng.Registry().Generation(),
 		Serve:         s.srv.Stats(),
 		Ops:           eng.Metrics(),
-		PredictCache:  cacheBody{Hits: hits, Misses: misses, Size: size},
+		PredictCache:  eng.Registry().CacheStats(),
 	}
 }
 

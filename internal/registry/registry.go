@@ -572,9 +572,17 @@ func (r *Registry) Predict(arch string, renderer core.Renderer, in core.Inputs) 
 	return v.Predict(arch, renderer, in)
 }
 
+// CacheStats is prediction-cache effectiveness, JSON-shaped for the
+// services' /v1/metrics.
+type CacheStats struct {
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	Size   int    `json:"size"`
+}
+
 // CacheStats reports prediction-cache effectiveness.
-func (r *Registry) CacheStats() (hits, misses uint64, size int) {
-	return r.hits.Load(), r.misses.Load(), r.cache.Len()
+func (r *Registry) CacheStats() CacheStats {
+	return CacheStats{Hits: r.hits.Load(), Misses: r.misses.Load(), Size: r.cache.Len()}
 }
 
 // LastReload returns when the registry last loaded a snapshot (zero time

@@ -267,9 +267,8 @@ func TestRegistryCacheHitsAndReloadPurge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits, misses, size := reg.CacheStats()
-	if misses != 1 || hits != 4 || size != 1 {
-		t.Errorf("cache stats: hits=%d misses=%d size=%d", hits, misses, size)
+	if cs := reg.CacheStats(); cs != (CacheStats{Hits: 4, Misses: 1, Size: 1}) {
+		t.Errorf("cache stats: %+v", cs)
 	}
 
 	// Hot reload bumps the generation and purges cached predictions.
@@ -279,7 +278,7 @@ func TestRegistryCacheHitsAndReloadPurge(t *testing.T) {
 	if g := reg.Generation(); g != 2 {
 		t.Errorf("generation after reload = %d", g)
 	}
-	if _, _, size := reg.CacheStats(); size != 0 {
+	if size := reg.CacheStats().Size; size != 0 {
 		t.Errorf("cache size after reload = %d", size)
 	}
 	if reg.LastReload().IsZero() {
