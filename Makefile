@@ -16,7 +16,7 @@ BENCH_BASELINES ?= $(filter-out $(BENCH_JSON),$(sort $(wildcard BENCH_*.json)))
 # into ./bin so the vettool path is hermetic to the checkout.
 LINT_BIN := bin/insitulint
 
-.PHONY: all build test race vet fmt lint oracles bench bench-json bench-e2e bench-layers chaos obs cover ci clean
+.PHONY: all build test test32 race vet fmt lint oracles bench bench-json bench-e2e bench-layers chaos obs cover ci clean
 
 all: ci
 
@@ -25,6 +25,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test32 runs the serving, fleet and transport packages built for a
+# 32-bit target. Their counter blocks are plain 64-bit fields bumped with
+# sync/atomic, which panics there unless the field is 8-byte aligned —
+# each live block leads its owner struct to guarantee it.
+TEST32_PKGS := ./internal/serve ./internal/cluster ./internal/comm ./internal/obs ./internal/registry ./internal/advisor ./cmd/renderd ./cmd/advisord
+test32:
+	GOARCH=386 $(GO) test -count=1 $(TEST32_PKGS)
 
 # race exercises the concurrent paths (parallel study runner, registry
 # hot reload, advisord observation ingestion, and the serve race test —
@@ -137,7 +145,7 @@ cover:
 	$(GO) test -short -coverprofile=cover.out ./...
 	@$(GO) tool cover -func=cover.out | tail -1
 
-ci: build vet lint fmt test race chaos obs
+ci: build vet lint fmt test test32 race chaos obs
 
 clean:
 	$(GO) clean ./...

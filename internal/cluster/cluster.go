@@ -51,9 +51,9 @@ type Result struct {
 	Retries int
 }
 
-// Counters is the router's monotonic fleet counts, declared once: the
-// fleet bumps its live block with atomic.AddInt64 and Stats embeds an
-// atomic copy (obs.LoadCounters), served under these JSON tags.
+// Counters holds the router's monotonic fleet counts, each declared
+// once: the fleet bumps its live block with atomic.AddInt64 and Stats
+// embeds an atomic copy (obs.LoadCounters), served under these JSON tags.
 type Counters struct {
 	FramesDispatched int64 `json:"frames_dispatched"`
 	Evictions        int64 `json:"evictions"`

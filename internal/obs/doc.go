@@ -26,7 +26,15 @@
 //     term, so model drift is a distribution per term — visible long
 //     before it accumulates into deadline misses.
 //
+// Counters are declared once. A service keeps each monotonic count as
+// one JSON-tagged uint64 or int64 field of a counter block
+// (serve.Counters, cluster.Counters); hot paths bump the live block with
+// atomic.AddUint64 — one locked add, no allocation — and LoadCounters
+// copies it with atomic loads into the snapshot struct that embeds it.
 // WriteProm renders any JSON-tagged snapshot struct (including the
-// histogram forms above) as Prometheus text exposition, so /v1/metrics
-// (JSON) and /metrics (Prometheus) are two views of one snapshot.
+// histogram forms above) as Prometheus text exposition, naming metrics
+// by tag path and promoting untagged embedded structs into their parent
+// as encoding/json does. So /v1/metrics (JSON) and /metrics (Prometheus)
+// are two views of one snapshot, and a new counter is one field plus its
+// bump sites.
 package obs
