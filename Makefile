@@ -16,7 +16,7 @@ BENCH_BASELINES ?= $(filter-out $(BENCH_JSON),$(sort $(wildcard BENCH_*.json)))
 # into ./bin so the vettool path is hermetic to the checkout.
 LINT_BIN := bin/insitulint
 
-.PHONY: all build test test32 race vet fmt lint oracles bench bench-json bench-e2e bench-layers chaos obs cover ci clean
+.PHONY: all build test test32 race vet fmt lint oracles bench bench-json bench-e2e bench-layers bench-check chaos obs cover ci clean
 
 all: ci
 
@@ -120,6 +120,13 @@ bench-e2e:
 bench-layers:
 	$(GO) run -C bench . --trace 1
 
+# bench-check vets and unit-tests the benchmark module, which imports
+# the serving stack's internal packages, so an API change there fails
+# here rather than at the next benchmark run. It runs no workload.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
 # chaos runs the fault-injection suite under the race detector: rank
 # kills, stalled links, seeded packet loss, blame-driven eviction, and
 # the serving layer's retry/clamp/breaker recovery on top — the
@@ -145,7 +152,7 @@ cover:
 	$(GO) test -short -coverprofile=cover.out ./...
 	@$(GO) tool cover -func=cover.out | tail -1
 
-ci: build vet lint fmt test test32 race chaos obs
+ci: build vet lint fmt test test32 race chaos obs bench-check
 
 clean:
 	$(GO) clean ./...

@@ -1,30 +1,34 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"time"
 
 	"insitu/internal/advisor"
-	"insitu/internal/loadgen"
+	"insitu/internal/obs"
 )
 
 // runLoadgen benchmarks sustained QPS against an advisord. With no target
 // URL it spins up an in-process server over the given registry, so a
-// single command measures what this machine can serve. The request mix
-// and reporting (sustained QPS, p50/p95/p99 latency) come from the
-// shared loadgen core renderd uses too.
-func runLoadgen(target, regPath string, bootstrap bool, cacheSize int, duration time.Duration, concurrency int) error {
+// single command measures what this machine can serve. The report
+// carries sustained QPS and the p50/p95/p99 latency; a non-2xx answer
+// counts as a failed request.
+func runLoadgen(target, regPath string, bootstrap bool, cacheSize int, duration time.Duration, concurrency int) (loadReport, error) {
 	// Per-request timeout so a stalled target cannot wedge a worker past
 	// the deadline.
 	client := &http.Client{Timeout: 10 * time.Second}
 	if target == "" {
 		reg, err := openRegistry(regPath, bootstrap, cacheSize)
 		if err != nil {
-			return err
+			return loadReport{}, err
 		}
 		ts := httptest.NewServer(newServer(advisor.New(reg)).handler())
 		defer ts.Close()
@@ -38,7 +42,7 @@ func runLoadgen(target, regPath string, bootstrap bool, cacheSize int, duration 
 	// (arch, renderer) pairs.
 	pairs, err := targetModels(client, target)
 	if err != nil {
-		return err
+		return loadReport{}, err
 	}
 
 	// The request mix: mostly single predictions (the interactive hot
@@ -50,7 +54,7 @@ func runLoadgen(target, regPath string, bootstrap bool, cacheSize int, duration 
 		}
 		return b
 	}
-	var shots []loadgen.Shot
+	var shots []shot
 	for i := 0; i < 64; i++ {
 		arch := pairs[i%len(pairs)].arch
 		r := pairs[i%len(pairs)].renderer
@@ -58,32 +62,114 @@ func runLoadgen(target, regPath string, bootstrap bool, cacheSize int, duration 
 			Arch: arch, Renderer: r,
 			N: 16 + 4*(i%8), Tasks: 1 << (i % 3), Width: 128 + 64*(i%6),
 		}
-		shots = append(shots, loadgen.Shot{Path: "/v1/predict", Body: mustJSON(req)})
+		shots = append(shots, shot{path: "/v1/predict", body: mustJSON(req)})
 		if i%8 == 0 {
-			shots = append(shots, loadgen.Shot{Path: "/v1/feasibility", Body: mustJSON(advisor.FeasibilityRequest{
+			shots = append(shots, shot{path: "/v1/feasibility", body: mustJSON(advisor.FeasibilityRequest{
 				Arch: arch, Renderer: r, N: 32, Tasks: 4,
 				BudgetSeconds: 60, Sizes: []int{256, 512, 1024, 2048},
 			})})
 		}
 		if i%16 == 0 {
 			batch := []advisor.PredictRequest{req, req, req, req}
-			shots = append(shots, loadgen.Shot{Path: "/v1/predict", Body: mustJSON(batch)})
+			shots = append(shots, shot{path: "/v1/predict", body: mustJSON(batch)})
 		}
 	}
 
 	log.Printf("loadgen: %d clients for %s against %s", concurrency, duration, target)
-	rep, err := loadgen.Run(loadgen.Options{
-		Target: target, Client: client, Shots: shots,
-		Duration: duration, Concurrency: concurrency,
-	})
-	if err != nil {
-		return err
+	return sustain(client, target, shots, duration, concurrency), nil
+}
+
+// shot is one POST in the request mix.
+type shot struct {
+	path string
+	body []byte
+}
+
+// loadReport is the outcome of a load run. The latency distribution
+// covers successful requests and is read from the same log-spaced
+// histogram the serving path uses (no sample retention), plus the exact
+// max, the one statistic log-spaced buckets blur.
+type loadReport struct {
+	ok, failed              uint64
+	duration                time.Duration
+	concurrency             int
+	avg, p50, p95, p99, max time.Duration
+}
+
+// sustain replays the shots round-robin from concurrency workers against
+// target until duration has passed.
+func sustain(client *http.Client, target string, shots []shot, duration time.Duration, concurrency int) loadReport {
+	concurrency = max(concurrency, 1)
+	var (
+		hist obs.Histogram
+		wg   sync.WaitGroup
+		// Each worker tallies into its own slot; the slots are summed
+		// once every worker has stopped.
+		tallies = make([]loadReport, concurrency)
+	)
+	deadline := time.Now().Add(duration)
+	for w := range tallies {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			t := &tallies[w]
+			for i := w; time.Now().Before(deadline); i++ {
+				sh := shots[i%len(shots)]
+				start := time.Now()
+				resp, err := client.Post(target+sh.path, "application/json", bytes.NewReader(sh.body))
+				if err != nil {
+					t.failed++
+					continue
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode < 200 || resp.StatusCode >= 300 {
+					t.failed++
+					continue
+				}
+				d := time.Since(start)
+				hist.ObserveDuration(d)
+				t.max = max(t.max, d)
+				t.ok++
+			}
+		}(w)
 	}
-	fmt.Printf("\nloadgen results\n%s", rep)
-	if rep.Failed > 0 {
-		return fmt.Errorf("loadgen: %d requests failed", rep.Failed)
+	wg.Wait()
+
+	rep := loadReport{duration: duration, concurrency: concurrency}
+	for _, t := range tallies {
+		rep.ok += t.ok
+		rep.failed += t.failed
+		rep.max = max(rep.max, t.max)
 	}
-	return nil
+	if snap := hist.Snapshot(); snap.Count > 0 {
+		rep.avg = time.Duration(snap.Mean())
+		rep.p50 = time.Duration(snap.Quantile(0.50))
+		rep.p95 = time.Duration(snap.Quantile(0.95))
+		rep.p99 = time.Duration(snap.Quantile(0.99))
+	}
+	return rep
+}
+
+// qps is the sustained successful request rate.
+func (r loadReport) qps() float64 {
+	if r.duration <= 0 {
+		return 0
+	}
+	return float64(r.ok) / r.duration.Seconds()
+}
+
+// String renders the human report block.
+func (r loadReport) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "  requests:    %d ok, %d failed\n", r.ok, r.failed)
+	fmt.Fprintf(&b, "  sustained:   %.0f req/s over %s with %d clients\n",
+		r.qps(), r.duration, r.concurrency)
+	if r.ok > 0 {
+		fmt.Fprintf(&b, "  latency:     avg %s  p50 %s  p95 %s  p99 %s  max %s\n",
+			r.avg, r.p50, r.p95, r.p99, r.max)
+	}
+	return b.String()
 }
 
 // modelPair is one live (arch, renderer) combination on the target.

@@ -38,6 +38,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -82,8 +83,13 @@ func main() {
 	flag.Parse()
 
 	if *loadgen {
-		if err := runLoadgen(*target, *regPath, *bootstrap, *cacheSize, *duration, *concurrency); err != nil {
+		rep, err := runLoadgen(*target, *regPath, *bootstrap, *cacheSize, *duration, *concurrency)
+		if err != nil {
 			log.Fatal(err)
+		}
+		fmt.Printf("\nloadgen results\n%s", rep)
+		if rep.failed > 0 {
+			log.Fatalf("loadgen: %d requests failed", rep.failed)
 		}
 		return
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -102,21 +103,51 @@ func TestFrameFaultHeadersHealthy(t *testing.T) {
 	}
 }
 
-// TestChaosLoadgenSmoke runs the -chaos loadgen end to end: seeded
-// faults against an in-process fleet, every response classified, zero
-// failed requests — degraded service, not denied service.
-func TestChaosLoadgenSmoke(t *testing.T) {
-	err := runLoadgen(loadgenConfig{
-		regPath:     testSnapshotFile(t),
-		cacheSize:   256,
-		arch:        "serial",
-		duration:    1500 * time.Millisecond,
-		concurrency: 4,
-		chaos:       true,
-		chaosSeed:   3,
-		clusterN:    2,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestChaosShardedFramesUnderFaults serves sharded frames through a
+// seeded fault timeline: deterministic packet loss on every
+// worker-worker link from the first request, and the highest rank
+// killed after request killAfter. Recovery (retry, eviction, clamp to
+// the survivor or the standalone fallback) must keep every answer a 200
+// or a deadline 422: degraded service, not denied service.
+func TestChaosShardedFramesUnderFaults(t *testing.T) {
+	const clusterN, requests, killAfter = 2, 16, 6
+	plan := comm.NewFaultPlan(3)
+	for from := 1; from <= clusterN; from++ {
+		for to := 1; to <= clusterN; to++ {
+			if from != to {
+				plan.DropEvery(from, to, 0.05)
+			}
+		}
 	}
+	ts, fleet := startFaultyRenderd(t, clusterN, plan)
+
+	var ok, rejected int
+	for i := 0; i < requests; i++ {
+		if i == killAfter {
+			plan.KillRank(clusterN)
+		}
+		// Distinct cameras keep every frame a cache miss, so each one
+		// crosses the faulted fleet; every fourth carries an impossible
+		// deadline, answered by a fast 422 before any dispatch.
+		q := fmt.Sprintf("backend=volume&sim=kripke&n=8&size=48&shards=2&azimuth=%d", 15*i)
+		if i%4 == 3 {
+			q += "&deadline_ms=0.001"
+		}
+		resp, body := getFrame(t, ts, q)
+		switch resp.StatusCode {
+		case http.StatusOK:
+			ok++
+		case http.StatusUnprocessableEntity:
+			rejected++
+		default:
+			t.Errorf("request %d (%s): status %d: %s", i, q, resp.StatusCode, body)
+		}
+	}
+	if ok == 0 || rejected == 0 {
+		t.Errorf("served %d and rejected %d of %d sharded requests, want both", ok, rejected, requests)
+	}
+	if got := fleet.AliveWorkers(); got != clusterN-1 {
+		t.Errorf("alive workers %d after the kill, want %d", got, clusterN-1)
+	}
+	t.Logf("%d served, %d rejected; fault plan %+v", ok, rejected, plan.Stats())
 }

@@ -49,11 +49,10 @@
 //	renderd -registry repro_out/models.json [-addr :8090]
 //	renderd -registry models.json -cluster 4     # sharded serving
 //	renderd -bootstrap [-registry models.json]   # measure-fit-serve
-//	renderd -loadgen [-target URL] [-duration 10s] [-concurrency 8]
-//	renderd -loadgen -sessions 8 [-think 50ms]   # interactive sessions:
-//	                                             # time-to-photon + prefetch hit rate
-//	renderd -loadgen -chaos [-cluster 4]         # fault-injected fleet:
-//	                                             # recovery breakdown by cause
+//
+// Load is generated by the benchmark module: `go run -C bench .
+// --workload <name>` drives a renderd subprocess with a seeded,
+// answer-checked workload (see bench/README.md).
 package main
 
 import (
@@ -103,31 +102,8 @@ func main() {
 		frames     = flag.Int("frame-cache", 256, "encoded-frame LRU entries")
 		runners    = flag.Int("runners", 8, "idle prepared renderers kept warm")
 		clusterN   = flag.Int("cluster", 0, "worker ranks for sharded frames (0 = single-process serving only)")
-
-		loadgenMode = flag.Bool("loadgen", false, "run the load generator instead of serving")
-		target      = flag.String("target", "", "loadgen: base URL of a running renderd (default: in-process server)")
-		duration    = flag.Duration("duration", 10*time.Second, "loadgen: how long to sustain load")
-		concurrency = flag.Int("concurrency", 8, "loadgen: concurrent clients")
-		sessions    = flag.Int("sessions", 0, "loadgen: interactive orbiting sessions instead of the request mix (reports time-to-photon + prefetch hit rate)")
-		think       = flag.Duration("think", 50*time.Millisecond, "loadgen: per-session pause between frames (the idle headroom prefetch renders into)")
-		chaos       = flag.Bool("chaos", false, "loadgen: inject deterministic fleet faults (packet loss, a rank kill) into an in-process -cluster fleet and report the recovery breakdown")
-		chaosSeed   = flag.Uint64("chaos-seed", 1, "loadgen: fault plan seed for -chaos")
 	)
 	flag.Parse()
-
-	if *loadgenMode {
-		err := runLoadgen(loadgenConfig{
-			target: *target, regPath: *regPath, bootstrap: *bootstrap,
-			cacheSize: *cacheSize, arch: *arch,
-			duration: *duration, concurrency: *concurrency,
-			sessions: *sessions, think: *think,
-			chaos: *chaos, chaosSeed: *chaosSeed, clusterN: *clusterN,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	srv, fleet, err := buildServer(*regPath, *bootstrap, *cacheSize, *calibrate, *refitEvery, *clusterN, nil, serve.Config{
 		Arch: *arch, Workers: *workers, QueueCap: *queue,
@@ -193,7 +169,7 @@ func main() {
 // frames, and the render-serving subsystem. The returned cluster (nil
 // when clusterN is 0) must be closed after the server. copts overrides
 // the fleet's fault-tolerance tuning (nil = defaults) — the chaos
-// loadgen uses it to install a fault plan.
+// tests use it to install a fault plan.
 func buildServer(regPath string, bootstrap bool, cacheSize int, calibrate bool, refitEvery, clusterN int, copts *cluster.Options, cfg serve.Config) (*serve.Server, *cluster.Cluster, error) {
 	reg, err := serve.OpenRegistry(regPath, bootstrap, cacheSize, log.Printf)
 	if err != nil {

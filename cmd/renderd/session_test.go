@@ -10,11 +10,10 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"sync"
 	"testing"
 
 	"insitu/internal/core"
-	"insitu/internal/loadgen"
 	"insitu/internal/serve"
 )
 
@@ -207,37 +206,56 @@ func TestRenderdSessionDrain(t *testing.T) {
 	}
 }
 
-// TestRenderdSessionLoadgen: the interactive-session load generator
-// drives real sessions end to end and reports time-to-photon and the
-// prefetch hit rate.
-func TestRenderdSessionLoadgen(t *testing.T) {
+// TestRenderdConcurrentSessions: two sessions orbit side by side over
+// HTTP for a fixed frame count each, sharing the server's scheduler,
+// runner cache and frame cache. Every frame answers 200 with a
+// decodable PNG, and the session counters account for all of them.
+func TestRenderdConcurrentSessions(t *testing.T) {
+	const sessions, frames = 2, 12
 	ts, _ := startRenderd(t, 1000)
-	body, err := json.Marshal(serve.FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64})
-	if err != nil {
-		t.Fatal(err)
+	var ids []string
+	for c := 0; c < sessions; c++ {
+		info := openTestSession(t, ts, serve.FrameRequest{
+			Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64, Azimuth: float64(90 * c),
+		})
+		ids = append(ids, info.ID)
 	}
-	rep, err := loadgen.RunSessions(loadgen.SessionOptions{
-		Target: ts.URL, Client: ts.Client(),
-		Opens:    [][]byte{body},
-		Sessions: 2, Duration: 700 * 1e6, // 700ms
-		ThinkTime: 10 * 1e6, // 10ms
-	})
-	if err != nil {
-		t.Fatal(err)
+
+	var wg sync.WaitGroup
+	for c, id := range ids {
+		wg.Add(1)
+		go func(c int, id string) {
+			defer wg.Done()
+			for i := 1; i <= frames; i++ {
+				u := fmt.Sprintf("%s/v1/session/%s/frame?azimuth=%d", ts.URL, id, 90*c+15*i)
+				resp, err := ts.Client().Get(u)
+				if err != nil {
+					t.Errorf("session %d frame %d: %v", c, i, err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("session %d frame %d: status %d err %v: %s", c, i, resp.StatusCode, err, body)
+					return
+				}
+				if _, err := png.Decode(bytes.NewReader(body)); err != nil {
+					t.Errorf("session %d frame %d not a PNG: %v", c, i, err)
+					return
+				}
+			}
+		}(c, id)
 	}
-	if rep.Failed != 0 {
-		t.Fatalf("loadgen failures: %+v", rep)
+	wg.Wait()
+
+	var metrics struct {
+		Serve serve.Stats `json:"serve"`
 	}
-	if rep.Frames == 0 {
-		t.Fatal("loadgen delivered no frames")
+	if code := getJSON(t, ts, "/v1/metrics", &metrics); code != http.StatusOK {
+		t.Fatalf("metrics status %d", code)
 	}
-	if rep.P99 == 0 || rep.P50 > rep.P99 {
-		t.Errorf("percentiles out of order: %+v", rep)
-	}
-	out := rep.String()
-	for _, want := range []string{"time-to-photon", "prefetch"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q:\n%s", want, out)
-		}
+	if metrics.Serve.SessionsOpen != sessions || metrics.Serve.SessionFrames != sessions*frames {
+		t.Errorf("metrics sessions open %d frames %d, want %d and %d",
+			metrics.Serve.SessionsOpen, metrics.Serve.SessionFrames, sessions, sessions*frames)
 	}
 }

@@ -68,9 +68,7 @@
 //     path, and calibration feedback: every rendered frame's measured
 //     wall time flows into the calibrator, so serving traffic refits
 //     the models that gate it. internal/lru is the one generic LRU
-//     shared by the registry, the admission memo, and the frame cache;
-//     internal/loadgen the shared load-generator core (QPS +
-//     p50/p95/p99).
+//     shared by the registry, the admission memo, and the frame cache.
 //
 // Entry points: cmd/repro regenerates every table and figure of the
 // paper's evaluation (with -parallel N measuring the study on N

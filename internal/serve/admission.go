@@ -172,8 +172,8 @@ func (s *Server) decide(req *FrameRequest, surface bool) (decision, error) {
 // geometry, then ray tracing workload as the last resort. Returns the
 // new quality and whether anything changed (false = ladder exhausted).
 func (s *Server) degradeOnce(req *FrameRequest, q quality, surface bool, deadline float64) (quality, bool) {
-	minW := min(s.cfg.MinImageSize, req.Width)
-	minH := min(s.cfg.MinImageSize, req.Height)
+	minW := min(minDegradeSize, req.Width)
+	minH := min(minDegradeSize, req.Height)
 	// Sharded frames first trade shard count against resolution by
 	// predicted totals: halving shards sheds compositing cost and shrinks
 	// the weak-scaled dataset, halving resolution sheds per-pixel cost —
@@ -203,7 +203,7 @@ func (s *Server) degradeOnce(req *FrameRequest, q quality, surface bool, deadlin
 		q.H = max(q.H/2, minH)
 		return q, true
 	}
-	minN := min(s.cfg.MinN, req.N)
+	minN := min(minDegradeN, req.N)
 	if q.N > minN {
 		if surface {
 			// Invert the model: the largest geometry that fits the
@@ -216,7 +216,7 @@ func (s *Server) degradeOnce(req *FrameRequest, q quality, surface bool, deadlin
 				Arch: req.Arch, Renderer: string(req.Backend), Tasks: 1,
 				ImageSize:             max(q.W, q.H),
 				PerImageBudgetSeconds: budget,
-				Renderings:            s.cfg.RunnerReuse,
+				Renderings:            runnerReuse,
 			})
 			if err == nil && mt.N >= minN && mt.N < q.N {
 				q.N = mt.N
@@ -242,7 +242,7 @@ func (s *Server) predictQuality(arch string, backend core.Renderer, q quality) (
 	resp, err := s.engine.Predict(advisor.PredictRequest{
 		Arch: arch, Renderer: string(backend),
 		N: q.N, Tasks: max(q.Shards, 1), Width: q.W, Height: q.H,
-		Renderings: s.cfg.RunnerReuse,
+		Renderings: runnerReuse,
 	})
 	if err != nil {
 		return 0, 0, err

@@ -10,36 +10,46 @@ import (
 	"insitu/internal/core"
 )
 
-// benchServer builds a serving stack without testing.T cleanup.
-func benchServer(b *testing.B) *Server {
-	b.Helper()
-	s := New(advisor.New(testRegistry(b)), Config{Arch: "serial", Logf: func(string, ...any) {}})
-	b.Cleanup(s.Close)
+// benchServer builds a serving stack that does not log.
+func benchServer(tb testing.TB) *Server {
+	tb.Helper()
+	s := New(advisor.New(testRegistry(tb)), Config{Arch: "serial", Logf: func(string, ...any) {}})
+	tb.Cleanup(s.Close)
 	return s
 }
 
-// BenchmarkRenderdFrameCacheHit is the acceptance benchmark for the
-// steady-state frame path: admission memo + frame cache hit, end to
-// end through Server.Render. It must report 0 allocs/op — PR 4's
-// zero-allocation discipline surviving the serving layer — and the
-// frames/s metric shows the cache-hit ceiling (far beyond the 100
-// frames/s bar for small frames).
-func BenchmarkRenderdFrameCacheHit(b *testing.B) {
-	s := benchServer(b)
+// frameCacheHitStep renders one frame into s's cache and returns the
+// steady-state step that serves it again: admission memo + frame cache
+// hit, end to end through Server.Render.
+func frameCacheHitStep(tb testing.TB, s *Server) func() {
+	tb.Helper()
 	req := FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64, DeadlineMillis: 1000}
 	if _, err := s.Render(req); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return func() {
+		res, err := s.Render(req)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !res.CacheHit {
+			tb.Fatal("steady state missed the cache")
+		}
+	}
+}
+
+// BenchmarkRenderdFrameCacheHit is the acceptance benchmark for the
+// steady-state frame path (frameCacheHitStep). It must report 0
+// allocs/op — the render path's zero-allocation discipline surviving
+// the serving layer, also asserted by TestHitPathsAllocateNothing — and
+// the frames/s metric shows the cache-hit ceiling (far beyond the 100
+// frames/s bar for small frames).
+func BenchmarkRenderdFrameCacheHit(b *testing.B) {
+	step := frameCacheHitStep(b, benchServer(b))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Render(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.CacheHit {
-			b.Fatal("steady state missed the cache")
-		}
+		step()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
@@ -108,61 +118,86 @@ func BenchmarkRenderdThroughput(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
-// BenchmarkRenderdSessionPrefetchHit is the acceptance benchmark for
-// the session hot path: an orbiting session in steady state, every
-// predicted frame already cached, measured end to end through
-// Session.Frame (pose record, path prediction, verified-window probe,
-// cache hit). It must report 0 allocs/op, and its ns/op is required to
-// stay within 2x of BenchmarkRenderdFrameCacheHit — the session layer
-// may not double the cost of the frame it collapses to.
-func BenchmarkRenderdSessionPrefetchHit(b *testing.B) {
-	s := benchServer(b)
+// sessionPrefetchHitStep opens an orbiting session on s, warms one full
+// lap of its orbit into the cache, and returns the steady-state step:
+// the next orbit frame through Session.Frame (pose record, path
+// prediction, verified-window probe, cache hit), reporting whether it
+// was a prefetch hit.
+func sessionPrefetchHitStep(tb testing.TB, s *Server) func() bool {
+	tb.Helper()
 	sess, err := s.OpenSession(FrameRequest{
 		Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64, DeadlineMillis: 1000,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer sess.Close()
+	tb.Cleanup(sess.Close)
 	// Warm: one full 24-angle lap renders (or speculates) every orbit
 	// frame into the cache; wait out in-flight speculation after each
 	// step so the steady state starts quiet.
 	const step = 15.0
 	az := 0.0
-	for i := 0; i < 26; i++ {
+	next := func() (FrameResult, error) {
 		az += step
 		if az >= 360 {
 			az -= 360
 		}
-		if _, err := sess.Frame(az, 1); err != nil {
-			b.Fatal(err)
+		return sess.Frame(az, 1)
+	}
+	for i := 0; i < 26; i++ {
+		if _, err := next(); err != nil {
+			tb.Fatal(err)
 		}
 		for sess.inflight.Load() > 0 || s.sched.bgDepth() > 0 {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
+	return func() bool {
+		res, err := next()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !res.CacheHit {
+			tb.Fatal("steady-state session frame missed the cache")
+		}
+		return res.PrefetchHit
+	}
+}
+
+// BenchmarkRenderdSessionPrefetchHit is the acceptance benchmark for
+// the session hot path (sessionPrefetchHitStep): an orbiting session in
+// steady state, every predicted frame already cached. It must report 0
+// allocs/op (also asserted by TestHitPathsAllocateNothing), and its
+// ns/op is required to stay within 2x of BenchmarkRenderdFrameCacheHit
+// — the session layer may not double the cost of the frame it
+// collapses to.
+func BenchmarkRenderdSessionPrefetchHit(b *testing.B) {
+	step := sessionPrefetchHitStep(b, benchServer(b))
 	b.ReportAllocs()
 	b.ResetTimer()
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		az += step
-		if az >= 360 {
-			az -= 360
-		}
-		res, err := sess.Frame(az, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.CacheHit {
-			b.Fatal("steady-state session frame missed the cache")
-		}
-		if res.PrefetchHit {
+		if step() {
 			hits++
 		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 	b.ReportMetric(100*float64(hits)/float64(b.N), "prefetch-hit-%")
+}
+
+// TestHitPathsAllocateNothing asserts in the ordinary test run what
+// the two acceptance benchmarks above measure: a frame cache hit and a
+// steady-state session prefetch hit allocate nothing.
+func TestHitPathsAllocateNothing(t *testing.T) {
+	s := benchServer(t)
+	if n := testing.AllocsPerRun(50, frameCacheHitStep(t, s)); n != 0 {
+		t.Errorf("frame cache hit allocates %.1f times per frame, want 0", n)
+	}
+	sessionHit := sessionPrefetchHitStep(t, s)
+	if n := testing.AllocsPerRun(50, func() { sessionHit() }); n != 0 {
+		t.Errorf("session prefetch hit allocates %.1f times per frame, want 0", n)
+	}
 }
 
 // benchOrbitTTP drives one orbiting session with think time between

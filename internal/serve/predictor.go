@@ -10,28 +10,22 @@ type Pose struct {
 	Zoom    float64
 }
 
-// PathPredictor extrapolates where a session's camera goes next. Predict
-// reads the recent path (oldest first, most recent last) and fills dst
-// with up to len(dst) future poses in arrival order, returning how many
-// it filled. Implementations must not allocate — Predict runs on the
-// zero-allocation session frame path with caller-owned buffers — and
-// must return 0 rather than guess when the history is too short or too
-// erratic to extrapolate.
-type PathPredictor interface {
-	Predict(history []Pose, dst []Pose) int
-}
-
-// OrbitPredictor is the default constant-velocity extrapolator: the next
-// poses continue the last observed per-frame azimuth and zoom deltas.
-// Azimuth arithmetic is modular — the velocity is the shortest angular
-// step between the last two poses and predictions wrap into [0, 360) —
-// so a client orbiting 0°, 30°, …, 330°, 0° predicts seamlessly across
-// the wrap (frame-cache keys quantize raw azimuth, so the predictor and
-// an orbiting client must agree on the wrapped representative).
-// Prediction stops early if zoom would leave (0, maxZoom].
+// OrbitPredictor extrapolates where a session's camera goes next with
+// constant velocity: the next poses continue the last observed
+// per-frame azimuth and zoom deltas. Azimuth arithmetic is modular —
+// the velocity is the shortest angular step between the last two poses
+// and predictions wrap into [0, 360) — so a client orbiting 0°, 30°, …,
+// 330°, 0° predicts seamlessly across the wrap (frame-cache keys
+// quantize raw azimuth, so the predictor and an orbiting client must
+// agree on the wrapped representative).
 type OrbitPredictor struct{}
 
-// Predict implements PathPredictor.
+// Predict reads the recent path (oldest first, most recent last) and
+// fills dst with up to len(dst) future poses in arrival order,
+// returning how many it filled. It runs on the zero-allocation session
+// frame path with caller-owned buffers, returns 0 rather than guess
+// when the history is too short or the camera is parked, and stops
+// early if zoom would leave (0, maxZoom].
 //
 //insitu:noalloc
 func (OrbitPredictor) Predict(history []Pose, dst []Pose) int {

@@ -15,7 +15,7 @@
 // is admitted once, soft-pins its warm runner in the RunnerCache,
 // memoizes its admission per model generation, and tracks the client's
 // camera path. After each frame it extrapolates the next poses
-// (Config.Predictor) and speculatively renders the uncached ones into
+// (OrbitPredictor) and speculatively renders the uncached ones into
 // the frame cache through a strictly-background scheduler class —
 // admitted only into idle headroom, budgeted by the model's predicted
 // cost against the measured client think time, shed first under
@@ -145,21 +145,10 @@ type Config struct {
 	// Workers bounds concurrent renders; QueueCap bounds waiting ones.
 	Workers  int // default 2
 	QueueCap int // default 64
-	// FrameCacheEntries bounds the encoded-frame LRU; AdmitCacheEntries
-	// the memoized admission decisions; RunnerCacheEntries the idle
-	// prepared runners kept warm.
+	// FrameCacheEntries bounds the encoded-frame LRU; RunnerCacheEntries
+	// the idle prepared runners kept warm.
 	FrameCacheEntries  int // default 256
-	AdmitCacheEntries  int // default 4096
 	RunnerCacheEntries int // default 8
-	// RunnerReuse amortizes one-time build costs over this many frames
-	// in predictions (runners are cached, so builds really are reused).
-	RunnerReuse int // default 100
-	// MinImageSize and MinN floor the degradation ladder; MaxImageSize
-	// and MaxN bound what a request may ask for at all.
-	MinImageSize int // default 64
-	MinN         int // default 8
-	MaxImageSize int // default 2048
-	MaxN         int // default 64
 	// ObserveQueue buffers measured samples for the engine's observer;
 	// 0 disables calibration feedback.
 	ObserveQueue int // default 256
@@ -172,20 +161,10 @@ type Config struct {
 	// idle longer than this instead of refusing.
 	MaxSessions        int           // default 4096
 	SessionIdleTimeout time.Duration // default 5m
-	// PrefetchQueueCap bounds queued (not yet running) speculative
-	// renders; overflow sheds the oldest prediction first.
-	PrefetchQueueCap int // default 64
-	// Predictor extrapolates session camera paths (default
-	// OrbitPredictor: constant-velocity orbit continuation).
-	Predictor PathPredictor
 	// Cluster, when non-nil, enables sharded frames: requests with
 	// Shards > 1 are partitioned across its worker fleet. The server
 	// does not own the cluster; close it after the server.
 	Cluster *cluster.Cluster
-	// ClusterTimeout bounds one sharded frame end to end (dispatch,
-	// render, composite, result transfer — including any failure-recovery
-	// retries). A tighter request deadline overrides it per frame.
-	ClusterTimeout time.Duration // default 60s
 	// BreakerThreshold is how many consecutive cluster failures trip the
 	// circuit breaker, flipping sharded traffic to the standalone
 	// fallback; BreakerCooldown is how long it stays open before probing
@@ -204,6 +183,29 @@ const (
 	maxZoom           = 1e6
 )
 
+// Serving limits with one value in use, so constants rather than
+// Config fields.
+const (
+	// admitCacheEntries bounds the memoized admission decisions.
+	admitCacheEntries = 4096
+	// runnerReuse amortizes one-time build costs over this many frames
+	// in predictions (runners are cached, so builds really are reused).
+	runnerReuse = 100
+	// minDegradeSize and minDegradeN floor the degradation ladder;
+	// maxImageSize and maxN bound what a request may ask for at all.
+	minDegradeSize = 64
+	minDegradeN    = 8
+	maxImageSize   = 2048
+	maxN           = 64
+	// prefetchQueueCap bounds queued (not yet running) speculative
+	// renders; overflow sheds the oldest prediction first.
+	prefetchQueueCap = 64
+	// clusterTimeout bounds one sharded frame end to end (dispatch,
+	// render, composite, result transfer — including any failure-recovery
+	// retries). A tighter request deadline overrides it per frame.
+	clusterTimeout = 60 * time.Second
+)
+
 func (c *Config) setDefaults() {
 	if c.Arch == "" {
 		c.Arch = "cpu"
@@ -213,16 +215,7 @@ func (c *Config) setDefaults() {
 	if c.FrameCacheEntries == 0 {
 		c.FrameCacheEntries = 256
 	}
-	if c.AdmitCacheEntries == 0 {
-		c.AdmitCacheEntries = 4096
-	}
 	orDefault(&c.RunnerCacheEntries, 1, 8)
-	orDefault(&c.RunnerReuse, 1, 100)
-	orDefault(&c.MinImageSize, 1, 64)
-	orDefault(&c.MinN, 4, 8)
-	orDefault(&c.MaxImageSize, 1, 2048)
-	orDefault(&c.MaxN, 4, 64)
-	orDefault(&c.ClusterTimeout, 1, 60*time.Second)
 	orDefault(&c.BreakerThreshold, 1, 3)
 	orDefault(&c.BreakerCooldown, 1, 5*time.Second)
 	if c.PrefetchDepth == 0 {
@@ -231,10 +224,6 @@ func (c *Config) setDefaults() {
 	c.PrefetchDepth = min(c.PrefetchDepth, MaxPrefetchDepth)
 	orDefault(&c.MaxSessions, 1, 4096)
 	orDefault(&c.SessionIdleTimeout, 1, 5*time.Minute)
-	orDefault(&c.PrefetchQueueCap, 1, 64)
-	if c.Predictor == nil {
-		c.Predictor = OrbitPredictor{}
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -354,10 +343,10 @@ func New(engine *advisor.Engine, cfg Config) *Server {
 		cfg:      cfg,
 		sims:     map[string]bool{},
 		profiles: map[string]bool{},
-		admit:    lru.New[admitKey, decision](cfg.AdmitCacheEntries),
+		admit:    lru.New[admitKey, decision](admitCacheEntries),
 		frames:   lru.New[frameKey, cachedFrame](cfg.FrameCacheEntries),
 		runners:  scenario.NewRunnerCache[runnerKey](cfg.RunnerCacheEntries),
-		sched:    newScheduler(cfg.Workers, cfg.QueueCap, cfg.PrefetchQueueCap),
+		sched:    newScheduler(cfg.Workers, cfg.QueueCap, prefetchQueueCap),
 		brk:      newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		flights:  map[frameKey]*flight{},
 		sessions: map[uint64]*Session{},
@@ -453,8 +442,8 @@ func (s *Server) normalize(req *FrameRequest) error {
 	if req.N < 4 {
 		return badRequestf("n must be >= 4, got %d", req.N)
 	}
-	if req.N > s.cfg.MaxN {
-		return badRequestf("n %d exceeds the serving cap %d", req.N, s.cfg.MaxN)
+	if req.N > maxN {
+		return badRequestf("n %d exceeds the serving cap %d", req.N, maxN)
 	}
 	if req.Width <= 0 {
 		return badRequestf("width must be positive, got %d", req.Width)
@@ -462,8 +451,8 @@ func (s *Server) normalize(req *FrameRequest) error {
 	if req.Height <= 0 {
 		req.Height = req.Width
 	}
-	if req.Width > s.cfg.MaxImageSize || req.Height > s.cfg.MaxImageSize {
-		return badRequestf("image %dx%d exceeds the serving cap %d", req.Width, req.Height, s.cfg.MaxImageSize)
+	if req.Width > maxImageSize || req.Height > maxImageSize {
+		return badRequestf("image %dx%d exceeds the serving cap %d", req.Width, req.Height, maxImageSize)
 	}
 	if req.Zoom == 0 {
 		req.Zoom = 1
@@ -867,7 +856,7 @@ func (s *Server) drawFleet(job cluster.Job, d decision, deadline time.Time, tr *
 		atomic.AddUint64(&s.n.BreakerShortCircuits, 1)
 		return nil
 	}
-	limit := time.Now().Add(s.cfg.ClusterTimeout)
+	limit := time.Now().Add(clusterTimeout)
 	if !deadline.IsZero() && deadline.Before(limit) {
 		limit = deadline
 	}

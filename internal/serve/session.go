@@ -424,7 +424,7 @@ func (sess *Session) planPrefetch(now time.Time, req *FrameRequest, d decision) 
 		sess.mu.Unlock()
 		return 0
 	}
-	n := s.cfg.Predictor.Predict(sess.hist[:sess.nhist], sess.scratch[:sess.depth])
+	n := OrbitPredictor{}.Predict(sess.hist[:sess.nhist], sess.scratch[:sess.depth])
 	ncand, nverify := 0, 0
 	for i := 0; i < n; i++ {
 		pose := sess.scratch[i]

@@ -4,24 +4,10 @@ import (
 	"fmt"
 
 	"insitu/internal/composite"
-	"insitu/internal/conduit"
 	"insitu/internal/core"
 	"insitu/internal/framebuffer"
 	"insitu/internal/scenario"
-	"insitu/internal/vecmath"
 )
-
-type boundsT = vecmath.AABB
-
-// ParsedMesh is the pipeline's view of a published conduit tree; it now
-// lives in the scenario package so the performance study, the repro
-// tables, and this pipeline drive one parsing path. The aliases keep the
-// strawman API stable.
-type ParsedMesh = scenario.ParsedMesh
-
-// ParseMesh validates the conduit mesh conventions and builds the
-// pipeline's working representation.
-func ParseMesh(n *conduit.Node) (*ParsedMesh, error) { return scenario.ParseMesh(n) }
 
 // renderPlot renders one plot across the world and returns the composited
 // image at rank 0 (nil elsewhere; serial runs always return the image).
@@ -119,7 +105,7 @@ func (s *Strawman) renderPlot(p plot, w, h int, cs cameraSpec) (*framebuffer.Ima
 // lookupBackend resolves the plot's renderer, falling back to the
 // "<name>-unstructured" family member when a structured-only backend
 // meets an unstructured block.
-func lookupBackend(renderer string, pm *ParsedMesh) (scenario.Backend, error) {
+func lookupBackend(renderer string, pm *scenario.ParsedMesh) (scenario.Backend, error) {
 	backend, err := scenario.Lookup(core.Renderer(renderer))
 	if err != nil {
 		return nil, fmt.Errorf("unknown renderer %q: %w", renderer, err)

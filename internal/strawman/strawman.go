@@ -16,6 +16,7 @@ import (
 	"insitu/internal/device"
 	"insitu/internal/framebuffer"
 	"insitu/internal/render"
+	"insitu/internal/vecmath"
 )
 
 // Strawman is one task's in situ endpoint.
@@ -170,7 +171,7 @@ type cameraSpec struct {
 	azimuth, elevation, zoom float64
 }
 
-func (cs cameraSpec) build(b boundsT) render.Camera {
+func (cs cameraSpec) build(b vecmath.AABB) render.Camera {
 	return render.OrbitCamera(b, cs.azimuth, cs.elevation, cs.zoom)
 }
 
