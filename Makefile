@@ -2,21 +2,11 @@
 
 GO ?= go
 
-# bench-json output file; committed per PR (BENCH_4.json, BENCH_5.json,
-# ...) so benchmark trajectories survive across sessions.
-BENCH_JSON ?= BENCH_24.json
-
-# Committed baselines guarding the zero-allocation steady state:
-# bench-json fails if a benchmark that was 0 allocs/op in any of these
-# is >0 now. Every committed BENCH_*.json but the one being written
-# guards, so a new baseline joins without anyone editing a list.
-BENCH_BASELINES ?= $(filter-out $(BENCH_JSON),$(sort $(wildcard BENCH_*.json)))
-
 # insitulint is the repo's analyzer suite (internal/analysis); built
 # into ./bin so the vettool path is hermetic to the checkout.
 LINT_BIN := bin/insitulint
 
-.PHONY: all build test test32 race vet fmt lint oracles bench bench-json bench-e2e bench-layers bench-check chaos obs cover ci clean
+.PHONY: all build test test32 race vet fmt lint oracles bench bench-e2e bench-layers bench-check chaos obs cover ci clean
 
 all: ci
 
@@ -37,7 +27,12 @@ test32:
 # race exercises the concurrent paths (parallel study runner, registry
 # hot reload, advisord observation ingestion, and the serve race test —
 # concurrent frame requests sharing one cache + calibrator) under the
-# race detector; ci depends on it.
+# race detector; ci depends on it. The zero-allocation guard
+# (`go test -run TestZeroAlloc ./...`, one TestZeroAlloc per package
+# with a 0 allocs/op benchmark) rides it as well as `test` (and, for
+# serve and obs, `test32`); under the race detector only its
+# render-kernel cases skip, because a sync.Pool drops Puts at random
+# there and dpp's pooled launches allocate.
 race:
 	$(GO) test -race ./...
 
@@ -69,45 +64,22 @@ oracles:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# bench runs the table/figure benchmarks at the repo root, the advisor
-# throughput benchmark, the scenario dispatch benchmark, and the
-# small-plan study benchmark (one tiny configuration per registered
-# backend through the full measurement path).
+# bench runs the table/figure benchmarks at the repo root and the
+# package benchmarks (advisor, scenario dispatch, small-plan study,
+# serving, cluster, obs, traversal, PNG encode, volume sampling),
+# printing ns/op and allocs/op for people to read. Speed claims cite
+# BENCHMARK.json (`make bench-e2e`); the 0 allocs/op paths are pinned
+# by TestZeroAlloc in the plain test run.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
-	$(GO) test -run '^$$' -bench BenchmarkAdvisorPredict ./internal/advisor/
-	$(GO) test -run '^$$' -bench BenchmarkScenarioDispatch -benchtime 1x ./internal/scenario/
-	$(GO) test -run '^$$' -bench 'BenchmarkStudySmallPlan|BenchmarkPlanGeneration' -benchtime 1x ./internal/study/
-	$(GO) test -run '^$$' -bench BenchmarkRenderd -benchtime 1x ./internal/serve/
-	$(GO) test -run '^$$' -bench BenchmarkClusterThroughput -benchtime 1x ./internal/cluster/
-	$(GO) test -run '^$$' -bench 'BenchmarkHistogramObserve|BenchmarkTraceSpan|BenchmarkDriftObserve' -benchtime 1x ./internal/obs/
-	$(GO) test -run '^$$' -bench 'BenchmarkHitRay|BenchmarkIntersectClosest|BenchmarkIntersectAny' -benchtime 1x ./internal/vecmath/ ./internal/bvh/
-	$(GO) test -run '^$$' -bench 'BenchmarkPNGEncode|BenchmarkStructuredVolume' -benchtime 1x ./internal/framebuffer/ ./internal/render/volume/
-
-# bench-json records the render, dispatch, small-plan study, renderd
-# serving-path, traversal, PNG encode and volume sampling benchmarks (ns/op + allocs/op via -benchmem) as
-# $(BENCH_JSON), a benchstat-compatible baseline (the raw lines are
-# embedded: `jq -r '.raw[]' $(BENCH_JSON)` reproduces benchstat input).
-# Render benchmarks warm their frame arenas before the timer, so
-# allocs/op is the steady-state figure. The GC cycle the warm-up leaves
-# running can finish inside the timed loop, and its sync.Pool refills and
-# runtime cleanups count as a handful of allocations; 20 iterations keep
-# that one-off below 1 allocs/op. The renderd cache-hit benchmark
-# is the serving layer's 0 allocs/op acceptance gate. benchjson compares
-# against $(BENCH_BASELINES) and fails the target if any benchmark that
-# was 0 allocs/op there allocates now.
-bench-json:
-	@$(GO) test -run '^$$' -bench 'BenchmarkTable1RayTraceShaded|BenchmarkTable2RayTraceFull|BenchmarkTable5Backends' -benchtime 20x -benchmem . > $(BENCH_JSON).render.tmp
-	@$(GO) test -run '^$$' -bench BenchmarkScenarioDispatch -benchtime 10x -benchmem ./internal/scenario/ > $(BENCH_JSON).dispatch.tmp
-	@$(GO) test -run '^$$' -bench 'BenchmarkStudySmallPlan|BenchmarkPlanGeneration' -benchtime 3x -benchmem ./internal/study/ > $(BENCH_JSON).study.tmp
-	@$(GO) test -run '^$$' -bench BenchmarkRenderd -benchtime 2s -benchmem ./internal/serve/ > $(BENCH_JSON).serve.tmp
-	@$(GO) test -run '^$$' -bench BenchmarkClusterThroughput -benchtime 2s -benchmem ./internal/cluster/ > $(BENCH_JSON).cluster.tmp
-	@$(GO) test -run '^$$' -bench 'BenchmarkHistogramObserve|BenchmarkTraceSpan|BenchmarkDriftObserve' -benchtime 2s -benchmem ./internal/obs/ > $(BENCH_JSON).obs.tmp
-	@$(GO) test -run '^$$' -bench 'BenchmarkHitRay|BenchmarkIntersectClosest|BenchmarkIntersectAny' -benchtime 2s -benchmem ./internal/vecmath/ ./internal/bvh/ > $(BENCH_JSON).traverse.tmp
-	@$(GO) test -run '^$$' -bench 'BenchmarkPNGEncode|BenchmarkStructuredVolume' -benchtime 20x -benchmem ./internal/framebuffer/ ./internal/render/volume/ > $(BENCH_JSON).miss.tmp
-	@cat $(BENCH_JSON).render.tmp $(BENCH_JSON).dispatch.tmp $(BENCH_JSON).study.tmp $(BENCH_JSON).serve.tmp $(BENCH_JSON).cluster.tmp $(BENCH_JSON).obs.tmp $(BENCH_JSON).traverse.tmp $(BENCH_JSON).miss.tmp | $(GO) run ./tools/benchjson $(foreach b,$(BENCH_BASELINES),-baseline $(b)) > $(BENCH_JSON)
-	@rm -f $(BENCH_JSON).render.tmp $(BENCH_JSON).dispatch.tmp $(BENCH_JSON).study.tmp $(BENCH_JSON).serve.tmp $(BENCH_JSON).cluster.tmp $(BENCH_JSON).obs.tmp $(BENCH_JSON).traverse.tmp $(BENCH_JSON).miss.tmp
-	@echo "wrote $(BENCH_JSON)"
+	$(GO) test -run '^$$' -benchmem -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -benchmem -bench BenchmarkAdvisorPredict ./internal/advisor/
+	$(GO) test -run '^$$' -benchmem -bench BenchmarkScenarioDispatch -benchtime 1x ./internal/scenario/
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkStudySmallPlan|BenchmarkPlanGeneration' -benchtime 1x ./internal/study/
+	$(GO) test -run '^$$' -benchmem -bench BenchmarkRenderd -benchtime 1x ./internal/serve/
+	$(GO) test -run '^$$' -benchmem -bench BenchmarkClusterThroughput -benchtime 1x ./internal/cluster/
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkHistogramObserve|BenchmarkTraceSpan|BenchmarkDriftObserve' -benchtime 1x ./internal/obs/
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkHitRay|BenchmarkIntersectClosest|BenchmarkIntersectAny' -benchtime 1x ./internal/vecmath/ ./internal/bvh/
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkPNGEncode|BenchmarkStructuredVolume' -benchtime 1x ./internal/framebuffer/ ./internal/render/volume/
 
 # bench-e2e and bench-layers run the BENCHMARK.json benchmark (bench/ is
 # its own module, see bench/README.md): every workload end to end

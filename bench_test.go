@@ -14,6 +14,7 @@ import (
 	"insitu/internal/composite"
 	"insitu/internal/core"
 	"insitu/internal/device"
+	"insitu/internal/dpp"
 	"insitu/internal/framebuffer"
 	"insitu/internal/mesh"
 	"insitu/internal/mesh/synthdata"
@@ -33,16 +34,16 @@ const (
 	benchImage = 160
 )
 
-func benchSurface(b *testing.B) *mesh.TriangleMesh {
-	b.Helper()
+func benchSurface(tb testing.TB) *mesh.TriangleMesh {
+	tb.Helper()
 	ds, err := synthdata.ByName("rm")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	g := synthdata.Grid(ds.FieldName, ds.Func, benchGrid, benchGrid, benchGrid, synthdata.UnitBounds())
 	m, err := g.Isosurface(device.CPU(), ds.FieldName, ds.Isovalue, mesh.IsoOptions{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return m
 }
@@ -61,48 +62,82 @@ func benchTets(b *testing.B) *mesh.TetMesh {
 	return tm
 }
 
-// BenchmarkTable1RayTraceShaded is Table 1's workload: WORKLOAD2 frames.
-func BenchmarkTable1RayTraceShaded(b *testing.B) {
-	b.ReportAllocs()
-	m := benchSurface(b)
-	rdr := raytrace.New(device.CPU(), m)
-	opts := raytrace.Options{
-		Width: benchImage, Height: benchImage,
-		Camera:   render.OrbitCamera(m.Bounds(), 30, 20, 1.0),
-		Workload: raytrace.Workload2,
-	}
-	// Warm frame: pays the one-time arena allocations so the timed loop
-	// measures the zero-allocation steady state.
-	if _, _, err := rdr.Render(opts); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// rayTraceStep returns the steady-state step of rdr rendering opts: one
+// frame into the renderer's arena. The first call pays the one-time
+// arena allocations; the benchmarks make it before the timer and
+// TestZeroAlloc's AllocsPerRun makes it as its warm-up, then pins the
+// rest at 0 allocs.
+func rayTraceStep(tb testing.TB, rdr *raytrace.Renderer, opts raytrace.Options) func() {
+	return func() {
 		if _, _, err := rdr.Render(opts); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkTable2RayTraceFull is Table 2's workload: WORKLOAD3 frames.
-func BenchmarkTable2RayTraceFull(b *testing.B) {
-	b.ReportAllocs()
-	m := benchSurface(b)
-	rdr := raytrace.New(device.CPU(), m)
-	opts := raytrace.Options{
+// table1Step is Table 1's workload: WORKLOAD2 frames.
+func table1Step(tb testing.TB) func() {
+	m := benchSurface(tb)
+	return rayTraceStep(tb, raytrace.New(device.CPU(), m), raytrace.Options{
+		Width: benchImage, Height: benchImage,
+		Camera:   render.OrbitCamera(m.Bounds(), 30, 20, 1.0),
+		Workload: raytrace.Workload2,
+	})
+}
+
+// table2Step is Table 2's workload: WORKLOAD3 frames.
+func table2Step(tb testing.TB) func() {
+	m := benchSurface(tb)
+	return rayTraceStep(tb, raytrace.New(device.CPU(), m), raytrace.Options{
 		Width: benchImage, Height: benchImage,
 		Camera:   render.OrbitCamera(m.Bounds(), 30, 20, 1.0),
 		Workload: raytrace.Workload3, Compaction: true, Supersample: true,
+	})
+}
+
+// table5Renderer is Table 5's scene: the benchmark surface traced on the
+// mic device profile. table5Step is its scalar or packet traversal step.
+func table5Renderer(tb testing.TB) (*raytrace.Renderer, render.Camera) {
+	m := benchSurface(tb)
+	dev, err := device.Profile("mic")
+	if err != nil {
+		tb.Fatal(err)
 	}
-	// Warm frame: steady-state allocations only in the timed loop.
-	if _, _, err := rdr.Render(opts); err != nil {
-		b.Fatal(err)
-	}
+	return raytrace.New(dev, m), render.OrbitCamera(m.Bounds(), 30, 20, 1.0)
+}
+
+func table5Step(tb testing.TB, rdr *raytrace.Renderer, cam render.Camera, packets bool) func() {
+	return rayTraceStep(tb, rdr, raytrace.Options{
+		Width: benchImage, Height: benchImage, Camera: cam,
+		Workload: raytrace.Workload1, UsePackets: packets,
+	})
+}
+
+// table5Modes names Table 5's two traversals.
+var table5Modes = []struct {
+	name    string
+	packets bool
+}{{"scalar", false}, {"packet", true}}
+
+// BenchmarkTable1RayTraceShaded is Table 1's workload (table1Step).
+func BenchmarkTable1RayTraceShaded(b *testing.B) {
+	b.ReportAllocs()
+	step := table1Step(b)
+	step() // warm frame: the timed loop measures the steady state
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := rdr.Render(opts); err != nil {
-			b.Fatal(err)
-		}
+		step()
+	}
+}
+
+// BenchmarkTable2RayTraceFull is Table 2's workload (table2Step).
+func BenchmarkTable2RayTraceFull(b *testing.B) {
+	b.ReportAllocs()
+	step := table2Step(b)
+	step() // warm frame
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }
 
@@ -133,33 +168,40 @@ func BenchmarkTable4VsFastRT(b *testing.B) {
 // BenchmarkTable5Backends compares scalar vs packet traversal (Table 5).
 func BenchmarkTable5Backends(b *testing.B) {
 	b.ReportAllocs()
-	m := benchSurface(b)
-	dev, err := device.Profile("mic")
-	if err != nil {
-		b.Fatal(err)
-	}
-	rdr := raytrace.New(dev, m)
-	cam := render.OrbitCamera(m.Bounds(), 30, 20, 1.0)
-	for _, packets := range []bool{false, true} {
-		name := "scalar"
-		if packets {
-			name = "packet"
-		}
-		b.Run(name, func(b *testing.B) {
+	rdr, cam := table5Renderer(b)
+	for _, mode := range table5Modes {
+		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
-			opts := raytrace.Options{
-				Width: benchImage, Height: benchImage, Camera: cam,
-				Workload: raytrace.Workload1, UsePackets: packets,
-			}
-			if _, _, err := rdr.Render(opts); err != nil {
-				b.Fatal(err)
-			}
+			step := table5Step(b, rdr, cam, mode.packets)
+			step() // warm frame
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := rdr.Render(opts); err != nil {
-					b.Fatal(err)
-				}
+				step()
 			}
+		})
+	}
+}
+
+// TestZeroAlloc pins the steady state of the table benchmarks above at
+// 0 allocs/op: each case runs its benchmark's step, after AllocsPerRun's
+// own warm-up frame. 20 runs truncate the few one-off allocations a GC
+// cycle left running by the warm-up can make (sync.Pool refills,
+// runtime cleanups) to 0; one allocation per frame fails.
+func TestZeroAlloc(t *testing.T) {
+	if dpp.RaceEnabled {
+		t.Skip("the race detector drops dpp's pooled launch descriptors, so launches allocate")
+	}
+	assert := func(t *testing.T, step func()) {
+		if n := testing.AllocsPerRun(20, step); n != 0 {
+			t.Errorf("%.0f allocs/op, want 0", n)
+		}
+	}
+	t.Run("Table1RayTraceShaded", func(t *testing.T) { assert(t, table1Step(t)) })
+	t.Run("Table2RayTraceFull", func(t *testing.T) { assert(t, table2Step(t)) })
+	rdr, cam := table5Renderer(t)
+	for _, mode := range table5Modes {
+		t.Run("Table5Backends/"+mode.name, func(t *testing.T) {
+			assert(t, table5Step(t, rdr, cam, mode.packets))
 		})
 	}
 }

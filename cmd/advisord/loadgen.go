@@ -14,6 +14,7 @@ import (
 
 	"insitu/internal/advisor"
 	"insitu/internal/obs"
+	"insitu/internal/serve"
 )
 
 // runLoadgen benchmarks sustained QPS against an advisord. With no target
@@ -26,7 +27,7 @@ func runLoadgen(target, regPath string, bootstrap bool, cacheSize int, duration 
 	// the deadline.
 	client := &http.Client{Timeout: 10 * time.Second}
 	if target == "" {
-		reg, err := openRegistry(regPath, bootstrap, cacheSize)
+		reg, err := serve.OpenRegistry(regPath, bootstrap, cacheSize, log.Printf)
 		if err != nil {
 			return loadReport{}, err
 		}

@@ -48,9 +48,7 @@ import (
 	"time"
 
 	"insitu/internal/advisor"
-	"insitu/internal/registry"
 	"insitu/internal/serve"
-	"insitu/internal/study"
 )
 
 // pprofHandler builds an explicit pprof mux — the serving mux never
@@ -94,7 +92,7 @@ func main() {
 		return
 	}
 
-	reg, err := openRegistry(*regPath, *bootstrap, *cacheSize)
+	reg, err := serve.OpenRegistry(*regPath, *bootstrap, *cacheSize, log.Printf)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,7 +102,7 @@ func main() {
 	engine := advisor.New(reg)
 	web := newServer(engine)
 	if *calibrate {
-		engine.SetObserver(newCalibrator(reg, *regPath, *refitEvery))
+		engine.SetObserver(serve.NewCalibrator(reg, *regPath, "advisord-observations", *refitEvery, log.Printf))
 		web.startCalibration(64, log.Printf)
 		defer web.stopCalibration()
 		log.Printf("continuous calibration enabled (POST /v1/observations)")
@@ -119,7 +117,7 @@ func main() {
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           logRequests(log.Printf, web.handler()),
+		Handler:           serve.LogRequests(log.Printf, web.handler()),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
@@ -145,50 +143,4 @@ func main() {
 		}
 	}
 	log.Printf("bye")
-}
-
-// newCalibrator builds the continuous-calibration loop around the serving
-// registry: observed samples refit against the retained corpus every
-// refitEvery samples, thin groups carry over from the currently served
-// snapshot, publishes hot-reload the registry in place and (best effort)
-// persist to the registry file so the refined models survive a restart.
-func newCalibrator(reg *registry.Registry, regPath string, refitEvery int) *study.Calibrator {
-	return &study.Calibrator{
-		Source:     "advisord-observations",
-		RefitEvery: refitEvery,
-		// A sliding window bounds per-refit cost and process memory over
-		// an arbitrarily long ingestion stream; 4096 samples is several
-		// times the full study plan.
-		MaxCorpus: 4096,
-		Base: func() (*registry.Snapshot, uint64) {
-			v, err := reg.View()
-			if err != nil {
-				return nil, reg.Generation()
-			}
-			return v.Snapshot(), v.Generation()
-		},
-		Publish: func(s *registry.Snapshot, baseGen uint64) error {
-			// Conditional on the generation the merge read: a concurrent
-			// POST /v1/reload must not be silently overwritten (the
-			// calibrator re-merges and retries on ErrStale).
-			if err := reg.PublishIf(s, baseGen); err != nil {
-				return err
-			}
-			if regPath != "" {
-				if err := s.WriteFile(regPath); err != nil {
-					// The models are already serving; a persist failure
-					// must not unpublish them.
-					log.Printf("calibrate: persisting %s: %v", regPath, err)
-				}
-			}
-			return nil
-		},
-	}
-}
-
-// openRegistry loads the snapshot file through the shared serving-path
-// helper, bootstrapping one from a short on-machine study when asked
-// and the file is absent.
-func openRegistry(path string, bootstrap bool, cacheSize int) (*registry.Registry, error) {
-	return serve.OpenRegistry(path, bootstrap, cacheSize, log.Printf)
 }

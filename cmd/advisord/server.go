@@ -112,12 +112,6 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// writeJSON is the shared buffered-encode helper (clean 500 instead of
-// a truncated 200 on an encoding failure).
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	serve.WriteJSON(w, status, v)
-}
-
 type errorBody struct {
 	Error string `json:"error"`
 }
@@ -144,7 +138,7 @@ func bodyErrStatus(err error) int {
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(v); err != nil {
-		writeJSON(w, bodyErrStatus(err), errorBody{Error: "bad request body: " + err.Error()})
+		serve.WriteJSON(w, bodyErrStatus(err), errorBody{Error: "bad request body: " + err.Error()})
 		return false
 	}
 	return true
@@ -172,12 +166,12 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	v, err := reg.View()
 	if err != nil {
 		body.Status = "empty"
-		writeJSON(w, http.StatusServiceUnavailable, body)
+		serve.WriteJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}
 	body.Generation = v.Generation()
 	body.Models = len(v.Snapshot().Models)
-	writeJSON(w, http.StatusOK, body)
+	serve.WriteJSON(w, http.StatusOK, body)
 }
 
 // modelsBody lists the registry contents.
@@ -194,7 +188,7 @@ type modelsBody struct {
 func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 	v, err := s.engine.Registry().View()
 	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no registry loaded"})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no registry loaded"})
 		return
 	}
 	snap := v.Snapshot()
@@ -207,7 +201,7 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sort.Strings(archs)
-	writeJSON(w, http.StatusOK, modelsBody{
+	serve.WriteJSON(w, http.StatusOK, modelsBody{
 		Generation:  v.Generation(),
 		Source:      snap.Source,
 		CreatedUnix: snap.CreatedUnix,
@@ -224,30 +218,30 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeJSON(w, bodyErrStatus(err), errorBody{Error: "bad request body: " + err.Error()})
+		serve.WriteJSON(w, bodyErrStatus(err), errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	trimmed := bytes.TrimLeft(body, " \t\r\n")
 	if len(trimmed) > 0 && trimmed[0] == '[' {
 		var reqs []advisor.PredictRequest
 		if err := json.Unmarshal(body, &reqs); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad batch body: " + err.Error()})
+			serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: "bad batch body: " + err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, s.engine.PredictBatch(reqs))
+		serve.WriteJSON(w, http.StatusOK, s.engine.PredictBatch(reqs))
 		return
 	}
 	var req advisor.PredictRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	resp, err := s.engine.Predict(req)
 	if err != nil {
-		writeJSON(w, errStatus(err), errorBody{Error: err.Error()})
+		serve.WriteJSON(w, errStatus(err), errorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
@@ -257,10 +251,10 @@ func (s *server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.engine.Feasibility(req)
 	if err != nil {
-		writeJSON(w, errStatus(err), errorBody{Error: err.Error()})
+		serve.WriteJSON(w, errStatus(err), errorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *server) handleMaxTriangles(w http.ResponseWriter, r *http.Request) {
@@ -270,10 +264,10 @@ func (s *server) handleMaxTriangles(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.engine.MaxTriangles(req)
 	if err != nil {
-		writeJSON(w, errStatus(err), errorBody{Error: err.Error()})
+		serve.WriteJSON(w, errStatus(err), errorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 // observationsAccepted is the 202 body for a queued observation batch:
@@ -292,13 +286,13 @@ type observationsAccepted struct {
 // refit and hot-reload are not.
 func (s *server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	if s.obsCh == nil {
-		writeJSON(w, http.StatusServiceUnavailable,
+		serve.WriteJSON(w, http.StatusServiceUnavailable,
 			errorBody{Error: "observation ingestion disabled (start advisord with -calibrate)"})
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeJSON(w, bodyErrStatus(err), errorBody{Error: "bad request body: " + err.Error()})
+		serve.WriteJSON(w, bodyErrStatus(err), errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	var obs []advisor.Observation
@@ -312,12 +306,12 @@ func (s *server) handleObservations(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	samples, err := advisor.SamplesFromObservations(obs)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	// Read the generation before enqueueing: with a fast refit cadence
@@ -328,15 +322,15 @@ func (s *server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	ok, full := s.enqueueObservations(samples)
 	switch {
 	case ok:
-		writeJSON(w, http.StatusAccepted, observationsAccepted{
+		serve.WriteJSON(w, http.StatusAccepted, observationsAccepted{
 			Accepted:   len(samples),
 			Queued:     true,
 			Generation: gen,
 		})
 	case full:
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "calibration queue full, retry later"})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, errorBody{Error: "calibration queue full, retry later"})
 	default:
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "observation ingestion stopped"})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, errorBody{Error: "observation ingestion stopped"})
 	}
 }
 
@@ -358,7 +352,7 @@ func (s *server) metricsSnapshot() metricsBody {
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metricsSnapshot())
+	serve.WriteJSON(w, http.StatusOK, s.metricsSnapshot())
 }
 
 // handleProm renders the same snapshot /v1/metrics serves, as Prometheus
@@ -373,28 +367,19 @@ func (s *server) handleProm(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	reg := s.engine.Registry()
 	if err := reg.Reload(); err != nil {
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+		serve.WriteJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
 		return
 	}
 	v, err := reg.View()
 	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, healthzBody{
+	serve.WriteJSON(w, http.StatusOK, healthzBody{
 		Status:        "ok",
 		Models:        len(v.Snapshot().Models),
 		Generation:    v.Generation(),
 		UptimeSeconds: int64(time.Since(s.start).Seconds()),
 		LastReload:    reg.LastReload().Unix(),
-	})
-}
-
-// logRequests is minimal access logging middleware.
-func logRequests(logf func(format string, args ...any), next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		next.ServeHTTP(w, r)
-		logf("%s %s %s", r.Method, r.URL.Path, time.Since(start))
 	})
 }

@@ -69,9 +69,7 @@ import (
 
 	"insitu/internal/advisor"
 	"insitu/internal/cluster"
-	"insitu/internal/registry"
 	"insitu/internal/serve"
-	"insitu/internal/study"
 )
 
 // pprofHandler builds an explicit pprof mux — the serving mux never
@@ -130,7 +128,7 @@ func main() {
 	web := newWebServer(srv, fleet)
 	httpSrv := &http.Server{
 		Addr:              *addr,
-		Handler:           logRequests(log.Printf, web.handler()),
+		Handler:           serve.LogRequests(log.Printf, web.handler()),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
@@ -180,7 +178,7 @@ func buildServer(regPath string, bootstrap bool, cacheSize int, calibrate bool, 
 
 	engine := advisor.New(reg)
 	if calibrate {
-		engine.SetObserver(newCalibrator(reg, regPath, refitEvery))
+		engine.SetObserver(serve.NewCalibrator(reg, regPath, "renderd-frames", refitEvery, log.Printf))
 		log.Printf("continuous calibration enabled (served frames refit the models)")
 	} else {
 		cfg.ObserveQueue = -1
@@ -199,33 +197,4 @@ func buildServer(regPath string, bootstrap bool, cacheSize int, calibrate bool, 
 		log.Printf("cluster mode: %d worker ranks (requests may shard up to %d ways)", clusterN, clusterN)
 	}
 	return serve.New(engine, cfg), fleet, nil
-}
-
-// newCalibrator builds the same continuous-calibration loop advisord
-// runs, fed by renderd's own served frames instead of posted
-// observations.
-func newCalibrator(reg *registry.Registry, regPath string, refitEvery int) *study.Calibrator {
-	return &study.Calibrator{
-		Source:     "renderd-frames",
-		RefitEvery: refitEvery,
-		MaxCorpus:  4096,
-		Base: func() (*registry.Snapshot, uint64) {
-			v, err := reg.View()
-			if err != nil {
-				return nil, reg.Generation()
-			}
-			return v.Snapshot(), v.Generation()
-		},
-		Publish: func(s *registry.Snapshot, baseGen uint64) error {
-			if err := reg.PublishIf(s, baseGen); err != nil {
-				return err
-			}
-			if regPath != "" {
-				if err := s.WriteFile(regPath); err != nil {
-					log.Printf("calibrate: persisting %s: %v", regPath, err)
-				}
-			}
-			return nil
-		},
-	}
 }

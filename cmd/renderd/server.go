@@ -54,11 +54,6 @@ func (s *webServer) handler() http.Handler {
 	return mux
 }
 
-// writeJSON is the shared buffered-encode helper.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	serve.WriteJSON(w, status, v)
-}
-
 type errorBody struct {
 	Error string `json:"error"`
 	// Rejection carries the model's predicted-time verdict when the
@@ -71,7 +66,7 @@ type errorBody struct {
 func writeServeError(w http.ResponseWriter, err error, status int) {
 	body := errorBody{Error: err.Error()}
 	errors.As(err, &body.Rejection)
-	writeJSON(w, status, body)
+	serve.WriteJSON(w, status, body)
 }
 
 // frameErrStatus maps serving errors to HTTP statuses: client mistakes
@@ -140,7 +135,7 @@ func (s *webServer) handleFramePost(w http.ResponseWriter, r *http.Request) {
 	var req serve.FrameRequest
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	s.serveFrame(w, req)
@@ -162,7 +157,7 @@ func (s *webServer) handleFrameGet(w http.ResponseWriter, r *http.Request) {
 		}
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad %s: %v", name, err)})
+			serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad %s: %v", name, err)})
 			return false
 		}
 		*dst = n
@@ -175,7 +170,7 @@ func (s *webServer) handleFrameGet(w http.ResponseWriter, r *http.Request) {
 		}
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad %s: %v", name, err)})
+			serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad %s: %v", name, err)})
 			return false
 		}
 		*dst = f
@@ -217,7 +212,7 @@ func (s *webServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body.Generation = v.Generation()
 		body.Models = len(v.Snapshot().Models)
 	}
-	writeJSON(w, http.StatusOK, body)
+	serve.WriteJSON(w, http.StatusOK, body)
 }
 
 // readyzBody is the readiness document: can this process serve frames
@@ -240,7 +235,7 @@ func (s *webServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	v, err := s.srv.Engine().Registry().View()
 	if err != nil {
 		body.Status = "no models loaded"
-		writeJSON(w, http.StatusServiceUnavailable, body)
+		serve.WriteJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}
 	body.Generation = v.Generation()
@@ -251,11 +246,11 @@ func (s *webServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		body.FleetDead = s.fleet.DeadRanks()
 		if 2*body.FleetAlive <= body.FleetWorkers {
 			body.Status = "fleet below quorum"
-			writeJSON(w, http.StatusServiceUnavailable, body)
+			serve.WriteJSON(w, http.StatusServiceUnavailable, body)
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, body)
+	serve.WriteJSON(w, http.StatusOK, body)
 }
 
 // modelsBody mirrors advisord's /v1/models so clients can watch the
@@ -273,7 +268,7 @@ type modelsBody struct {
 func (s *webServer) handleModels(w http.ResponseWriter, r *http.Request) {
 	v, err := s.srv.Engine().Registry().View()
 	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no registry loaded"})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no registry loaded"})
 		return
 	}
 	snap := v.Snapshot()
@@ -286,7 +281,7 @@ func (s *webServer) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sort.Strings(archs)
-	writeJSON(w, http.StatusOK, modelsBody{
+	serve.WriteJSON(w, http.StatusOK, modelsBody{
 		Generation:  v.Generation(),
 		Source:      snap.Source,
 		CreatedUnix: snap.CreatedUnix,
@@ -320,17 +315,14 @@ func (s *webServer) metricsSnapshot() metricsBody {
 }
 
 func (s *webServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metricsSnapshot())
+	serve.WriteJSON(w, http.StatusOK, s.metricsSnapshot())
 }
 
 // handleProm renders the same metrics snapshot /v1/metrics serves, in
 // Prometheus text exposition format, so a scraper needs no sidecar.
 func (s *webServer) handleProm(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := obs.WriteProm(w, "renderd", s.metricsSnapshot()); err != nil {
-		// Headers are out; all we can do is log through the access log.
-		_ = err
-	}
+	_ = obs.WriteProm(w, "renderd", s.metricsSnapshot())
 }
 
 // traceBody is the /v1/trace document: the most recent committed frame
@@ -350,7 +342,7 @@ func (s *webServer) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("last"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad last: %q", v)})
+			serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad last: %q", v)})
 			return
 		}
 		last = n
@@ -366,14 +358,5 @@ func (s *webServer) handleTrace(w http.ResponseWriter, r *http.Request) {
 	for i := range traces {
 		body.Traces[i] = traces[i].JSON()
 	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// logRequests is minimal access logging middleware.
-func logRequests(logf func(format string, args ...any), next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		next.ServeHTTP(w, r)
-		logf("%s %s %s", r.Method, r.URL.Path, time.Since(start))
-	})
+	serve.WriteJSON(w, http.StatusOK, body)
 }

@@ -311,6 +311,12 @@ func TestRenderdRequestValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed n status %d", resp.StatusCode)
 	}
+	// A deadline too large for int64 nanoseconds is 400, not a
+	// deadline in the past.
+	resp, _ = getFrame(t, ts, "backend=raytracer&n=8&size=64&deadline_ms=1e13")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("deadline_ms=1e13 status %d, want 400", resp.StatusCode)
+	}
 	// POST body form: malformed JSON is 400.
 	r, err := ts.Client().Post(ts.URL+"/v1/frame", "application/json", strings.NewReader("{oops"))
 	if err != nil {

@@ -29,7 +29,7 @@ func (s *webServer) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	var req serve.FrameRequest
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	sess, err := s.srv.OpenSession(req)
@@ -37,7 +37,7 @@ func (s *webServer) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		writeServeError(w, err, sessionErrStatus(err))
 		return
 	}
-	writeJSON(w, http.StatusCreated, sess.Info())
+	serve.WriteJSON(w, http.StatusCreated, sess.Info())
 }
 
 // sessionErrStatus extends frameErrStatus with the session-specific
@@ -58,14 +58,14 @@ func sessionErrStatus(err error) int {
 func (s *webServer) lookupSession(w http.ResponseWriter, r *http.Request) (*serve.Session, bool) {
 	sess, ok := s.srv.LookupSession(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such session"})
+		serve.WriteJSON(w, http.StatusNotFound, errorBody{Error: "no such session"})
 	}
 	return sess, ok
 }
 
 func (s *webServer) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 	if sess, ok := s.lookupSession(w, r); ok {
-		writeJSON(w, http.StatusOK, sess.Info())
+		serve.WriteJSON(w, http.StatusOK, sess.Info())
 	}
 }
 
@@ -91,7 +91,7 @@ func (s *webServer) handleSessionFrame(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("azimuth"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad azimuth: " + err.Error()})
+			serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: "bad azimuth: " + err.Error()})
 			return
 		}
 		azimuth = f
@@ -99,7 +99,7 @@ func (s *webServer) handleSessionFrame(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("zoom"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad zoom: " + err.Error()})
+			serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: "bad zoom: " + err.Error()})
 			return
 		}
 		zoom = f
@@ -137,7 +137,7 @@ func (s *webServer) handleSessionStream(w http.ResponseWriter, r *http.Request) 
 	step, fps, frames := 15.0, 10.0, 0
 	q := r.URL.Query()
 	bad := func(name string, err error) {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad %s: %v", name, err)})
+		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad %s: %v", name, err)})
 	}
 	if v := q.Get("step"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)

@@ -56,19 +56,7 @@ func main() {
 	// 2. Serve: advisor engine + calibrator + render-serving subsystem,
 	// behind the same HTTP handler cmd/renderd exposes.
 	engine := advisor.New(reg)
-	engine.SetObserver(&study.Calibrator{
-		Source: "renderd-example-frames", RefitEvery: 4, MaxCorpus: 4096,
-		Base: func() (*registry.Snapshot, uint64) {
-			v, err := reg.View()
-			if err != nil {
-				return nil, reg.Generation()
-			}
-			return v.Snapshot(), v.Generation()
-		},
-		Publish: func(s *registry.Snapshot, baseGen uint64) error {
-			return reg.PublishIf(s, baseGen)
-		},
-	})
+	engine.SetObserver(serve.NewCalibrator(reg, "", "renderd-example-frames", 4, log.Printf))
 	srv := serve.New(engine, serve.Config{Arch: "cpu", Workers: 2})
 	defer srv.Close()
 

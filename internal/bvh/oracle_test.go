@@ -370,26 +370,24 @@ func benchScene(b testing.TB) (*bvh.BVH, []vecmath.Ray) {
 
 var benchSink int
 
-// BenchmarkIntersectClosest times one closest-hit query, cycling through
+// intersectClosestStep returns one closest-hit query, cycling through
 // the frame's rays in scanline order.
-func BenchmarkIntersectClosest(b *testing.B) {
-	tree, rays := benchScene(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	hits := 0
-	for i := 0; i < b.N; i++ {
+func intersectClosestStep(tb testing.TB) func() {
+	tree, rays := benchScene(tb)
+	i := 0
+	return func() {
 		r := &rays[i%len(rays)]
 		if hit, _, _ := tree.IntersectClosest(r.Orig, r.Dir, 1e-9, math.Inf(1)); hit.Prim >= 0 {
-			hits++
+			benchSink++
 		}
+		i++
 	}
-	benchSink = hits
 }
 
-// BenchmarkIntersectAny times one ambient-occlusion-length any-hit query
-// from each primary hit point along a seeded direction.
-func BenchmarkIntersectAny(b *testing.B) {
-	tree, rays := benchScene(b)
+// intersectAnyStep returns one ambient-occlusion-length any-hit query
+// from each primary hit point along a seeded direction, in turn.
+func intersectAnyStep(tb testing.TB) func() {
+	tree, rays := benchScene(tb)
 	reach := 0.05 * tree.Mesh.Bounds().Diagonal().Length()
 	rng := rand.New(rand.NewSource(15))
 	var segs []vecmath.Ray
@@ -399,14 +397,41 @@ func BenchmarkIntersectAny(b *testing.B) {
 			segs = append(segs, vecmath.Ray{Orig: r.At(hit.T), Dir: dir})
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	blocked := 0
-	for i := 0; i < b.N; i++ {
+	i := 0
+	return func() {
 		s := &segs[i%len(segs)]
 		if tree.IntersectAny(s.Orig, s.Dir, 1e-9, reach) {
-			blocked++
+			benchSink++
 		}
+		i++
 	}
-	benchSink = blocked
+}
+
+// BenchmarkIntersectClosest times intersectClosestStep.
+func BenchmarkIntersectClosest(b *testing.B) { benchStep(b, intersectClosestStep(b)) }
+
+// BenchmarkIntersectAny times intersectAnyStep.
+func BenchmarkIntersectAny(b *testing.B) { benchStep(b, intersectAnyStep(b)) }
+
+func benchStep(b *testing.B, step func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// TestZeroAlloc pins both traversal benchmarks' steps at 0 allocs/op:
+// traversal runs per ray, so one allocation would be one per pixel.
+func TestZeroAlloc(t *testing.T) {
+	for name, step := range map[string]func(testing.TB) func(){
+		"IntersectClosest": intersectClosestStep,
+		"IntersectAny":     intersectAnyStep,
+	} {
+		t.Run(name, func(t *testing.T) {
+			if n := testing.AllocsPerRun(20, step(t)); n != 0 {
+				t.Errorf("%.0f allocs/op, want 0", n)
+			}
+		})
+	}
 }

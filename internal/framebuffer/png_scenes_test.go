@@ -87,21 +87,41 @@ func TestPNGEncoderRenderedScenes(t *testing.T) {
 	}
 }
 
-// BenchmarkPNGEncode encodes a rendered 256² volume frame through a warm
-// encoder; steady state is 0 allocs/op.
-func BenchmarkPNGEncode(b *testing.B) {
-	im := renderScene(b, core.Volume, "kripke", 16, 256, 41.5)
+// pngEncodeStep renders a 256² volume frame and encodes it once through
+// a warm encoder. It returns the steady-state step, one more encode of
+// the frame, and the encoded size.
+func pngEncodeStep(tb testing.TB) (step func(), size int) {
+	im := renderScene(tb, core.Volume, "kripke", 16, 256, 41.5)
 	var e framebuffer.PNGEncoder
 	var buf bytes.Buffer
 	if err := e.Encode(&buf, im); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.SetBytes(int64(buf.Len()))
+	return func() {
+		if err := e.Encode(io.Discard, im); err != nil {
+			tb.Fatal(err)
+		}
+	}, buf.Len()
+}
+
+// BenchmarkPNGEncode times pngEncodeStep.
+func BenchmarkPNGEncode(b *testing.B) {
+	step, size := pngEncodeStep(b)
+	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.Encode(io.Discard, im); err != nil {
-			b.Fatal(err)
-		}
+		step()
 	}
+}
+
+// TestZeroAlloc pins BenchmarkPNGEncode's steady state at 0 allocs/op:
+// a warm encoder reuses its scanline, deflate and CRC state.
+func TestZeroAlloc(t *testing.T) {
+	t.Run("PNGEncode", func(t *testing.T) {
+		step, _ := pngEncodeStep(t)
+		if n := testing.AllocsPerRun(20, step); n != 0 {
+			t.Errorf("%.0f allocs/op, want 0", n)
+		}
+	})
 }

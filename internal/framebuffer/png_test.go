@@ -142,14 +142,3 @@ func TestPNGEncoderRejectsEmptySizes(t *testing.T) {
 		}
 	}
 }
-
-func TestPNGEncoderSteadyStateAllocs(t *testing.T) {
-	im := randomImage(rand.New(rand.NewSource(1)), 128, 96)
-	var e PNGEncoder
-	if err := e.Encode(io.Discard, im); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(20, func() { _ = e.Encode(io.Discard, im) }); n != 0 {
-		t.Errorf("warm Encode allocates %.1f times per frame, want 0", n)
-	}
-}

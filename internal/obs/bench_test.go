@@ -5,27 +5,24 @@ import (
 	"time"
 )
 
-// BenchmarkHistogramObserve must stay 0 allocs/op — it runs on every
-// frame's hot path and is guarded by the bench-json 0-alloc baseline.
-func BenchmarkHistogramObserve(b *testing.B) {
+// histogramObserveStep returns one Observe into a fresh histogram, a
+// different value each call.
+func histogramObserveStep() func() {
 	var h Histogram
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	return func() {
 		h.Observe(int64(i)*37 + 1000)
+		i++
 	}
 }
 
-// BenchmarkTraceSpan measures a full trace lifecycle — begin, spans,
-// finish, commit into the ring, fold into the stage histograms — and
-// must stay 0 allocs/op under the same baseline guard.
-func BenchmarkTraceSpan(b *testing.B) {
+// traceSpanStep returns a full trace lifecycle — begin, spans, finish,
+// commit into the ring, fold into the stage histograms.
+func traceSpanStep() func() {
 	tr := NewTracer(4, 256)
 	var lat StageLatency
 	epoch := time.Unix(0, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		var ft FrameTrace
 		ft.Seq = tr.NextSeq()
 		ft.Backend = "raytrace"
@@ -40,12 +37,42 @@ func BenchmarkTraceSpan(b *testing.B) {
 	}
 }
 
-// BenchmarkDriftObserve keeps the residual path honest too.
-func BenchmarkDriftObserve(b *testing.B) {
+// driftObserveStep returns one residual observation.
+func driftObserveStep() func() {
 	r := NewResiduals([]ResidualKey{{Backend: "raytrace", Term: "render"}})
+	return func() { r.Observe("raytrace", "render", 1.05, 1.0) }
+}
+
+// The three benchmarks below run on every frame's hot path and must
+// stay 0 allocs/op; TestZeroAlloc asserts that over the same steps.
+
+func BenchmarkHistogramObserve(b *testing.B) { benchStep(b, histogramObserveStep()) }
+
+func BenchmarkTraceSpan(b *testing.B) { benchStep(b, traceSpanStep()) }
+
+func BenchmarkDriftObserve(b *testing.B) { benchStep(b, driftObserveStep()) }
+
+func benchStep(b *testing.B, step func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Observe("raytrace", "render", 1.05, 1.0)
+		step()
+	}
+}
+
+// TestZeroAlloc pins the three hot-path benchmarks' steps at 0
+// allocs/op. 20 runs truncate a one-off allocation to 0; one allocation
+// per call fails.
+func TestZeroAlloc(t *testing.T) {
+	for name, step := range map[string]func(){
+		"HistogramObserve": histogramObserveStep(),
+		"TraceSpan":        traceSpanStep(),
+		"DriftObserve":     driftObserveStep(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if n := testing.AllocsPerRun(20, step); n != 0 {
+				t.Errorf("%.0f allocs/op, want 0", n)
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"insitu/internal/conduit"
 	"insitu/internal/device"
+	"insitu/internal/dpp"
 	"insitu/internal/framebuffer"
 	"insitu/internal/mesh"
 	"insitu/internal/render"
@@ -259,30 +260,56 @@ func TestStructuredKernelMatchesOracle(t *testing.T) {
 	}
 }
 
-// BenchmarkStructuredVolume renders the orbit_miss volume scene (kripke
-// n=16 at 256², the default sample budget) on one core and reports the
-// paper's volume work unit as ns per sample.
-func BenchmarkStructuredVolume(b *testing.B) {
-	g, field := simGrid(b, "kripke", 16)
+// structuredVolumeStep returns a frame of the orbit_miss volume scene
+// (kripke n=16 at 256², the default sample budget) on one core,
+// reporting its samples. The first call pays the one-time arena
+// allocations.
+func structuredVolumeStep(tb testing.TB) func() int64 {
+	g, field := simGrid(tb, "kripke", 16)
 	r, err := NewStructured(device.Serial(), g, field)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	opts := StructuredOptions{Width: 256, Height: 256, Camera: render.OrbitCamera(g.Bounds(), 33.333, 20, 1)}
-	if _, _, err := r.Render(opts); err != nil {
-		b.Fatal(err)
+	return func() int64 {
+		_, st, err := r.Render(opts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return st.TotalSamples
 	}
+}
+
+// BenchmarkStructuredVolume times structuredVolumeStep and reports the
+// paper's volume work unit as ns per sample.
+func BenchmarkStructuredVolume(b *testing.B) {
+	step := structuredVolumeStep(b)
+	step() // warm frame: the timed loop measures the steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	var samples int64
 	for i := 0; i < b.N; i++ {
-		_, st, err := r.Render(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		samples += st.TotalSamples
+		samples += step()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(samples), "ns/sample")
+}
+
+// TestZeroAlloc pins BenchmarkStructuredVolume's steady state at 0
+// allocs/op, after AllocsPerRun's own warm-up frame: the frame arena
+// holds every per-frame buffer. 20 runs truncate a one-off allocation to
+// 0; one allocation per frame fails. It skips under the race detector
+// with the other render-kernel cases: this serial frame does not launch
+// through dpp's pool, but there it takes 30 s where it otherwise takes 3.
+func TestZeroAlloc(t *testing.T) {
+	if dpp.RaceEnabled {
+		t.Skip("render kernels skip under the race detector")
+	}
+	t.Run("StructuredVolume", func(t *testing.T) {
+		step := structuredVolumeStep(t)
+		if n := testing.AllocsPerRun(20, func() { step() }); n != 0 {
+			t.Errorf("%.0f allocs/op, want 0", n)
+		}
+	})
 }
 
 // TestTFTableMatchesSample checks the table's segment lookup against

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"time"
 )
 
 // WriteJSON encodes v into a buffer before touching the ResponseWriter,
@@ -25,4 +26,14 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
+}
+
+// LogRequests is minimal access logging middleware, shared by the
+// serving binaries.
+func LogRequests(logf func(format string, args ...any), next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		next.ServeHTTP(w, r)
+		logf("%s %s %s", r.Method, r.URL.Path, time.Since(start))
+	})
 }

@@ -56,3 +56,45 @@ func OpenRegistry(path string, bootstrap bool, cacheSize int, logf func(format s
 	}
 	return reg, nil
 }
+
+// NewCalibrator builds the continuous-calibration loop around a serving
+// registry, shared by the serving binaries (advisord feeds it posted
+// observations, renderd its own served frames): observed samples refit
+// against the retained corpus every refitEvery samples, thin groups
+// carry over from the currently served snapshot, and each refit
+// hot-reloads the registry in place and, when path is set, persists the
+// snapshot there (best effort, logged through logf) so the refined
+// models survive a restart.
+func NewCalibrator(reg *registry.Registry, path, source string, refitEvery int, logf func(format string, args ...any)) *study.Calibrator {
+	return &study.Calibrator{
+		Source:     source,
+		RefitEvery: refitEvery,
+		// A sliding window bounds per-refit cost and process memory over
+		// an arbitrarily long ingestion stream; 4096 samples is several
+		// times the full study plan.
+		MaxCorpus: 4096,
+		Base: func() (*registry.Snapshot, uint64) {
+			v, err := reg.View()
+			if err != nil {
+				return nil, reg.Generation()
+			}
+			return v.Snapshot(), v.Generation()
+		},
+		Publish: func(s *registry.Snapshot, baseGen uint64) error {
+			// Conditional on the generation the merge read: a concurrent
+			// reload must not be silently overwritten (the calibrator
+			// re-merges and retries on ErrStale).
+			if err := reg.PublishIf(s, baseGen); err != nil {
+				return err
+			}
+			if path != "" {
+				if err := s.WriteFile(path); err != nil {
+					// The models are already serving; a persist failure
+					// must not unpublish them.
+					logf("calibrate: persisting %s: %v", path, err)
+				}
+			}
+			return nil
+		},
+	}
+}

@@ -178,9 +178,13 @@ type Config struct {
 // maxAzimuthDegrees and maxZoom bound the camera parameters a request
 // may carry: generous for any real orbit, small enough that the
 // millidegree key quantization stays far from int64 overflow.
+// maxDeadlineMillis (about 11.6 days) bounds deadline_ms the same way
+// for its conversions to int64 nanoseconds: the admission memo key and
+// the scheduled deadline.
 const (
 	maxAzimuthDegrees = 1e6
 	maxZoom           = 1e6
+	maxDeadlineMillis = 1e9
 )
 
 // Serving limits with one value in use, so constants rather than
@@ -469,8 +473,8 @@ func (s *Server) normalize(req *FrameRequest) error {
 	if math.IsNaN(req.DeadlineMillis) || math.IsInf(req.DeadlineMillis, 0) {
 		return badRequestf("deadline_ms must be finite")
 	}
-	if req.DeadlineMillis < 0 {
-		return badRequestf("deadline_ms must be non-negative, got %v", req.DeadlineMillis)
+	if req.DeadlineMillis < 0 || req.DeadlineMillis > maxDeadlineMillis {
+		return badRequestf("deadline_ms must be in [0, %g], got %v", float64(maxDeadlineMillis), req.DeadlineMillis)
 	}
 	if req.Shards < 0 {
 		return badRequestf("shards must be non-negative, got %d", req.Shards)

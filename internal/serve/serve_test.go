@@ -404,6 +404,28 @@ func TestSubNanosecondDeadlineDoesNotAliasNoDeadline(t *testing.T) {
 	}
 }
 
+// TestHugeDeadlineRejected: deadline_ms is converted to int64
+// nanoseconds for the admission memo key and the scheduled deadline, and
+// from about 9.2e12 on that wraps negative — a deadline in the past that
+// sorts ahead of every real one and shares the memo key of a 1 ns
+// deadline. So it is a bad request; the cap itself is an ordinary,
+// unhurried deadline.
+func TestHugeDeadlineRejected(t *testing.T) {
+	s := testServer(t, Config{})
+	req := FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64, DeadlineMillis: 1e13}
+	if _, err := s.Render(req); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("deadline_ms=1e13: err = %v, want ErrBadRequest", err)
+	}
+	req.DeadlineMillis = maxDeadlineMillis
+	res, err := s.Render(req)
+	if err != nil {
+		t.Fatalf("deadline_ms at the cap: %v", err)
+	}
+	if res.Degraded || res.DeadlineMiss {
+		t.Errorf("deadline_ms at the cap: degraded %v, deadline miss %v", res.Degraded, res.DeadlineMiss)
+	}
+}
+
 // TestInvalidRequestsRejected covers the remaining validation edges.
 func TestInvalidRequestsRejected(t *testing.T) {
 	s := testServer(t, Config{})

@@ -144,10 +144,11 @@ func FuzzHitRayMatchesReference(f *testing.F) {
 // hitRaySink keeps the benchmarked calls alive.
 var hitRaySink float64
 
-// BenchmarkHitRay times one slab test over a fixed set of boxes and rays:
-// the 64 octant-of-octant cells of the unit cube seen from an orbiting
-// eye, a mix of hits and misses as BVH traversal presents.
-func BenchmarkHitRay(b *testing.B) {
+// hitRayStep returns one slab test over a fixed set of boxes and rays,
+// the next pair each call: the 64 octant-of-octant cells of the unit
+// cube seen from an orbiting eye, a mix of hits and misses as BVH
+// traversal presents.
+func hitRayStep() func() {
 	var boxes [64]AABB
 	for i := range boxes {
 		lo := V(float64(i&3)/4, float64(i>>2&3)/4, float64(i>>4)/4)
@@ -160,13 +161,31 @@ func BenchmarkHitRay(b *testing.B) {
 		target := V(rng.Float64(), rng.Float64(), rng.Float64())
 		invs[i] = Ray{Dir: target.Sub(eye).Normalize()}.InvDir()
 	}
+	i := 0
+	return func() {
+		if t0, _, ok := boxes[i&63].HitRay(eye, invs[(i>>6)&255], 1e-9, math.Inf(1)); ok {
+			hitRaySink += t0
+		}
+		i++
+	}
+}
+
+// BenchmarkHitRay times hitRayStep.
+func BenchmarkHitRay(b *testing.B) {
+	step := hitRayStep()
 	b.ReportAllocs()
 	b.ResetTimer()
-	sum := 0.0
 	for i := 0; i < b.N; i++ {
-		if t0, _, ok := boxes[i&63].HitRay(eye, invs[(i>>6)&255], 1e-9, math.Inf(1)); ok {
-			sum += t0
-		}
+		step()
 	}
-	hitRaySink = sum
+}
+
+// TestZeroAlloc pins BenchmarkHitRay's step at 0 allocs/op: the slab
+// test runs per BVH node visited.
+func TestZeroAlloc(t *testing.T) {
+	t.Run("HitRay", func(t *testing.T) {
+		if n := testing.AllocsPerRun(20, hitRayStep()); n != 0 {
+			t.Errorf("%.0f allocs/op, want 0", n)
+		}
+	})
 }
