@@ -102,9 +102,11 @@ bench-check:
 # chaos runs the fault-injection suite under the race detector: rank
 # kills, stalled links, seeded packet loss, blame-driven eviction, and
 # the serving layer's retry/clamp/breaker recovery on top — the
-# recovery paths a green `make test` alone would leave cold.
+# recovery paths a green `make test` alone would leave cold. The seeded
+# fault timelines key on per-link message indices, so the suite also
+# pins one sharded frame's message and byte counts (TestFrameTrafficPinned).
 chaos:
-	$(GO) test -race -run 'TestChaos|TestServedFrameSurvivesRankKill|TestBreakerOpensShortCircuitsAndRecovers|TestReadyzFleetQuorum' ./internal/cluster/ ./internal/serve/ ./cmd/renderd/
+	$(GO) test -race -run 'TestChaos|TestFrameTrafficPinned|TestServedFrameSurvivesRankKill|TestBreakerOpensShortCircuitsAndRecovers|TestReadyzFleetQuorum' ./internal/cluster/ ./internal/serve/ ./cmd/renderd/
 
 # obs is the observability smoke: boot renderd and assert the scrape
 # surfaces answer (/metrics Prometheus exposition validates, /v1/trace

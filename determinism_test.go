@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"insitu/internal/cluster"
+	"insitu/internal/comm"
+	"insitu/internal/conduit"
+	"insitu/internal/core"
 	"insitu/internal/device"
 	"insitu/internal/framebuffer"
 	"insitu/internal/mesh"
@@ -12,6 +16,9 @@ import (
 	"insitu/internal/render/raster"
 	"insitu/internal/render/raytrace"
 	"insitu/internal/render/volume"
+	"insitu/internal/sim"
+	"insitu/internal/strawman"
+	"insitu/internal/study"
 )
 
 // detDevices returns the serial reference device and a deliberately
@@ -259,4 +266,98 @@ func TestPooledReuseFramesIdentical(t *testing.T) {
 		}
 		imagesEqual(t, "raster-reuse", ref, img2)
 	})
+}
+
+// TestSortLastPathsAgree is the cross-path contract: the study the
+// models are fitted on, the in situ pipeline and the serving fleet run
+// one sort-last frame protocol, so at the same decomposition and view a
+// strawman save_image is byte-identical to the fleet's standalone frame,
+// and the study's reduced model inputs equal the fleet's.
+func TestSortLastPathsAgree(t *testing.T) {
+	const tasks, n, size = 2, 10, 48
+	cases := []struct {
+		renderer core.Renderer
+		sim      string
+	}{
+		{core.RayTrace, "kripke"},
+		{core.Raster, "lulesh"},
+		{core.Volume, "kripke"},
+		{core.Volume, "cloverleaf"},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/%s", tc.renderer, tc.sim), func(t *testing.T) {
+			fleet, err := cluster.RenderStandalone(cluster.Job{
+				Backend: string(tc.renderer), Sim: tc.sim, Arch: "serial",
+				N: n, Width: size, Height: size, Shards: tasks, Azimuth: 30, Zoom: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fleet.Image.ActivePixels() == 0 {
+				t.Fatal("fleet frame is empty")
+			}
+
+			const file = "frame" // format "none": kept in LastImages, not written
+			imgs, err := comm.RunCollect(comm.NewWorld(tasks), func(c *comm.Comm) (*framebuffer.Image, error) {
+				sm, err := sim.New(tc.sim, n, tasks, c.Rank())
+				if err != nil {
+					return nil, err
+				}
+				sm.Step()
+				data := conduit.NewNode()
+				sm.Publish(data)
+				opts := conduit.NewNode()
+				opts.Set("device", "serial")
+				opts.SetExternal("mpi_comm", c)
+				s, err := strawman.Open(opts)
+				if err != nil {
+					return nil, err
+				}
+				defer s.Close()
+				if err := s.Publish(data); err != nil {
+					return nil, err
+				}
+				actions := conduit.NewNode()
+				add := actions.Append()
+				add.Set("action", "add_plot")
+				add.Set("var", sm.PrimaryField())
+				add.Set("renderer", string(tc.renderer))
+				save := actions.Append()
+				save.Set("action", "save_image")
+				save.Set("fileName", file)
+				save.Set("width", size)
+				save.Set("height", size)
+				save.Set("format", "none")
+				if err := s.Execute(actions); err != nil {
+					return nil, err
+				}
+				return s.LastImages[file], nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if imgs[0] == nil {
+				t.Fatal("strawman produced no image at rank 0")
+			}
+			if len(imgs[0].Color) != len(fleet.Image.Color) {
+				t.Fatalf("color planes differ in size: %d vs %d", len(imgs[0].Color), len(fleet.Image.Color))
+			}
+			for i := range fleet.Image.Color {
+				if imgs[0].Color[i] != fleet.Image.Color[i] {
+					t.Fatalf("in situ color word %d = %v, fleet %v", i, imgs[0].Color[i], fleet.Image.Color[i])
+				}
+			}
+
+			row, err := study.RunConfig(study.Config{
+				Arch: "serial", Renderer: tc.renderer, Sim: tc.sim,
+				Tasks: tasks, ImageSize: size, N: n, Frames: 2, Cycles: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.Sample.In != fleet.In {
+				t.Errorf("study inputs %+v, fleet %+v", row.Sample.In, fleet.In)
+			}
+		})
+	}
 }

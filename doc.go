@@ -33,7 +33,9 @@
 //     the configuration-to-inputs mapping, and the feasibility analyses;
 //   - the scenario layer in internal/scenario — the single measurement
 //     path shared by the study, the repro tables, and the in situ
-//     pipeline: a Scene describes a renderable block (parsed simulation
+//     pipeline, and the one sort-last frame protocol (scenario.Group)
+//     the study, the in situ pipeline and the serving fleet all run:
+//     a Scene describes a renderable block (parsed simulation
 //     data or prebuilt geometry, camera, device, scalar range) and
 //     self-registered Backends turn scenes into frame renderers that
 //     fill the model inputs of §5.3. Each backend declares its linear

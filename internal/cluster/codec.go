@@ -3,47 +3,12 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"math"
+
+	"insitu/internal/comm"
 )
 
-// The rank transport carries []float32 payloads. Control messages (jobs,
-// results, snapshots) are byte blobs packed four bytes per word through
-// the float bit pattern: safe because comm copies payloads verbatim and
-// never does arithmetic on them, so NaN-patterned words survive intact.
-
-// packBytes prepends the byte length and packs b little-endian, four
-// bytes per float32 word.
-func packBytes(b []byte) []float32 {
-	out := make([]float32, 1+(len(b)+3)/4)
-	out[0] = math.Float32frombits(uint32(len(b)))
-	for i := 0; i < len(b); i += 4 {
-		var w uint32
-		for j := 0; j < 4 && i+j < len(b); j++ {
-			w |= uint32(b[i+j]) << (8 * j)
-		}
-		out[1+i/4] = math.Float32frombits(w)
-	}
-	return out
-}
-
-// unpackBytes reverses packBytes, returning the blob and the number of
-// words consumed so callers can carry trailing payloads (e.g. raw pixel
-// data) in the same message.
-func unpackBytes(data []float32) ([]byte, int, error) {
-	if len(data) == 0 {
-		return nil, 0, fmt.Errorf("cluster: empty packed message")
-	}
-	n := int(math.Float32bits(data[0]))
-	words := 1 + (n+3)/4
-	if n < 0 || words > len(data) {
-		return nil, 0, fmt.Errorf("cluster: packed length %d exceeds message (%d words)", n, len(data))
-	}
-	b := make([]byte, n)
-	for i := 0; i < n; i++ {
-		b[i] = byte(math.Float32bits(data[1+i/4]) >> (8 * (i % 4)))
-	}
-	return b, words, nil
-}
+// Control messages (jobs, results, snapshots) are JSON blobs packed into
+// the rank transport's []float32 payloads by comm.PackBytes.
 
 // packJSON marshals v into a packed byte blob.
 func packJSON(v any) ([]float32, error) {
@@ -51,13 +16,13 @@ func packJSON(v any) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return packBytes(b), nil
+	return comm.PackBytes(b), nil
 }
 
 // unpackJSON unmarshals a packed blob into v and returns any trailing
 // words of the message.
 func unpackJSON(data []float32, v any) ([]float32, error) {
-	b, words, err := unpackBytes(data)
+	b, words, err := comm.UnpackBytes(data)
 	if err != nil {
 		return nil, err
 	}

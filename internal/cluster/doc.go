@@ -10,10 +10,11 @@
 // worker ranks it spans (chosen by rendezvous placement over the shard's
 // runner-cache identity, so a shard's prepared scene and device stay hot
 // on one rank); those workers form a comm sub-communicator, render their
-// shard of the weak-scaled domain decomposition, run the same global
-// reductions the study path runs (bounds, scalar range, visibility
-// order), composite sort-last via internal/composite, and the group
-// leader ships the finished image back to the router.
+// shard of the weak-scaled domain decomposition through the sort-last
+// frame protocol of scenario.Group — the one the study measures the
+// models with: global bounds and scalar range, visibility order,
+// composite via internal/composite, model-input reduction — and the
+// group leader ships the finished image back to the router.
 //
 // Deadlock freedom: the router serializes dispatch under one mutex, so
 // jobs have a global total order; every worker processes its router link

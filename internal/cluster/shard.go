@@ -12,7 +12,6 @@ import (
 	"insitu/internal/lru"
 	"insitu/internal/render"
 	"insitu/internal/scenario"
-	"insitu/internal/vecmath"
 )
 
 // sceneKey identifies one cached shard slice: the simulation block a rank
@@ -51,18 +50,13 @@ func newShardState(sceneCap, runnerCap int) *shardState {
 
 func (st *shardState) Close() { st.runners.Close() }
 
-// hugeCoord is the neutral element a failed rank contributes to the
-// bounds/range min-max reductions: finite (the comm reduction encoding
-// cannot carry Inf) and dominated by any real coordinate.
-const hugeCoord = 1e30
-
 // render executes one shard of a job on the group communicator gc, whose
-// rank i is the renderer of shard i (the job's Members order). It mirrors
-// the study path measurement for measurement so served frames exercise
-// exactly the configuration the models were fitted on: globally reduced
-// bounds and scalar range, the shared orbit camera, per-rank local
-// render, visibility-ordered sort-last composite, and max/avg reductions
-// of the model inputs.
+// rank i is the renderer of shard i (the job's Members order). It runs
+// the sort-last frame protocol of scenario.Group — the one the study
+// measures — so served frames exercise exactly the configuration the
+// models were fitted on: globally reduced bounds and scalar range, the
+// shared orbit camera, per-rank local render, visibility-ordered
+// sort-last composite, and max/avg reductions of the model inputs.
 //
 // Every collective here runs on every rank on every frame — ranks whose
 // local setup failed contribute neutral values and the frame is discarded
@@ -70,18 +64,14 @@ const hugeCoord = 1e30
 // desynchronize the group. Only the group leader (rank 0) returns a
 // result; other ranks return (nil, nil).
 func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebuffer.Image) {
-	k := gc.Size()
+	g := scenario.NewGroup(gc)
 	shard := gc.Rank()
 	leader := shard == 0
 
 	// Local, fallible setup. Errors are recorded, not returned: the rank
 	// must keep participating in the frame's collectives.
-	var (
-		rerr    error
-		backend scenario.Backend
-		sd      *scenario.ShardData
-	)
-	backend, rerr = scenario.Lookup(core.Renderer(job.Backend))
+	var sd *scenario.ShardData
+	backend, rerr := scenario.Lookup(core.Renderer(job.Backend))
 	if rerr == nil {
 		sk := sceneKey{job.Sim, job.N, job.Shards, shard}
 		if v, ok := st.scenes.Get(sk); ok {
@@ -90,28 +80,8 @@ func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebu
 			st.scenes.Add(sk, sd)
 		}
 	}
-
-	// Globally consistent camera and color map, as in the study path.
-	lb := vecmath.AABB{
-		Min: vecmath.V(hugeCoord, hugeCoord, hugeCoord),
-		Max: vecmath.V(-hugeCoord, -hugeCoord, -hugeCoord),
-	}
-	flo, fhi := hugeCoord, -hugeCoord
-	if sd != nil {
-		lb, flo, fhi = sd.LocalBounds, sd.FieldLo, sd.FieldHi
-	}
-	gb := lb
-	if k > 1 {
-		gb.Min.X = gc.AllReduceMin(lb.Min.X)
-		gb.Min.Y = gc.AllReduceMin(lb.Min.Y)
-		gb.Min.Z = gc.AllReduceMin(lb.Min.Z)
-		gb.Max.X = gc.AllReduceMax(lb.Max.X)
-		gb.Max.Y = gc.AllReduceMax(lb.Max.Y)
-		gb.Max.Z = gc.AllReduceMax(lb.Max.Z)
-		flo = gc.AllReduceMin(flo)
-		fhi = gc.AllReduceMax(fhi)
-	}
-	cam := render.OrbitCamera(gb, job.Azimuth, 20, job.Zoom)
+	view := g.ReduceView(sd)
+	cam := render.OrbitCamera(view.Bounds, job.Azimuth, 20, job.Zoom)
 
 	// Lease this shard's prepared runner (preparing on first use) and
 	// render the local partial image.
@@ -140,8 +110,7 @@ func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebu
 			if err != nil {
 				return nil, nil, err
 			}
-			sc := scenario.NewScene(dev, sd.Mesh, sd.Field, sd.Values, cam, job.Width, job.Height)
-			sc.FieldLo, sc.FieldHi = flo, fhi
+			sc := view.Scene(dev, sd, cam, job.Width, job.Height)
 			sc.RTWorkload = job.RTWorkload
 			r, err := backend.Prepare(sc)
 			if err != nil {
@@ -155,119 +124,38 @@ func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebu
 		runner := lease.Runner()
 		runner.SetCamera(cam)
 		buildSec = runner.BuildSeconds()
-		in = core.Inputs{Pixels: float64(job.Width * job.Height), Tasks: k}
+		in = core.Inputs{Pixels: float64(job.Width * job.Height), Tasks: gc.Size()}
 		var elapsed time.Duration
 		elapsed, img, rerr = runner.RenderFrame(&in)
 		renderSec = elapsed.Seconds()
 	}
 
-	// Error barrier: the frame fails as a unit or proceeds as a unit.
-	flag := 0.0
-	if rerr != nil {
-		flag = 1
-	}
-	if k > 1 {
-		flag = gc.AllReduceMax(flag)
-	}
-	if flag > 0 {
-		msg := ""
-		if rerr != nil {
-			msg = fmt.Sprintf("shard %d/%d: %v", shard, job.Shards, rerr)
-		}
-		if k > 1 {
-			parts := gc.Gather(0, packBytes([]byte(msg)))
-			if leader {
-				msg = joinErrors(parts)
-			}
-		}
-		rel()
-		if !leader {
-			return nil, nil
-		}
-		return &wireResult{JobID: job.JobID, Err: msg}, nil
-	}
-
-	// Visibility order for blend compositing, exactly as the study does.
-	op := backend.CompositeOp()
-	var order []int
-	if op == composite.BlendOp && k > 1 {
-		depth := sd.LocalBounds.Center().Sub(cam.Position).Length()
-		parts := gc.Gather(0, []float32{float32(depth)})
-		orderF := make([]float32, k)
-		if leader {
-			depths := make([]float64, k)
-			for r, p := range parts {
-				depths[r] = float64(p[0])
-			}
-			for i, r := range composite.VisibilityOrder(depths) {
-				orderF[i] = float32(r)
-			}
-		}
-		orderF = gc.Bcast(0, orderF)
-		order = make([]int, len(orderF))
-		for i, f := range orderF {
-			order[i] = int(f)
-		}
-	}
-
-	out := img
+	// Error barriers: the frame fails as a unit or proceeds as a unit.
+	var out *framebuffer.Image
 	compSec := 0.0
-	var cerr error
-	if k > 1 {
-		var stats *composite.Stats
-		out, stats, cerr = st.comp.Composite(gc, img, op, order)
-		if stats != nil {
-			compSec = stats.Elapsed.Seconds()
-		}
+	err := g.Agree(shardErr(rerr, job, shard, ""))
+	if err == nil {
+		op := backend.CompositeOp()
+		out, compSec, err = g.Composite(st.comp, img, op, g.BlendOrder(op, sd.LocalBounds, cam))
+		err = g.Agree(shardErr(err, job, shard, " composite"))
 	}
-	cflag := 0.0
-	if cerr != nil {
-		cflag = 1
-	}
-	if k > 1 {
-		cflag = gc.AllReduceMax(cflag)
-	}
-	if cflag > 0 {
-		msg := ""
-		if cerr != nil {
-			msg = fmt.Sprintf("shard %d/%d composite: %v", shard, job.Shards, cerr)
-		}
-		if k > 1 {
-			parts := gc.Gather(0, packBytes([]byte(msg)))
-			if leader {
-				msg = joinErrors(parts)
-			}
-		}
+	if err != nil {
 		rel()
 		if !leader {
 			return nil, nil
 		}
-		return &wireResult{JobID: job.JobID, Err: msg}, nil
+		return &wireResult{JobID: job.JobID, Err: err.Error()}, nil
 	}
 
-	// Reduce the measurements and model inputs the calibrator consumes:
-	// max across ranks (a frame is as slow as its slowest task), average
-	// active pixels for the compositing model's AvgAP term.
-	rt, ct := renderSec, compSec
-	if k > 1 {
-		rt = gc.AllReduceMax(rt)
-		ct = gc.AllReduceMax(ct)
-		in.AvgAP = gc.AllReduceSum(in.AP) / float64(k)
-		in.AP = gc.AllReduceMax(in.AP)
-		in.O = gc.AllReduceMax(in.O)
-		in.VO = gc.AllReduceMax(in.VO)
-		in.PPT = gc.AllReduceMax(in.PPT)
-		in.SPR = gc.AllReduceMax(in.SPR)
-		in.CS = gc.AllReduceMax(in.CS)
-		buildSec = gc.AllReduceMax(buildSec)
-	} else {
-		in.AvgAP = in.AP
-	}
-	perRank := gc.Gather(0, []float32{float32(renderSec)})
+	// Reduce the measurements and model inputs the calibrator consumes.
+	rt := g.Max(renderSec)
+	ct := g.Max(compSec)
+	in, buildSec = g.ReduceInputs(in, buildSec)
+	perRank := g.Gather(renderSec)
 	// Per-rank composite spans ride back with the render spans so the
 	// trace can blame a slow exchange on a specific rank. Unconditional:
 	// every rank runs every collective on every frame.
-	perComp := gc.Gather(0, []float32{float32(compSec)})
+	perComp := g.Gather(compSec)
 
 	if !leader {
 		rel()
@@ -279,14 +167,6 @@ func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebu
 	final := framebuffer.NewImage(out.W, out.H)
 	final.CopyFrom(out)
 	rel()
-	rr := make([]float64, len(perRank))
-	for i, p := range perRank {
-		rr[i] = float64(p[0])
-	}
-	rc := make([]float64, len(perComp))
-	for i, p := range perComp {
-		rc[i] = float64(p[0])
-	}
 	return &wireResult{
 		JobID:                job.JobID,
 		W:                    final.W,
@@ -295,9 +175,18 @@ func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebu
 		BuildSeconds:         buildSec,
 		RenderSeconds:        rt,
 		CompositeSeconds:     ct,
-		RankRenderSeconds:    rr,
-		RankCompositeSeconds: rc,
+		RankRenderSeconds:    perRank,
+		RankCompositeSeconds: perComp,
 	}, final
+}
+
+// shardErr labels a rank-local failure with the shard it happened on, so
+// the leader's joined message names every failing shard.
+func shardErr(err error, job *wireJob, shard int, stage string) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("shard %d/%d%s: %w", shard, job.Shards, stage, err)
 }
 
 // renderJob runs render under an abort guard: when the attempt's bound
@@ -326,24 +215,4 @@ func (st *shardState) renderJob(gc *comm.Comm, job *wireJob) (res *wireResult, i
 	}()
 	res, img = st.render(gc, job)
 	return
-}
-
-// joinErrors combines the per-rank packed error strings gathered at the
-// leader into one message, in rank order.
-func joinErrors(parts [][]float32) string {
-	msg := ""
-	for _, p := range parts {
-		b, _, err := unpackBytes(p)
-		if err != nil || len(b) == 0 {
-			continue
-		}
-		if msg != "" {
-			msg += "; "
-		}
-		msg += string(b)
-	}
-	if msg == "" {
-		msg = "cluster: frame failed with no rank error"
-	}
-	return msg
 }

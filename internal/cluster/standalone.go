@@ -10,10 +10,10 @@ import (
 // RenderStandalone renders a job's full shard group in one collective
 // run over a private world, with no router, placement, or caching — the
 // single-node reference the cluster path is tested byte-for-byte against.
-// It executes exactly the same per-shard routine as the worker loops
-// (same reductions, same visibility ordering, same deterministic merge
-// order), so any divergence in the served path is a transport or
-// bookkeeping bug, never a rendering difference.
+// It executes exactly the same per-shard routine as the worker loops —
+// scenario.Group's sort-last protocol, the one the study and the in situ
+// pipeline run too — so any divergence in the served path is a transport
+// or bookkeeping bug, never a rendering difference.
 func RenderStandalone(job Job) (*Result, error) {
 	k := job.Shards
 	if k < 1 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"insitu/internal/comm"
 	"insitu/internal/core"
 	"insitu/internal/framebuffer"
 )
@@ -15,8 +16,8 @@ func TestPackBytesRoundTrip(t *testing.T) {
 			b[i] = byte(17*i + 3)
 		}
 		// Trailing payload words must survive untouched.
-		msg := append(packBytes(b), 1.5, 2.5)
-		got, words, err := unpackBytes(msg)
+		msg := append(comm.PackBytes(b), 1.5, 2.5)
+		got, words, err := comm.UnpackBytes(msg)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -30,11 +31,11 @@ func TestPackBytesRoundTrip(t *testing.T) {
 }
 
 func TestUnpackBytesRejectsTruncation(t *testing.T) {
-	msg := packBytes([]byte("hello world"))
-	if _, _, err := unpackBytes(msg[:2]); err == nil {
+	msg := comm.PackBytes([]byte("hello world"))
+	if _, _, err := comm.UnpackBytes(msg[:2]); err == nil {
 		t.Fatal("truncated message accepted")
 	}
-	if _, _, err := unpackBytes(nil); err == nil {
+	if _, _, err := comm.UnpackBytes(nil); err == nil {
 		t.Fatal("empty message accepted")
 	}
 }

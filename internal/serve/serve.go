@@ -44,7 +44,6 @@ import (
 
 	"insitu/internal/advisor"
 	"insitu/internal/cluster"
-	"insitu/internal/conduit"
 	"insitu/internal/core"
 	"insitu/internal/device"
 	"insitu/internal/lru"
@@ -960,12 +959,16 @@ func (s *Server) finishFrame(ws *workerState, req *FrameRequest, d decision, res
 	}, nil
 }
 
-// prepareRunner builds the scene — step the proxy one cycle, publish,
-// parse, orbit the camera — and hands it to the backend. The returned
-// close hook releases the scene's device worker pool when the runner
-// cache evicts the runner.
+// prepareRunner builds the scene — scenario.BuildShard's one-rank block,
+// orbited by the request's camera — and hands it to the backend. The
+// returned close hook releases the scene's device worker pool when the
+// runner cache evicts the runner.
 func (s *Server) prepareRunner(req *FrameRequest, q quality) (scenario.FrameRunner, func(), error) {
 	backend, err := scenario.Lookup(req.Backend)
+	if err != nil {
+		return nil, nil, err
+	}
+	sd, err := scenario.BuildShard(req.Sim, q.N, 1, 0, 1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -973,34 +976,15 @@ func (s *Server) prepareRunner(req *FrameRequest, q quality) (scenario.FrameRunn
 	if err != nil {
 		return nil, nil, err
 	}
-	sm, err := sim.New(req.Sim, q.N, 1, 0)
-	if err != nil {
-		dev.Close()
-		return nil, nil, err
-	}
-	sm.Step()
-	node := conduit.NewNode()
-	sm.Publish(node)
-	pm, err := scenario.ParseMesh(node)
-	if err != nil {
-		dev.Close()
-		return nil, nil, err
-	}
-	vals, err := pm.FieldValues(sm.PrimaryField())
-	if err != nil {
-		dev.Close()
-		return nil, nil, err
-	}
-	bounds := pm.LocalBounds()
-	cam := render.OrbitCamera(bounds, req.Azimuth, 20, req.Zoom)
-	sc := scenario.NewScene(dev, pm, sm.PrimaryField(), vals, cam, q.W, q.H)
+	cam := render.OrbitCamera(sd.LocalBounds, req.Azimuth, 20, req.Zoom)
+	sc := scenario.NewScene(dev, sd.Mesh, sd.Field, sd.Values, cam, q.W, q.H)
 	sc.RTWorkload = q.RTWorkload
 	runner, err := backend.Prepare(sc)
 	if err != nil {
 		dev.Close()
 		return nil, nil, fmt.Errorf("serve: preparing %s for sim %q: %w", req.Backend, req.Sim, err)
 	}
-	return &preparedRunner{FrameRunner: runner, bounds: bounds}, dev.Close, nil
+	return &preparedRunner{FrameRunner: runner, bounds: sd.LocalBounds}, dev.Close, nil
 }
 
 // feedObservation queues the served frame's measurement for the

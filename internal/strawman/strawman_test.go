@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"insitu/internal/comm"
 	"insitu/internal/conduit"
@@ -200,6 +201,60 @@ func TestErrorsSurfaced(t *testing.T) {
 	saveOnly.Set("fileName", "x")
 	if err := sm.Execute(nude); err == nil {
 		t.Error("expected no-plots error")
+	}
+}
+
+// TestRankLocalFailureAgreed: when only one task's block lacks the
+// plotted field, every task's Execute fails together — the failure is
+// agreed across the world before any task enters a collective its peers
+// would skip, so no task is left blocked.
+func TestRankLocalFailureAgreed(t *testing.T) {
+	const tasks = 3
+	file := filepath.Join(t.TempDir(), "x")
+	done := make(chan []error, 1)
+	go func() {
+		errs := make([]error, tasks)
+		err := comm.NewWorld(tasks).Run(func(c *comm.Comm) error {
+			// Rank 1 publishes a cloverleaf block, which has no phi field.
+			proxy := "kripke"
+			if c.Rank() == 1 {
+				proxy = "cloverleaf"
+			}
+			s, err := sim.New(proxy, 8, tasks, c.Rank())
+			if err != nil {
+				return err
+			}
+			s.Step()
+			data := conduit.NewNode()
+			s.Publish(data)
+			opts := conduit.NewNode()
+			opts.Set("device", "serial")
+			opts.SetExternal("mpi_comm", c)
+			sm, err := Open(opts)
+			if err != nil {
+				return err
+			}
+			defer sm.Close()
+			if err := sm.Publish(data); err != nil {
+				return err
+			}
+			errs[c.Rank()] = sm.Execute(basicActions("phi", "raytracer", file, 16))
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- errs
+	}()
+	select {
+	case errs := <-done:
+		for r, err := range errs {
+			if err == nil {
+				t.Errorf("rank %d: Execute succeeded although rank 1 cannot plot phi", r)
+			}
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("a rank-local failure left the world blocked in a collective")
 	}
 }
 

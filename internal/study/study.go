@@ -6,6 +6,13 @@
 // discipline — render several frames, discard the first, keep the slowest
 // task's average.
 //
+// Each task runs its share of a frame through scenario.Group, the
+// sort-last frame protocol the in situ pipeline (internal/strawman) and
+// the serving fleet (internal/cluster) run too, so the models are fitted
+// on exactly the per-rank work those paths charge them for. A
+// rank-local failure is agreed across the world before any task acts on
+// it, so it fails the configuration instead of hanging it.
+//
 // The renderers themselves come from the scenario backend registry: the
 // plan samples every registered backend against every simulation whose
 // published block it can consume, so a newly registered backend is
@@ -23,7 +30,6 @@ import (
 
 	"insitu/internal/comm"
 	"insitu/internal/composite"
-	"insitu/internal/conduit"
 	"insitu/internal/core"
 	"insitu/internal/device"
 	"insitu/internal/framebuffer"
@@ -31,7 +37,6 @@ import (
 	"insitu/internal/scenario"
 	"insitu/internal/sim"
 	"insitu/internal/stats"
-	"insitu/internal/vecmath"
 )
 
 // Config is one study test configuration.
@@ -162,90 +167,39 @@ func RunConfig(cfg Config) (Row, error) {
 	return Row{Config: cfg, Sample: samples[0]}, nil
 }
 
-// buildScene runs one task's share of the simulation and assembles the
-// shared scenario scene: stepped proxy, parsed block, globally reduced
-// bounds and scalar range, and the study's canonical orbit camera. The
-// returned local bounds feed the volume visibility ordering.
-func buildScene(cfg Config, c *comm.Comm) (*scenario.Scene, localGeom, error) {
-	var lg localGeom
-	dev, err := device.Profile(cfg.Arch)
-	//insitu:collective-ok cfg is identical on every task, so a profile failure is rank-uniform
-	if err != nil {
-		return nil, lg, err
-	}
-	sm, err := sim.New(cfg.Sim, cfg.N, cfg.Tasks, c.Rank())
-	//insitu:collective-ok sim construction is deterministic on the shared cfg; failures are rank-uniform
-	if err != nil {
-		return nil, lg, err
-	}
-	for i := 0; i < cfg.Cycles; i++ {
-		sm.Step()
-	}
-	node := conduit.NewNode()
-	sm.Publish(node)
-	pm, err := scenario.ParseMesh(node)
-	//insitu:collective-ok every task publishes the same conduit schema, so a parse failure is rank-uniform
-	if err != nil {
-		return nil, lg, err
-	}
-	vals, err := pm.FieldValues(sm.PrimaryField())
-	//insitu:collective-ok the primary field is published by every task; a lookup failure is rank-uniform
-	if err != nil {
-		return nil, lg, err
-	}
-
-	// Globally consistent camera and scalar range.
-	lb := pm.LocalBounds()
-	gb := lb
-	flo, fhi := scenario.FieldRange(vals)
-	if cfg.Tasks > 1 {
-		gb.Min.X = c.AllReduceMin(lb.Min.X)
-		gb.Min.Y = c.AllReduceMin(lb.Min.Y)
-		gb.Min.Z = c.AllReduceMin(lb.Min.Z)
-		gb.Max.X = c.AllReduceMax(lb.Max.X)
-		gb.Max.Y = c.AllReduceMax(lb.Max.Y)
-		gb.Max.Z = c.AllReduceMax(lb.Max.Z)
-		flo = c.AllReduceMin(flo)
-		fhi = c.AllReduceMax(fhi)
-	}
-	cam := render.OrbitCamera(gb, 30, 20, 1.0)
-
-	sc := scenario.NewScene(dev, pm, sm.PrimaryField(), vals, cam, cfg.ImageSize, cfg.ImageSize)
-	sc.FieldLo, sc.FieldHi = flo, fhi
-	lg.bounds = lb
-	lg.camera = cam
-	return sc, lg, nil
-}
-
-// localGeom carries the task-local geometry facts the compositing path
-// needs alongside the scene.
-type localGeom struct {
-	bounds vecmath.AABB
-	camera render.Camera
-}
-
 // runTask is one task's share of a configuration; all returned samples
-// agree because the measurements are reduced across the world. The
-// renderer-specific work — geometry preparation, frame rendering, model
-// input extraction — is entirely the scenario backend's.
+// agree because the measurements are reduced across the world. The task
+// runs the sort-last frame protocol of scenario.Group — the same one the
+// in situ pipeline and the serving fleet run — and the renderer-specific
+// work (geometry preparation, frame rendering, model input extraction)
+// is entirely the scenario backend's.
 func runTask(cfg Config, c *comm.Comm) (core.Sample, error) {
+	g := scenario.NewGroup(c)
+	// Local, fallible setup: a failure is agreed across the world before
+	// any task acts on it.
+	var sd *scenario.ShardData
 	backend, err := scenario.Lookup(cfg.Renderer)
-	//insitu:collective-ok the renderer registry is process-global and cfg is shared; failures are rank-uniform
-	if err != nil {
-		return core.Sample{}, err
+	if err == nil {
+		sd, err = scenario.BuildShard(cfg.Sim, cfg.N, cfg.Tasks, c.Rank(), cfg.Cycles)
 	}
-	sc, lg, err := buildScene(cfg, c)
-	//insitu:collective-ok buildScene failures are rank-uniform (see its per-site justifications)
-	if err != nil {
-		return core.Sample{}, err
+	view := g.ReduceView(sd)
+	cam := render.OrbitCamera(view.Bounds, 30, 20, 1.0)
+	var dev *device.Device
+	if err == nil {
+		dev, err = device.Profile(cfg.Arch)
 	}
-	// Release the device's persistent worker pool when the measurement is
-	// done; the study churns through one device per configuration.
-	defer sc.Dev.Close()
-	runner, err := backend.Prepare(sc)
-	//insitu:collective-ok Prepare failures are config-shaped (backend/mesh-kind mismatch), identical on every task
-	if err != nil {
-		return core.Sample{}, fmt.Errorf("preparing %s for sim %q: %w", cfg.Renderer, cfg.Sim, err)
+	var runner scenario.FrameRunner
+	if err == nil {
+		// Release the device's persistent worker pool when the measurement
+		// is done; the study churns through one device per configuration.
+		defer dev.Close()
+		runner, err = backend.Prepare(view.Scene(dev, sd, cam, cfg.ImageSize, cfg.ImageSize))
+		if err != nil {
+			err = fmt.Errorf("preparing %s for sim %q: %w", cfg.Renderer, cfg.Sim, err)
+		}
+	}
+	if err = g.Agree(err); err != nil {
+		return core.Sample{}, err
 	}
 
 	sample := core.Sample{
@@ -253,30 +207,8 @@ func runTask(cfg Config, c *comm.Comm) (core.Sample, error) {
 		Renderer: cfg.Renderer,
 		In:       Inputs0(cfg), // pixels/tasks prefilled
 	}
-	sample.BuildTime = runner.BuildSeconds()
 	op := backend.CompositeOp()
-
-	// Visibility order for volume compositing.
-	var order []int
-	if op == composite.BlendOp && cfg.Tasks > 1 {
-		depth := lg.bounds.Center().Sub(lg.camera.Position).Length()
-		parts := c.Gather(0, []float32{float32(depth)})
-		orderF := make([]float32, cfg.Tasks)
-		if c.Rank() == 0 {
-			depths := make([]float64, cfg.Tasks)
-			for r, p := range parts {
-				depths[r] = float64(p[0])
-			}
-			for i, r := range composite.VisibilityOrder(depths) {
-				orderF[i] = float32(r)
-			}
-		}
-		orderF = c.Bcast(0, orderF)
-		order = make([]int, len(orderF))
-		for i, f := range orderF {
-			order[i] = int(f)
-		}
-	}
+	order := g.BlendOrder(op, sd.LocalBounds, cam)
 
 	// One compositor per task, reused across every frame of the
 	// configuration so its per-rank encode/decode scratch stays warm.
@@ -287,19 +219,6 @@ func runTask(cfg Config, c *comm.Comm) (core.Sample, error) {
 	// allocations that steady-state frames never see), and used to
 	// calibrate how many measured frames are needed for a stable mean
 	// (fast renders repeat more to beat scheduler noise).
-	// agree is the two-phase error barrier: every task reduces a failure
-	// flag before anyone acts on a rank-local error, so no task is left
-	// blocking in a collective its peers skipped.
-	agree := func(err error) bool {
-		flag := 0.0
-		if err != nil {
-			flag = 1
-		}
-		if cfg.Tasks > 1 {
-			flag = c.AllReduceMax(flag)
-		}
-		return flag > 0
-	}
 	oneFrame := func() (float64, float64, error) {
 		var elapsed time.Duration
 		var img *framebuffer.Image
@@ -317,34 +236,18 @@ func runTask(cfg Config, c *comm.Comm) (core.Sample, error) {
 		} else {
 			elapsed, img, err = runner.RenderFrame(&sample.In)
 		}
-		if agree(err) {
-			if err == nil {
-				err = fmt.Errorf("peer task failed rendering")
-			}
+		if err = g.Agree(err); err != nil {
 			return 0, 0, err
 		}
-		var compElapsed time.Duration
-		if cfg.Tasks > 1 {
-			_, st, cerr := compositor.Composite(c, img, op, order)
-			if agree(cerr) {
-				if cerr == nil {
-					cerr = fmt.Errorf("peer task failed compositing")
-				}
-				return 0, 0, cerr
-			}
-			compElapsed = st.Elapsed
+		_, ct, err := g.Composite(compositor, img, op, order)
+		if err = g.Agree(err); err != nil {
+			return 0, 0, err
 		}
-		rt := elapsed.Seconds()
-		ct := compElapsed.Seconds()
-		if cfg.Tasks > 1 {
-			// Rendering is only as fast as the slowest task.
-			rt = c.AllReduceMax(rt)
-			ct = c.AllReduceMax(ct)
-		}
-		return rt, ct, nil
+		// Rendering is only as fast as the slowest task.
+		rt := g.Max(elapsed.Seconds())
+		return rt, g.Max(ct), nil
 	}
 	warm, _, err := oneFrame()
-	//insitu:collective-ok oneFrame errors are already collectively agreed via its agree() barrier
 	if err != nil {
 		return core.Sample{}, err
 	}
@@ -358,7 +261,6 @@ func runTask(cfg Config, c *comm.Comm) (core.Sample, error) {
 	var renderSum, compSum float64
 	for frame := 0; frame < kept; frame++ {
 		rt, ct, err := oneFrame()
-		//insitu:collective-ok oneFrame errors are already collectively agreed via its agree() barrier
 		if err != nil {
 			return core.Sample{}, err
 		}
@@ -367,23 +269,7 @@ func runTask(cfg Config, c *comm.Comm) (core.Sample, error) {
 	}
 	sample.RenderTime = renderSum / float64(kept)
 	sample.CompositeTime = compSum / float64(kept)
-
-	// Average active pixels across tasks feeds the compositing model; the
-	// model's per-task inputs are the slowest task's, so every workload
-	// input reduces by max regardless of which backend filled it (unset
-	// inputs stay zero).
-	if cfg.Tasks > 1 {
-		sample.In.AvgAP = c.AllReduceSum(sample.In.AP) / float64(cfg.Tasks)
-		sample.In.AP = c.AllReduceMax(sample.In.AP)
-		sample.In.O = c.AllReduceMax(sample.In.O)
-		sample.In.VO = c.AllReduceMax(sample.In.VO)
-		sample.In.PPT = c.AllReduceMax(sample.In.PPT)
-		sample.In.SPR = c.AllReduceMax(sample.In.SPR)
-		sample.In.CS = c.AllReduceMax(sample.In.CS)
-		sample.BuildTime = c.AllReduceMax(sample.BuildTime)
-	} else {
-		sample.In.AvgAP = sample.In.AP
-	}
+	sample.In, sample.BuildTime = g.ReduceInputs(sample.In, runner.BuildSeconds())
 	return sample, nil
 }
 
