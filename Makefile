@@ -6,12 +6,20 @@ GO ?= go
 # into ./bin so the vettool path is hermetic to the checkout.
 LINT_BIN := bin/insitulint
 
-.PHONY: all build test test32 race vet fmt lint oracles bench bench-e2e bench-layers bench-check chaos obs cover ci clean
+.PHONY: all build cross test test32 race vet fmt lint oracles bench bench-e2e bench-layers bench-check chaos obs cover ci clean
 
 all: ci
 
 build:
 	$(GO) build ./...
+
+# cross keeps the build-tag split of the volume package's assembly honest:
+# arm64 vets the portable path (go vet's asmdecl also checks the amd64
+# .s file against its Go declarations in the native vet), and a 32-bit
+# build compiles everything without the packet kernel.
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/render/volume/
+	GOARCH=386 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -48,13 +56,14 @@ lint:
 	$(GO) vet -vettool=$(CURDIR)/$(LINT_BIN) ./...
 
 # oracles runs the bitwise oracle tests of the rewritten kernels (slab
-# test, BVH traversal, volume sampling loop, PNG writer) at the default
-# GOAMD64 and at v3, whose instruction selection differs, so any
-# level-dependent code generation shows up as changed bits. (Go 1.24
-# emits no fused multiply-add on amd64 at either level; arm64 fuses,
-# which is why the bench goldens are per GOARCH.) The v3 half needs an
-# AVX2 + FMA host.
-ORACLE_TESTS := 'Oracle|HitRayMatches|TFTable|PNGEncoder|Clamp8'
+# test, BVH traversal, volume sampling loop and its AVX2 packet kernel,
+# PNG writer) at the default GOAMD64 and at v3, whose instruction
+# selection differs, so any level-dependent code generation shows up as
+# changed bits. (Go 1.24 emits no fused multiply-add on amd64 at either
+# level; arm64 fuses, which is why the bench goldens are per GOARCH.)
+# The packet kernel is assembly and runs at both levels on an AVX2 host;
+# its tests skip elsewhere. The v3 half needs an AVX2 + FMA host.
+ORACLE_TESTS := 'Oracle|HitRayMatches|TFTable|PNGEncoder|Clamp8|StructuredPacket'
 ORACLE_PKGS := ./internal/vecmath/ ./internal/bvh/ ./internal/render/volume/ ./internal/framebuffer/
 oracles:
 	$(GO) test -count=1 -run $(ORACLE_TESTS) $(ORACLE_PKGS)
@@ -126,7 +135,7 @@ cover:
 	$(GO) test -short -coverprofile=cover.out ./...
 	@$(GO) tool cover -func=cover.out | tail -1
 
-ci: build vet lint fmt test test32 race chaos obs bench-check
+ci: build cross vet lint fmt test test32 race chaos obs bench-check
 
 clean:
 	$(GO) clean ./...

@@ -3,6 +3,26 @@
 // Chapter V as T = c0*(AP*CS) + c1*(AP*SPR) + c2) and the multi-pass
 // data-parallel sampler for unstructured tetrahedral meshes from
 // Chapter III (Algorithm 2).
+//
+// The structured caster's sample loop — the model's c1*AP*SPR term —
+// has two implementations that produce the same bits. castRay is the
+// portable one. On amd64, Render runs a frame through the four-ray AVX2
+// packet kernel (castPackets, marchPacket in structured_amd64.s) when
+// it can observe that the kernel applies: the CPU has AVX2 and the OS
+// saves YMM state, the grid is uniform with fewer than 2^31 points, the
+// opacity exponent is exactly 1 (the default sample budget) and the
+// field range is not flat. Every other frame — rectilinear grids, other
+// sample budgets, other GOARCHes — runs castRay, as does a packet that
+// meets a live sample normalizing to at or below the transfer
+// function's first stop, or to NaN. Both compute the replaced loop's
+// floating-point expressions in its order without fused multiply-adds;
+// the oracle tests compare them with it bit for bit.
+//
+// Neither skips work: on the served kripke frames no sample has zero
+// opacity and no ray reaches the 0.99 termination threshold, so the
+// loop's cost is instructions per sample, and the packet kernel spends
+// fewer. The committed volume model's c1 was fitted to the scalar loop
+// and overestimates per-sample cost until the model is refitted.
 package volume
 
 import (
@@ -88,7 +108,18 @@ type structuredArena struct {
 	stats        StructuredStats
 	totalSamples atomic.Int64
 
-	castFn func(lo, hi int)
+	// The packet kernel's frame parameters and per-worker packets, and
+	// the frame's count of packets marched and of those that bailed to
+	// castRay. scalarOnly turns the packet kernel off (tests).
+	pp                            packetParams
+	packets                       []rayPacket
+	alphaLanes                    []alphaLanes
+	colorLanes                    []colorLanes
+	packetsMarched, packetsBailed atomic.Int64
+	scalarOnly                    bool
+
+	castFn   func(lo, hi int)
+	packetFn func(worker, lo, hi int)
 }
 
 func (a *structuredArena) init(r *StructuredRenderer) {
@@ -97,6 +128,7 @@ func (a *structuredArena) init(r *StructuredRenderer) {
 	}
 	a.r = r
 	a.castFn = a.castKernel
+	a.packetFn = a.castPackets
 }
 
 // NewStructured prepares a renderer for the named vertex field. The
@@ -117,9 +149,10 @@ func NewStructured(dev *device.Device, g *mesh.StructuredGrid, fieldName string)
 }
 
 // Render casts one ray per pixel, sampling the field with trilinear
-// interpolation and compositing front to back with early termination.
-// The returned image and stats are owned by the renderer's arena and
-// valid until the next Render call; Clone the image to retain it.
+// interpolation and compositing front to back with early termination,
+// with the packet kernel when the frame allows it (see the package
+// doc). The returned image and stats are owned by the renderer's arena
+// and valid until the next Render call; Clone the image to retain it.
 //
 //insitu:arena
 func (r *StructuredRenderer) Render(opts StructuredOptions) (*framebuffer.Image, *StructuredStats, error) {
@@ -174,142 +207,160 @@ func (r *StructuredRenderer) Render(opts StructuredOptions) (*framebuffer.Image,
 
 	start := time.Now()
 	a.totalSamples.Store(0)
-	dpp.For(r.Dev, opts.Width*opts.Height, a.castFn)
+	a.packetsMarched.Store(0)
+	a.packetsBailed.Store(0)
+	if a.preparePackets() {
+		dpp.ForWorker(r.Dev, opts.Width*opts.Height, a.packetFn)
+	} else {
+		dpp.For(r.Dev, opts.Width*opts.Height, a.castFn)
+	}
 	stats.Phases.Add("sampling", time.Since(start))
 	stats.TotalSamples = a.totalSamples.Load()
 	stats.ActivePixels = img.ActivePixels()
 	return img, stats, nil
 }
 
-// castKernel ray-casts one pixel range. It computes exactly what a
-// per-sample grid lookup, Normalizer.Normalize and
-// TransferFunction.Sample computed — every floating-point expression
-// keeps its operands and evaluation order — with less work around the
-// arithmetic: grid invariants are precomputed in the sampler and read
-// in place (so the loop's registers go to the per-ray state), the cell
-// corners and the x-differences the trilinear blend takes of them are
-// reloaded only when a sample lands in a new cell, and normalization and
-// the transfer function come from the frame's tfTable. castKernelOracle
-// in structured_oracle_test.go is the loop it replaced; the oracle test
-// compares every output bit against it.
+// castKernel ray-casts one pixel range with castRay, the portable path.
 func (a *structuredArena) castKernel(plo, phi int) {
+	var localSamples int64
+	for p := plo; p < phi; p++ {
+		localSamples += a.castRay(p)
+	}
+	a.totalSamples.Add(localSamples)
+}
+
+// castRay ray-casts pixel p and returns the in-volume samples it took.
+// It computes exactly what a per-sample grid lookup,
+// Normalizer.Normalize and TransferFunction.Sample computed — every
+// floating-point expression keeps its operands and evaluation order —
+// with less work around the arithmetic: grid invariants are precomputed
+// in the sampler and read in place (so the loop's registers go to the
+// per-ray state), the cell corners and the x-differences the trilinear
+// blend takes of them are reloaded only when a sample lands in a new
+// cell, and normalization and the transfer function come from the
+// frame's tfTable, whose segments are looked up starting from the ones
+// the ray's previous sample used. castKernelOracle in
+// structured_oracle_test.go is the loop it replaced; the oracle test
+// compares every output bit against it.
+func (a *structuredArena) castRay(p int) int64 {
 	s := a.r.sampler
 	tab := &a.tfTab
 	width := a.opts.Width
 	step := a.step
 	exp := step / a.refStep
-	var localSamples int64
-	for p := plo; p < phi; p++ {
-		px := float64(p % width)
-		py := float64(p / width)
-		ray := a.raygen.Ray(px, py, 0.5, 0.5)
-		t0, t1, ok := a.bounds.HitRay(ray.Orig, ray.InvDir(), 0, math.Inf(1))
-		if !ok {
-			continue
+	px := float64(p % width)
+	py := float64(p / width)
+	ray := a.raygen.Ray(px, py, 0.5, 0.5)
+	t0, t1, ok := a.bounds.HitRay(ray.Orig, ray.InvDir(), 0, math.Inf(1))
+	if !ok {
+		return 0
+	}
+	o, d := ray.Orig, ray.Dir
+	c := cell{i: -1, j: -1, k: -1}
+	var cr, cg, cb, ca float64
+	var samples int64
+	var an, cn int // the alpha and color segments of the last table lookup
+	firstT := float32(framebuffer.MaxDepth)
+	for t := t0 + step/2; t < t1; t += step {
+		qx, qy, qz := o.X+d.X*t, o.Y+d.Y*t, o.Z+d.Z*t
+		var i, j, k int
+		var fx, fy, fz float64
+		if s.uniform {
+			rx, ry, rz := (qx-s.origin.X)*s.invSpace.X, (qy-s.origin.Y)*s.invSpace.Y, (qz-s.origin.Z)*s.invSpace.Z
+			if rx < 0 || ry < 0 || rz < 0 {
+				continue
+			}
+			i, j, k = int(rx), int(ry), int(rz)
+			if i >= s.nx-1 {
+				if rx > s.lim.X {
+					continue
+				}
+				i = s.nx - 2
+			}
+			if j >= s.ny-1 {
+				if ry > s.lim.Y {
+					continue
+				}
+				j = s.ny - 2
+			}
+			if k >= s.nz-1 {
+				if rz > s.lim.Z {
+					continue
+				}
+				k = s.nz - 2
+			}
+			fx, fy, fz = rx-float64(i), ry-float64(j), rz-float64(k)
+		} else {
+			var in bool
+			if i, fx, in = locateRect(s.xs, qx); !in {
+				continue
+			}
+			if j, fy, in = locateRect(s.ys, qy); !in {
+				continue
+			}
+			if k, fz, in = locateRect(s.zs, qz); !in {
+				continue
+			}
 		}
-		o, d := ray.Orig, ray.Dir
-		c := cell{i: -1, j: -1, k: -1}
-		var cr, cg, cb, ca float64
-		firstT := float32(framebuffer.MaxDepth)
-		for t := t0 + step/2; t < t1; t += step {
-			qx, qy, qz := o.X+d.X*t, o.Y+d.Y*t, o.Z+d.Z*t
-			var i, j, k int
-			var fx, fy, fz float64
-			if s.uniform {
-				rx, ry, rz := (qx-s.origin.X)*s.invSpace.X, (qy-s.origin.Y)*s.invSpace.Y, (qz-s.origin.Z)*s.invSpace.Z
-				if rx < 0 || ry < 0 || rz < 0 {
-					continue
-				}
-				i, j, k = int(rx), int(ry), int(rz)
-				if i >= s.nx-1 {
-					if rx > s.lim.X {
-						continue
-					}
-					i = s.nx - 2
-				}
-				if j >= s.ny-1 {
-					if ry > s.lim.Y {
-						continue
-					}
-					j = s.ny - 2
-				}
-				if k >= s.nz-1 {
-					if rz > s.lim.Z {
-						continue
-					}
-					k = s.nz - 2
-				}
-				fx, fy, fz = rx-float64(i), ry-float64(j), rz-float64(k)
-			} else {
-				var in bool
-				if i, fx, in = locateRect(s.xs, qx); !in {
-					continue
-				}
-				if j, fy, in = locateRect(s.ys, qy); !in {
-					continue
-				}
-				if k, fz, in = locateRect(s.zs, qz); !in {
-					continue
-				}
-			}
-			if i != c.i || j != c.j || k != c.k {
-				c.load(s, i, j, k)
-			}
-			c00 := c.v000 + fx*c.d100
-			c10 := c.v010 + fx*c.d110
-			c01 := c.v001 + fx*c.d101
-			c11 := c.v011 + fx*c.d111
-			c0 := c00 + fy*(c10-c00)
-			c1 := c01 + fy*(c11-c01)
-			v := c0 + fz*(c1-c0)
-			localSamples++
+		if i != c.i || j != c.j || k != c.k {
+			c.load(s, i, j, k)
+		}
+		c00 := c.v000 + fx*c.d100
+		c10 := c.v010 + fx*c.d110
+		c01 := c.v001 + fx*c.d101
+		c11 := c.v011 + fx*c.d111
+		c0 := c00 + fy*(c10-c00)
+		c1 := c01 + fy*(c11-c01)
+		v := c0 + fz*(c1-c0)
+		samples++
 
-			// Normalize, then the transfer function: opacity first, so a
-			// transparent sample skips the color segment.
-			tn := 0.5
-			if !tab.flat {
-				tn = vecmath.Clamp((v-tab.normMin)/tab.normSpan, 0, 1)
+		// Normalize, then the transfer function: opacity first, so a
+		// transparent sample skips the color segment.
+		tn := 0.5
+		if !tab.flat {
+			tn = vecmath.Clamp((v-tab.normMin)/tab.normSpan, 0, 1)
+		}
+		var sr, sg, sb, sa float64
+		if tn > tab.first {
+			an = tab.alphaSeg(tn, an)
+			if sa = tab.alphaAt(tn, an); sa <= 0 {
+				continue
 			}
-			var sr, sg, sb, sa float64
-			if tn > tab.first {
-				if sa = tab.alphaAt(tn); sa <= 0 {
-					continue
-				}
-				sr, sg, sb = tab.colorAt(tn)
-			} else {
-				// At or below a first stop, or NaN: the table's
-				// counting does not apply, the stop-by-stop loop does.
-				sr, sg, sb, sa = a.tf.Sample(tn)
-				if sa <= 0 {
-					continue
-				}
-			}
-			// Correct opacity for the step size, then front-to-back
-			// "under" accumulation in premultiplied space. Pow(x, 1) is
-			// exactly x, so the unit-exponent case (the default sample
-			// budget) skips the call with identical results.
-			om := 1 - sa
-			if exp != 1 {
-				om = math.Pow(om, exp)
-			}
-			sa = 1 - om
-			w := (1 - ca) * sa
-			cr += w * sr
-			cg += w * sg
-			cb += w * sb
-			ca += w
-			if firstT == framebuffer.MaxDepth {
-				firstT = float32(t)
-			}
-			if ca >= 0.99 {
-				break
+			cn = tab.colorSeg(tn, cn)
+			sr, sg, sb = tab.colorAt(tn, cn)
+		} else {
+			// At or below a first stop, or NaN: the table's
+			// counting does not apply, the stop-by-stop loop does.
+			sr, sg, sb, sa = a.tf.Sample(tn)
+			if sa <= 0 {
+				continue
 			}
 		}
-		if ca > 0 {
-			a.img.Set(int(px), int(py), float32(cr), float32(cg), float32(cb), float32(ca), firstT)
+		// Correct opacity for the step size, then front-to-back
+		// "under" accumulation in premultiplied space. Pow(x, 1) is
+		// exactly x, so the unit-exponent case (the default sample
+		// budget) skips the call with identical results.
+		om := 1 - sa
+		if exp != 1 {
+			om = math.Pow(om, exp)
+		}
+		sa = 1 - om
+		w := (1 - ca) * sa
+		cr += w * sr
+		cg += w * sg
+		cb += w * sb
+		ca += w
+		if firstT == framebuffer.MaxDepth {
+			firstT = float32(t)
+		}
+		if ca >= 0.99 {
+			break
 		}
 	}
-	a.totalSamples.Add(localSamples)
+	if ca > 0 {
+		a.img.Set(int(px), int(py), float32(cr), float32(cg), float32(cb), float32(ca), firstT)
+	}
+	return samples
 }
 
 // cell is the grid cell a ray is sampling: its index and the corner
@@ -358,15 +409,43 @@ type alphaSeg struct {
 	lo, hi, span, base, delta float64
 }
 
-// alphaAt is TransferFunction.Sample's opacity for a normalized t above
-// both first stops.
-func (tb *tfTable) alphaAt(t float64) float64 {
+// alphaSeg returns the index of the alpha segment serving a normalized t
+// above both first stops: the number of upper stops below t. Stops are
+// sorted, so hint — the segment the ray's previous sample used — is that
+// number exactly when the stop below it is below t and its own is not;
+// two comparisons confirm it, and the count is the fallback.
+func (tb *tfTable) alphaSeg(t float64, hint int) int {
+	a := tb.alpha
+	if !(a[hint].hi < t) && (hint == 0 || a[hint-1].hi < t) {
+		return hint
+	}
 	n := 0
-	for i := range tb.alpha {
-		if tb.alpha[i].hi < t {
+	for i := range a {
+		if a[i].hi < t {
 			n++
 		}
 	}
+	return n
+}
+
+// colorSeg is alphaSeg for the color segments.
+func (tb *tfTable) colorSeg(t float64, hint int) int {
+	c := tb.color
+	if !(c[hint].hi < t) && (hint == 0 || c[hint-1].hi < t) {
+		return hint
+	}
+	n := 0
+	for i := range c {
+		if c[i].hi < t {
+			n++
+		}
+	}
+	return n
+}
+
+// alphaAt is TransferFunction.Sample's opacity for a normalized t above
+// both first stops, in segment n = alphaSeg(t, …).
+func (tb *tfTable) alphaAt(t float64, n int) float64 {
 	seg := &tb.alpha[n]
 	f := 0.0
 	if seg.span > 0 {
@@ -376,14 +455,9 @@ func (tb *tfTable) alphaAt(t float64) float64 {
 }
 
 // colorAt is TransferFunction.Sample's color for a normalized t above
-// both first stops: vecmath.Vec3.Lerp's base + delta*f per channel.
-func (tb *tfTable) colorAt(t float64) (r, g, b float64) {
-	n := 0
-	for i := range tb.color {
-		if tb.color[i].hi < t {
-			n++
-		}
-	}
+// both first stops, in segment n = colorSeg(t, …): vecmath.Vec3.Lerp's
+// base + delta*f per channel.
+func (tb *tfTable) colorAt(t float64, n int) (r, g, b float64) {
 	seg := &tb.color[n]
 	f := 0.0
 	if seg.span > 0 {
@@ -454,7 +528,8 @@ func newGridSampler(g *mesh.StructuredGrid, vals []float64) (*gridSampler, error
 	return s, nil
 }
 
-// locate returns the cell index and intra-cell fraction along one axis.
+// locateRect returns the cell index and intra-cell fraction along one
+// rectilinear axis, and whether v lies on it.
 func locateRect(coords []float64, v float64) (int, float64, bool) {
 	n := len(coords)
 	if v < coords[0] || v > coords[n-1] {

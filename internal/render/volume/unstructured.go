@@ -272,7 +272,7 @@ func (r *UnstructuredRenderer) Render(opts UnstructuredOptions) (*framebuffer.Im
 
 	for pass := 0; pass < opts.Passes; pass++ {
 		a.s0 = pass * slabSamples
-		a.s1 = minInt(a.s0+slabSamples, opts.SamplesZ)
+		a.s1 = min(a.s0+slabSamples, opts.SamplesZ)
 		if a.s0 >= a.s1 {
 			break
 		}
@@ -671,11 +671,4 @@ func min4(v [4]float64) float64 {
 
 func max4(v [4]float64) float64 {
 	return math.Max(math.Max(v[0], v[1]), math.Max(v[2], v[3]))
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
