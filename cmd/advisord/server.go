@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -101,7 +100,7 @@ func (s *server) enqueueObservations(samples []core.Sample) (ok, full bool) {
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/models", s.handleModels)
+	mux.HandleFunc("GET /v1/models", serve.ModelsHandler(s.engine.Registry()))
 	mux.HandleFunc("POST /v1/predict", s.handlePredict)
 	mux.HandleFunc("POST /v1/feasibility", s.handleFeasibility)
 	mux.HandleFunc("POST /v1/max_triangles", s.handleMaxTriangles)
@@ -174,43 +173,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, body)
 }
 
-// modelsBody lists the registry contents.
-type modelsBody struct {
-	Generation  uint64              `json:"generation"`
-	Source      string              `json:"source"`
-	CreatedUnix int64               `json:"created_unix"`
-	Mapping     registry.MappingDoc `json:"mapping"`
-	Archs       []string            `json:"archs"`
-	Models      []registry.ModelDoc `json:"models"`
-	Compositing *registry.ModelDoc  `json:"compositing,omitempty"`
-}
-
-func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
-	v, err := s.engine.Registry().View()
-	if err != nil {
-		serve.WriteJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no registry loaded"})
-		return
-	}
-	snap := v.Snapshot()
-	archs := make([]string, 0, 2)
-	seen := map[string]bool{}
-	for _, d := range snap.Models {
-		if !seen[d.Arch] {
-			seen[d.Arch] = true
-			archs = append(archs, d.Arch)
-		}
-	}
-	sort.Strings(archs)
-	serve.WriteJSON(w, http.StatusOK, modelsBody{
-		Generation:  v.Generation(),
-		Source:      snap.Source,
-		CreatedUnix: snap.CreatedUnix,
-		Mapping:     snap.Mapping,
-		Archs:       archs,
-		Models:      snap.Models,
-		Compositing: snap.Compositing,
-	})
-}
+// modelsBody is the /v1/models response, shared with the other
+// serving binary.
+type modelsBody = serve.ModelsBody
 
 // handlePredict accepts one request object or a JSON array of them; a
 // batch answers with positionally aligned items so one bad element does

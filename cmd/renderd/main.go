@@ -185,12 +185,11 @@ func buildServer(regPath string, bootstrap bool, cacheSize int, calibrate bool, 
 	}
 	var fleet *cluster.Cluster
 	if clusterN > 0 {
+		var opts cluster.Options
 		if copts != nil {
-			fleet, err = cluster.NewWithOptions(reg, clusterN, *copts)
-		} else {
-			fleet, err = cluster.New(reg, clusterN)
+			opts = *copts
 		}
-		if err != nil {
+		if fleet, err = cluster.NewWithOptions(clusterN, opts); err != nil {
 			return nil, nil, err
 		}
 		cfg.Cluster = fleet

@@ -94,9 +94,8 @@ var serveKeys = []string{
 // serveClusterKeys is the complete key set of serve.cluster.
 var serveClusterKeys = []string{
 	"alive_workers", "bytes_sent", "evictions", "frames_dispatched", "links",
-	"messages_sent", "rank_failures", "ranks", "retries", "snapshot_errors",
-	"snapshots_acked", "snapshots_pushed", "stale_drops",
-	"worker_generations", "workers",
+	"messages_sent", "rank_failures", "ranks", "retries",
+	"stale_drops", "workers",
 }
 
 // servePromNames is every renderd_serve_* metric name /metrics exposes
@@ -120,11 +119,7 @@ var servePromNames = []string{
 	"renderd_serve_cluster_ranks_heartbeat_age_seconds",
 	"renderd_serve_cluster_ranks_rank", "renderd_serve_cluster_retries",
 	"renderd_serve_cluster_shards_total",
-	"renderd_serve_cluster_snapshot_errors",
-	"renderd_serve_cluster_snapshots_acked",
-	"renderd_serve_cluster_snapshots_pushed",
 	"renderd_serve_cluster_stale_drops",
-	"renderd_serve_cluster_worker_generations",
 	"renderd_serve_cluster_workers", "renderd_serve_coalesced",
 	"renderd_serve_deadline_misses", "renderd_serve_degraded",
 	"renderd_serve_errors", "renderd_serve_fleet_clamped",

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -47,7 +46,7 @@ func (s *webServer) handler() http.Handler {
 	mux.HandleFunc("GET /v1/session/{id}/frame", s.handleSessionFrame)
 	mux.HandleFunc("GET /v1/session/{id}/stream", s.handleSessionStream)
 	mux.HandleFunc("DELETE /v1/session/{id}", s.handleSessionClose)
-	mux.HandleFunc("GET /v1/models", s.handleModels)
+	mux.HandleFunc("GET /v1/models", serve.ModelsHandler(s.srv.Engine().Registry()))
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/trace", s.handleTrace)
 	mux.HandleFunc("GET /metrics", s.handleProm)
@@ -253,44 +252,9 @@ func (s *webServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, body)
 }
 
-// modelsBody mirrors advisord's /v1/models so clients can watch the
-// calibration generation on either service.
-type modelsBody struct {
-	Generation  uint64              `json:"generation"`
-	Source      string              `json:"source"`
-	CreatedUnix int64               `json:"created_unix"`
-	Mapping     registry.MappingDoc `json:"mapping"`
-	Archs       []string            `json:"archs"`
-	Models      []registry.ModelDoc `json:"models"`
-	Compositing *registry.ModelDoc  `json:"compositing,omitempty"`
-}
-
-func (s *webServer) handleModels(w http.ResponseWriter, r *http.Request) {
-	v, err := s.srv.Engine().Registry().View()
-	if err != nil {
-		serve.WriteJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no registry loaded"})
-		return
-	}
-	snap := v.Snapshot()
-	archs := make([]string, 0, 2)
-	seen := map[string]bool{}
-	for _, d := range snap.Models {
-		if !seen[d.Arch] {
-			seen[d.Arch] = true
-			archs = append(archs, d.Arch)
-		}
-	}
-	sort.Strings(archs)
-	serve.WriteJSON(w, http.StatusOK, modelsBody{
-		Generation:  v.Generation(),
-		Source:      snap.Source,
-		CreatedUnix: snap.CreatedUnix,
-		Mapping:     snap.Mapping,
-		Archs:       archs,
-		Models:      snap.Models,
-		Compositing: snap.Compositing,
-	})
-}
+// modelsBody is the /v1/models response, shared with the other
+// serving binary.
+type modelsBody = serve.ModelsBody
 
 // metricsBody merges the serving-path counters with the advisor
 // engine's per-operation latencies and the registry's prediction-cache

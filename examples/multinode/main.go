@@ -7,16 +7,19 @@
 //
 // The walkthrough:
 //
-//  1. Load a model registry (synthetic here; `repro export` in real use)
-//     so the fleet has the fitted render and compositing (Tc) models.
-//  2. cluster.New(reg, workers) boots the fleet: worker rank loops over
-//     an in-process MPI-like world, the router on rank 0.
-//  3. Each Render call places the job's shards on distinct ranks by
-//     rendezvous hashing, replicates any new model snapshot first, then
-//     dispatches; the shard group renders and composites collectively
-//     and the router gets one finished frame.
-//  4. A model publish on the router is visible on every worker by the
-//     next frame — the closed calibration loop's distribution half.
+//  1. cluster.NewWithOptions boots the fleet: worker rank loops over an
+//     in-process MPI-like world, the router on rank 0.
+//  2. Each Render call places the job's shards on distinct ranks by
+//     rendezvous hashing and dispatches them; the shard group renders
+//     and composites collectively and the router gets one finished
+//     frame.
+//  3. The fleet's stats count the frames and the bytes that crossed the
+//     rank transport: jobs out, image data back.
+//
+// The fleet renders and never reads the fitted models. In renderd the
+// models stay with the router's admission, which prices a frame
+// (max(T_local) + Tc) before it dispatches; this example dispatches
+// directly.
 package main
 
 import (
@@ -27,9 +30,6 @@ import (
 	"os"
 
 	"insitu/internal/cluster"
-	"insitu/internal/core"
-	"insitu/internal/registry"
-	"insitu/internal/scenario"
 )
 
 func main() {
@@ -42,24 +42,16 @@ func main() {
 	out := flag.String("out", "multinode.png", "output image path")
 	flag.Parse()
 
-	// 1. Models. A fleet admits and composites by the fitted models, so
-	// it is built over a registry; here a small synthetic snapshot stands
-	// in for one exported by the measurement study.
-	reg := registry.New(64)
-	if err := reg.Load(demoSnapshot()); err != nil {
-		log.Fatal(err)
-	}
-
-	// 2. Boot the fleet: *workers* serial rank loops plus the router.
-	fleet, err := cluster.New(reg, *workers)
+	// 1. Boot the fleet: *workers* serial rank loops plus the router.
+	fleet, err := cluster.NewWithOptions(*workers, cluster.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer fleet.Close()
 
-	// 3. Render one sharded frame. The router places the shards,
-	// replicates the registry snapshot to stale workers, dispatches, and
-	// returns the binary-swap composite of the partial renders.
+	// 2. Render one sharded frame. The router places the shards,
+	// dispatches, and returns the binary-swap composite of the partial
+	// renders.
 	res, err := fleet.Render(context.Background(), cluster.Job{
 		Backend: *backend, Sim: *simName, Arch: "serial",
 		N: *n, Width: *size, Height: *size,
@@ -73,12 +65,9 @@ func main() {
 	fmt.Printf("  max rank render: %.4fs  composite (Tc): %.4fs  per rank: %v\n",
 		res.RenderSeconds, res.CompositeSeconds, fmtSeconds(res.RankRenderSeconds))
 
-	// 4. Replication: after the frame, every worker's registry replica is
-	// at the router's generation — a publish here reaches the fleet with
-	// the next dispatch.
+	// 3. What crossed the transport.
 	st := fleet.Stats()
-	fmt.Printf("  fleet: %d frames, %d snapshots pushed, %d bytes over the wire, worker generations %v\n",
-		st.FramesDispatched, st.SnapshotsPushed, st.BytesSent, st.WorkerGenerations)
+	fmt.Printf("  fleet: %d frames, %d bytes over the wire\n", st.FramesDispatched, st.BytesSent)
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -97,26 +86,4 @@ func fmtSeconds(secs []float64) []string {
 		out[i] = fmt.Sprintf("%.4fs", s)
 	}
 	return out
-}
-
-// demoSnapshot hand-builds a registry snapshot with plausible positive
-// coefficients for every backend plus the compositing model.
-func demoSnapshot() *registry.Snapshot {
-	fit := func(coef ...float64) registry.FitDoc {
-		return registry.FitDoc{Coef: coef, R2: 0.99, N: 16, P: len(coef)}
-	}
-	build := fit(1e-8, 1e-5)
-	return &registry.Snapshot{
-		Version: registry.SnapshotVersion, Source: "multinode-example", CreatedUnix: 1,
-		Mapping: registry.MappingDoc{FillFraction: 0.55, SPRBase: 373},
-		Models: []registry.ModelDoc{
-			{Arch: "serial", Renderer: string(core.RayTrace), Fit: fit(1e-7, 5e-8, 1e-4), BuildFit: &build},
-			{Arch: "serial", Renderer: string(core.Raster), Fit: fit(1e-9, 1e-8, 1e-4)},
-			{Arch: "serial", Renderer: string(core.Volume), Fit: fit(1e-8, 1e-9, 1e-4)},
-			{Arch: "serial", Renderer: string(scenario.VolumeUnstructured), Fit: fit(1e-9, 1e-9, 1e-4)},
-		},
-		Compositing: &registry.ModelDoc{
-			Arch: "all", Renderer: string(core.Compositing), Fit: fit(1e-9, 1e-9, 1e-4),
-		},
-	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // BenchmarkClusterThroughput measures steady-state sharded frames/s
-// through the full router path — placement, replication check, dispatch,
-// collective render, binary-swap composite, result transfer — with hot
-// scene and runner caches, plus the wire cost per composited frame.
+// through the full router path — placement, dispatch, collective
+// render, binary-swap composite, result transfer — with hot scene and
+// runner caches, plus the wire cost per composited frame.
 func BenchmarkClusterThroughput(b *testing.B) {
 	for _, shards := range []int{2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -30,7 +30,7 @@ func chaosOpts(plan *comm.FaultPlan) Options {
 
 func chaosCluster(t testing.TB, workers int, opts Options) *Cluster {
 	t.Helper()
-	cl, err := NewWithOptions(testRegistry(t), workers, opts)
+	cl, err := NewWithOptions(workers, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +103,11 @@ func TestChaosKillMidFrameRecovers(t *testing.T) {
 	}
 	victim := members[1]
 	plan := comm.NewFaultPlan(7)
-	// A few sends in: past the snapshot ack, inside the frame's global
-	// bounds reduction. Survivors block on the dead rank; the heartbeat
-	// monitor must evict it and cancel the attempt well before the
-	// attempt deadline.
+	// The victim's first sends are its shares of the frame's six bounds
+	// all-reductions, so it dies on the fifth, inside the global bounds
+	// reduction. Survivors block on the dead rank; the heartbeat monitor
+	// must evict it and cancel the attempt well before the attempt
+	// deadline.
 	plan.KillRankAfterSends(victim, 4)
 	cl := chaosCluster(t, 4, chaosOpts(plan))
 
@@ -347,4 +348,146 @@ func TestChaosRetryBudgetExhaustedIsTyped(t *testing.T) {
 	if rf.Unwrap() == nil {
 		t.Error("RankFailure carries no underlying attempt error")
 	}
+}
+
+// TestChaosRouterLinksCarryOnlyJobs publishes models on the router
+// between two frames and counts what crossed each router->worker link:
+// exactly one message (the job) per frame whose membership includes the
+// worker. The models stay with admission; nothing is pushed to workers,
+// so a publish adds no traffic and the seeded timelines keep their
+// indices across one.
+func TestChaosRouterLinksCarryOnlyJobs(t *testing.T) {
+	const workers = 3
+	reg := testRegistry(t)
+	cl, err := New(reg, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+
+	want := make([]int64, workers+1)
+	for i, shards := range []int{2, 3} {
+		if i > 0 {
+			if err := reg.Load(testSnapshot()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		job := chaosJob(float64(30 + 60*i))
+		job.Shards = shards
+		members, err := placeShards(workers, nil, &job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range members {
+			want[w]++
+		}
+		renderOK(t, cl, job)
+	}
+
+	st := cl.Stats()
+	if st.FramesDispatched != 2 || st.Evictions != 0 {
+		t.Fatalf("dispatched %d frames with %d evictions, want 2 and 0", st.FramesDispatched, st.Evictions)
+	}
+	got := make([]int64, workers+1)
+	for _, l := range st.Links {
+		if l.From == 0 {
+			got[l.To] = l.Messages
+		}
+	}
+	for w := 1; w <= workers; w++ {
+		if got[w] != want[w] {
+			t.Errorf("router->%d carried %d messages, want %d (one job per frame it was in)", w, got[w], want[w])
+		}
+	}
+}
+
+// TestChaosDuplicateResultDeliveredOnce duplicates a finished frame on
+// the group leader's link to the router. The first copy completes the
+// Render and the second is dropped without blocking the demux loop, so
+// the next frame, led by the same rank, still renders byte-identically.
+func TestChaosDuplicateResultDeliveredOnce(t *testing.T) {
+	job := chaosJob(60)
+	members, err := placeShards(4, nil, &job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := comm.NewFaultPlan(19)
+	// Beacons are pushed past the test, so the leader's link to the
+	// router carries only the frame's completion note, then its result.
+	plan.DupNth(members[0], 0, 2)
+	opts := chaosOpts(plan)
+	opts.HeartbeatInterval = time.Hour
+	opts.HeartbeatTimeout = 2 * time.Hour
+	cl := chaosCluster(t, 4, opts)
+
+	res := renderOK(t, cl, job)
+	wantStandalone(t, job, res.Image)
+	if d := plan.Stats().Duplicated; d != 1 {
+		t.Fatalf("plan duplicated %d messages, want the one result", d)
+	}
+
+	// The camera is not part of the shard key: same members, same leader.
+	next := chaosJob(150)
+	res2 := renderOK(t, cl, next)
+	wantStandalone(t, next, res2.Image)
+	if st := cl.Stats(); st.FramesDispatched != 2 || st.Retries != 0 {
+		t.Errorf("dispatched %d frames with %d retries, want 2 and 0", st.FramesDispatched, st.Retries)
+	}
+	if n := inFlight(cl); n != 0 {
+		t.Errorf("%d attempts left in the table", n)
+	}
+}
+
+// TestChaosAttemptTableEmptiesOnEveryExit ends a Render each way it can
+// end (a frame, an application error, a caller's cancelled ctx, and an
+// attempt abandoned on a stalled link and recovered by retry) and
+// requires the router's attempt table to be empty after each, so late
+// results and notes find nothing to deliver to.
+func TestChaosAttemptTableEmptiesOnEveryExit(t *testing.T) {
+	plan := comm.NewFaultPlan(23)
+	cl := chaosCluster(t, 4, chaosOpts(plan))
+	empty := func(after string) {
+		t.Helper()
+		if n := inFlight(cl); n != 0 {
+			t.Errorf("%d attempts left in the table after %s", n, after)
+		}
+	}
+
+	job := chaosJob(30)
+	renderOK(t, cl, job)
+	empty("a frame")
+
+	bad := chaosJob(30)
+	bad.Backend, bad.Shards = string(core.Volume), 2 // structured-only backend on lulesh
+	if _, err := cl.Render(context.Background(), bad); err == nil {
+		t.Fatal("volume on lulesh served a frame")
+	}
+	empty("an application error")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := cl.Render(ctx, job); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled caller got %v, want context.Canceled", err)
+	}
+	empty("a cancelled caller")
+
+	stalled := chaosJob(120)
+	members, err := placeShards(4, nil, &stalled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.StallAfter(members[1], members[0], 1)
+	res := renderOK(t, cl, stalled)
+	wantStandalone(t, stalled, res.Image)
+	if st := cl.Stats(); st.Retries < 1 {
+		t.Errorf("stalled link abandoned no attempt (retries %d)", st.Retries)
+	}
+	empty("an abandoned attempt")
+}
+
+// inFlight is the size of the router's attempt table.
+func inFlight(cl *Cluster) int {
+	cl.attemptMu.Lock()
+	defer cl.attemptMu.Unlock()
+	return len(cl.attempts)
 }

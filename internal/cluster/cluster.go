@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -59,22 +58,18 @@ type Counters struct {
 	Evictions        int64 `json:"evictions"`
 	Retries          int64 `json:"retries"`
 	RankFailures     int64 `json:"rank_failures"`
-	SnapshotsPushed  int64 `json:"snapshots_pushed"`
-	SnapshotsAcked   int64 `json:"snapshots_acked"`
-	SnapshotErrors   int64 `json:"snapshot_errors"`
 }
 
-// Stats is a point-in-time view of cluster transport, replication, and
-// health counters.
+// Stats is a point-in-time view of cluster transport and health
+// counters.
 type Stats struct {
 	Counters
-	Workers           int      `json:"workers"`
-	AliveWorkers      int      `json:"alive_workers"`
-	DeadRanks         []int    `json:"dead_ranks,omitempty"`
-	BytesSent         int64    `json:"bytes_sent"`
-	MessagesSent      int64    `json:"messages_sent"`
-	StaleDrops        int64    `json:"stale_drops"`
-	WorkerGenerations []uint64 `json:"worker_generations"`
+	Workers      int   `json:"workers"`
+	AliveWorkers int   `json:"alive_workers"`
+	DeadRanks    []int `json:"dead_ranks,omitempty"`
+	BytesSent    int64 `json:"bytes_sent"`
+	MessagesSent int64 `json:"messages_sent"`
+	StaleDrops   int64 `json:"stale_drops"`
 	// Ranks is per-rank health: heartbeat age and blame are the gauges
 	// the failure detector acts on, surfaced so an operator can watch a
 	// rank drift toward eviction instead of learning after the fact.
@@ -95,8 +90,9 @@ type RankHealth struct {
 
 // Cluster is the router side of a worker fleet: it owns rank 0 of an
 // in-process comm world whose other ranks run worker loops, places and
-// dispatches sharded frames, replicates registry snapshots, and routes
-// finished frames back to concurrent callers.
+// dispatches sharded frames, and routes finished frames back to
+// concurrent callers. The models stay on the router: admission prices a
+// frame before dispatch, and workers only render.
 type Cluster struct {
 	// n is the live counter block. First in the struct so its 64-bit
 	// fields are 8-byte aligned on 32-bit platforms too.
@@ -104,24 +100,12 @@ type Cluster struct {
 
 	world   *comm.World
 	router  *comm.Comm
-	reg     *registry.Registry
 	workers int
 
-	// replicas[w] is worker w's registry replica: written by the worker
-	// loop, read by WorkerGenerations (the registry is internally
-	// locked). Index 0 is unused.
-	replicas []*registry.Registry
-	// lastGen[w] is the router generation last pushed to worker w,
-	// guarded by dispatchMu.
-	lastGen []uint64
-
-	// dispatchMu serializes job dispatch (and the snapshot pushes that
-	// precede it), establishing the global job order the deadlock-freedom
-	// argument in the package comment rests on.
+	// dispatchMu serializes job dispatch, establishing the global job
+	// order the deadlock-freedom argument in the package comment rests
+	// on.
 	dispatchMu sync.Mutex
-
-	pendMu  sync.Mutex
-	pending map[uint64]chan *wireResultMsg
 
 	// Fleet health (see health.go): per-rank eviction state, liveness
 	// timestamps (UnixNanos, refreshed by any demuxed message), and
@@ -132,13 +116,11 @@ type Cluster struct {
 	blame    []atomic.Int64
 	alive    atomic.Int64
 
-	// attempts maps in-flight attempt ids to the context shared with
-	// their workers (cancelled on eviction of a member); doneCh routes
-	// members' completion notes to the attempt's drain barrier.
+	// attempts maps in-flight attempt ids (the job ids on the wire) to
+	// their router-side records; demuxLoop routes results and completion
+	// notes through it, and eviction cancels the attempts a rank is in.
 	attemptMu sync.Mutex
-	attempts  map[uint64]*attemptCtl
-	doneMu    sync.Mutex
-	doneCh    map[uint64]chan wireDone
+	attempts  map[uint64]*attempt
 
 	reasonMu     sync.Mutex
 	evictReasons map[int]string
@@ -149,11 +131,21 @@ type Cluster struct {
 	wg     sync.WaitGroup
 }
 
-// attemptCtl is the router-side handle of one in-flight attempt.
-type attemptCtl struct {
+// attempt is the router-side record of one in-flight render attempt,
+// registered before its job is dispatched and removed when Render is
+// done with it.
+type attempt struct {
+	// ctx is shared with the attempt's workers: its deadline aborts
+	// wedged collectives, and evicting a member cancels it.
 	ctx     context.Context
 	cancel  context.CancelFunc
 	members []int
+	// result holds the group leader's frame. The first copy wins; a
+	// duplicate that finds it full is dropped.
+	result chan *wireResultMsg
+	// done queues members' completion notes for the drain barrier,
+	// buffered for every member.
+	done chan wireDone
 }
 
 type wireResultMsg struct {
@@ -161,21 +153,19 @@ type wireResultMsg struct {
 	img *framebuffer.Image
 }
 
-// New starts a fleet of workers wired to reg's models with default
-// fault-tolerance options. The registry is the router's source of truth;
-// each worker gets its own replica, synced on dispatch.
-func New(reg *registry.Registry, workers int) (*Cluster, error) {
-	return NewWithOptions(reg, workers, Options{})
+// New starts a fleet of workers with default fault-tolerance options.
+// The registry argument is unused: workers render and never read the
+// models, which stay with the router's admission. It remains only for
+// existing callers and will be dropped.
+func New(_ *registry.Registry, workers int) (*Cluster, error) {
+	return NewWithOptions(workers, Options{})
 }
 
 // NewWithOptions is New with explicit failure-detection and recovery
 // tuning (and, for chaos tests, an injected fault plan).
-func NewWithOptions(reg *registry.Registry, workers int, opts Options) (*Cluster, error) {
+func NewWithOptions(workers int, opts Options) (*Cluster, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 worker, got %d", workers)
-	}
-	if reg == nil {
-		return nil, fmt.Errorf("cluster: nil registry")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	world := comm.NewWorld(workers + 1)
@@ -186,17 +176,12 @@ func NewWithOptions(reg *registry.Registry, workers int, opts Options) (*Cluster
 	cl := &Cluster{
 		world:        world,
 		router:       world.Endpoint(0),
-		reg:          reg,
 		workers:      workers,
 		opts:         opts,
-		replicas:     make([]*registry.Registry, workers+1),
-		lastGen:      make([]uint64, workers+1),
-		pending:      map[uint64]chan *wireResultMsg{},
 		dead:         make([]atomic.Bool, workers+1),
 		lastBeat:     make([]atomic.Int64, workers+1),
 		blame:        make([]atomic.Int64, workers+1),
-		attempts:     map[uint64]*attemptCtl{},
-		doneCh:       map[uint64]chan wireDone{},
+		attempts:     map[uint64]*attempt{},
 		evictReasons: map[int]string{},
 		ctx:          ctx,
 		cancel:       cancel,
@@ -207,7 +192,6 @@ func NewWithOptions(reg *registry.Registry, workers int, opts Options) (*Cluster
 		cl.lastBeat[w].Store(now)
 	}
 	for w := 1; w <= workers; w++ {
-		cl.replicas[w] = registry.New(0)
 		cl.wg.Add(3)
 		go cl.workerLoop(w)
 		go cl.demuxLoop(w)
@@ -228,19 +212,18 @@ func (cl *Cluster) Close() {
 	cl.wg.Wait()
 }
 
-// Stats snapshots the transport, replication, and health counters.
+// Stats snapshots the transport and health counters.
 func (cl *Cluster) Stats() Stats {
 	return Stats{
-		Counters:          obs.LoadCounters(&cl.n),
-		Workers:           cl.workers,
-		AliveWorkers:      cl.AliveWorkers(),
-		DeadRanks:         cl.DeadRanks(),
-		BytesSent:         cl.world.BytesSent(),
-		MessagesSent:      cl.world.MessagesSent(),
-		StaleDrops:        cl.world.StaleDrops(),
-		WorkerGenerations: cl.WorkerGenerations(),
-		Ranks:             cl.RankHealths(),
-		Links:             cl.world.LinkStats(),
+		Counters:     obs.LoadCounters(&cl.n),
+		Workers:      cl.workers,
+		AliveWorkers: cl.AliveWorkers(),
+		DeadRanks:    cl.DeadRanks(),
+		BytesSent:    cl.world.BytesSent(),
+		MessagesSent: cl.world.MessagesSent(),
+		StaleDrops:   cl.world.StaleDrops(),
+		Ranks:        cl.RankHealths(),
+		Links:        cl.world.LinkStats(),
 	}
 }
 
@@ -259,16 +242,6 @@ func (cl *Cluster) RankHealths() []RankHealth {
 		}
 	}
 	cl.reasonMu.Unlock()
-	return out
-}
-
-// WorkerGenerations returns each worker replica's registry generation, in
-// worker order — the observable form of snapshot replication.
-func (cl *Cluster) WorkerGenerations() []uint64 {
-	out := make([]uint64, cl.workers)
-	for w := 1; w <= cl.workers; w++ {
-		out[w-1] = cl.replicas[w].Generation()
-	}
 	return out
 }
 
@@ -348,45 +321,34 @@ func (cl *Cluster) renderAttempt(ctx context.Context, job *Job, members []int) (
 		return nil, fmt.Errorf("cluster: encoding job: %w", err), false
 	}
 
-	// The attempt context is shared with the job's workers via the
-	// attempt registry: its deadline aborts wedged collectives, and
-	// evicting a member cancels it so survivors abandon the attempt
-	// immediately instead of waiting out the deadline.
+	// The attempt context is shared with the job's workers through the
+	// attempt table: its deadline aborts wedged collectives, and evicting
+	// a member cancels it so survivors abandon the attempt immediately
+	// instead of waiting out the deadline. The record stays registered
+	// until every return below, drain included, so late notes still
+	// reach it.
 	attemptCtx, cancel := context.WithDeadline(cl.ctx, deadline)
 	defer cancel()
-
-	ch := make(chan *wireResultMsg, 1)
-	done := make(chan wireDone, len(members)+1)
-	cl.pendMu.Lock()
-	cl.pending[id] = ch
-	cl.pendMu.Unlock()
-	cl.doneMu.Lock()
-	cl.doneCh[id] = done
-	cl.doneMu.Unlock()
+	at := &attempt{
+		ctx: attemptCtx, cancel: cancel, members: members,
+		result: make(chan *wireResultMsg, 1),
+		done:   make(chan wireDone, len(members)+1),
+	}
 	cl.attemptMu.Lock()
-	cl.attempts[id] = &attemptCtl{ctx: attemptCtx, cancel: cancel, members: members}
+	cl.attempts[id] = at
 	cl.attemptMu.Unlock()
-	cleanup := func() {
-		cl.pendMu.Lock()
-		delete(cl.pending, id)
-		cl.pendMu.Unlock()
-		cl.doneMu.Lock()
-		delete(cl.doneCh, id)
-		cl.doneMu.Unlock()
+	defer func() {
 		cl.attemptMu.Lock()
 		delete(cl.attempts, id)
 		cl.attemptMu.Unlock()
-	}
+	}()
 
-	// Dispatch atomically: snapshot sync first (FIFO links guarantee the
-	// job renders under the models current at dispatch), then the job to
-	// every member. All-or-nothing so a group can never form partially.
+	// Dispatch the job to every member atomically, all-or-nothing so a
+	// group can never form partially.
 	cl.dispatchMu.Lock()
-	cl.replicateLocked()
 	for _, w := range members {
 		if err := cl.router.SendCtx(cl.ctx, w, tagJob, msg); err != nil {
 			cl.dispatchMu.Unlock()
-			cleanup()
 			return nil, fmt.Errorf("cluster: dispatch to worker %d: %w", w, err), false
 		}
 	}
@@ -396,14 +358,11 @@ func (cl *Cluster) renderAttempt(ctx context.Context, job *Job, members []int) (
 	finish := func(m *wireResultMsg) (*Result, error, bool) {
 		if m.res.Err != "" {
 			if m.res.Retryable {
-				cl.drainAttempt(members, done, deadline)
-				cleanup()
+				cl.drainAttempt(members, at.done, deadline)
 				return nil, fmt.Errorf("cluster: %s", m.res.Err), true
 			}
-			cleanup()
 			return nil, fmt.Errorf("cluster: %s", m.res.Err), false
 		}
-		cleanup()
 		return &Result{
 			Image:                m.img,
 			In:                   m.res.In,
@@ -416,69 +375,36 @@ func (cl *Cluster) renderAttempt(ctx context.Context, job *Job, members []int) (
 	}
 
 	select {
-	case m := <-ch:
+	case m := <-at.result:
 		return finish(m)
 	case <-attemptCtx.Done():
 		// The deadline expired or a member was evicted mid-attempt; a
 		// result may still have raced in.
 		select {
-		case m := <-ch:
+		case m := <-at.result:
 			return finish(m)
 		default:
 		}
-		cl.drainAttempt(members, done, deadline)
-		cleanup()
+		cl.drainAttempt(members, at.done, deadline)
 		return nil, fmt.Errorf("cluster: attempt on ranks %v abandoned: %w", members, context.Cause(attemptCtx)), true
 	case <-ctx.Done():
-		cleanup()
 		return nil, ctx.Err(), false
 	case <-cl.ctx.Done():
-		cleanup()
 		return nil, fmt.Errorf("cluster: closed while rendering"), false
 	}
 }
 
-// replicateLocked pushes the registry's current snapshot to every worker
-// whose last pushed generation is stale — every worker, not just the next
-// job's members, so the whole fleet answers model queries consistently.
-// Caller holds dispatchMu.
-func (cl *Cluster) replicateLocked() {
-	gen := cl.reg.Generation()
-	if gen == 0 {
-		return
-	}
-	snap := cl.reg.Snapshot()
-	if snap == nil {
-		return
-	}
-	var msg []float32
-	for w := 1; w <= cl.workers; w++ {
-		if cl.lastGen[w] == gen {
-			continue
-		}
-		if msg == nil {
-			b, err := snap.EncodeBytes()
-			if err != nil {
-				atomic.AddInt64(&cl.n.SnapshotErrors, 1)
-				return
-			}
-			if msg, err = packJSON(&wireSnapshot{Gen: gen, Snapshot: json.RawMessage(b)}); err != nil {
-				atomic.AddInt64(&cl.n.SnapshotErrors, 1)
-				return
-			}
-		}
-		if err := cl.router.SendCtx(cl.ctx, w, tagSnapshot, msg); err != nil {
-			return // shutting down
-		}
-		cl.lastGen[w] = gen
-		atomic.AddInt64(&cl.n.SnapshotsPushed, 1)
-	}
+// lookup returns the in-flight attempt registered under id, or nil once
+// its Render call is done with it.
+func (cl *Cluster) lookup(id uint64) *attempt {
+	cl.attemptMu.Lock()
+	defer cl.attemptMu.Unlock()
+	return cl.attempts[id]
 }
 
-// workerLoop is worker w: it drains its router link serially, installing
-// snapshots and rendering jobs in arrival order. Serial processing is
-// load-bearing — see the deadlock-freedom argument in the package
-// comment.
+// workerLoop is worker w: it drains its router link serially, rendering
+// jobs in arrival order. Serial processing is load-bearing — see the
+// deadlock-freedom argument in the package comment.
 func (cl *Cluster) workerLoop(w int) {
 	defer cl.wg.Done()
 	e := cl.world.Endpoint(w)
@@ -491,23 +417,6 @@ func (cl *Cluster) workerLoop(w int) {
 			return // shutdown
 		}
 		switch tag {
-		case tagSnapshot:
-			var ws wireSnapshot
-			ack := wireAck{}
-			if _, err := unpackJSON(data, &ws); err != nil {
-				ack.Err = err.Error()
-			} else if snap, err := registry.DecodeBytes(ws.Snapshot); err != nil {
-				ack.Gen = ws.Gen
-				ack.Err = err.Error()
-			} else if err := cl.replicas[w].Load(snap); err != nil {
-				ack.Gen = ws.Gen
-				ack.Err = err.Error()
-			} else {
-				ack.Gen = ws.Gen
-			}
-			if msg, err := packJSON(&ack); err == nil {
-				e.SendCtx(cl.ctx, 0, tagSnapshotAck, msg)
-			}
 		case tagJob:
 			var job wireJob
 			//insitu:collective-ok every member receives the same job bytes, so a decode failure is group-uniform
@@ -538,17 +447,17 @@ func (cl *Cluster) workerLoop(w int) {
 			}
 		case tagEvict:
 			// Evicted (possibly wedged, not dead): drop shard caches so a
-			// hypothetical re-admission would rebuild from the registry, and
-			// free the device state the shards held.
+			// hypothetical re-admission would rebuild its scenes from
+			// scratch, and free the device state the shards held.
 			st.Close()
 			st = newShardState(8, 4)
 		}
 	}
 }
 
-// demuxLoop drains worker w's link to the router, routing results to
-// their waiting Render calls and counting snapshot acks. One goroutine
-// per link keeps the single-reader discipline.
+// demuxLoop drains worker w's link to the router, routing results and
+// completion notes to their attempts. One goroutine per link keeps the
+// single-reader discipline.
 func (cl *Cluster) demuxLoop(w int) {
 	defer cl.wg.Done()
 	for {
@@ -567,39 +476,27 @@ func (cl *Cluster) demuxLoop(w int) {
 			if _, err := unpackJSON(data, &n); err != nil {
 				continue
 			}
-			cl.doneMu.Lock()
-			ch, ok := cl.doneCh[n.JobID]
-			cl.doneMu.Unlock()
-			if ok {
-				// Buffered for every member; non-blocking in case the drain
-				// already gave up and nobody is receiving.
+			if at := cl.lookup(n.JobID); at != nil {
+				// Non-blocking in case the drain already gave up and nobody
+				// is receiving.
 				select {
-				case ch <- n:
+				case at.done <- n:
 				default:
 				}
 			}
-		case tagSnapshotAck:
-			var ack wireAck
-			if _, err := unpackJSON(data, &ack); err != nil || ack.Err != "" {
-				atomic.AddInt64(&cl.n.SnapshotErrors, 1)
-				continue
-			}
-			atomic.AddInt64(&cl.n.SnapshotsAcked, 1)
 		case tagResult:
 			res, img, err := decodeResult(data)
 			if err != nil {
 				continue
 			}
-			cl.pendMu.Lock()
-			ch, ok := cl.pending[res.JobID]
-			if ok {
-				delete(cl.pending, res.JobID)
+			// Results for unregistered jobs (caller timed out) are dropped,
+			// and so is a duplicate that finds the first result waiting.
+			if at := cl.lookup(res.JobID); at != nil {
+				select {
+				case at.result <- &wireResultMsg{res: res, img: img}:
+				default:
+				}
 			}
-			cl.pendMu.Unlock()
-			if ok {
-				ch <- &wireResultMsg{res: res, img: img}
-			}
-			// Results for unregistered jobs (caller timed out) are dropped.
 		}
 	}
 }

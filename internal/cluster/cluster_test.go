@@ -46,7 +46,7 @@ func testRegistry(t testing.TB) *registry.Registry {
 
 func testCluster(t testing.TB, workers int) *Cluster {
 	t.Helper()
-	cl, err := New(testRegistry(t), workers)
+	cl, err := NewWithOptions(workers, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,64 +132,6 @@ func TestClusterFrameIsCacheStable(t *testing.T) {
 		if first.Image.Color[i] != second.Image.Color[i] {
 			t.Fatalf("warm-cache frame differs at color word %d", i)
 		}
-	}
-}
-
-// TestClusterReplicatesSnapshots: dispatch syncs every worker's registry
-// replica (not just the job's members), and a router-side publish
-// propagates on the next frame.
-func TestClusterReplicatesSnapshots(t *testing.T) {
-	reg := testRegistry(t)
-	cl, err := New(reg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	job := Job{
-		Backend: string(core.RayTrace), Sim: "kripke", Arch: "serial",
-		N: 8, Width: 32, Height: 32, Shards: 1, Zoom: 1,
-	}
-	if _, err := cl.Render(context.Background(), job); err != nil {
-		t.Fatal(err)
-	}
-	waitGens := func(want uint64) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			gens := cl.WorkerGenerations()
-			ok := true
-			for _, g := range gens {
-				if g != want {
-					ok = false
-				}
-			}
-			if ok {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("worker generations %v never reached %d", gens, want)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	waitGens(1)
-
-	// A model publish on the router replicates with the next dispatch.
-	if err := reg.Load(testSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Render(context.Background(), job); err != nil {
-		t.Fatal(err)
-	}
-	waitGens(2)
-
-	st := cl.Stats()
-	if st.SnapshotsPushed != 6 { // 3 workers x 2 generations
-		t.Errorf("snapshots pushed = %d, want 6", st.SnapshotsPushed)
-	}
-	if st.SnapshotErrors != 0 {
-		t.Errorf("snapshot errors: %+v", st)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"insitu/internal/comm"
 )
 
-// Control messages (jobs, results, snapshots) are JSON blobs packed into
+// Control messages (jobs, results, completion notes) are JSON blobs packed into
 // the rank transport's []float32 payloads by comm.PackBytes.
 
 // packJSON marshals v into a packed byte blob.

@@ -5,16 +5,16 @@
 //
 // Topology: a comm.World of size workers+1 holds rank 0 as the router
 // (owned by the serving layer) and ranks 1..W as long-lived worker loops.
-// Each worker serially drains its link from the router, handling registry
-// snapshot pushes and render jobs in arrival order. A job names the
-// worker ranks it spans (chosen by rendezvous placement over the shard's
-// runner-cache identity, so a shard's prepared scene and device stay hot
-// on one rank); those workers form a comm sub-communicator, render their
-// shard of the weak-scaled domain decomposition through the sort-last
-// frame protocol of scenario.Group — the one the study measures the
-// models with: global bounds and scalar range, visibility order,
-// composite via internal/composite, model-input reduction — and the
-// group leader ships the finished image back to the router.
+// Each worker serially drains its link from the router, rendering jobs in
+// arrival order. A job names the worker ranks it spans (chosen by
+// rendezvous placement over the shard's runner-cache identity, so a
+// shard's prepared scene and device stay hot on one rank); those workers
+// form a comm sub-communicator, render their shard of the weak-scaled
+// domain decomposition through the sort-last frame protocol of
+// scenario.Group — the one the study measures the models with: global
+// bounds and scalar range, visibility order, composite via
+// internal/composite, model-input reduction — and the group leader ships
+// the finished image back to the router.
 //
 // Deadlock freedom: the router serializes dispatch under one mutex, so
 // jobs have a global total order; every worker processes its router link
@@ -25,12 +25,11 @@
 // every frame, even when local setup failed, so cache hit/miss asymmetry
 // can never desynchronize an exchange.
 //
-// Registry replication: before dispatching a job, the router pushes the
-// current model snapshot to every worker whose last-seen generation is
-// stale, over the same links (FIFO guarantees the job renders under the
-// models current at dispatch). Each worker installs the snapshot in its
-// own registry replica, so hot reload and continuous calibration
-// propagate cluster-wide without a shared registry.
+// The models stay on the router. Admission prices a frame (max(T_local)
+// + Tc) before it is dispatched, and no worker reads a model to render
+// its shard, so the router->worker links carry only jobs and evictions
+// and the worker->router links carry heartbeats, completion notes and
+// finished frames.
 //
 // # Fault tolerance
 //

@@ -213,10 +213,7 @@ func (cl *Cluster) blameRank(r int) {
 // abandons the frame at its first collective instead of rendering a
 // frame nobody wants.
 func (cl *Cluster) attemptContext(id uint64) context.Context {
-	cl.attemptMu.Lock()
-	at := cl.attempts[id]
-	cl.attemptMu.Unlock()
-	if at != nil {
+	if at := cl.lookup(id); at != nil {
 		return at.ctx
 	}
 	return canceledCtx

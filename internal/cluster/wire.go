@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"insitu/internal/core"
@@ -12,13 +11,11 @@ import (
 // 1000..~5200 and the comm collectives own the negative range; cluster
 // control traffic lives far above both.
 const (
-	tagJob         = 900001 // router -> worker: render one shard
-	tagSnapshot    = 900002 // router -> worker: install a registry snapshot
-	tagSnapshotAck = 900003 // worker -> router: snapshot installed
-	tagResult      = 900004 // group leader -> router: finished frame
-	tagHeartbeat   = 900005 // worker -> router: liveness beacon
-	tagFrameDone   = 900006 // worker -> router: attempt finished or abandoned
-	tagEvict       = 900007 // router -> worker: evicted; drop shard caches
+	tagJob       = 900001 // router -> worker: render one shard
+	tagResult    = 900004 // group leader -> router: finished frame
+	tagHeartbeat = 900005 // worker -> router: liveness beacon
+	tagFrameDone = 900006 // worker -> router: attempt finished or abandoned
+	tagEvict     = 900007 // router -> worker: evicted; drop shard caches
 )
 
 // wireJob is the render order broadcast to every member of a sharded
@@ -63,20 +60,6 @@ type wireResult struct {
 	RankCompositeSeconds []float64
 }
 
-// wireSnapshot replicates one registry snapshot. Gen is the router-side
-// generation the push corresponds to (echoed in the ack); the snapshot
-// travels as its canonical JSON encoding.
-type wireSnapshot struct {
-	Gen      uint64
-	Snapshot json.RawMessage
-}
-
-// wireAck acknowledges a snapshot push.
-type wireAck struct {
-	Gen uint64
-	Err string `json:",omitempty"`
-}
-
 // wireDone is a member's completion note for one attempt, sent whether
 // the attempt succeeded, failed, or was abandoned. The router's drain
 // barrier counts these before re-dispatching a failed frame (a member
@@ -106,7 +89,9 @@ func encodeResult(res *wireResult, img *framebuffer.Image) ([]float32, error) {
 }
 
 // decodeResult unpacks a result message, reconstructing the image (nil
-// for failed frames).
+// for failed frames). The header's dimensions are checked against the
+// words that follow it, by division so that no product of untrusted
+// sizes can overflow, before anything is allocated.
 func decodeResult(data []float32) (*wireResult, *framebuffer.Image, error) {
 	var res wireResult
 	rest, err := unpackJSON(data, &res)
@@ -116,8 +101,9 @@ func decodeResult(data []float32) (*wireResult, *framebuffer.Image, error) {
 	if res.Err != "" {
 		return &res, nil, nil
 	}
-	if want := 4 * res.W * res.H; len(rest) != want {
-		return nil, nil, fmt.Errorf("cluster: result carries %d color words for %dx%d (want %d)", len(rest), res.W, res.H, want)
+	px := len(rest) / 4
+	if res.W <= 0 || res.H <= 0 || len(rest)%4 != 0 || px%res.W != 0 || px/res.W != res.H {
+		return nil, nil, fmt.Errorf("cluster: result carries %d color words for %dx%d", len(rest), res.W, res.H)
 	}
 	img := framebuffer.NewImage(res.W, res.H)
 	copy(img.Color, rest)

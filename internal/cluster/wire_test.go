@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"insitu/internal/comm"
@@ -82,6 +84,55 @@ func TestResultRoundTrip(t *testing.T) {
 	if err != nil || eres.Err != "boom" || eimg != nil {
 		t.Fatalf("error result: %+v %v %v", eres, eimg, err)
 	}
+}
+
+// FuzzDecodeResult feeds decodeResult arbitrary messages, as
+// little-endian float32 words. Whatever a header claims, decodeResult
+// must reject the message or return an image whose dimensions are
+// positive and account for exactly the words it carried. The hostile
+// headers (negative dimensions, a 4*W*H that wraps to 0 at 64 and at 32
+// bits, a packed length near 1<<31) are the committed corpus under
+// testdata/fuzz, which plain `go test` replays on every GOARCH.
+func FuzzDecodeResult(f *testing.F) {
+	img := framebuffer.NewImage(3, 2)
+	for i := range img.Color {
+		img.Color[i] = float32(i) / 7
+	}
+	for _, m := range []struct {
+		res *wireResult
+		img *framebuffer.Image
+	}{
+		{&wireResult{JobID: 42, W: 3, H: 2, In: core.Inputs{Pixels: 6, Tasks: 3}}, img},
+		{&wireResult{JobID: 7, Err: "boom", Retryable: true}, nil},
+	} {
+		msg, err := encodeResult(m.res, m.img)
+		if err != nil {
+			f.Fatal(err)
+		}
+		b := make([]byte, 4*len(msg))
+		for i, w := range msg {
+			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(w))
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		msg := make([]float32, len(b)/4)
+		for i := range msg {
+			msg[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+		res, img, err := decodeResult(msg)
+		switch {
+		case err != nil:
+		case res.Err != "":
+			if img != nil {
+				t.Fatalf("error result %q carries an image", res.Err)
+			}
+		case img == nil || img.W != res.W || img.H != res.H || img.W <= 0 || img.H <= 0:
+			t.Fatalf("header %dx%d decoded to %v", res.W, res.H, img)
+		case len(img.Color) != 4*img.W*img.H:
+			t.Fatalf("%dx%d image holds %d color words", img.W, img.H, len(img.Color))
+		}
+	})
 }
 
 func TestPlacementDistinctAndStable(t *testing.T) {

@@ -32,14 +32,16 @@ func UnpackBytes(data []float32) ([]byte, int, error) {
 	if len(data) == 0 {
 		return nil, 0, fmt.Errorf("comm: empty packed message")
 	}
-	n := int(math.Float32bits(data[0]))
+	// 64-bit arithmetic: a length near 1<<31 must not wrap where int
+	// is 32 bits.
+	n := uint64(math.Float32bits(data[0]))
 	words := 1 + (n+3)/4
-	if n < 0 || words > len(data) {
+	if words > uint64(len(data)) {
 		return nil, 0, fmt.Errorf("comm: packed length %d exceeds message (%d words)", n, len(data))
 	}
 	b := make([]byte, n)
-	for i := 0; i < n; i++ {
+	for i := range b {
 		b[i] = byte(math.Float32bits(data[1+i/4]) >> (8 * (i % 4)))
 	}
-	return b, words, nil
+	return b, int(words), nil
 }

@@ -297,10 +297,7 @@ func (c *Comm) Send(to, tag int, data []float32) {
 // push delivers one routed message on a link, honoring the abort binding.
 func (c *Comm) push(from, dst int, m message) {
 	w := c.world
-	w.bytes.Add(int64(4 * len(m.data)))
-	w.msgs.Add(1)
-	w.linkBytes[from][dst].Add(int64(4 * len(m.data)))
-	w.linkMsgs[from][dst].Add(1)
+	w.count(from, dst, m)
 	if c.abortCtx == nil {
 		w.links[from][dst] <- m
 		return
@@ -310,6 +307,14 @@ func (c *Comm) push(from, dst int, m message) {
 	case <-c.abortCtx.Done():
 		panic(&AbortError{Rank: from, Peer: dst, Op: "send", Err: c.abortCtx.Err()})
 	}
+}
+
+// count adds one message to the world's and its link's traffic totals.
+func (w *World) count(from, dst int, m message) {
+	w.bytes.Add(int64(4 * len(m.data)))
+	w.msgs.Add(1)
+	w.linkBytes[from][dst].Add(int64(4 * len(m.data)))
+	w.linkMsgs[from][dst].Add(1)
 }
 
 // Recv blocks for the next message from a rank and checks its tag. A tag

@@ -41,8 +41,7 @@ func (c *Comm) SendCtx(ctx context.Context, to, tag int, data []float32) error {
 func (c *Comm) pushCtx(ctx context.Context, from, dst int, m message) error {
 	select {
 	case c.world.links[from][dst] <- m:
-		c.world.bytes.Add(int64(4 * len(m.data)))
-		c.world.msgs.Add(1)
+		c.world.count(from, dst, m)
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

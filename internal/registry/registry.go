@@ -12,7 +12,6 @@
 package registry
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -232,21 +231,6 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// EncodeBytes renders the snapshot to a byte slice — the wire form for
-// replicating snapshots router → workers over a rank transport.
-func (s *Snapshot) EncodeBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeBytes parses and validates a replicated snapshot.
-func DecodeBytes(b []byte) (*Snapshot, error) {
-	return Decode(bytes.NewReader(b))
 }
 
 // Decode reads and validates a snapshot.

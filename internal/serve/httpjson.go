@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"sort"
 	"time"
+
+	"insitu/internal/registry"
 )
 
 // WriteJSON encodes v into a buffer before touching the ResponseWriter,
@@ -26,6 +29,50 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
+}
+
+// ModelsBody is the /v1/models response of both serving binaries: the
+// loaded registry's contents and the generation clients watch to see a
+// reload or a calibration refit land.
+type ModelsBody struct {
+	Generation  uint64              `json:"generation"`
+	Source      string              `json:"source"`
+	CreatedUnix int64               `json:"created_unix"`
+	Mapping     registry.MappingDoc `json:"mapping"`
+	Archs       []string            `json:"archs"`
+	Models      []registry.ModelDoc `json:"models"`
+	Compositing *registry.ModelDoc  `json:"compositing,omitempty"`
+}
+
+// ModelsHandler answers /v1/models from one consistent view of reg: 200
+// with its contents, or 503 while no snapshot is loaded.
+func ModelsHandler(reg *registry.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		v, err := reg.View()
+		if err != nil {
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no registry loaded"})
+			return
+		}
+		snap := v.Snapshot()
+		archs := make([]string, 0, 2)
+		seen := map[string]bool{}
+		for _, d := range snap.Models {
+			if !seen[d.Arch] {
+				seen[d.Arch] = true
+				archs = append(archs, d.Arch)
+			}
+		}
+		sort.Strings(archs)
+		WriteJSON(w, http.StatusOK, ModelsBody{
+			Generation:  v.Generation(),
+			Source:      snap.Source,
+			CreatedUnix: snap.CreatedUnix,
+			Mapping:     snap.Mapping,
+			Archs:       archs,
+			Models:      snap.Models,
+			Compositing: snap.Compositing,
+		})
+	}
 }
 
 // LogRequests is minimal access logging middleware, shared by the

@@ -104,9 +104,9 @@ type Stats struct {
 	ClusterCompositeSecondsTotal          float64 `json:"cluster_composite_seconds_total"`
 	ClusterPredictedCompositeSecondsTotal float64 `json:"cluster_predicted_composite_seconds_total"`
 
-	// Cluster carries the fleet's transport and replication counters
-	// when this server fronts one; BreakerState is then "closed",
-	// "open", or "half-open".
+	// Cluster carries the fleet's transport and health counters when
+	// this server fronts one; BreakerState is then "closed", "open", or
+	// "half-open".
 	Cluster      *cluster.Stats `json:"cluster,omitempty"`
 	BreakerState string         `json:"breaker_state,omitempty"`
 

@@ -21,7 +21,7 @@ func faultClusterServer(t testing.TB, workers int, copts cluster.Options, cfg Co
 	if err := reg.Load(clusterSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := cluster.NewWithOptions(reg, workers, copts)
+	cl, err := cluster.NewWithOptions(workers, copts)
 	if err != nil {
 		t.Fatal(err)
 	}
