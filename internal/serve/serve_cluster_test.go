@@ -148,7 +148,7 @@ func TestShardedAdmissionChargesCompositing(t *testing.T) {
 // different frames (different datasets, different pixels) and must never
 // answer each other from the caches.
 func TestShardCountIsPartOfFrameIdentity(t *testing.T) {
-	s, _, reg := clusterServer(t, 4, Config{})
+	s, _, _ := clusterServer(t, 4, Config{})
 	req := FrameRequest{Backend: core.Volume, Sim: "kripke", N: 8, Width: 48}
 
 	sharded := req
@@ -184,23 +184,46 @@ func TestShardCountIsPartOfFrameIdentity(t *testing.T) {
 	if again.CompositeSeconds != first.CompositeSeconds || len(again.RankRenderSeconds) != 3 {
 		t.Errorf("cache hit lost compositing measurements: %+v", again)
 	}
+}
 
-	// A model publish mid-serving changes admission's prices, not the
-	// fleet: the next sharded miss still dispatches and serves.
+// TestServedFrameReplicatesModels: a model publish between two served
+// frames changes admission's prices, not the fleet. Models stay with the
+// router, so the next sharded miss still dispatches and serves, and the
+// router's links to the workers carry one job per shard and nothing else.
+func TestServedFrameReplicatesModels(t *testing.T) {
+	s, _, reg := clusterServer(t, 3, Config{})
+
+	req := FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 48, Shards: 2}
+	if _, err := s.Render(req); err != nil {
+		t.Fatal(err)
+	}
 	if err := reg.Load(clusterSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	moved := sharded
-	moved.Azimuth = 90
-	next, err := s.Render(moved)
+	req.Azimuth = 90 // miss the frame cache so a dispatch happens
+	next, err := s.Render(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.CacheHit || next.Shards != 3 {
+	if next.CacheHit || next.Shards != 2 {
 		t.Errorf("sharded miss after a publish: %+v", next)
 	}
-	if st := s.Stats(); st.ClusterFrames != 2 || st.ClusterShardsTotal != 6 {
-		t.Errorf("cluster counters after a publish: frames %d, shards %d; want 2, 6", st.ClusterFrames, st.ClusterShardsTotal)
+
+	st := s.Stats()
+	if st.ClusterFrames != 2 || st.ClusterShardsTotal != 4 {
+		t.Errorf("cluster counters: frames %d, shards %d; want 2, 4", st.ClusterFrames, st.ClusterShardsTotal)
+	}
+	if st.Cluster == nil {
+		t.Fatal("fleet stats missing")
+	}
+	var jobs int64
+	for _, l := range st.Cluster.Links {
+		if l.From == 0 {
+			jobs += l.Messages
+		}
+	}
+	if uint64(jobs) != st.ClusterShardsTotal {
+		t.Errorf("router->worker links carried %d messages for %d served shards; want one job per shard", jobs, st.ClusterShardsTotal)
 	}
 }
 
