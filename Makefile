@@ -13,12 +13,13 @@ all: ci
 build:
 	$(GO) build ./...
 
-# cross keeps the build-tag split of the volume package's assembly honest:
-# arm64 vets the portable path (go vet's asmdecl also checks the amd64
-# .s file against its Go declarations in the native vet), and a 32-bit
-# build compiles everything without the packet kernel.
+# cross keeps the build-tag split of the assembly honest (the AVX2 probe
+# in device, the packet kernels in bvh and volume): arm64 vets the
+# portable path (go vet's asmdecl also checks the amd64 .s files against
+# their Go declarations in the native vet), and a 32-bit build compiles
+# everything without the packet kernels.
 cross:
-	GOARCH=arm64 $(GO) vet ./internal/render/volume/
+	GOARCH=arm64 $(GO) vet ./internal/device/ ./internal/bvh/ ./internal/render/volume/
 	GOARCH=386 $(GO) build ./...
 
 test:
@@ -56,15 +57,16 @@ lint:
 	$(GO) vet -vettool=$(CURDIR)/$(LINT_BIN) ./...
 
 # oracles runs the bitwise oracle tests of the rewritten kernels (slab
-# test, BVH traversal, volume sampling loop and its AVX2 packet kernel,
-# PNG writer) at the default GOAMD64 and at v3, whose instruction
+# test, BVH traversal and its AVX2 primary-ray packet kernel, volume
+# sampling loop and its AVX2 packet kernel, PNG writer) at the default GOAMD64 and at v3, whose instruction
 # selection differs, so any level-dependent code generation shows up as
 # changed bits. (Go 1.24 emits no fused multiply-add on amd64 at either
 # level; arm64 fuses, which is why the bench goldens are per GOARCH.)
-# The packet kernel is assembly and runs at both levels on an AVX2 host;
-# its tests skip elsewhere. The v3 half needs an AVX2 + FMA host.
-ORACLE_TESTS := 'Oracle|HitRayMatches|TFTable|PNGEncoder|Clamp8|StructuredPacket'
-ORACLE_PKGS := ./internal/vecmath/ ./internal/bvh/ ./internal/render/volume/ ./internal/framebuffer/
+# The packet kernels are assembly and run at both levels on an AVX2 host;
+# elsewhere their tests skip or run the scalar loop they fall back to.
+# The v3 half needs an AVX2 + FMA host.
+ORACLE_TESTS := 'Oracle|HitRayMatches|TFTable|PNGEncoder|Clamp8|StructuredPacket|PrimaryPackets'
+ORACLE_PKGS := ./internal/vecmath/ ./internal/bvh/ ./internal/render/raytrace/ ./internal/render/volume/ ./internal/framebuffer/
 oracles:
 	$(GO) test -count=1 -run $(ORACLE_TESTS) $(ORACLE_PKGS)
 	GOAMD64=v3 $(GO) test -count=1 -run $(ORACLE_TESTS) $(ORACLE_PKGS)
@@ -87,7 +89,7 @@ bench:
 	$(GO) test -run '^$$' -benchmem -bench BenchmarkRenderd -benchtime 1x ./internal/serve/
 	$(GO) test -run '^$$' -benchmem -bench BenchmarkClusterThroughput -benchtime 1x ./internal/cluster/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkHistogramObserve|BenchmarkTraceSpan|BenchmarkDriftObserve' -benchtime 1x ./internal/obs/
-	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkHitRay|BenchmarkIntersectClosest|BenchmarkIntersectAny' -benchtime 1x ./internal/vecmath/ ./internal/bvh/
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkHitRay|BenchmarkIntersectClosest|BenchmarkIntersectAny|BenchmarkPrimaryTraversal' -benchtime 1x ./internal/vecmath/ ./internal/bvh/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkPNGEncode|BenchmarkStructuredVolume' -benchtime 1x ./internal/framebuffer/ ./internal/render/volume/
 
 # bench-e2e and bench-layers run the BENCHMARK.json benchmark (bench/ is

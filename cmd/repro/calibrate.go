@@ -48,7 +48,7 @@ func calibrateRun(e *env) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	fmt.Printf("running %d configurations with %d worker(s), refit every %d samples...\n",
+	fmt.Fprintf(stdout, "running %d configurations with %d worker(s), refit every %d samples...\n",
 		len(plan), max(e.parallel, 1), cadence)
 	logRow := study.LogProgress(os.Stdout)
 	_, err := study.RunContext(ctx, plan, study.Options{
@@ -61,7 +61,7 @@ func calibrateRun(e *env) error {
 				return
 			}
 			if published {
-				fmt.Printf("          >>> generation %d published (corpus %d) -> %s\n",
+				fmt.Fprintf(stdout, "          >>> generation %d published (corpus %d) -> %s\n",
 					reg.Generation(), corpus, path)
 			}
 		},
@@ -73,19 +73,19 @@ func calibrateRun(e *env) error {
 	if published, reason, err := calib.Refit(); err != nil {
 		return err
 	} else if published {
-		fmt.Printf("final refit: generation %d (corpus %d) -> %s\n",
+		fmt.Fprintf(stdout, "final refit: generation %d (corpus %d) -> %s\n",
 			reg.Generation(), calib.CorpusSize(), path)
 	} else {
-		fmt.Printf("final refit not published: %s\n", reason)
+		fmt.Fprintf(stdout, "final refit not published: %s\n", reason)
 	}
 	snap := reg.Snapshot()
 	if snap == nil {
 		return fmt.Errorf("calibrate: no snapshot was ever published")
 	}
-	fmt.Printf("served registry: %d models", len(snap.Models))
+	fmt.Fprintf(stdout, "served registry: %d models", len(snap.Models))
 	if snap.Compositing != nil {
-		fmt.Printf(" + compositing")
+		fmt.Fprintf(stdout, " + compositing")
 	}
-	fmt.Printf(", %d generations\nserve it with: advisord -registry %s\n", reg.Generation(), path)
+	fmt.Fprintf(stdout, ", %d generations\nserve it with: advisord -registry %s\n", reg.Generation(), path)
 	return nil
 }

@@ -24,12 +24,12 @@ func exportRegistry(e *env) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d models", path, len(snap.Models))
+	fmt.Fprintf(stdout, "wrote %s (%d models", path, len(snap.Models))
 	if snap.Compositing != nil {
-		fmt.Printf(" + compositing")
+		fmt.Fprintf(stdout, " + compositing")
 	}
-	fmt.Printf(", mapping fill=%.3f sprBase=%.1f)\n",
+	fmt.Fprintf(stdout, ", mapping fill=%.3f sprBase=%.1f)\n",
 		snap.Mapping.FillFraction, snap.Mapping.SPRBase)
-	fmt.Printf("serve it with: advisord -registry %s\n", path)
+	fmt.Fprintf(stdout, "serve it with: advisord -registry %s\n", path)
 	return nil
 }

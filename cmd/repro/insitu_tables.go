@@ -43,7 +43,7 @@ func table10LoC(e *env) error {
 			}
 		}
 		loc := publishLoC(string(src))
-		fmt.Println(cell(name) + cell(loc) + cell(actionLoC) + cell(apiLoC))
+		fmt.Fprintln(stdout, cell(name)+cell(loc)+cell(actionLoC)+cell(apiLoC))
 	}
 	return nil
 }
@@ -143,8 +143,8 @@ func table11Burden(e *env) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(cell(proxy) + cell(renderer) +
-			cell(fmt.Sprintf("%.3f", visTotal.Seconds()/float64(cycles))) +
+		fmt.Fprintln(stdout, cell(proxy)+cell(renderer)+
+			cell(fmt.Sprintf("%.3f", visTotal.Seconds()/float64(cycles)))+
 			cell(fmt.Sprintf("%.3f", simTotal.Seconds()/float64(cycles))))
 	}
 	return nil
@@ -158,7 +158,7 @@ func figureImages(e *env) error {
 		if err := img.SavePNG(path); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", path)
+		fmt.Fprintf(stdout, "wrote %s\n", path)
 		return nil
 	}
 
@@ -256,7 +256,7 @@ func figureImages(e *env) error {
 		if err := sman.Execute(actions); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", filepath.Join(e.outDir, "fig10_"+proxy+".png"))
+		fmt.Fprintf(stdout, "wrote %s\n", filepath.Join(e.outDir, "fig10_"+proxy+".png"))
 		if err := sman.Close(); err != nil {
 			return err
 		}

@@ -13,9 +13,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
+	"text/tabwriter"
 )
 
 // experiment is one regenerable table or figure.
@@ -66,7 +68,7 @@ func main() {
 	sort.Slice(experiments, func(i, j int) bool { return experiments[i].name < experiments[j].name })
 	if args[0] == "list" {
 		for _, ex := range experiments {
-			fmt.Printf("  %-10s %s\n", ex.name, ex.desc)
+			fmt.Fprintf(stdout, "  %-10s %s\n", ex.name, ex.desc)
 		}
 		return
 	}
@@ -99,8 +101,10 @@ func main() {
 		if !want[ex.name] {
 			continue
 		}
-		fmt.Printf("\n================ %s — %s ================\n", ex.name, ex.desc)
-		if err := ex.run(e); err != nil {
+		fmt.Fprintf(stdout, "\n================ %s — %s ================\n", ex.name, ex.desc)
+		err := ex.run(e)
+		stdout.Flush()
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", ex.name, err)
 			os.Exit(1)
 		}
@@ -120,14 +124,27 @@ experiments:
 	}
 }
 
-// printHeader prints a fixed-width table header plus separator.
-func printHeader(cols ...string) {
-	var sb strings.Builder
-	for _, c := range cols {
-		fmt.Fprintf(&sb, "%-14s", c)
-	}
-	fmt.Println(sb.String())
-	fmt.Println(strings.Repeat("-", 14*len(cols)))
+// stdout is where the experiments print. Rows of cells are held back
+// until the table ends, so that every column is as wide as its widest
+// cell; any line without a cell (a title, a note, a blank line) ends
+// the table and prints it.
+var stdout = newTableWriter(os.Stdout)
+
+func newTableWriter(w io.Writer) *tabwriter.Writer {
+	return tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 }
 
-func cell(v any) string { return fmt.Sprintf("%-14v", v) }
+// printHeader prints a table header and, under each column name, a rule
+// as long as the name.
+func printHeader(cols ...string) {
+	var names, rules strings.Builder
+	for _, c := range cols {
+		names.WriteString(cell(c))
+		rules.WriteString(cell(strings.Repeat("-", max(len(c), 1))))
+	}
+	fmt.Fprintln(stdout, names.String())
+	fmt.Fprintln(stdout, rules.String())
+}
+
+// cell is one table cell.
+func cell(v any) string { return fmt.Sprint(v) + "\t" }

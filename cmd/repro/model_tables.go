@@ -46,7 +46,7 @@ type corpusCache struct {
 func (c *corpusCache) get(e *env) ([]study.Row, error) {
 	c.once.Do(func() {
 		plan := study.Plan(e.short)
-		fmt.Printf("running the model study (%d configurations, %d worker(s))...\n", len(plan), max(e.parallel, 1))
+		fmt.Fprintf(stdout, "running the model study (%d configurations, %d worker(s))...\n", len(plan), max(e.parallel, 1))
 		c.rows, c.err = study.RunContext(context.Background(), plan, study.Options{
 			Workers:  e.parallel,
 			Progress: study.LogProgress(os.Stdout),
@@ -56,7 +56,7 @@ func (c *corpusCache) get(e *env) ([]study.Row, error) {
 			if f, err := os.Create(path); err == nil {
 				_ = study.WriteCSV(f, c.rows)
 				f.Close()
-				fmt.Printf("corpus written to %s\n", path)
+				fmt.Fprintf(stdout, "corpus written to %s\n", path)
 			}
 		}
 	})
@@ -99,7 +99,7 @@ func table12R2(e *env) error {
 			}
 			row += cell(fmt.Sprintf("%.4f", m.Fit.R2))
 		}
-		fmt.Println(row)
+		fmt.Fprintln(stdout, row)
 	}
 	return nil
 }
@@ -118,11 +118,11 @@ func table13CV(e *env) error {
 			if err != nil {
 				return err
 			}
-			fmt.Println(cell(arch) + cell(string(r)) +
-				cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(50))) +
-				cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(25))) +
-				cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(10))) +
-				cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(5))) +
+			fmt.Fprintln(stdout, cell(arch)+cell(string(r))+
+				cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(50)))+
+				cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(25)))+
+				cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(10)))+
+				cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(5)))+
 				cell(fmt.Sprintf("%.1f", cv.MeanAbsPct())))
 		}
 	}
@@ -155,7 +155,7 @@ func fig11Errors(e *env) error {
 			}
 		}
 	}
-	fmt.Printf("wrote %s (error %% vs predicted time, one series per model)\n", path)
+	fmt.Fprintf(stdout, "wrote %s (error %% vs predicted time, one series per model)\n", path)
 	return nil
 }
 
@@ -191,7 +191,7 @@ func fig12Compositing(e *env) error {
 	})
 	printHeader("tasks", "pixels~", "avg comp time")
 	for _, k := range keys {
-		fmt.Println(cell(k.tasks) + cell(fmt.Sprintf("%d^2", k.band)) +
+		fmt.Fprintln(stdout, cell(k.tasks)+cell(fmt.Sprintf("%d^2", k.band))+
 			cell(fmt.Sprintf("%.5fs", sum[k]/float64(count[k]))))
 	}
 	return nil
@@ -217,7 +217,7 @@ func fig13CompErrors(e *env) error {
 	for i := range errs {
 		fmt.Fprintf(f, "%.6f,%.2f\n", cv.Predicted[i], errs[i])
 	}
-	fmt.Printf("wrote %s; mean abs error %.1f%%\n", path, cv.MeanAbsPct())
+	fmt.Fprintf(stdout, "wrote %s; mean abs error %.1f%%\n", path, cv.MeanAbsPct())
 	return nil
 }
 
@@ -231,11 +231,11 @@ func table14CompAccuracy(e *env) error {
 		return err
 	}
 	printHeader("", "<=50%", "<=25%", "<=10%", "<=5%", "avg %")
-	fmt.Println(cell("compositing") +
-		cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(50))) +
-		cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(25))) +
-		cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(10))) +
-		cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(5))) +
+	fmt.Fprintln(stdout, cell("compositing")+
+		cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(50)))+
+		cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(25)))+
+		cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(10)))+
+		cell(fmt.Sprintf("%.1f", 100*cv.WithinPct(5)))+
 		cell(fmt.Sprintf("%.1f", cv.MeanAbsPct())))
 	return nil
 }
@@ -282,10 +282,10 @@ func table15HeldOut(e *env) error {
 		}
 		pred := m.Predict(big.Sample.In)
 		actual := big.Sample.RenderTime
-		fmt.Println(cell(string(r)) +
-			cell(fmt.Sprintf("%.4fs", actual)) +
-			cell(fmt.Sprintf("%.4fs", pred)) +
-			cell(fmt.Sprintf("%+.1f%%", 100*(pred-actual)/actual)) +
+		fmt.Fprintln(stdout, cell(string(r))+
+			cell(fmt.Sprintf("%.4fs", actual))+
+			cell(fmt.Sprintf("%.4fs", pred))+
+			cell(fmt.Sprintf("%+.1f%%", 100*(pred-actual)/actual))+
 			cell(len(rows)))
 	}
 	return nil
@@ -302,7 +302,7 @@ func table16Mapping(e *env) error {
 		return err
 	}
 	mp := core.CalibrateMapping(samples)
-	fmt.Printf("calibrated mapping: fill=%.3f sprBase=%.1f\n\n", mp.FillFraction, mp.SPRBase)
+	fmt.Fprintf(stdout, "calibrated mapping: fill=%.3f sprBase=%.1f\n\n", mp.FillFraction, mp.SPRBase)
 	// Pick one configuration per renderer/arch pairing, as the paper does.
 	seen := map[string]bool{}
 	printHeader("test", "arch/renderer", "AP obs", "AP map", "t actual", "t observed-in", "t mapped-in")
@@ -324,11 +324,11 @@ func table16Mapping(e *env) error {
 		})
 		predObserved := m.Predict(row.Sample.In)
 		predMapped := m.Predict(mapped)
-		fmt.Println(cell(i) + cell(k) +
-			cell(fmt.Sprintf("%.0f", row.Sample.In.AP)) +
-			cell(fmt.Sprintf("%.0f", mapped.AP)) +
-			cell(fmt.Sprintf("%.4fs", row.Sample.RenderTime)) +
-			cell(fmt.Sprintf("%.4fs", predObserved)) +
+		fmt.Fprintln(stdout, cell(i)+cell(k)+
+			cell(fmt.Sprintf("%.0f", row.Sample.In.AP))+
+			cell(fmt.Sprintf("%.0f", mapped.AP))+
+			cell(fmt.Sprintf("%.4fs", row.Sample.RenderTime))+
+			cell(fmt.Sprintf("%.4fs", predObserved))+
 			cell(fmt.Sprintf("%.4fs", predMapped)))
 		i++
 		if i >= 6 {
@@ -359,14 +359,14 @@ func table17Coefficients(e *env) error {
 		for _, c := range m.Coefficients() {
 			row += cell(fmt.Sprintf("%.3g", c))
 		}
-		fmt.Println(row)
+		fmt.Fprintln(stdout, row)
 	}
 	if set.Compositing != nil {
 		row := cell("compositing") + cell("all")
 		for _, c := range set.Compositing.Coefficients() {
 			row += cell(fmt.Sprintf("%.3g", c))
 		}
-		fmt.Println(row)
+		fmt.Fprintln(stdout, row)
 	}
 	return nil
 }
@@ -384,7 +384,7 @@ func fig14Budget(e *env) error {
 	mp := core.CalibrateMapping(samples)
 	sizes := []int{256, 512, 768, 1024, 1536, 2048, 3072, 4096}
 	n, tasks := 32, 32
-	fmt.Printf("images renderable in 60 s (N=%d per task, %d tasks):\n\n", n, tasks)
+	fmt.Fprintf(stdout, "images renderable in 60 s (N=%d per task, %d tasks):\n\n", n, tasks)
 	archs, renderers := corpusGroups(samples)
 	printHeader(append([]string{"arch/renderer"}, intsToStrings(sizes)...)...)
 	for _, arch := range archs {
@@ -401,7 +401,7 @@ func fig14Budget(e *env) error {
 			for _, p := range pts {
 				row += cell(fmt.Sprintf("%.0f", p.Images))
 			}
-			fmt.Println(row)
+			fmt.Fprintln(stdout, row)
 		}
 	}
 	return nil
@@ -424,8 +424,8 @@ func fig15Compare(e *env) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("predicted time ratio raytrace/raster (<1: ray tracing faster):")
-	fmt.Println()
+	fmt.Fprintln(stdout, "predicted time ratio raytrace/raster (<1: ray tracing faster):")
+	fmt.Fprintln(stdout)
 	printHeader(append([]string{"N \\ px"}, intsToStrings(imageSizes)...)...)
 	for _, n := range dataSizes {
 		row := cell(n)
@@ -440,7 +440,7 @@ func fig15Compare(e *env) error {
 				}
 			}
 		}
-		fmt.Println(row)
+		fmt.Fprintln(stdout, row)
 	}
 	// Report the crossover summary the paper highlights.
 	rtWins, rastWins := 0, 0
@@ -456,7 +456,7 @@ func fig15Compare(e *env) error {
 			rastWins++
 		}
 	}
-	fmt.Printf("\nray tracing wins %d cells, rasterization %d; ray tracing's best advantage %.1fx\n",
+	fmt.Fprintf(stdout, "\nray tracing wins %d cells, rasterization %d; ray tracing's best advantage %.1fx\n",
 		rtWins, rastWins, extreme)
 	return nil
 }

@@ -164,7 +164,7 @@ func rtFPSTable(e *env, wl raytrace.Workload, fullOnly bool) error {
 			}
 			row += cell(fmt.Sprintf("%.1f", rate))
 		}
-		fmt.Println(row)
+		fmt.Fprintln(stdout, row)
 	}
 	return nil
 }
@@ -204,8 +204,8 @@ func vsTunedTable(e *env, tuned string) error {
 			q.Trace(cam, w, h)
 			tunedRate = q.Trace(cam, w, h).MRaysPerSec()
 		}
-		fmt.Println(cell(ds.label) + cell(m.NumTriangles()) +
-			cell(fmt.Sprintf("%.2f", dppRate)) + cell(fmt.Sprintf("%.2f", tunedRate)) +
+		fmt.Fprintln(stdout, cell(ds.label)+cell(m.NumTriangles())+
+			cell(fmt.Sprintf("%.2f", dppRate))+cell(fmt.Sprintf("%.2f", tunedRate))+
 			cell(fmt.Sprintf("%.2fx", tunedRate/dppRate)))
 	}
 	return nil
@@ -245,8 +245,8 @@ func table5Backends(e *env) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(cell(ds.label) + cell(fmt.Sprintf("%.2f", scalar)) +
-			cell(fmt.Sprintf("%.2f", packet)) + cell(fmt.Sprintf("%.2fx", packet/scalar)))
+		fmt.Fprintln(stdout, cell(ds.label)+cell(fmt.Sprintf("%.2f", scalar))+
+			cell(fmt.Sprintf("%.2f", packet))+cell(fmt.Sprintf("%.2fx", packet/scalar)))
 	}
 	return nil
 }
@@ -301,7 +301,7 @@ func volumePhaseFigure(e *env, arch string) error {
 				for _, p := range phases {
 					row += cell(fmt.Sprintf("%.4fs", st.Phases.Get(p).Seconds()))
 				}
-				fmt.Println(row)
+				fmt.Fprintln(stdout, row)
 			}
 		}
 	}
@@ -323,7 +323,7 @@ func fig7Bunyk(e *env) error {
 		if !ok {
 			bk = baseline.NewBunyk(tm)
 			cache[tm] = bk
-			fmt.Printf("  (connectivity preprocess for %d tets: %.3fs, excluded as in the paper)\n",
+			fmt.Fprintf(stdout, "  (connectivity preprocess for %d tets: %.3fs, excluded as in the paper)\n",
 				tm.NumTets(), bk.PreprocessTime.Seconds())
 		}
 		_, st, err := bk.Render(cam, size, size, 160)
@@ -365,9 +365,9 @@ func volumeComparison(e *env, other string, run func(*mesh.TetMesh, render.Camer
 			if err != nil {
 				return err
 			}
-			fmt.Println(cell(ds.label) + cell(camSpec.name) +
-				cell(fmt.Sprintf("%.3fs", dpp.Seconds())) +
-				cell(fmt.Sprintf("%.3fs", otherT.Seconds())) +
+			fmt.Fprintln(stdout, cell(ds.label)+cell(camSpec.name)+
+				cell(fmt.Sprintf("%.3fs", dpp.Seconds()))+
+				cell(fmt.Sprintf("%.3fs", otherT.Seconds()))+
 				cell(fmt.Sprintf("%.2fx", otherT.Seconds()/dpp.Seconds())))
 		}
 	}
@@ -406,12 +406,12 @@ func table6Kernels(e *env) error {
 	printHeader("kernel", "time", "state B", "occupancy")
 	stateBytes := map[string]int{"screenspace": 96, "sampling": 152, "composite": 72}
 	for _, phase := range []string{"screenspace", "sampling", "composite"} {
-		fmt.Println(cell(phase) +
-			cell(fmt.Sprintf("%.4fs", st.Phases.Get(phase).Seconds())) +
-			cell(stateBytes[phase]) +
+		fmt.Fprintln(stdout, cell(phase)+
+			cell(fmt.Sprintf("%.4fs", st.Phases.Get(phase).Seconds()))+
+			cell(stateBytes[phase])+
 			cell(fmt.Sprintf("%.0f%%", occ*100)))
 	}
-	fmt.Printf("(pass selection omitted: composed of multiple primitives, as in the paper)\n")
+	fmt.Fprintf(stdout, "(pass selection omitted: composed of multiple primitives, as in the paper)\n")
 	return nil
 }
 
@@ -452,10 +452,10 @@ func table7IPC(e *env) error {
 		results[arch] = result{times: times, thru: dev.Stats.Throughput()}
 	}
 	for _, p := range []string{"passselect", "screenspace", "sampling", "composite"} {
-		fmt.Println(cell(p) +
-			cell(fmt.Sprintf("%.4fs", results["cpu"].times[p])) +
-			cell(fmt.Sprintf("%.1f", results["cpu"].thru)) +
-			cell(fmt.Sprintf("%.4fs", results["gpu"].times[p])) +
+		fmt.Fprintln(stdout, cell(p)+
+			cell(fmt.Sprintf("%.4fs", results["cpu"].times[p]))+
+			cell(fmt.Sprintf("%.1f", results["cpu"].thru))+
+			cell(fmt.Sprintf("%.4fs", results["gpu"].times[p]))+
 			cell(fmt.Sprintf("%.1f", results["gpu"].thru)))
 	}
 	return nil
@@ -486,10 +486,10 @@ func table8Scaling(e *env) error {
 			return err
 		}
 		raw := time.Since(start).Seconds()
-		fmt.Println(cell(w) + cell(fmt.Sprintf("%.3fs", raw)) +
+		fmt.Fprintln(stdout, cell(w)+cell(fmt.Sprintf("%.3fs", raw))+
 			cell(fmt.Sprintf("%.3fs", raw*float64(w))))
 	}
-	fmt.Println("(total time = raw x workers; flat total time is perfect scaling)")
+	fmt.Fprintln(stdout, "(total time = raw x workers; flat total time is perfect scaling)")
 	return nil
 }
 
@@ -513,10 +513,10 @@ func table9VisIt(e *env) error {
 			if err != nil {
 				return err
 			}
-			fmt.Println(cell(label) + cell("VisIt") +
-				cell(fmt.Sprintf("%.3f", vst.ScreenSpace.Seconds())) +
-				cell(fmt.Sprintf("%.3f", vst.Sampling.Seconds())) +
-				cell(fmt.Sprintf("%.3f", vst.Composite.Seconds())) +
+			fmt.Fprintln(stdout, cell(label)+cell("VisIt")+
+				cell(fmt.Sprintf("%.3f", vst.ScreenSpace.Seconds()))+
+				cell(fmt.Sprintf("%.3f", vst.Sampling.Seconds()))+
+				cell(fmt.Sprintf("%.3f", vst.Composite.Seconds()))+
 				cell(fmt.Sprintf("%.3f", vst.Total.Seconds())))
 
 			rdr := volume.NewUnstructured(device.Serial(), tm)
@@ -527,10 +527,10 @@ func table9VisIt(e *env) error {
 				return err
 			}
 			ss := st.Phases.Get("init") + st.Phases.Get("passselect") + st.Phases.Get("screenspace")
-			fmt.Println(cell(label) + cell("DPP-VR") +
-				cell(fmt.Sprintf("%.3f", ss.Seconds())) +
-				cell(fmt.Sprintf("%.3f", st.Phases.Get("sampling").Seconds())) +
-				cell(fmt.Sprintf("%.3f", st.Phases.Get("composite").Seconds())) +
+			fmt.Fprintln(stdout, cell(label)+cell("DPP-VR")+
+				cell(fmt.Sprintf("%.3f", ss.Seconds()))+
+				cell(fmt.Sprintf("%.3f", st.Phases.Get("sampling").Seconds()))+
+				cell(fmt.Sprintf("%.3f", st.Phases.Get("composite").Seconds()))+
 				cell(fmt.Sprintf("%.3f", st.Phases.Total().Seconds())))
 		}
 	}

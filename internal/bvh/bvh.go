@@ -18,6 +18,15 @@
 // frames are compared byte for byte across devices, shards and commits.
 // IntersectClosest documents the visit protocol; vecmath.AABB.HitRay the
 // slab test's NaN and signed-zero contract.
+//
+// Primary rays take IntersectClosest4 (packet.go), four coherent rays at
+// a time. On amd64 hosts with AVX2 and OS-enabled YMM state
+// (device.HasAVX2) an assembly kernel runs the visit protocol for the
+// four in lockstep, each lane computing the scalar expressions in their
+// order, until the lanes disagree at a node or a pop or meet a NaN slab
+// value; each lane then finishes on the scalar loop from its own state.
+// Every ray's Hit and counts therefore equal IntersectClosest's. Other
+// hosts run the scalar loop ray by ray; Packets reports which.
 package bvh
 
 import (

@@ -421,12 +421,14 @@ func benchStep(b *testing.B, step func()) {
 	}
 }
 
-// TestZeroAlloc pins both traversal benchmarks' steps at 0 allocs/op:
+// TestZeroAlloc pins the traversal benchmarks' steps at 0 allocs/op:
 // traversal runs per ray, so one allocation would be one per pixel.
 func TestZeroAlloc(t *testing.T) {
 	for name, step := range map[string]func(testing.TB) func(){
-		"IntersectClosest": intersectClosestStep,
-		"IntersectAny":     intersectAnyStep,
+		"IntersectClosest":         intersectClosestStep,
+		"IntersectAny":             intersectAnyStep,
+		"PrimaryTraversal/packets": func(tb testing.TB) func() { return primaryStep(tb, true) },
+		"PrimaryTraversal/scalar":  func(tb testing.TB) func() { return primaryStep(tb, false) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			if n := testing.AllocsPerRun(20, step(t)); n != 0 {

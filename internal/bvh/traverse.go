@@ -47,6 +47,9 @@ type stackEntry struct {
 	entry float64
 }
 
+// stackDepth bounds the traversal stack: one deferred sibling per level.
+const stackDepth = 64
+
 // IntersectClosest finds the nearest triangle hit along the ray between
 // tmin and tmax, traversing children front to back. It returns a Hit with
 // Prim == -1 when nothing is hit, along with the number of box and
@@ -64,55 +67,61 @@ type stackEntry struct {
 //
 //insitu:noalloc
 func (b *BVH) IntersectClosest(orig, dir vecmath.Vec3, tmin, tmax float64) (Hit, int, int) {
+	var stack [stackDepth]stackEntry
+	return b.closest(orig, dir, tmin, tmax, &stack)
+}
+
+// IntersectClosestScratch is IntersectClosest on the worker's Tracer
+// stack instead of a fresh one, which Go would zero on every call.
+//
+//insitu:noalloc
+func (b *BVH) IntersectClosestScratch(orig, dir vecmath.Vec3, tmin, tmax float64, tr *Tracer) (Hit, int, int) {
+	return b.closest(orig, dir, tmin, tmax, &tr.stack)
+}
+
+//insitu:noalloc
+func (b *BVH) closest(orig, dir vecmath.Vec3, tmin, tmax float64, stack *[stackDepth]stackEntry) (Hit, int, int) {
 	hit := Hit{Prim: -1, T: math.Inf(1)}
 	if len(b.Nodes) == 0 {
 		return hit, 0, 0
 	}
 	inv := vecmath.V(1/dir.X, 1/dir.Y, 1/dir.Z)
-	nodes := b.Nodes
-	best := tmax
-	if _, _, ok := nodes[0].Bounds.HitRay(orig, inv, tmin, best); !ok {
+	if _, _, ok := b.Nodes[0].Bounds.HitRay(orig, inv, tmin, tmax); !ok {
 		return hit, 1, 0
 	}
-	nodeTests, triTests := 1, 0
+	return b.walk(orig, dir, inv, tmin, tmax, hit, 0, stack, 0, 1, 0)
+}
 
-	var stack [64]stackEntry
-	sp := 0
-	ni := int32(0)
+// walk is IntersectClosest's loop after the root test, run from any
+// point of it: visit node ni, or with ni < 0 pop stack[:sp] first,
+// holding best, hit and the counts so far. IntersectClosest starts it
+// at the root; IntersectClosest4's lanes resume in it where the packet
+// kernel hands them off.
+//
+//insitu:noalloc
+func (b *BVH) walk(orig, dir, inv vecmath.Vec3, tmin, best float64, hit Hit, ni int32, stack *[stackDepth]stackEntry, sp, nodeTests, triTests int) (Hit, int, int) {
+	nodes := b.Nodes
 	for {
-		node := &nodes[ni]
-		if node.Count > 0 {
-			tris := b.Tris[node.Start : node.Start+node.Count]
-			triTests += len(tris)
-			for i := range tris {
-				tri := &tris[i]
-				if t, u, v, ok := IntersectTriangle(orig, dir, tri.A, tri.B, tri.C); ok && t > tmin && t < best {
-					best = t
-					hit = Hit{Prim: b.PrimIDs[int(node.Start)+i], T: t, U: u, V: v}
+		if ni >= 0 {
+			node := &nodes[ni]
+			if node.Count > 0 {
+				tris := b.Tris[node.Start : node.Start+node.Count]
+				triTests += len(tris)
+				for i := range tris {
+					tri := &tris[i]
+					if t, u, v, ok := IntersectTriangle(orig, dir, tri.A, tri.B, tri.C); ok && t > tmin && t < best {
+						best = t
+						hit = Hit{Prim: b.PrimIDs[int(node.Start)+i], T: t, U: u, V: v}
+					}
 				}
-			}
-		} else {
-			l, r := node.Left, node.Right
-			lt, _, lok := nodes[l].Bounds.HitRay(orig, inv, tmin, best)
-			rt, _, rok := nodes[r].Bounds.HitRay(orig, inv, tmin, best)
-			nodeTests += 2
-			if lok && rok {
-				if lt > rt {
-					l, r = r, l
-					lt, rt = rt, lt
+			} else {
+				l, r := node.Left, node.Right
+				lt, _, lok := nodes[l].Bounds.HitRay(orig, inv, tmin, best)
+				rt, _, rok := nodes[r].Bounds.HitRay(orig, inv, tmin, best)
+				nodeTests += 2
+				if ni, sp = descend(l, r, lt, rt, lok, rok, stack, sp); ni >= 0 {
+					continue
 				}
-				stack[sp] = stackEntry{node: r, entry: rt}
-				sp++
-				ni = l
-				continue
-			}
-			if lok {
-				ni = l
-				continue
-			}
-			if rok {
-				ni = r
-				continue
 			}
 		}
 		for {
@@ -126,6 +135,30 @@ func (b *BVH) IntersectClosest(orig, dir vecmath.Vec3, tmin, tmax float64) (Hit,
 		}
 		ni = stack[sp].node
 	}
+}
+
+// descend is an interior visit's choice, given its children l and r's
+// slab results: the nearer hit child (the left on a tie) is visited next
+// and, when both are hit, the farther is pushed with its entry distance.
+// It returns the node to visit next, -1 to pop, and the new stack depth.
+//
+//insitu:noalloc
+func descend(l, r int32, lt, rt float64, lok, rok bool, stack *[stackDepth]stackEntry, sp int) (int32, int) {
+	if lok && rok {
+		if lt > rt {
+			l, r = r, l
+			lt, rt = rt, lt
+		}
+		stack[sp] = stackEntry{node: r, entry: rt}
+		return l, sp + 1
+	}
+	if lok {
+		return l, sp
+	}
+	if rok {
+		return r, sp
+	}
+	return -1, sp
 }
 
 // IntersectAny reports whether any triangle is hit in (tmin, tmax), the

@@ -180,3 +180,8 @@ func (s *Stats) Throughput() float64 {
 	}
 	return float64(s.items.Load()) / (busy / 1e3)
 }
+
+// HasAVX2 reports whether this host can run the AVX2 packet kernels:
+// the CPU has AVX2 and the OS saves its YMM state. It is false off
+// amd64. The render kernels read it once per frame to pick their path.
+func HasAVX2() bool { return hasAVX2 }

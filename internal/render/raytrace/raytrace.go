@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"insitu/internal/bvh"
 	"insitu/internal/device"
@@ -149,19 +150,31 @@ func (r *raysSoA) ensure(n int) {
 func (r *raysSoA) orig(i int) vecmath.Vec3 { return vecmath.V(r.ox[i], r.oy[i], r.oz[i]) }
 func (r *raysSoA) dir(i int) vecmath.Vec3  { return vecmath.V(r.dx[i], r.dy[i], r.dz[i]) }
 
+func (r *raysSoA) setHit(i int, hit bvh.Hit) {
+	r.hitPrim[i], r.hitT[i], r.hitU[i], r.hitV[i] = hit.Prim, hit.T, hit.U, hit.V
+}
+
 // jitterTable is the fixed 4-sample supersampling pattern.
 var jitterTable = [4][2]float64{{0.5, 0.5}, {0.25, 0.25}, {0.75, 0.25}, {0.5, 0.75}}
 
-// packetScratch is one worker's reusable packet-tracing state. Hoisting
-// it out of the chunk loop removes the per-chunk origs/dirs/hits
-// allocations the packetized backend used to pay.
-type packetScratch struct {
+// scratch is one worker's reusable traversal state: the primary-ray
+// Tracer, and the UsePackets backend's buffers. Hoisting it out of the
+// chunk loop is what keeps traversal allocation-free.
+type scratch struct {
+	tr          bvh.Tracer
 	origs, dirs []vecmath.Vec3
 	hits        []bvh.Hit
 	trav        bvh.PacketScratch
 }
 
-func (p *packetScratch) ensure(width int) {
+// packetScratch is scratch padded to a whole number of 64-byte cache
+// lines, so that two workers writing their own never share a line.
+type packetScratch struct {
+	scratch
+	_ [64 - unsafe.Sizeof(scratch{})%64]byte
+}
+
+func (p *scratch) ensure(width int) {
 	if cap(p.origs) < width {
 		p.origs = make([]vecmath.Vec3, width)
 		p.dirs = make([]vecmath.Vec3, width)
@@ -202,14 +215,18 @@ type frameArena struct {
 
 	nodeTests, triTests, castRays atomic.Int64
 
-	packets []packetScratch
+	// packets is the per-worker traversal scratch. quads is this frame's
+	// choice of primary traversal: IntersectClosest4 where the host runs
+	// its packet kernel, unless scalarOnly turns it off (tests).
+	packets           []packetScratch
+	quads, scalarOnly bool
 
 	defaultCmap *framebuffer.ColorMap
 
-	raygenFn, flagsFn, initFn, traceFn func(lo, hi int)
-	aoFn, shadowFn, reflectFn          func(lo, hi int)
-	shadeFn, accumFn, hitsFn           func(lo, hi int)
-	tracePacketFn                      func(worker, lo, hi int)
+	raygenFn, flagsFn, initFn func(lo, hi int)
+	aoFn, shadowFn, reflectFn func(lo, hi int)
+	shadeFn, accumFn, hitsFn  func(lo, hi int)
+	traceFn, tracePacketFn    func(worker, lo, hi int)
 }
 
 // init wires the arena to its renderer and builds the kernel closures
@@ -309,7 +326,7 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 
 	// Primary ray generation in morton order (a map over ray indices).
 	start := time.Now()
-	a.order = mortonPixelOrder(opts.Width, opts.Height)
+	a.order = MortonPixelOrder(opts.Width, opts.Height)
 	numPixels := len(a.order)
 	n := numPixels * a.spp
 	a.ensure(n, opts.Width, opts.Height)
@@ -321,10 +338,12 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 	// Traversal and intersection.
 	start = time.Now()
 	if opts.UsePackets && r.Dev.VectorWidth >= 2 {
-		a.ensurePackets()
+		a.ensurePackets(r.Dev.VectorWidth)
 		dpp.ForWorker(r.Dev, n, a.tracePacketFn)
 	} else {
-		dpp.For(r.Dev, n, a.traceFn)
+		a.ensurePackets(0)
+		a.quads = bvh.Packets() && !a.scalarOnly
+		dpp.ForWorker(r.Dev, n, a.traceFn)
 	}
 	stats.NodeTests += a.nodeTests.Load()
 	stats.TriTests += a.triTests.Load()
@@ -408,36 +427,54 @@ func (a *frameArena) raygenKernel(lo, hi int) {
 	}
 }
 
-// traceKernel intersects rays against the BVH, scalar path.
+// traceKernel intersects primary rays against the BVH on the worker's
+// Tracer. With quads it hands them to IntersectClosest4 four at a time,
+// in groups aligned to multiples of four in the frame's Morton order (a
+// 2x2 pixel quad, or one pixel's four supersamples); without, it traces
+// them one by one. Either way every ray gets IntersectClosest's hit and
+// counts.
 //
 //insitu:noalloc
-func (a *frameArena) traceKernel(lo, hi int) {
+func (a *frameArena) traceKernel(worker, lo, hi int) {
 	rays := &a.rays
+	b := a.r.BVH
+	tr := &a.packets[worker].tr
 	var localNode, localTri int
-	for i := lo; i < hi; i++ {
-		hit, nt, tt := a.r.BVH.IntersectClosest(rays.orig(i), rays.dir(i), 1e-9, math.Inf(1))
-		localNode += nt
-		localTri += tt
-		rays.hitPrim[i] = hit.Prim
-		rays.hitT[i] = hit.T
-		rays.hitU[i] = hit.U
-		rays.hitV[i] = hit.V
+	if a.quads {
+		for base := lo; base < hi; {
+			end := min(base-base%4+4, hi)
+			for k := 0; k < end-base; k++ {
+				tr.SetRay(k, rays.orig(base+k), rays.dir(base+k))
+			}
+			b.IntersectClosest4(tr, end-base, 1e-9, math.Inf(1))
+			for k := 0; k < end-base; k++ {
+				localNode += tr.NodeTests[k]
+				localTri += tr.TriTests[k]
+				rays.setHit(base+k, tr.Hit[k])
+			}
+			base = end
+		}
+	} else {
+		for i := lo; i < hi; i++ {
+			hit, nt, tt := b.IntersectClosestScratch(rays.orig(i), rays.dir(i), 1e-9, math.Inf(1), tr)
+			localNode += nt
+			localTri += tt
+			rays.setHit(i, hit)
+		}
 	}
 	a.nodeTests.Add(int64(localNode))
 	a.triTests.Add(int64(localTri))
 }
 
-// ensurePackets sizes the per-worker packet scratch.
-func (a *frameArena) ensurePackets() {
-	workers := a.r.Dev.Workers
-	if workers < 1 {
-		workers = 1
-	}
+// ensurePackets sizes the per-worker scratch, with packet buffers of
+// the given width for the UsePackets backend (0 when it does not run).
+func (a *frameArena) ensurePackets(width int) {
+	workers := max(a.r.Dev.Workers, 1)
 	if len(a.packets) < workers {
 		a.packets = make([]packetScratch, workers)
 	}
 	for i := range a.packets {
-		a.packets[i].ensure(a.r.Dev.VectorWidth)
+		a.packets[i].ensure(width)
 	}
 }
 
@@ -463,10 +500,7 @@ func (a *frameArena) tracePacketKernel(worker, lo, hi int) {
 		localNode += nt
 		localTri += tt
 		for k := 0; k < cnt; k++ {
-			rays.hitPrim[base+k] = ps.hits[k].Prim
-			rays.hitT[base+k] = ps.hits[k].T
-			rays.hitU[base+k] = ps.hits[k].U
-			rays.hitV[base+k] = ps.hits[k].V
+			rays.setHit(base+k, ps.hits[k])
 		}
 	}
 	a.nodeTests.Add(int64(localNode))
@@ -721,11 +755,11 @@ var (
 // wholesale (sizes churn only in pathological sweeps).
 const mortonCacheLimit = 64
 
-// mortonPixelOrder returns every pixel index of a w x h image in 2-D
+// MortonPixelOrder returns every pixel index of a w x h image in 2-D
 // morton (Z-curve) order, the coherence-friendly traversal the paper uses
 // to raise SIMD efficiency. Orders are cached per (w, h); the returned
 // slice is shared and must not be mutated.
-func mortonPixelOrder(w, h int) []int32 {
+func MortonPixelOrder(w, h int) []int32 {
 	key := [2]int{w, h}
 	mortonMu.Lock()
 	order, ok := mortonCache[key]

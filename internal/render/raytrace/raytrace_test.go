@@ -3,7 +3,9 @@ package raytrace
 import (
 	"math"
 	"testing"
+	"unsafe"
 
+	"insitu/internal/bvh"
 	"insitu/internal/device"
 	"insitu/internal/framebuffer"
 	"insitu/internal/mesh"
@@ -243,7 +245,7 @@ func TestEmptyMeshRenders(t *testing.T) {
 func TestMortonPixelOrderCoversImage(t *testing.T) {
 	for _, wh := range [][2]int{{7, 5}, {16, 16}, {33, 9}, {1, 1}} {
 		w, h := wh[0], wh[1]
-		order := mortonPixelOrder(w, h)
+		order := MortonPixelOrder(w, h)
 		if len(order) != w*h {
 			t.Fatalf("%dx%d: order length %d", w, h, len(order))
 		}
@@ -315,5 +317,60 @@ func TestColorMapOverride(t *testing.T) {
 	}
 	if img.ActivePixels() == 0 {
 		t.Error("empty image with custom color map")
+	}
+}
+
+// TestPrimaryPacketsMatchScalarFrame renders frames with the primary-ray
+// packet kernel on and forced off, on devices whose chunks split quads,
+// with and without supersampling: every ray's hit is bitwise the same
+// and so are the frame's traversal counts. bvh's
+// TestPrimaryPacketsMatchScalar checks each ray's counts.
+func TestPrimaryPacketsMatchScalarFrame(t *testing.T) {
+	m := testScene(t, 16)
+	for _, dev := range []*device.Device{device.Serial(), {Name: "odd", Workers: 3, Grain: 37, VectorWidth: 1}} {
+		for _, ss := range []bool{false, true} {
+			r := New(dev, m)
+			opts := Options{
+				Width: 61, Height: 37,
+				Camera:   render.OrbitCamera(m.Bounds(), 30, 20, 1.5),
+				Workload: Workload3, Supersample: ss, AOSamples: 1,
+			}
+			var hits [2][]bvh.Hit
+			var counts [2][2]int64
+			for i, scalar := range []bool{false, true} {
+				r.arena.scalarOnly = scalar
+				_, stats, err := r.Render(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := bvh.Packets() && !scalar; r.arena.quads != want {
+					t.Fatalf("scalarOnly=%v: quads=%v, want %v", scalar, r.arena.quads, want)
+				}
+				rays := &r.arena.rays
+				for k := range rays.hitPrim {
+					hits[i] = append(hits[i], bvh.Hit{Prim: rays.hitPrim[k], T: rays.hitT[k], U: rays.hitU[k], V: rays.hitV[k]})
+				}
+				counts[i] = [2]int64{stats.NodeTests, stats.TriTests}
+			}
+			if counts[0] != counts[1] {
+				t.Errorf("%s ss=%v: box and triangle tests %v with packets, %v without", dev.Name, ss, counts[0], counts[1])
+			}
+			for k, on := range hits[0] {
+				off := hits[1][k]
+				if on.Prim != off.Prim || math.Float64bits(on.T) != math.Float64bits(off.T) ||
+					math.Float64bits(on.U) != math.Float64bits(off.U) || math.Float64bits(on.V) != math.Float64bits(off.V) {
+					t.Fatalf("%s ss=%v ray %d: hit %+v with packets, %+v without", dev.Name, ss, k, on, off)
+				}
+			}
+		}
+	}
+}
+
+// TestPacketScratchWholeCacheLines keeps each worker's traversal scratch
+// a whole number of 64-byte cache lines, so that two workers writing
+// their own never share one.
+func TestPacketScratchWholeCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(packetScratch{}); n%64 != 0 {
+		t.Errorf("packetScratch is %d bytes, not a multiple of 64", n)
 	}
 }

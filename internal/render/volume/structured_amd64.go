@@ -1,10 +1,10 @@
 package volume
 
+import "insitu/internal/device"
+
 // hasPackets reports whether marchPacket can run: the CPU has AVX2 and
 // the OS saves its YMM state.
-var hasPackets = cpuHasAVX2()
-
-func cpuHasAVX2() bool
+var hasPackets = device.HasAVX2()
 
 // marchPacket marches the packet's four rays through the uniform grid
 // in lockstep, each lane computing exactly castRay's uniform-grid,

@@ -1,34 +1,6 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// func cpuHasAVX2() bool
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVL $0, AX
-	CPUID
-	CMPL AX, $7
-	JB   no
-	MOVL $1, AX
-	CPUID
-	ANDL $0x18000000, CX // OSXSAVE and AVX
-	CMPL CX, $0x18000000
-	JNE  no
-	MOVL $0, CX
-	XGETBV
-	ANDL $6, AX          // the OS saves XMM and YMM state
-	CMPL AX, $6
-	JNE  no
-	MOVL $7, AX
-	MOVL $0, CX
-	CPUID
-	BTL  $5, BX          // AVX2
-	JCC  no
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // Comparison predicates for VCMPPD $p, b, a, dst (dst = a p b).
 #define EQ 0x00
 #define LT 0x01
