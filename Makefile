@@ -29,14 +29,14 @@ test:
 # 32-bit target. Their counter blocks are plain 64-bit fields bumped with
 # sync/atomic, which panics there unless the field is 8-byte aligned —
 # each live block leads its owner struct to guarantee it.
-TEST32_PKGS := ./internal/serve ./internal/cluster ./internal/comm ./internal/obs ./internal/registry ./internal/advisor ./cmd/renderd ./cmd/advisord
+TEST32_PKGS := ./internal/serve ./internal/cluster ./internal/comm ./internal/obs ./internal/registry ./internal/advisor ./cmd/renderd
 test32:
 	GOARCH=386 $(GO) test -count=1 $(TEST32_PKGS)
 
 # race exercises the concurrent paths (parallel study runner, registry
-# hot reload, advisord observation ingestion, and the serve race test —
-# concurrent frame requests sharing one cache + calibrator) under the
-# race detector; ci depends on it. The zero-allocation guard
+# hot reload, and the serve race test — concurrent frame requests and
+# posted observations sharing one cache and one calibration queue)
+# under the race detector; ci depends on it. The zero-allocation guard
 # (`go test -run TestZeroAlloc ./...`, one TestZeroAlloc per package
 # with a 0 allocs/op benchmark) rides it as well as `test` (and, for
 # serve and obs, `test32`); under the race detector only its
@@ -128,7 +128,7 @@ obs:
 	$(GO) test -run 'TestPromExposition|TestTraceEndpoint|TestMetricsJSONShape|TestFrameResponseQueueHeaders' ./cmd/renderd/
 	$(GO) test -run 'TestFrameTrace' ./internal/serve/
 	$(GO) build -o $(LINT_BIN) ./tools/insitulint
-	$(GO) vet -vettool=$(CURDIR)/$(LINT_BIN) ./internal/obs/ ./internal/serve/ ./internal/cluster/ ./internal/comm/ ./cmd/renderd/ ./cmd/advisord/
+	$(GO) vet -vettool=$(CURDIR)/$(LINT_BIN) ./internal/obs/ ./internal/serve/ ./internal/cluster/ ./internal/comm/ ./cmd/renderd/
 
 # cover runs the test suite with coverage and prints a per-function
 # summary plus the total. The profile lands in cover.out for

@@ -11,13 +11,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"insitu/internal/advisor"
 	"insitu/internal/core"
 	"insitu/internal/obs"
 	"insitu/internal/registry"
 	"insitu/internal/scenario"
+	"insitu/internal/serve"
 	"insitu/internal/study"
 )
 
@@ -47,7 +47,7 @@ func studyRegistry(t *testing.T) (string, *core.ModelSet, core.Mapping) {
 				)
 			}
 		}
-		studyOnce.dir, studyOnce.err = os.MkdirTemp("", "advisord-test-")
+		studyOnce.dir, studyOnce.err = os.MkdirTemp("", "renderd-advisor-test-")
 		if studyOnce.err != nil {
 			return
 		}
@@ -68,7 +68,19 @@ func studyRegistry(t *testing.T) (string, *core.ModelSet, core.Mapping) {
 	return path, set, core.CalibrateMapping(samples)
 }
 
-// testServer serves the exported registry over httptest.
+// advisorServer serves renderd's full route table over httptest, in
+// front of a serving subsystem built on engine with cfg.
+func advisorServer(t *testing.T, engine *advisor.Engine, cfg serve.Config) (*httptest.Server, *serve.Server) {
+	t.Helper()
+	srv := serve.New(engine, cfg)
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(newWebServer(srv, nil).handler())
+	t.Cleanup(ts.Close)
+	return ts, srv
+}
+
+// testServer serves the exported registry over httptest, calibration
+// off.
 func testServer(t *testing.T) (*httptest.Server, string, *core.ModelSet, core.Mapping) {
 	t.Helper()
 	path, set, mp := studyRegistry(t)
@@ -76,8 +88,7 @@ func testServer(t *testing.T) (*httptest.Server, string, *core.ModelSet, core.Ma
 	if err := reg.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(advisor.New(reg)).handler())
-	t.Cleanup(ts.Close)
+	ts, _ := advisorServer(t, advisor.New(reg), serve.Config{ObserveQueue: -1})
 	return ts, path, set, mp
 }
 
@@ -101,7 +112,7 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, req, resp any) int
 }
 
 // TestFeasibilityServedFromExportedRegistry is the subsystem's acceptance
-// test: advisord answers /v1/feasibility from a registry JSON exported by
+// test: renderd answers /v1/feasibility from a registry JSON exported by
 // the study pipeline, and the numbers match core.ModelSet.ImagesInBudget
 // on the in-memory fit exactly.
 func TestFeasibilityServedFromExportedRegistry(t *testing.T) {
@@ -260,7 +271,7 @@ func TestModelsHealthzMetricsEndpoints(t *testing.T) {
 	if err := obs.ValidatePromText(string(raw)); err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, raw)
 	}
-	for _, want := range []string{"advisord_generation ", "advisord_cache_hits "} {
+	for _, want := range []string{"renderd_generation ", "renderd_predict_cache_hits "} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("exposition missing %q", want)
 		}
@@ -327,15 +338,14 @@ func TestMaxTrianglesEndpoint(t *testing.T) {
 }
 
 func TestEmptyRegistryAnswers503(t *testing.T) {
-	ts := httptest.NewServer(newServer(advisor.New(registry.New(16))).handler())
-	defer ts.Close()
-	r, err := ts.Client().Get(ts.URL + "/healthz")
+	ts, _ := advisorServer(t, advisor.New(registry.New(16)), serve.Config{ObserveQueue: -1})
+	r, err := ts.Client().Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Body.Close()
 	if r.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("healthz status %d", r.StatusCode)
+		t.Errorf("readyz status %d", r.StatusCode)
 	}
 	r, err = ts.Client().Get(ts.URL + "/v1/models")
 	if err != nil {
@@ -368,11 +378,7 @@ func TestObservationsRoundTripRefitsServedModels(t *testing.T) {
 			return reg.PublishIf(s, baseGen)
 		},
 	})
-	srv := newServer(engine)
-	srv.startCalibration(16, t.Logf)
-	t.Cleanup(srv.stopCalibration)
-	ts := httptest.NewServer(srv.handler())
-	t.Cleanup(ts.Close)
+	ts, srv := advisorServer(t, engine, serve.Config{ObserveQueue: 16, Logf: t.Logf})
 
 	predictReq := advisor.PredictRequest{Arch: "serial", Renderer: "volume", N: 12, Tasks: 1, Width: 128}
 	var before advisor.PredictResponse
@@ -406,25 +412,15 @@ func TestObservationsRoundTripRefitsServedModels(t *testing.T) {
 		t.Fatalf("accepted body: %+v", accepted)
 	}
 
-	// The refit runs in the background; wait for the generation bump.
-	deadline := time.Now().Add(10 * time.Second)
-	var gen uint64
-	for time.Now().Before(deadline) {
-		var hz healthzBody
-		r, err := ts.Client().Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(r.Body).Decode(&hz); err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		gen = hz.Generation
-		if gen > accepted.Generation {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	// The refit runs in the background; Close drains the calibration
+	// queue, so the generation has bumped once it returns. The advisor
+	// routes answer from the engine and keep serving.
+	srv.Close()
+	var hz healthzBody
+	if code := getJSON(t, ts, "/healthz", &hz); code != http.StatusOK {
+		t.Fatalf("healthz status %d", code)
 	}
+	gen := hz.Generation
 	if gen <= accepted.Generation {
 		t.Fatalf("generation never bumped past %d", accepted.Generation)
 	}
@@ -486,11 +482,7 @@ func TestObservationsValidationAndDisabled(t *testing.T) {
 		Source:  "x",
 		Publish: func(s *registry.Snapshot, _ uint64) error { return reg.Publish(s) },
 	})
-	srv := newServer(engine)
-	srv.startCalibration(4, t.Logf)
-	t.Cleanup(srv.stopCalibration)
-	ts := httptest.NewServer(srv.handler())
-	t.Cleanup(ts.Close)
+	ts, _ := advisorServer(t, engine, serve.Config{ObserveQueue: 4, Logf: t.Logf})
 
 	bad := []advisor.Observation{{Arch: "serial", Renderer: "volume", RenderSeconds: -1}}
 	if code := postJSON(t, ts, "/v1/observations", bad, nil); code != http.StatusBadRequest {
@@ -507,8 +499,7 @@ func TestObservationsValidationAndDisabled(t *testing.T) {
 	}
 
 	// Calibration disabled: the endpoint explains itself with a 503.
-	plain := httptest.NewServer(newServer(advisor.New(reg)).handler())
-	defer plain.Close()
+	plain, _ := advisorServer(t, advisor.New(reg), serve.Config{ObserveQueue: -1})
 	r, err := plain.Client().Post(plain.URL+"/v1/observations", "application/json", bytes.NewReader([]byte("[]")))
 	if err != nil {
 		t.Fatal(err)

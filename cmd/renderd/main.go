@@ -22,6 +22,11 @@
 // client's think time — strictly below foreground deadline work — so a
 // predictable camera (an orbit) sees cache-hit time-to-photon.
 //
+// The same engine answers the paper's viability questions directly:
+// what a configuration costs, how many images fit a budget, how much
+// geometry fits a frame. Measured samples posted from elsewhere (a
+// study run) join served frames in the one calibration queue.
+//
 //	GET    /healthz              liveness (always 200 while the process serves)
 //	GET    /readyz               readiness: models loaded + fleet quorum
 //	GET    /v1/frame             render (query: backend, sim, n, size, deadline_ms,
@@ -34,6 +39,11 @@
 //	                             -> multipart/x-mixed-replace PNG parts
 //	DELETE /v1/session/{id}      close the session, release its runner pin
 //	GET    /v1/models            served models + calibration generation
+//	POST   /v1/predict           cost one configuration (or a JSON array: batch)
+//	POST   /v1/feasibility       images-per-budget curve ("X1 images in X2 s?")
+//	POST   /v1/max_triangles     largest geometry fitting a frame budget
+//	POST   /v1/observations      queue measured samples for background refit
+//	POST   /v1/reload            hot-reload the registry file
 //	GET    /v1/metrics           admission/cache/scheduler/session/prefetch/
 //	                             calibration/cluster counters, per-stage frame
 //	                             latency histograms, model-drift distributions
@@ -92,8 +102,8 @@ func main() {
 		regPath    = flag.String("registry", "", "registry snapshot JSON (from 'repro export')")
 		cacheSize  = flag.Int("cache", 4096, "prediction LRU cache entries (0 disables)")
 		bootstrap  = flag.Bool("bootstrap", false, "if the registry file is missing, run a short study and fit one")
-		calibrate  = flag.Bool("calibrate", true, "feed served frames back into continuous model refits")
-		refitEvery = flag.Int("refit-every", 8, "observed frames between refits")
+		calibrate  = flag.Bool("calibrate", true, "feed served frames and POST /v1/observations into continuous model refits")
+		refitEvery = flag.Int("refit-every", 8, "observed samples between refits")
 		arch       = flag.String("arch", "cpu", "default device profile / model architecture to render on")
 		workers    = flag.Int("workers", 2, "concurrent render workers")
 		queue      = flag.Int("queue", 64, "render queue capacity (EDF-ordered)")
@@ -179,7 +189,7 @@ func buildServer(regPath string, bootstrap bool, cacheSize int, calibrate bool, 
 	engine := advisor.New(reg)
 	if calibrate {
 		engine.SetObserver(serve.NewCalibrator(reg, regPath, "renderd-frames", refitEvery, log.Printf))
-		log.Printf("continuous calibration enabled (served frames refit the models)")
+		log.Printf("continuous calibration enabled (served frames and POST /v1/observations refit the models)")
 	} else {
 		cfg.ObserveQueue = -1
 	}

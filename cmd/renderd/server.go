@@ -17,9 +17,9 @@ import (
 	"insitu/internal/serve"
 )
 
-// maxBodyBytes bounds request bodies; a frame request is a few hundred
-// bytes.
-const maxBodyBytes = 1 << 20
+// maxFrameBody bounds frame and session request bodies; a frame request
+// is a few hundred bytes.
+const maxFrameBody = 1 << 20
 
 // webServer wires the render-serving subsystem to HTTP. fleet is the
 // optional worker cluster behind srv (nil without -cluster); readiness
@@ -47,6 +47,11 @@ func (s *webServer) handler() http.Handler {
 	mux.HandleFunc("GET /v1/session/{id}/stream", s.handleSessionStream)
 	mux.HandleFunc("DELETE /v1/session/{id}", s.handleSessionClose)
 	mux.HandleFunc("GET /v1/models", serve.ModelsHandler(s.srv.Engine().Registry()))
+	mux.HandleFunc("POST /v1/predict", s.handlePredict)
+	mux.HandleFunc("POST /v1/feasibility", adviseHandler(s.srv.Engine().Feasibility))
+	mux.HandleFunc("POST /v1/max_triangles", adviseHandler(s.srv.Engine().MaxTriangles))
+	mux.HandleFunc("POST /v1/observations", s.handleObservations)
+	mux.HandleFunc("POST /v1/reload", s.handleReload)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/trace", s.handleTrace)
 	mux.HandleFunc("GET /metrics", s.handleProm)
@@ -66,6 +71,22 @@ func writeServeError(w http.ResponseWriter, err error, status int) {
 	body := errorBody{Error: err.Error()}
 	errors.As(err, &body.Rejection)
 	serve.WriteJSON(w, status, body)
+}
+
+// decodeBody decodes a JSON request body of at most limit bytes into v,
+// answering 413 itself for an oversized body and 400 for malformed JSON.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	serve.WriteJSON(w, status, errorBody{Error: "bad request body: " + err.Error()})
+	return false
 }
 
 // frameErrStatus maps serving errors to HTTP statuses: client mistakes
@@ -132,12 +153,9 @@ func hitMiss(hit bool) string {
 // handleFramePost renders from a JSON body.
 func (s *webServer) handleFramePost(w http.ResponseWriter, r *http.Request) {
 	var req serve.FrameRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-		return
+	if decodeBody(w, r, maxFrameBody, &req) {
+		s.serveFrame(w, req)
 	}
-	s.serveFrame(w, req)
 }
 
 // handleFrameGet renders from query parameters — the curl-friendly
@@ -189,12 +207,14 @@ func (s *webServer) handleFrameGet(w http.ResponseWriter, r *http.Request) {
 	s.serveFrame(w, req)
 }
 
-// healthzBody is the liveness document.
+// healthzBody is the liveness document. LastReload is set only in the
+// /v1/reload answer.
 type healthzBody struct {
 	Status        string `json:"status"`
 	Models        int    `json:"models"`
 	Generation    uint64 `json:"generation"`
 	UptimeSeconds int64  `json:"uptime_seconds"`
+	LastReload    int64  `json:"last_reload_unix,omitempty"`
 }
 
 // handleHealthz is pure liveness: the process is up and answering. It
@@ -252,8 +272,7 @@ func (s *webServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, body)
 }
 
-// modelsBody is the /v1/models response, shared with the other
-// serving binary.
+// modelsBody is the /v1/models response.
 type modelsBody = serve.ModelsBody
 
 // metricsBody merges the serving-path counters with the advisor

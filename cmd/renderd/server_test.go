@@ -317,19 +317,30 @@ func TestRenderdRequestValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("deadline_ms=1e13 status %d, want 400", resp.StatusCode)
 	}
-	// POST body form: malformed JSON is 400.
-	r, err := ts.Client().Post(ts.URL+"/v1/frame", "application/json", strings.NewReader("{oops"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body status %d", r.StatusCode)
+	// POST body forms: malformed JSON is 400, an oversized body 413.
+	huge := bytes.Repeat([]byte(" "), 2<<20)
+	for _, c := range []struct {
+		path string
+		body []byte
+		want int
+	}{
+		{"/v1/frame", []byte("{oops"), http.StatusBadRequest},
+		{"/v1/frame", huge, http.StatusRequestEntityTooLarge},
+		{"/v1/session", huge, http.StatusRequestEntityTooLarge},
+	} {
+		r, err := ts.Client().Post(ts.URL+c.path, "application/json", bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != c.want {
+			t.Errorf("POST %s with a %d-byte body: status %d, want %d", c.path, len(c.body), r.StatusCode, c.want)
+		}
 	}
 
 	// POST and GET forms answer identically for the same request.
 	reqBody, _ := json.Marshal(serve.FrameRequest{Backend: core.Volume, Sim: "kripke", N: 8, Width: 64})
-	r, err = ts.Client().Post(ts.URL+"/v1/frame", "application/json", bytes.NewReader(reqBody))
+	r, err := ts.Client().Post(ts.URL+"/v1/frame", "application/json", bytes.NewReader(reqBody))
 	if err != nil {
 		t.Fatal(err)
 	}

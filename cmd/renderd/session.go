@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"mime/multipart"
@@ -27,9 +26,7 @@ import (
 // handleSessionOpen opens a session from a JSON frame request.
 func (s *webServer) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	var req serve.FrameRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, maxFrameBody, &req) {
 		return
 	}
 	sess, err := s.srv.OpenSession(req)

@@ -20,7 +20,7 @@ func init() {
 // study plan runs on the parallel runner (-parallel workers), every
 // completed row streams into a Calibrator, and each refit publishes a new
 // registry generation plus an updated models.json — the file a running
-// advisord can hot-reload, or the payload to POST to /v1/observations.
+// renderd can hot-reload, or the payload to POST to /v1/observations.
 // Interrupting the run keeps every generation published so far.
 func calibrateRun(e *env) error {
 	plan := study.Plan(e.short)
@@ -86,6 +86,6 @@ func calibrateRun(e *env) error {
 	if snap.Compositing != nil {
 		fmt.Fprintf(stdout, " + compositing")
 	}
-	fmt.Fprintf(stdout, ", %d generations\nserve it with: advisord -registry %s\n", reg.Generation(), path)
+	fmt.Fprintf(stdout, ", %d generations\nserve it with: renderd -registry %s\n", reg.Generation(), path)
 	return nil
 }

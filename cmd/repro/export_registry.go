@@ -12,7 +12,7 @@ func init() {
 }
 
 // exportRegistry fits the study corpus and writes the versioned registry
-// snapshot advisord serves from, closing the loop between the paper's
+// snapshot renderd serves from, closing the loop between the paper's
 // one-shot reproduction and the online feasibility service.
 func exportRegistry(e *env) error {
 	rows, err := e.corpus.get(e)
@@ -30,6 +30,6 @@ func exportRegistry(e *env) error {
 	}
 	fmt.Fprintf(stdout, ", mapping fill=%.3f sprBase=%.1f)\n",
 		snap.Mapping.FillFraction, snap.Mapping.SPRBase)
-	fmt.Fprintf(stdout, "serve it with: advisord -registry %s\n", path)
+	fmt.Fprintf(stdout, "serve it with: renderd -registry %s\n", path)
 	return nil
 }

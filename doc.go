@@ -41,7 +41,7 @@
 //     fill the model inputs of §5.3. Each backend declares its linear
 //     model form (core.RendererSpec), its compositing operator, and its
 //     data-shape constraints; registering one makes it sampled by the
-//     study plan, fittable, snapshot-servable, and advisord-predictable
+//     study plan, fittable, snapshot-servable, and predictable over renderd's /v1/predict
 //     with no further changes (the tetrahedral volume-unstructured
 //     backend is integrated exactly this way);
 //   - the measurement harness in internal/study — a worker-pool runner
@@ -76,13 +76,13 @@
 // paper's evaluation (with -parallel N measuring the study on N
 // workers), its export experiment publishes the fitted models as a
 // registry snapshot, and its calibrate experiment runs the live
-// measure -> refit -> publish loop; cmd/advisord serves feasibility
-// answers from such a snapshot over HTTP, accepts measured samples on
-// POST /v1/observations for background refit and atomic hot reload (and
-// has a load-generator mode for benchmarking); cmd/renderd serves
-// deadline-gated PNG frames from the same models (GET/POST /v1/frame),
-// degrading or refusing what does not fit and refitting from its own
-// traffic; cmd/insitu runs a proxy simulation with in situ rendering;
+// measure -> refit -> publish loop; cmd/renderd serves deadline-gated
+// PNG frames from such a snapshot (GET/POST /v1/frame), degrading or
+// refusing what does not fit and refitting from its own traffic, and
+// answers the models' feasibility questions from the same engine
+// (POST /v1/predict, /v1/feasibility, /v1/max_triangles), with
+// measured samples posted to /v1/observations joining its calibration
+// queue; cmd/insitu runs a proxy simulation with in situ rendering;
 // cmd/render renders a synthetic dataset through the scenario backend
 // registry; the examples/ directory holds runnable walkthroughs,
 // including examples/advisor for the measure -> export -> serve path,

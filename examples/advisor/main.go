@@ -1,22 +1,17 @@
 // Advisor walks the full serving path of the feasibility-advisor
 // subsystem: measure a small study on this machine, export the fitted
 // models as a registry snapshot (the same JSON "repro export" writes),
-// load it back the way advisord does, and answer the paper's viability
+// load it back the way renderd does, and answer the paper's viability
 // questions through the advisor engine — including a hot reload after the
-// models are refreshed.
-//
-// Run with -serve to also start the HTTP API and query it over loopback.
+// models are refreshed. renderd serves the same engine over HTTP
+// (POST /v1/predict, /v1/feasibility, /v1/max_triangles).
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 
@@ -30,7 +25,7 @@ func main() {
 	verbose := flag.Bool("v", false, "log study progress")
 	flag.Parse()
 
-	// 1. Measure: a small single-architecture corpus (the feed advisord
+	// 1. Measure: a small single-architecture corpus (the feed renderd
 	// normally gets from "repro export").
 	var plan []study.Config
 	for _, n := range []int{10, 14, 18, 22} {
@@ -73,7 +68,7 @@ func main() {
 	}
 
 	// 3. Serve: load the snapshot into a registry and ask the engine the
-	// questions advisord exposes over HTTP.
+	// questions renderd exposes over HTTP.
 	reg := registry.New(1024)
 	if err := reg.LoadFile(path); err != nil {
 		log.Fatal(err)
@@ -118,48 +113,4 @@ func main() {
 	}
 	fmt.Printf("\nhot reload: generation %d now serves source %q\n",
 		reg.Generation(), reg.Snapshot().Source)
-
-	// 5. The same questions over HTTP, exactly as advisord serves them.
-	queryOverHTTP(eng)
-}
-
-// queryOverHTTP starts the advisord handler on a loopback listener and
-// issues one feasibility request against it.
-func queryOverHTTP(eng *advisor.Engine) {
-	// The example reuses the engine directly; advisord's HTTP layer is a
-	// thin JSON shell over it, so a plain handler suffices here.
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/feasibility", func(w http.ResponseWriter, r *http.Request) {
-		var req advisor.FeasibilityRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := eng.Feasibility(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
-	})
-	srv := http.Server{Handler: mux}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	body, _ := json.Marshal(advisor.FeasibilityRequest{
-		Arch: "cpu", Renderer: "volume", N: 24, Tasks: 1,
-		BudgetSeconds: 10, Sizes: []int{256, 1024},
-	})
-	resp, err := http.Post("http://"+ln.Addr().String()+"/v1/feasibility", "application/json", bytes.NewReader(body))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body)
-	fmt.Printf("\nHTTP /v1/feasibility says:\n%s", out)
 }

@@ -3,7 +3,7 @@
 // Calibrator, every refit publishes a new registry generation while the
 // study is still running, and the advisor engine's answers sharpen live —
 // the in-process equivalent of a study machine POSTing its rows to a
-// running advisord's /v1/observations endpoint.
+// running renderd's /v1/observations endpoint.
 package main
 
 import (

@@ -344,7 +344,7 @@ func degenerateEngine(t *testing.T) *Engine {
 
 // TestNonFinitePredictionsAreSanitized: degenerate fits must never leak
 // NaN or Inf into a response — encoding/json rejects them, which used to
-// turn the whole advisord answer into an opaque 500. Sanitized responses
+// turn the whole renderd answer into an opaque 500. Sanitized responses
 // carry flagged zeros and marshal cleanly.
 func TestNonFinitePredictionsAreSanitized(t *testing.T) {
 	e := degenerateEngine(t)

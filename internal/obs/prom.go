@@ -276,7 +276,7 @@ var promLine = regexp.MustCompile(
 
 // ValidatePromText is a minimal Prometheus text-format validator: every
 // non-comment line must be a well-formed sample and the exposition must
-// contain at least one. Tests in cmd/renderd and cmd/advisord use it to
+// contain at least one. Tests in cmd/renderd use it to
 // keep /metrics scrapeable.
 func ValidatePromText(text string) error {
 	sc := bufio.NewScanner(strings.NewReader(text))

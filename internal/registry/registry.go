@@ -262,7 +262,7 @@ func (s *Snapshot) WriteFile(path string) error {
 		return err
 	}
 	// CreateTemp makes the file 0600; published snapshots are meant to be
-	// consumed by other processes (advisord under a service user), so open
+	// consumed by other processes (renderd under a service user), so open
 	// it up before the rename makes it visible.
 	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
 		os.Remove(tmp.Name())
@@ -412,7 +412,7 @@ func (r *Registry) publish(s *Snapshot, expect *uint64) error {
 }
 
 // Reload re-reads the last loaded file — the hot-reload path a running
-// advisord uses when the study pipeline publishes fresh models. A failed
+// renderd uses when the study pipeline publishes fresh models. A failed
 // reload leaves the current models serving.
 func (r *Registry) Reload() error {
 	r.mu.RLock()

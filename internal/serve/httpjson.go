@@ -13,8 +13,8 @@ import (
 // WriteJSON encodes v into a buffer before touching the ResponseWriter,
 // so an encoding failure (which should be impossible now that serving
 // responses sanitize non-finite floats, but defense in depth) surfaces
-// as a clean 500 instead of a truncated 200. Shared by the serving
-// binaries (advisord, renderd) so the two response paths cannot drift.
+// as a clean 500 instead of a truncated 200. Every renderd JSON route
+// answers through it.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)

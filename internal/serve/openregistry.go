@@ -9,11 +9,10 @@ import (
 )
 
 // OpenRegistry loads a model snapshot into a fresh registry, shared by
-// the serving binaries (advisord, renderd). With bootstrap set and the
-// file absent, it runs a short measurement study on this machine, fits
-// the models, persists the snapshot when a path was given, and serves
-// that — the single-command path from nothing to a live model-gated
-// service.
+// renderd and the benchmark's replayer. With bootstrap set and the file
+// absent, it runs a short measurement study on this machine, fits the
+// models, persists the snapshot when a path was given, and serves that
+// — the single-command path from nothing to a live model-gated service.
 func OpenRegistry(path string, bootstrap bool, cacheSize int, logf func(format string, args ...any)) (*registry.Registry, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -58,13 +57,12 @@ func OpenRegistry(path string, bootstrap bool, cacheSize int, logf func(format s
 }
 
 // NewCalibrator builds the continuous-calibration loop around a serving
-// registry, shared by the serving binaries (advisord feeds it posted
-// observations, renderd its own served frames): observed samples refit
-// against the retained corpus every refitEvery samples, thin groups
-// carry over from the currently served snapshot, and each refit
-// hot-reloads the registry in place and, when path is set, persists the
-// snapshot there (best effort, logged through logf) so the refined
-// models survive a restart.
+// registry, fed by renderd's served frames and posted observations:
+// observed samples refit against the retained corpus every refitEvery
+// samples, thin groups carry over from the currently served snapshot,
+// and each refit hot-reloads the registry in place and, when path is
+// set, persists the snapshot there (best effort, logged through logf)
+// so the refined models survive a restart.
 func NewCalibrator(reg *registry.Registry, path, source string, refitEvery int, logf func(format string, args ...any)) *study.Calibrator {
 	return &study.Calibrator{
 		Source:     source,

@@ -13,9 +13,10 @@ import (
 
 // TestConcurrentRendersSharedCacheAndCalibrator exercises the serving
 // path's shared state under contention — one frame cache, one runner
-// cache, one admission memo, and one calibrator republishing the
-// registry mid-traffic — and is run under -race by `make race` (wired
-// into `make ci`).
+// cache, one admission memo, and one calibration queue that served
+// frames and posted observations both feed, its calibrator
+// republishing the registry mid-traffic — and is run under -race by
+// `make race` (wired into `make ci`).
 func TestConcurrentRendersSharedCacheAndCalibrator(t *testing.T) {
 	reg := testRegistry(t)
 	engine := advisor.New(reg)
@@ -69,6 +70,22 @@ func TestConcurrentRendersSharedCacheAndCalibrator(t *testing.T) {
 			}
 		}(g)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			ap := float64(4000 + 500*i)
+			err := s.QueueObservations([]advisor.Observation{{
+				Arch: "serial", Renderer: "volume",
+				Inputs:        core.Inputs{O: 1000, AP: ap, SPR: 100, CS: 10, Pixels: 4 * ap, AvgAP: ap, Tasks: 1},
+				RenderSeconds: 1e-6 * ap,
+			}})
+			if err != nil && !errors.Is(err, ErrCalibrationFull) {
+				errs <- err
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	close(errs)
 	for err := range errs {

@@ -36,6 +36,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -149,7 +150,7 @@ type Config struct {
 	FrameCacheEntries  int // default 256
 	RunnerCacheEntries int // default 8
 	// ObserveQueue buffers measured samples for the engine's observer;
-	// 0 disables calibration feedback.
+	// negative disables calibration feedback.
 	ObserveQueue int // default 256
 	// PrefetchDepth is how many predicted poses ahead a streaming
 	// session speculatively renders (capped at MaxPrefetchDepth);
@@ -1017,6 +1018,46 @@ func (s *Server) feedObservation(req *FrameRequest, q quality, in core.Inputs, b
 	default:
 		atomic.AddUint64(&s.n.ObservationsDropped, 1)
 	}
+}
+
+// QueueObservations refusals. ErrCalibrationFull clears as the refit
+// worker drains the queue; ErrBatchTooLarge never does.
+var (
+	ErrCalibrationOff  = errors.New("serve: observation ingestion disabled")
+	ErrCalibrationFull = errors.New("serve: calibration queue full, retry later")
+	ErrBatchTooLarge   = errors.New("serve: observation batch larger than the calibration queue")
+)
+
+// QueueObservations validates externally measured samples and queues
+// them for the same worker that refits from served frames: the whole
+// batch is queued or none of it is. Invalid observations wrap
+// ErrBadRequest.
+func (s *Server) QueueObservations(batch []advisor.Observation) error {
+	if s.obsCh == nil {
+		return ErrCalibrationOff
+	}
+	samples, err := advisor.SamplesFromObservations(batch)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if len(samples) > cap(s.obsCh) {
+		return fmt.Errorf("%w: %d samples, capacity %d", ErrBatchTooLarge, len(samples), cap(s.obsCh))
+	}
+	s.obsMu.Lock()
+	defer s.obsMu.Unlock()
+	if s.obsClosed {
+		return ErrClosed
+	}
+	// Every sender holds obsMu, so the free space checked here can only
+	// grow before the sends below complete: none of them blocks.
+	if cap(s.obsCh)-len(s.obsCh) < len(samples) {
+		return ErrCalibrationFull
+	}
+	for _, sample := range samples {
+		s.obsCh <- sample
+	}
+	atomic.AddUint64(&s.n.ObservationsQueued, uint64(len(samples)))
+	return nil
 }
 
 // observeLoop drains measured samples into the engine's observer in

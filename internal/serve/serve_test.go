@@ -345,6 +345,75 @@ func TestQueueFullAnswersBackpressure(t *testing.T) {
 	close(block)
 }
 
+// blockingObserver holds the calibration worker inside Observe until
+// release closes, so a test controls the queue's free space.
+type blockingObserver struct{ entered, release chan struct{} }
+
+func (o *blockingObserver) Observe(samples []core.Sample) (int, bool, string, error) {
+	select {
+	case o.entered <- struct{}{}:
+	default:
+	}
+	<-o.release
+	return len(samples), false, "", nil
+}
+
+// TestQueueObservationsAllOrNothing: a posted observation batch is
+// queued whole or not at all. One that does not fit the free space is
+// ErrCalibrationFull and leaves the queue as it was; one larger than
+// the whole queue is ErrBatchTooLarge naming the capacity.
+func TestQueueObservationsAllOrNothing(t *testing.T) {
+	engine := advisor.New(testRegistry(t))
+	ob := &blockingObserver{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	engine.SetObserver(ob)
+	s := New(engine, Config{Arch: "serial", ObserveQueue: 4, Logf: t.Logf})
+	defer s.Close()
+	defer close(ob.release)
+
+	batch := func(n int) []advisor.Observation {
+		obs := make([]advisor.Observation, n)
+		for i := range obs {
+			obs[i] = advisor.Observation{
+				Arch: "serial", Renderer: "volume",
+				Inputs:        core.Inputs{O: 1000, AP: 5000, SPR: 100, CS: 10, Pixels: 20000, AvgAP: 5000, Tasks: 1},
+				RenderSeconds: 0.01,
+			}
+		}
+		return obs
+	}
+	err := s.QueueObservations(batch(5))
+	if !errors.Is(err, ErrBatchTooLarge) || !strings.Contains(err.Error(), "capacity 4") {
+		t.Fatalf("5 samples into a 4-sample queue: %v, want ErrBatchTooLarge naming capacity 4", err)
+	}
+	if err := s.QueueObservations([]advisor.Observation{{Arch: "serial", Renderer: "volume", RenderSeconds: -1}}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("invalid observation: %v, want ErrBadRequest", err)
+	}
+	// The worker takes the first sample and blocks; three more fill
+	// the queue to one free slot.
+	if err := s.QueueObservations(batch(1)); err != nil {
+		t.Fatal(err)
+	}
+	<-ob.entered
+	if err := s.QueueObservations(batch(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.QueueObservations(batch(2)); !errors.Is(err, ErrCalibrationFull) {
+		t.Fatalf("2 samples into 1 free slot: %v, want ErrCalibrationFull", err)
+	}
+	if err := s.QueueObservations(batch(1)); err != nil {
+		t.Fatalf("1 sample into 1 free slot: %v", err)
+	}
+	if got := s.Stats().ObservationsQueued; got != 5 {
+		t.Errorf("observations queued = %d, want 5 (refused batches queue nothing)", got)
+	}
+
+	off := New(advisor.New(testRegistry(t)), Config{Arch: "serial", ObserveQueue: -1, Logf: t.Logf})
+	off.Close()
+	if err := off.QueueObservations(batch(1)); !errors.Is(err, ErrCalibrationOff) {
+		t.Errorf("calibration off: %v, want ErrCalibrationOff", err)
+	}
+}
+
 // TestSchedulerEDFOrder: queued jobs run earliest-deadline-first with
 // no-deadline jobs last, regardless of submission order.
 func TestSchedulerEDFOrder(t *testing.T) {
