@@ -50,8 +50,8 @@ vet:
 
 # lint compiles the repo's performance & fleet-safety invariants
 # (//insitu:noalloc, collective discipline, lease/arena lifetimes,
-# ctx-aware transport) into the build via `go vet -vettool`. The same
-# binary runs standalone: `./bin/insitulint ./...`.
+# ctx-aware transport) into the build via `go vet -vettool`, which
+# also analyzes the _test.go units.
 lint:
 	$(GO) build -o $(LINT_BIN) ./tools/insitulint
 	$(GO) vet -vettool=$(CURDIR)/$(LINT_BIN) ./...

@@ -1,8 +1,7 @@
 // Command render renders a synthetic dataset to a PNG through the
-// scenario backend registry — the same dispatch path the study, the
-// repro tables, and the serving binaries use, so any registered backend
-// (including ones added after this tool was written) is one -renderer
-// flag away.
+// scenario backend table — the same dispatch path the study, the repro
+// tables, and the serving binaries use, so any backend (including ones
+// added after this tool was written) is one -renderer flag away.
 package main
 
 import (
@@ -57,7 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 	bounds := grid.Bounds()
-	if spec, ok := core.LookupRenderer(backend.Name()); ok && spec.Surface {
+	if spec, ok := core.LookupRenderer(core.Renderer(*rendererName)); ok && spec.Surface {
 		iso, err := grid.Isosurface(d, ds.FieldName, ds.Isovalue, mesh.IsoOptions{})
 		if err != nil {
 			log.Fatal(err)
@@ -79,7 +78,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: %.0f objects, %.0f active pixels, %s",
-		backend.Name(), in.O, in.AP, elapsed.Round(time.Millisecond))
+		*rendererName, in.O, in.AP, elapsed.Round(time.Millisecond))
 	if b := runner.BuildSeconds(); b > 0 {
 		fmt.Printf(" (+%.0fms build)", b*1e3)
 	}

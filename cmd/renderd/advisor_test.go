@@ -16,7 +16,6 @@ import (
 	"insitu/internal/core"
 	"insitu/internal/obs"
 	"insitu/internal/registry"
-	"insitu/internal/scenario"
 	"insitu/internal/serve"
 	"insitu/internal/study"
 )
@@ -41,9 +40,9 @@ func studyRegistry(t *testing.T) (string, *core.ModelSet, core.Mapping) {
 				plan = append(plan,
 					study.Config{Arch: "serial", Renderer: core.RayTrace, Sim: "kripke", Tasks: 1, ImageSize: img, N: n, Frames: 2},
 					study.Config{Arch: "serial", Renderer: core.Volume, Sim: "kripke", Tasks: 1, ImageSize: img, N: n, Frames: 2},
-					// The backend registered through the scenario seam rides
-					// the same study plan as the built-ins.
-					study.Config{Arch: "serial", Renderer: scenario.VolumeUnstructured, Sim: "kripke", Tasks: 1, ImageSize: img, N: n, Frames: 2},
+					// The tetrahedral backend rides the same study plan as
+					// the paper's techniques.
+					study.Config{Arch: "serial", Renderer: core.VolumeUnstructured, Sim: "kripke", Tasks: 1, ImageSize: img, N: n, Frames: 2},
 				)
 			}
 		}
@@ -511,25 +510,26 @@ func TestObservationsValidationAndDisabled(t *testing.T) {
 }
 
 // TestUnstructuredVolumeServedEndToEnd is the scenario seam's acceptance
-// test: the volume-unstructured backend — registered only through the
-// scenario registry, never special-cased in study, repro, or advisor
-// code — flows plan -> measurement -> fit -> registry snapshot ->
-// /v1/predict, and the served numbers match the in-memory fit exactly.
+// test: the volume-unstructured backend — one row in core's spec table
+// and one in scenario's backend map, never special-cased in study,
+// repro, or advisor code — flows plan -> measurement -> fit -> registry
+// snapshot -> /v1/predict, and the served numbers match the in-memory
+// fit exactly.
 func TestUnstructuredVolumeServedEndToEnd(t *testing.T) {
 	ts, _, set, mp := testServer(t)
-	m, ok := set.Models[core.Key("serial", scenario.VolumeUnstructured)]
+	m, ok := set.Models[core.Key("serial", core.VolumeUnstructured)]
 	if !ok {
-		t.Fatalf("no fitted model for %s; corpus groups: %d", scenario.VolumeUnstructured, len(set.Models))
+		t.Fatalf("no fitted model for %s; corpus groups: %d", core.VolumeUnstructured, len(set.Models))
 	}
 	req := advisor.PredictRequest{
-		Arch: "serial", Renderer: string(scenario.VolumeUnstructured),
+		Arch: "serial", Renderer: string(core.VolumeUnstructured),
 		N: 12, Tasks: 1, Width: 96,
 	}
 	var resp advisor.PredictResponse
 	if code := postJSON(t, ts, "/v1/predict", req, &resp); code != http.StatusOK {
 		t.Fatalf("predict status %d", code)
 	}
-	in := mp.Map(core.Config{N: 12, Tasks: 1, Width: 96, Height: 96, Renderer: scenario.VolumeUnstructured})
+	in := mp.Map(core.Config{N: 12, Tasks: 1, Width: 96, Height: 96, Renderer: core.VolumeUnstructured})
 	if want := m.Predict(in); resp.RenderSeconds != want {
 		t.Errorf("served render_seconds %v, in-memory fit predicts %v", resp.RenderSeconds, want)
 	}
@@ -548,7 +548,7 @@ func TestUnstructuredVolumeServedEndToEnd(t *testing.T) {
 	}
 	found := false
 	for _, d := range models.Models {
-		if d.Renderer == string(scenario.VolumeUnstructured) {
+		if d.Renderer == string(core.VolumeUnstructured) {
 			found = true
 		}
 	}

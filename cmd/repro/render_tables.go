@@ -333,7 +333,7 @@ func fig7Bunyk(e *env) error {
 
 func volumeComparison(e *env, other string, run func(*mesh.TetMesh, render.Camera, int) (time.Duration, error)) error {
 	size := imageSize(e.short) / 2 // comparators include serial paths
-	backend, err := scenario.Lookup(scenario.VolumeUnstructured)
+	backend, err := scenario.Lookup(core.VolumeUnstructured)
 	if err != nil {
 		return err
 	}

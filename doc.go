@@ -37,11 +37,12 @@
 //     the study, the in situ pipeline and the serving fleet all run:
 //     a Scene describes a renderable block (parsed simulation
 //     data or prebuilt geometry, camera, device, scalar range) and
-//     self-registered Backends turn scenes into frame renderers that
-//     fill the model inputs of §5.3. Each backend declares its linear
-//     model form (core.RendererSpec), its compositing operator, and its
-//     data-shape constraints; registering one makes it sampled by the
-//     study plan, fittable, snapshot-servable, and predictable over renderd's /v1/predict
+//     Backends turn scenes into frame renderers that fill the model
+//     inputs of §5.3. Each backend declares its compositing operator
+//     and its data-shape constraints; its linear model form is core's
+//     RendererSpec of the same name. A row in each of the two fixed
+//     tables makes a technique sampled by the study plan, fittable,
+//     snapshot-servable, and predictable over renderd's /v1/predict
 //     with no further changes (the tetrahedral volume-unstructured
 //     backend is integrated exactly this way);
 //   - the measurement harness in internal/study — a worker-pool runner

@@ -33,8 +33,8 @@ const (
 
 var ops = []Op{OpPredict, OpFeasibility, OpMaxTriangles, OpObserve}
 
-// checkRenderer validates a request's renderer name against the model
-// spec registry: unknown names and the compositing pseudo-renderer
+// checkRenderer validates a request's renderer name against core's
+// model spec table: unknown names and the compositing pseudo-renderer
 // (fitted across architectures, never served per-arch) are rejected
 // with the registered alternatives named, so a typo answers a clear 400
 // instead of a misleading "no model" 404.
@@ -534,11 +534,11 @@ func (o *Observation) validate() error {
 	if o.Arch == "" {
 		return fmt.Errorf("advisor: observation missing arch")
 	}
-	// Any renderer with a registered model spec is observable — except
+	// Any renderer with a model spec is observable — except
 	// "compositing", which is fitted across archs from the multi-task
 	// samples' CompositeSeconds, not posted as a pseudo-renderer of its
-	// own. Validating against the spec registry (not a hardcoded list)
-	// means observations for newly registered scenario backends flow into
+	// own. Validating against the spec table (not a list kept here)
+	// means observations for newly added scenario backends flow into
 	// refits without advisor changes.
 	if err := checkRenderer(o.Renderer); err != nil {
 		return err

@@ -121,6 +121,38 @@ func TestPredictMatchesModelSet(t *testing.T) {
 	}
 }
 
+// TestPredictTetrahedralVolume: the advisor costs a volume-unstructured
+// configuration through its own spec, mapping O to six tets per cell.
+func TestPredictTetrahedralVolume(t *testing.T) {
+	samples := syntheticSamples([]string{"cpu"}, 40, 7)
+	set, err := core.FitModels(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := registry.FromModelSet(set, core.CalibrateMapping(samples), "test")
+	snap.Models = append(snap.Models, registry.ModelDoc{
+		Arch: "cpu", Renderer: string(core.VolumeUnstructured),
+		Fit: registry.FitDoc{Coef: []float64{2e-8, 3e-9, 1e-4}},
+	})
+	reg := registry.New(0)
+	if err := reg.Load(snap); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := New(reg).Predict(PredictRequest{Arch: "cpu", Renderer: string(core.VolumeUnstructured), N: 10, Tasks: 1, Width: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Inputs.O != 6000 {
+		t.Errorf("mapped O = %v, want 6*N^3 = 6000", resp.Inputs.O)
+	}
+	if resp.Inputs.SPR <= 0 || resp.Inputs.VO != 0 {
+		t.Errorf("volume inputs not mapped: SPR=%v VO=%v", resp.Inputs.SPR, resp.Inputs.VO)
+	}
+	if resp.RenderSeconds <= 0 {
+		t.Errorf("render = %v", resp.RenderSeconds)
+	}
+}
+
 func TestPredictValidation(t *testing.T) {
 	e, _, _ := testEngine(t, []string{"cpu"}, 0)
 	cases := []PredictRequest{

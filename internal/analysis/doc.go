@@ -61,10 +61,9 @@
 //
 // # Running
 //
-// tools/insitulint is both a standalone multichecker
-// (`./bin/insitulint ./...`, exit 2 on findings) and a `go vet`
-// vettool (`make lint`), speaking vet's unitchecker .cfg/.vetx
-// protocol so annotations flow across packages as serialized Facts.
+// tools/insitulint is a `go vet` vettool (`make lint`), speaking vet's
+// unitchecker .cfg/.vetx protocol so annotations flow across packages
+// as serialized Facts; vet hands it the _test.go units too.
 // Fixture-driven tests live under each analyzer's testdata/, run by
 // internal/analysis/analysistest.
 package analysis

@@ -1,9 +1,7 @@
-// Package driver runs the insitulint analyzers in the two modes the
-// repo needs: standalone (`insitulint ./...`), which loads the module
-// from source via `go list -export -deps -json` and threads facts in
-// memory, and unitchecker (`go vet -vettool=insitulint`), which speaks
-// cmd/go's vet.cfg protocol one compilation unit at a time and threads
-// facts through the vetx files cmd/go manages.
+// Package driver runs the insitulint analyzers as a unitchecker
+// (`go vet -vettool=insitulint`): it speaks cmd/go's vet.cfg protocol
+// one compilation unit at a time and threads facts through the vetx
+// files cmd/go manages.
 package driver
 
 import (
@@ -16,9 +14,6 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"insitu/internal/analysis"
@@ -32,98 +27,6 @@ func inModule(importPath string) bool {
 	return importPath == modulePrefix || strings.HasPrefix(importPath, modulePrefix+"/")
 }
 
-// --- standalone mode ---------------------------------------------------
-
-// listPackage is the subset of `go list -json` output the loader reads.
-type listPackage struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Export     string
-	Deps       []string
-	Standard   bool
-}
-
-// Standalone loads the packages matching patterns (plus their in-module
-// deps) and runs analyzers over each in dependency order. Diagnostics
-// go to w; the return value is the process exit code (0 clean, 1
-// operational error, 2 diagnostics reported).
-func Standalone(analyzers []*analysis.Analyzer, patterns []string, w io.Writer) int {
-	pkgs, err := goList(patterns)
-	if err != nil {
-		fmt.Fprintf(w, "insitulint: %v\n", err)
-		return 1
-	}
-
-	exports := map[string]string{} // import path -> export data file
-	module := map[string]*listPackage{}
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if inModule(p.ImportPath) {
-			module[p.ImportPath] = p
-		}
-	}
-
-	order := topoOrder(module)
-
-	fset := token.NewFileSet()
-	typed := map[string]*types.Package{}
-	facts := map[string]*analysis.Facts{}
-	gcImp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	})
-
-	found := false
-	for _, path := range order {
-		p := module[path]
-		files, err := parseFiles(fset, p.Dir, p.GoFiles)
-		if err != nil {
-			fmt.Fprintf(w, "insitulint: %v\n", err)
-			return 1
-		}
-		info := analysis.NewTypesInfo()
-		conf := types.Config{Importer: importerFunc(func(imp string) (*types.Package, error) {
-			if tp, ok := typed[imp]; ok {
-				return tp, nil
-			}
-			return gcImp.Import(imp)
-		})}
-		pkg, err := conf.Check(path, fset, files, info)
-		if err != nil {
-			fmt.Fprintf(w, "insitulint: typecheck %s: %v\n", path, err)
-			return 1
-		}
-		typed[path] = pkg
-
-		ann := analysis.BuildAnnotations(fset, files, info)
-		imported := analysis.NewFacts()
-		for _, dep := range p.Deps {
-			imported.Merge(facts[dep])
-		}
-		facts[path] = exportAll(ann, imported, path)
-
-		diags, err := analysis.RunAnalyzers(analyzers, fset, files, pkg, info, ann, imported)
-		if err != nil {
-			fmt.Fprintf(w, "insitulint: %s: %v\n", path, err)
-			return 1
-		}
-		for _, d := range diags {
-			found = true
-			fmt.Fprintf(w, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-		}
-	}
-	if found {
-		return 2
-	}
-	return 0
-}
-
 // exportAll is this package's outgoing facts: its own annotations plus
 // everything inherited, so dependents see transitive marks.
 func exportAll(ann *analysis.Annotations, imported *analysis.Facts, path string) *analysis.Facts {
@@ -132,69 +35,9 @@ func exportAll(ann *analysis.Annotations, imported *analysis.Facts, path string)
 	return f
 }
 
-func goList(patterns []string) ([]*listPackage, error) {
-	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,Deps,Standard"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list: %w", err)
-	}
-	var pkgs []*listPackage
-	dec := json.NewDecoder(strings.NewReader(string(out)))
-	for dec.More() {
-		p := new(listPackage)
-		if err := dec.Decode(p); err != nil {
-			return nil, fmt.Errorf("go list output: %w", err)
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
-
-// topoOrder sorts the in-module packages so dependencies precede
-// dependents (Deps is transitive, so counting in-module deps sorts it).
-func topoOrder(module map[string]*listPackage) []string {
-	paths := make([]string, 0, len(module))
-	for p := range module {
-		paths = append(paths, p)
-	}
-	depCount := func(p string) int {
-		n := 0
-		for _, d := range module[p].Deps {
-			if inModule(d) {
-				n++
-			}
-		}
-		return n
-	}
-	sort.Slice(paths, func(i, j int) bool {
-		di, dj := depCount(paths[i]), depCount(paths[j])
-		if di != dj {
-			return di < dj
-		}
-		return paths[i] < paths[j]
-	})
-	return paths
-}
-
-func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return files, nil
-}
-
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// --- unitchecker mode (vet.cfg) ----------------------------------------
 
 // vetConfig mirrors the JSON cmd/go writes for -vettool invocations.
 type vetConfig struct {

@@ -9,7 +9,6 @@ import (
 
 	"insitu/internal/core"
 	"insitu/internal/registry"
-	"insitu/internal/scenario"
 )
 
 // testSnapshot covers all four backends on the serial profile plus the
@@ -27,7 +26,7 @@ func testSnapshot() *registry.Snapshot {
 			{Arch: "serial", Renderer: string(core.RayTrace), Fit: fit(1e-7, 5e-8, 1e-4), BuildFit: &build},
 			{Arch: "serial", Renderer: string(core.Raster), Fit: fit(1e-9, 1e-8, 1e-4)},
 			{Arch: "serial", Renderer: string(core.Volume), Fit: fit(1e-8, 1e-9, 1e-4)},
-			{Arch: "serial", Renderer: string(scenario.VolumeUnstructured), Fit: fit(1e-9, 1e-9, 1e-4)},
+			{Arch: "serial", Renderer: string(core.VolumeUnstructured), Fit: fit(1e-9, 1e-9, 1e-4)},
 		},
 		Compositing: &registry.ModelDoc{
 			Arch: "all", Renderer: string(core.Compositing), Fit: fit(1e-9, 1e-9, 1e-4),
@@ -68,7 +67,7 @@ func TestClusterMatchesStandalone(t *testing.T) {
 		{string(core.RayTrace), "kripke"},
 		{string(core.Raster), "lulesh"},
 		{string(core.Volume), "kripke"}, // structured-only
-		{string(scenario.VolumeUnstructured), "lulesh"},
+		{string(core.VolumeUnstructured), "lulesh"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.backend, func(t *testing.T) {
@@ -154,7 +153,7 @@ func TestClusterErrorPropagates(t *testing.T) {
 		t.Errorf("error does not identify the failing shards: %v", err)
 	}
 	good := bad
-	good.Backend = string(scenario.VolumeUnstructured)
+	good.Backend = string(core.VolumeUnstructured)
 	if _, err := cl.Render(context.Background(), good); err != nil {
 		t.Fatalf("fleet wedged after failed frame: %v", err)
 	}

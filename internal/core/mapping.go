@@ -34,14 +34,15 @@ type Mapping struct {
 func DefaultMapping() Mapping { return Mapping{FillFraction: 0.55, SPRBase: 373} }
 
 // CalibrateMapping estimates the two constants from measured samples:
-// FillFraction from surface renders, SPRBase from volume renders, each
-// inverted through the paper's task-count scaling law.
+// FillFraction from surface renders (spec.Surface), SPRBase from
+// structured volume renders, each inverted through the paper's
+// task-count scaling law.
 func CalibrateMapping(samples []Sample) Mapping {
 	mp := DefaultMapping()
 	var fillSum, fillN, sprSum, sprN float64
 	for _, s := range samples {
 		scale := math.Cbrt(float64(maxInt(s.In.Tasks, 1)))
-		if s.In.Pixels > 0 && s.In.AP > 0 && s.Renderer != Volume {
+		if spec, _ := LookupRenderer(s.Renderer); spec.Surface && s.In.Pixels > 0 && s.In.AP > 0 {
 			fillSum += s.In.AP * scale / s.In.Pixels
 			fillN++
 		}
@@ -63,18 +64,18 @@ func CalibrateMapping(samples []Sample) Mapping {
 // formulas:
 //
 //	O  = 12*N^2 (external-face surfaces) or N^3 (volumes),
-//	     unless the renderer's registered spec overrides Objects
+//	     unless the renderer's spec overrides Objects
 //	AP = fill * Pixels / Tasks^(1/3)
 //	VO = min(AP, O)            (surface techniques)
 //	VO*PPT = 4*AP  =>  PPT = 4*AP/VO
 //	SPR = SPRBase / Tasks^(1/3) (volume techniques)
 //	CS  = N
 //
-// The surface-vs-volume branch follows the renderer's registered spec;
-// an unregistered renderer maps as a surface technique (the prediction
-// itself will fail at model lookup with a clear error). All coefficients
-// are positive, so conservative (over-) estimates of the inputs yield
-// conservative time predictions.
+// The surface-vs-volume branch follows the renderer's spec; an unknown
+// renderer maps as a surface technique (the prediction itself will fail
+// at model lookup with a clear error). All coefficients are positive, so
+// conservative (over-) estimates of the inputs yield conservative time
+// predictions.
 func (mp Mapping) Map(cfg Config) Inputs {
 	tasks := maxInt(cfg.Tasks, 1)
 	scale := math.Cbrt(float64(tasks))

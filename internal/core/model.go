@@ -27,6 +27,9 @@ const (
 	Raster Renderer = "rasterizer"
 	// Volume is modeled as T = c0*(AP*CS) + c1*(AP*SPR) + c2.
 	Volume Renderer = "volume"
+	// VolumeUnstructured (tetrahedral volume rendering) is modeled as
+	// T = c0*O + c1*(AP*SPR) + c2 over tetrahedra.
+	VolumeUnstructured Renderer = "volume-unstructured"
 	// Compositing is modeled as T = c0*avg(AP) + c1*Pixels + c2.
 	Compositing Renderer = "compositing"
 )
@@ -79,10 +82,19 @@ func RastTerms(in Inputs) []float64 { return []float64{in.O, in.VO * in.PPT, 1} 
 // VRTerms: c0*(AP*CS) + c1*(AP*SPR) + c2.
 func VRTerms(in Inputs) []float64 { return []float64{in.AP * in.CS, in.AP * in.SPR, 1} }
 
+// UVRTerms: c0*O + c1*(AP*SPR) + c2, linear in the tet count (every tet
+// is projected and pass-selected) and in the samples taken along active
+// rays.
+func UVRTerms(in Inputs) []float64 { return []float64{in.O, in.AP * in.SPR, 1} }
+
+// uvrObjects is the tetrahedral O input: six tetrahedra per hex cell of
+// an N^3 block.
+func uvrObjects(n float64) float64 { return 6 * n * n * n }
+
 // CompTerms: c0*avg(AP) + c1*Pixels + c2.
 func CompTerms(in Inputs) []float64 { return []float64{in.AvgAP, in.Pixels, 1} }
 
-// RenderTerms dispatches to the registered renderer's term vector.
+// RenderTerms dispatches to the renderer's term vector.
 func RenderTerms(r Renderer, in Inputs) ([]float64, error) {
 	spec, ok := LookupRenderer(r)
 	if !ok {

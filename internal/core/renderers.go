@@ -1,19 +1,11 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
-
 // RendererSpec describes one modeled rendering technique: the linear
 // model form its measurements fit and the configuration-mapping facts the
-// advisor needs to answer questions about it. Registering a spec is what
-// makes a renderer name meaningful to the modeling layer — fitting,
-// snapshot validation, prediction, and observation ingestion all consult
-// the spec registry instead of a hardcoded renderer list, so a new
-// scenario backend becomes fittable and servable by registering its spec
-// once.
+// advisor needs to answer questions about it. Fitting, snapshot
+// validation, prediction, and observation ingestion all consult the spec
+// table instead of a hardcoded renderer list, so a new technique becomes
+// fittable and servable by adding its row.
 type RendererSpec struct {
 	// Name is the renderer's wire name (model keys, snapshots, HTTP).
 	Name Renderer
@@ -26,8 +18,8 @@ type RendererSpec struct {
 	// repeated renderings amortize it.
 	HasBuild bool
 	// Surface marks external-face surface techniques: they take the
-	// surface branch of Mapping.Map and are eligible for the
-	// max-triangles inversion.
+	// surface branch of Mapping.Map, calibrate the mapping's
+	// FillFraction, and are eligible for the max-triangles inversion.
 	Surface bool
 	// Objects maps the per-task data size N to the modeled object count
 	// (the O input of §5.8). Nil uses the default for the technique
@@ -35,61 +27,40 @@ type RendererSpec struct {
 	Objects func(n float64) float64
 }
 
-var (
-	rendererMu    sync.RWMutex
-	rendererSpecs = map[Renderer]RendererSpec{}
-)
-
-// RegisterRenderer adds a renderer spec to the registry. Registering a
-// name twice is an error: two specs with different term forms would make
-// fitted coefficients ambiguous.
-func RegisterRenderer(spec RendererSpec) error {
-	if spec.Name == "" {
-		return fmt.Errorf("core: renderer spec has no name")
-	}
-	if spec.Terms == nil {
-		return fmt.Errorf("core: renderer %q has no term function", spec.Name)
-	}
-	rendererMu.Lock()
-	defer rendererMu.Unlock()
-	if _, dup := rendererSpecs[spec.Name]; dup {
-		return fmt.Errorf("core: renderer %q already registered", spec.Name)
-	}
-	rendererSpecs[spec.Name] = spec
-	return nil
+// rendererSpecs is every modeled technique, sorted by name: the paper's
+// four model forms (Chapter V) plus the tetrahedral volume model.
+// Renderers lists it in this order.
+var rendererSpecs = []RendererSpec{
+	{Name: Compositing, Terms: CompTerms},
+	{Name: Raster, Terms: RastTerms, Surface: true},
+	{Name: RayTrace, Terms: RTTraceTerms, HasBuild: true, Surface: true},
+	{Name: Volume, Terms: VRTerms},
+	{Name: VolumeUnstructured, Terms: UVRTerms, Objects: uvrObjects},
 }
 
-// MustRegisterRenderer is RegisterRenderer for init-time registration.
-func MustRegisterRenderer(spec RendererSpec) {
-	if err := RegisterRenderer(spec); err != nil {
-		panic(err)
-	}
-}
-
-// LookupRenderer returns a registered spec.
+// LookupRenderer returns a renderer's spec.
 func LookupRenderer(r Renderer) (RendererSpec, bool) {
-	rendererMu.RLock()
-	defer rendererMu.RUnlock()
-	spec, ok := rendererSpecs[r]
-	return spec, ok
+	for _, s := range rendererSpecs {
+		if s.Name == r {
+			return s, true
+		}
+	}
+	return RendererSpec{}, false
 }
 
-// Renderers returns every registered renderer name, sorted, including
-// the compositing pseudo-renderer.
+// Renderers returns every renderer name, sorted, including the
+// compositing pseudo-renderer.
 func Renderers() []Renderer {
-	rendererMu.RLock()
-	defer rendererMu.RUnlock()
-	out := make([]Renderer, 0, len(rendererSpecs))
-	for r := range rendererSpecs {
-		out = append(out, r)
+	out := make([]Renderer, len(rendererSpecs))
+	for i, s := range rendererSpecs {
+		out[i] = s.Name
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // ModeledRenderers returns the renderers whose local render time is
-// modeled per architecture — every registered spec except compositing,
-// which is fitted across architectures from multi-task composite times.
+// modeled per architecture — every spec except compositing, which is
+// fitted across architectures from multi-task composite times.
 func ModeledRenderers() []Renderer {
 	all := Renderers()
 	out := all[:0]
@@ -99,22 +70,4 @@ func ModeledRenderers() []Renderer {
 		}
 	}
 	return out
-}
-
-// The paper's four model forms (Chapter V) register at init so the core
-// package is usable standalone; scenario backends register any further
-// specs alongside their rendering code.
-func init() {
-	MustRegisterRenderer(RendererSpec{
-		Name: RayTrace, Terms: RTTraceTerms, HasBuild: true, Surface: true,
-	})
-	MustRegisterRenderer(RendererSpec{
-		Name: Raster, Terms: RastTerms, Surface: true,
-	})
-	MustRegisterRenderer(RendererSpec{
-		Name: Volume, Terms: VRTerms,
-	})
-	MustRegisterRenderer(RendererSpec{
-		Name: Compositing, Terms: CompTerms,
-	})
 }

@@ -18,11 +18,10 @@ import (
 // disables the cache entirely (every Get misses, Add is a no-op), which
 // lets callers expose "0 disables caching" knobs without branching.
 type Cache[K comparable, V any] struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List
-	items   map[K]*list.Element
-	onEvict func(K, V)
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List
+	items map[K]*list.Element
 }
 
 type entry[K comparable, V any] struct {
@@ -34,13 +33,6 @@ type entry[K comparable, V any] struct {
 func New[K comparable, V any](cap int) *Cache[K, V] {
 	return &Cache[K, V]{cap: cap, ll: list.New(), items: map[K]*list.Element{}}
 }
-
-// OnEvict installs a callback invoked (outside any future Get/Add, but
-// under the cache lock) when capacity eviction or Purge drops an entry —
-// the hook resource-owning values (cached frame buffers, prepared
-// renderers) use to account for or release what they hold. Call before
-// the cache is shared; it is not synchronized against concurrent use.
-func (c *Cache[K, V]) OnEvict(f func(K, V)) { c.onEvict = f }
 
 // Get returns the value for k, marking it most recently used.
 //
@@ -77,24 +69,14 @@ func (c *Cache[K, V]) Add(k K, v V) {
 	if c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		e := oldest.Value.(*entry[K, V])
-		delete(c.items, e.key)
-		if c.onEvict != nil {
-			c.onEvict(e.key, e.val)
-		}
+		delete(c.items, oldest.Value.(*entry[K, V]).key)
 	}
 }
 
-// Purge drops every entry, invoking the eviction hook for each.
+// Purge drops every entry.
 func (c *Cache[K, V]) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.onEvict != nil {
-		for el := c.ll.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry[K, V])
-			c.onEvict(e.key, e.val)
-		}
-	}
 	c.ll.Init()
 	c.items = map[K]*list.Element{}
 }

@@ -3,9 +3,7 @@ package lru
 import "testing"
 
 func TestEvictionOrderAndHook(t *testing.T) {
-	var evicted []int
 	c := New[int, string](2)
-	c.OnEvict(func(k int, v string) { evicted = append(evicted, k) })
 	c.Add(1, "a")
 	c.Add(2, "b")
 	c.Get(1) // touch 1: 2 becomes the victim
@@ -16,17 +14,12 @@ func TestEvictionOrderAndHook(t *testing.T) {
 	if v, ok := c.Get(1); !ok || v != "a" {
 		t.Error("recently used entry evicted")
 	}
-	if len(evicted) != 1 || evicted[0] != 2 {
-		t.Errorf("eviction hook saw %v, want [2]", evicted)
-	}
 	if c.Len() != 2 {
 		t.Errorf("len = %d", c.Len())
 	}
-	// Purge fires the hook for every entry.
-	evicted = nil
 	c.Purge()
-	if len(evicted) != 2 || c.Len() != 0 {
-		t.Errorf("purge: evicted %v, len %d", evicted, c.Len())
+	if c.Len() != 0 {
+		t.Errorf("purge: len %d", c.Len())
 	}
 }
 

@@ -250,6 +250,35 @@ func TestRegistryLoadLookupPredict(t *testing.T) {
 	}
 }
 
+// TestTetrahedralModelValidatesAndPredicts: the tetrahedral volume model
+// is part of core's spec table, so a snapshot holding one loads and
+// predicts in any binary, not only in one that links the renderers.
+func TestTetrahedralModelValidatesAndPredicts(t *testing.T) {
+	snap := &Snapshot{
+		Version: SnapshotVersion,
+		Mapping: MappingDoc{FillFraction: 0.5, SPRBase: 100},
+		Models: []ModelDoc{{
+			Arch: "cpu", Renderer: string(core.VolumeUnstructured),
+			Fit: FitDoc{Coef: []float64{2e-8, 3e-9, 1e-4}},
+		}},
+	}
+	if err := snap.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	reg := New(0)
+	if err := reg.Load(snap); err != nil {
+		t.Fatal(err)
+	}
+	in := core.Inputs{O: 6000, AP: 5000, SPR: 40, Tasks: 1}
+	res, err := reg.Predict("cpu", core.VolumeUnstructured, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2e-8*in.O + 3e-9*in.AP*in.SPR + 1e-4; math.Abs(res.RenderSeconds-want) > 1e-15 {
+		t.Errorf("render = %v want %v", res.RenderSeconds, want)
+	}
+}
+
 func TestRegistryCacheHitsAndReloadPurge(t *testing.T) {
 	set, mp, _ := fittedSet(t, 23)
 	reg := New(8)

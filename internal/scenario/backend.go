@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"insitu/internal/composite"
@@ -33,17 +32,11 @@ type FrameRunner interface {
 	SetCamera(cam render.Camera)
 }
 
-// Backend is one pluggable rendering technique: it declares its model
-// form (how frame stats map to core.Inputs terms), its compositing
-// needs, and its data-shape constraints, and prepares frame runners from
-// scenes. Backends self-register in their init functions.
+// Backend is one rendering technique: its compositing needs, its
+// data-shape constraints, and how it prepares frame runners from scenes.
+// Its model form — how frame stats map to core.Inputs terms — is core's
+// spec of the same renderer name.
 type Backend interface {
-	// Name is the renderer name used in study configs, model keys,
-	// registry snapshots, and the HTTP API.
-	Name() core.Renderer
-	// Model is the renderer spec fitted over this backend's measurements.
-	// Register installs it into the core spec registry.
-	Model() core.RendererSpec
 	// CompositeOp is the sort-last compositing operator the backend's
 	// images need (depth for surfaces, visibility-ordered blend for
 	// volumes).
@@ -59,78 +52,31 @@ type Backend interface {
 	Prepare(sc *Scene) (FrameRunner, error)
 }
 
-var (
-	backendMu sync.RWMutex
-	backends  = map[core.Renderer]Backend{}
-)
-
-// Register installs a backend and its model spec. Duplicate names are an
-// error: two backends answering to one renderer name would make
-// measurements ambiguous. When a spec for the backend's name is already
-// registered in core (the paper's built-in model forms register at core
-// init), the backend's declared spec must agree with it — term arity and
-// the build/surface flags — so the two can never drift apart silently.
-func Register(b Backend) error {
-	name := b.Name()
-	if name == "" {
-		return fmt.Errorf("scenario: backend has no name")
-	}
-	if name == core.Compositing {
-		return fmt.Errorf("scenario: %q is the compositing pseudo-renderer, not a backend name", name)
-	}
-	spec := b.Model()
-	if spec.Name != name {
-		return fmt.Errorf("scenario: backend %q declares a model spec named %q", name, spec.Name)
-	}
-	if spec.Terms == nil {
-		return fmt.Errorf("scenario: backend %q declares a model spec without terms", name)
-	}
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, dup := backends[name]; dup {
-		return fmt.Errorf("scenario: backend %q already registered", name)
-	}
-	if existing, ok := core.LookupRenderer(name); ok {
-		if len(existing.Terms(core.Inputs{})) != len(spec.Terms(core.Inputs{})) ||
-			existing.HasBuild != spec.HasBuild || existing.Surface != spec.Surface {
-			return fmt.Errorf("scenario: backend %q declares a model spec inconsistent with the registered %q spec", name, name)
-		}
-	} else if err := core.RegisterRenderer(spec); err != nil {
-		return fmt.Errorf("scenario: registering %q model spec: %w", name, err)
-	}
-	backends[name] = b
-	return nil
-}
-
-// MustRegister is Register for init-time self-registration.
-func MustRegister(b Backend) {
-	if err := Register(b); err != nil {
-		panic(err)
-	}
+// backends is every rendering technique, keyed by the renderer name used
+// in study configs, model keys, registry snapshots, and the HTTP API.
+// Each name has a core.RendererSpec; compositing is the one spec that is
+// not a backend.
+var backends = map[core.Renderer]Backend{
+	core.RayTrace:           raytraceBackend{},
+	core.Raster:             rasterBackend{},
+	core.Volume:             volumeBackend{},
+	core.VolumeUnstructured: volumeUnstructuredBackend{},
 }
 
 // Lookup returns the backend for a renderer name, with an error that
 // names the alternatives — the message a study config or an HTTP request
 // with a typo'd renderer ultimately surfaces.
 func Lookup(name core.Renderer) (Backend, error) {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
 	b, ok := backends[name]
 	if !ok {
-		return nil, fmt.Errorf("scenario: unknown renderer %q (registered: %v)", name, namesLocked())
+		return nil, fmt.Errorf("scenario: unknown renderer %q (registered: %v)", name, Names())
 	}
 	return b, nil
 }
 
-// Names returns the registered backend names, sorted for deterministic
-// plan generation.
+// Names returns the backend names, sorted for deterministic plan
+// generation.
 func Names() []core.Renderer {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []core.Renderer {
 	out := make([]core.Renderer, 0, len(backends))
 	for name := range backends {
 		out = append(out, name)

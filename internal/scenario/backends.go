@@ -14,38 +14,9 @@ import (
 	"insitu/internal/render/volume"
 )
 
-// VolumeUnstructured names the tetrahedral volume backend — the first
-// technique added through the scenario seam rather than wired by hand
-// through study, repro, and advisor. Its model is c0*O + c1*(AP*SPR) +
-// c2 over tetrahedra.
-const VolumeUnstructured core.Renderer = "volume-unstructured"
-
-func init() {
-	MustRegister(raytraceBackend{})
-	MustRegister(rasterBackend{})
-	MustRegister(volumeBackend{})
-	MustRegister(volumeUnstructuredBackend{})
-}
-
-// coreSpec returns the core-registered model spec of a built-in
-// renderer, keeping core's init the single source of truth for the
-// paper's model forms (Register verifies a backend's declared spec
-// against the registered one, so the two can never drift).
-func coreSpec(r core.Renderer) core.RendererSpec {
-	spec, ok := core.LookupRenderer(r)
-	if !ok {
-		panic(fmt.Sprintf("scenario: core model spec for %q missing", r))
-	}
-	return spec
-}
-
 // --- ray tracing ---
 
 type raytraceBackend struct{}
-
-func (raytraceBackend) Name() core.Renderer { return core.RayTrace }
-
-func (raytraceBackend) Model() core.RendererSpec { return coreSpec(core.RayTrace) }
 
 func (raytraceBackend) CompositeOp() composite.Op { return composite.DepthOp }
 func (raytraceBackend) NeedsStructured() bool     { return false }
@@ -98,10 +69,6 @@ func (r *raytraceRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuff
 
 type rasterBackend struct{}
 
-func (rasterBackend) Name() core.Renderer { return core.Raster }
-
-func (rasterBackend) Model() core.RendererSpec { return coreSpec(core.Raster) }
-
 func (rasterBackend) CompositeOp() composite.Op { return composite.DepthOp }
 func (rasterBackend) NeedsStructured() bool     { return false }
 
@@ -141,10 +108,6 @@ func (r *rasterRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffer
 // --- structured volume rendering ---
 
 type volumeBackend struct{}
-
-func (volumeBackend) Name() core.Renderer { return core.Volume }
-
-func (volumeBackend) Model() core.RendererSpec { return coreSpec(core.Volume) }
 
 func (volumeBackend) CompositeOp() composite.Op { return composite.BlendOp }
 func (volumeBackend) NeedsStructured() bool     { return true }
@@ -199,22 +162,6 @@ func (r *volumeRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffer
 // --- unstructured (tetrahedral) volume rendering ---
 
 type volumeUnstructuredBackend struct{}
-
-func (volumeUnstructuredBackend) Name() core.Renderer { return VolumeUnstructured }
-
-// uvrTerms is the unstructured volume model: T = c0*O + c1*(AP*SPR) + c2,
-// linear in the tet count (every tet is projected and pass-selected) and
-// in the samples taken along active rays.
-func uvrTerms(in core.Inputs) []float64 { return []float64{in.O, in.AP * in.SPR, 1} }
-
-func (volumeUnstructuredBackend) Model() core.RendererSpec {
-	return core.RendererSpec{
-		Name:  VolumeUnstructured,
-		Terms: uvrTerms,
-		// Six tetrahedra per hex cell of an N^3 block.
-		Objects: func(n float64) float64 { return 6 * n * n * n },
-	}
-}
 
 func (volumeUnstructuredBackend) CompositeOp() composite.Op { return composite.BlendOp }
 func (volumeUnstructuredBackend) NeedsStructured() bool     { return false }

@@ -2,11 +2,11 @@
 // performance study, the repro table generators, and the in situ
 // pipeline: one Scene describes a renderable block (parsed simulation
 // data or prebuilt geometry, camera, device, field range), and
-// self-registered Backends turn a Scene into frame renderers that fill
-// the model inputs of §5.3. Adding a rendering technique means writing
-// one Backend and registering it — the study plan samples it, model
-// fitting fits it, registry snapshots carry it, and the advisor serves
-// it without further changes.
+// Backends turn a Scene into frame renderers that fill the model inputs
+// of §5.3. Adding a rendering technique means writing one Backend and
+// adding a row for it to the backends map and to core's spec table —
+// the study plan samples it, model fitting fits it, registry snapshots
+// carry it, and the advisor serves it without further changes.
 package scenario
 
 import (

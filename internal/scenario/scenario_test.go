@@ -2,10 +2,10 @@ package scenario
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
-	"insitu/internal/composite"
 	"insitu/internal/conduit"
 	"insitu/internal/core"
 	"insitu/internal/device"
@@ -70,9 +70,12 @@ func TestEveryBackendRendersItsCompatibleProxies(t *testing.T) {
 				if in.O <= 0 || in.AP <= 0 {
 					t.Errorf("inputs not filled: O=%v AP=%v", in.O, in.AP)
 				}
-				// The backend's own term vector must be computable and
+				// The backend's model terms must be computable and
 				// non-degenerate over what it filled.
-				terms := b.Model().Terms(in)
+				terms, err := core.RenderTerms(name, in)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if len(terms) < 2 {
 					t.Fatalf("term vector too short: %v", terms)
 				}
@@ -99,7 +102,7 @@ func TestStructuredOnlyBackendRejectsUnstructuredScene(t *testing.T) {
 	if _, err := vb.Prepare(sc); err == nil {
 		t.Error("structured volume backend accepted an unstructured block")
 	}
-	ub, err := Lookup(VolumeUnstructured)
+	ub, err := Lookup(core.VolumeUnstructured)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,42 +131,13 @@ func TestLookupUnknownRendererNamesAlternatives(t *testing.T) {
 	}
 }
 
-// badBackend is a minimal backend for registration error-path tests.
-type badBackend struct{ name core.Renderer }
-
-func (b badBackend) Name() core.Renderer { return b.name }
-func (b badBackend) Model() core.RendererSpec {
-	return core.RendererSpec{Name: b.name, Terms: func(core.Inputs) []float64 { return []float64{1} }}
-}
-func (badBackend) CompositeOp() composite.Op           { return composite.DepthOp }
-func (badBackend) NeedsStructured() bool               { return false }
-func (badBackend) Prepare(*Scene) (FrameRunner, error) { return nil, nil }
-
-func TestRegisterErrorPaths(t *testing.T) {
-	if err := Register(badBackend{name: core.RayTrace}); err == nil {
-		t.Error("duplicate registration accepted")
-	} else if !strings.Contains(err.Error(), "already registered") {
-		t.Errorf("duplicate registration error unclear: %v", err)
-	}
-	if err := Register(badBackend{name: ""}); err == nil {
-		t.Error("nameless backend accepted")
-	}
-	if err := Register(badBackend{name: core.Compositing}); err == nil {
-		t.Error("compositing pseudo-renderer accepted as a backend name")
-	}
-	// A backend whose declared model spec disagrees with the spec already
-	// registered in core must be rejected: silently keeping the old spec
-	// would let the two drift apart.
-	if err := core.RegisterRenderer(core.RendererSpec{
-		Name:  "drift-test",
-		Terms: func(core.Inputs) []float64 { return []float64{1, 2} },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := Register(badBackend{name: "drift-test"}); err == nil {
-		t.Error("backend with inconsistent model spec accepted")
-	} else if !strings.Contains(err.Error(), "inconsistent") {
-		t.Errorf("inconsistent-spec error unclear: %v", err)
+// TestBackendsMatchCoreSpecs: every backend has a core model spec and
+// every modeled spec has a backend; compositing is the one spec that is
+// not a backend.
+func TestBackendsMatchCoreSpecs(t *testing.T) {
+	got, want := Names(), core.ModeledRenderers()
+	if !slices.Equal(got, want) {
+		t.Errorf("backends %v, core modeled renderers %v", got, want)
 	}
 }
 

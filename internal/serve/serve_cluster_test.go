@@ -12,7 +12,6 @@ import (
 	"insitu/internal/core"
 	"insitu/internal/framebuffer"
 	"insitu/internal/registry"
-	"insitu/internal/scenario"
 )
 
 // clusterSnapshot extends the serving test snapshot with the compositing
@@ -30,7 +29,7 @@ func clusterSnapshot() *registry.Snapshot {
 			{Arch: "serial", Renderer: string(core.RayTrace), Fit: fit(1e-7, 5e-8, 1e-4), BuildFit: &build},
 			{Arch: "serial", Renderer: string(core.Raster), Fit: fit(1e-9, 1e-8, 1e-4)},
 			{Arch: "serial", Renderer: string(core.Volume), Fit: fit(1e-8, 1e-9, 1e-4)},
-			{Arch: "serial", Renderer: string(scenario.VolumeUnstructured), Fit: fit(1e-9, 1e-9, 1e-4)},
+			{Arch: "serial", Renderer: string(core.VolumeUnstructured), Fit: fit(1e-9, 1e-9, 1e-4)},
 		},
 		Compositing: &registry.ModelDoc{
 			Arch: "all", Renderer: string(core.Compositing), Fit: fit(1e-9, 1e-9, 1e-4),

@@ -176,10 +176,10 @@ func mergeSnapshot(fresh, base *registry.Snapshot, samples []core.Sample) {
 	}
 	var hasSurface, hasVolume bool
 	for _, s := range samples {
-		switch s.Renderer {
-		case core.Volume:
+		if s.Renderer == core.Volume {
 			hasVolume = true
-		case core.RayTrace, core.Raster:
+		}
+		if spec, _ := core.LookupRenderer(s.Renderer); spec.Surface {
 			hasSurface = true
 		}
 	}

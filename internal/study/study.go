@@ -13,10 +13,10 @@
 // rank-local failure is agreed across the world before any task acts on
 // it, so it fails the configuration instead of hanging it.
 //
-// The renderers themselves come from the scenario backend registry: the
-// plan samples every registered backend against every simulation whose
-// published block it can consume, so a newly registered backend is
-// measured, fitted, and published without study changes.
+// The renderers themselves come from the scenario backend table: the
+// plan samples every backend against every simulation whose published
+// block it can consume, so a newly added backend is measured, fitted,
+// and published without study changes.
 package study
 
 import (
@@ -58,7 +58,7 @@ type Row struct {
 }
 
 // Plan generates the study configurations over the scenario axis: every
-// registered backend is paired with every simulation whose block shape
+// backend is paired with every simulation whose block shape
 // it accepts. short shrinks the plan for quick runs while preserving its
 // structure.
 func Plan(short bool) []Config {

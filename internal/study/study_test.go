@@ -178,7 +178,7 @@ func TestPlanShapes(t *testing.T) {
 }
 
 // TestPlanSamplesScenarioAxis: the plan is generated from the scenario
-// backend registry, so every registered backend — including the
+// backend table, so every backend — including the
 // unstructured volume backend, which the old hardcoded combo list could
 // never reach — is sampled against every proxy it can consume.
 func TestPlanSamplesScenarioAxis(t *testing.T) {
@@ -201,7 +201,7 @@ func TestPlanSamplesScenarioAxis(t *testing.T) {
 	}
 	// The proof point: the tetrahedral volume backend reaches even the
 	// Lagrangian proxy, which previously had no volume coverage at all.
-	if !got[string(scenario.VolumeUnstructured)+"/lulesh"] {
+	if !got[string(core.VolumeUnstructured)+"/lulesh"] {
 		t.Error("volume-unstructured not sampled against lulesh")
 	}
 }

@@ -1,12 +1,11 @@
 // Command insitulint runs the repo's static-analysis suite (noalloc,
-// collective, leaselife, ctxcomm) in two modes:
+// collective, leaselife, ctxcomm) as a go vet tool:
 //
-//	insitulint ./...                          standalone, loads the module
-//	go vet -vettool=$(pwd)/bin/insitulint ./...   unitchecker under cmd/go
+//	go vet -vettool=$(pwd)/bin/insitulint ./...
 //
-// Under go vet, cmd/go probes the tool with -V=full and -flags, then
-// invokes it once per compilation unit with a *.cfg JSON file; facts
-// (//insitu: annotations) flow between units through vetx files.
+// cmd/go probes the tool with -V=full and -flags, then invokes it once
+// per compilation unit (test units included) with a *.cfg JSON file;
+// facts (//insitu: annotations) flow between units through vetx files.
 package main
 
 import (
@@ -51,12 +50,8 @@ func main() {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		os.Exit(driver.RunUnit(analyzers, args[0], os.Stderr))
 	}
-
-	// Standalone: treat args as package patterns.
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	os.Exit(driver.Standalone(analyzers, args, os.Stderr))
+	fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(which %s) ./...\n", progName())
+	os.Exit(1)
 }
 
 func progName() string {
