@@ -6,7 +6,7 @@ GO ?= go
 # into ./bin so the vettool path is hermetic to the checkout.
 LINT_BIN := bin/insitulint
 
-.PHONY: all build cross test test32 race vet fmt lint oracles bench bench-e2e bench-layers bench-check chaos obs cover ci clean
+.PHONY: all build cross test test32 race vet fmt lint oracles fuzz bench bench-e2e bench-layers bench-check chaos obs cover ci clean
 
 all: ci
 
@@ -70,6 +70,19 @@ ORACLE_PKGS := ./internal/vecmath/ ./internal/bvh/ ./internal/render/raytrace/ .
 oracles:
 	$(GO) test -count=1 -run $(ORACLE_TESTS) $(ORACLE_PKGS)
 	GOAMD64=v3 $(GO) test -count=1 -run $(ORACLE_TESTS) $(ORACLE_PKGS)
+
+# fuzz runs every Fuzz* target in the repo, found with `go test -list`,
+# for FUZZTIME each (`go test -fuzz` takes one target of one package
+# per run). The targets' seed corpora already run in plain `go test`;
+# this is the open-ended search, so ci leaves it out. A failing input is
+# written under the package's testdata/fuzz/ for the fix to keep.
+FUZZTIME ?= 10s
+fuzz:
+	@$(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { t[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
+	while read pkg target; do \
+		echo "== $$pkg $$target ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
 
 # fmt fails if any file needs reformatting (CI-friendly gofmt check).
 fmt:

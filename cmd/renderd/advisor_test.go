@@ -201,7 +201,7 @@ func TestPredictEndpointSingleAndBatch(t *testing.T) {
 func TestModelsHealthzMetricsEndpoints(t *testing.T) {
 	ts, _, set, _ := testServer(t)
 
-	var models modelsBody
+	var models serve.ModelsBody
 	r, err := ts.Client().Get(ts.URL + "/v1/models")
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestReloadEndpointHotSwapsModels(t *testing.T) {
 	if hz.Generation != 2 {
 		t.Errorf("generation after reload = %d", hz.Generation)
 	}
-	var models modelsBody
+	var models serve.ModelsBody
 	r, err := ts.Client().Get(ts.URL + "/v1/models")
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +447,7 @@ func TestObservationsRoundTripRefitsServedModels(t *testing.T) {
 	if mb.Generation != gen {
 		t.Errorf("metrics generation %d, want %d", mb.Generation, gen)
 	}
-	var models modelsBody
+	var models serve.ModelsBody
 	r, err = ts.Client().Get(ts.URL + "/v1/models")
 	if err != nil {
 		t.Fatal(err)
@@ -537,7 +537,7 @@ func TestUnstructuredVolumeServedEndToEnd(t *testing.T) {
 		t.Errorf("per_image_seconds = %v, want positive", resp.PerImageSeconds)
 	}
 	// The snapshot served by /v1/models names the backend too.
-	var models modelsBody
+	var models serve.ModelsBody
 	r, err := ts.Client().Get(ts.URL + "/v1/models")
 	if err != nil {
 		t.Fatal(err)

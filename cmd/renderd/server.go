@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -116,32 +117,53 @@ func (s *webServer) serveFrame(w http.ResponseWriter, req serve.FrameRequest) {
 		writeServeError(w, err, frameErrStatus(err))
 		return
 	}
+	writePNG(w, &res, false)
+}
+
+// writePNG answers a served frame in net/http's minimum of two socket
+// writes: with a Content-Length (a PNG over 2 KB would go out chunked,
+// its terminator in a third write), the headers set by canonical key
+// over one backing array, and the cached PNG in one Write. A session
+// frame carries the session subset of the X-Renderd-* headers.
+func writePNG(w http.ResponseWriter, res *serve.FrameResult, session bool) {
 	h := w.Header()
-	h.Set("Content-Type", "image/png")
-	h.Set("X-Renderd-Cache", hitMiss(res.CacheHit))
-	h.Set("X-Renderd-Degraded", strconv.FormatBool(res.Degraded))
-	h.Set("X-Renderd-Quality", fmt.Sprintf("%dx%d n=%d wl=%d", res.Width, res.Height, res.N, res.RTWorkload))
-	h.Set("X-Renderd-Predicted-Seconds", strconv.FormatFloat(res.PredictedSeconds, 'g', 6, 64))
-	h.Set("X-Renderd-Render-Seconds", strconv.FormatFloat(res.RenderSeconds, 'g', 6, 64))
-	h.Set("X-Renderd-Shards", strconv.Itoa(res.Shards))
-	h.Set("X-Renderd-Retries", strconv.Itoa(res.Retries))
-	h.Set("X-Renderd-Fleet-Degraded", strconv.FormatBool(res.FleetDegraded))
-	h.Set("X-Renderd-Queue-Seconds", strconv.FormatFloat(res.QueueSeconds, 'g', 6, 64))
-	if res.DeadlineMiss {
-		h.Set("X-Renderd-Deadline-Miss", "1")
+	vals := make([]string, 0, 16)
+	set := func(key, v string) {
+		vals = append(vals, v)
+		h[key] = vals[len(vals)-1 : len(vals) : len(vals)]
 	}
-	if res.Shards > 1 {
-		h.Set("X-Renderd-Composite-Seconds", strconv.FormatFloat(res.CompositeSeconds, 'g', 6, 64))
-		h.Set("X-Renderd-Predicted-Composite-Seconds", strconv.FormatFloat(res.PredictedCompositeSeconds, 'g', 6, 64))
-		ranks := make([]string, len(res.RankRenderSeconds))
-		for i, sec := range res.RankRenderSeconds {
-			ranks[i] = strconv.FormatFloat(sec, 'g', 6, 64)
+	set("Content-Type", "image/png")
+	set("Content-Length", strconv.Itoa(len(res.PNG)))
+	set("X-Renderd-Cache", hitMiss(res.CacheHit))
+	set("X-Renderd-Quality", strconv.Itoa(res.Width)+"x"+strconv.Itoa(res.Height)+" n="+strconv.Itoa(res.N)+" wl="+strconv.Itoa(res.RTWorkload))
+	set("X-Renderd-Queue-Seconds", seconds(res.QueueSeconds))
+	if res.DeadlineMiss {
+		set("X-Renderd-Deadline-Miss", "1")
+	}
+	if session {
+		set("X-Renderd-Prefetch", hitMiss(res.PrefetchHit))
+	} else {
+		set("X-Renderd-Degraded", strconv.FormatBool(res.Degraded))
+		set("X-Renderd-Predicted-Seconds", seconds(res.PredictedSeconds))
+		set("X-Renderd-Render-Seconds", seconds(res.RenderSeconds))
+		set("X-Renderd-Shards", strconv.Itoa(res.Shards))
+		set("X-Renderd-Retries", strconv.Itoa(res.Retries))
+		set("X-Renderd-Fleet-Degraded", strconv.FormatBool(res.FleetDegraded))
+		if res.Shards > 1 {
+			set("X-Renderd-Composite-Seconds", seconds(res.CompositeSeconds))
+			set("X-Renderd-Predicted-Composite-Seconds", seconds(res.PredictedCompositeSeconds))
+			ranks := make([]string, len(res.RankRenderSeconds))
+			for i, sec := range res.RankRenderSeconds {
+				ranks[i] = seconds(sec)
+			}
+			set("X-Renderd-Rank-Render-Seconds", strings.Join(ranks, ","))
 		}
-		h.Set("X-Renderd-Rank-Render-Seconds", strings.Join(ranks, ","))
 	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(res.PNG)
 }
+
+func seconds(sec float64) string { return strconv.FormatFloat(sec, 'g', 6, 64) }
 
 func hitMiss(hit bool) string {
 	if hit {
@@ -161,51 +183,46 @@ func (s *webServer) handleFramePost(w http.ResponseWriter, r *http.Request) {
 // handleFrameGet renders from query parameters — the curl-friendly
 // form: /v1/frame?backend=raytracer&sim=kripke&n=24&size=256&deadline_ms=50
 func (s *webServer) handleFrameGet(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	req := serve.FrameRequest{
-		Backend: core.Renderer(q.Get("backend")),
-		Sim:     q.Get("sim"),
-		Arch:    q.Get("arch"),
-	}
-	intArg := func(name string, dst *int) bool {
-		v := q.Get(name)
-		if v == "" {
-			return true
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad %s: %v", name, err)})
-			return false
-		}
-		*dst = n
-		return true
-	}
-	floatArg := func(name string, dst *float64) bool {
-		v := q.Get(name)
-		if v == "" {
-			return true
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad %s: %v", name, err)})
-			return false
-		}
-		*dst = f
-		return true
-	}
-	var size int
-	if !intArg("n", &req.N) || !intArg("size", &size) ||
-		!intArg("width", &req.Width) || !intArg("height", &req.Height) ||
-		!intArg("shards", &req.Shards) ||
-		!floatArg("azimuth", &req.Azimuth) || !floatArg("zoom", &req.Zoom) ||
-		!floatArg("deadline_ms", &req.DeadlineMillis) {
+	req, err := frameQuery(r.URL.Query())
+	if err != nil {
+		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
-	}
-	if size > 0 && req.Width == 0 {
-		req.Width = size
 	}
 	s.serveFrame(w, req)
 }
+
+// frameQuery parses a GET /v1/frame query into the JSON form's request
+// (size is the width when width is unset). It rejects only malformed
+// numbers; the serving path checks ranges.
+func frameQuery(q url.Values) (req serve.FrameRequest, err error) {
+	req = serve.FrameRequest{Backend: core.Renderer(q.Get("backend")), Sim: q.Get("sim"), Arch: q.Get("arch")}
+	var size int
+	queryArg(q, "n", &req.N, strconv.Atoi, &err)
+	queryArg(q, "size", &size, strconv.Atoi, &err)
+	queryArg(q, "width", &req.Width, strconv.Atoi, &err)
+	queryArg(q, "height", &req.Height, strconv.Atoi, &err)
+	queryArg(q, "shards", &req.Shards, strconv.Atoi, &err)
+	queryArg(q, "azimuth", &req.Azimuth, parseFloat, &err)
+	queryArg(q, "zoom", &req.Zoom, parseFloat, &err)
+	queryArg(q, "deadline_ms", &req.DeadlineMillis, parseFloat, &err)
+	if size > 0 && req.Width == 0 {
+		req.Width = size
+	}
+	return req, err
+}
+
+// queryArg parses query parameter name into *dst when it is present,
+// unless an earlier parameter already set *err.
+func queryArg[T any](q url.Values, name string, dst *T, parse func(string) (T, error), err *error) {
+	if v := q.Get(name); v != "" && *err == nil {
+		var perr error
+		if *dst, perr = parse(v); perr != nil {
+			*err = fmt.Errorf("bad %s: %v", name, perr)
+		}
+	}
+}
+
+func parseFloat(v string) (float64, error) { return strconv.ParseFloat(v, 64) }
 
 // healthzBody is the liveness document. LastReload is set only in the
 // /v1/reload answer.
@@ -272,9 +289,6 @@ func (s *webServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, body)
 }
 
-// modelsBody is the /v1/models response.
-type modelsBody = serve.ModelsBody
-
 // metricsBody merges the serving-path counters with the advisor
 // engine's per-operation latencies and the registry's prediction-cache
 // stats.
@@ -322,13 +336,10 @@ type traceBody struct {
 func (s *webServer) handleTrace(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	last := 64
-	if v := q.Get("last"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad last: %q", v)})
-			return
-		}
-		last = n
+	var err error
+	if queryArg(q, "last", &last, strconv.Atoi, &err); err != nil || last < 1 {
+		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad last: %q", q.Get("last"))})
+		return
 	}
 	traces := s.srv.Traces(last)
 	if q.Get("format") == "chrome" {

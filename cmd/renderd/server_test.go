@@ -178,7 +178,7 @@ func TestRenderdClosedLoop(t *testing.T) {
 	// 5. Served frames feed the calibrator; once the volume group has
 	// enough samples the refit publishes and /v1/models bumps its
 	// generation — without any POST /v1/observations.
-	var models modelsBody
+	var models serve.ModelsBody
 	getJSON(t, ts, "/v1/models", &models)
 	gen0 := models.Generation
 	for i := 0; i < 6; i++ {

@@ -3,9 +3,11 @@ package main
 import (
 	"errors"
 	"fmt"
+	"math"
 	"mime/multipart"
 	"net/http"
 	"net/textproto"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -85,80 +87,36 @@ func (s *webServer) handleSessionFrame(w http.ResponseWriter, r *http.Request) {
 	last := sess.LastPose()
 	azimuth, zoom := last.Azimuth, last.Zoom
 	q := r.URL.Query()
-	if v := q.Get("azimuth"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: "bad azimuth: " + err.Error()})
-			return
-		}
-		azimuth = f
-	}
-	if v := q.Get("zoom"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: "bad zoom: " + err.Error()})
-			return
-		}
-		zoom = f
+	var err error
+	queryArg(q, "azimuth", &azimuth, parseFloat, &err)
+	queryArg(q, "zoom", &zoom, parseFloat, &err)
+	if err != nil {
+		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		return
 	}
 	res, err := sess.Frame(azimuth, zoom)
 	if err != nil {
 		writeServeError(w, err, sessionErrStatus(err))
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "image/png")
-	h.Set("X-Renderd-Cache", hitMiss(res.CacheHit))
-	h.Set("X-Renderd-Prefetch", hitMiss(res.PrefetchHit))
-	h.Set("X-Renderd-Quality", fmt.Sprintf("%dx%d n=%d wl=%d", res.Width, res.Height, res.N, res.RTWorkload))
-	h.Set("X-Renderd-Queue-Seconds", strconv.FormatFloat(res.QueueSeconds, 'g', 6, 64))
-	if res.DeadlineMiss {
-		h.Set("X-Renderd-Deadline-Miss", "1")
-	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(res.PNG)
+	writePNG(w, &res, true)
 }
 
 // handleSessionStream pushes a server-paced orbit over the session as
 // multipart/x-mixed-replace PNG parts — the browser-compatible motion
 // form, and the steady camera velocity the predictor thrives on. Query:
-// step (degrees per frame, default 15), fps (default 10), frames (part
-// count, default unbounded). The stream ends on client disconnect,
-// after the requested frame count, or when the session closes
-// (including server drain at shutdown).
+// see streamQuery. The stream ends on client disconnect, after the
+// requested frame count, or when the session closes (including server
+// drain at shutdown).
 func (s *webServer) handleSessionStream(w http.ResponseWriter, r *http.Request) {
+	step, interval, frames, err := streamQuery(r.URL.Query())
+	if err != nil {
+		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		return
+	}
 	sess, ok := s.lookupSession(w, r)
 	if !ok {
 		return
-	}
-	step, fps, frames := 15.0, 10.0, 0
-	q := r.URL.Query()
-	bad := func(name string, err error) {
-		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad %s: %v", name, err)})
-	}
-	if v := q.Get("step"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			bad("step", err)
-			return
-		}
-		step = f
-	}
-	if v := q.Get("fps"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 {
-			bad("fps", fmt.Errorf("want a positive number, got %q", v))
-			return
-		}
-		fps = f
-	}
-	if v := q.Get("frames"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			bad("frames", err)
-			return
-		}
-		frames = n
 	}
 
 	mw := multipart.NewWriter(w)
@@ -167,13 +125,10 @@ func (s *webServer) handleSessionStream(w http.ResponseWriter, r *http.Request) 
 	flusher, _ := w.(http.Flusher)
 
 	pose := sess.LastPose()
-	tick := time.NewTicker(time.Duration(float64(time.Second) / fps))
+	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for i := 0; frames <= 0 || i < frames; i++ {
-		pose.Azimuth += step
-		if pose.Azimuth >= 360 {
-			pose.Azimuth -= 360
-		}
+		pose.Azimuth = orbitStep(pose.Azimuth, step)
 		res, err := sess.Frame(pose.Azimuth, pose.Zoom)
 		if err != nil {
 			_ = mw.Close()
@@ -200,4 +155,37 @@ func (s *webServer) handleSessionStream(w http.ResponseWriter, r *http.Request) 
 		}
 	}
 	_ = mw.Close()
+}
+
+// orbitStep advances an azimuth by step degrees, wrapped into [0, 360):
+// unwrapped, an orbit walks out of the serving path's azimuth bounds.
+func orbitStep(azimuth, step float64) float64 {
+	azimuth = math.Mod(azimuth+step, 360)
+	if azimuth < 0 {
+		azimuth = math.Mod(azimuth+360, 360) // a tiny negative rounds up to 360
+	}
+	return azimuth
+}
+
+// streamQuery parses the stream query: step (degrees per part, default
+// 15), fps (default 10) and frames (part count, default unbounded). It
+// rejects a step that is not finite and an fps whose interval is not a
+// positive int64 of nanoseconds, on which time.NewTicker panics.
+func streamQuery(q url.Values) (step float64, interval time.Duration, frames int, err error) {
+	step, fps := 15.0, 10.0
+	queryArg(q, "step", &step, parseFloat, &err)
+	queryArg(q, "fps", &fps, parseFloat, &err)
+	queryArg(q, "frames", &frames, strconv.Atoi, &err)
+	// NaN fails every comparison; a huge fps rounds the interval to 0 ns,
+	// a tiny one overflows int64.
+	ns := float64(time.Second) / fps
+	switch {
+	case err != nil:
+		return 0, 0, 0, err
+	case math.IsNaN(step) || math.IsInf(step, 0):
+		return 0, 0, 0, fmt.Errorf("bad step: want a finite number, got %v", step)
+	case !(ns >= 1 && ns < math.MaxInt64):
+		return 0, 0, 0, fmt.Errorf("bad fps: want a positive rate whose interval is 1ns to 292 years, got %v", fps)
+	}
+	return step, time.Duration(ns), frames, nil
 }

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"image/png"
@@ -12,6 +14,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"insitu/internal/core"
 	"insitu/internal/serve"
@@ -257,5 +260,130 @@ func TestRenderdConcurrentSessions(t *testing.T) {
 	if metrics.Serve.SessionsOpen != sessions || metrics.Serve.SessionFrames != sessions*frames {
 		t.Errorf("metrics sessions open %d frames %d, want %d and %d",
 			metrics.Serve.SessionsOpen, metrics.Serve.SessionFrames, sessions, sessions*frames)
+	}
+}
+
+// TestRenderdSessionStreamQueries: an fps whose tick is not a positive
+// duration and a step that is not finite answer 400 instead of
+// panicking the handler or streaming nothing, and steps of any sign and
+// size wrap the orbit inside the azimuth bounds for every part.
+func TestRenderdSessionStreamQueries(t *testing.T) {
+	ts, _ := startRenderd(t, 1000)
+	info := openTestSession(t, ts, serve.FrameRequest{
+		Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64,
+	})
+	for _, c := range []struct {
+		query string
+		parts int // 0: want a 400
+	}{
+		{"fps=1e10", 0},
+		{"fps=NaN", 0},
+		{"fps=1e-300", 0},
+		{"fps=0", 0},
+		{"step=NaN", 0},
+		{"step=Inf", 0},
+		{"step=-500000&frames=4&fps=200", 4},
+		{"step=1e6&frames=3&fps=200", 3},
+		{"step=-15&frames=3&fps=200", 3},
+	} {
+		resp, err := ts.Client().Get(ts.URL + "/v1/session/" + info.ID + "/stream?" + c.query)
+		if err != nil {
+			t.Errorf("%s: %v", c.query, err)
+			continue
+		}
+		if c.parts == 0 {
+			var e errorBody
+			err := json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil || e.Error == "" {
+				t.Errorf("%s: status %d (%v), want a 400 errorBody", c.query, resp.StatusCode, err)
+			}
+			continue
+		}
+		_, params, _ := mime.ParseMediaType(resp.Header.Get("Content-Type"))
+		mr := multipart.NewReader(resp.Body, params["boundary"])
+		parts := 0
+		for {
+			p, err := mr.NextPart()
+			if err != nil {
+				if err != io.EOF {
+					t.Errorf("%s: part %d: %v", c.query, parts, err)
+				}
+				break
+			}
+			if _, err := png.Decode(p); err != nil {
+				t.Errorf("%s: part %d not a PNG: %v", c.query, parts, err)
+			}
+			parts++
+		}
+		resp.Body.Close()
+		if parts != c.parts {
+			t.Errorf("%s: %d parts, want %d", c.query, parts, c.parts)
+		}
+	}
+}
+
+// TestRenderdSessionStreamFlushesThroughAccessLog: served through the
+// access log, as main serves it, the stream still flushes each part
+// before it waits for the next tick. The tick here is hours away and a
+// 64² part fits net/http's write buffers, so the part arrives whole only
+// if the wrapper kept http.Flusher.
+func TestRenderdSessionStreamFlushesThroughAccessLog(t *testing.T) {
+	srv, _, err := buildServer(testSnapshotFile(t), false, 1024, false, 1000, 0, nil, serve.Config{
+		Arch: "serial", Workers: 2, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(serve.LogRequests(t.Logf, newWebServer(srv, nil).handler()))
+	t.Cleanup(ts.Close)
+	info := openTestSession(t, ts, serve.FrameRequest{
+		Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64,
+	})
+
+	// The timeout only bounds a failing run, which would otherwise wait
+	// for the tick.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/session/"+info.ID+"/stream?fps=0.0001", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close() // ends the stream: the handler sees the disconnect
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", resp.StatusCode)
+	}
+	// Read the first part's header block, then the PNG up to its IEND
+	// chunk; the part's closing boundary is written only at the next tick.
+	br := bufio.NewReader(resp.Body)
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("part header: %v", err)
+		}
+		if line == "\r\n" {
+			break
+		}
+	}
+	iend := []byte("IEND\xaeB`\x82")
+	var part []byte
+	for !bytes.HasSuffix(part, iend) {
+		b, err := br.ReadByte()
+		if err != nil {
+			t.Fatalf("after %d bytes of the first part: %v", len(part), err)
+		}
+		part = append(part, b)
+	}
+	img, err := png.Decode(bytes.NewReader(part))
+	if err != nil {
+		t.Fatalf("first part is not a PNG: %v", err)
+	}
+	if w := img.Bounds().Dx(); w != 64 {
+		t.Errorf("first part is %d wide, want 64", w)
 	}
 }
