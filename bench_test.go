@@ -6,6 +6,7 @@ package insitu
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"insitu/internal/baseline"
@@ -25,6 +26,7 @@ import (
 	"insitu/internal/sim"
 	"insitu/internal/strawman"
 	"insitu/internal/study"
+	"insitu/internal/vecmath"
 
 	"insitu/internal/conduit"
 )
@@ -91,26 +93,59 @@ func table2Step(tb testing.TB) func() {
 	return rayTraceStep(tb, raytrace.New(device.CPU(), m), raytrace.Options{
 		Width: benchImage, Height: benchImage,
 		Camera:   render.OrbitCamera(m.Bounds(), 30, 20, 1.0),
-		Workload: raytrace.Workload3, Compaction: true, Supersample: true,
+		Workload: raytrace.Workload3,
 	})
 }
 
-// table5Renderer is Table 5's scene: the benchmark surface traced on the
-// mic device profile. table5Step is its scalar or packet traversal step.
-func table5Renderer(tb testing.TB) (*raytrace.Renderer, render.Camera) {
+// table5Scene is Table 5's workload: the pixel-center primary rays of
+// one benchImage² frame of the benchmark surface, in the raytracer's
+// Morton order, traced on the mic device profile's workers.
+type table5Scene struct {
+	dev     *device.Device
+	tree    *bvh.BVH
+	rays    []vecmath.Ray
+	tracers []bvh.Tracer
+}
+
+func newTable5Scene(tb testing.TB) *table5Scene {
 	m := benchSurface(tb)
 	dev, err := device.Profile("mic")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return raytrace.New(dev, m), render.OrbitCamera(m.Bounds(), 30, 20, 1.0)
+	gen := render.OrbitCamera(m.Bounds(), 30, 20, 1.0).Normalized().NewRayGen(benchImage, benchImage)
+	order := raytrace.MortonPixelOrder(benchImage, benchImage)
+	rays := make([]vecmath.Ray, len(order))
+	for i, p := range order {
+		rays[i] = gen.Ray(float64(int(p)%benchImage), float64(int(p)/benchImage), 0.5, 0.5)
+	}
+	return &table5Scene{dev: dev, tree: bvh.Build(dev, m, bvh.LBVH), rays: rays, tracers: make([]bvh.Tracer, dev.Workers)}
 }
 
-func table5Step(tb testing.TB, rdr *raytrace.Renderer, cam render.Camera, packets bool) func() {
-	return rayTraceStep(tb, rdr, raytrace.Options{
-		Width: benchImage, Height: benchImage, Camera: cam,
-		Workload: raytrace.Workload1, UsePackets: packets,
-	})
+// table5Step returns one pass over the scene's rays: with packets four
+// at a time through IntersectClosest4, without one by one through
+// IntersectClosestScratch.
+func table5Step(s *table5Scene, packets bool) func() {
+	trace := func(worker, lo, hi int) {
+		tr := &s.tracers[worker]
+		for i := lo; i < hi; i++ {
+			s.tree.IntersectClosestScratch(s.rays[i].Orig, s.rays[i].Dir, 1e-9, math.Inf(1), tr)
+		}
+	}
+	if packets {
+		trace = func(worker, lo, hi int) {
+			tr := &s.tracers[worker]
+			for base := lo; base < hi; {
+				end := min(base-base%4+4, hi)
+				for k := base; k < end; k++ {
+					tr.SetRay(k-base, s.rays[k].Orig, s.rays[k].Dir)
+				}
+				s.tree.IntersectClosest4(tr, end-base, 1e-9, math.Inf(1))
+				base = end
+			}
+		}
+	}
+	return func() { dpp.ForWorker(s.dev, len(s.rays), trace) }
 }
 
 // table5Modes names Table 5's two traversals.
@@ -168,11 +203,11 @@ func BenchmarkTable4VsFastRT(b *testing.B) {
 // BenchmarkTable5Backends compares scalar vs packet traversal (Table 5).
 func BenchmarkTable5Backends(b *testing.B) {
 	b.ReportAllocs()
-	rdr, cam := table5Renderer(b)
+	scene := newTable5Scene(b)
 	for _, mode := range table5Modes {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
-			step := table5Step(b, rdr, cam, mode.packets)
+			step := table5Step(scene, mode.packets)
 			step() // warm frame
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -198,10 +233,10 @@ func TestZeroAlloc(t *testing.T) {
 	}
 	t.Run("Table1RayTraceShaded", func(t *testing.T) { assert(t, table1Step(t)) })
 	t.Run("Table2RayTraceFull", func(t *testing.T) { assert(t, table2Step(t)) })
-	rdr, cam := table5Renderer(t)
+	scene := newTable5Scene(t)
 	for _, mode := range table5Modes {
 		t.Run("Table5Backends/"+mode.name, func(t *testing.T) {
-			assert(t, table5Step(t, rdr, cam, mode.packets))
+			assert(t, table5Step(scene, mode.packets))
 		})
 	}
 }
@@ -543,33 +578,6 @@ func BenchmarkAblationCompositors(b *testing.B) {
 					return err
 				})
 				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCompaction measures stream compaction on/off for the
-// full ray tracing workload.
-func BenchmarkAblationCompaction(b *testing.B) {
-	b.ReportAllocs()
-	m := benchSurface(b)
-	rdr := raytrace.New(device.CPU(), m)
-	cam := render.OrbitCamera(m.Bounds(), 30, 20, 0.6) // zoomed out: many dead rays
-	for _, compaction := range []bool{false, true} {
-		name := "off"
-		if compaction {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			opts := raytrace.Options{
-				Width: benchImage, Height: benchImage, Camera: cam,
-				Workload: raytrace.Workload3, Compaction: compaction,
-			}
-			for i := 0; i < b.N; i++ {
-				if _, _, err := rdr.Render(opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -124,9 +124,9 @@ var servePromNames = []string{
 	"renderd_serve_deadline_misses", "renderd_serve_degraded",
 	"renderd_serve_errors", "renderd_serve_fleet_clamped",
 	"renderd_serve_foreground_load_seconds",
-	"renderd_serve_frame_stages_stages_histogramjson_bucket",
-	"renderd_serve_frame_stages_stages_histogramjson_count",
-	"renderd_serve_frame_stages_stages_histogramjson_sum",
+	"renderd_serve_frame_stages_stages_bucket",
+	"renderd_serve_frame_stages_stages_count",
+	"renderd_serve_frame_stages_stages_sum",
 	"renderd_serve_frame_stages_total_bucket",
 	"renderd_serve_frame_stages_total_count",
 	"renderd_serve_frame_stages_total_sum", "renderd_serve_frames_rendered",

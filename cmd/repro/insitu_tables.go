@@ -181,7 +181,6 @@ func figureImages(e *env) error {
 	} {
 		img, _, err := rdr.Render(raytrace.Options{
 			Width: size, Height: size, Camera: cam, Workload: wl,
-			Supersample: true, Compaction: true,
 		})
 		if err != nil {
 			return err

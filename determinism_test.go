@@ -22,13 +22,12 @@ import (
 )
 
 // detDevices returns the serial reference device and a deliberately
-// awkward parallel profile (many workers, tiny grain, vector packets) so
-// scheduling nondeterminism would have every chance to show.
+// awkward parallel profile (many workers, tiny grain) so scheduling
+// nondeterminism would have every chance to show.
 func detDevices() (*device.Device, *device.Device) {
 	serial := device.Serial()
 	par := device.New("det-parallel", 7)
 	par.Grain = 16
-	par.VectorWidth = 4
 	return serial, par
 }
 
@@ -70,7 +69,7 @@ func TestParallelSerialImagesByteIdentical(t *testing.T) {
 		}
 		opts := raytrace.Options{
 			Width: 72, Height: 56, Camera: render.OrbitCamera(m.Bounds(), 30, 20, 1.0),
-			Workload: raytrace.Workload3, Compaction: true, Supersample: true, AOSamples: 2,
+			Workload: raytrace.Workload3,
 		}
 		imgS, _, err := raytrace.New(serial, m).Render(opts)
 		if err != nil {
@@ -82,14 +81,6 @@ func TestParallelSerialImagesByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		imagesEqual(t, "raytrace", ref, imgP)
-
-		// Packetized traversal on the parallel device must also agree.
-		opts.UsePackets = true
-		imgPk, _, err := raytrace.New(par, m).Render(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		imagesEqual(t, "raytrace-packets", ref, imgPk)
 	})
 
 	t.Run("raster", func(t *testing.T) {
@@ -177,20 +168,18 @@ func TestPooledReuseFramesIdentical(t *testing.T) {
 		r := raytrace.New(dev, m)
 		opts := raytrace.Options{
 			Width: 64, Height: 48, Camera: render.OrbitCamera(m.Bounds(), 30, 20, 1.0),
-			Workload: raytrace.Workload3, Compaction: true, Supersample: true, AOSamples: 2,
-			Reflections: true,
+			Workload: raytrace.Workload3,
 		}
 		img1, _, err := r.Render(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref := img1.Clone()
-		// An intermediate frame with different options tries to poison
+		// An intermediate frame with a different workload (one ray per
+		// pixel, no occlusion or shadow terms) and size tries to poison
 		// the arena before the original frame is repeated.
 		mid := opts
 		mid.Workload = raytrace.Workload2
-		mid.Supersample = false
-		mid.Reflections = false
 		mid.Width, mid.Height = 48, 40
 		if _, _, err := r.Render(mid); err != nil {
 			t.Fatal(err)

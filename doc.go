@@ -17,8 +17,11 @@
 //     slab samples, framebuffer, and prebuilt kernel closures reused
 //     across frames; returned images are valid until the next Render),
 //     the morton pixel order is cached per image size, and compaction,
-//     packet traversal, and compositing run through reusable per-worker
-//     or per-rank scratch. Steady-state frames allocate nothing, serial
+//     primary-ray traversal, and compositing run through reusable
+//     per-worker or per-rank scratch. A ray-traced frame is a function
+//     of its Workload alone, and its primary rays take one traversal,
+//     picked from the host: the AVX2 four-ray kernel where bvh.Packets
+//     reports it, the scalar loop elsewhere. Steady-state frames allocate nothing, serial
 //     and parallel devices render byte-identical images, and
 //     device.Stats accounts occupancy per wake — see the README's
 //     performance section for sizing Workers/Grain and the warm-pool

@@ -29,15 +29,14 @@ func main() {
 	}
 	fmt.Printf("isosurface: %d triangles\n", iso.NumTriangles())
 
-	// Ray trace with full lighting: ambient occlusion, shadows, and
-	// 4x supersampling.
+	// Ray trace the full algorithm (Workload3): 4x supersampling, stream
+	// compaction, ambient occlusion and shadows.
 	cam := render.OrbitCamera(iso.Bounds(), 30, 20, 1.4)
 	rdr := raytrace.New(dev, iso)
 	img, stats, err := rdr.Render(raytrace.Options{
 		Width: 640, Height: 480,
-		Camera:     cam,
-		Workload:   raytrace.Workload3,
-		Compaction: true, Supersample: true,
+		Camera:   cam,
+		Workload: raytrace.Workload3,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -19,7 +19,6 @@ import (
 	"insitu/internal/device"
 	"insitu/internal/mesh"
 	"insitu/internal/render"
-	"insitu/internal/vecmath"
 )
 
 // TraceResult reports a Workload-1 style intersection benchmark.
@@ -64,7 +63,7 @@ func (f *FastRT) Trace(cam render.Camera, w, h int) TraceResult {
 	rows := (h + f.workers - 1) / f.workers
 	for wk := 0; wk < f.workers; wk++ {
 		y0 := wk * rows
-		y1 := minInt(y0+rows, h)
+		y1 := min(y0+rows, h)
 		if y0 >= y1 {
 			continue
 		}
@@ -89,7 +88,8 @@ func (f *FastRT) Trace(cam render.Camera, w, h int) TraceResult {
 
 // QueueRT is the OptiX Prime analogue: persistent workers pull fixed-size
 // tiles from a shared queue (the GPU's persistent-threads scheduling) and
-// trace morton-coherent 8-ray packets through an SAH tree.
+// trace each tile's 2x2 pixel quads as four-ray packets through an SAH
+// tree (bvh.IntersectClosest4).
 type QueueRT struct {
 	bvh     *bvh.BVH
 	workers int
@@ -107,7 +107,7 @@ func (q *QueueRT) BuildTime() time.Duration { return q.bvh.BuildTime }
 // Trace intersects one primary ray per pixel using tile-queue scheduling
 // and packet traversal.
 func (q *QueueRT) Trace(cam render.Camera, w, h int) TraceResult {
-	const tile = 8 // 8x8 pixel tiles, traced as 8 packets of 8 rays
+	const tile = 8 // 8x8 pixel tiles, traced as 16 quads of 2x2 rays
 	start := time.Now()
 	tilesX := (w + tile - 1) / tile
 	tilesY := (h + tile - 1) / tile
@@ -119,9 +119,7 @@ func (q *QueueRT) Trace(cam render.Camera, w, h int) TraceResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			orig := make([]vecmath.Vec3, tile)
-			dir := make([]vecmath.Vec3, tile)
-			packet := make([]bvh.Hit, tile)
+			var tr bvh.Tracer
 			local := 0
 			for {
 				t := int(atomic.AddInt64(&next, 1)) - 1
@@ -130,28 +128,21 @@ func (q *QueueRT) Trace(cam render.Camera, w, h int) TraceResult {
 				}
 				tx := (t % tilesX) * tile
 				ty := (t / tilesX) * tile
-				for row := 0; row < tile; row++ {
-					y := ty + row
-					if y >= h {
-						continue
-					}
-					n := 0
-					for dx := 0; dx < tile; dx++ {
-						x := tx + dx
-						if x >= w {
-							break
+				for y := ty; y < min(ty+tile, h); y += 2 {
+					for x := tx; x < min(tx+tile, w); x += 2 {
+						n := 0
+						for _, p := range [4][2]int{{x, y}, {x + 1, y}, {x, y + 1}, {x + 1, y + 1}} {
+							if p[0] < w && p[1] < h {
+								r := cam.Ray(float64(p[0]), float64(p[1]), 0.5, 0.5, w, h)
+								tr.SetRay(n, r.Orig, r.Dir)
+								n++
+							}
 						}
-						r := cam.Ray(float64(x), float64(y), 0.5, 0.5, w, h)
-						orig[n], dir[n] = r.Orig, r.Dir
-						n++
-					}
-					if n == 0 {
-						continue
-					}
-					q.bvh.IntersectClosestPacket(orig[:n], dir[:n], 1e-9, packet[:n])
-					for i := 0; i < n; i++ {
-						if packet[i].Prim >= 0 {
-							local++
+						q.bvh.IntersectClosest4(&tr, n, 1e-9, math.Inf(1))
+						for k := 0; k < n; k++ {
+							if tr.Hit[k].Prim >= 0 {
+								local++
+							}
 						}
 					}
 				}
@@ -161,11 +152,4 @@ func (q *QueueRT) Trace(cam render.Camera, w, h int) TraceResult {
 	}
 	wg.Wait()
 	return TraceResult{Elapsed: time.Since(start), Rays: w * h, Hits: int(hits)}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

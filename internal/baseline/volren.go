@@ -152,10 +152,10 @@ func (hv *HAVS) Render(cam render.Camera, w, h, samplesZ int) (*framebuffer.Imag
 // splatTet samples one screen-space tet over its bbox, blending into the
 // accumulation buffer with the under operator.
 func splatTet(xs, ys, zs, ss [4]float64, accum []float32, depth []float32, w, h int, dz, refStep float64, tf *framebuffer.TransferFunction, norm render.Normalizer) {
-	minX := maxInt(int(math.Floor(minOf4(xs))), 0)
-	maxX := minInt(int(math.Ceil(maxOf4(xs))), w-1)
-	minY := maxInt(int(math.Floor(minOf4(ys))), 0)
-	maxY := minInt(int(math.Ceil(maxOf4(ys))), h-1)
+	minX := max(int(math.Floor(minOf4(xs))), 0)
+	maxX := min(int(math.Ceil(maxOf4(xs))), w-1)
+	minY := max(int(math.Floor(minOf4(ys))), 0)
+	maxY := min(int(math.Ceil(maxOf4(ys))), h-1)
 	if minX > maxX || minY > maxY {
 		return
 	}
@@ -491,10 +491,10 @@ func (vv *VisItVR) Render(cam render.Camera, w, h, samplesZ int) (*framebuffer.I
 
 // sampleTetInto writes a tet's samples into the full-depth buffer.
 func sampleTetInto(xs, ys, zs, ss [4]float64, samples []float32, w, h, samplesZ int, dz float64) {
-	minX := maxInt(int(math.Floor(minOf4(xs))), 0)
-	maxX := minInt(int(math.Ceil(maxOf4(xs))), w-1)
-	minY := maxInt(int(math.Floor(minOf4(ys))), 0)
-	maxY := minInt(int(math.Ceil(maxOf4(ys))), h-1)
+	minX := max(int(math.Floor(minOf4(xs))), 0)
+	maxX := min(int(math.Ceil(maxOf4(xs))), w-1)
+	minY := max(int(math.Floor(minOf4(ys))), 0)
+	maxY := min(int(math.Ceil(maxOf4(ys))), h-1)
 	if minX > maxX || minY > maxY {
 		return
 	}
@@ -506,8 +506,8 @@ func sampleTetInto(xs, ys, zs, ss [4]float64, samples []float32, w, h, samplesZ 
 	if !ok {
 		return
 	}
-	slo := maxInt(int(math.Ceil(minOf4(zs)/dz)), 0)
-	shi := minInt(int(math.Floor(maxOf4(zs)/dz)), samplesZ-1)
+	slo := max(int(math.Ceil(minOf4(zs)/dz)), 0)
+	shi := min(int(math.Floor(maxOf4(zs)/dz)), samplesZ-1)
 	for py := minY; py <= maxY; py++ {
 		fy := float64(py) + 0.5
 		for px := minX; px <= maxX; px++ {
@@ -579,11 +579,4 @@ func minOf4(v [4]float64) float64 {
 
 func maxOf4(v [4]float64) float64 {
 	return math.Max(math.Max(v[0], v[1]), math.Max(v[2], v[3]))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

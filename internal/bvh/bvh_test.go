@@ -112,28 +112,28 @@ func TestBVHMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestPacketMatchesSingleRay traces bundles of 1 to 4 coherent rays
+// through IntersectClosest4 on a random mesh: each ray gets exactly
+// IntersectClosest's hit and counts, however many lanes are loaded.
 func TestPacketMatchesSingleRay(t *testing.T) {
 	m := randomMesh(200, 5)
 	b := Build(device.CPU(), m, LBVH)
 	rng := rand.New(rand.NewSource(17))
-	const packet = 8
-	orig := make([]vecmath.Vec3, packet)
-	dir := make([]vecmath.Vec3, packet)
-	hits := make([]Hit, packet)
-	for trial := 0; trial < 50; trial++ {
+	var tr Tracer
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + trial%4
 		base := vecmath.V(rng.Float64()*2-0.5, rng.Float64()*2-0.5, -2)
-		for i := 0; i < packet; i++ {
-			orig[i] = base
+		var dir [4]vecmath.Vec3
+		for i := 0; i < n; i++ {
 			dir[i] = vecmath.V(rng.Float64()*0.2-0.1, rng.Float64()*0.2-0.1, 1).Normalize()
+			tr.SetRay(i, base, dir[i])
 		}
-		b.IntersectClosestPacket(orig, dir, 1e-6, hits)
-		for i := 0; i < packet; i++ {
-			want, _, _ := b.IntersectClosest(orig[i], dir[i], 1e-6, math.Inf(1))
-			if want.Prim != hits[i].Prim {
-				t.Fatalf("packet ray %d prim %d != %d", i, hits[i].Prim, want.Prim)
-			}
-			if want.Prim >= 0 && math.Abs(want.T-hits[i].T) > 1e-9 {
-				t.Fatalf("packet ray %d t %v != %v", i, hits[i].T, want.T)
+		b.IntersectClosest4(&tr, n, 1e-6, math.Inf(1))
+		for i := 0; i < n; i++ {
+			want, wn, wt := b.IntersectClosest(base, dir[i], 1e-6, math.Inf(1))
+			if tr.Hit[i] != want || tr.NodeTests[i] != wn || tr.TriTests[i] != wt {
+				t.Fatalf("trial %d ray %d of %d: hit %+v, %d box, %d triangle tests; single ray %+v, %d, %d",
+					trial, i, n, tr.Hit[i], tr.NodeTests[i], tr.TriTests[i], want, wn, wt)
 			}
 		}
 	}

@@ -332,29 +332,24 @@ func TestIntersectAnyMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestPacketMatchesOracle pins the packet path to the same oracle, ray by
-// ray, on coherent bundles of a real frame.
+// TestPacketMatchesOracle pins the four-ray path to the same oracle, ray
+// by ray, on the quads of a real frame: IntersectClosest4's hits and
+// triangle tests equal the oracle's, and it runs no more box tests.
 func TestPacketMatchesOracle(t *testing.T) {
 	m := simSurface(t, "kripke", 16)
 	rays := primaryRays(m, 64, 33)
 	b := bvh.Build(device.CPU(), m, bvh.LBVH)
-	const width = 8
-	var scratch bvh.PacketScratch
-	orig := make([]vecmath.Vec3, width)
-	dir := make([]vecmath.Vec3, width)
-	hits := make([]bvh.Hit, width)
-	for base := 0; base+width <= len(rays); base += width {
-		for k := 0; k < width; k++ {
-			orig[k], dir[k] = rays[base+k].Orig, rays[base+k].Dir
+	var tr bvh.Tracer
+	for base := 0; base < len(rays); base += 4 {
+		for k := 0; k < 4; k++ {
+			tr.SetRay(k, rays[base+k].Orig, rays[base+k].Dir)
 		}
-		nodeTests, triTests := b.IntersectClosestPacketScratch(orig, dir, 1e-9, hits, &scratch)
-		if nodeTests < 1 || triTests%width != 0 {
-			t.Fatalf("packet at %d: implausible counters: %d box tests, %d triangle tests", base, nodeTests, triTests)
-		}
-		for k := 0; k < width; k++ {
-			want, _, _ := refIntersectClosest(b, orig[k], dir[k], 1e-9, math.Inf(1))
-			if !sameHit(hits[k], want) {
-				t.Fatalf("packet ray %d: hit %+v, oracle %+v", base+k, hits[k], want)
+		b.IntersectClosest4(&tr, 4, 1e-9, math.Inf(1))
+		for k := 0; k < 4; k++ {
+			r := rays[base+k]
+			want, wn, wt := refIntersectClosest(b, r.Orig, r.Dir, 1e-9, math.Inf(1))
+			if got, gn, gt := tr.Hit[k], tr.NodeTests[k], tr.TriTests[k]; !sameHit(got, want) || gt != wt || gn > wn {
+				t.Fatalf("packet ray %d: hit %+v, %d box, %d triangle tests; oracle %+v, %d, %d", base+k, got, gn, gt, want, wn, wt)
 			}
 		}
 	}

@@ -199,99 +199,6 @@ func (b *BVH) IntersectAny(orig, dir vecmath.Vec3, tmin, tmax float64) bool {
 	return false
 }
 
-// PacketScratch is the reusable per-worker state of packet traversal:
-// reciprocal directions and per-ray best distances. Hoisting it out of
-// the per-packet call is what makes the packetized inner loop
-// allocation-free.
-type PacketScratch struct {
-	inv  []vecmath.Vec3
-	best []float64
-}
-
-// Ensure grows the scratch to hold width rays.
-//
-//insitu:noalloc
-func (s *PacketScratch) Ensure(width int) {
-	if cap(s.inv) < width {
-		//insitu:noalloc-ok capacity-guarded arena growth: first frame only, steady state reuses
-		s.inv = make([]vecmath.Vec3, width)
-		//insitu:noalloc-ok capacity-guarded arena growth: first frame only, steady state reuses
-		s.best = make([]float64, width)
-	}
-}
-
-// IntersectClosestPacket traces a bundle of coherent rays through the tree
-// together, amortizing node visits across the packet: a node is descended
-// if any ray's interval hits it. This is the vector-unit ("ISPC") backend
-// of the tracer; with VectorWidth 1 it degenerates to per-ray traversal.
-func (b *BVH) IntersectClosestPacket(orig, dir []vecmath.Vec3, tmin float64, hits []Hit) {
-	var scratch PacketScratch
-	b.IntersectClosestPacketScratch(orig, dir, tmin, hits, &scratch)
-}
-
-// IntersectClosestPacketScratch is IntersectClosestPacket with
-// caller-owned scratch, for steady-state loops that trace many packets.
-// It returns the box and triangle tests executed, counted per ray like
-// IntersectClosest's.
-//
-//insitu:noalloc
-func (b *BVH) IntersectClosestPacketScratch(orig, dir []vecmath.Vec3, tmin float64, hits []Hit, scratch *PacketScratch) (int, int) {
-	n := len(orig)
-	for i := range hits {
-		hits[i] = Hit{Prim: -1, T: math.Inf(1)}
-	}
-	if len(b.Nodes) == 0 || n == 0 {
-		return 0, 0
-	}
-	scratch.Ensure(n)
-	inv := scratch.inv[:n]
-	best := scratch.best[:n]
-	for i := 0; i < n; i++ {
-		inv[i] = vecmath.V(1/dir[i].X, 1/dir[i].Y, 1/dir[i].Z)
-		best[i] = math.Inf(1)
-	}
-	nodes := b.Nodes
-	nodeTests, triTests := 0, 0
-	var stack [64]int32
-	sp := 0
-	stack[sp] = 0
-	sp++
-	for sp > 0 {
-		sp--
-		node := &nodes[stack[sp]]
-		any := false
-		for i := 0; i < n; i++ {
-			nodeTests++
-			if _, _, ok := node.Bounds.HitRay(orig[i], inv[i], tmin, best[i]); ok {
-				any = true
-				break
-			}
-		}
-		if !any {
-			continue
-		}
-		if node.Count > 0 {
-			tris := b.Tris[node.Start : node.Start+node.Count]
-			triTests += len(tris) * n
-			for pi := range tris {
-				tri := &tris[pi]
-				for i := 0; i < n; i++ {
-					if t, u, v, ok := IntersectTriangle(orig[i], dir[i], tri.A, tri.B, tri.C); ok && t > tmin && t < best[i] {
-						best[i] = t
-						hits[i] = Hit{Prim: b.PrimIDs[int(node.Start)+pi], T: t, U: u, V: v}
-					}
-				}
-			}
-			continue
-		}
-		stack[sp] = node.Left
-		sp++
-		stack[sp] = node.Right
-		sp++
-	}
-	return nodeTests, triTests
-}
-
 // Depth returns the maximum leaf depth, a tree-quality diagnostic.
 func (b *BVH) Depth() int {
 	if len(b.Nodes) == 0 {

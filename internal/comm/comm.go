@@ -294,19 +294,21 @@ func (c *Comm) Send(to, tag int, data []float32) {
 	c.push(from, dst, m)
 }
 
-// push delivers one routed message on a link, honoring the abort binding.
+// push delivers one routed message on a link, honoring the abort
+// binding, and counts it once it is on the link: a send the binding
+// aborts is not traffic.
 func (c *Comm) push(from, dst int, m message) {
 	w := c.world
-	w.count(from, dst, m)
 	if c.abortCtx == nil {
 		w.links[from][dst] <- m
-		return
+	} else {
+		select {
+		case w.links[from][dst] <- m:
+		case <-c.abortCtx.Done():
+			panic(&AbortError{Rank: from, Peer: dst, Op: "send", Err: c.abortCtx.Err()})
+		}
 	}
-	select {
-	case w.links[from][dst] <- m:
-	case <-c.abortCtx.Done():
-		panic(&AbortError{Rank: from, Peer: dst, Op: "send", Err: c.abortCtx.Err()})
-	}
+	w.count(from, dst, m)
 }
 
 // count adds one message to the world's and its link's traffic totals.

@@ -98,6 +98,40 @@ func TestSendCtxCancelledOnFullLink(t *testing.T) {
 	}
 }
 
+// TestBoundSendAbortedOnFullLinkIsNotCounted: a WithEpoch send that
+// aborts on a full link delivered nothing, so the world's and the link's
+// traffic totals do not move.
+func TestBoundSendAbortedOnFullLinkIsNotCounted(t *testing.T) {
+	w := NewWorld(2)
+	c := w.Endpoint(0)
+	for i := 0; i < cap(w.links[0][1]); i++ {
+		c.Send(1, 1, []float32{float32(i)})
+	}
+	bytes, msgs, links := w.BytesSent(), w.MessagesSent(), w.LinkStats()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	func() {
+		defer func() {
+			var abort *AbortError
+			if err, _ := recover().(error); !errors.As(err, &abort) || abort.Op != "send" {
+				t.Fatalf("bound send on a full link with a cancelled context: recovered %v, want a send *AbortError", err)
+			}
+		}()
+		c.WithEpoch(ctx, 1).Send(1, 1, []float32{1, 2, 3})
+	}()
+
+	if got := w.BytesSent(); got != bytes {
+		t.Errorf("BytesSent %d -> %d after an aborted send", bytes, got)
+	}
+	if got := w.MessagesSent(); got != msgs {
+		t.Errorf("MessagesSent %d -> %d after an aborted send", msgs, got)
+	}
+	if got := w.LinkStats(); len(got) != 1 || got[0] != links[0] {
+		t.Errorf("LinkStats %+v -> %+v after an aborted send", links, got)
+	}
+}
+
 // TestRecvCtxTagMismatchIsAnError: on a long-lived endpoint a protocol
 // mismatch fails the exchange with an error naming both tags instead of
 // panicking the process.

@@ -186,11 +186,9 @@ func TestDistributedRenderMatchesSingleTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	cam := render.OrbitCamera(full.Bounds(), 30, 20, 1.0)
+	// The headlight depends only on the camera, so every task lights its
+	// subset the same way.
 	opts := raytrace.Options{Width: 64, Height: 48, Camera: cam, Workload: raytrace.Workload2}
-	// Fix the light: the headlight default depends only on the camera, but
-	// being explicit keeps tasks consistent by construction.
-	light := render.HeadLight(cam)
-	opts.Light = &light
 
 	wantImg, _, err := raytrace.New(device.CPU(), full).Render(opts)
 	if err != nil {

@@ -41,7 +41,7 @@ func CalibrateMapping(samples []Sample) Mapping {
 	mp := DefaultMapping()
 	var fillSum, fillN, sprSum, sprN float64
 	for _, s := range samples {
-		scale := math.Cbrt(float64(maxInt(s.In.Tasks, 1)))
+		scale := math.Cbrt(float64(max(s.In.Tasks, 1)))
 		if spec, _ := LookupRenderer(s.Renderer); spec.Surface && s.In.Pixels > 0 && s.In.AP > 0 {
 			fillSum += s.In.AP * scale / s.In.Pixels
 			fillN++
@@ -77,7 +77,7 @@ func CalibrateMapping(samples []Sample) Mapping {
 // conservative (over-) estimates of the inputs yield conservative time
 // predictions.
 func (mp Mapping) Map(cfg Config) Inputs {
-	tasks := maxInt(cfg.Tasks, 1)
+	tasks := max(cfg.Tasks, 1)
 	scale := math.Cbrt(float64(tasks))
 	pixels := float64(cfg.Width * cfg.Height)
 	n := float64(cfg.N)
@@ -107,11 +107,4 @@ func (mp Mapping) Map(cfg Config) Inputs {
 		in.PPT = 4 * in.AP / in.VO
 	}
 	return in
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

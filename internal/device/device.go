@@ -3,9 +3,10 @@
 // implementation runs on CPUs, GPUs, and many-core co-processors, with the
 // architectural differences absorbed by per-architecture model
 // coefficients. This sandbox has no GPU, so each architecture is simulated
-// by a device profile: a worker-pool configuration (worker count,
-// scheduling grain, and vector width for packetized kernels) that executes
-// the identical data-parallel primitives. Per-profile coefficients are then
+// by a device profile: a worker-pool configuration (worker count and
+// scheduling grain) that executes the identical data-parallel primitives.
+// Vector units are the host's, not the profile's: the render kernels take
+// their AVX2 packet paths wherever HasAVX2 reports them, on every profile. Per-profile coefficients are then
 // fitted exactly as the paper fits per-architecture coefficients.
 package device
 
@@ -28,9 +29,6 @@ type Device struct {
 	Workers int
 	// Grain is the minimum number of items per scheduled chunk.
 	Grain int
-	// VectorWidth is the packet width kernels may use to amortize work
-	// across coherent items (the SIMD/ISPC analogue). 1 means scalar.
-	VectorWidth int
 	// Stats, when non-nil, accumulates occupancy instrumentation.
 	Stats *Stats
 
@@ -46,7 +44,7 @@ func New(name string, workers int) *Device {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Device{Name: name, Workers: workers, Grain: 256, VectorWidth: 1}
+	return &Device{Name: name, Workers: workers, Grain: 256}
 }
 
 // Serial returns a single-worker device.
@@ -61,15 +59,15 @@ func CPU() *Device { return New("cpu", runtime.NumCPU()) }
 // the leading-edge machine in the Table 15 experiment.
 func Profiles() map[string]*Device {
 	n := runtime.NumCPU()
-	mk := func(name string, workers, grain, vw int) *Device {
-		return &Device{Name: name, Workers: workers, Grain: grain, VectorWidth: vw}
+	mk := func(name string, workers, grain int) *Device {
+		return &Device{Name: name, Workers: workers, Grain: grain}
 	}
 	return map[string]*Device{
-		"serial":  mk("serial", 1, 1024, 1),
-		"cpu":     mk("cpu", n, 512, 1),
-		"gpu":     mk("gpu", 4*n, 64, 4),
-		"mic":     mk("mic", 2*n, 128, 8),
-		"bigiron": mk("bigiron", 3*n, 96, 4),
+		"serial":  mk("serial", 1, 1024),
+		"cpu":     mk("cpu", n, 512),
+		"gpu":     mk("gpu", 4*n, 64),
+		"mic":     mk("mic", 2*n, 128),
+		"bigiron": mk("bigiron", 3*n, 96),
 	}
 }
 

@@ -207,42 +207,12 @@ func ForEach(d *device.Device, n int, f func(i int)) {
 	})
 }
 
-// Map applies f to every element of in, writing results to out.
-// len(out) must be at least len(in).
-func Map[T, U any](d *device.Device, in []T, out []U, f func(T) U) {
-	For(d, len(in), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = f(in[i])
-		}
-	})
-}
-
-// Fill sets every element of out to v.
-func Fill[T any](d *device.Device, out []T, v T) {
-	For(d, len(out), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = v
-		}
-	})
-}
-
 // Gather copies in[idx[i]] into out[i] for every i. len(out) and len(idx)
 // must match; indices must be within in.
 func Gather[T any](d *device.Device, idx []int32, in, out []T) {
 	For(d, len(idx), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = in[idx[i]]
-		}
-	})
-}
-
-// Scatter copies in[i] into out[idx[i]] for every i. The caller must
-// guarantee indices are unique, otherwise the result is racy — the same
-// caution the paper attaches to the scatter primitive.
-func Scatter[T any](d *device.Device, idx []int32, in, out []T) {
-	For(d, len(idx), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[idx[i]] = in[i]
 		}
 	})
 }
@@ -271,41 +241,4 @@ func Reduce[T any](d *device.Device, in []T, id T, op func(a, b T) T) T {
 		acc = op(acc, p)
 	}
 	return acc
-}
-
-// MinMax returns the smallest and largest values of in. It panics on empty
-// input.
-func MinMax(d *device.Device, in []float64) (float64, float64) {
-	if len(in) == 0 {
-		panic("dpp: MinMax of empty slice")
-	}
-	lo, hi := in[0], in[0]
-	ch := chunksFor(d, len(in))
-	los := make([]float64, ch.num)
-	his := make([]float64, ch.num)
-	For(d, ch.num, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			blo, bhi := ch.bounds(c)
-			l, h := in[blo], in[blo]
-			for i := blo + 1; i < bhi; i++ {
-				v := in[i]
-				if v < l {
-					l = v
-				}
-				if v > h {
-					h = v
-				}
-			}
-			los[c], his[c] = l, h
-		}
-	})
-	for c := 0; c < ch.num; c++ {
-		if los[c] < lo {
-			lo = los[c]
-		}
-		if his[c] > hi {
-			hi = his[c]
-		}
-	}
-	return lo, hi
 }

@@ -3,6 +3,7 @@ package dpp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -15,8 +16,8 @@ func testDevices() []*device.Device {
 	return []*device.Device{
 		device.Serial(),
 		device.New("w2", 2),
-		{Name: "fine", Workers: 4, Grain: 3, VectorWidth: 1},
-		{Name: "many", Workers: 9, Grain: 1, VectorWidth: 4},
+		{Name: "fine", Workers: 4, Grain: 3},
+		{Name: "many", Workers: 9, Grain: 1},
 	}
 }
 
@@ -34,28 +35,6 @@ func TestForCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestMapMatchesSerial(t *testing.T) {
-	f := func(in []float64) bool {
-		want := make([]float64, len(in))
-		for i, v := range in {
-			want[i] = v*2 + 1
-		}
-		for _, d := range testDevices() {
-			got := make([]float64, len(in))
-			Map(d, in, got, func(v float64) float64 { return v*2 + 1 })
-			for i := range want {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGatherScatterInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, d := range testDevices() {
@@ -69,13 +48,17 @@ func TestGatherScatterInverse(t *testing.T) {
 		for i, p := range perm {
 			idx[i] = int32(p)
 		}
+		inv := make([]int32, n)
+		for i, p := range idx {
+			inv[p] = int32(i)
+		}
 		gathered := make([]float64, n)
 		Gather(d, idx, in, gathered)
 		back := make([]float64, n)
-		Scatter(d, idx, gathered, back)
+		Gather(d, inv, gathered, back)
 		for i := range in {
 			if back[i] != in[i] {
-				t.Fatalf("%s: scatter(gather(x)) != x at %d", d.Name, i)
+				t.Fatalf("%s: gathering by the inverse permutation (a scatter) != x at %d", d.Name, i)
 			}
 		}
 	}
@@ -99,16 +82,6 @@ func TestReduceSum(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	in := []float64{3, -2, 7, 0, 4.5, -2.5, 9, 1}
-	for _, d := range testDevices() {
-		lo, hi := MinMax(d, in)
-		if lo != -2.5 || hi != 9 {
-			t.Fatalf("%s: MinMax = %v,%v", d.Name, lo, hi)
-		}
 	}
 }
 
@@ -144,28 +117,6 @@ func TestScanExclusiveMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestScanInclusiveAliasSafe(t *testing.T) {
-	for _, d := range testDevices() {
-		in := make([]int64, 777)
-		for i := range in {
-			in[i] = int64(i % 13)
-		}
-		want := make([]int64, len(in))
-		var acc int64
-		for i, v := range in {
-			acc += v
-			want[i] = acc
-		}
-		// Scan in place.
-		ScanInclusive(d, in, in, 0, func(a, b int64) int64 { return a + b })
-		for i := range want {
-			if in[i] != want[i] {
-				t.Fatalf("%s: in-place inclusive scan wrong at %d: %d != %d", d.Name, i, in[i], want[i])
-			}
-		}
-	}
-}
-
 func TestScanEmpty(t *testing.T) {
 	d := device.CPU()
 	total := ScanExclusive(d, nil, nil, 42, func(a, b int) int { return a + b })
@@ -192,24 +143,11 @@ func TestCompactIndices(t *testing.T) {
 					return false
 				}
 			}
-			if CountTrue(d, flags) != len(want) {
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCompactValues(t *testing.T) {
-	d := device.New("w3", 3)
-	in := []string{"a", "b", "c", "d", "e"}
-	flags := []bool{true, false, true, false, true}
-	got := Compact(d, in, flags)
-	if len(got) != 3 || got[0] != "a" || got[1] != "c" || got[2] != "e" {
-		t.Errorf("Compact = %v", got)
 	}
 }
 
@@ -226,7 +164,7 @@ func TestSortPairs64Random(t *testing.T) {
 				orig[i] = keys[i]
 			}
 			SortPairs64(d, keys, vals)
-			if !IsSorted(keys) {
+			if !slices.IsSorted(keys) {
 				t.Fatalf("%s n=%d: keys not sorted", d.Name, n)
 			}
 			// The payload must still point at the original key.
@@ -307,16 +245,5 @@ func TestDeviceStatsAccumulate(t *testing.T) {
 	}
 	if d.Stats.Busy() <= 0 {
 		t.Errorf("busy = %v", d.Stats.Busy())
-	}
-}
-
-func TestFill(t *testing.T) {
-	d := device.New("w2", 2)
-	out := make([]int, 100)
-	Fill(d, out, 7)
-	for i, v := range out {
-		if v != 7 {
-			t.Fatalf("Fill missed index %d", i)
-		}
 	}
 }

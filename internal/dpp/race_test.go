@@ -65,7 +65,8 @@ func TestConcurrentCompactors(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := NewCompactor(d)
+			var c Compactor
+			c.Init(d)
 			flags := make([]bool, 1500)
 			for i := range flags {
 				flags[i] = (i+g)%3 == 0

@@ -44,71 +44,6 @@ func ScanExclusive[T any](d *device.Device, in, out []T, id T, op func(a, b T) T
 	return total
 }
 
-// ScanInclusive writes the inclusive prefix combination of in into out and
-// returns the total. in and out may alias.
-func ScanInclusive[T any](d *device.Device, in, out []T, id T, op func(a, b T) T) T {
-	n := len(in)
-	if n == 0 {
-		return id
-	}
-	ch := chunksFor(d, n)
-	sums := make([]T, ch.num)
-	For(d, ch.num, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			lo, hi := ch.bounds(c)
-			acc := id
-			for i := lo; i < hi; i++ {
-				acc = op(acc, in[i])
-			}
-			sums[c] = acc
-		}
-	})
-	prefix := make([]T, ch.num)
-	running := id
-	for c := 0; c < ch.num; c++ {
-		prefix[c] = running
-		running = op(running, sums[c])
-	}
-	total := running
-	For(d, ch.num, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			lo, hi := ch.bounds(c)
-			acc := prefix[c]
-			for i := lo; i < hi; i++ {
-				acc = op(acc, in[i])
-				out[i] = acc
-			}
-		}
-	})
-	return total
-}
-
-// CountTrue returns the number of set flags.
-func CountTrue(d *device.Device, flags []bool) int {
-	ch := chunksFor(d, len(flags))
-	if ch.num == 0 {
-		return 0
-	}
-	counts := make([]int, ch.num)
-	For(d, ch.num, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			lo, hi := ch.bounds(c)
-			k := 0
-			for i := lo; i < hi; i++ {
-				if flags[i] {
-					k++
-				}
-			}
-			counts[c] = k
-		}
-	})
-	total := 0
-	for _, k := range counts {
-		total += k
-	}
-	return total
-}
-
 // CompactIndices returns the indices of the set flags, in ascending order.
 // This is the reduce + exclusive scan + reverse-index sequence the paper's
 // stream compaction uses, fused into a two-pass emit. The result is a
@@ -125,14 +60,6 @@ func CompactIndices(d *device.Device, flags []bool) []int32 {
 	return out
 }
 
-// Compact gathers the flagged elements of in into a new, smaller slice.
-func Compact[T any](d *device.Device, in []T, flags []bool) []T {
-	idx := CompactIndices(d, flags)
-	out := make([]T, len(idx))
-	Gather(d, idx, in, out)
-	return out
-}
-
 // Compactor is the reusable, allocation-free form of CompactIndices: the
 // per-chunk count scratch, the output index buffer, and the two kernel
 // closures are built once and reused across calls, so stream compaction
@@ -146,13 +73,6 @@ type Compactor struct {
 	out    []int32
 	countF func(lo, hi int)
 	emitF  func(lo, hi int)
-}
-
-// NewCompactor returns a Compactor bound to a device.
-func NewCompactor(d *device.Device) *Compactor {
-	c := &Compactor{}
-	c.Init(d)
-	return c
 }
 
 // Init (re)binds the Compactor to a device; useful for embedding a

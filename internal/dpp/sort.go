@@ -92,13 +92,3 @@ func SortPairs32(d *device.Device, keys []uint32, vals []int32) {
 		}
 	})
 }
-
-// IsSorted reports whether keys are in non-decreasing order.
-func IsSorted(keys []uint64) bool {
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] > keys[i] {
-			return false
-		}
-	}
-	return true
-}

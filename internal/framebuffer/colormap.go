@@ -45,20 +45,6 @@ func CoolToWarm() *ColorMap {
 	)
 }
 
-// Inferno is a perceptually ordered sequential map (coarse approximation).
-func Inferno() *ColorMap {
-	return NewColorMap(
-		[]float64{0, 0.25, 0.5, 0.75, 1},
-		[]vecmath.Vec3{
-			{X: 0.00, Y: 0.00, Z: 0.01},
-			{X: 0.34, Y: 0.06, Z: 0.43},
-			{X: 0.73, Y: 0.21, Z: 0.33},
-			{X: 0.97, Y: 0.55, Z: 0.04},
-			{X: 0.99, Y: 1.00, Z: 0.64},
-		},
-	)
-}
-
 // Sample returns the interpolated color for t clamped to [0,1].
 //
 //insitu:noalloc

@@ -243,17 +243,3 @@ func BlockBounds(domain vecmath.AABB, tasks, rank int) vecmath.AABB {
 	)
 	return vecmath.AABB{Min: lo, Max: hi}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

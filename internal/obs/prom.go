@@ -214,10 +214,14 @@ func (p *promWriter) slice(name string, labels []string, rv reflect.Value) {
 			if len(elLabels) == len(labels) {
 				elLabels = append(elLabels, label("index", fmt.Sprintf("%d", i)))
 			}
-			// Emit only the non-string fields; strings were consumed as labels.
-			// Embedded structs keep their type-name segment here (the
-			// published frame_stages_stages_histogramjson_* family).
+			// Emit only the non-string fields; strings were consumed as
+			// labels. Embedded structs promote their fields, as in
+			// structFields and in the JSON.
 			for j := 0; j < t.NumField(); j++ {
+				if promoted(t.Field(j)) {
+					p.emit(name, elLabels, el.Field(j))
+					continue
+				}
 				tag, skip := jsonTag(t.Field(j))
 				if skip || el.Field(j).Kind() == reflect.String {
 					continue

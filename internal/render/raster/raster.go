@@ -20,14 +20,11 @@ import (
 	"insitu/internal/vecmath"
 )
 
-// Options configures one rasterization.
+// Options configures one rasterization. Every frame is lit by the
+// camera's headlight and colored with the cool-to-warm map.
 type Options struct {
 	Width, Height int
 	Camera        render.Camera
-	// Light overrides the default headlight.
-	Light *render.Light
-	// ColorMap overrides the default cool-to-warm map.
-	ColorMap *framebuffer.ColorMap
 }
 
 // Stats reports per-phase timings and the measured model inputs:
@@ -80,13 +77,12 @@ type rasterArena struct {
 	r *Renderer
 
 	// Per-frame parameters.
-	opts        Options
-	cam         render.Camera
-	light       render.Light
-	cmap        *framebuffer.ColorMap
-	defaultCmap *framebuffer.ColorMap
-	norm        render.Normalizer
-	matrix      vecmath.Mat4
+	opts   Options
+	cam    render.Camera
+	light  render.Light
+	cmap   *framebuffer.ColorMap
+	norm   render.Normalizer
+	matrix vecmath.Mat4
 
 	tris    []screenTri
 	visible []bool
@@ -106,6 +102,7 @@ func (a *rasterArena) init(r *Renderer) {
 		return
 	}
 	a.r = r
+	a.cmap = framebuffer.CoolToWarm()
 	a.compact.Init(r.Dev)
 	a.transformFn = a.transformKernel
 	a.rasterizeFn = a.rasterizeKernel
@@ -125,16 +122,6 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 	a.opts = opts
 	a.cam = opts.Camera.Normalized()
 	a.light = render.HeadLight(a.cam)
-	if opts.Light != nil {
-		a.light = *opts.Light
-	}
-	a.cmap = opts.ColorMap
-	if a.cmap == nil {
-		if a.defaultCmap == nil {
-			a.defaultCmap = framebuffer.CoolToWarm()
-		}
-		a.cmap = a.defaultCmap
-	}
 	m := r.Mesh
 	n := m.NumTriangles()
 	stats := &a.stats

@@ -3,12 +3,12 @@
 // structure-of-arrays ray state, expressed with map / gather / scatter /
 // scan primitives. Primary rays are generated in morton order, traversal
 // uses an LBVH, and the full workload adds stream compaction, ambient
-// occlusion, shadows, optional specular reflection, and supersampled
-// anti-aliasing.
+// occlusion, shadows, and supersampled anti-aliasing. A frame is a
+// function of its Workload: there are no other rendering knobs.
 //
 // The renderer owns a frame arena: the SoA ray state, the occlusion,
 // shadow, and color buffers, the live-ray compactor, the per-worker
-// packet scratch, the output image, and the kernel closures themselves
+// traversal scratch, the output image, and the kernel closures themselves
 // are built on the first frame and reused afterwards, so a steady-state
 // Render performs no heap allocation. The morton pixel order is cached
 // per (width, height) across all renderers.
@@ -41,34 +41,29 @@ const (
 	// Workload2 adds Blinn-Phong shading (the rasterization-equivalent
 	// scientific visualization picture).
 	Workload2 Workload = 2
-	// Workload3 enables every feature: ambient occlusion, shadows,
-	// stream compaction, and anti-aliasing.
+	// Workload3 is the full algorithm: each pixel traced as 4 jittered
+	// rays, the rays that hit stream compacted (the "compact" phase),
+	// aoSamples ambient-occlusion rays per hit reaching aoReach of the
+	// scene diagonal, one shadow ray per hit toward the headlight, and
+	// Workload2's shading darkened by both, averaged over each pixel's
+	// rays (anti-aliasing).
 	Workload3 Workload = 3
 )
 
-// Options configures one render.
+// The ambient-occlusion recipe of Workload3: hemisphere samples per hit,
+// and the occlusion rays' length as a fraction of the scene diagonal.
+const (
+	aoSamples = 4
+	aoReach   = 0.05
+)
+
+// Options configures one render: the image, the view and the workload.
+// Every frame is lit by the camera's headlight and colored with the
+// cool-to-warm map.
 type Options struct {
 	Width, Height int
 	Camera        render.Camera
 	Workload      Workload
-	// AOSamples is the hemisphere sample count per hit (default 4).
-	AOSamples int
-	// AODistance caps occlusion rays; 0 means 5% of the scene diagonal.
-	AODistance float64
-	// Compaction compacts dead rays before secondary stages (Workload3).
-	Compaction bool
-	// Supersample traces 4 jittered rays per pixel and gathers an
-	// anti-aliased image (Workload3).
-	Supersample bool
-	// Reflections adds one specular bounce.
-	Reflections bool
-	// UsePackets traces coherent ray packets of the device's VectorWidth,
-	// the vector-unit ("ISPC") backend of the tracer.
-	UsePackets bool
-	// Light overrides the default headlight.
-	Light *render.Light
-	// ColorMap overrides the default cool-to-warm map.
-	ColorMap *framebuffer.ColorMap
 }
 
 // Stats reports per-phase timings and the measured model inputs.
@@ -157,30 +152,13 @@ func (r *raysSoA) setHit(i int, hit bvh.Hit) {
 // jitterTable is the fixed 4-sample supersampling pattern.
 var jitterTable = [4][2]float64{{0.5, 0.5}, {0.25, 0.25}, {0.75, 0.25}, {0.5, 0.75}}
 
-// scratch is one worker's reusable traversal state: the primary-ray
-// Tracer, and the UsePackets backend's buffers. Hoisting it out of the
-// chunk loop is what keeps traversal allocation-free.
-type scratch struct {
-	tr          bvh.Tracer
-	origs, dirs []vecmath.Vec3
-	hits        []bvh.Hit
-	trav        bvh.PacketScratch
-}
-
-// packetScratch is scratch padded to a whole number of 64-byte cache
-// lines, so that two workers writing their own never share a line.
+// packetScratch is one worker's primary-ray Tracer, padded to a whole
+// number of 64-byte cache lines so that two workers writing their own
+// never share a line. Hoisting it out of the chunk loop is what keeps
+// traversal allocation-free.
 type packetScratch struct {
-	scratch
-	_ [64 - unsafe.Sizeof(scratch{})%64]byte
-}
-
-func (p *scratch) ensure(width int) {
-	if cap(p.origs) < width {
-		p.origs = make([]vecmath.Vec3, width)
-		p.dirs = make([]vecmath.Vec3, width)
-		p.hits = make([]bvh.Hit, width)
-	}
-	p.origs, p.dirs, p.hits = p.origs[:width], p.dirs[:width], p.hits[:width]
+	tr bvh.Tracer
+	_  [64 - unsafe.Sizeof(bvh.Tracer{})%64]byte
 }
 
 // frameArena is the renderer's persistent per-frame state: every buffer
@@ -195,23 +173,24 @@ type frameArena struct {
 	cam    render.Camera
 	raygen render.RayGen
 	light  render.Light
-	cmap   *framebuffer.ColorMap
 	norm   render.Normalizer
+	aoDist float64 // Workload3's occlusion ray length
 	spp    int
 	n      int
 	order  []int32
 
-	rays       raysSoA
-	occlusion  []float64
-	shadow     []float64
-	colors     []vecmath.Vec3
-	reflectC   []vecmath.Vec3
-	useReflect bool
-	flags      []bool
-	live       []int32
-	compact    dpp.Compactor
-	img        framebuffer.Image
-	stats      Stats
+	// cmap is the cool-to-warm map every frame uses, built by init.
+	cmap *framebuffer.ColorMap
+
+	rays      raysSoA
+	occlusion []float64
+	shadow    []float64
+	colors    []vecmath.Vec3
+	flags     []bool
+	live      []int32
+	compact   dpp.Compactor
+	img       framebuffer.Image
+	stats     Stats
 
 	nodeTests, triTests, castRays atomic.Int64
 
@@ -221,12 +200,10 @@ type frameArena struct {
 	packets           []packetScratch
 	quads, scalarOnly bool
 
-	defaultCmap *framebuffer.ColorMap
-
 	raygenFn, flagsFn, initFn func(lo, hi int)
-	aoFn, shadowFn, reflectFn func(lo, hi int)
+	aoFn, shadowFn            func(lo, hi int)
 	shadeFn, accumFn, hitsFn  func(lo, hi int)
-	traceFn, tracePacketFn    func(worker, lo, hi int)
+	traceFn                   func(worker, lo, hi int)
 }
 
 // init wires the arena to its renderer and builds the kernel closures
@@ -236,6 +213,7 @@ func (a *frameArena) init(r *Renderer) {
 		return
 	}
 	a.r = r
+	a.cmap = framebuffer.CoolToWarm()
 	a.compact.Init(r.Dev)
 	a.raygenFn = a.raygenKernel
 	a.flagsFn = a.flagsKernel
@@ -243,11 +221,9 @@ func (a *frameArena) init(r *Renderer) {
 	a.traceFn = a.traceKernel
 	a.aoFn = a.aoKernel
 	a.shadowFn = a.shadowKernel
-	a.reflectFn = a.reflectKernel
 	a.shadeFn = a.shadeKernel
 	a.accumFn = a.accumKernel
 	a.hitsFn = a.hitsKernel
-	a.tracePacketFn = a.tracePacketKernel
 }
 
 // ensure sizes every per-frame buffer for n rays and w x h output.
@@ -280,16 +256,6 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 	if opts.Workload == 0 {
 		opts.Workload = Workload2
 	}
-	if opts.AOSamples <= 0 {
-		opts.AOSamples = 4
-	}
-	diag := r.BVH.Mesh.Bounds().Diagonal().Length()
-	if opts.AODistance <= 0 {
-		opts.AODistance = 0.05 * diag
-		if opts.AODistance == 0 {
-			opts.AODistance = 1
-		}
-	}
 
 	a := &r.arena
 	a.init(r)
@@ -297,16 +263,6 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 	a.cam = opts.Camera.Normalized()
 	a.raygen = a.cam.NewRayGen(opts.Width, opts.Height)
 	a.light = render.HeadLight(a.cam)
-	if opts.Light != nil {
-		a.light = *opts.Light
-	}
-	a.cmap = opts.ColorMap
-	if a.cmap == nil {
-		if a.defaultCmap == nil {
-			a.defaultCmap = framebuffer.CoolToWarm()
-		}
-		a.cmap = a.defaultCmap
-	}
 	a.norm = render.Normalizer{Min: r.Mesh.ScalarMin, Max: r.Mesh.ScalarMax}
 
 	stats := &a.stats
@@ -320,7 +276,7 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 	a.castRays.Store(0)
 
 	a.spp = 1
-	if opts.Workload == Workload3 && opts.Supersample {
+	if opts.Workload == Workload3 {
 		a.spp = 4
 	}
 
@@ -337,14 +293,11 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 
 	// Traversal and intersection.
 	start = time.Now()
-	if opts.UsePackets && r.Dev.VectorWidth >= 2 {
-		a.ensurePackets(r.Dev.VectorWidth)
-		dpp.ForWorker(r.Dev, n, a.tracePacketFn)
-	} else {
-		a.ensurePackets(0)
-		a.quads = bvh.Packets() && !a.scalarOnly
-		dpp.ForWorker(r.Dev, n, a.traceFn)
+	if workers := max(r.Dev.Workers, 1); len(a.packets) < workers {
+		a.packets = make([]packetScratch, workers)
 	}
+	a.quads = bvh.Packets() && !a.scalarOnly
+	dpp.ForWorker(r.Dev, n, a.traceFn)
 	stats.NodeTests += a.nodeTests.Load()
 	stats.TriTests += a.triTests.Load()
 	stats.Phases.Add("traversal", time.Since(start))
@@ -359,18 +312,22 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 		return img, stats, nil
 	}
 
-	// Live-ray index list, optionally stream compacted, plus the
-	// occlusion/shadow identity fill.
+	// Live-ray index list, stream compacted, plus the occlusion/shadow
+	// identity fill. Every shaded workload compacts; Workload3 times it.
 	start = time.Now()
 	dpp.For(r.Dev, n, a.flagsFn)
 	//insitu:leaselife-ok the arena field is itself frame-scoped; both reset on the next Render
 	a.live = a.compact.CompactIndices(a.flags)
-	if opts.Workload == Workload3 && opts.Compaction {
+	if opts.Workload == Workload3 {
 		stats.Phases.Add("compact", time.Since(start))
 	}
 	dpp.For(r.Dev, n, a.initFn)
 
 	if opts.Workload == Workload3 {
+		a.aoDist = aoReach * r.BVH.Mesh.Bounds().Diagonal().Length()
+		if a.aoDist == 0 {
+			a.aoDist = 1
+		}
 		start = time.Now()
 		dpp.For(r.Dev, len(a.live), a.aoFn)
 		stats.Phases.Add("ao", time.Since(start))
@@ -378,17 +335,6 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 		start = time.Now()
 		dpp.For(r.Dev, len(a.live), a.shadowFn)
 		stats.Phases.Add("shadow", time.Since(start))
-	}
-	a.useReflect = false
-	if opts.Reflections {
-		start = time.Now()
-		if cap(a.reflectC) < len(a.live) {
-			a.reflectC = make([]vecmath.Vec3, len(a.live))
-		}
-		a.reflectC = a.reflectC[:len(a.live)]
-		dpp.For(r.Dev, len(a.live), a.reflectFn)
-		a.useReflect = true
-		stats.Phases.Add("reflect", time.Since(start))
 	}
 
 	// Shading: Blinn-Phong over interpolated normals and color-mapped
@@ -466,47 +412,6 @@ func (a *frameArena) traceKernel(worker, lo, hi int) {
 	a.triTests.Add(int64(localTri))
 }
 
-// ensurePackets sizes the per-worker scratch, with packet buffers of
-// the given width for the UsePackets backend (0 when it does not run).
-func (a *frameArena) ensurePackets(width int) {
-	workers := max(a.r.Dev.Workers, 1)
-	if len(a.packets) < workers {
-		a.packets = make([]packetScratch, workers)
-	}
-	for i := range a.packets {
-		a.packets[i].ensure(width)
-	}
-}
-
-// tracePacketKernel is the packetized traversal; worker indexes the
-// per-worker scratch, so the inner loop performs no allocation.
-//
-//insitu:noalloc
-func (a *frameArena) tracePacketKernel(worker, lo, hi int) {
-	rays := &a.rays
-	width := a.r.Dev.VectorWidth
-	ps := &a.packets[worker]
-	var localNode, localTri int
-	for base := lo; base < hi; base += width {
-		cnt := width
-		if base+cnt > hi {
-			cnt = hi - base
-		}
-		for k := 0; k < cnt; k++ {
-			ps.origs[k] = rays.orig(base + k)
-			ps.dirs[k] = rays.dir(base + k)
-		}
-		nt, tt := a.r.BVH.IntersectClosestPacketScratch(ps.origs[:cnt], ps.dirs[:cnt], 1e-9, ps.hits[:cnt], &ps.trav)
-		localNode += nt
-		localTri += tt
-		for k := 0; k < cnt; k++ {
-			rays.setHit(base+k, ps.hits[k])
-		}
-	}
-	a.nodeTests.Add(int64(localNode))
-	a.triTests.Add(int64(localTri))
-}
-
 // flagsKernel marks rays that hit geometry for stream compaction.
 //
 //insitu:noalloc
@@ -552,7 +457,6 @@ func (a *frameArena) hitsKernel(lo, hi int) {
 func (a *frameArena) aoKernel(lo, hi int) {
 	m := a.r.Mesh
 	rays := &a.rays
-	samples := a.opts.AOSamples
 	var localCast int64
 	for li := lo; li < hi; li++ {
 		i := int(a.live[li])
@@ -562,20 +466,20 @@ func (a *frameArena) aoKernel(lo, hi int) {
 		if nrm.Dot(view) > 0 {
 			nrm = nrm.Neg()
 		}
-		pos := rays.orig(i).Add(view.Scale(rays.hitT[i])).Add(nrm.Scale(1e-6 * a.opts.AODistance))
+		pos := rays.orig(i).Add(view.Scale(rays.hitT[i])).Add(nrm.Scale(1e-6 * a.aoDist))
 		t1, t2 := tangentFrame(nrm)
 		seed := uint64(i)*0x9e3779b97f4a7c15 + 0x1234
 		blocked := 0
-		for s := 0; s < samples; s++ {
+		for s := 0; s < aoSamples; s++ {
 			u1 := hashFloat(&seed)
 			u2 := hashFloat(&seed)
 			dir := cosineHemisphere(nrm, t1, t2, u1, u2)
 			localCast++
-			if a.r.BVH.IntersectAny(pos, dir, 1e-9, a.opts.AODistance) {
+			if a.r.BVH.IntersectAny(pos, dir, 1e-9, a.aoDist) {
 				blocked++
 			}
 		}
-		a.occlusion[i] = 1 - float64(blocked)/float64(samples)
+		a.occlusion[i] = 1 - float64(blocked)/float64(aoSamples)
 	}
 	a.castRays.Add(localCast)
 }
@@ -603,37 +507,6 @@ func (a *frameArena) shadowKernel(lo, hi int) {
 	a.castRays.Add(localCast)
 }
 
-// reflectKernel traces one specular bounce for every live ray, writing
-// bounce colors indexed like live (zero when the bounce misses — written
-// unconditionally so reused buffers never carry stale colors).
-//
-//insitu:noalloc
-func (a *frameArena) reflectKernel(lo, hi int) {
-	m := a.r.Mesh
-	rays := &a.rays
-	var localCast int64
-	for li := lo; li < hi; li++ {
-		i := int(a.live[li])
-		var c vecmath.Vec3
-		nrm, _ := interpolateHit(m, rays.hitPrim[i], rays.hitU[i], rays.hitV[i])
-		view := rays.dir(i)
-		if nrm.Dot(view) > 0 {
-			nrm = nrm.Neg()
-		}
-		pos := rays.orig(i).Add(view.Scale(rays.hitT[i]))
-		dir := view.Reflect(nrm).Normalize()
-		localCast++
-		hit, _, _ := a.r.BVH.IntersectClosest(pos.Add(dir.Scale(1e-9)), dir, 1e-9, math.Inf(1))
-		if hit.Prim >= 0 {
-			bn, bs := interpolateHit(m, hit.Prim, hit.U, hit.V)
-			base := a.cmap.Sample(a.norm.Normalize(bs))
-			c = shade(base, pos.Add(dir.Scale(hit.T)), bn, dir, a.light)
-		}
-		a.reflectC[li] = c
-	}
-	a.castRays.Add(localCast)
-}
-
 // shadeKernel evaluates Blinn-Phong over interpolated normals and
 // color-mapped scalars, modulated by the AO and shadow terms.
 //
@@ -648,11 +521,7 @@ func (a *frameArena) shadeKernel(lo, hi int) {
 		nrm, scalar := interpolateHit(m, prim, rays.hitU[i], rays.hitV[i])
 		base := a.cmap.Sample(a.norm.Normalize(scalar))
 		c := shade(base, pos, nrm, rays.dir(i), a.light)
-		c = c.Scale(a.occlusion[i] * a.shadow[i])
-		if a.useReflect {
-			c = c.Add(a.reflectC[li].Scale(0.2))
-		}
-		a.colors[i] = c
+		a.colors[i] = c.Scale(a.occlusion[i] * a.shadow[i])
 	}
 }
 

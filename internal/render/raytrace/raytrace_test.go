@@ -7,7 +7,6 @@ import (
 
 	"insitu/internal/bvh"
 	"insitu/internal/device"
-	"insitu/internal/framebuffer"
 	"insitu/internal/mesh"
 	"insitu/internal/mesh/synthdata"
 	"insitu/internal/render"
@@ -76,7 +75,7 @@ func TestDeterministicAcrossDevices(t *testing.T) {
 	opts := Options{
 		Width: 64, Height: 48,
 		Camera:   render.OrbitCamera(m.Bounds(), 30, 20, 1.0),
-		Workload: Workload3, Compaction: true, Supersample: true, AOSamples: 2,
+		Workload: Workload3,
 	}
 	imgs := make([][]float32, 0, 2)
 	for _, dev := range []*device.Device{device.Serial(), device.New("w4", 4)} {
@@ -117,19 +116,20 @@ func TestWorkload1HitMaskMatchesWorkload2Coverage(t *testing.T) {
 	}
 }
 
+// TestPacketTraversalMatchesScalar renders a shaded frame with the
+// primary-ray traversal the host picks and again with the scalar loop
+// forced: the images are byte-identical.
 func TestPacketTraversalMatchesScalar(t *testing.T) {
 	m := testScene(t, 12)
-	dev := device.New("vec", 2)
-	dev.VectorWidth = 8
-	r := New(dev, m)
+	r := New(device.New("w2", 2), m)
 	opts := defaultOptions(m, Workload2)
-	scalarFrame, _, err := r.Render(opts)
+	frame, _, err := r.Render(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalarImg := scalarFrame.Clone() // frames are arena-owned; retain across renders
-	opts.UsePackets = true
-	packetImg, _, err := r.Render(opts)
+	packetImg := frame.Clone() // frames are arena-owned; retain across renders
+	r.arena.scalarOnly = true
+	scalarImg, _, err := r.Render(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,15 +138,17 @@ func TestPacketTraversalMatchesScalar(t *testing.T) {
 			t.Fatalf("packet render differs at channel %d", i)
 		}
 	}
+	for i := range scalarImg.Depth {
+		if scalarImg.Depth[i] != packetImg.Depth[i] {
+			t.Fatalf("packet render differs at depth %d", i)
+		}
+	}
 }
 
 func TestWorkload3CastsSecondaryRays(t *testing.T) {
 	m := testScene(t, 12)
 	r := New(device.CPU(), m)
 	opts := defaultOptions(m, Workload3)
-	opts.Compaction = true
-	opts.Supersample = true
-	opts.AOSamples = 4
 	img, stats, err := r.Render(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +182,6 @@ func TestAODarkensImage(t *testing.T) {
 	img2 := frame2.Clone() // frames are arena-owned; retain across renders
 	full := base
 	full.Workload = Workload3
-	full.AOSamples = 4
 	img3, _, err := r.Render(full)
 	if err != nil {
 		t.Fatal(err)
@@ -201,23 +202,6 @@ func TestAODarkensImage(t *testing.T) {
 	l3 := lum(img3, 96, 72)
 	if l3 > l2 {
 		t.Errorf("AO+shadows should not brighten: %v vs %v", l3, l2)
-	}
-}
-
-func TestReflectionsRun(t *testing.T) {
-	m := testScene(t, 10)
-	r := New(device.CPU(), m)
-	opts := defaultOptions(m, Workload2)
-	opts.Reflections = true
-	_, stats, err := r.Render(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Phases.Get("reflect") <= 0 {
-		t.Error("reflect phase missing")
-	}
-	if stats.TotalRays <= int64(stats.PrimaryRays) {
-		t.Error("reflections cast no rays")
 	}
 }
 
@@ -277,63 +261,21 @@ func TestBVHBuildTimeReported(t *testing.T) {
 	}
 }
 
-func TestLightOverrideChangesImage(t *testing.T) {
-	m := testScene(t, 12)
-	r := New(device.CPU(), m)
-	opts := defaultOptions(m, Workload2)
-	baseFrame, _, err := r.Render(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := baseFrame.Clone() // frames are arena-owned; retain across renders
-	// A dim light from the opposite side must produce a different image.
-	opts.Light = &render.Light{
-		Position:  m.Bounds().Center().Add(vecmath.V(-5, -5, -5)),
-		Intensity: 0.3,
-	}
-	lit, _, err := r.Render(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := 0
-	for i := range base.Color {
-		if base.Color[i] != lit.Color[i] {
-			diff++
-		}
-	}
-	if diff == 0 {
-		t.Error("light override had no effect")
-	}
-}
-
-func TestColorMapOverride(t *testing.T) {
-	m := testScene(t, 12)
-	r := New(device.CPU(), m)
-	opts := defaultOptions(m, Workload2)
-	opts.ColorMap = framebuffer.Inferno()
-	img, _, err := r.Render(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.ActivePixels() == 0 {
-		t.Error("empty image with custom color map")
-	}
-}
-
 // TestPrimaryPacketsMatchScalarFrame renders frames with the primary-ray
 // packet kernel on and forced off, on devices whose chunks split quads,
-// with and without supersampling: every ray's hit is bitwise the same
-// and so are the frame's traversal counts. bvh's
-// TestPrimaryPacketsMatchScalar checks each ray's counts.
+// at 1 sample per pixel (Workload2) and 4 (Workload3's supersampling):
+// every ray's hit is bitwise the same and so are the frame's traversal
+// counts. bvh's TestPrimaryPacketsMatchScalar checks each ray's counts.
 func TestPrimaryPacketsMatchScalarFrame(t *testing.T) {
 	m := testScene(t, 16)
-	for _, dev := range []*device.Device{device.Serial(), {Name: "odd", Workers: 3, Grain: 37, VectorWidth: 1}} {
-		for _, ss := range []bool{false, true} {
+	for _, dev := range []*device.Device{device.Serial(), {Name: "odd", Workers: 3, Grain: 37}} {
+		for _, wl := range []Workload{Workload2, Workload3} {
+			ss := wl == Workload3
 			r := New(dev, m)
 			opts := Options{
 				Width: 61, Height: 37,
 				Camera:   render.OrbitCamera(m.Bounds(), 30, 20, 1.5),
-				Workload: Workload3, Supersample: ss, AOSamples: 1,
+				Workload: wl,
 			}
 			var hits [2][]bvh.Hit
 			var counts [2][2]int64

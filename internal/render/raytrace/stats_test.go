@@ -27,9 +27,7 @@ func TestStatsCountTraversalWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := device.New("gate", 2)
-	dev.VectorWidth = 8
-	r := raytrace.New(dev, m)
+	r := raytrace.New(device.New("gate", 2), m)
 	opts := raytrace.Options{
 		Width: size, Height: size,
 		Camera:   render.OrbitCamera(sd.LocalBounds, 33, 20, 1),
@@ -60,28 +58,12 @@ func TestStatsCountTraversalWork(t *testing.T) {
 		t.Errorf("Stats counted %d box and %d triangle tests, the kernel ran %d and %d", nodeTests, triTests, wantNode, wantTri)
 	}
 
-	// Counts repeat exactly, and the packet path reports its own.
+	// Counts repeat exactly.
 	_, stats, err = r.Render(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.NodeTests != nodeTests || stats.TriTests != triTests {
 		t.Errorf("second frame counted %d/%d, first %d/%d", stats.NodeTests, stats.TriTests, nodeTests, triTests)
-	}
-	opts.UsePackets = true
-	_, stats, err = r.Render(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packetNode, packetTri := stats.NodeTests, stats.TriTests
-	if packetNode < int64(size*size/dev.VectorWidth) || packetTri < triTests {
-		t.Errorf("packet path counted %d box and %d triangle tests; want at least one box test per packet and the scalar path's %d triangle tests", packetNode, packetTri, triTests)
-	}
-	_, stats, err = r.Render(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.NodeTests != packetNode || stats.TriTests != packetTri {
-		t.Errorf("second packet frame counted %d/%d, first %d/%d", stats.NodeTests, stats.TriTests, packetNode, packetTri)
 	}
 }

@@ -37,10 +37,6 @@ func (raytraceBackend) Prepare(sc *Scene) (FrameRunner, error) {
 		opts: raytrace.Options{
 			Width: sc.Width, Height: sc.Height,
 			Camera: sc.Camera, Workload: wl,
-			// The full pipeline uses its complete feature set, matching
-			// cmd/render's historical workload-3 configuration.
-			Compaction:  wl == raytrace.Workload3,
-			Supersample: wl == raytrace.Workload3,
 		},
 	}, nil
 }

@@ -85,11 +85,11 @@ func (s *cloverleaf) Step() {
 	inv2h := 1 / (2 * s.h)
 	update := func(field, out []float64, advect bool) {
 		for k := 0; k < n; k++ {
-			km, kp := maxi(k-1, 0), mini(k+1, n-1)
+			km, kp := max(k-1, 0), min(k+1, n-1)
 			for j := 0; j < n; j++ {
-				jm, jp := maxi(j-1, 0), mini(j+1, n-1)
+				jm, jp := max(j-1, 0), min(j+1, n-1)
 				for i := 0; i < n; i++ {
-					im, ip := maxi(i-1, 0), mini(i+1, n-1)
+					im, ip := max(i-1, 0), min(i+1, n-1)
 					c := s.idx(i, j, k)
 					avg := (field[s.idx(im, j, k)] + field[s.idx(ip, j, k)] +
 						field[s.idx(i, jm, k)] + field[s.idx(i, jp, k)] +
@@ -110,11 +110,11 @@ func (s *cloverleaf) Step() {
 
 	// Momentum update from the pressure gradient (p = (gamma-1) rho e).
 	for k := 0; k < n; k++ {
-		km, kp := maxi(k-1, 0), mini(k+1, n-1)
+		km, kp := max(k-1, 0), min(k+1, n-1)
 		for j := 0; j < n; j++ {
-			jm, jp := maxi(j-1, 0), mini(j+1, n-1)
+			jm, jp := max(j-1, 0), min(j+1, n-1)
 			for i := 0; i < n; i++ {
-				im, ip := maxi(i-1, 0), mini(i+1, n-1)
+				im, ip := max(i-1, 0), min(i+1, n-1)
 				c := s.idx(i, j, k)
 				press := func(ii int) float64 {
 					return (gamma - 1) * s.rho[ii] * s.energy[ii]
@@ -150,18 +150,4 @@ func (s *cloverleaf) Publish(node *conduit.Node) {
 	node.Set("fields/density/association", "vertex")
 	node.Set("fields/density/type", "scalar")
 	node.SetExternal("fields/density/values", s.rho)
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func mini(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

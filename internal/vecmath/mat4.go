@@ -5,16 +5,6 @@ import "math"
 // Mat4 is a row-major 4x4 transform matrix.
 type Mat4 [16]float64
 
-// Identity returns the identity transform.
-func Identity() Mat4 {
-	return Mat4{
-		1, 0, 0, 0,
-		0, 1, 0, 0,
-		0, 0, 1, 0,
-		0, 0, 0, 1,
-	}
-}
-
 // MulMat returns m * n (applying n first, then m).
 func (m Mat4) MulMat(n Mat4) Mat4 {
 	var r Mat4
@@ -43,26 +33,6 @@ func (m Mat4) TransformPoint(p Vec3) (Vec3, float64) {
 		return Vec3{x * inv, y * inv, z * inv}, w
 	}
 	return Vec3{x, y, z}, w
-}
-
-// TransformDir applies m to d as a direction (w = 0, no divide).
-func (m Mat4) TransformDir(d Vec3) Vec3 {
-	return Vec3{
-		m[0]*d.X + m[1]*d.Y + m[2]*d.Z,
-		m[4]*d.X + m[5]*d.Y + m[6]*d.Z,
-		m[8]*d.X + m[9]*d.Y + m[10]*d.Z,
-	}
-}
-
-// Transpose returns the transpose of m.
-func (m Mat4) Transpose() Mat4 {
-	var r Mat4
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			r[i*4+j] = m[j*4+i]
-		}
-	}
-	return r
 }
 
 // LookAt builds a right-handed view matrix with the camera at eye looking

@@ -71,21 +71,8 @@ func (v Vec3) Max(u Vec3) Vec3 {
 // Lerp linearly interpolates from v to u by t in [0,1].
 func (v Vec3) Lerp(u Vec3, t float64) Vec3 { return v.Add(u.Sub(v).Scale(t)) }
 
-// MaxComponent returns the largest component of v.
-func (v Vec3) MaxComponent() float64 { return math.Max(v.X, math.Max(v.Y, v.Z)) }
-
 // Abs returns the component-wise absolute value of v.
 func (v Vec3) Abs() Vec3 { return Vec3{math.Abs(v.X), math.Abs(v.Y), math.Abs(v.Z)} }
-
-// IsFinite reports whether every component is neither NaN nor infinite.
-func (v Vec3) IsFinite() bool {
-	return finite(v.X) && finite(v.Y) && finite(v.Z)
-}
-
-func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-
-// Reflect returns v reflected about unit normal n.
-func (v Vec3) Reflect(n Vec3) Vec3 { return v.Sub(n.Scale(2 * v.Dot(n))) }
 
 // Ray is a half-line with origin and (not necessarily unit) direction.
 type Ray struct {
@@ -110,9 +97,6 @@ func Clamp(x, lo, hi float64) float64 {
 	}
 	return x
 }
-
-// Degrees converts radians to degrees.
-func Degrees(rad float64) float64 { return rad * 180 / math.Pi }
 
 // Radians converts degrees to radians.
 func Radians(deg float64) float64 { return deg * math.Pi / 180 }

@@ -57,28 +57,10 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestReflect(t *testing.T) {
-	// Reflecting a downward ray off a floor flips Y.
-	d := V(1, -1, 0).Normalize()
-	r := d.Reflect(V(0, 1, 0))
-	want := V(1, 1, 0).Normalize()
-	if !vecAlmostEq(r, want, 1e-12) {
-		t.Errorf("Reflect = %v want %v", r, want)
-	}
-}
-
 func TestLerp(t *testing.T) {
 	a, b := V(0, 0, 0), V(2, 4, 8)
 	if got := a.Lerp(b, 0.5); got != V(1, 2, 4) {
 		t.Errorf("Lerp = %v", got)
-	}
-}
-
-func TestMat4Identity(t *testing.T) {
-	m := Identity()
-	p, w := m.TransformPoint(V(3, -2, 7))
-	if p != V(3, -2, 7) || w != 1 {
-		t.Errorf("identity transform = %v w=%v", p, w)
 	}
 }
 
