@@ -1,12 +1,11 @@
 // Benchmarks: one per reproduced table and figure (sized for iteration;
 // cmd/repro prints the full tables), plus ablation benches for the design
-// choices DESIGN.md calls out (BVH builders, compositing algorithms,
-// stream compaction, packet traversal).
+// choices behind them (BVH builders, compositing algorithms, the
+// rasterizer, structured volume rendering).
 package insitu
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"insitu/internal/baseline"
@@ -26,7 +25,6 @@ import (
 	"insitu/internal/sim"
 	"insitu/internal/strawman"
 	"insitu/internal/study"
-	"insitu/internal/vecmath"
 
 	"insitu/internal/conduit"
 )
@@ -97,62 +95,25 @@ func table2Step(tb testing.TB) func() {
 	})
 }
 
-// table5Scene is Table 5's workload: the pixel-center primary rays of
-// one benchImage² frame of the benchmark surface, in the raytracer's
-// Morton order, traced on the mic device profile's workers.
-type table5Scene struct {
-	dev     *device.Device
-	tree    *bvh.BVH
-	rays    []vecmath.Ray
-	tracers []bvh.Tracer
-}
-
-func newTable5Scene(tb testing.TB) *table5Scene {
+// table5Renderer is Table 5's workload: WORKLOAD1 (primary rays only)
+// frames of the benchmark surface on the profile that names the kernel
+// set, cpu-scalar (the scalar loop) or cpu (four-ray packets on an AVX2
+// host). The table reads the renderer's own traversal phase.
+func table5Renderer(tb testing.TB, profile string) (*raytrace.Renderer, raytrace.Options) {
 	m := benchSurface(tb)
-	dev, err := device.Profile("mic")
+	dev, err := device.Profile(profile)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	gen := render.OrbitCamera(m.Bounds(), 30, 20, 1.0).Normalized().NewRayGen(benchImage, benchImage)
-	order := raytrace.MortonPixelOrder(benchImage, benchImage)
-	rays := make([]vecmath.Ray, len(order))
-	for i, p := range order {
-		rays[i] = gen.Ray(float64(int(p)%benchImage), float64(int(p)/benchImage), 0.5, 0.5)
+	return raytrace.New(dev, m), raytrace.Options{
+		Width: benchImage, Height: benchImage,
+		Camera:   render.OrbitCamera(m.Bounds(), 30, 20, 1.0),
+		Workload: raytrace.Workload1,
 	}
-	return &table5Scene{dev: dev, tree: bvh.Build(dev, m, bvh.LBVH), rays: rays, tracers: make([]bvh.Tracer, dev.Workers)}
 }
 
-// table5Step returns one pass over the scene's rays: with packets four
-// at a time through IntersectClosest4, without one by one through
-// IntersectClosestScratch.
-func table5Step(s *table5Scene, packets bool) func() {
-	trace := func(worker, lo, hi int) {
-		tr := &s.tracers[worker]
-		for i := lo; i < hi; i++ {
-			s.tree.IntersectClosestScratch(s.rays[i].Orig, s.rays[i].Dir, 1e-9, math.Inf(1), tr)
-		}
-	}
-	if packets {
-		trace = func(worker, lo, hi int) {
-			tr := &s.tracers[worker]
-			for base := lo; base < hi; {
-				end := min(base-base%4+4, hi)
-				for k := base; k < end; k++ {
-					tr.SetRay(k-base, s.rays[k].Orig, s.rays[k].Dir)
-				}
-				s.tree.IntersectClosest4(tr, end-base, 1e-9, math.Inf(1))
-				base = end
-			}
-		}
-	}
-	return func() { dpp.ForWorker(s.dev, len(s.rays), trace) }
-}
-
-// table5Modes names Table 5's two traversals.
-var table5Modes = []struct {
-	name    string
-	packets bool
-}{{"scalar", false}, {"packet", true}}
+// table5Kernels names Table 5's two traversals and their profiles.
+var table5Kernels = []struct{ name, profile string }{{"scalar", "cpu-scalar"}, {"packet", "cpu"}}
 
 // BenchmarkTable1RayTraceShaded is Table 1's workload (table1Step).
 func BenchmarkTable1RayTraceShaded(b *testing.B) {
@@ -200,19 +161,25 @@ func BenchmarkTable4VsFastRT(b *testing.B) {
 	}
 }
 
-// BenchmarkTable5Backends compares scalar vs packet traversal (Table 5).
+// BenchmarkTable5Backends compares scalar vs packet traversal (Table 5),
+// reporting the last frame's traversal rate.
 func BenchmarkTable5Backends(b *testing.B) {
-	b.ReportAllocs()
-	scene := newTable5Scene(b)
-	for _, mode := range table5Modes {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, k := range table5Kernels {
+		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
-			step := table5Step(scene, mode.packets)
+			rdr, opts := table5Renderer(b, k.profile)
+			step := rayTraceStep(b, rdr, opts)
 			step() // warm frame
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				step()
 			}
+			b.StopTimer()
+			_, st, err := rdr.Render(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(st.MRaysPerSec(), "Mray/s")
 		})
 	}
 }
@@ -233,10 +200,10 @@ func TestZeroAlloc(t *testing.T) {
 	}
 	t.Run("Table1RayTraceShaded", func(t *testing.T) { assert(t, table1Step(t)) })
 	t.Run("Table2RayTraceFull", func(t *testing.T) { assert(t, table2Step(t)) })
-	scene := newTable5Scene(t)
-	for _, mode := range table5Modes {
-		t.Run("Table5Backends/"+mode.name, func(t *testing.T) {
-			assert(t, table5Step(scene, mode.packets))
+	for _, k := range table5Kernels {
+		t.Run("Table5Backends/"+k.name, func(t *testing.T) {
+			rdr, opts := table5Renderer(t, k.profile)
+			assert(t, rayTraceStep(t, rdr, opts))
 		})
 	}
 }
@@ -295,7 +262,7 @@ func BenchmarkTable7PhaseIPC(b *testing.B) {
 	b.ReportAllocs()
 	tm := benchTets(b)
 	cam := render.OrbitCamera(tm.Bounds(), 30, 20, 1.8)
-	dev, err := device.Profile("gpu")
+	dev, err := device.Profile("cpu")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -515,7 +482,7 @@ func BenchmarkFig15RTvsRast(b *testing.B) {
 	}
 }
 
-// --- Ablation benches for DESIGN.md's called-out choices ---------------
+// --- Ablation benches for the design choices ----------------------------
 
 // BenchmarkAblationBVHBuilders compares build cost of the three builders.
 func BenchmarkAblationBVHBuilders(b *testing.B) {

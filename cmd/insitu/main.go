@@ -9,9 +9,11 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"insitu/internal/comm"
 	"insitu/internal/conduit"
+	"insitu/internal/device"
 	"insitu/internal/sim"
 	"insitu/internal/strawman"
 )
@@ -24,7 +26,7 @@ func main() {
 	tasks := flag.Int("tasks", 1, "simulated MPI tasks")
 	renderer := flag.String("renderer", "raytracer", "raytracer, rasterizer, or volume")
 	size := flag.Int("size", 512, "image size")
-	dev := flag.String("device", "cpu", "device profile")
+	dev := flag.String("device", "cpu", "device profile: "+strings.Join(device.ProfileNames(), ", "))
 	out := flag.String("out", "insitu_out", "output directory")
 	web := flag.Int("web", 0, "stream images on this local port (0 = off)")
 	flag.Parse()

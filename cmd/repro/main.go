@@ -1,8 +1,9 @@
 // Command repro regenerates every table and figure of the paper's
 // evaluation chapters on this machine. Each experiment is a subcommand;
 // "all" runs the full set. Absolute numbers differ from the paper's
-// testbeds (see DESIGN.md for the substitutions); the shapes — who wins,
-// by what factor, where crossovers fall — are the reproduction targets.
+// testbeds: its machines are the execution profiles of internal/device,
+// named in each table's header. The shapes — who wins, by what factor,
+// where crossovers fall — are the reproduction targets.
 //
 // Usage:
 //

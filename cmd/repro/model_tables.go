@@ -70,7 +70,7 @@ func init() {
 	register("fig12", "compositing time histogram (tasks x pixels)", fig12Compositing)
 	register("fig13", "compositing cross-validation error", fig13CompErrors)
 	register("table14", "compositing model accuracy percentiles", table14CompAccuracy)
-	register("table15", "held-out machine: train small, predict at scale", table15HeldOut)
+	register("table15", "held-out kernel set (cpu-scalar profile): train small, predict at scale", table15HeldOut)
 	register("table16", "mapping validation: predicted vs observed inputs", table16Mapping)
 	register("table17", "experimentally determined model coefficients", table17Coefficients)
 	register("fig14", "images renderable in a 60 s budget vs image size", fig14Budget)
@@ -241,8 +241,9 @@ func table14CompAccuracy(e *env) error {
 }
 
 // table15HeldOut is the Titan experiment: calibrate each model on a small
-// number of samples from a machine outside the main study (the "bigiron"
-// profile), then predict a larger run and compare.
+// number of samples from a configuration outside the main study (the
+// cpu-scalar profile, a kernel set the serial+cpu study plan never
+// measures), then predict a larger run and compare.
 func table15HeldOut(e *env) error {
 	trainN := 12
 	bigN, bigTasks := 24, 8
@@ -250,6 +251,7 @@ func table15HeldOut(e *env) error {
 	if e.short {
 		trainN, bigN, bigTasks, imgTrain = 6, 16, 4, 96
 	}
+	const heldOut = "cpu-scalar"
 	printHeader("renderer", "actual", "predicted", "diff %", "samples")
 	for _, r := range scenario.Names() {
 		simName := "cloverleaf"
@@ -257,7 +259,7 @@ func table15HeldOut(e *env) error {
 		var train []study.Config
 		for i := 0; i < trainN; i++ {
 			train = append(train, study.Config{
-				Arch: "bigiron", Renderer: r, Sim: simName,
+				Arch: heldOut, Renderer: r, Sim: simName,
 				Tasks: 1 + i%2, ImageSize: imgTrain + 16*(i%4), N: 10 + 2*(i%4),
 				Frames: 2,
 			})
@@ -270,11 +272,11 @@ func table15HeldOut(e *env) error {
 		if err != nil {
 			return err
 		}
-		m := set.Models[core.Key("bigiron", r)]
+		m := set.Models[core.Key(heldOut, r)]
 
 		// The large run.
 		big, err := study.RunConfig(study.Config{
-			Arch: "bigiron", Renderer: r, Sim: simName,
+			Arch: heldOut, Renderer: r, Sim: simName,
 			Tasks: bigTasks, ImageSize: 2 * imgTrain, N: bigN, Frames: 2,
 		})
 		if err != nil {

@@ -2,21 +2,19 @@ package main
 
 import (
 	"fmt"
-	"math"
+	"runtime"
 	"time"
 
 	"insitu/internal/baseline"
 	"insitu/internal/bvh"
 	"insitu/internal/core"
 	"insitu/internal/device"
-	"insitu/internal/dpp"
 	"insitu/internal/mesh"
 	"insitu/internal/mesh/synthdata"
 	"insitu/internal/render"
 	"insitu/internal/render/raytrace"
 	"insitu/internal/render/volume"
 	"insitu/internal/scenario"
-	"insitu/internal/vecmath"
 )
 
 // studyDataset is a named surface scene at a given grid resolution,
@@ -55,8 +53,6 @@ func buildSurface(ds studyDataset) (*mesh.TriangleMesh, error) {
 	return g.Isosurface(device.CPU(), d.FieldName, d.Isovalue, mesh.IsoOptions{})
 }
 
-func archList() []string { return []string{"serial", "cpu", "gpu", "mic"} }
-
 func imageSize(short bool) int {
 	if short {
 		return 128
@@ -79,11 +75,12 @@ func fps(renderFn func() error, frames int) (float64, error) {
 }
 
 func init() {
-	register("table1", "ray tracing frames/s with shading (WORKLOAD2), arch x dataset", func(e *env) error {
-		return rtFPSTable(e, raytrace.Workload2, false)
+	register("table1", "ray tracing frames/s with shading (WORKLOAD2), profile x dataset", func(e *env) error {
+		return rtFPSTable(e, raytrace.Workload2, device.ProfileNames())
 	})
-	register("table2", "ray tracing frames/s with the full algorithm (WORKLOAD3)", func(e *env) error {
-		return rtFPSTable(e, raytrace.Workload3, true)
+	// The paper's Table 2 uses two machines.
+	register("table2", "ray tracing frames/s with the full algorithm (WORKLOAD3), serial vs cpu profile", func(e *env) error {
+		return rtFPSTable(e, raytrace.Workload3, []string{"serial", "cpu"})
 	})
 	register("table3", "DPP ray tracer vs OptiX-analogue (queue+packet) Mrays/s", func(e *env) error {
 		return vsTunedTable(e, "queuert")
@@ -91,29 +88,27 @@ func init() {
 	register("table4", "DPP ray tracer vs Embree-analogue (fused SAH) Mrays/s", func(e *env) error {
 		return vsTunedTable(e, "fastrt")
 	})
-	register("table5", "primary-ray traversal on the MIC profile: scalar loop vs four-ray packets (OpenMP vs ISPC)", table5Backends)
+	register("table5", "primary-ray traversal (WORKLOAD1), cpu-scalar vs cpu profile: scalar loop vs four-ray packets (OpenMP vs ISPC)", table5Backends)
 	register("fig4", "unstructured VR phase times vs pass count (cpu profile)", func(e *env) error {
 		return volumePhaseFigure(e, "cpu")
 	})
-	register("fig5", "unstructured VR phase times vs pass count (gpu profile)", func(e *env) error {
-		return volumePhaseFigure(e, "gpu")
+	register("fig5", "unstructured VR phase times vs pass count (serial profile)", func(e *env) error {
+		return volumePhaseFigure(e, "serial")
 	})
 	register("fig6", "DPP volume renderer vs HAVS-analogue", fig6HAVS)
 	register("fig7", "DPP volume renderer vs connectivity ray-caster (Bunyk)", fig7Bunyk)
-	register("table6", "VR kernel time / state / occupancy (gpu profile, 4 passes)", table6Kernels)
-	register("table7", "VR phase time and throughput (IPC analogue), cpu vs gpu profile", table7IPC)
+	register("table6", "VR kernel time / state / occupancy (cpu profile, 4 passes)", table6Kernels)
+	// Tets have no packet kernel, so serial and cpu are Table 7's two
+	// distinct executions.
+	register("table7", "VR phase time and throughput (IPC analogue), serial vs cpu profile", table7IPC)
 	register("table8", "VR strong scaling over worker counts (raw and total time)", table8Scaling)
 	register("table9", "DPP-VR vs VisIt-analogue per-phase times (serial)", table9VisIt)
 }
 
-func rtFPSTable(e *env, wl raytrace.Workload, fullOnly bool) error {
+func rtFPSTable(e *env, wl raytrace.Workload, archs []string) error {
 	frames := 4
 	if e.short {
 		frames = 2
-	}
-	archs := archList()
-	if fullOnly {
-		archs = []string{"cpu", "gpu"} // the paper's Table 2 uses two machines
 	}
 	size := imageSize(e.short)
 	printHeader(append([]string{"dataset", "tris"}, archs...)...)
@@ -198,75 +193,52 @@ func vsTunedTable(e *env, tuned string) error {
 	return nil
 }
 
-// table5Backends times the ray tracer's two primary-ray traversals over
-// the same rays, one frame's pixel centers in Morton order on the mic
-// profile's workers: the scalar loop (IntersectClosestScratch, one ray at
-// a time) against the packet path (IntersectClosest4, four rays at a
-// time). Each rate is the fastest of table5Passes passes after a warm-up.
+// table5Backends renders WORKLOAD1 (primary rays only) frames on the
+// cpu-scalar profile, whose traversal is the scalar loop
+// (IntersectClosestScratch, one ray at a time), and on the cpu profile,
+// whose traversal is IntersectClosest4 (four rays at a time) on an AVX2
+// host, and reads each renderer's own traversal phase. Each rate is the
+// fastest of table5Passes frames after a warm-up.
 func table5Backends(e *env) error {
 	w, h := imageSize(e.short)*2, imageSize(e.short)*2
-	dev, err := device.Profile("mic")
-	if err != nil {
-		return err
-	}
-	kernel := "the AVX2 packet kernel ran"
+	kernel := "the AVX2 packet kernel ran on cpu"
 	if !bvh.Packets() {
-		kernel = "no AVX2 on this host: IntersectClosest4 ran the scalar loop"
+		kernel = "no AVX2 on this host: both profiles ran the scalar loop"
 	}
-	fmt.Fprintf(stdout, "%dx%d primary rays, %d workers; %s\n", w, h, dev.Workers, kernel)
-	printHeader("dataset", "scalar Mray/s", "packet Mray/s", "speedup")
-	tracers := make([]bvh.Tracer, dev.Workers)
+	fmt.Fprintf(stdout, "%dx%d primary rays, %d workers; %s\n", w, h, runtime.NumCPU(), kernel)
+	printHeader("dataset", "cpu-scalar Mray/s", "cpu Mray/s", "speedup")
 	for _, ds := range surfaceDatasets(e.short) {
 		m, err := buildSurface(ds)
 		if err != nil {
 			return err
 		}
-		gen := render.OrbitCamera(m.Bounds(), 30, 20, 1.0).Normalized().NewRayGen(w, h)
-		order := raytrace.MortonPixelOrder(w, h)
-		rays := make([]vecmath.Ray, len(order))
-		for i, p := range order {
-			rays[i] = gen.Ray(float64(int(p)%w), float64(int(p)/w), 0.5, 0.5)
-		}
-		tree := bvh.Build(dev, m, bvh.LBVH)
-		scalar := traceRate(dev, len(rays), func(worker, lo, hi int) {
-			tr := &tracers[worker]
-			for i := lo; i < hi; i++ {
-				tree.IntersectClosestScratch(rays[i].Orig, rays[i].Dir, 1e-9, math.Inf(1), tr)
+		opts := raytrace.Options{Width: w, Height: h, Camera: render.OrbitCamera(m.Bounds(), 30, 20, 1.0), Workload: raytrace.Workload1}
+		var rate [2]float64
+		for i, name := range []string{"cpu-scalar", "cpu"} {
+			dev, err := device.Profile(name)
+			if err != nil {
+				return err
 			}
-		})
-		packet := traceRate(dev, len(rays), func(worker, lo, hi int) {
-			tr := &tracers[worker]
-			for base := lo; base < hi; {
-				end := min(base-base%4+4, hi)
-				for k := base; k < end; k++ {
-					tr.SetRay(k-base, rays[k].Orig, rays[k].Dir)
+			rdr := raytrace.New(dev, m)
+			for pass := 0; pass <= table5Passes; pass++ { // pass 0 warms up
+				_, st, err := rdr.Render(opts)
+				if err != nil {
+					return err
 				}
-				tree.IntersectClosest4(tr, end-base, 1e-9, math.Inf(1))
-				base = end
+				if pass > 0 {
+					rate[i] = max(rate[i], st.MRaysPerSec())
+				}
 			}
-		})
-		fmt.Fprintln(stdout, cell(ds.label)+cell(fmt.Sprintf("%.2f", scalar))+
-			cell(fmt.Sprintf("%.2f", packet))+cell(fmt.Sprintf("%.2fx", packet/scalar)))
+		}
+		fmt.Fprintln(stdout, cell(ds.label)+cell(fmt.Sprintf("%.2f", rate[0]))+
+			cell(fmt.Sprintf("%.2f", rate[1]))+cell(fmt.Sprintf("%.2fx", rate[1]/rate[0])))
 	}
 	return nil
 }
 
-// table5Passes is how many timed passes over the rays each Table 5 rate
-// takes the fastest of.
+// table5Passes is how many timed frames each Table 5 rate takes the
+// fastest of.
 const table5Passes = 5
-
-// traceRate runs trace over n rays on dev's workers, once to warm up and
-// then table5Passes times, and returns the fastest pass in Mray/s.
-func traceRate(dev *device.Device, n int, trace func(worker, lo, hi int)) float64 {
-	dpp.ForWorker(dev, n, trace)
-	best := time.Duration(math.MaxInt64)
-	for i := 0; i < table5Passes; i++ {
-		start := time.Now()
-		dpp.ForWorker(dev, n, trace)
-		best = min(best, time.Since(start))
-	}
-	return float64(n) / best.Seconds() / 1e6
-}
 
 // tetScene builds a tetrahedralized volume dataset.
 func tetScene(name string, n int) (*mesh.TetMesh, error) {
@@ -392,7 +364,7 @@ func volumeComparison(e *env, other string, run func(*mesh.TetMesh, render.Camer
 }
 
 func table6Kernels(e *env) error {
-	dev, err := device.Profile("gpu")
+	dev, err := device.Profile("cpu")
 	if err != nil {
 		return err
 	}
@@ -443,13 +415,13 @@ func table7IPC(e *env) error {
 	}
 	cam := render.OrbitCamera(tm.Bounds(), 30, 20, 1.8)
 	size := imageSize(e.short)
-	printHeader("phase", "cpu time", "cpu items/us", "gpu time", "gpu items/us")
+	printHeader("phase", "serial time", "serial items/us", "cpu time", "cpu items/us")
 	type result struct {
 		times map[string]float64
 		thru  float64
 	}
 	results := map[string]result{}
-	for _, arch := range []string{"cpu", "gpu"} {
+	for _, arch := range []string{"serial", "cpu"} {
 		dev, err := device.Profile(arch)
 		if err != nil {
 			return err
@@ -470,10 +442,10 @@ func table7IPC(e *env) error {
 	}
 	for _, p := range []string{"passselect", "screenspace", "sampling", "composite"} {
 		fmt.Fprintln(stdout, cell(p)+
+			cell(fmt.Sprintf("%.4fs", results["serial"].times[p]))+
+			cell(fmt.Sprintf("%.1f", results["serial"].thru))+
 			cell(fmt.Sprintf("%.4fs", results["cpu"].times[p]))+
-			cell(fmt.Sprintf("%.1f", results["cpu"].thru))+
-			cell(fmt.Sprintf("%.4fs", results["gpu"].times[p]))+
-			cell(fmt.Sprintf("%.1f", results["gpu"].thru)))
+			cell(fmt.Sprintf("%.1f", results["cpu"].thru)))
 	}
 	return nil
 }

@@ -9,10 +9,13 @@ import (
 
 	"insitu/internal/core"
 	"insitu/internal/device"
+	"insitu/internal/framebuffer"
 	"insitu/internal/mesh"
 	"insitu/internal/mesh/synthdata"
 	"insitu/internal/render"
 	"insitu/internal/render/raytrace"
+	"insitu/internal/render/volume"
+	"insitu/internal/scenario"
 	"insitu/internal/stats"
 	"insitu/internal/study"
 )
@@ -123,7 +126,9 @@ func TestRenderTimeMonotoneInResolution(t *testing.T) {
 }
 
 // TestDeviceProfilesAllRender ensures every named profile can execute the
-// full pipeline (the portability premise).
+// full pipeline (the portability premise) and that their kernel sets agree
+// bit for bit: a shaded ray-traced frame, and a structured volume frame on
+// a uniform kripke grid, the frame the volume packet kernel takes.
 func TestDeviceProfilesAllRender(t *testing.T) {
 	ds, err := synthdata.ByName("lt")
 	if err != nil {
@@ -134,29 +139,60 @@ func TestDeviceProfilesAllRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cam := render.OrbitCamera(m.Bounds(), 30, 20, 1.0)
-	var ref []float32
-	for _, name := range device.ProfileNames() {
-		dev, err := device.Profile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		img, _, err := raytrace.New(dev, m).Render(raytrace.Options{
-			Width: 48, Height: 48, Camera: cam, Workload: raytrace.Workload2,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if img.ActivePixels() == 0 {
-			t.Errorf("%s: empty image", name)
-		}
-		if ref == nil {
-			ref = img.Color
-			continue
-		}
-		for i := range ref {
-			if ref[i] != img.Color[i] {
-				t.Fatalf("%s: image differs from first profile at channel %d — portability broken", name, i)
+	sd, err := scenario.BuildShard("kripke", 16, 1, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vg := sd.Mesh.Grid
+	if err := vg.AddField(sd.Field, mesh.VertexAssoc, sd.Values); err != nil {
+		t.Fatal(err)
+	}
+	frames := map[string]func(*device.Device) (*framebuffer.Image, error){
+		"raytracer": func(dev *device.Device) (*framebuffer.Image, error) {
+			img, _, err := raytrace.New(dev, m).Render(raytrace.Options{
+				Width: 48, Height: 48, Camera: render.OrbitCamera(m.Bounds(), 30, 20, 1.0), Workload: raytrace.Workload2,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return img.Clone(), nil // frames are arena-owned
+		},
+		"volume": func(dev *device.Device) (*framebuffer.Image, error) {
+			vr, err := volume.NewStructured(dev, vg, sd.Field)
+			if err != nil {
+				return nil, err
+			}
+			img, _, err := vr.Render(volume.StructuredOptions{
+				Width: 48, Height: 48, Camera: render.OrbitCamera(vg.Bounds(), 30, 20, 1.0),
+			})
+			if err != nil {
+				return nil, err
+			}
+			return img.Clone(), nil
+		},
+	}
+	for backend, frame := range frames {
+		var ref []float32
+		for _, name := range device.ProfileNames() {
+			dev, err := device.Profile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := frame(dev)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, backend, err)
+			}
+			if img.ActivePixels() == 0 {
+				t.Errorf("%s %s: empty image", name, backend)
+			}
+			if ref == nil {
+				ref = img.Color
+				continue
+			}
+			for i := range ref {
+				if math.Float32bits(ref[i]) != math.Float32bits(img.Color[i]) {
+					t.Fatalf("%s %s: image differs from first profile at channel %d — portability broken", name, backend, i)
+				}
 			}
 		}
 	}

@@ -11,9 +11,9 @@ import (
 	"insitu/internal/registry"
 )
 
-// paperArchs are the architecture profiles of the study (device package
-// profiles; "bigiron" is the held-out Table 15 machine).
-var paperArchs = []string{"serial", "cpu", "gpu", "mic", "bigiron"}
+// paperArchs are the device package's execution profiles, the study's
+// architectures ("cpu-scalar" is the held-out Table 15 kernel set).
+var paperArchs = []string{"serial", "cpu", "cpu-scalar"}
 
 // syntheticSamples plants per-architecture coefficients so every paper
 // architecture gets a well-conditioned fit.
@@ -334,12 +334,12 @@ func TestMaxTriangles(t *testing.T) {
 func TestMetricsCountersAndErrors(t *testing.T) {
 	e, _, _ := testEngine(t, paperArchs, 64)
 	for i := 0; i < 3; i++ {
-		if _, err := e.Predict(PredictRequest{Arch: "gpu", Renderer: "volume", N: 32, Width: 256}); err != nil {
+		if _, err := e.Predict(PredictRequest{Arch: "cpu-scalar", Renderer: "volume", N: 32, Width: 256}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	e.Predict(PredictRequest{}) // error
-	if _, err := e.Feasibility(FeasibilityRequest{Arch: "mic", Renderer: "raytracer", N: 16, BudgetSeconds: 10, Sizes: []int{128}}); err != nil {
+	if _, err := e.Feasibility(FeasibilityRequest{Arch: "serial", Renderer: "raytracer", N: 16, BudgetSeconds: 10, Sizes: []int{128}}); err != nil {
 		t.Fatal(err)
 	}
 	byOp := map[Op]OpStats{}

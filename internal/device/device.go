@@ -1,19 +1,18 @@
-// Package device models the execution targets the paper calls
-// "architectures". The paper's premise is that one data-parallel
-// implementation runs on CPUs, GPUs, and many-core co-processors, with the
-// architectural differences absorbed by per-architecture model
-// coefficients. This sandbox has no GPU, so each architecture is simulated
-// by a device profile: a worker-pool configuration (worker count and
-// scheduling grain) that executes the identical data-parallel primitives.
-// Vector units are the host's, not the profile's: the render kernels take
-// their AVX2 packet paths wherever HasAVX2 reports them, on every profile. Per-profile coefficients are then
-// fitted exactly as the paper fits per-architecture coefficients.
+// Package device describes the execution profiles the data-parallel
+// primitives and render kernels run on. The paper fits one set of model
+// coefficients per architecture; here an architecture is a profile, a
+// pair (kernel set, workers) that executes differently on the host (see
+// Profiles). The host kernel set takes the AVX2 packet kernels of BVH
+// primary-ray traversal and structured volume sampling wherever HasAVX2
+// reports them; the scalar set runs their scalar loops. Both produce the
+// same pixels.
 package device
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,11 +23,14 @@ type Device struct {
 	// Name identifies the profile in study output and fitted models.
 	Name string
 	// Workers is the number of concurrent workers used by parallel
-	// primitives. Values above runtime.NumCPU model oversubscribed,
-	// massively threaded targets.
+	// primitives.
 	Workers int
 	// Grain is the minimum number of items per scheduled chunk.
 	Grain int
+	// Scalar turns the render kernels' AVX2 packet paths off: the ray
+	// tracer and the structured volume renderer read it once per frame
+	// and run their scalar loops, with the same results.
+	Scalar bool
 	// Stats, when non-nil, accumulates occupancy instrumentation.
 	Stats *Stats
 
@@ -53,21 +55,18 @@ func Serial() *Device { return New("serial", 1) }
 // CPU returns a device using every hardware thread.
 func CPU() *Device { return New("cpu", runtime.NumCPU()) }
 
-// Profiles returns fresh copies of the named device profiles used by the
-// study. The mapping to the paper's architectures is documented in
-// DESIGN.md; "bigiron" is held out of the main study and plays the role of
-// the leading-edge machine in the Table 15 experiment.
+// Profiles returns fresh copies of the named device profiles: serial
+// and cpu run the host's kernels on 1 and NumCPU workers, cpu-scalar the
+// scalar loops on cpu's workers. The study measures serial and cpu;
+// cpu-scalar is the held-out kernel set of the Table 15 experiment. A
+// profile is added only with a measurement showing that its cost per
+// unit of work differs from the others' on some host.
 func Profiles() map[string]*Device {
 	n := runtime.NumCPU()
-	mk := func(name string, workers, grain int) *Device {
-		return &Device{Name: name, Workers: workers, Grain: grain}
-	}
 	return map[string]*Device{
-		"serial":  mk("serial", 1, 1024),
-		"cpu":     mk("cpu", n, 512),
-		"gpu":     mk("gpu", 4*n, 64),
-		"mic":     mk("mic", 2*n, 128),
-		"bigiron": mk("bigiron", 3*n, 96),
+		"serial":     {Name: "serial", Workers: 1, Grain: 1024},
+		"cpu":        {Name: "cpu", Workers: n, Grain: 512},
+		"cpu-scalar": {Name: "cpu-scalar", Workers: n, Grain: 512, Scalar: true},
 	}
 }
 
@@ -81,15 +80,7 @@ func Profile(name string) (*Device, error) {
 }
 
 // ProfileNames returns the sorted list of known profile names.
-func ProfileNames() []string {
-	m := Profiles()
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
+func ProfileNames() []string { return slices.Sorted(maps.Keys(Profiles())) }
 
 // Stats accumulates execution instrumentation across parallel launches. It
 // is the substitute for the paper's PAPI and nvprof counters: wall-clock

@@ -1,6 +1,8 @@
 package device
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -37,6 +39,30 @@ func TestProfileNamesSortedAndComplete(t *testing.T) {
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
 			t.Errorf("names not sorted: %v", names)
+		}
+	}
+}
+
+// TestProfileConfigurations pins each profile's (kernel set, workers,
+// grain): serial and cpu run the host's kernels, cpu-scalar the scalar
+// loops on cpu's workers.
+func TestProfileConfigurations(t *testing.T) {
+	type config struct {
+		workers, grain int
+		scalar         bool
+	}
+	n := runtime.NumCPU()
+	want := map[string]config{"cpu": {n, 512, false}, "cpu-scalar": {n, 512, true}, "serial": {1, 1024, false}}
+	if got := ProfileNames(); !slices.Equal(got, []string{"cpu", "cpu-scalar", "serial"}) {
+		t.Fatalf("profiles = %v", got)
+	}
+	for name, w := range want {
+		d, err := Profile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (config{d.Workers, d.Grain, d.Scalar}); d.Name != name || got != w {
+			t.Errorf("%s: %s %+v, want %+v", name, d.Name, got, w)
 		}
 	}
 }

@@ -207,16 +207,6 @@ func ForEach(d *device.Device, n int, f func(i int)) {
 	})
 }
 
-// Gather copies in[idx[i]] into out[i] for every i. len(out) and len(idx)
-// must match; indices must be within in.
-func Gather[T any](d *device.Device, idx []int32, in, out []T) {
-	For(d, len(idx), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = in[idx[i]]
-		}
-	})
-}
-
 // Reduce combines all elements of in with an associative op starting from
 // the identity id. Chunk partials are combined in chunk order, so
 // floating-point results are deterministic for a fixed device geometry.

@@ -52,10 +52,17 @@ func TestGatherScatterInverse(t *testing.T) {
 		for i, p := range idx {
 			inv[p] = int32(i)
 		}
+		gather := func(idx []int32, in, out []float64) {
+			For(d, len(idx), func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					out[i] = in[idx[i]]
+				}
+			})
+		}
 		gathered := make([]float64, n)
-		Gather(d, idx, in, gathered)
+		gather(idx, in, gathered)
 		back := make([]float64, n)
-		Gather(d, inv, gathered, back)
+		gather(inv, gathered, back)
 		for i := range in {
 			if back[i] != in[i] {
 				t.Fatalf("%s: gathering by the inverse permutation (a scatter) != x at %d", d.Name, i)
@@ -134,7 +141,9 @@ func TestCompactIndices(t *testing.T) {
 			}
 		}
 		for _, d := range testDevices() {
-			got := CompactIndices(d, flags)
+			var c Compactor
+			c.Init(d)
+			got := c.CompactIndices(flags)
 			if len(got) != len(want) {
 				return false
 			}

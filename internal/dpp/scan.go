@@ -44,23 +44,9 @@ func ScanExclusive[T any](d *device.Device, in, out []T, id T, op func(a, b T) T
 	return total
 }
 
-// CompactIndices returns the indices of the set flags, in ascending order.
-// This is the reduce + exclusive scan + reverse-index sequence the paper's
-// stream compaction uses, fused into a two-pass emit. The result is a
-// fresh slice; steady-state callers should hold a Compactor instead.
-func CompactIndices(d *device.Device, flags []bool) []int32 {
-	var c Compactor
-	c.Init(d)
-	idx := c.CompactIndices(flags)
-	if idx == nil {
-		return nil
-	}
-	out := make([]int32, len(idx))
-	copy(out, idx)
-	return out
-}
-
-// Compactor is the reusable, allocation-free form of CompactIndices: the
+// Compactor is the paper's stream compaction: CompactIndices returns the
+// indices of the set flags, in ascending order, by the reduce + exclusive
+// scan + reverse-index sequence fused into a two-pass emit. The
 // per-chunk count scratch, the output index buffer, and the two kernel
 // closures are built once and reused across calls, so stream compaction
 // inside a steady-state frame loop costs no heap allocation. A Compactor

@@ -196,9 +196,9 @@ type frameArena struct {
 
 	// packets is the per-worker traversal scratch. quads is this frame's
 	// choice of primary traversal: IntersectClosest4 where the host runs
-	// its packet kernel, unless scalarOnly turns it off (tests).
-	packets           []packetScratch
-	quads, scalarOnly bool
+	// its packet kernel, unless the device asks for the scalar loop.
+	packets []packetScratch
+	quads   bool
 
 	raygenFn, flagsFn, initFn func(lo, hi int)
 	aoFn, shadowFn            func(lo, hi int)
@@ -296,7 +296,7 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 	if workers := max(r.Dev.Workers, 1); len(a.packets) < workers {
 		a.packets = make([]packetScratch, workers)
 	}
-	a.quads = bvh.Packets() && !a.scalarOnly
+	a.quads = bvh.Packets() && !r.Dev.Scalar
 	dpp.ForWorker(r.Dev, n, a.traceFn)
 	stats.NodeTests += a.nodeTests.Load()
 	stats.TriTests += a.triTests.Load()

@@ -117,18 +117,19 @@ func TestWorkload1HitMaskMatchesWorkload2Coverage(t *testing.T) {
 }
 
 // TestPacketTraversalMatchesScalar renders a shaded frame with the
-// primary-ray traversal the host picks and again with the scalar loop
-// forced: the images are byte-identical.
+// primary-ray traversal the host picks and again on a Scalar device:
+// the images are byte-identical.
 func TestPacketTraversalMatchesScalar(t *testing.T) {
 	m := testScene(t, 12)
-	r := New(device.New("w2", 2), m)
+	dev := device.New("w2", 2)
+	r := New(dev, m)
 	opts := defaultOptions(m, Workload2)
 	frame, _, err := r.Render(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	packetImg := frame.Clone() // frames are arena-owned; retain across renders
-	r.arena.scalarOnly = true
+	dev.Scalar = true
 	scalarImg, _, err := r.Render(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -262,10 +263,10 @@ func TestBVHBuildTimeReported(t *testing.T) {
 }
 
 // TestPrimaryPacketsMatchScalarFrame renders frames with the primary-ray
-// packet kernel on and forced off, on devices whose chunks split quads,
-// at 1 sample per pixel (Workload2) and 4 (Workload3's supersampling):
-// every ray's hit is bitwise the same and so are the frame's traversal
-// counts. bvh's TestPrimaryPacketsMatchScalar checks each ray's counts.
+// packet kernel on and turned off by the device's Scalar, on devices
+// whose chunks split quads, at 1 sample per pixel (Workload2) and 4
+// (Workload3's supersampling): every ray's hit is bitwise the same and so
+// are the frame's traversal counts. bvh's TestPrimaryPacketsMatchScalar checks each ray's counts.
 func TestPrimaryPacketsMatchScalarFrame(t *testing.T) {
 	m := testScene(t, 16)
 	for _, dev := range []*device.Device{device.Serial(), {Name: "odd", Workers: 3, Grain: 37}} {
@@ -280,13 +281,13 @@ func TestPrimaryPacketsMatchScalarFrame(t *testing.T) {
 			var hits [2][]bvh.Hit
 			var counts [2][2]int64
 			for i, scalar := range []bool{false, true} {
-				r.arena.scalarOnly = scalar
+				dev.Scalar = scalar
 				_, stats, err := r.Render(opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if want := bvh.Packets() && !scalar; r.arena.quads != want {
-					t.Fatalf("scalarOnly=%v: quads=%v, want %v", scalar, r.arena.quads, want)
+					t.Fatalf("Scalar=%v: quads=%v, want %v", scalar, r.arena.quads, want)
 				}
 				rays := &r.arena.rays
 				for k := range rays.hitPrim {

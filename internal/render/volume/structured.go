@@ -110,13 +110,12 @@ type structuredArena struct {
 
 	// The packet kernel's frame parameters and per-worker packets, and
 	// the frame's count of packets marched and of those that bailed to
-	// castRay. scalarOnly turns the packet kernel off (tests).
+	// castRay.
 	pp                            packetParams
 	packets                       []rayPacket
 	alphaLanes                    []alphaLanes
 	colorLanes                    []colorLanes
 	packetsMarched, packetsBailed atomic.Int64
-	scalarOnly                    bool
 
 	castFn   func(lo, hi int)
 	packetFn func(worker, lo, hi int)

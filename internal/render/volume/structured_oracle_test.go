@@ -184,13 +184,13 @@ func matchOracle(t *testing.T, r *StructuredRenderer, opts StructuredOptions, la
 
 // TestStructuredPacketMatchesOracle holds the packet kernel to
 // castKernelOracle on the frames it takes — uniform kripke blocks at the
-// default sample budget — rendering each with packets on and again with
-// them forced off: seeded poses and zooms, widths that are not a
-// multiple of the packet width and a 1x1 frame, both ranks' blocks of a
-// two-task decomposition under the global field range (what a sharded
-// frame's ranks render), and the odd transfer function, whose first
-// stops make packets bail mid-ray. Counters show that packets ran and
-// that some bailed. `make oracles` runs it at v1 and v3.
+// default sample budget — rendering each with packets on and again on a
+// Scalar device: seeded poses and zooms, widths that are not a multiple
+// of the packet width and a 1x1 frame, both ranks' blocks of a two-task
+// decomposition under the global field range (what a sharded frame's
+// ranks render), and the odd transfer function, whose first stops make
+// packets bail mid-ray. Counters show that packets ran and that some
+// bailed. `make oracles` runs it at v1 and v3.
 func TestStructuredPacketMatchesOracle(t *testing.T) {
 	if !hasPackets {
 		t.Skip("no packet kernel on this host")
@@ -218,7 +218,8 @@ func TestStructuredPacketMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	var marched, bailed int64
 	for _, gr := range grids {
-		r, err := NewStructured(device.New("w2", 2), gr.g, field)
+		dev := device.New("w2", 2)
+		r, err := NewStructured(dev, gr.g, field)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +234,7 @@ func TestStructuredPacketMatchesOracle(t *testing.T) {
 					Camera: render.OrbitCamera(gr.g.Bounds(), az, el, zoom),
 				}
 				for _, scalar := range []bool{false, true} {
-					r.arena.scalarOnly = scalar
+					dev.Scalar = scalar
 					label := fmt.Sprintf("%s tf=%v %dx%d az=%.1f el=%.1f zoom=%.2f scalar=%v",
 						gr.name, tf != nil, size[0], size[1], az, el, zoom, scalar)
 					samples := matchOracle(t, r, opts, label)

@@ -101,12 +101,12 @@ func splat32(x int) [4]int32 {
 // preparePackets reports whether this frame can take the packet kernel
 // and, if so, fills the packet parameters and sizes the per-worker
 // packets. The kernel computes castRay's uniform-grid, unit-exponent,
-// table path only, on an AVX2 host with 32-bit corner indices; every
-// other frame runs castRay.
+// table path only, on an AVX2 host with 32-bit corner indices and a
+// device that is not Scalar; every other frame runs castRay.
 func (a *structuredArena) preparePackets() bool {
 	s := a.r.sampler
 	tab := &a.tfTab
-	if !hasPackets || a.scalarOnly || !s.uniform || a.step/a.refStep != 1 || tab.flat ||
+	if !hasPackets || a.r.Dev.Scalar || !s.uniform || a.step/a.refStep != 1 || tab.flat ||
 		len(s.vals) > math.MaxInt32 {
 		return false
 	}

@@ -94,6 +94,8 @@ func TestUnknownNamesAnswerBadRequest(t *testing.T) {
 		{FrameRequest{Backend: "teapot", Sim: "kripke", N: 8, Width: 64}, string(core.RayTrace)},
 		{FrameRequest{Backend: core.RayTrace, Sim: "spice", N: 8, Width: 64}, "kripke"},
 		{FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64, Arch: "abacus"}, "serial"},
+		// gpu is not an execution profile on any host.
+		{FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64, Arch: "gpu"}, "cpu-scalar"},
 		// The structured-only volume renderer cannot eat the Lagrangian
 		// proxy's unstructured mesh.
 		{FrameRequest{Backend: core.Volume, Sim: "lulesh", N: 8, Width: 64}, "structured"},
