@@ -484,11 +484,11 @@ func BenchmarkFig15RTvsRast(b *testing.B) {
 
 // --- Ablation benches for the design choices ----------------------------
 
-// BenchmarkAblationBVHBuilders compares build cost of the three builders.
+// BenchmarkAblationBVHBuilders compares build cost of the two builders.
 func BenchmarkAblationBVHBuilders(b *testing.B) {
 	b.ReportAllocs()
 	m := benchSurface(b)
-	for _, builder := range []bvh.Builder{bvh.LBVH, bvh.Median, bvh.SAH} {
+	for _, builder := range []bvh.Builder{bvh.LBVH, bvh.SAH} {
 		b.Run(builder.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -83,7 +83,7 @@ func advisorServer(t *testing.T, engine *advisor.Engine, cfg serve.Config) (*htt
 func testServer(t *testing.T) (*httptest.Server, string, *core.ModelSet, core.Mapping) {
 	t.Helper()
 	path, set, mp := studyRegistry(t)
-	reg := registry.New(1024)
+	reg := registry.New(0)
 	if err := reg.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestModelsHealthzMetricsEndpoints(t *testing.T) {
 	if err := obs.ValidatePromText(string(raw)); err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, raw)
 	}
-	for _, want := range []string{"renderd_generation ", "renderd_predict_cache_hits "} {
+	for _, want := range []string{"renderd_generation ", "renderd_uptime_seconds "} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("exposition missing %q", want)
 		}
@@ -337,7 +337,7 @@ func TestMaxTrianglesEndpoint(t *testing.T) {
 }
 
 func TestEmptyRegistryAnswers503(t *testing.T) {
-	ts, _ := advisorServer(t, advisor.New(registry.New(16)), serve.Config{ObserveQueue: -1})
+	ts, _ := advisorServer(t, advisor.New(registry.New(0)), serve.Config{ObserveQueue: -1})
 	r, err := ts.Client().Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +362,7 @@ func TestEmptyRegistryAnswers503(t *testing.T) {
 // subsequent /v1/predict answers — no restart, no explicit reload.
 func TestObservationsRoundTripRefitsServedModels(t *testing.T) {
 	path, _, _ := studyRegistry(t)
-	reg := registry.New(1024)
+	reg := registry.New(0)
 	if err := reg.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestObservationsRoundTripRefitsServedModels(t *testing.T) {
 // whole with a 400, and a server without calibration answers 503.
 func TestObservationsValidationAndDisabled(t *testing.T) {
 	path, _, _ := studyRegistry(t)
-	reg := registry.New(16)
+	reg := registry.New(0)
 	if err := reg.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}

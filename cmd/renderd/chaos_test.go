@@ -24,7 +24,7 @@ func startFaultyRenderd(t *testing.T, clusterN int, plan *comm.FaultPlan) (*http
 		RetryBackoff:      5 * time.Millisecond,
 		Faults:            plan,
 	}
-	srv, fleet, err := buildServer(testSnapshotFile(t), false, 1024, false, 8, clusterN, copts, serve.Config{
+	srv, fleet, err := buildServer(testSnapshotFile(t), false, false, 8, clusterN, copts, serve.Config{
 		Arch: "serial", Workers: 2, Logf: t.Logf,
 	})
 	if err != nil {

@@ -74,7 +74,7 @@ const cachedFrameWrites = 2
 // through the access log as main serves it, at cachedFrameWrites socket
 // writes on its connection.
 func TestCachedFrameAnswerWrites(t *testing.T) {
-	srv, _, err := buildServer(testSnapshotFile(t), false, 1024, false, 1000, 0, nil, serve.Config{
+	srv, _, err := buildServer(testSnapshotFile(t), false, false, 1000, 0, nil, serve.Config{
 		Arch: "serial", Workers: 2, Logf: t.Logf,
 	})
 	if err != nil {

@@ -100,7 +100,6 @@ func main() {
 		addr       = flag.String("addr", ":8090", "listen address")
 		debugAddr  = flag.String("debug-addr", "", "optional debug listen address serving net/http/pprof (empty = disabled)")
 		regPath    = flag.String("registry", "", "registry snapshot JSON (from 'repro export')")
-		cacheSize  = flag.Int("cache", 4096, "prediction LRU cache entries (0 disables)")
 		bootstrap  = flag.Bool("bootstrap", false, "if the registry file is missing, run a short study and fit one")
 		calibrate  = flag.Bool("calibrate", true, "feed served frames and POST /v1/observations into continuous model refits")
 		refitEvery = flag.Int("refit-every", 8, "observed samples between refits")
@@ -113,7 +112,7 @@ func main() {
 	)
 	flag.Parse()
 
-	srv, fleet, err := buildServer(*regPath, *bootstrap, *cacheSize, *calibrate, *refitEvery, *clusterN, nil, serve.Config{
+	srv, fleet, err := buildServer(*regPath, *bootstrap, *calibrate, *refitEvery, *clusterN, nil, serve.Config{
 		Arch: *arch, Workers: *workers, QueueCap: *queue,
 		FrameCacheEntries: *frames, RunnerCacheEntries: *runners,
 		Logf: log.Printf,
@@ -178,8 +177,8 @@ func main() {
 // when clusterN is 0) must be closed after the server. copts overrides
 // the fleet's fault-tolerance tuning (nil = defaults) — the chaos
 // tests use it to install a fault plan.
-func buildServer(regPath string, bootstrap bool, cacheSize int, calibrate bool, refitEvery, clusterN int, copts *cluster.Options, cfg serve.Config) (*serve.Server, *cluster.Cluster, error) {
-	reg, err := serve.OpenRegistry(regPath, bootstrap, cacheSize, log.Printf)
+func buildServer(regPath string, bootstrap, calibrate bool, refitEvery, clusterN int, copts *cluster.Options, cfg serve.Config) (*serve.Server, *cluster.Cluster, error) {
+	reg, err := serve.OpenRegistry(regPath, bootstrap, 0, log.Printf)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -188,7 +188,7 @@ func TestMetricsJSONShape(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, key := range []string{"uptime_seconds", "generation", "serve", "ops", "predict_cache"} {
+	for _, key := range []string{"uptime_seconds", "generation", "serve", "ops"} {
 		walkJSON(t, doc, key)
 	}
 	assertKeySet(t, "serve", sortedKeys(t, walkJSON(t, doc, "serve")), serveKeys)

@@ -290,14 +290,12 @@ func (s *webServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // metricsBody merges the serving-path counters with the advisor
-// engine's per-operation latencies and the registry's prediction-cache
-// stats.
+// engine's per-operation latencies.
 type metricsBody struct {
-	UptimeSeconds int64               `json:"uptime_seconds"`
-	Generation    uint64              `json:"generation"`
-	Serve         serve.Stats         `json:"serve"`
-	Ops           []advisor.OpStats   `json:"ops"`
-	PredictCache  registry.CacheStats `json:"predict_cache"`
+	UptimeSeconds int64             `json:"uptime_seconds"`
+	Generation    uint64            `json:"generation"`
+	Serve         serve.Stats       `json:"serve"`
+	Ops           []advisor.OpStats `json:"ops"`
 }
 
 func (s *webServer) metricsSnapshot() metricsBody {
@@ -307,7 +305,6 @@ func (s *webServer) metricsSnapshot() metricsBody {
 		Generation:    eng.Registry().Generation(),
 		Serve:         s.srv.Stats(),
 		Ops:           eng.Metrics(),
-		PredictCache:  eng.Registry().CacheStats(),
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"image/png"
 	"io"
@@ -56,7 +57,7 @@ func startRenderd(t *testing.T, refitEvery int) (*httptest.Server, *serve.Server
 // plus an in-process worker fleet for sharded frames.
 func startRenderdCluster(t *testing.T, refitEvery, clusterN int) (*httptest.Server, *serve.Server) {
 	t.Helper()
-	srv, fleet, err := buildServer(testSnapshotFile(t), false, 1024, true, refitEvery, clusterN, nil, serve.Config{
+	srv, fleet, err := buildServer(testSnapshotFile(t), false, true, refitEvery, clusterN, nil, serve.Config{
 		Arch: "serial", Workers: 2, Logf: t.Logf,
 	})
 	if err != nil {
@@ -215,6 +216,72 @@ func TestRenderdClosedLoop(t *testing.T) {
 	}
 	if mb.Generation != models.Generation {
 		t.Errorf("metrics generation %d, models %d", mb.Generation, models.Generation)
+	}
+}
+
+// TestRefitsNeverLagGeneration: while posted observations drive refits,
+// a client that reads a generation from /v1/models and then reads
+// /v1/metrics must find every publish behind that generation counted in
+// refits.
+func TestRefitsNeverLagGeneration(t *testing.T) {
+	ts, srv := startRenderd(t, 1)
+	var models serve.ModelsBody
+	getJSON(t, ts, "/v1/models", &models)
+	gen0 := models.Generation
+
+	var batch []advisor.Observation
+	for i := 0; i < 8; i++ {
+		ap := float64(4000 + 1000*i)
+		cs := float64(10 + 2*i)
+		spr := float64(80 + 15*i)
+		batch = append(batch, advisor.Observation{
+			Arch: "serial", Renderer: "volume",
+			Inputs:        core.Inputs{O: cs * cs * cs, AP: ap, SPR: spr, CS: cs, Pixels: 4 * ap, AvgAP: ap, Tasks: 1},
+			RenderSeconds: 1e-7*ap*cs + 1e-8*ap*spr + 1e-4,
+		})
+	}
+	const batches = 40
+	done := make(chan error, 1)
+	go func() {
+		for sent := 0; sent < batches; {
+			switch err := srv.QueueObservations(batch); {
+			case err == nil:
+				sent++
+			case errors.Is(err, serve.ErrCalibrationFull):
+				time.Sleep(time.Millisecond)
+			default:
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+
+	check := func() uint64 {
+		var models serve.ModelsBody
+		getJSON(t, ts, "/v1/models", &models)
+		var mb metricsBody
+		getJSON(t, ts, "/v1/metrics", &mb)
+		published := models.Generation - gen0
+		if mb.Serve.Refits < published {
+			t.Fatalf("/v1/metrics refits %d after /v1/models showed %d publishes", mb.Serve.Refits, published)
+		}
+		return published
+	}
+	var published uint64
+	for sending := true; sending; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			sending = false
+		default:
+		}
+		published = check()
+	}
+	if published == 0 {
+		t.Fatal("no refit published while polling; the test lost its power")
 	}
 }
 

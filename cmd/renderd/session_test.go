@@ -329,7 +329,7 @@ func TestRenderdSessionStreamQueries(t *testing.T) {
 // 64² part fits net/http's write buffers, so the part arrives whole only
 // if the wrapper kept http.Flusher.
 func TestRenderdSessionStreamFlushesThroughAccessLog(t *testing.T) {
-	srv, _, err := buildServer(testSnapshotFile(t), false, 1024, false, 1000, 0, nil, serve.Config{
+	srv, _, err := buildServer(testSnapshotFile(t), false, false, 1000, 0, nil, serve.Config{
 		Arch: "serial", Workers: 2, Logf: t.Logf,
 	})
 	if err != nil {

@@ -24,7 +24,7 @@ func init() {
 // Interrupting the run keeps every generation published so far.
 func calibrateRun(e *env) error {
 	plan := study.Plan(e.short)
-	reg := registry.New(1024)
+	reg := registry.New(0)
 	path := filepath.Join(e.outDir, "models.json")
 	// Refit roughly eight times over the run: often enough to watch the
 	// models converge, rare enough that fitting stays a rounding error

@@ -60,18 +60,28 @@ func imageSize(short bool) int {
 	return 256
 }
 
-// fps times repeated renders (first discarded) and returns frames/sec.
+// fpsFloor is the least wall time fps spends timing one cell: a few
+// frames of a small scene last a few milliseconds, short enough for one
+// scheduler hiccup to reorder the profiles a table compares.
+const fpsFloor = 500 * time.Millisecond
+
+// fps times repeated renders (first discarded) until at least frames
+// renders and fpsFloor of wall time have passed, and returns frames/sec.
+// It collects first, so the garbage of building the scene is not
+// collected on the timed frames.
 func fps(renderFn func() error, frames int) (float64, error) {
+	runtime.GC()
 	if err := renderFn(); err != nil { // warm-up
 		return 0, err
 	}
 	start := time.Now()
-	for i := 0; i < frames; i++ {
+	n := 0
+	for ; n < frames || time.Since(start) < fpsFloor; n++ {
 		if err := renderFn(); err != nil {
 			return 0, err
 		}
 	}
-	return float64(frames) / time.Since(start).Seconds(), nil
+	return float64(n) / time.Since(start).Seconds(), nil
 }
 
 func init() {

@@ -50,17 +50,17 @@
 //     backend is integrated exactly this way);
 //   - the measurement harness in internal/study — a worker-pool runner
 //     (study.RunContext: configurable parallelism, context cancellation,
-//     deterministic plan-index ordering, streaming progress callbacks,
-//     plan sharding for multi-process runs) plus the continuous
-//     calibrator (study.Calibrator: measured samples stream in, the
-//     models refit incrementally over the growing corpus, and each refit
-//     publishes a new registry generation) — and comparator renderers in
-//     internal/baseline;
+//     deterministic plan-index ordering, streaming progress callbacks)
+//     plus the continuous calibrator (study.Calibrator: measured samples
+//     stream in, the models refit incrementally over the growing corpus,
+//     and each refit publishes a new registry generation) — and
+//     comparator renderers in internal/baseline;
 //   - the online advisor subsystem: internal/registry (versioned JSON
 //     snapshots of fitted model sets, a concurrent in-memory registry
-//     with hot reload and in-place Publish, and an LRU prediction cache)
-//     and internal/advisor (the batch-capable prediction engine answering
-//     predict, images-in-budget, and max-triangles queries with
+//     with hot reload and in-place Publish; predictions are evaluated
+//     on every call, not cached) and internal/advisor (the
+//     batch-capable prediction engine answering predict,
+//     images-in-budget, and max-triangles queries with
 //     per-request metrics, ingesting posted observations for continuous
 //     calibration, and sanitizing non-finite predictions at the API
 //     boundary so responses always serialize);
@@ -74,7 +74,8 @@
 //     path, and calibration feedback: every rendered frame's measured
 //     wall time flows into the calibrator, so serving traffic refits
 //     the models that gate it. internal/lru is the one generic LRU
-//     shared by the registry, the admission memo, and the frame cache.
+//     shared by the admission memo, the frame cache, and the cluster's
+//     scene cache.
 //
 // Entry points: cmd/repro regenerates every table and figure of the
 // paper's evaluation (with -parallel N measuring the study on N

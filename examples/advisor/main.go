@@ -69,7 +69,7 @@ func main() {
 
 	// 3. Serve: load the snapshot into a registry and ask the engine the
 	// questions renderd exposes over HTTP.
-	reg := registry.New(1024)
+	reg := registry.New(0)
 	if err := reg.LoadFile(path); err != nil {
 		log.Fatal(err)
 	}

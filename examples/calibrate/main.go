@@ -39,7 +39,7 @@ func main() {
 		}
 	}
 
-	reg := registry.New(256)
+	reg := registry.New(0)
 	engine := advisor.New(reg)
 	calib := &study.Calibrator{
 		Source:     "calibrate-example",

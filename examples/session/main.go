@@ -41,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reg := registry.New(1024)
+	reg := registry.New(0)
 	if err := reg.Load(snap); err != nil {
 		log.Fatal(err)
 	}

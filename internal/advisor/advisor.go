@@ -316,7 +316,7 @@ type FeasibilityResponse struct {
 }
 
 // Feasibility evaluates the images-per-budget curve through the registry's
-// cached predictions. The arithmetic matches core.ModelSet.ImagesInBudget:
+// predictions. The arithmetic matches core.ModelSet.ImagesInBudget:
 // the build is paid once out of the budget, compositing is added for
 // multi-task configurations, and non-positive budgets or predictions yield
 // zero images.

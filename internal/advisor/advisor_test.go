@@ -70,7 +70,7 @@ func syntheticSamples(archs []string, n int, seed int64) []core.Sample {
 
 // testEngine builds an engine over a registry fitted to the given
 // architectures, returning the underlying set and mapping for comparison.
-func testEngine(tb testing.TB, archs []string, cacheSize int) (*Engine, *core.ModelSet, core.Mapping) {
+func testEngine(tb testing.TB, archs []string) (*Engine, *core.ModelSet, core.Mapping) {
 	tb.Helper()
 	samples := syntheticSamples(archs, 40, 7)
 	set, err := core.FitModels(samples)
@@ -78,7 +78,7 @@ func testEngine(tb testing.TB, archs []string, cacheSize int) (*Engine, *core.Mo
 		tb.Fatal(err)
 	}
 	mp := core.CalibrateMapping(samples)
-	reg := registry.New(cacheSize)
+	reg := registry.New(0)
 	if err := reg.Load(registry.FromModelSet(set, mp, "test")); err != nil {
 		tb.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func testEngine(tb testing.TB, archs []string, cacheSize int) (*Engine, *core.Mo
 }
 
 func TestPredictMatchesModelSet(t *testing.T) {
-	e, set, mp := testEngine(t, []string{"cpu"}, 64)
+	e, set, mp := testEngine(t, []string{"cpu"})
 	req := PredictRequest{Arch: "cpu", Renderer: "raytracer", N: 64, Tasks: 8, Width: 1024, Renderings: 100}
 	resp, err := e.Predict(req)
 	if err != nil {
@@ -154,7 +154,7 @@ func TestPredictTetrahedralVolume(t *testing.T) {
 }
 
 func TestPredictValidation(t *testing.T) {
-	e, _, _ := testEngine(t, []string{"cpu"}, 0)
+	e, _, _ := testEngine(t, []string{"cpu"})
 	cases := []PredictRequest{
 		{Renderer: "raytracer", N: 10, Width: 100},             // missing arch
 		{Arch: "cpu", N: 10, Width: 100},                       // missing renderer
@@ -171,7 +171,7 @@ func TestPredictValidation(t *testing.T) {
 }
 
 func TestPredictBatchAlignsAndIsolatesErrors(t *testing.T) {
-	e, _, _ := testEngine(t, []string{"cpu"}, 64)
+	e, _, _ := testEngine(t, []string{"cpu"})
 	reqs := []PredictRequest{
 		{Arch: "cpu", Renderer: "volume", N: 32, Tasks: 2, Width: 512},
 		{Arch: "nope", Renderer: "volume", N: 32, Width: 512},
@@ -195,7 +195,7 @@ func TestPredictBatchAlignsAndIsolatesErrors(t *testing.T) {
 // TestFeasibilityMatchesImagesInBudget pins the engine's arithmetic to the
 // core implementation the repro pipeline uses for Figure 14.
 func TestFeasibilityMatchesImagesInBudget(t *testing.T) {
-	e, set, mp := testEngine(t, []string{"cpu"}, 128)
+	e, set, mp := testEngine(t, []string{"cpu"})
 	sizes := []int{256, 512, 1024, 2048}
 	for _, r := range []core.Renderer{core.RayTrace, core.Raster, core.Volume} {
 		resp, err := e.Feasibility(FeasibilityRequest{
@@ -222,7 +222,7 @@ func TestFeasibilityMatchesImagesInBudget(t *testing.T) {
 }
 
 func TestFeasibilityRequestedImages(t *testing.T) {
-	e, _, _ := testEngine(t, []string{"cpu"}, 64)
+	e, _, _ := testEngine(t, []string{"cpu"})
 	resp, err := e.Feasibility(FeasibilityRequest{
 		Arch: "cpu", Renderer: "volume", N: 64, Tasks: 2,
 		BudgetSeconds: 60, Sizes: []int{128, 4096}, Images: 50,
@@ -260,7 +260,7 @@ func TestFeasibilityRequestedImages(t *testing.T) {
 }
 
 func TestFeasibilityValidation(t *testing.T) {
-	e, _, _ := testEngine(t, []string{"cpu"}, 0)
+	e, _, _ := testEngine(t, []string{"cpu"})
 	bad := []FeasibilityRequest{
 		{Renderer: "volume", N: 10, BudgetSeconds: 1, Sizes: []int{64}},
 		{Arch: "cpu", Renderer: "volume", BudgetSeconds: 1, Sizes: []int{64}},
@@ -282,7 +282,7 @@ func TestFeasibilityValidation(t *testing.T) {
 }
 
 func TestMaxTriangles(t *testing.T) {
-	e, _, _ := testEngine(t, []string{"cpu"}, 256)
+	e, _, _ := testEngine(t, []string{"cpu"})
 	small, err := e.MaxTriangles(MaxTrianglesRequest{
 		Arch: "cpu", Renderer: "raytracer", Tasks: 4, ImageSize: 512,
 		PerImageBudgetSeconds: 0.05, Renderings: 100,
@@ -332,7 +332,7 @@ func TestMaxTriangles(t *testing.T) {
 }
 
 func TestMetricsCountersAndErrors(t *testing.T) {
-	e, _, _ := testEngine(t, paperArchs, 64)
+	e, _, _ := testEngine(t, paperArchs)
 	for i := 0; i < 3; i++ {
 		if _, err := e.Predict(PredictRequest{Arch: "cpu-scalar", Renderer: "volume", N: 32, Width: 256}); err != nil {
 			t.Fatal(err)
@@ -432,7 +432,7 @@ func TestNonFinitePredictionsAreSanitized(t *testing.T) {
 	}
 
 	// A healthy engine never sets the flag.
-	healthy, _, _ := testEngine(t, []string{"cpu"}, 0)
+	healthy, _, _ := testEngine(t, []string{"cpu"})
 	hresp, err := healthy.Predict(PredictRequest{Arch: "cpu", Renderer: "raytracer", N: 64, Tasks: 2, Width: 512})
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +506,7 @@ func TestObservationValidation(t *testing.T) {
 }
 
 func TestEngineObserve(t *testing.T) {
-	e, _, _ := testEngine(t, []string{"cpu"}, 0)
+	e, _, _ := testEngine(t, []string{"cpu"})
 
 	// Without an observer the operation is disabled.
 	if _, err := e.Observe([]core.Sample{{Arch: "cpu", Renderer: core.Volume, RenderTime: 0.01}}); err == nil {

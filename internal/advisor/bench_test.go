@@ -6,9 +6,9 @@ import (
 )
 
 // BenchmarkAdvisorPredict measures prediction throughput over a registry
-// holding every paper architecture: the cache-hot steady state (one
-// repeated configuration), a rotating working set larger than a single
-// request, and batches, with and without the prediction cache.
+// holding every paper architecture: one repeated configuration, a
+// rotating working set larger than a single request, batches, and
+// parallel callers.
 func BenchmarkAdvisorPredict(b *testing.B) {
 	b.ReportAllocs()
 	renderers := []string{"raytracer", "rasterizer", "volume"}
@@ -27,7 +27,7 @@ func BenchmarkAdvisorPredict(b *testing.B) {
 	}
 
 	b.Run("single/hot", func(b *testing.B) {
-		e, _, _ := testEngine(b, paperArchs, 4096)
+		e, _, _ := testEngine(b, paperArchs)
 		req := mkReqs(1)[0]
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -39,19 +39,7 @@ func BenchmarkAdvisorPredict(b *testing.B) {
 	})
 
 	b.Run("single/rotating", func(b *testing.B) {
-		e, _, _ := testEngine(b, paperArchs, 4096)
-		reqs := mkReqs(240)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.Predict(reqs[i%len(reqs)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("single/uncached", func(b *testing.B) {
-		e, _, _ := testEngine(b, paperArchs, 0)
+		e, _, _ := testEngine(b, paperArchs)
 		reqs := mkReqs(240)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -64,7 +52,7 @@ func BenchmarkAdvisorPredict(b *testing.B) {
 
 	for _, size := range []int{16, 128} {
 		b.Run(fmt.Sprintf("batch/%d", size), func(b *testing.B) {
-			e, _, _ := testEngine(b, paperArchs, 4096)
+			e, _, _ := testEngine(b, paperArchs)
 			reqs := mkReqs(size)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -80,7 +68,7 @@ func BenchmarkAdvisorPredict(b *testing.B) {
 	}
 
 	b.Run("parallel", func(b *testing.B) {
-		e, _, _ := testEngine(b, paperArchs, 4096)
+		e, _, _ := testEngine(b, paperArchs)
 		reqs := mkReqs(240)
 		b.ReportAllocs()
 		b.ResetTimer()

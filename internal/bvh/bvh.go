@@ -1,9 +1,9 @@
 // Package bvh builds and traverses bounding volume hierarchies over
 // triangle meshes. The default builder is the linear BVH (morton-code
 // radix sort + top-down splits at the highest differing bit), the O(n)
-// structure behind the paper's ray-tracing performance model; a median
-// split and a binned-SAH builder are provided for the architecture-tuned
-// baselines and ablation benches.
+// structure behind the paper's ray-tracing performance model; a
+// binned-SAH builder is provided for the architecture-tuned baselines and
+// ablation benches.
 //
 // Layout. A tree is three flat arrays. Nodes holds 64-byte nodes (box,
 // two child indices, leaf range), root at index 0. PrimIDs is the mesh's
@@ -76,8 +76,6 @@ type Builder int
 const (
 	// LBVH is the morton-sort linear BVH (O(n) build).
 	LBVH Builder = iota
-	// Median recursively splits at the median of the longest axis.
-	Median
 	// SAH is a binned surface-area-heuristic build (slowest, best trees).
 	SAH
 )
@@ -86,8 +84,6 @@ func (b Builder) String() string {
 	switch b {
 	case LBVH:
 		return "lbvh"
-	case Median:
-		return "median"
 	case SAH:
 		return "sah"
 	}
@@ -139,12 +135,12 @@ func Build(d *device.Device, m *mesh.TriangleMesh, builder Builder) *BVH {
 		dpp.SortPairs64(d, codes, ids)
 		b.PrimIDs = ids
 		b.buildLBVH(d, codes, bounds)
-	case Median, SAH:
+	case SAH:
 		// Pre-size to the binary-tree bound (2n-1 nodes) so recursion
 		// never regrows the array.
 		b.Nodes = make([]Node, 0, 2*n)
 		b.PrimIDs = ids
-		b.buildSpatialRange(bounds, centroids, 0, n, builder)
+		b.buildSAHRange(bounds, centroids, 0, n)
 	}
 	b.Tris = make([]Triangle, n)
 	dpp.For(d, n, func(lo, hi int) {
@@ -354,8 +350,9 @@ func (b *BVH) buildMortonInto(nodes *[]Node, codes []uint64, bounds []vecmath.AA
 	return idx
 }
 
-// buildSpatialRange builds median or SAH splits over PrimIDs[start:end].
-func (b *BVH) buildSpatialRange(bounds []vecmath.AABB, centroids []vecmath.Vec3, start, end int, builder Builder) int32 {
+// buildSAHRange builds SAH splits over PrimIDs[start:end], falling back
+// to the centroid median where no SAH split is found.
+func (b *BVH) buildSAHRange(bounds []vecmath.AABB, centroids []vecmath.Vec3, start, end int) int32 {
 	idx := int32(len(b.Nodes))
 	b.Nodes = append(b.Nodes, Node{})
 	count := end - start
@@ -372,12 +369,8 @@ func (b *BVH) buildSpatialRange(bounds []vecmath.AABB, centroids []vecmath.Vec3,
 	axis := longestAxis(cbox.Diagonal())
 	split := start + count/2
 
-	if builder == SAH {
-		if s, ok := b.sahSplit(bounds, centroids, cbox, start, end, axis); ok {
-			split = s
-		} else {
-			b.partitionMedian(centroids, start, end, axis, split)
-		}
+	if s, ok := b.sahSplit(bounds, centroids, cbox, start, end, axis); ok {
+		split = s
 	} else {
 		b.partitionMedian(centroids, start, end, axis, split)
 	}
@@ -385,8 +378,8 @@ func (b *BVH) buildSpatialRange(bounds []vecmath.AABB, centroids []vecmath.Vec3,
 		split = start + count/2
 	}
 
-	left := b.buildSpatialRange(bounds, centroids, start, split, builder)
-	right := b.buildSpatialRange(bounds, centroids, split, end, builder)
+	left := b.buildSAHRange(bounds, centroids, start, split)
+	right := b.buildSAHRange(bounds, centroids, split, end)
 	b.Nodes[idx] = Node{
 		Bounds: b.Nodes[left].Bounds.Union(b.Nodes[right].Bounds),
 		Left:   left, Right: right,

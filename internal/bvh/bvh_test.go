@@ -82,7 +82,7 @@ func TestIntersectTriangleBasics(t *testing.T) {
 func TestBVHMatchesBruteForce(t *testing.T) {
 	m := randomMesh(300, 4)
 	rng := rand.New(rand.NewSource(8))
-	for _, builder := range []Builder{LBVH, Median, SAH} {
+	for _, builder := range []Builder{LBVH, SAH} {
 		b := Build(device.CPU(), m, builder)
 		misses, hits := 0, 0
 		for trial := 0; trial < 300; trial++ {
@@ -191,7 +191,7 @@ func TestBVHBoundsContainMesh(t *testing.T) {
 }
 
 func TestBuilderString(t *testing.T) {
-	if LBVH.String() != "lbvh" || Median.String() != "median" || SAH.String() != "sah" {
+	if LBVH.String() != "lbvh" || SAH.String() != "sah" {
 		t.Error("builder names wrong")
 	}
 }

@@ -140,7 +140,7 @@ func refIntersectAny(b *bvh.BVH, orig, dir vecmath.Vec3, tmin, tmax float64) boo
 	return false
 }
 
-var allBuilders = []bvh.Builder{bvh.LBVH, bvh.Median, bvh.SAH}
+var allBuilders = []bvh.Builder{bvh.LBVH, bvh.SAH}
 
 // simSurface is the surface renderd ray-traces for sim at block size n:
 // one stepped cycle, published, parsed, external faces.

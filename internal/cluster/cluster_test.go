@@ -36,7 +36,7 @@ func testSnapshot() *registry.Snapshot {
 
 func testRegistry(t testing.TB) *registry.Registry {
 	t.Helper()
-	reg := registry.New(64)
+	reg := registry.New(0)
 	if err := reg.Load(testSnapshot()); err != nil {
 		t.Fatal(err)
 	}

@@ -117,23 +117,6 @@ func TestPredictMatchesGeneratingProcess(t *testing.T) {
 	if b := rt.PredictBuild(in); math.Abs(b-buildWant)/buildWant > 0.1 {
 		t.Errorf("build predict = %v want ~%v", b, buildWant)
 	}
-	// Total model adds compositing for multi-task runs.
-	tot, err := set.PredictTotal("cpu", RayTrace, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tot <= got {
-		t.Errorf("total %v should exceed local %v", tot, got)
-	}
-	in1 := in
-	in1.Tasks = 1
-	tot1, err := set.PredictTotal("cpu", RayTrace, in1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tot1-rt.Predict(in1)) > 1e-12 {
-		t.Error("single-task total should equal local prediction")
-	}
 }
 
 func TestCrossValidationAccuracyOnSyntheticCorpus(t *testing.T) {

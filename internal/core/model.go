@@ -315,18 +315,3 @@ func CrossValidateCompositing(samples []Sample, k int) (*stats.CVResult, error) 
 	}
 	return stats.KFoldCV(k, X, y, 42)
 }
-
-// TotalModel (§5.6): T_total = max over tasks(T_local) + T_comp.
-// PredictTotal evaluates it for a uniform configuration where every task
-// sees the same inputs (the study's weak-scaled setup).
-func (set *ModelSet) PredictTotal(arch string, r Renderer, in Inputs) (float64, error) {
-	m, ok := set.Models[Key(arch, r)]
-	if !ok {
-		return 0, fmt.Errorf("core: no model for %s", Key(arch, r))
-	}
-	t := m.Predict(in)
-	if in.Tasks > 1 && set.Compositing != nil {
-		t += set.Compositing.Predict(in)
-	}
-	return t, nil
-}

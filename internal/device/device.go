@@ -49,11 +49,12 @@ func New(name string, workers int) *Device {
 	return &Device{Name: name, Workers: workers, Grain: 256}
 }
 
-// Serial returns a single-worker device.
-func Serial() *Device { return New("serial", 1) }
+// Serial returns a fresh copy of the serial profile.
+func Serial() *Device { return Profiles()["serial"] }
 
-// CPU returns a device using every hardware thread.
-func CPU() *Device { return New("cpu", runtime.NumCPU()) }
+// CPU returns a fresh copy of the cpu profile, which uses every hardware
+// thread.
+func CPU() *Device { return Profiles()["cpu"] }
 
 // Profiles returns fresh copies of the named device profiles: serial
 // and cpu run the host's kernels on 1 and NumCPU workers, cpu-scalar the

@@ -45,7 +45,7 @@ func TestProfileNamesSortedAndComplete(t *testing.T) {
 
 // TestProfileConfigurations pins each profile's (kernel set, workers,
 // grain): serial and cpu run the host's kernels, cpu-scalar the scalar
-// loops on cpu's workers.
+// loops on cpu's workers. Serial() and CPU() are their profiles.
 func TestProfileConfigurations(t *testing.T) {
 	type config struct {
 		workers, grain int
@@ -63,6 +63,11 @@ func TestProfileConfigurations(t *testing.T) {
 		}
 		if got := (config{d.Workers, d.Grain, d.Scalar}); d.Name != name || got != w {
 			t.Errorf("%s: %s %+v, want %+v", name, d.Name, got, w)
+		}
+	}
+	for name, d := range map[string]*Device{"serial": Serial(), "cpu": CPU()} {
+		if got := (config{d.Workers, d.Grain, d.Scalar}); d.Name != name || got != want[name] {
+			t.Errorf("%s(): %s %+v, want %+v", name, d.Name, got, want[name])
 		}
 	}
 }

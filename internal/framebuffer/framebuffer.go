@@ -60,19 +60,6 @@ func (im *Image) Clear() {
 	}
 }
 
-// ClearColor fills every pixel with the given color at MaxDepth.
-func (im *Image) ClearColor(r, g, b, a float32) {
-	for i := 0; i < im.W*im.H; i++ {
-		im.Color[4*i+0] = r
-		im.Color[4*i+1] = g
-		im.Color[4*i+2] = b
-		im.Color[4*i+3] = a
-	}
-	for i := range im.Depth {
-		im.Depth[i] = MaxDepth
-	}
-}
-
 // Set writes a pixel's color and depth.
 //
 //insitu:noalloc
@@ -158,8 +145,8 @@ func (im *Image) CopyFrom(other *Image) {
 }
 
 // SubRangeInto copies the pixel range [lo, hi) of the flattened image
-// into dst as a standalone strip, reusing dst's buffers (the
-// allocation-free form of SubRange).
+// into dst as a standalone strip, reusing dst's buffers; the
+// compositor's partition exchanges send these strips.
 func (im *Image) SubRangeInto(lo, hi int, dst *Image) {
 	n := hi - lo
 	if cap(dst.Color) < 4*n {
@@ -181,17 +168,7 @@ func (im *Image) Clone() *Image {
 	return out
 }
 
-// SubRange returns the pixel range [lo, hi) of the flattened image as a
-// standalone image strip; used by the compositor's partition exchanges.
-func (im *Image) SubRange(lo, hi int) *Image {
-	n := hi - lo
-	out := &Image{W: n, H: 1, Color: make([]float32, 4*n), Depth: make([]float32, n)}
-	copy(out.Color, im.Color[4*lo:4*hi])
-	copy(out.Depth, im.Depth[lo:hi])
-	return out
-}
-
-// WriteRange copies a strip produced by SubRange back into [lo, hi).
+// WriteRange copies a strip produced by SubRangeInto back into [lo, hi).
 func (im *Image) WriteRange(lo int, strip *Image) {
 	copy(im.Color[4*lo:], strip.Color)
 	copy(im.Depth[lo:], strip.Depth)

@@ -175,9 +175,10 @@ func TestSubRangeWriteRangeRoundTrip(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		im.Set(i%8, i/8, rng.Float32(), rng.Float32(), rng.Float32(), 1, rng.Float32())
 	}
-	strip := im.SubRange(5, 21)
+	var strip Image
+	im.SubRangeInto(5, 21, &strip)
 	out := NewImage(8, 4)
-	out.WriteRange(5, strip)
+	out.WriteRange(5, &strip)
 	for i := 5; i < 21; i++ {
 		if out.Depth[i] != im.Depth[i] {
 			t.Fatalf("depth mismatch at %d", i)

@@ -78,7 +78,9 @@ func TestPNGEncoderMatchesToRGBA(t *testing.T) {
 	// Uniform alpha 0 (all background) and alpha 1 (no background).
 	assertDecodesToRGBA(t, &e, NewImage(9, 4))
 	opaque := NewImage(9, 4)
-	opaque.ClearColor(0.2, 0.6, 1, 1)
+	for i := 0; i < len(opaque.Color); i += 4 {
+		copy(opaque.Color[i:i+4], []float32{0.2, 0.6, 1, 1})
+	}
 	assertDecodesToRGBA(t, &e, opaque)
 }
 

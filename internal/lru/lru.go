@@ -1,6 +1,6 @@
 // Package lru is the one LRU cache shared by every serving-path layer:
-// the model registry memoizes predictions in it, and the render-serving
-// subsystem keys admission decisions and encoded frames with it. Keeping
+// the render-serving subsystem keys admission decisions and encoded
+// frames with it, and cluster workers keep sliced scenes in it. Keeping
 // one implementation means one eviction policy, one concurrency
 // discipline (a single mutex — every use site is a lookup measured in
 // nanoseconds), and one place to audit for allocation behaviour: Get on
@@ -71,14 +71,6 @@ func (c *Cache[K, V]) Add(k K, v V) {
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*entry[K, V]).key)
 	}
-}
-
-// Purge drops every entry.
-func (c *Cache[K, V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = map[K]*list.Element{}
 }
 
 // Len returns the current entry count.

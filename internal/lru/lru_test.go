@@ -17,10 +17,6 @@ func TestEvictionOrderAndHook(t *testing.T) {
 	if c.Len() != 2 {
 		t.Errorf("len = %d", c.Len())
 	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Errorf("purge: len %d", c.Len())
-	}
 }
 
 func TestDisabledCache(t *testing.T) {

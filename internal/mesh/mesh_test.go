@@ -247,6 +247,12 @@ func TestIsosurfaceColorField(t *testing.T) {
 	}
 }
 
+// tetCorners returns the four corner positions of tetrahedron t.
+func tetCorners(m *TetMesh, t int) (a, b, c, d vecmath.Vec3) {
+	i := m.Conn[4*t : 4*t+4]
+	return m.Vertex(i[0]), m.Vertex(i[1]), m.Vertex(i[2]), m.Vertex(i[3])
+}
+
 func tetVolume(a, b, c, d vecmath.Vec3) float64 {
 	return math.Abs(b.Sub(a).Cross(c.Sub(a)).Dot(d.Sub(a))) / 6
 }
@@ -266,7 +272,7 @@ func TestTetrahedralizeVolumeConservation(t *testing.T) {
 	}
 	var vol float64
 	for i := 0; i < tm.NumTets(); i++ {
-		a, b, c, d := tm.TetVerts(i)
+		a, b, c, d := tetCorners(tm, i)
 		vol += tetVolume(a, b, c, d)
 	}
 	want := 3.0 * 2 * 4

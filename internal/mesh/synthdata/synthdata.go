@@ -188,11 +188,3 @@ func ByName(name string) (Dataset, error) {
 	}
 	return Dataset{}, fmt.Errorf("synthdata: unknown dataset %q", name)
 }
-
-// BlockGrid samples the dataset on one task's block of the global unit
-// domain, with n points per axis on the block: the weak-scaling layout
-// (total cells grow proportionally with task count).
-func (ds Dataset) BlockGrid(n, tasks, rank int) *mesh.StructuredGrid {
-	b := mesh.BlockBounds(UnitBounds(), tasks, rank)
-	return Grid(ds.FieldName, ds.Func, n, n, n, b)
-}

@@ -53,30 +53,6 @@ func TestFieldsAreFiniteAndVarying(t *testing.T) {
 	}
 }
 
-func TestBlockGridsTileGlobalField(t *testing.T) {
-	ds := ByNameMust(t, "rm")
-	// A point inside block r must evaluate identically to the global field.
-	tasks := 4
-	for r := 0; r < tasks; r++ {
-		g := ds.BlockGrid(8, tasks, r)
-		f, err := g.Field(ds.FieldName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := g.Point(3, 4, 5)
-		want := ds.Func(p)
-		got := f.Values[g.PointIndex(3, 4, 5)]
-		if got != want {
-			t.Errorf("rank %d: sampled %v want %v", r, got, want)
-		}
-		// Block bounds must be inside the unit cube.
-		b := g.Bounds()
-		if b.Min.X < -1e-12 || b.Max.X > 1+1e-12 {
-			t.Errorf("rank %d: bounds %v escape unit cube", r, b)
-		}
-	}
-}
-
 func TestBlockGridsCoverDomainOnce(t *testing.T) {
 	tasks := 8
 	var vol float64

@@ -140,12 +140,6 @@ func (m *TetMesh) Vertex(i int32) vecmath.Vec3 {
 	return vecmath.V(m.X[i], m.Y[i], m.Z[i])
 }
 
-// TetVerts returns the four corner positions of tetrahedron t.
-func (m *TetMesh) TetVerts(t int) (a, b, c, d vecmath.Vec3) {
-	i := m.Conn[4*t : 4*t+4]
-	return m.Vertex(i[0]), m.Vertex(i[1]), m.Vertex(i[2]), m.Vertex(i[3])
-}
-
 // Bounds returns the mesh bounding box.
 func (m *TetMesh) Bounds() vecmath.AABB {
 	b := vecmath.EmptyAABB()

@@ -66,7 +66,7 @@ func TestTetMeshFromHexesVolume(t *testing.T) {
 	}
 	var vol float64
 	for i := 0; i < tm.NumTets(); i++ {
-		a, b, c, d := tm.TetVerts(i)
+		a, b, c, d := tetCorners(tm, i)
 		vol += math.Abs(b.Sub(a).Cross(c.Sub(a)).Dot(d.Sub(a))) / 6
 	}
 	if math.Abs(vol-2) > 1e-9 {

@@ -4,11 +4,10 @@
 // calibrated configuration mapping — so a one-shot study or repro run can
 // publish its models once and any number of advisor processes can answer
 // feasibility questions from them later. A Registry holds the current
-// snapshot in memory behind a read-write lock, supports atomic hot reload
-// (a reload swaps the whole model set and invalidates derived state), and
-// memoizes predictions in an LRU cache keyed by the full model input
-// vector, since interactive advisors ask the same few configurations over
-// and over.
+// snapshot in memory behind a read-write lock and supports atomic hot
+// reload (a reload swaps the whole model set). Predictions are evaluated
+// on every call, never cached: each model is a dot product of a few terms,
+// no dearer than a cache lookup.
 package registry
 
 import (
@@ -24,7 +23,6 @@ import (
 	"time"
 
 	"insitu/internal/core"
-	"insitu/internal/lru"
 	"insitu/internal/stats"
 )
 
@@ -285,7 +283,7 @@ func ReadFile(path string) (*Snapshot, error) {
 	return Decode(f)
 }
 
-// PredictResult is one cached prediction: the per-image local render time,
+// PredictResult is one prediction: the per-image local render time,
 // the one-time acceleration-structure build, and the per-image compositing
 // cost (0 for single-task configurations or when no compositing model is
 // loaded).
@@ -293,18 +291,6 @@ type PredictResult struct {
 	RenderSeconds    float64 `json:"render_seconds"`
 	BuildSeconds     float64 `json:"build_seconds"`
 	CompositeSeconds float64 `json:"composite_seconds"`
-}
-
-// predKey identifies a prediction by registry generation, model, and full
-// input vector. core.Inputs is a flat struct of numbers, so the key is
-// comparable and collision-free. The generation guards against a race
-// with hot reload: a prediction computed from the pre-reload model set
-// carries the old generation and can never answer a post-reload lookup,
-// even if it is inserted after the reload's purge.
-type predKey struct {
-	gen uint64
-	key string
-	in  core.Inputs
 }
 
 // Registry serves one snapshot's models to concurrent readers.
@@ -315,22 +301,21 @@ type Registry struct {
 	mapping    core.Mapping
 	path       string // last loaded file, for Reload
 	generation uint64
+	publishes  uint64 // successful Publish/PublishIf calls
 
-	cache      *lru.Cache[predKey, PredictResult]
-	hits       atomic.Uint64
-	misses     atomic.Uint64
 	lastReload atomic.Int64 // unix nanos
 }
 
-// New returns an empty registry whose prediction cache holds up to
-// cacheSize entries (0 disables caching).
+// New returns an empty registry. cacheSize is ignored: predictions are
+// not cached. The parameter stays only because the benchmark module
+// calls New(4096).
 func New(cacheSize int) *Registry {
-	return &Registry{cache: lru.New[predKey, PredictResult](cacheSize)}
+	return &Registry{}
 }
 
 // Load installs an in-memory snapshot, replacing any previous one
-// atomically and invalidating the prediction cache. The remembered
-// Reload path is cleared: the current models no longer come from a file.
+// atomically. The remembered Reload path is cleared: the current models
+// no longer come from a file.
 func (r *Registry) Load(s *Snapshot) error { return r.load(s, "") }
 
 // LoadFile loads a snapshot file and remembers the path for Reload.
@@ -357,7 +342,6 @@ func (r *Registry) load(s *Snapshot, path string) error {
 	r.path = path
 	r.generation++
 	r.mu.Unlock()
-	r.cache.Purge()
 	r.lastReload.Store(time.Now().UnixNano())
 	return nil
 }
@@ -369,10 +353,9 @@ var ErrStale = errors.New("registry: stale base generation")
 
 // Publish installs an in-memory snapshot while preserving the remembered
 // Reload path — the continuous-calibration path: a refitted snapshot
-// replaces the serving models atomically (generation bump, cache purge)
-// without disconnecting the registry from the file a later explicit
-// reload should re-read. Like Load, a failed Publish leaves the current
-// models serving.
+// replaces the serving models atomically (generation bump) without
+// disconnecting the registry from the file a later explicit reload should
+// re-read. Like Load, a failed Publish leaves the current models serving.
 func (r *Registry) Publish(s *Snapshot) error {
 	return r.publish(s, nil)
 }
@@ -405,10 +388,20 @@ func (r *Registry) publish(s *Snapshot, expect *uint64) error {
 	r.set = set
 	r.mapping = mp
 	r.generation++
+	r.publishes++
 	r.mu.Unlock()
-	r.cache.Purge()
 	r.lastReload.Store(time.Now().UnixNano())
 	return nil
+}
+
+// Publishes returns how many Publish and PublishIf calls have installed a
+// snapshot. Each is counted under the same lock that bumps the
+// generation, so a reader that has seen a published generation reads a
+// count that includes its publish.
+func (r *Registry) Publishes() uint64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.publishes
 }
 
 // Reload re-reads the last loaded file — the hot-reload path a running
@@ -493,7 +486,6 @@ func (r *Registry) Archs() []string {
 // one View so a concurrent hot reload cannot mix old-mapping inputs with
 // new-model coefficients mid-request.
 type View struct {
-	reg     *Registry
 	snap    *Snapshot
 	set     *core.ModelSet
 	mapping core.Mapping
@@ -507,7 +499,7 @@ func (r *Registry) View() (View, error) {
 	if r.set == nil {
 		return View{}, fmt.Errorf("registry: no snapshot loaded")
 	}
-	return View{reg: r, snap: r.snap, set: r.set, mapping: r.mapping, gen: r.generation}, nil
+	return View{snap: r.snap, set: r.set, mapping: r.mapping, gen: r.generation}, nil
 }
 
 // Mapping returns the view's calibrated configuration mapping.
@@ -520,18 +512,12 @@ func (v View) Generation() uint64 { return v.gen }
 // Callers must not mutate it.
 func (v View) Snapshot() *Snapshot { return v.snap }
 
-// Predict evaluates the view's model for the given inputs, memoizing
-// through the registry's LRU cache under the view's generation.
+// Predict evaluates the view's model for the given inputs.
 func (v View) Predict(arch string, renderer core.Renderer, in core.Inputs) (PredictResult, error) {
-	r := v.reg
-	k := predKey{gen: v.gen, key: core.Key(arch, renderer), in: in}
-	if res, ok := r.cache.Get(k); ok {
-		r.hits.Add(1)
-		return res, nil
-	}
-	m, ok := v.set.Models[k.key]
+	key := core.Key(arch, renderer)
+	m, ok := v.set.Models[key]
 	if !ok {
-		return PredictResult{}, fmt.Errorf("%w for %s", ErrNoModel, k.key)
+		return PredictResult{}, fmt.Errorf("%w for %s", ErrNoModel, key)
 	}
 	res := PredictResult{
 		RenderSeconds: m.Predict(in),
@@ -540,33 +526,18 @@ func (v View) Predict(arch string, renderer core.Renderer, in core.Inputs) (Pred
 	if in.Tasks > 1 && v.set.Compositing != nil {
 		res.CompositeSeconds = v.set.Compositing.Predict(in)
 	}
-	r.misses.Add(1)
-	r.cache.Add(k, res)
 	return res, nil
 }
 
-// Predict evaluates the current model for the given inputs, memoizing
-// through the LRU cache. The result separates render, build, and
-// compositing time so callers can amortize the build over many images.
+// Predict evaluates the current model for the given inputs. The result
+// separates render, build, and compositing time so callers can amortize
+// the build over many images.
 func (r *Registry) Predict(arch string, renderer core.Renderer, in core.Inputs) (PredictResult, error) {
 	v, err := r.View()
 	if err != nil {
 		return PredictResult{}, err
 	}
 	return v.Predict(arch, renderer, in)
-}
-
-// CacheStats is prediction-cache effectiveness, JSON-shaped for the
-// services' /v1/metrics.
-type CacheStats struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	Size   int    `json:"size"`
-}
-
-// CacheStats reports prediction-cache effectiveness.
-func (r *Registry) CacheStats() CacheStats {
-	return CacheStats{Hits: r.hits.Load(), Misses: r.misses.Load(), Size: r.cache.Len()}
 }
 
 // LastReload returns when the registry last loaded a snapshot (zero time

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"insitu/internal/core"
-	"insitu/internal/lru"
 )
 
 // fittedSet fits a model set from synthetic study-like samples, mirroring
@@ -202,7 +201,7 @@ func TestValidateRejectsBadSnapshots(t *testing.T) {
 
 func TestRegistryLoadLookupPredict(t *testing.T) {
 	set, mp, _ := fittedSet(t, 19)
-	reg := New(128)
+	reg := New(0)
 	if _, err := reg.Predict("cpu", core.RayTrace, core.Inputs{}); err == nil {
 		t.Error("empty registry predicted")
 	}
@@ -281,7 +280,7 @@ func TestTetrahedralModelValidatesAndPredicts(t *testing.T) {
 
 func TestRegistryCacheHitsAndReloadPurge(t *testing.T) {
 	set, mp, _ := fittedSet(t, 23)
-	reg := New(8)
+	reg := New(0)
 	snap := FromModelSet(set, mp, "test")
 	path := filepath.Join(t.TempDir(), "models.json")
 	if err := snap.WriteFile(path); err != nil {
@@ -296,19 +295,13 @@ func TestRegistryCacheHitsAndReloadPurge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if cs := reg.CacheStats(); cs != (CacheStats{Hits: 4, Misses: 1, Size: 1}) {
-		t.Errorf("cache stats: %+v", cs)
-	}
 
-	// Hot reload bumps the generation and purges cached predictions.
+	// Hot reload bumps the generation.
 	if err := reg.Reload(); err != nil {
 		t.Fatal(err)
 	}
 	if g := reg.Generation(); g != 2 {
 		t.Errorf("generation after reload = %d", g)
-	}
-	if size := reg.CacheStats().Size; size != 0 {
-		t.Errorf("cache size after reload = %d", size)
 	}
 	if reg.LastReload().IsZero() {
 		t.Error("LastReload not recorded")
@@ -317,7 +310,7 @@ func TestRegistryCacheHitsAndReloadPurge(t *testing.T) {
 
 func TestReloadFailureKeepsServing(t *testing.T) {
 	set, mp, _ := fittedSet(t, 29)
-	reg := New(8)
+	reg := New(0)
 	path := filepath.Join(t.TempDir(), "models.json")
 	if err := FromModelSet(set, mp, "test").WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -356,7 +349,7 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 
 func TestRegistryConcurrentPredictAndReload(t *testing.T) {
 	set, mp, _ := fittedSet(t, 31)
-	reg := New(64)
+	reg := New(0)
 	path := filepath.Join(t.TempDir(), "models.json")
 	if err := FromModelSet(set, mp, "test").WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -396,12 +389,12 @@ func TestRegistryConcurrentPredictAndReload(t *testing.T) {
 }
 
 // TestStalePredictionCannotPoisonCacheAcrossReload pins the reload race:
-// a prediction computed from a pre-reload view and inserted into the
-// cache after the reload's purge must never answer post-reload lookups.
+// a prediction computed from a pre-reload view after the reload must
+// never answer post-reload lookups.
 func TestStalePredictionCannotPoisonCacheAcrossReload(t *testing.T) {
 	setA, mpA, _ := fittedSet(t, 43)
 	setB, mpB, _ := fittedSet(t, 47) // different noise -> different coefficients
-	reg := New(64)
+	reg := New(0)
 	if err := reg.Load(FromModelSet(setA, mpA, "a")); err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +408,7 @@ func TestStalePredictionCannotPoisonCacheAcrossReload(t *testing.T) {
 	if err := reg.Load(FromModelSet(setB, mpB, "b")); err != nil {
 		t.Fatal(err)
 	}
-	// ...and completes (cache insert) after it.
+	// ...and completes after it.
 	stale, err := oldView.Predict("cpu", core.RayTrace, in)
 	if err != nil {
 		t.Fatal(err)
@@ -431,39 +424,15 @@ func TestStalePredictionCannotPoisonCacheAcrossReload(t *testing.T) {
 	}
 	want := setB.Models[core.Key("cpu", core.RayTrace)].Predict(in)
 	if fresh.RenderSeconds != want {
-		t.Fatalf("post-reload predict %v, want new-model %v (stale cache entry answered)", fresh.RenderSeconds, want)
+		t.Fatalf("post-reload predict %v, want new-model %v (stale prediction answered)", fresh.RenderSeconds, want)
 	}
 	if fresh.RenderSeconds == stale.RenderSeconds {
 		t.Fatal("old and new models coincided; test lost its power")
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := lru.New[predKey, PredictResult](2)
-	k := func(i int) predKey { return predKey{key: "m", in: core.Inputs{O: float64(i)}} }
-	c.Add(k(1), PredictResult{RenderSeconds: 1})
-	c.Add(k(2), PredictResult{RenderSeconds: 2})
-	c.Get(k(1)) // touch 1 so 2 is the eviction victim
-	c.Add(k(3), PredictResult{RenderSeconds: 3})
-	if _, ok := c.Get(k(2)); ok {
-		t.Error("least-recently-used entry survived")
-	}
-	if v, ok := c.Get(k(1)); !ok || v.RenderSeconds != 1 {
-		t.Error("recently used entry evicted")
-	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d", c.Len())
-	}
-	// Disabled cache never stores.
-	d := lru.New[predKey, PredictResult](0)
-	d.Add(k(1), PredictResult{})
-	if _, ok := d.Get(k(1)); ok || d.Len() != 0 {
-		t.Error("disabled cache cached")
-	}
-}
-
 // TestPublishPreservesReloadPath: Publish hot-swaps an in-memory snapshot
-// (generation bump, cache purge) like Load, but keeps the remembered file
+// (generation bump) like Load, but keeps the remembered file
 // path so a later Reload still re-reads the published registry file —
 // the contract the continuous-calibration path depends on.
 func TestPublishPreservesReloadPath(t *testing.T) {
@@ -473,7 +442,7 @@ func TestPublishPreservesReloadPath(t *testing.T) {
 	if err := FromModelSet(set, mp, "on-disk").WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	reg := New(64)
+	reg := New(0)
 	if err := reg.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +469,7 @@ func TestPublishPreservesReloadPath(t *testing.T) {
 	}
 
 	// Publish on a never-file-backed registry keeps working too.
-	mem := New(64)
+	mem := New(0)
 	if err := mem.Load(FromModelSet(set, mp, "mem")); err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +487,7 @@ func TestPublishPreservesReloadPath(t *testing.T) {
 // load.
 func TestPublishIfRejectsStaleGeneration(t *testing.T) {
 	set, mp, _ := fittedSet(t, 53)
-	reg := New(16)
+	reg := New(0)
 	if err := reg.Load(FromModelSet(set, mp, "first")); err != nil {
 		t.Fatal(err)
 	}
@@ -536,11 +505,17 @@ func TestPublishIfRejectsStaleGeneration(t *testing.T) {
 	if reg.Generation() != gen+1 {
 		t.Errorf("generation moved to %d on a failed publish", reg.Generation())
 	}
+	if n := reg.Publishes(); n != 0 {
+		t.Errorf("publishes = %d after a failed publish", n)
+	}
 	// The current generation succeeds.
 	if err := reg.PublishIf(FromModelSet(set, mp, "fresh-refit"), gen+1); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Source; got != "fresh-refit" {
 		t.Errorf("serving %q", got)
+	}
+	if n := reg.Publishes(); n != 1 {
+		t.Errorf("publishes = %d, want 1", n)
 	}
 }

@@ -137,16 +137,6 @@ func OrbitCamera(b vecmath.AABB, azimuthDeg, elevationDeg, zoom float64) Camera 
 	}
 }
 
-// StudyCameras returns the camera set the performance study renders from,
-// mirroring the paper's front / back / zoomed-in positions.
-func StudyCameras(b vecmath.AABB) map[string]Camera {
-	return map[string]Camera{
-		"front": OrbitCamera(b, 20, 15, 0.85),
-		"back":  OrbitCamera(b, 200, 10, 0.85),
-		"close": OrbitCamera(b, 35, 25, 1.9),
-	}
-}
-
 // Light is a point light.
 type Light struct {
 	Position  vecmath.Vec3

@@ -40,7 +40,6 @@ type Counters struct {
 	ObservationsQueued  uint64 `json:"observations_queued"`
 	ObservationsDropped uint64 `json:"observations_dropped"`
 	ObservationsSkipped uint64 `json:"observations_skipped"`
-	Refits              uint64 `json:"refits"`
 
 	// Cluster serving. ClusterShardsTotal sums served shard counts
 	// (total partial renders); the composite nanosecond totals pair the
@@ -100,6 +99,11 @@ type Stats struct {
 	QueueDepth   int `json:"queue_depth"`
 	RunnersLive  int `json:"runners_live"`
 
+	// Refits is the registry's publish count. The registry counts each
+	// publish under the lock that installs its generation, so a reader
+	// that has seen a generation sees its refit counted.
+	Refits uint64 `json:"refits"`
+
 	RenderSecondsTotal                    float64 `json:"render_seconds_total"`
 	ClusterCompositeSecondsTotal          float64 `json:"cluster_composite_seconds_total"`
 	ClusterPredictedCompositeSecondsTotal float64 `json:"cluster_predicted_composite_seconds_total"`
@@ -143,6 +147,7 @@ func (s *Server) Stats() Stats {
 		CachedFrames:                          s.frames.Len(),
 		QueueDepth:                            s.sched.depth(),
 		RunnersLive:                           s.runners.Len(),
+		Refits:                                s.engine.Registry().Publishes(),
 		RenderSecondsTotal:                    float64(n.RenderNanos) / 1e9,
 		ClusterCompositeSecondsTotal:          float64(n.ClusterCompositeNanos) / 1e9,
 		ClusterPredictedCompositeSecondsTotal: float64(n.ClusterPredictedCompositeNanos) / 1e9,

@@ -13,11 +13,13 @@ import (
 // absent, it runs a short measurement study on this machine, fits the
 // models, persists the snapshot when a path was given, and serves that
 // — the single-command path from nothing to a live model-gated service.
+// cacheSize is ignored (the registry caches no predictions); it stays
+// only because the benchmark module passes it.
 func OpenRegistry(path string, bootstrap bool, cacheSize int, logf func(format string, args ...any)) (*registry.Registry, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	reg := registry.New(cacheSize)
+	reg := registry.New(0)
 	if path != "" {
 		err := reg.LoadFile(path)
 		if err == nil {

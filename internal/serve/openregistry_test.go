@@ -52,7 +52,7 @@ func TestCalibratorPersistsRefit(t *testing.T) {
 	if err := testSnapshot().WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	reg := registry.New(16)
+	reg := registry.New(0)
 	if err := reg.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCalibratorPersistsRefit(t *testing.T) {
 		t.Fatal("the refit left the volume model unchanged; the test proves nothing")
 	}
 
-	reloaded := registry.New(16)
+	reloaded := registry.New(0)
 	if err := reloaded.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -1084,7 +1084,6 @@ func (s *Server) observeLoop() {
 			continue
 		}
 		if resp.Published {
-			atomic.AddUint64(&s.n.Refits, 1)
 			s.cfg.Logf("serve: calibration published generation %d (corpus %d)", resp.Generation, resp.CorpusSize)
 		}
 	}

@@ -46,7 +46,7 @@ func clusterServer(t testing.TB, workers int, cfg Config) (*Server, *cluster.Clu
 
 func clusterServerSnap(t testing.TB, workers int, cfg Config, snap *registry.Snapshot) (*Server, *cluster.Cluster, *registry.Registry) {
 	t.Helper()
-	reg := registry.New(1024)
+	reg := registry.New(0)
 	if err := reg.Load(snap); err != nil {
 		t.Fatal(err)
 	}

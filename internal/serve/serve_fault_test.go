@@ -17,7 +17,7 @@ import (
 // tuning and an injected fault plan.
 func faultClusterServer(t testing.TB, workers int, copts cluster.Options, cfg Config) (*Server, *cluster.Cluster) {
 	t.Helper()
-	reg := registry.New(1024)
+	reg := registry.New(0)
 	if err := reg.Load(clusterSnapshot()); err != nil {
 		t.Fatal(err)
 	}

@@ -244,7 +244,7 @@ func TestCalibratorPublishFailureIsAnError(t *testing.T) {
 // re-reads the base, re-merges, and retries — the concurrent load's
 // models survive into the published snapshot.
 func TestCalibratorRetriesStalePublish(t *testing.T) {
-	reg := registry.New(16)
+	reg := registry.New(0)
 	baseSamples := syntheticVolumeSamples("serial", 8, 13, 2e-9, 9e-9, 3e-4)
 	baseSet, err := core.FitModels(baseSamples)
 	if err != nil {

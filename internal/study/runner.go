@@ -136,22 +136,3 @@ feed:
 	}
 	return rows, nil
 }
-
-// Shard splits a plan for multi-process runs: it returns the index-th of
-// count interleaved shards. Interleaving (rather than contiguous blocks)
-// balances the expensive large-N configurations across shards, since the
-// plan orders configurations by architecture and renderer, not cost. The
-// union of all shards is the plan; shards are disjoint.
-func Shard(plan []Config, index, count int) []Config {
-	if count <= 1 {
-		return plan
-	}
-	if index < 0 || index >= count {
-		return nil
-	}
-	var out []Config
-	for i := index; i < len(plan); i += count {
-		out = append(out, plan[i])
-	}
-	return out
-}

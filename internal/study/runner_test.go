@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -185,40 +184,6 @@ func TestRunnerConcurrencyIsReal(t *testing.T) {
 	}
 	if peak.Load() < 2 {
 		t.Errorf("peak concurrency %d, want >= 2", peak.Load())
-	}
-}
-
-// TestShard: shards partition the plan and interleave it.
-func TestShard(t *testing.T) {
-	plan := Plan(true)
-	const count = 3
-	var union []Config
-	total := 0
-	for i := 0; i < count; i++ {
-		s := Shard(plan, i, count)
-		total += len(s)
-		union = append(union, s...)
-	}
-	if total != len(plan) {
-		t.Fatalf("shards cover %d of %d configs", total, len(plan))
-	}
-	// Reassemble by interleave and compare.
-	rebuilt := make([]Config, len(plan))
-	pos := 0
-	for i := 0; i < count; i++ {
-		for j, cfg := range Shard(plan, i, count) {
-			rebuilt[i+j*count] = cfg
-			pos++
-		}
-	}
-	if fmt.Sprintf("%+v", rebuilt) != fmt.Sprintf("%+v", plan) {
-		t.Error("shards do not reassemble into the plan")
-	}
-	if got := Shard(plan, 0, 1); len(got) != len(plan) {
-		t.Errorf("count=1 shard = %d configs", len(got))
-	}
-	if got := Shard(plan, 5, 3); got != nil {
-		t.Errorf("out-of-range shard = %v", got)
 	}
 }
 
