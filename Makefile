@@ -2,11 +2,7 @@
 
 GO ?= go
 
-# insitulint is the repo's analyzer suite (internal/analysis); built
-# into ./bin so the vettool path is hermetic to the checkout.
-LINT_BIN := bin/insitulint
-
-.PHONY: all build cross test test32 race vet fmt lint oracles fuzz bench bench-e2e bench-layers bench-check chaos obs cover ci clean
+.PHONY: all build cross test test32 race vet fmt oracles fuzz bench bench-e2e bench-layers bench-check chaos cover ci clean
 
 all: ci
 
@@ -47,14 +43,6 @@ race:
 
 vet:
 	$(GO) vet ./...
-
-# lint compiles the repo's performance & fleet-safety invariants
-# (//insitu:noalloc, collective discipline, lease/arena lifetimes,
-# ctx-aware transport) into the build via `go vet -vettool`, which
-# also analyzes the _test.go units.
-lint:
-	$(GO) build -o $(LINT_BIN) ./tools/insitulint
-	$(GO) vet -vettool=$(CURDIR)/$(LINT_BIN) ./...
 
 # oracles runs the bitwise oracle tests of the rewritten kernels (slab
 # test, BVH traversal and its AVX2 primary-ray packet kernel, volume
@@ -142,19 +130,9 @@ bench-check:
 # recovery paths a green `make test` alone would leave cold. The seeded
 # fault timelines key on per-link message indices, so the suite also
 # pins one sharded frame's message and byte counts (TestFrameTrafficPinned).
+# ci leaves it out: race already runs these tests under the race detector.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestFrameTrafficPinned|TestServedFrameSurvivesRankKill|TestBreakerOpensShortCircuitsAndRecovers|TestReadyzFleetQuorum' ./internal/cluster/ ./internal/serve/ ./cmd/renderd/
-
-# obs is the observability smoke: boot renderd and assert the scrape
-# surfaces answer (/metrics Prometheus exposition validates, /v1/trace
-# returns lifecycle timelines, /v1/metrics keeps its JSON shape), then
-# run insitulint over the instrumented hot paths so a span or histogram
-# added off the noalloc discipline fails here, not in a benchmark.
-obs:
-	$(GO) test -run 'TestPromExposition|TestTraceEndpoint|TestMetricsJSONShape|TestFrameResponseQueueHeaders' ./cmd/renderd/
-	$(GO) test -run 'TestFrameTrace' ./internal/serve/
-	$(GO) build -o $(LINT_BIN) ./tools/insitulint
-	$(GO) vet -vettool=$(CURDIR)/$(LINT_BIN) ./internal/obs/ ./internal/serve/ ./internal/cluster/ ./internal/comm/ ./cmd/renderd/
 
 # cover runs the test suite with coverage and prints a per-function
 # summary plus the total. The profile lands in cover.out for
@@ -163,7 +141,7 @@ cover:
 	$(GO) test -short -coverprofile=cover.out ./...
 	@$(GO) tool cover -func=cover.out | tail -1
 
-ci: build cross vet lint fmt test oracles test32 race chaos obs bench-check
+ci: build cross vet fmt test oracles test32 race bench-check
 
 clean:
 	$(GO) clean ./...

@@ -75,10 +75,10 @@ func rayTraceStep(tb testing.TB, rdr *raytrace.Renderer, opts raytrace.Options) 
 	}
 }
 
-// table1Step is Table 1's workload: WORKLOAD2 frames.
-func table1Step(tb testing.TB) func() {
+// table1Step is Table 1's workload: WORKLOAD2 frames on dev.
+func table1Step(tb testing.TB, dev *device.Device) func() {
 	m := benchSurface(tb)
-	return rayTraceStep(tb, raytrace.New(device.CPU(), m), raytrace.Options{
+	return rayTraceStep(tb, raytrace.New(dev, m), raytrace.Options{
 		Width: benchImage, Height: benchImage,
 		Camera:   render.OrbitCamera(m.Bounds(), 30, 20, 1.0),
 		Workload: raytrace.Workload2,
@@ -118,7 +118,7 @@ var table5Kernels = []struct{ name, profile string }{{"scalar", "cpu-scalar"}, {
 // BenchmarkTable1RayTraceShaded is Table 1's workload (table1Step).
 func BenchmarkTable1RayTraceShaded(b *testing.B) {
 	b.ReportAllocs()
-	step := table1Step(b)
+	step := table1Step(b, device.CPU())
 	step() // warm frame: the timed loop measures the steady state
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -198,7 +198,17 @@ func TestZeroAlloc(t *testing.T) {
 			t.Errorf("%.0f allocs/op, want 0", n)
 		}
 	}
-	t.Run("Table1RayTraceShaded", func(t *testing.T) { assert(t, table1Step(t)) })
+	t.Run("Table1RayTraceShaded", func(t *testing.T) { assert(t, table1Step(t, device.CPU())) })
+	// The device's occupancy instrumentation counts every launch, wake,
+	// busy span and item of the same frames without allocating.
+	t.Run("Table1RayTraceShaded/stats", func(t *testing.T) {
+		dev := device.CPU()
+		dev.Stats = new(device.Stats)
+		assert(t, table1Step(t, dev))
+		if dev.Stats.Launches() == 0 || dev.Stats.Items() == 0 {
+			t.Errorf("instrumented frames counted %d launches, %d items", dev.Stats.Launches(), dev.Stats.Items())
+		}
+	})
 	t.Run("Table2RayTraceFull", func(t *testing.T) { assert(t, table2Step(t)) })
 	for _, k := range table5Kernels {
 		t.Run("Table5Backends/"+k.name, func(t *testing.T) {

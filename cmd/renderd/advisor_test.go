@@ -479,7 +479,7 @@ func TestObservationsValidationAndDisabled(t *testing.T) {
 	engine := advisor.New(reg)
 	engine.SetObserver(&study.Calibrator{
 		Source:  "x",
-		Publish: func(s *registry.Snapshot, _ uint64) error { return reg.Publish(s) },
+		Publish: func(s *registry.Snapshot, baseGen uint64) error { return reg.PublishIf(s, baseGen) },
 	})
 	ts, _ := advisorServer(t, engine, serve.Config{ObserveQueue: 4, Logf: t.Logf})
 

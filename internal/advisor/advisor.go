@@ -119,8 +119,6 @@ func New(reg *registry.Registry) *Engine {
 }
 
 // Registry exposes the engine's backing registry.
-//
-//insitu:noalloc
 func (e *Engine) Registry() *registry.Registry { return e.reg }
 
 // SetObserver enables observation ingestion through the given observer.

@@ -64,8 +64,6 @@ type Tracer struct {
 }
 
 // SetRay loads ray k (0 to 3) for the next IntersectClosest4.
-//
-//insitu:noalloc
 func (tr *Tracer) SetRay(k int, orig, dir vecmath.Vec3) {
 	q := &tr.q
 	q.ox[k], q.oy[k], q.oz[k] = orig.X, orig.Y, orig.Z
@@ -95,8 +93,6 @@ func Packets() bool { return hasPackets }
 // own state: node, stack of (node, entry), best, hit and counts. The
 // disagreeing choice and everything after it are therefore the scalar
 // loop's own.
-//
-//insitu:noalloc
 func (b *BVH) IntersectClosest4(tr *Tracer, n int, tmin, tmax float64) {
 	q := &tr.q
 	status := packetFold

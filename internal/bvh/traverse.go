@@ -64,8 +64,6 @@ const stackDepth = 64
 // re-test against the shrunken interval. Visit order and the strict
 // t < best tie-break decide which of two equidistant triangles wins, and
 // so are part of the result.
-//
-//insitu:noalloc
 func (b *BVH) IntersectClosest(orig, dir vecmath.Vec3, tmin, tmax float64) (Hit, int, int) {
 	var stack [stackDepth]stackEntry
 	return b.closest(orig, dir, tmin, tmax, &stack)
@@ -73,13 +71,10 @@ func (b *BVH) IntersectClosest(orig, dir vecmath.Vec3, tmin, tmax float64) (Hit,
 
 // IntersectClosestScratch is IntersectClosest on the worker's Tracer
 // stack instead of a fresh one, which Go would zero on every call.
-//
-//insitu:noalloc
 func (b *BVH) IntersectClosestScratch(orig, dir vecmath.Vec3, tmin, tmax float64, tr *Tracer) (Hit, int, int) {
 	return b.closest(orig, dir, tmin, tmax, &tr.stack)
 }
 
-//insitu:noalloc
 func (b *BVH) closest(orig, dir vecmath.Vec3, tmin, tmax float64, stack *[stackDepth]stackEntry) (Hit, int, int) {
 	hit := Hit{Prim: -1, T: math.Inf(1)}
 	if len(b.Nodes) == 0 {
@@ -97,8 +92,6 @@ func (b *BVH) closest(orig, dir vecmath.Vec3, tmin, tmax float64, stack *[stackD
 // holding best, hit and the counts so far. IntersectClosest starts it
 // at the root; IntersectClosest4's lanes resume in it where the packet
 // kernel hands them off.
-//
-//insitu:noalloc
 func (b *BVH) walk(orig, dir, inv vecmath.Vec3, tmin, best float64, hit Hit, ni int32, stack *[stackDepth]stackEntry, sp, nodeTests, triTests int) (Hit, int, int) {
 	nodes := b.Nodes
 	for {
@@ -141,8 +134,6 @@ func (b *BVH) walk(orig, dir, inv vecmath.Vec3, tmin, best float64, hit Hit, ni 
 // slab results: the nearer hit child (the left on a tie) is visited next
 // and, when both are hit, the farther is pushed with its entry distance.
 // It returns the node to visit next, -1 to pop, and the new stack depth.
-//
-//insitu:noalloc
 func descend(l, r int32, lt, rt float64, lok, rok bool, stack *[stackDepth]stackEntry, sp int) (int32, int) {
 	if lok && rok {
 		if lt > rt {
@@ -163,8 +154,6 @@ func descend(l, r int32, lt, rt float64, lok, rok bool, stack *[stackDepth]stack
 
 // IntersectAny reports whether any triangle is hit in (tmin, tmax), the
 // early-out query used for shadow and ambient-occlusion rays.
-//
-//insitu:noalloc
 func (b *BVH) IntersectAny(orig, dir vecmath.Vec3, tmin, tmax float64) bool {
 	if len(b.Nodes) == 0 {
 		return false

@@ -183,6 +183,55 @@ func TestChaosLinkStallEvictsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestRenderReturnsAfterClose wedges the fleet on a stalled link, with
+// timeouts long enough that nothing recovers on its own, and fills the
+// router's job links behind it: one job in the wedged exchange and 64
+// queued on each member's link, so the next dispatch blocks on a full
+// link. Close must end every Render — the ones waiting for a result,
+// the one blocked in dispatch and the ones queued behind it — promptly.
+func TestRenderReturnsAfterClose(t *testing.T) {
+	job := chaosJob(120)
+	members, err := placeShards(4, nil, &job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := comm.NewFaultPlan(11)
+	plan.StallAfter(members[1], members[0], 1)
+	opts := chaosOpts(plan)
+	opts.AttemptTimeout = 20 * time.Second
+	opts.HeartbeatTimeout = 20 * time.Second
+	cl := chaosCluster(t, 4, opts)
+
+	const renders, wedged = 80, 1 + 64
+	done := make(chan error, renders)
+	for i := 0; i < renders; i++ {
+		go func() {
+			_, err := cl.Render(context.Background(), job)
+			done <- err
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for cl.Stats().FramesDispatched < wedged {
+		if time.Now().After(deadline) {
+			t.Fatalf("dispatched %d frames, want %d before closing", cl.Stats().FramesDispatched, wedged)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	go cl.Close()
+	timeout := time.After(5 * time.Second)
+	for i := 0; i < renders; i++ {
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Error("a Render on the wedged fleet served a frame")
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d Render calls still blocked 5 s after Close", renders-i, renders)
+		}
+	}
+}
+
 // TestChaosTransientDropHealsByRetry drops exactly one collective
 // message. The attempt wedges and aborts, but with the blame threshold
 // out of reach nobody is evicted: the retry reuses the same placement,

@@ -412,14 +412,14 @@ func (cl *Cluster) workerLoop(w int) {
 	defer st.Close()
 	for {
 		tag, data, err := e.RecvAnyCtx(cl.ctx, 0)
-		//insitu:collective-ok a recv failure means ctx shutdown, which cancels every worker's recv too
+		// A recv failure means ctx shutdown, which cancels every worker's recv too.
 		if err != nil {
 			return // shutdown
 		}
 		switch tag {
 		case tagJob:
 			var job wireJob
-			//insitu:collective-ok every member receives the same job bytes, so a decode failure is group-uniform
+			// Every member receives the same job bytes, so a decode failure is group-uniform.
 			if _, err := unpackJSON(data, &job); err != nil {
 				continue // a malformed job cannot name a group to fail
 			}

@@ -134,28 +134,37 @@ func TestClusterFrameIsCacheStable(t *testing.T) {
 	}
 }
 
-// TestClusterErrorPropagates: a backend/data mismatch fails on every
-// rank; the combined error reaches the caller and the fleet survives to
-// serve the next frame.
+// TestClusterErrorPropagates: a frame that fails on every rank — in the
+// scene setup before the view reduction, or in preparing the backend
+// after it — reports the combined error, labelled by shard, to the
+// caller, and the fleet survives to serve the next frame.
 func TestClusterErrorPropagates(t *testing.T) {
 	cl := testCluster(t, 3)
-	// The structured-only volume backend cannot eat lulesh's unstructured
-	// mesh.
-	bad := Job{
-		Backend: string(core.Volume), Sim: "lulesh", Arch: "serial",
+	good := Job{
+		Backend: string(core.VolumeUnstructured), Sim: "lulesh", Arch: "serial",
 		N: 8, Width: 32, Height: 32, Shards: 2, Zoom: 1,
 	}
-	_, err := cl.Render(context.Background(), bad)
-	if err == nil {
-		t.Fatal("mismatched backend/sim served a frame")
-	}
-	if !strings.Contains(err.Error(), "shard") {
-		t.Errorf("error does not identify the failing shards: %v", err)
-	}
-	good := bad
-	good.Backend = string(core.VolumeUnstructured)
-	if _, err := cl.Render(context.Background(), good); err != nil {
-		t.Fatalf("fleet wedged after failed frame: %v", err)
+	for _, c := range []struct {
+		name string
+		edit func(*Job)
+	}{
+		{"unknown sim", func(j *Job) { j.Sim = "nosuchsim" }},
+		// The structured-only volume backend cannot eat lulesh's
+		// unstructured mesh.
+		{"backend/sim mismatch", func(j *Job) { j.Backend = string(core.Volume) }},
+	} {
+		bad := good
+		c.edit(&bad)
+		_, err := cl.Render(context.Background(), bad)
+		if err == nil {
+			t.Fatalf("%s: served a frame", c.name)
+		}
+		if !strings.Contains(err.Error(), "shard") {
+			t.Errorf("%s: error does not identify the failing shards: %v", c.name, err)
+		}
+		if _, err := cl.Render(context.Background(), good); err != nil {
+			t.Fatalf("%s: fleet wedged after failed frame: %v", c.name, err)
+		}
 	}
 }
 

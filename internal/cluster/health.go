@@ -87,8 +87,6 @@ func (e *RankFailure) Unwrap() error { return e.Last }
 
 // AliveWorkers returns how many workers are currently in the placement
 // ring. Called on the serving admission hot path.
-//
-//insitu:noalloc
 func (cl *Cluster) AliveWorkers() int { return int(cl.alive.Load()) }
 
 // isDead reports whether a rank has been evicted.

@@ -92,17 +92,6 @@ func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebu
 		buildSec  float64
 		in        core.Inputs
 	)
-	// A bound communicator abandons the attempt by panicking mid-
-	// collective when its deadline expires (see renderJob); the deferred
-	// release keeps the runner lease from leaking on that path.
-	released := false
-	rel := func() {
-		if lease != nil && !released {
-			released = true
-			lease.Release()
-		}
-	}
-	defer rel()
 	if rerr == nil {
 		rk := runnerKey{job.Arch, job.Backend, job.Sim, job.N, job.Width, job.Height, job.RTWorkload, job.Shards, shard}
 		lease, rerr = st.runners.Acquire(rk, func() (scenario.FrameRunner, func(), error) {
@@ -121,6 +110,11 @@ func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebu
 		})
 	}
 	if rerr == nil {
+		// The partial image lives in the runner's arena until the
+		// composite is copied out, and a bound communicator abandons the
+		// attempt by panicking mid-collective when its deadline expires
+		// (see renderJob): the deferred release covers both.
+		defer lease.Release()
 		runner := lease.Runner()
 		runner.SetCamera(cam)
 		buildSec = runner.BuildSeconds()
@@ -140,7 +134,6 @@ func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebu
 		err = g.Agree(shardErr(err, job, shard, " composite"))
 	}
 	if err != nil {
-		rel()
 		if !leader {
 			return nil, nil
 		}
@@ -158,7 +151,6 @@ func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebu
 	perComp := g.Gather(compSec)
 
 	if !leader {
-		rel()
 		return nil, nil
 	}
 	// The composited image aliases compositor (or runner-arena) scratch
@@ -166,7 +158,6 @@ func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebu
 	// releasing the lease.
 	final := framebuffer.NewImage(out.W, out.H)
 	final.CopyFrom(out)
-	rel()
 	return &wireResult{
 		JobID:                job.JobID,
 		W:                    final.W,

@@ -46,12 +46,10 @@ func TestGroupCollectivesOverSubset(t *testing.T) {
 		go func(vrank, worldRank int) {
 			defer wg.Done()
 			g, err := w.Endpoint(worldRank).Group(members)
-			//insitu:collective-ok Group forms for all members or none; a failed member fails the test
 			if err != nil {
 				t.Errorf("world rank %d: %v", worldRank, err)
 				return
 			}
-			//insitu:collective-ok assertion failure fails the test; stranded peers surface as the timeout
 			if g.Rank() != vrank {
 				t.Errorf("world rank %d: group rank %d, want %d", worldRank, g.Rank(), vrank)
 				return

@@ -100,8 +100,6 @@ const pixelsPerWord = 5
 // permutation for BlendOp: order[i] is the rank whose block is i-th
 // closest to the camera; it may be nil for DepthOp. The composited image
 // is returned at rank 0.
-//
-//insitu:arena
 func (k *Compositor) Composite(c *comm.Comm, img *framebuffer.Image, op Op, order []int) (*framebuffer.Image, *Stats, error) {
 	start := time.Now()
 	n := c.Size()

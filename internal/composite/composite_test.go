@@ -72,7 +72,6 @@ func runComposite(t *testing.T, k *Compositor, imgs []*framebuffer.Image, op Op,
 		if stats.Elapsed <= 0 {
 			return nil, fmt.Errorf("no elapsed time recorded")
 		}
-		//insitu:leaselife-ok test compares the image before any further Composite call reuses the arena
 		return out, nil
 	})
 	if err != nil {
@@ -224,7 +223,6 @@ func TestDistributedRenderMatchesSingleTask(t *testing.T) {
 			return nil, err
 		}
 		out, _, err := BinarySwap().Composite(c, img, DepthOp, nil)
-		//insitu:leaselife-ok per-rank compositor is discarded after this one frame; no reuse overwrites the image
 		return out, err
 	})
 	if err != nil {

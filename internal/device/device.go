@@ -102,24 +102,16 @@ type Stats struct {
 
 // AddBusy records ns of worker busy time (one wake's or one launcher's
 // span of chunk execution).
-//
-//insitu:noalloc
 func (s *Stats) AddBusy(d time.Duration) { s.busyNS.Add(int64(d)) }
 
 // AddItems records processed work items.
-//
-//insitu:noalloc
 func (s *Stats) AddItems(n int64) { s.items.Add(n) }
 
 // AddLaunch records one parallel launch.
-//
-//insitu:noalloc
 func (s *Stats) AddLaunch() { s.launches.Add(1) }
 
 // AddWake records one pool worker accepting a launch. The launching
 // goroutine's own participation is not a wake.
-//
-//insitu:noalloc
 func (s *Stats) AddWake() { s.wakes.Add(1) }
 
 // Busy returns the accumulated worker busy time.

@@ -55,8 +55,6 @@ func (p *Pool) Workers() int { return p.workers }
 // launches on a shared device degrade to fewer helpers instead of
 // queueing behind each other. The caller must arrange (before calling)
 // for every accepted worker's Run to be awaited.
-//
-//insitu:noalloc
 func (p *Pool) TryWake(r Runnable, k int) int {
 	select {
 	case <-p.stop:
@@ -94,10 +92,8 @@ func (p *Pool) Close() {
 // short-lived devices (the study creates one per measured configuration)
 // do not leak parked goroutines; callers that churn through many devices
 // should still call Close promptly.
-//
-//insitu:noalloc
 func (d *Device) Pool() *Pool {
-	//insitu:noalloc-ok once-per-device init; steady-state calls only read d.pool
+	// Once-per-device init; steady-state calls only read d.pool.
 	d.poolOnce.Do(func() {
 		if d.Workers > 1 {
 			d.pool = newPool(d.Workers - 1)

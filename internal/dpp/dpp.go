@@ -34,8 +34,6 @@ type chunking struct {
 // device's grain. The geometry depends only on (Workers, Grain, n), never
 // on runtime scheduling, so chunk-ordered reductions stay deterministic
 // for a fixed device profile.
-//
-//insitu:noalloc
 func chunksFor(d *device.Device, n int) chunking {
 	if n <= 0 {
 		return chunking{}
@@ -59,8 +57,6 @@ func chunksFor(d *device.Device, n int) chunking {
 }
 
 // bounds returns the half-open item range of chunk i.
-//
-//insitu:noalloc
 func (c chunking) bounds(i int) (lo, hi int) {
 	lo = i * c.chunk
 	hi = lo + c.chunk
@@ -88,8 +84,6 @@ type launch struct {
 var launchPool = sync.Pool{New: func() any { return new(launch) }}
 
 // Run is the pool-worker entry: execute chunks, account the wake.
-//
-//insitu:noalloc
 func (l *launch) Run() {
 	start := time.Now()
 	l.runChunks()
@@ -100,7 +94,6 @@ func (l *launch) Run() {
 	l.wg.Done()
 }
 
-//insitu:noalloc
 func (l *launch) runChunks() {
 	slot := 0
 	if l.bodyW != nil {
@@ -127,8 +120,6 @@ func (l *launch) runChunks() {
 // goroutine always participates; a launch on a multi-worker device wakes
 // parked pool workers rather than spawning goroutines, so concurrent
 // launches on a shared device are safe and simply share the pool.
-//
-//insitu:noalloc
 func For(d *device.Device, n int, body func(lo, hi int)) {
 	forLaunch(d, n, body, nil)
 }
@@ -138,13 +129,10 @@ func For(d *device.Device, n int, body func(lo, hi int)) {
 // scratch (packet buffers, histograms) without allocation or false
 // sharing. Slots are assigned per launch: the same goroutine may get a
 // different slot on the next launch.
-//
-//insitu:noalloc
 func ForWorker(d *device.Device, n int, body func(worker, lo, hi int)) {
 	forLaunch(d, n, nil, body)
 }
 
-//insitu:noalloc
 func forLaunch(d *device.Device, n int, body func(lo, hi int), bodyW func(worker, lo, hi int)) {
 	ch := chunksFor(d, n)
 	if ch.num == 0 {

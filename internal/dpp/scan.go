@@ -100,8 +100,6 @@ func (c *Compactor) emitRange(clo, chi int) {
 // CompactIndices returns the indices of the set flags in ascending order.
 // The returned slice is owned by the Compactor and valid until the next
 // call; callers that need to retain it must copy.
-//
-//insitu:arena
 func (c *Compactor) CompactIndices(flags []bool) []int32 {
 	c.ch = chunksFor(c.d, len(flags))
 	if c.ch.num == 0 {

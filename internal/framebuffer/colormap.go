@@ -46,8 +46,6 @@ func CoolToWarm() *ColorMap {
 }
 
 // Sample returns the interpolated color for t clamped to [0,1].
-//
-//insitu:noalloc
 func (cm *ColorMap) Sample(t float64) vecmath.Vec3 {
 	return cm.sampleClamped(vecmath.Clamp(t, 0, 1))
 }

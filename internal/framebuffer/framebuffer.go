@@ -61,8 +61,6 @@ func (im *Image) Clear() {
 }
 
 // Set writes a pixel's color and depth.
-//
-//insitu:noalloc
 func (im *Image) Set(x, y int, r, g, b, a, depth float32) {
 	i := y*im.W + x
 	im.Color[4*i+0] = r

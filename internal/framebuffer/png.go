@@ -40,16 +40,12 @@ const filterUp = 2
 // Encode writes im as PNG to w. The pixels decode to exactly
 // im.ToRGBA(); the bytes differ from the standard library encoder's
 // (which searches filters per row at the default compression level).
-//
-//insitu:noalloc
 func (e *PNGEncoder) Encode(w io.Writer, im *Image) error {
 	if im.W <= 0 || im.H <= 0 || im.W > math.MaxInt32 || im.H > math.MaxInt32 {
-		//insitu:noalloc-ok error path: an invalid size is never encoded
 		return fmt.Errorf("framebuffer: invalid PNG size %dx%d", im.W, im.H)
 	}
 	rowBytes := 3 * im.W
 	if cap(e.prev) < rowBytes {
-		//insitu:noalloc-ok capacity-guarded row buffers: reused across frames at steady resolution
 		e.prev, e.line = make([]byte, rowBytes), make([]byte, 1+rowBytes)
 	}
 	prev, line := e.prev[:rowBytes], e.line[:1+rowBytes]
@@ -72,12 +68,10 @@ func (e *PNGEncoder) Encode(w io.Writer, im *Image) error {
 	f.Write(idatHeader[:])
 	if e.zw == nil {
 		var err error
-		//insitu:noalloc-ok the compressor is built once per encoder, then Reset
 		if e.zw, err = zlib.NewWriterLevel(f, zlib.BestSpeed); err != nil {
 			return err
 		}
 	} else {
-		//insitu:noalloc-ok Reset reuses the compressor's window and tables
 		e.zw.Reset(f)
 	}
 
@@ -92,12 +86,10 @@ func (e *PNGEncoder) Encode(w io.Writer, im *Image) error {
 			out[0], out[1], out[2] = r-up[0], g-up[1], b-up[2]
 			up[0], up[1], up[2] = r, g, b
 		}
-		//insitu:noalloc-ok deflate into the retained file buffer
 		if _, err := e.zw.Write(line); err != nil {
 			return err
 		}
 	}
-	//insitu:noalloc-ok flushes the final deflate block into the retained file buffer
 	if err := e.zw.Close(); err != nil {
 		return err
 	}
@@ -105,7 +97,6 @@ func (e *PNGEncoder) Encode(w io.Writer, im *Image) error {
 	putUint32((*f)[idat:], uint32(len(*f)-idat-len(idatHeader)))
 	f.closeChunk(idat + 4)
 	f.Write(pngEnd[:])
-	//insitu:noalloc-ok the one write of the finished file; the caller owns what w does with it
 	_, err := w.Write(*f)
 	return err
 }
@@ -115,7 +106,6 @@ func (e *PNGEncoder) Encode(w io.Writer, im *Image) error {
 type pngFile []byte
 
 func (f *pngFile) Write(p []byte) (int, error) {
-	//insitu:noalloc-ok grows to the steady file size once, then reuses it
 	*f = append(*f, p...)
 	return len(p), nil
 }
@@ -123,7 +113,6 @@ func (f *pngFile) Write(p []byte) (int, error) {
 // closeChunk appends the CRC of the chunk whose type starts at byte from.
 func (f *pngFile) closeChunk(from int) {
 	var crc [4]byte
-	//insitu:noalloc-ok crc32 over the retained file bytes, no heap
 	putUint32(crc[:], crc32.ChecksumIEEE((*f)[from:]))
 	f.Write(crc[:])
 }

@@ -35,8 +35,6 @@ func New[K comparable, V any](cap int) *Cache[K, V] {
 }
 
 // Get returns the value for k, marking it most recently used.
-//
-//insitu:noalloc
 func (c *Cache[K, V]) Get(k K) (V, bool) {
 	var zero V
 	if c.cap <= 0 {

@@ -24,15 +24,11 @@ func (m *TriangleMesh) NumTriangles() int { return len(m.Conn) / 3 }
 func (m *TriangleMesh) NumVertices() int { return len(m.X) }
 
 // Vertex returns vertex i's position.
-//
-//insitu:noalloc
 func (m *TriangleMesh) Vertex(i int32) vecmath.Vec3 {
 	return vecmath.V(m.X[i], m.Y[i], m.Z[i])
 }
 
 // Normal returns vertex i's normal, or the zero vector if normals are unset.
-//
-//insitu:noalloc
 func (m *TriangleMesh) Normal(i int32) vecmath.Vec3 {
 	if m.NX == nil {
 		return vecmath.Vec3{}
@@ -41,8 +37,6 @@ func (m *TriangleMesh) Normal(i int32) vecmath.Vec3 {
 }
 
 // TriVerts returns the three corner positions of triangle t.
-//
-//insitu:noalloc
 func (m *TriangleMesh) TriVerts(t int) (a, b, c vecmath.Vec3) {
 	i0, i1, i2 := m.Conn[3*t], m.Conn[3*t+1], m.Conn[3*t+2]
 	return m.Vertex(i0), m.Vertex(i1), m.Vertex(i2)

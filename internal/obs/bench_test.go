@@ -30,6 +30,7 @@ func traceSpanStep() func() {
 		ft.Span(StageAdmit, epoch, 10*time.Microsecond)
 		ft.Span(StageQueueWait, epoch.Add(10*time.Microsecond), 5*time.Microsecond)
 		ft.Span(StageRender, epoch.Add(15*time.Microsecond), 2*time.Millisecond)
+		ft.SpanNanos(StageRankRender, int64(15*time.Microsecond), int64(1500*time.Microsecond))
 		ft.Span(StageEncode, epoch.Add(2015*time.Microsecond), 100*time.Microsecond)
 		ft.Finish(epoch.Add(2200 * time.Microsecond))
 		tr.Commit(&ft)

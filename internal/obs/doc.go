@@ -17,8 +17,8 @@
 //     shard-dispatch, rank-render, composite, encode, cache-store),
 //     recorded into a stack-allocated FrameTrace and committed by copy
 //     into sharded, preallocated ring buffers — zero steady-state
-//     allocation, enforced by insitulint's noalloc pass. Snapshots export
-//     as a JSON timeline or a Chrome trace_event dump.
+//     allocation, pinned by TestZeroAlloc. Snapshots export as a JSON
+//     timeline or a Chrome trace_event dump.
 //
 //   - DriftHistogram / Residuals: are the models still right? Every served
 //     frame records its signed relative prediction error,

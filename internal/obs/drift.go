@@ -18,8 +18,6 @@ var driftBounds = [...]float64{
 const NumDriftBuckets = len(driftBounds) + 1
 
 // driftIndex maps a signed relative error to its bucket.
-//
-//insitu:noalloc
 func driftIndex(r float64) int {
 	// Linear scan: 16 comparisons, branch-predictable, no allocation —
 	// cheaper in practice than binary search at this size.
@@ -56,8 +54,6 @@ type DriftHistogram struct {
 }
 
 // Observe records one residual (predicted − measured) / measured.
-//
-//insitu:noalloc
 func (d *DriftHistogram) Observe(r float64) {
 	d.counts[driftIndex(r)].Add(1)
 	d.count.Add(1)
@@ -71,8 +67,6 @@ func (d *DriftHistogram) Observe(r float64) {
 
 // ObservePair computes and records the residual for one
 // predicted/measured pair, ignoring non-positive measurements.
-//
-//insitu:noalloc
 func (d *DriftHistogram) ObservePair(predicted, measured float64) {
 	if measured <= 0 {
 		return
@@ -176,7 +170,7 @@ type ResidualKey struct {
 
 // Residuals is a fixed registry of drift histograms, one per
 // backend × term, built once at construction so steady-state Observe
-// calls are read-only map lookups — no lock, no allocation, noalloc-safe.
+// calls are read-only map lookups — no lock, no allocation.
 type Residuals struct {
 	m    map[ResidualKey]*DriftHistogram
 	keys []ResidualKey // construction order, for stable export
@@ -200,8 +194,6 @@ func NewResiduals(keys []ResidualKey) *Residuals {
 
 // Observe records one predicted/measured pair for a backend × term.
 // Unknown keys and non-positive measurements are ignored.
-//
-//insitu:noalloc
 func (r *Residuals) Observe(backend, term string, predicted, measured float64) {
 	if r == nil {
 		return

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // Bucket layout: log-spaced with subCount sub-buckets per power of two.
@@ -24,8 +23,6 @@ const (
 )
 
 // bucketIndex maps a non-negative nanosecond value to its bucket.
-//
-//insitu:noalloc
 func bucketIndex(v int64) int {
 	if v < subCount {
 		if v < 0 {
@@ -65,8 +62,6 @@ type Histogram struct {
 
 // Observe records one nanosecond measurement (negative values clamp to
 // the zero bucket).
-//
-//insitu:noalloc
 func (h *Histogram) Observe(ns int64) {
 	h.counts[bucketIndex(ns)].Add(1)
 	h.count.Add(1)
@@ -74,11 +69,6 @@ func (h *Histogram) Observe(ns int64) {
 		h.sum.Add(ns)
 	}
 }
-
-// ObserveDuration records one duration.
-//
-//insitu:noalloc
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }

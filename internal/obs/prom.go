@@ -26,7 +26,7 @@ import (
 //     histograms: cumulative `_bucket{le="..."}` plus `_sum`/`_count`
 //
 // Export path: reflection and allocation are fine here; only the
-// Observe side of the package is noalloc.
+// Observe side of the package is allocation-free.
 func WriteProm(w io.Writer, prefix string, v any) error {
 	p := promWriter{w: w}
 	p.emit(prefix, nil, reflect.ValueOf(v))

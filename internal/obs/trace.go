@@ -65,16 +65,12 @@ type FrameTrace struct {
 }
 
 // Begin stamps the trace's epoch; stage offsets are relative to it.
-//
-//insitu:noalloc
 func (t *FrameTrace) Begin(now time.Time) {
 	t.begin = now
 	t.beginUnix = now.UnixNano()
 }
 
 // Span records one stage that started at start and took d.
-//
-//insitu:noalloc
 func (t *FrameTrace) Span(s Stage, start time.Time, d time.Duration) {
 	if s >= NumStages {
 		return
@@ -86,8 +82,6 @@ func (t *FrameTrace) Span(s Stage, start time.Time, d time.Duration) {
 
 // SpanNanos records a stage from raw offsets — for durations measured
 // remotely (per-rank fleet spans) where no local time.Time exists.
-//
-//insitu:noalloc
 func (t *FrameTrace) SpanNanos(s Stage, startOffsetNanos, durNanos int64) {
 	if s >= NumStages {
 		return
@@ -98,8 +92,6 @@ func (t *FrameTrace) SpanNanos(s Stage, startOffsetNanos, durNanos int64) {
 }
 
 // Finish stamps the frame's total wall time.
-//
-//insitu:noalloc
 func (t *FrameTrace) Finish(now time.Time) { t.wall = int64(now.Sub(t.begin)) }
 
 // Has reports whether stage s was recorded.
@@ -208,8 +200,6 @@ func NewTracer(shards, perShard int) *Tracer {
 }
 
 // NextSeq issues the next frame sequence number.
-//
-//insitu:noalloc
 func (tr *Tracer) NextSeq() uint64 {
 	if tr == nil {
 		return 0
@@ -219,8 +209,6 @@ func (tr *Tracer) NextSeq() uint64 {
 
 // Commit copies the finished trace into its ring. Nil tracers (tracing
 // disabled) drop the trace — callers never branch.
-//
-//insitu:noalloc
 func (tr *Tracer) Commit(t *FrameTrace) {
 	if tr == nil {
 		return
@@ -303,8 +291,6 @@ type StageLatency struct {
 }
 
 // ObserveTrace folds one finished trace into the per-stage histograms.
-//
-//insitu:noalloc
 func (l *StageLatency) ObserveTrace(t *FrameTrace) {
 	if l == nil {
 		return

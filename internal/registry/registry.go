@@ -351,38 +351,28 @@ func (r *Registry) load(s *Snapshot, path string) error {
 // re-derive their snapshot from the current state and retry.
 var ErrStale = errors.New("registry: stale base generation")
 
-// Publish installs an in-memory snapshot while preserving the remembered
-// Reload path — the continuous-calibration path: a refitted snapshot
-// replaces the serving models atomically (generation bump) without
-// disconnecting the registry from the file a later explicit reload should
-// re-read. Like Load, a failed Publish leaves the current models serving.
-func (r *Registry) Publish(s *Snapshot) error {
-	return r.publish(s, nil)
-}
-
-// PublishIf is Publish conditioned on the registry still being at
-// baseGen, the generation the caller derived its snapshot from. It fails
-// with ErrStale when a concurrent load or reload has moved the registry
-// on — essential for read-merge-publish updates (study.Calibrator),
-// which would otherwise silently drop models installed by the concurrent
-// load.
+// PublishIf installs an in-memory snapshot while preserving the
+// remembered Reload path — the continuous-calibration path: a refitted
+// snapshot replaces the serving models atomically (generation bump)
+// without disconnecting the registry from the file a later explicit
+// reload should re-read. The publish is conditioned on the registry
+// still being at baseGen, the generation the caller derived its snapshot
+// from. It fails with ErrStale when a concurrent load or reload has moved
+// the registry on — essential for read-merge-publish updates
+// (study.Calibrator), which would otherwise silently drop models
+// installed by the concurrent load. Like Load, a failed PublishIf leaves
+// the current models serving.
 func (r *Registry) PublishIf(s *Snapshot, baseGen uint64) error {
-	return r.publish(s, &baseGen)
-}
-
-// publish installs a snapshot keeping r.path untouched; expect, when
-// non-nil, is the required current generation.
-func (r *Registry) publish(s *Snapshot, expect *uint64) error {
 	set, err := s.ModelSet()
 	if err != nil {
 		return err
 	}
 	mp := s.CalibratedMapping()
 	r.mu.Lock()
-	if expect != nil && r.generation != *expect {
+	if r.generation != baseGen {
 		gen := r.generation
 		r.mu.Unlock()
-		return fmt.Errorf("%w: registry at generation %d, snapshot derived from %d", ErrStale, gen, *expect)
+		return fmt.Errorf("%w: registry at generation %d, snapshot derived from %d", ErrStale, gen, baseGen)
 	}
 	r.snap = s
 	r.set = set
@@ -394,10 +384,10 @@ func (r *Registry) publish(s *Snapshot, expect *uint64) error {
 	return nil
 }
 
-// Publishes returns how many Publish and PublishIf calls have installed a
-// snapshot. Each is counted under the same lock that bumps the
-// generation, so a reader that has seen a published generation reads a
-// count that includes its publish.
+// Publishes returns how many PublishIf calls have installed a snapshot.
+// Each is counted under the same lock that bumps the generation, so a
+// reader that has seen a published generation reads a count that
+// includes its publish.
 func (r *Registry) Publishes() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -419,8 +409,6 @@ func (r *Registry) Reload() error {
 
 // Generation returns the load counter; it increments on every successful
 // Load so clients can detect model churn.
-//
-//insitu:noalloc
 func (r *Registry) Generation() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

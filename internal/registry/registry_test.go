@@ -450,7 +450,7 @@ func TestPublishPreservesReloadPath(t *testing.T) {
 
 	// Publish a refitted in-memory snapshot.
 	refit := FromModelSet(set, mp, "refit")
-	if err := reg.Publish(refit); err != nil {
+	if err := reg.PublishIf(refit, reg.Generation()); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Generation() != gen+1 {
@@ -473,7 +473,7 @@ func TestPublishPreservesReloadPath(t *testing.T) {
 	if err := mem.Load(FromModelSet(set, mp, "mem")); err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.Publish(refit); err != nil {
+	if err := mem.PublishIf(refit, mem.Generation()); err != nil {
 		t.Fatal(err)
 	}
 	if err := mem.Reload(); err == nil {

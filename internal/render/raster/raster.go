@@ -111,8 +111,6 @@ func (a *rasterArena) init(r *Renderer) {
 // Render executes the pipeline and returns the image and stats. Both are
 // owned by the renderer's arena and valid until the next Render call;
 // Clone the image to retain it across frames.
-//
-//insitu:arena
 func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 	if opts.Width <= 0 || opts.Height <= 0 {
 		return nil, nil, fmt.Errorf("raster: invalid image size %dx%d", opts.Width, opts.Height)
@@ -145,7 +143,6 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 
 	// Stream compaction of visible triangles.
 	start = time.Now()
-	//insitu:leaselife-ok the arena field is itself frame-scoped; both reset on the next Render
 	a.vis = a.compact.CompactIndices(a.visible)
 	stats.VisibleObjects = len(a.vis)
 	stats.Phases.Add("cull", time.Since(start))

@@ -247,8 +247,6 @@ func (a *frameArena) ensure(n, w, h int) {
 // stats. Both are owned by the renderer's frame arena and remain valid
 // only until the next Render call on this renderer; Clone the image (and
 // copy the stats) to retain them across frames.
-//
-//insitu:arena
 func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 	if opts.Width <= 0 || opts.Height <= 0 {
 		return nil, nil, fmt.Errorf("raytrace: invalid image size %dx%d", opts.Width, opts.Height)
@@ -316,7 +314,6 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 	// identity fill. Every shaded workload compacts; Workload3 times it.
 	start = time.Now()
 	dpp.For(r.Dev, n, a.flagsFn)
-	//insitu:leaselife-ok the arena field is itself frame-scoped; both reset on the next Render
 	a.live = a.compact.CompactIndices(a.flags)
 	if opts.Workload == Workload3 {
 		stats.Phases.Add("compact", time.Since(start))
@@ -354,8 +351,6 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 }
 
 // raygenKernel fills the SoA with primary rays in morton order.
-//
-//insitu:noalloc
 func (a *frameArena) raygenKernel(lo, hi int) {
 	opts := &a.opts
 	spp := a.spp
@@ -379,8 +374,6 @@ func (a *frameArena) raygenKernel(lo, hi int) {
 // 2x2 pixel quad, or one pixel's four supersamples); without, it traces
 // them one by one. Either way every ray gets IntersectClosest's hit and
 // counts.
-//
-//insitu:noalloc
 func (a *frameArena) traceKernel(worker, lo, hi int) {
 	rays := &a.rays
 	b := a.r.BVH
@@ -413,8 +406,6 @@ func (a *frameArena) traceKernel(worker, lo, hi int) {
 }
 
 // flagsKernel marks rays that hit geometry for stream compaction.
-//
-//insitu:noalloc
 func (a *frameArena) flagsKernel(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		a.flags[i] = a.rays.hitPrim[i] >= 0
@@ -424,8 +415,6 @@ func (a *frameArena) flagsKernel(lo, hi int) {
 // initKernel resets the per-ray occlusion and shadow terms to their
 // identity. Reused buffers make this reset mandatory: stale terms from
 // the previous frame must never leak into the current one.
-//
-//insitu:noalloc
 func (a *frameArena) initKernel(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		a.occlusion[i] = 1
@@ -434,8 +423,6 @@ func (a *frameArena) initKernel(lo, hi int) {
 }
 
 // hitsKernel paints the Workload1 hit-mask image.
-//
-//insitu:noalloc
 func (a *frameArena) hitsKernel(lo, hi int) {
 	w := a.img.W
 	spp := a.spp
@@ -452,8 +439,6 @@ func (a *frameArena) hitsKernel(lo, hi int) {
 // aoKernel casts hemisphere rays around every live hit. Sample directions
 // come from a per-ray deterministic hash stream, so renders are
 // reproducible across devices and schedules.
-//
-//insitu:noalloc
 func (a *frameArena) aoKernel(lo, hi int) {
 	m := a.r.Mesh
 	rays := &a.rays
@@ -485,8 +470,6 @@ func (a *frameArena) aoKernel(lo, hi int) {
 }
 
 // shadowKernel tests visibility from every live hit to the light.
-//
-//insitu:noalloc
 func (a *frameArena) shadowKernel(lo, hi int) {
 	rays := &a.rays
 	var localCast int64
@@ -509,8 +492,6 @@ func (a *frameArena) shadowKernel(lo, hi int) {
 
 // shadeKernel evaluates Blinn-Phong over interpolated normals and
 // color-mapped scalars, modulated by the AO and shadow terms.
-//
-//insitu:noalloc
 func (a *frameArena) shadeKernel(lo, hi int) {
 	m := a.r.Mesh
 	rays := &a.rays
@@ -526,8 +507,6 @@ func (a *frameArena) shadeKernel(lo, hi int) {
 }
 
 // accumKernel gathers each pixel's samples into the framebuffer.
-//
-//insitu:noalloc
 func (a *frameArena) accumKernel(lo, hi int) {
 	rays := &a.rays
 	spp := a.spp

@@ -87,8 +87,6 @@ func (c Camera) NewRayGen(w, h int) RayGen {
 }
 
 // Ray returns the unit-direction primary ray through (px+jx, py+jy).
-//
-//insitu:noalloc
 func (g *RayGen) Ray(px, py, jx, jy float64) vecmath.Ray {
 	sx := (2*(px+jx)/g.w - 1) * g.tanF * g.aspect
 	sy := (1 - 2*(py+jy)/g.h) * g.tanF
@@ -216,8 +214,6 @@ type Normalizer struct {
 }
 
 // Normalize returns (v-Min)/(Max-Min) clamped to [0,1].
-//
-//insitu:noalloc
 func (n Normalizer) Normalize(v float64) float64 {
 	if n.Max <= n.Min {
 		return 0.5

@@ -152,8 +152,6 @@ func NewStructured(dev *device.Device, g *mesh.StructuredGrid, fieldName string)
 // with the packet kernel when the frame allows it (see the package
 // doc). The returned image and stats are owned by the renderer's arena
 // and valid until the next Render call; Clone the image to retain it.
-//
-//insitu:arena
 func (r *StructuredRenderer) Render(opts StructuredOptions) (*framebuffer.Image, *StructuredStats, error) {
 	if opts.Width <= 0 || opts.Height <= 0 {
 		return nil, nil, fmt.Errorf("volume: invalid image size %dx%d", opts.Width, opts.Height)

@@ -185,8 +185,6 @@ func (a *unstructuredArena) ensure(nverts, ntets, npix, slab int) {
 // Compositing (map over pixels), with early ray termination between
 // passes. The returned image and stats are owned by the renderer's arena
 // and valid until the next Render call.
-//
-//insitu:arena
 func (r *UnstructuredRenderer) Render(opts UnstructuredOptions) (*framebuffer.Image, *UnstructuredStats, error) {
 	if opts.Width <= 0 || opts.Height <= 0 {
 		return nil, nil, fmt.Errorf("volume: invalid image size %dx%d", opts.Width, opts.Height)
@@ -282,7 +280,6 @@ func (r *UnstructuredRenderer) Render(opts UnstructuredOptions) (*framebuffer.Im
 		// Pass Selection: threshold map + compaction (reduce/scan/gather).
 		start := time.Now()
 		dpp.For(r.Dev, ntets, a.flagsFn)
-		//insitu:leaselife-ok the arena field is itself frame-scoped; both reset on the next Render
 		a.active = a.compact.CompactIndices(a.flags)
 		stats.TetsProcessed += int64(len(a.active))
 		stats.Phases.Add("passselect", time.Since(start))

@@ -19,8 +19,8 @@ type FrameRunner interface {
 	// RenderFrame renders one frame, filling in the per-frame workload
 	// inputs the backend's model terms consume (O, AP, and the technique's
 	// specific measures). Prefilled configuration inputs (Pixels, Tasks)
-	// are left untouched.
-	//insitu:arena
+	// are left untouched. The image lives in the runner's frame arena and
+	// is valid until its next RenderFrame.
 	RenderFrame(in *core.Inputs) (time.Duration, *framebuffer.Image, error)
 	// BuildSeconds is the one-time acceleration-structure construction
 	// cost (0 for techniques without one).
@@ -45,7 +45,6 @@ type Backend interface {
 	// structured blocks (mirroring the paper's "not all combinations made
 	// sense": the structured volume renderer cannot eat the Lagrangian
 	// proxy's unstructured mesh).
-	//insitu:noalloc
 	NeedsStructured() bool
 	// Prepare builds a frame runner for the scene, performing any
 	// one-time setup (geometry extraction, acceleration structures).

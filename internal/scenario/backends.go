@@ -49,7 +49,6 @@ type raytraceRunner struct {
 func (r *raytraceRunner) BuildSeconds() float64       { return r.rdr.BVH.BuildTime.Seconds() }
 func (r *raytraceRunner) SetCamera(cam render.Camera) { r.opts.Camera = cam }
 
-//insitu:arena
 func (r *raytraceRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
 	start := time.Now()
 	img, st, err := r.rdr.Render(r.opts)
@@ -87,7 +86,6 @@ type rasterRunner struct {
 func (r *rasterRunner) BuildSeconds() float64       { return 0 }
 func (r *rasterRunner) SetCamera(cam render.Camera) { r.opts.Camera = cam }
 
-//insitu:arena
 func (r *rasterRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
 	start := time.Now()
 	img, st, err := r.rdr.Render(r.opts)
@@ -141,7 +139,6 @@ type volumeRunner struct {
 func (r *volumeRunner) BuildSeconds() float64       { return 0 }
 func (r *volumeRunner) SetCamera(cam render.Camera) { r.opts.Camera = cam }
 
-//insitu:arena
 func (r *volumeRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
 	start := time.Now()
 	img, st, err := r.rdr.Render(r.opts)
@@ -186,7 +183,6 @@ type volumeUnstructuredRunner struct {
 func (r *volumeUnstructuredRunner) BuildSeconds() float64       { return 0 }
 func (r *volumeUnstructuredRunner) SetCamera(cam render.Camera) { r.opts.Camera = cam }
 
-//insitu:arena
 func (r *volumeUnstructuredRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
 	start := time.Now()
 	img, st, err := r.rdr.Render(r.opts)

@@ -102,7 +102,6 @@ func TestRunnerCachePrepareFailureNotCached(t *testing.T) {
 	defer c.Close()
 	boom := errors.New("boom")
 	calls := 0
-	//insitu:leaselife-ok prepare fails by construction, so no lease is ever produced
 	_, err := c.Acquire("k", func() (FrameRunner, func(), error) {
 		calls++
 		return nil, nil, boom
@@ -141,7 +140,6 @@ func TestRunnerCacheCloseRefusesAcquire(t *testing.T) {
 	if closes != 1 {
 		t.Errorf("idle runner not closed on Close: %d", closes)
 	}
-	//insitu:leaselife-ok the cache is closed, so Acquire must fail without producing a lease
 	if _, err := c.Acquire("k", func() (FrameRunner, func(), error) {
 		return &fakeRunner{}, nil, nil
 	}); err == nil {

@@ -163,10 +163,9 @@ func (g Group) BlendOrder(op composite.Op, local vecmath.AABB, cam render.Camera
 
 // Composite merges the ranks' partial images sort-last with comp,
 // returning the frame at rank 0 (nil elsewhere) and this rank's exchange
-// seconds. A solo group's frame is img itself. The caller agrees on the
+// seconds. A solo group's frame is img itself, and any other frame lives
+// in comp's scratch until its next Composite. The caller agrees on the
 // returned error before acting on it.
-//
-//insitu:arena
 func (g Group) Composite(comp *composite.Compositor, img *framebuffer.Image, op composite.Op, order []int) (*framebuffer.Image, float64, error) {
 	if g.solo() {
 		return img, 0, nil

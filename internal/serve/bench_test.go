@@ -22,8 +22,21 @@ func benchServer(tb testing.TB) *Server {
 // steady-state step that serves it again: admission memo + frame cache
 // hit, end to end through Server.Render.
 func frameCacheHitStep(tb testing.TB, s *Server) func() {
+	return cacheHitStep(tb, s, FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64, DeadlineMillis: 1000})
+}
+
+// shardedCacheHitStep is frameCacheHitStep for a two-shard frame on a
+// two-worker fleet: the hit also checks the shard count against the
+// fleet's live workers.
+func shardedCacheHitStep(tb testing.TB) func() {
+	s, _, _ := clusterServer(tb, 2, Config{Logf: func(string, ...any) {}})
+	return cacheHitStep(tb, s, FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64, Shards: 2, DeadlineMillis: 1000})
+}
+
+// cacheHitStep renders req once into s's cache and returns the step
+// that serves it again.
+func cacheHitStep(tb testing.TB, s *Server, req FrameRequest) func() {
 	tb.Helper()
-	req := FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64, DeadlineMillis: 1000}
 	if _, err := s.Render(req); err != nil {
 		tb.Fatal(err)
 	}
@@ -199,22 +212,24 @@ func BenchmarkRenderdSessionPrefetchHit(b *testing.B) {
 // TestZeroAlloc asserts in the ordinary test run what the three
 // zero-allocation benchmarks above measure, over the same steps: a frame
 // cache hit, a steady-state session prefetch hit and the warm request
-// mix allocate nothing. 20 runs truncate a one-off allocation to 0; one
-// allocation per frame fails.
+// mix allocate nothing, and neither does a sharded frame's cache hit.
+// 20 runs truncate a one-off allocation to 0; one allocation per frame
+// fails.
 func TestZeroAlloc(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		step func(testing.TB, *Server) func()
+		step func(testing.TB) func()
 	}{
-		{"RenderdFrameCacheHit", frameCacheHitStep},
-		{"RenderdSessionPrefetchHit", func(tb testing.TB, s *Server) func() {
-			step := sessionPrefetchHitStep(tb, s)
+		{"RenderdFrameCacheHit", func(tb testing.TB) func() { return frameCacheHitStep(tb, benchServer(tb)) }},
+		{"RenderdSessionPrefetchHit", func(tb testing.TB) func() {
+			step := sessionPrefetchHitStep(tb, benchServer(tb))
 			return func() { step() }
 		}},
-		{"RenderdThroughput", throughputStep},
+		{"RenderdThroughput", func(tb testing.TB) func() { return throughputStep(tb, benchServer(tb)) }},
+		{"RenderdShardedCacheHit", shardedCacheHitStep},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if n := testing.AllocsPerRun(20, c.step(t, benchServer(t))); n != 0 {
+			if n := testing.AllocsPerRun(20, c.step(t)); n != 0 {
 				t.Errorf("%.0f allocs/op, want 0", n)
 			}
 		})

@@ -26,8 +26,6 @@ type OrbitPredictor struct{}
 // frame path with caller-owned buffers, returns 0 rather than guess
 // when the history is too short or the camera is parked, and stops
 // early if zoom would leave (0, maxZoom].
-//
-//insitu:noalloc
 func (OrbitPredictor) Predict(history []Pose, dst []Pose) int {
 	n := len(history)
 	if n < 2 {

@@ -391,8 +391,6 @@ func (s *Server) Engine() *advisor.Engine { return s.engine }
 func (s *Server) Traces(n int) []obs.FrameTrace { return s.tracer.Last(n) }
 
 // traceIdentity stamps a trace with the frame's served identity.
-//
-//insitu:noalloc
 func traceIdentity(tr *obs.FrameTrace, req *FrameRequest, q quality) {
 	tr.Backend = string(req.Backend)
 	tr.Width, tr.Height, tr.N = q.W, q.H, q.N
@@ -400,8 +398,6 @@ func traceIdentity(tr *obs.FrameTrace, req *FrameRequest, q quality) {
 }
 
 // commitTrace finishes a trace and folds it into the stage histograms.
-//
-//insitu:noalloc
 func (s *Server) commitTrace(tr *obs.FrameTrace, now time.Time) {
 	tr.Finish(now)
 	s.tracer.Commit(tr)
@@ -496,8 +492,6 @@ func (s *Server) normalize(req *FrameRequest) error {
 // Render serves one frame: normalize, model-gated admission (memoized),
 // frame cache, and — on a miss — a deadline-scheduled render on the
 // worker pool. The cache-hit path performs zero heap allocations.
-//
-//insitu:noalloc
 func (s *Server) Render(req FrameRequest) (FrameResult, error) {
 	res, _, err := s.serveFrame(req, nil)
 	return res, err
@@ -507,8 +501,6 @@ func (s *Server) Render(req FrameRequest) (FrameResult, error) {
 // request: one LRU probe in steady state, one full model costing per
 // (request shape, model generation) otherwise. The returned decision is
 // not yet checked for rejection.
-//
-//insitu:noalloc
 func (s *Server) admitRequest(req *FrameRequest) (decision, error) {
 	// Admission: memoized per (arch, backend, n, resolution, deadline,
 	// model generation) so the steady-state gate is one LRU probe.
@@ -522,15 +514,12 @@ func (s *Server) admitRequest(req *FrameRequest) (decision, error) {
 	d, ok := s.admit.Get(ak)
 	if !ok {
 		// Admission miss: one full model costing, then memoized.
-		//insitu:noalloc-ok admission miss is once per (request shape, model generation)
 		spec, _ := core.LookupRenderer(req.Backend)
 		var err error
-		//insitu:noalloc-ok admission miss is once per (request shape, model generation)
 		d, err = s.decide(req, spec.Surface)
 		if err != nil {
 			return decision{}, err
 		}
-		//insitu:noalloc-ok admission miss is once per (request shape, model generation)
 		s.admit.Add(ak, d)
 	}
 	return d, nil
@@ -556,10 +545,7 @@ func (s *Server) validate(req *FrameRequest) error {
 // validate, clamp the shard count to the surviving fleet, run the
 // memoized admission, and refuse what no quality fits. fleetClamped
 // reports the clamp. Accepted requests run it allocation-free.
-//
-//insitu:noalloc
 func (s *Server) front(req *FrameRequest) (d decision, fleetClamped bool, err error) {
-	//insitu:noalloc-ok validate is read-only for accepted requests; only rejections build errors
 	if err := s.validate(req); err != nil {
 		atomic.AddUint64(&s.n.BadRequests, 1)
 		return decision{}, false, err
@@ -582,7 +568,6 @@ func (s *Server) front(req *FrameRequest) (d decision, fleetClamped bool, err er
 	}
 	if !d.ok {
 		atomic.AddUint64(&s.n.Rejected, 1)
-		//insitu:noalloc-ok rejection path, never taken by a cache hit
 		return d, fleetClamped, d.rejection(req)
 	}
 	return d, fleetClamped, nil
@@ -592,8 +577,6 @@ func (s *Server) front(req *FrameRequest) (d decision, fleetClamped bool, err er
 // the front half, then the frame cache, and on a miss a render through
 // the flight leader. sess, when non-nil, receives prefetch-hit
 // accounting. The cache-hit path performs zero heap allocations.
-//
-//insitu:noalloc
 func (s *Server) serveFrame(req FrameRequest, sess *Session) (res FrameResult, d decision, err error) {
 	start := time.Now()
 	d, fleetClamped, err := s.front(&req)
@@ -614,7 +597,7 @@ func (s *Server) serveFrame(req FrameRequest, sess *Session) (res FrameResult, d
 		return res, d, nil
 	}
 	atomic.AddUint64(&s.n.CacheMisses, 1)
-	//insitu:noalloc-ok the miss path renders a frame; only the hit path above is allocation-free
+	// The miss path renders a frame; only the hit path above is allocation-free.
 	res, err = s.renderMiss(req, d, fk, sess, start, admitDur)
 	res.FleetDegraded = res.FleetDegraded || fleetClamped
 	return res, d, err
@@ -623,8 +606,6 @@ func (s *Server) serveFrame(req FrameRequest, sess *Session) (res FrameResult, d
 // hitFrame accounts a frame served from the cache and fills res from the
 // cached measurements at the admitted quality (in place: the result is
 // large, and the hit path is where its copies show).
-//
-//insitu:noalloc
 func (s *Server) hitFrame(res *FrameResult, cf *cachedFrame, d *decision, sess *Session) {
 	atomic.AddUint64(&s.n.CacheHits, 1)
 	if cf.speculative {
@@ -645,8 +626,6 @@ func (s *Server) hitFrame(res *FrameResult, cf *cachedFrame, d *decision, sess *
 }
 
 // prefetchHit counts a frame served from a speculative render.
-//
-//insitu:noalloc
 func (s *Server) prefetchHit(sess *Session) {
 	atomic.AddUint64(&s.n.PrefetchHits, 1)
 	if sess != nil {
@@ -658,8 +637,6 @@ func (s *Server) prefetchHit(sess *Session) {
 // (a cache hit or a coalesced follower): admission only, flagged as a
 // hit. The trace lives on this stack frame and commits by copy — sharing
 // the miss path's heap trace would make every hit allocate.
-//
-//insitu:noalloc
 func (s *Server) commitHitTrace(req *FrameRequest, d *decision, start time.Time, admitDur time.Duration) {
 	var tr obs.FrameTrace
 	tr.Seq = s.tracer.NextSeq()
@@ -673,8 +650,6 @@ func (s *Server) commitHitTrace(req *FrameRequest, d *decision, start time.Time,
 // frameKeyFor builds the cache identity of a normalized request at the
 // admitted quality. Camera angles are quantized to millidegrees
 // (normalize bounds them, so the quantization cannot overflow).
-//
-//insitu:noalloc
 func frameKeyFor(req *FrameRequest, q quality) frameKey {
 	return frameKey{
 		arch: req.Arch, backend: req.Backend, sim: req.Sim,
@@ -795,12 +770,21 @@ func (s *Server) renderScheduled(req *FrameRequest, d decision, tr *obs.FrameTra
 // deadline (zero = none) bounds a fleet frame's recovery retries.
 func (s *Server) renderFrame(ws *workerState, req *FrameRequest, d decision, deadline time.Time, tr *obs.FrameTrace) (FrameResult, error) {
 	if d.q.Shards <= 1 {
-		lease, res, err := s.drawLocal(req, d.q, tr)
+		leaseStart := time.Now()
+		rk := runnerKey{arch: req.Arch, backend: req.Backend, sim: req.Sim, q: d.q}
+		lease, err := s.runners.Acquire(rk, func() (scenario.FrameRunner, func(), error) {
+			return s.prepareRunner(req, d.q)
+		})
 		if err != nil {
 			return FrameResult{}, err
 		}
 		// The image lives in the runner's arena: hold the lease across the tail.
 		defer lease.Release()
+		tr.Span(obs.StageRunnerLease, leaseStart, time.Since(leaseStart))
+		res, err := s.drawLocal(lease.Runner().(*preparedRunner), req, d.q, tr)
+		if err != nil {
+			return FrameResult{}, err
+		}
 		return s.finishFrame(ws, req, d, res, false, tr)
 	}
 	job := cluster.Job{
@@ -819,31 +803,20 @@ func (s *Server) renderFrame(ws *workerState, req *FrameRequest, d decision, dea
 	return s.finishFrame(ws, req, d, res, true, tr)
 }
 
-// drawLocal leases the (cached) runner, points its camera at this
-// request's orbit position, and renders. The caller releases the lease.
-func (s *Server) drawLocal(req *FrameRequest, q quality, tr *obs.FrameTrace) (*scenario.RunnerLease[runnerKey], *cluster.Result, error) {
-	leaseStart := time.Now()
-	rk := runnerKey{arch: req.Arch, backend: req.Backend, sim: req.Sim, q: q}
-	lease, err := s.runners.Acquire(rk, func() (scenario.FrameRunner, func(), error) {
-		return s.prepareRunner(req, q)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	tr.Span(obs.StageRunnerLease, leaseStart, time.Since(leaseStart))
-	pr := lease.Runner().(*preparedRunner)
+// drawLocal points the leased runner's camera at this request's orbit
+// position and renders. The image lives in the runner's arena, so the
+// caller holds the lease until the tail is done.
+func (s *Server) drawLocal(pr *preparedRunner, req *FrameRequest, q quality, tr *obs.FrameTrace) (*cluster.Result, error) {
 	pr.SetCamera(render.OrbitCamera(pr.bounds, req.Azimuth, 20, req.Zoom))
 	in := core.Inputs{Pixels: float64(q.W * q.H), Tasks: 1}
 	renderStart := time.Now()
 	elapsed, img, err := pr.RenderFrame(&in)
 	if err != nil {
-		lease.Release()
-		return nil, nil, fmt.Errorf("serve: rendering %s/%s: %w", req.Backend, req.Sim, err)
+		return nil, fmt.Errorf("serve: rendering %s/%s: %w", req.Backend, req.Sim, err)
 	}
 	tr.Span(obs.StageRender, renderStart, elapsed)
 	in.AvgAP = in.AP
-	return lease, &cluster.Result{
-		//insitu:leaselife-ok the caller holds the lease, and with it the arena, until the tail is done
+	return &cluster.Result{
 		Image: img, In: in, BuildSeconds: pr.BuildSeconds(), RenderSeconds: elapsed.Seconds(),
 	}, nil
 }

@@ -227,7 +227,7 @@ func TestDegradedFramesSkipCalibration(t *testing.T) {
 	engine := advisor.New(reg)
 	cal := &study.Calibrator{
 		Source: "serve-test", RefitEvery: 1000, // accumulate only
-		Publish: func(s *registry.Snapshot, _ uint64) error { return reg.Publish(s) },
+		Publish: func(s *registry.Snapshot, baseGen uint64) error { return reg.PublishIf(s, baseGen) },
 	}
 	engine.SetObserver(cal)
 	s := New(engine, Config{Arch: "serial", Logf: t.Logf})

@@ -91,8 +91,6 @@ type cameraKey struct {
 
 // cameraKeyFor quantizes a pose (normalize bounds the camera, so the
 // quantization cannot overflow).
-//
-//insitu:noalloc
 func cameraKeyFor(p Pose) cameraKey {
 	return cameraKey{
 		azMilli:   int64(math.Round(p.Azimuth * 1e3)),
@@ -275,8 +273,6 @@ func (sess *Session) finish() {
 // speculatively render the uncached ones into idle headroom. When the
 // prediction was right, this frame was already cached and the whole
 // call is a sub-microsecond, zero-allocation cache hit.
-//
-//insitu:noalloc
 func (sess *Session) Frame(azimuth, zoom float64) (FrameResult, error) {
 	s := sess.srv
 	if sess.closed.Load() {
@@ -296,7 +292,6 @@ func (sess *Session) Frame(azimuth, zoom float64) (FrameResult, error) {
 	if math.IsNaN(azimuth) || math.Abs(azimuth) > maxAzimuthDegrees ||
 		math.IsNaN(req.Zoom) || req.Zoom <= 0 || req.Zoom > maxZoom {
 		atomic.AddUint64(&s.n.BadRequests, 1)
-		//insitu:noalloc-ok rejected camera — the refusal path may allocate its error
 		return FrameResult{}, badRequestf("session camera out of range: azimuth %g zoom %g", azimuth, req.Zoom)
 	}
 
@@ -307,19 +302,16 @@ func (sess *Session) Frame(azimuth, zoom float64) (FrameResult, error) {
 	res, d, served := sess.fastFrame(&req)
 	if !served {
 		var err error
-		//insitu:noalloc-ok the slow path (generation change or cache miss) re-admits or renders
 		res, d, err = s.serveFrame(req, sess)
 		if err != nil {
 			return res, err
 		}
-		//insitu:noalloc-ok slow path: refresh the memoized decision and pin
 		sess.refreshDecision(&req, d)
 	}
 	sess.frames.Add(1)
 	atomic.AddUint64(&s.n.SessionFrames, 1)
 
 	if n := sess.planPrefetch(now, &req, d); n > 0 {
-		//insitu:noalloc-ok submission runs only for uncached predictions — the prefetch miss path
 		sess.submitPrefetch(&req, d, n)
 	}
 	return res, nil
@@ -330,8 +322,6 @@ func (sess *Session) Frame(azimuth, zoom float64) (FrameResult, error) {
 // still stands, and serve straight from the frame cache. Returns
 // served=false (and an unusable result) on a generation change or a
 // cache miss — the caller then takes the full serveFrame path.
-//
-//insitu:noalloc
 func (sess *Session) fastFrame(req *FrameRequest) (res FrameResult, d decision, served bool) {
 	s := sess.srv
 	start := time.Now()
@@ -385,8 +375,6 @@ func (sess *Session) refreshDecision(req *FrameRequest, d decision) {
 
 // pushPoseLocked appends to the fixed-size path history, dropping the
 // oldest pose. Caller holds sess.mu.
-//
-//insitu:noalloc
 func (sess *Session) pushPoseLocked(p Pose) {
 	if sess.nhist < len(sess.hist) {
 		sess.hist[sess.nhist] = p
@@ -402,8 +390,6 @@ func (sess *Session) pushPoseLocked(p Pose) {
 // in flight. It is the zero-allocation half of prefetch: predictions
 // that are already cached cost one LRU probe the first frame and a key
 // comparison afterwards.
-//
-//insitu:noalloc
 func (sess *Session) planPrefetch(now time.Time, req *FrameRequest, d decision) int {
 	s := sess.srv
 	sess.mu.Lock()
@@ -463,8 +449,6 @@ func (sess *Session) planPrefetch(now time.Time, req *FrameRequest, d decision) 
 
 // verifiedLocked reports whether the pose was found cached (or
 // submitted) on the previous Frame. Caller holds sess.mu.
-//
-//insitu:noalloc
 func (sess *Session) verifiedLocked(ck cameraKey) bool {
 	for i := 0; i < sess.nVerified; i++ {
 		if sess.verified[i] == ck {

