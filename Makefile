@@ -60,7 +60,7 @@ vet:
 # refuses to start elsewhere, so oracles first starts one with no tests
 # and, when the runtime names the missing microarchitecture, skips the
 # v3 half and says why; ci runs oracles and stays green on any host.
-ORACLE_TESTS := 'Oracle|HitRayMatches|TFTable|PNGEncoder|Clamp8|StructuredPacket|PrimaryPackets|DeviceProfilesAllRender'
+ORACLE_TESTS := 'Oracle|HitRayMatches|TFTable|PNGEncoder|Clamp8|StructuredPacket|PrimaryPackets|DeviceProfilesAllRender|LeanArenaMatchesReference'
 ORACLE_PKGS := . ./internal/vecmath/ ./internal/bvh/ ./internal/render/raytrace/ ./internal/render/volume/ ./internal/framebuffer/
 oracles:
 	$(GO) test -count=1 -run $(ORACLE_TESTS) $(ORACLE_PKGS)

@@ -18,10 +18,10 @@ import (
 // order the raytracer traces them: the orbit camera's, in Morton order.
 func mortonRays(m *mesh.TriangleMesh, w, h int, azimuth, elevation, zoom float64) []vecmath.Ray {
 	gen := render.OrbitCamera(m.Bounds(), azimuth, elevation, zoom).Normalized().NewRayGen(w, h)
-	order := raytrace.MortonPixelOrder(w, h)
+	order := raytrace.MortonOrder(w, h)
 	rays := make([]vecmath.Ray, len(order))
 	for i, p := range order {
-		rays[i] = gen.Ray(float64(int(p)%w), float64(int(p)/w), 0.5, 0.5)
+		rays[i] = gen.Ray(float64(p.X), float64(p.Y), 0.5, 0.5)
 	}
 	return rays
 }

@@ -94,7 +94,7 @@ func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebu
 	)
 	if rerr == nil {
 		rk := runnerKey{job.Arch, job.Backend, job.Sim, job.N, job.Width, job.Height, job.RTWorkload, job.Shards, shard}
-		lease, rerr = st.runners.Acquire(rk, func() (scenario.FrameRunner, func(), error) {
+		lease, rerr = st.runners.Acquire(rk, func(scenario.FrameRunner) (scenario.FrameRunner, func(), error) {
 			dev, err := device.Profile(job.Arch)
 			if err != nil {
 				return nil, nil, err
@@ -110,10 +110,11 @@ func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebu
 		})
 	}
 	if rerr == nil {
-		// The partial image lives in the runner's arena until the
-		// composite is copied out, and a bound communicator abandons the
-		// attempt by panicking mid-collective when its deadline expires
-		// (see renderJob): the deferred release covers both.
+		// The lease is held through the render and the composite, and a
+		// bound communicator abandons the attempt by panicking
+		// mid-collective when its deadline expires (see renderJob): the
+		// deferred release covers both. The returned composite outlives
+		// the lease; the comment at the return says why that is safe.
 		defer lease.Release()
 		runner := lease.Runner()
 		runner.SetCamera(cam)
@@ -154,21 +155,21 @@ func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebu
 		return nil, nil
 	}
 	// The composited image aliases compositor (or runner-arena) scratch
-	// that the next job on this worker will overwrite: deep-copy before
-	// releasing the lease.
-	final := framebuffer.NewImage(out.W, out.H)
-	final.CopyFrom(out)
+	// that this shardState's next job overwrites, and it is returned
+	// without a copy: the worker loop's encodeResult copies the pixels
+	// into the result message before taking its next job, and
+	// RenderStandalone's shardState renders no other job.
 	return &wireResult{
 		JobID:                job.JobID,
-		W:                    final.W,
-		H:                    final.H,
+		W:                    out.W,
+		H:                    out.H,
 		In:                   in,
 		BuildSeconds:         buildSec,
 		RenderSeconds:        rt,
 		CompositeSeconds:     ct,
 		RankRenderSeconds:    perRank,
 		RankCompositeSeconds: perComp,
-	}, final
+	}, out
 }
 
 // shardErr labels a rank-local failure with the shard it happened on, so

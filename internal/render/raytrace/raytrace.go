@@ -6,12 +6,12 @@
 // occlusion, shadows, and supersampled anti-aliasing. A frame is a
 // function of its Workload: there are no other rendering knobs.
 //
-// The renderer owns a frame arena: the SoA ray state, the occlusion,
-// shadow, and color buffers, the live-ray compactor, the per-worker
-// traversal scratch, the output image, and the kernel closures themselves
-// are built on the first frame and reused afterwards, so a steady-state
-// Render performs no heap allocation. The morton pixel order is cached
-// per (width, height) across all renderers.
+// The renderer owns a frame arena: the SoA ray state, Workload3's
+// occlusion, shadow and color buffers, the live-ray compactor, the per-worker traversal scratch, the output image, and the
+// kernel closures themselves are built on the first frame and reused
+// afterwards, so a steady-state Render performs no heap allocation. The
+// morton pixel order, as pixel coordinates, is cached per (width,
+// height) across all renderers.
 package raytrace
 
 import (
@@ -120,8 +120,9 @@ func NewWithBuilder(dev *device.Device, m *mesh.TriangleMesh, builder bvh.Builde
 }
 
 // raysSoA is the structure-of-arrays ray state the pipeline stages share.
+// Every primary ray starts at the camera position, so only directions
+// are stored.
 type raysSoA struct {
-	ox, oy, oz []float64
 	dx, dy, dz []float64
 	hitT       []float64
 	hitU, hitV []float64
@@ -130,20 +131,17 @@ type raysSoA struct {
 
 // ensure grows the SoA to n rays, reallocating only on growth.
 func (r *raysSoA) ensure(n int) {
-	if cap(r.ox) < n {
-		r.ox, r.oy, r.oz = make([]float64, n), make([]float64, n), make([]float64, n)
+	if cap(r.dx) < n {
 		r.dx, r.dy, r.dz = make([]float64, n), make([]float64, n), make([]float64, n)
 		r.hitT, r.hitU, r.hitV = make([]float64, n), make([]float64, n), make([]float64, n)
 		r.hitPrim = make([]int32, n)
 	}
-	r.ox, r.oy, r.oz = r.ox[:n], r.oy[:n], r.oz[:n]
 	r.dx, r.dy, r.dz = r.dx[:n], r.dy[:n], r.dz[:n]
 	r.hitT, r.hitU, r.hitV = r.hitT[:n], r.hitU[:n], r.hitV[:n]
 	r.hitPrim = r.hitPrim[:n]
 }
 
-func (r *raysSoA) orig(i int) vecmath.Vec3 { return vecmath.V(r.ox[i], r.oy[i], r.oz[i]) }
-func (r *raysSoA) dir(i int) vecmath.Vec3  { return vecmath.V(r.dx[i], r.dy[i], r.dz[i]) }
+func (r *raysSoA) dir(i int) vecmath.Vec3 { return vecmath.V(r.dx[i], r.dy[i], r.dz[i]) }
 
 func (r *raysSoA) setHit(i int, hit bvh.Hit) {
 	r.hitPrim[i], r.hitT[i], r.hitU[i], r.hitV[i] = hit.Prim, hit.T, hit.U, hit.V
@@ -169,25 +167,29 @@ type frameArena struct {
 	r *Renderer
 
 	// Per-frame parameters, written by Render before kernels launch.
-	opts   Options
 	cam    render.Camera
 	raygen render.RayGen
 	light  render.Light
 	norm   render.Normalizer
-	aoDist float64 // Workload3's occlusion ray length
-	spp    int
+	origin vecmath.Vec3 // every primary ray's origin, the camera position
+	aoDist float64      // Workload3's occlusion ray length
+	spp    int          // rays per pixel: 1, or 4 for Workload3
+	log2   uint         // log2(spp): ray i samples pixel i>>log2
 	n      int
-	order  []int32
+	xy     []PixelXY // pixel coordinates in morton order
 
 	// cmap is the cool-to-warm map every frame uses, built by init.
 	cmap *framebuffer.ColorMap
 
-	rays      raysSoA
+	rays  raysSoA
+	flags []bool
+	live  []int32
+	// Workload3's per-ray occlusion and shadow terms and the float64
+	// colors its anti-aliasing averages, allocated on its first frame.
+	// A one-ray-per-pixel frame shades straight into the image.
 	occlusion []float64
 	shadow    []float64
 	colors    []vecmath.Vec3
-	flags     []bool
-	live      []int32
 	compact   dpp.Compactor
 	img       framebuffer.Image
 	stats     Stats
@@ -226,21 +228,30 @@ func (a *frameArena) init(r *Renderer) {
 	a.hitsFn = a.hitsKernel
 }
 
-// ensure sizes every per-frame buffer for n rays and w x h output.
-func (a *frameArena) ensure(n, w, h int) {
+// ensure sizes the per-frame buffers workload wl uses for n rays and
+// w x h output.
+func (a *frameArena) ensure(wl Workload, n, w, h int) {
 	a.n = n
 	a.rays.ensure(n)
+	a.img.EnsureSize(w, h)
+	if wl == Workload1 {
+		return
+	}
+	if cap(a.flags) < n {
+		a.flags = make([]bool, n)
+	}
+	a.flags = a.flags[:n]
+	if wl != Workload3 {
+		return
+	}
 	if cap(a.occlusion) < n {
 		a.occlusion = make([]float64, n)
 		a.shadow = make([]float64, n)
 		a.colors = make([]vecmath.Vec3, n)
-		a.flags = make([]bool, n)
 	}
 	a.occlusion = a.occlusion[:n]
 	a.shadow = a.shadow[:n]
 	a.colors = a.colors[:n]
-	a.flags = a.flags[:n]
-	a.img.EnsureSize(w, h)
 }
 
 // Render executes the configured workload and returns the image and
@@ -248,7 +259,7 @@ func (a *frameArena) ensure(n, w, h int) {
 // only until the next Render call on this renderer; Clone the image (and
 // copy the stats) to retain them across frames.
 func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
-	if opts.Width <= 0 || opts.Height <= 0 {
+	if opts.Width <= 0 || opts.Height <= 0 || opts.Width > maxSide || opts.Height > maxSide {
 		return nil, nil, fmt.Errorf("raytrace: invalid image size %dx%d", opts.Width, opts.Height)
 	}
 	if opts.Workload == 0 {
@@ -257,9 +268,9 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 
 	a := &r.arena
 	a.init(r)
-	a.opts = opts
 	a.cam = opts.Camera.Normalized()
 	a.raygen = a.cam.NewRayGen(opts.Width, opts.Height)
+	a.origin = a.raygen.Origin()
 	a.light = render.HeadLight(a.cam)
 	a.norm = render.Normalizer{Min: r.Mesh.ScalarMin, Max: r.Mesh.ScalarMax}
 
@@ -273,17 +284,17 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 	a.triTests.Store(0)
 	a.castRays.Store(0)
 
-	a.spp = 1
+	a.spp, a.log2 = 1, 0
 	if opts.Workload == Workload3 {
-		a.spp = 4
+		a.spp, a.log2 = 4, 2
 	}
 
 	// Primary ray generation in morton order (a map over ray indices).
 	start := time.Now()
-	a.order = MortonPixelOrder(opts.Width, opts.Height)
-	numPixels := len(a.order)
+	a.xy = MortonOrder(opts.Width, opts.Height)
+	numPixels := len(a.xy)
 	n := numPixels * a.spp
-	a.ensure(n, opts.Width, opts.Height)
+	a.ensure(opts.Workload, n, opts.Width, opts.Height)
 	dpp.For(r.Dev, n, a.raygenFn)
 	stats.Phases.Add("raygen", time.Since(start))
 	stats.PrimaryRays = n
@@ -310,17 +321,16 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 		return img, stats, nil
 	}
 
-	// Live-ray index list, stream compacted, plus the occlusion/shadow
-	// identity fill. Every shaded workload compacts; Workload3 times it.
+	// Live-ray index list, stream compacted. Every shaded workload
+	// compacts; Workload3 times it and fills its occlusion and shadow
+	// terms with their identity.
 	start = time.Now()
 	dpp.For(r.Dev, n, a.flagsFn)
 	a.live = a.compact.CompactIndices(a.flags)
 	if opts.Workload == Workload3 {
 		stats.Phases.Add("compact", time.Since(start))
-	}
-	dpp.For(r.Dev, n, a.initFn)
+		dpp.For(r.Dev, n, a.initFn)
 
-	if opts.Workload == Workload3 {
 		a.aoDist = aoReach * r.BVH.Mesh.Bounds().Diagonal().Length()
 		if a.aoDist == 0 {
 			a.aoDist = 1
@@ -350,20 +360,14 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 	return img, stats, nil
 }
 
-// raygenKernel fills the SoA with primary rays in morton order.
+// raygenKernel fills the SoA with primary ray directions in morton
+// order; ray i is sample i&(spp-1) of pixel i>>log2(spp).
 func (a *frameArena) raygenKernel(lo, hi int) {
-	opts := &a.opts
-	spp := a.spp
+	log2, mask := a.log2, a.spp-1
 	for i := lo; i < hi; i++ {
-		p := a.order[i/spp]
-		px := float64(int(p) % opts.Width)
-		py := float64(int(p) / opts.Width)
-		j := jitterTable[0]
-		if spp > 1 {
-			j = jitterTable[i%spp]
-		}
-		ray := a.raygen.Ray(px, py, j[0], j[1])
-		a.rays.ox[i], a.rays.oy[i], a.rays.oz[i] = ray.Orig.X, ray.Orig.Y, ray.Orig.Z
+		p := a.xy[i>>log2]
+		j := jitterTable[i&mask]
+		ray := a.raygen.Ray(float64(p.X), float64(p.Y), j[0], j[1])
 		a.rays.dx[i], a.rays.dy[i], a.rays.dz[i] = ray.Dir.X, ray.Dir.Y, ray.Dir.Z
 	}
 }
@@ -383,7 +387,7 @@ func (a *frameArena) traceKernel(worker, lo, hi int) {
 		for base := lo; base < hi; {
 			end := min(base-base%4+4, hi)
 			for k := 0; k < end-base; k++ {
-				tr.SetRay(k, rays.orig(base+k), rays.dir(base+k))
+				tr.SetRay(k, a.origin, rays.dir(base+k))
 			}
 			b.IntersectClosest4(tr, end-base, 1e-9, math.Inf(1))
 			for k := 0; k < end-base; k++ {
@@ -395,7 +399,7 @@ func (a *frameArena) traceKernel(worker, lo, hi int) {
 		}
 	} else {
 		for i := lo; i < hi; i++ {
-			hit, nt, tt := b.IntersectClosestScratch(rays.orig(i), rays.dir(i), 1e-9, math.Inf(1), tr)
+			hit, nt, tt := b.IntersectClosestScratch(a.origin, rays.dir(i), 1e-9, math.Inf(1), tr)
 			localNode += nt
 			localTri += tt
 			rays.setHit(i, hit)
@@ -412,9 +416,9 @@ func (a *frameArena) flagsKernel(lo, hi int) {
 	}
 }
 
-// initKernel resets the per-ray occlusion and shadow terms to their
-// identity. Reused buffers make this reset mandatory: stale terms from
-// the previous frame must never leak into the current one.
+// initKernel resets Workload3's per-ray occlusion and shadow terms to
+// their identity. Reused buffers make this reset mandatory: stale terms
+// from the previous frame must never leak into the current one.
 func (a *frameArena) initKernel(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		a.occlusion[i] = 1
@@ -424,15 +428,12 @@ func (a *frameArena) initKernel(lo, hi int) {
 
 // hitsKernel paints the Workload1 hit-mask image.
 func (a *frameArena) hitsKernel(lo, hi int) {
-	w := a.img.W
-	spp := a.spp
 	for q := lo; q < hi; q++ {
-		i := q * spp
-		if a.rays.hitPrim[i] < 0 {
+		if a.rays.hitPrim[q] < 0 {
 			continue
 		}
-		p := int(a.order[q])
-		a.img.Set(p%w, p/w, 0.8, 0.8, 0.8, 1, float32(a.rays.hitT[i]))
+		p := a.xy[q]
+		a.img.Set(int(p.X), int(p.Y), 0.8, 0.8, 0.8, 1, float32(a.rays.hitT[q]))
 	}
 }
 
@@ -451,7 +452,7 @@ func (a *frameArena) aoKernel(lo, hi int) {
 		if nrm.Dot(view) > 0 {
 			nrm = nrm.Neg()
 		}
-		pos := rays.orig(i).Add(view.Scale(rays.hitT[i])).Add(nrm.Scale(1e-6 * a.aoDist))
+		pos := a.origin.Add(view.Scale(rays.hitT[i])).Add(nrm.Scale(1e-6 * a.aoDist))
 		t1, t2 := tangentFrame(nrm)
 		seed := uint64(i)*0x9e3779b97f4a7c15 + 0x1234
 		blocked := 0
@@ -475,7 +476,7 @@ func (a *frameArena) shadowKernel(lo, hi int) {
 	var localCast int64
 	for li := lo; li < hi; li++ {
 		i := int(a.live[li])
-		pos := rays.orig(i).Add(rays.dir(i).Scale(rays.hitT[i]))
+		pos := a.origin.Add(rays.dir(i).Scale(rays.hitT[i]))
 		toLight := a.light.Position.Sub(pos)
 		dist := toLight.Length()
 		if dist == 0 {
@@ -491,18 +492,29 @@ func (a *frameArena) shadowKernel(lo, hi int) {
 }
 
 // shadeKernel evaluates Blinn-Phong over interpolated normals and
-// color-mapped scalars, modulated by the AO and shadow terms.
+// color-mapped scalars. Workload3 modulates it by the AO and shadow
+// terms for accumulate to average; with one ray per pixel it is the
+// pixel's color, written into the image's RGB words (accumulate adds
+// alpha and depth).
 func (a *frameArena) shadeKernel(lo, hi int) {
 	m := a.r.Mesh
 	rays := &a.rays
+	w := a.img.W
 	for li := lo; li < hi; li++ {
 		i := int(a.live[li])
 		prim := rays.hitPrim[i]
-		pos := rays.orig(i).Add(rays.dir(i).Scale(rays.hitT[i]))
+		dir := rays.dir(i)
+		pos := a.origin.Add(dir.Scale(rays.hitT[i]))
 		nrm, scalar := interpolateHit(m, prim, rays.hitU[i], rays.hitV[i])
 		base := a.cmap.Sample(a.norm.Normalize(scalar))
-		c := shade(base, pos, nrm, rays.dir(i), a.light)
-		a.colors[i] = c.Scale(a.occlusion[i] * a.shadow[i])
+		c := shade(base, pos, nrm, dir, a.light)
+		if a.spp > 1 {
+			a.colors[i] = c.Scale(a.occlusion[i] * a.shadow[i])
+		} else {
+			p := a.xy[i]
+			rgb := a.img.Color[4*(int(p.Y)*w+int(p.X)):][:3]
+			rgb[0], rgb[1], rgb[2] = float32(c.X), float32(c.Y), float32(c.Z)
+		}
 	}
 }
 
@@ -510,7 +522,21 @@ func (a *frameArena) shadeKernel(lo, hi int) {
 func (a *frameArena) accumKernel(lo, hi int) {
 	rays := &a.rays
 	spp := a.spp
-	w := a.img.W
+	if spp == 1 {
+		// One ray per pixel: the average of one sample is the sample,
+		// whose color shade already wrote.
+		w := a.img.W
+		for q := lo; q < hi; q++ {
+			if rays.hitPrim[q] < 0 {
+				continue
+			}
+			p := a.xy[q]
+			k := int(p.Y)*w + int(p.X)
+			a.img.Color[4*k+3] = 1
+			a.img.Depth[k] = float32(rays.hitT[q])
+		}
+		return
+	}
 	for q := lo; q < hi; q++ {
 		var sum vecmath.Vec3
 		hits := 0
@@ -530,8 +556,8 @@ func (a *frameArena) accumKernel(lo, hi int) {
 		}
 		inv := 1 / float64(spp)
 		alpha := float32(float64(hits) * inv)
-		p := int(a.order[q])
-		a.img.Set(p%w, p/w,
+		p := a.xy[q]
+		a.img.Set(int(p.X), int(p.Y),
 			float32(sum.X*inv), float32(sum.Y*inv), float32(sum.Z*inv),
 			alpha, float32(minT))
 	}
@@ -591,23 +617,28 @@ func hashFloat(seed *uint64) float64 {
 	return float64(z>>11) / float64(1<<53)
 }
 
+// PixelXY is one pixel's coordinates; maxSide bounds them.
+type PixelXY struct{ X, Y uint16 }
+
+const maxSide = 1 << 16
+
 // mortonCache shares the per-(w,h) pixel orders across all renderers:
 // the order depends only on the image size, is immutable once built, and
 // the study renders thousands of frames at a handful of sizes.
 var (
 	mortonMu    sync.Mutex
-	mortonCache = map[[2]int][]int32{}
+	mortonCache = map[[2]int][]PixelXY{}
 )
 
 // mortonCacheLimit bounds the cache; when exceeded it is dropped
 // wholesale (sizes churn only in pathological sweeps).
 const mortonCacheLimit = 64
 
-// MortonPixelOrder returns every pixel index of a w x h image in 2-D
-// morton (Z-curve) order, the coherence-friendly traversal the paper uses
-// to raise SIMD efficiency. Orders are cached per (w, h); the returned
-// slice is shared and must not be mutated.
-func MortonPixelOrder(w, h int) []int32 {
+// MortonOrder returns the pixel coordinates of a w x h image (w, h <=
+// 65536) in 2-D morton (Z-curve) order, the coherence-friendly traversal
+// the paper uses to raise SIMD efficiency. Orders are cached per (w, h);
+// the returned slice is shared and must not be mutated.
+func MortonOrder(w, h int) []PixelXY {
 	key := [2]int{w, h}
 	mortonMu.Lock()
 	order, ok := mortonCache[key]
@@ -618,25 +649,25 @@ func MortonPixelOrder(w, h int) []int32 {
 	order = computeMortonOrder(w, h)
 	mortonMu.Lock()
 	if len(mortonCache) >= mortonCacheLimit {
-		mortonCache = map[[2]int][]int32{}
+		mortonCache = map[[2]int][]PixelXY{}
 	}
 	mortonCache[key] = order
 	mortonMu.Unlock()
 	return order
 }
 
-func computeMortonOrder(w, h int) []int32 {
+func computeMortonOrder(w, h int) []PixelXY {
 	side := 1
 	for side < w || side < h {
 		side <<= 1
 	}
-	order := make([]int32, 0, w*h)
+	order := make([]PixelXY, 0, w*h)
 	total := side * side
 	for code := 0; code < total; code++ {
 		x := compact1by1(uint64(code))
 		y := compact1by1(uint64(code) >> 1)
 		if int(x) < w && int(y) < h {
-			order = append(order, int32(int(y)*w+int(x)))
+			order = append(order, PixelXY{uint16(x), uint16(y)})
 		}
 	}
 	return order

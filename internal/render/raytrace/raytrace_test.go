@@ -212,6 +212,11 @@ func TestInvalidOptions(t *testing.T) {
 	if _, _, err := r.Render(Options{Width: 0, Height: 10}); err == nil {
 		t.Error("expected error for zero width")
 	}
+	// Pixel coordinates are 16-bit: a side past maxSide is refused
+	// before anything is sized for it.
+	if _, _, err := r.Render(Options{Width: maxSide + 1, Height: 1}); err == nil {
+		t.Error("expected error for a width past maxSide")
+	}
 }
 
 func TestEmptyMeshRenders(t *testing.T) {
@@ -230,14 +235,14 @@ func TestEmptyMeshRenders(t *testing.T) {
 func TestMortonPixelOrderCoversImage(t *testing.T) {
 	for _, wh := range [][2]int{{7, 5}, {16, 16}, {33, 9}, {1, 1}} {
 		w, h := wh[0], wh[1]
-		order := MortonPixelOrder(w, h)
+		order := MortonOrder(w, h)
 		if len(order) != w*h {
 			t.Fatalf("%dx%d: order length %d", w, h, len(order))
 		}
-		seen := make(map[int32]bool, len(order))
+		seen := make(map[PixelXY]bool, len(order))
 		for _, p := range order {
-			if p < 0 || int(p) >= w*h || seen[p] {
-				t.Fatalf("%dx%d: bad or duplicate pixel %d", w, h, p)
+			if int(p.X) >= w || int(p.Y) >= h || seen[p] {
+				t.Fatalf("%dx%d: bad or duplicate pixel %v", w, h, p)
 			}
 			seen[p] = true
 		}

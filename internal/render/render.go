@@ -94,6 +94,9 @@ func (g *RayGen) Ray(px, py, jx, jy float64) vecmath.Ray {
 	return vecmath.Ray{Orig: g.pos, Dir: dir}
 }
 
+// Origin is the position every ray of Ray starts from.
+func (g *RayGen) Origin() vecmath.Vec3 { return g.pos }
+
 // Matrix returns the combined viewport * projection * view transform used
 // by the object-order renderers. Transformed points land in pixel
 // coordinates with depth in [0,1].

@@ -7,6 +7,7 @@ import (
 
 	"insitu/internal/composite"
 	"insitu/internal/core"
+	"insitu/internal/device"
 	"insitu/internal/framebuffer"
 	"insitu/internal/render"
 )
@@ -30,6 +31,16 @@ type FrameRunner interface {
 	// technique, so a serving path reuses one prepared runner across
 	// camera angles through this instead of re-preparing the scene.
 	SetCamera(cam render.Camera)
+}
+
+// Forker is a FrameRunner whose prepared scene can back another runner.
+// Fork returns a runner on dev that shares the receiver's read-only
+// state (geometry, acceleration structure, build time) and owns its
+// frame arena, so the two render concurrently and draw the same frames.
+// The fork's camera is unset until SetCamera. Fork may run while the
+// receiver renders on another goroutine.
+type Forker interface {
+	Fork(dev *device.Device) FrameRunner
 }
 
 // Backend is one rendering technique: its compositing needs, its

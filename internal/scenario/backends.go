@@ -6,6 +6,7 @@ import (
 
 	"insitu/internal/composite"
 	"insitu/internal/core"
+	"insitu/internal/device"
 	"insitu/internal/framebuffer"
 	"insitu/internal/mesh"
 	"insitu/internal/render"
@@ -48,6 +49,15 @@ type raytraceRunner struct {
 
 func (r *raytraceRunner) BuildSeconds() float64       { return r.rdr.BVH.BuildTime.Seconds() }
 func (r *raytraceRunner) SetCamera(cam render.Camera) { r.opts.Camera = cam }
+
+// Fork shares the mesh and the BVH; it reads none of the fields a frame
+// writes (the camera, the frame arena).
+func (r *raytraceRunner) Fork(dev *device.Device) FrameRunner {
+	return &raytraceRunner{
+		rdr:  &raytrace.Renderer{Dev: dev, Mesh: r.rdr.Mesh, BVH: r.rdr.BVH},
+		opts: raytrace.Options{Width: r.opts.Width, Height: r.opts.Height, Workload: r.opts.Workload},
+	}
+}
 
 func (r *raytraceRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
 	start := time.Now()

@@ -188,3 +188,79 @@ func TestSceneLazyGeometryIsCached(t *testing.T) {
 		t.Error("kripke scene should be structured")
 	}
 }
+
+// TestForkDrawsTheSameFrames: every Forker's fork, made while its seed
+// renders on another goroutine, draws the seed's frames bit for bit and
+// reports the same inputs and build time. Under -race it also checks
+// that Fork reads nothing a frame writes.
+func TestForkDrawsTheSameFrames(t *testing.T) {
+	for _, name := range Names() {
+		b, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, proxy := range sim.Names() {
+			if b.NeedsStructured() && !sim.Structured(proxy) {
+				continue
+			}
+			sc := simScene(t, proxy, 8, 48)
+			seed, err := b.Prepare(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, ok := seed.(Forker)
+			if !ok {
+				continue
+			}
+			t.Run(string(name)+"/"+proxy, func(t *testing.T) {
+				cams := []render.Camera{sc.Camera, render.OrbitCamera(sc.Mesh.LocalBounds(), 75, 10, 1.2)}
+				type frame struct {
+					in    core.Inputs
+					color []float32
+					depth []float32
+				}
+				draw := func(r FrameRunner, cam render.Camera) frame {
+					r.SetCamera(cam)
+					var in core.Inputs
+					_, img, err := r.RenderFrame(&in)
+					if err != nil {
+						t.Error(err)
+						return frame{}
+					}
+					return frame{in, slices.Clone(img.Color), slices.Clone(img.Depth)}
+				}
+				want := make(chan []frame)
+				go func() {
+					var fs []frame
+					for _, cam := range cams {
+						fs = append(fs, draw(seed, cam))
+					}
+					want <- fs
+				}()
+				dev := device.CPU()
+				defer dev.Close()
+				fork := f.Fork(dev)
+				seedFrames := <-want
+				if fork.BuildSeconds() != seed.BuildSeconds() {
+					t.Errorf("fork build %v s, seed %v s", fork.BuildSeconds(), seed.BuildSeconds())
+				}
+				bits := func(v []float32) []uint32 {
+					u := make([]uint32, len(v))
+					for i, x := range v {
+						u[i] = math.Float32bits(x)
+					}
+					return u
+				}
+				for i, cam := range cams {
+					got, want := draw(fork, cam), seedFrames[i]
+					if got.in != want.in {
+						t.Errorf("camera %d: fork inputs %+v, seed %+v", i, got.in, want.in)
+					}
+					if !slices.Equal(bits(got.color), bits(want.color)) || !slices.Equal(bits(got.depth), bits(want.depth)) {
+						t.Errorf("camera %d: the fork's frame differs from the seed's", i)
+					}
+				}
+			})
+		}
+	}
+}

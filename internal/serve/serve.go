@@ -12,7 +12,7 @@
 // one process.
 //
 // Interactive clients open persistent Sessions (OpenSession): a session
-// is admitted once, soft-pins its warm runner in the RunnerCache,
+// is admitted once, soft-pins its configuration's key in the RunnerCache,
 // memoizes its admission per model generation, and tracks the client's
 // camera path. After each frame it extrapolates the next poses
 // (OrbitPredictor) and speculatively renders the uncached ones into
@@ -146,7 +146,8 @@ type Config struct {
 	Workers  int // default 2
 	QueueCap int // default 64
 	// FrameCacheEntries bounds the encoded-frame LRU; RunnerCacheEntries
-	// the idle prepared runners kept warm.
+	// the idle prepared runners kept warm. A configuration holds up to
+	// one runner per worker, so that many of its frames render at once.
 	FrameCacheEntries  int // default 256
 	RunnerCacheEntries int // default 8
 	// ObserveQueue buffers measured samples for the engine's observer;
@@ -772,8 +773,8 @@ func (s *Server) renderFrame(ws *workerState, req *FrameRequest, d decision, dea
 	if d.q.Shards <= 1 {
 		leaseStart := time.Now()
 		rk := runnerKey{arch: req.Arch, backend: req.Backend, sim: req.Sim, q: d.q}
-		lease, err := s.runners.Acquire(rk, func() (scenario.FrameRunner, func(), error) {
-			return s.prepareRunner(req, d.q)
+		lease, err := s.runners.Acquire(rk, func(seed scenario.FrameRunner) (scenario.FrameRunner, func(), error) {
+			return s.prepareRunner(req, d.q, seed)
 		})
 		if err != nil {
 			return FrameResult{}, err
@@ -934,10 +935,21 @@ func (s *Server) finishFrame(ws *workerState, req *FrameRequest, d decision, res
 }
 
 // prepareRunner builds the scene — scenario.BuildShard's one-rank block,
-// orbited by the request's camera — and hands it to the backend. The
-// returned close hook releases the scene's device worker pool when the
-// runner cache evicts the runner.
-func (s *Server) prepareRunner(req *FrameRequest, q quality) (scenario.FrameRunner, func(), error) {
+// orbited by the request's camera — and hands it to the backend. A key's
+// further runners fork seed, a prepared runner of the key, when its
+// backend can (scenario.Forker): the fork shares the scene and owns
+// only a device and a frame arena. The returned close hook releases the
+// runner's device worker pool when the runner cache evicts the runner.
+func (s *Server) prepareRunner(req *FrameRequest, q quality, seed scenario.FrameRunner) (scenario.FrameRunner, func(), error) {
+	if pr, ok := seed.(*preparedRunner); ok {
+		if f, ok := pr.FrameRunner.(scenario.Forker); ok {
+			dev, err := device.Profile(req.Arch)
+			if err != nil {
+				return nil, nil, err
+			}
+			return &preparedRunner{FrameRunner: f.Fork(dev), bounds: pr.bounds}, dev.Close, nil
+		}
+	}
 	backend, err := scenario.Lookup(req.Backend)
 	if err != nil {
 		return nil, nil, err

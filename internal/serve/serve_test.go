@@ -4,14 +4,21 @@ import (
 	"bytes"
 	"errors"
 	"image/png"
+	"math"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"insitu/internal/advisor"
 	"insitu/internal/core"
+	"insitu/internal/framebuffer"
 	"insitu/internal/registry"
+	"insitu/internal/render"
+	"insitu/internal/scenario"
 	"insitu/internal/study"
+	"insitu/internal/vecmath"
 )
 
 // testSnapshot hand-builds a model snapshot with plausible positive
@@ -516,5 +523,153 @@ func TestInvalidRequestsRejected(t *testing.T) {
 	}
 	if st := s.Stats(); st.BadRequests != uint64(len(bad)) {
 		t.Errorf("bad request counter = %d, want %d", st.BadRequests, len(bad))
+	}
+}
+
+// barrierRunner is a stub warm runner whose frames each wait until
+// `want` frames have started on the key's runners, so it completes only
+// if frames of one configuration render at the same time. one closes
+// when the first frame starts.
+type barrierRunner struct {
+	started  *atomic.Int32
+	one, all chan struct{}
+	want     int32
+	w, h     int
+}
+
+func (b *barrierRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
+	n := b.started.Add(1)
+	if n == 1 {
+		close(b.one)
+	}
+	if n == b.want {
+		close(b.all)
+	}
+	select {
+	case <-b.all:
+	case <-time.After(10 * time.Second):
+		return 0, nil, errors.New("the other same-key frame never started: frames of one configuration serialized")
+	}
+	in.AP = float64(b.w * b.h)
+	return time.Millisecond, framebuffer.NewImage(b.w, b.h), nil
+}
+func (b *barrierRunner) BuildSeconds() float64       { return 0 }
+func (b *barrierRunner) SetCamera(cam render.Camera) {}
+
+// TestSameKeyFramesRenderConcurrently: two misses of one configuration
+// render at once on a two-worker server, each on its own runner of the
+// key's pool. The stub runners block until both frames have started, so
+// a server that serialized same-key frames on one runner would time out.
+func TestSameKeyFramesRenderConcurrently(t *testing.T) {
+	s := testServer(t, Config{Workers: 2})
+	req := FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64}
+	norm := req
+	d, _, err := s.front(&norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rk := runnerKey{arch: norm.Arch, backend: norm.Backend, sim: norm.Sim, q: d.q}
+	var started atomic.Int32
+	one, all := make(chan struct{}), make(chan struct{})
+	prepare := func(scenario.FrameRunner) (scenario.FrameRunner, func(), error) {
+		stub := &barrierRunner{started: &started, one: one, all: all, want: 2, w: d.q.W, h: d.q.H}
+		return &preparedRunner{FrameRunner: stub, bounds: vecmath.AABB{Max: vecmath.V(1, 1, 1)}}, nil, nil
+	}
+	// Two leases held at once prepare the key's two stub runners, as two
+	// earlier concurrent frames would have.
+	leases := make(chan *scenario.RunnerLease[runnerKey], 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			if l, err := s.runners.Acquire(rk, prepare); err == nil {
+				leases <- l
+			}
+		}()
+	}
+	var held [2]*scenario.RunnerLease[runnerKey]
+	for i := range held {
+		select {
+		case held[i] = <-leases:
+		case <-time.After(10 * time.Second):
+			t.Fatal("no second runner was prepared while the key's first was leased")
+		}
+	}
+	errs := make(chan error, 2)
+	renderAt := func(az float64) {
+		go func() {
+			r := req
+			r.Azimuth = az
+			_, err := s.Render(r)
+			errs <- err
+		}()
+	}
+	// Frame 1 takes the first stub. The second is released only once
+	// frame 1 renders, so it is the key's one idle runner when frame 2
+	// arrives.
+	held[0].Release()
+	renderAt(10)
+	select {
+	case <-one:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first frame never started")
+	}
+	held[1].Release()
+	renderAt(20)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("same-key frames did not finish")
+		}
+	}
+	if st := s.Stats().RunnerCache; st.Prepared != 2 || st.Live != 1 {
+		t.Errorf("runner cache %+v, want the 2 stub runners prepared and 1 kept once both frames are done", st)
+	}
+}
+
+// TestSecondRunnerForksTheFirst: a key's second runner, prepared while
+// its first is leased, forks the first — same scene bounds, the first's
+// BVH (so its build time), and the same frames.
+func TestSecondRunnerForksTheFirst(t *testing.T) {
+	s := testServer(t, Config{Workers: 2})
+	req := FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64, Azimuth: 30}
+	d, _, err := s.front(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rk := runnerKey{arch: req.Arch, backend: req.Backend, sim: req.Sim, q: d.q}
+	prepare := func(seed scenario.FrameRunner) (scenario.FrameRunner, func(), error) {
+		return s.prepareRunner(&req, d.q, seed)
+	}
+	var runners [2]*preparedRunner
+	for i := range runners {
+		l, err := s.runners.Acquire(rk, prepare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Release()
+		runners[i] = l.Runner().(*preparedRunner)
+	}
+	first, second := runners[0], runners[1]
+	if second.bounds != first.bounds || second.BuildSeconds() != first.BuildSeconds() {
+		t.Fatalf("second runner (bounds %v, build %v s) is not a fork of the first (%v, %v s)",
+			second.bounds, second.BuildSeconds(), first.bounds, first.BuildSeconds())
+	}
+	var frames [2][]float32
+	for i, pr := range runners {
+		pr.SetCamera(render.OrbitCamera(pr.bounds, req.Azimuth, 20, req.Zoom))
+		var in core.Inputs
+		_, img, err := pr.RenderFrame(&in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = slices.Concat(img.Color, img.Depth)
+	}
+	for i := range frames[0] {
+		if math.Float32bits(frames[0][i]) != math.Float32bits(frames[1][i]) {
+			t.Fatalf("the fork's frame differs from the first runner's at word %d", i)
+		}
 	}
 }

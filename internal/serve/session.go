@@ -25,16 +25,20 @@ var ErrTooManySessions = errors.New("serve: too many open sessions")
 // camera-free frame configuration it opened with, its recent camera
 // path, and the speculative-prefetch machinery that renders predicted
 // next frames into the shared frame cache during idle headroom. A
-// session soft-pins its runner-cache entry so request churn cannot
-// cold-start its warm renderer, and its per-frame admission stays
-// memoized, so the steady-state Frame path — pose record, prediction,
-// cache probes, cache hit — performs zero heap allocations.
+// session soft-pins its configuration's runner-cache key so request
+// churn cannot cold-start the key's last warm runner, and its per-frame
+// admission stays memoized, so the steady-state Frame path — pose
+// record, prediction, cache probes, cache hit — performs zero heap
+// allocations.
 //
 // Sessions are safe for concurrent use, but one client's frames
 // naturally serialize; fairness across thousands of sessions comes from
 // per-session prefetch caps (at most PrefetchDepth speculative renders
 // in flight per session), the shed-oldest background queue, and the
-// runner cache's first-come-first-served lease handoff.
+// runner cache: sessions of one configuration share its key's runners,
+// and a frame that finds all of them leased prepares another instead of
+// waiting, so no session's frame queues behind another's render (the
+// render workers bound a key's runners).
 type Session struct {
 	srv   *Server
 	id    uint64
@@ -116,8 +120,8 @@ type SessionInfo struct {
 
 // OpenSession runs the request front half once (camera fields are the
 // opening pose) — validation, the fleet-health clamp, admission —
-// registers the session, and soft-pins its runner so the scene stays
-// warm between frames. A deadline no quality fits is refused with the
+// registers the session, and soft-pins its runner-cache key so the
+// scene stays warm between frames. A deadline no quality fits is refused with the
 // same RejectionError a one-shot Render would get. At MaxSessions,
 // sessions idle longer than SessionIdleTimeout are reaped to make room;
 // with none to reap, ErrTooManySessions.
@@ -348,8 +352,8 @@ func (sess *Session) fastFrame(req *FrameRequest) (res FrameResult, d decision, 
 
 // refreshDecision memoizes an admission outcome: the opening one, then
 // each one the slow path re-admits. When the admitted quality changed
-// (at open, or after a continuous-calibration refit), the soft runner
-// pin moves to the new quality.
+// (at open, or after a continuous-calibration refit), the soft
+// runner-cache pin moves to the new quality's key.
 func (sess *Session) refreshDecision(req *FrameRequest, d decision) {
 	s := sess.srv
 	gen := s.engine.Registry().Generation()

@@ -136,18 +136,16 @@ func (s *Strawman) Execute(actions *conduit.Node) error {
 					return fmt.Errorf("strawman: plot %q: %w", p.variable, err)
 				}
 				if img != nil { // rank 0 (or serial)
-					// renderPlot's image is frame-arena owned: the next
-					// plot in this loop would overwrite it in place, so
-					// keep a deep copy.
-					kept := img.Clone()
-					s.LastImages[name] = kept
+					// renderPlot prepares a fresh runner and compositor
+					// for every plot, so nothing renders into img again.
+					s.LastImages[name] = img
 					if a.StringOr("format", "png") == "png" {
-						if err := kept.SavePNG(name + ".png"); err != nil {
+						if err := img.SavePNG(name + ".png"); err != nil {
 							return fmt.Errorf("strawman: saving %q: %w", name, err)
 						}
 					}
 					if s.server != nil {
-						s.server.Update(kept)
+						s.server.Update(img)
 					}
 				}
 			}
