@@ -48,7 +48,8 @@ vet:
 # test, BVH traversal and its AVX2 primary-ray packet kernel, volume
 # sampling loop and its AVX2 packet kernel, PNG writer), plus the root
 # package's check that every device profile renders the same ray-traced
-# and volume frames, at the default GOAMD64 and at v3, whose instruction
+# and volume frames and scenario's check that a reused render arena draws
+# what a fresh runner draws, at the default GOAMD64 and at v3, whose instruction
 # selection differs, so any level-dependent code generation shows up as
 # changed bits. (Go 1.24 emits no fused multiply-add on amd64 at either
 # level; arm64 fuses, which is why the bench goldens are per GOARCH.)
@@ -60,8 +61,8 @@ vet:
 # refuses to start elsewhere, so oracles first starts one with no tests
 # and, when the runtime names the missing microarchitecture, skips the
 # v3 half and says why; ci runs oracles and stays green on any host.
-ORACLE_TESTS := 'Oracle|HitRayMatches|TFTable|PNGEncoder|Clamp8|StructuredPacket|PrimaryPackets|DeviceProfilesAllRender|LeanArenaMatchesReference'
-ORACLE_PKGS := . ./internal/vecmath/ ./internal/bvh/ ./internal/render/raytrace/ ./internal/render/volume/ ./internal/framebuffer/
+ORACLE_TESTS := 'Oracle|HitRayMatches|TFTable|PNGEncoder|Clamp8|StructuredPacket|PrimaryPackets|DeviceProfilesAllRender|LeanArenaMatchesReference|WorkerArenaMatchesFreshRunner'
+ORACLE_PKGS := . ./internal/vecmath/ ./internal/bvh/ ./internal/render/raytrace/ ./internal/render/volume/ ./internal/framebuffer/ ./internal/scenario/
 oracles:
 	$(GO) test -count=1 -run $(ORACLE_TESTS) $(ORACLE_PKGS)
 	@if out="$$(GOAMD64=v3 $(GO) test -count=1 -run '^$$' ./internal/device/ 2>&1)"; then \

@@ -17,7 +17,7 @@
 // compositing times.
 //
 // Interactive clients open persistent sessions: the session is admitted
-// once, pins its warm runner, tracks the camera path, and speculatively
+// once, pins its prepared scene, tracks the camera path, and speculatively
 // renders model-predicted next poses into the frame cache during the
 // client's think time — strictly below foreground deadline work — so a
 // predictable camera (an orbit) sees cache-hit time-to-photon.
@@ -37,7 +37,7 @@
 //	GET    /v1/session/{id}/frame   next pose (query: azimuth, zoom) -> image/png
 //	GET    /v1/session/{id}/stream  server-paced orbit (query: step, fps, frames)
 //	                             -> multipart/x-mixed-replace PNG parts
-//	DELETE /v1/session/{id}      close the session, release its runner pin
+//	DELETE /v1/session/{id}      close the session, release its scene pin
 //	GET    /v1/models            served models + calibration generation
 //	POST   /v1/predict           cost one configuration (or a JSON array: batch)
 //	POST   /v1/feasibility       images-per-budget curve ("X1 images in X2 s?")
@@ -107,7 +107,7 @@ func main() {
 		workers    = flag.Int("workers", 2, "concurrent render workers")
 		queue      = flag.Int("queue", 64, "render queue capacity (EDF-ordered)")
 		frames     = flag.Int("frame-cache", 256, "encoded-frame LRU entries")
-		runners    = flag.Int("runners", 8, "idle prepared renderers kept warm")
+		runners    = flag.Int("runners", 8, "prepared scenes kept warm, one per (arch, backend, sim, n)")
 		clusterN   = flag.Int("cluster", 0, "worker ranks for sharded frames (0 = single-process serving only)")
 	)
 	flag.Parse()
@@ -144,7 +144,7 @@ func main() {
 	// Graceful drain: when Shutdown starts, close every streaming session
 	// first — active /v1/session/{id}/stream handlers see ErrSessionClosed
 	// on their next frame and end their multipart streams, speculative
-	// prefetch jobs become no-ops, and runner pins release — so Shutdown's
+	// prefetch jobs become no-ops, and scene pins release — so Shutdown's
 	// wait for in-flight requests actually terminates.
 	httpSrv.RegisterOnShutdown(srv.DrainSessions)
 

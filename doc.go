@@ -68,14 +68,15 @@
 //     acts on the predictions: model-gated admission (reject with the
 //     predicted time, or degrade resolution/geometry/workload until the
 //     prediction fits the deadline), an earliest-deadline-first bounded
-//     scheduler over persistent cached scenario runners
-//     (scenario.RunnerCache leases prepared scenes and device pools
-//     across requests), an LRU frame cache with a zero-allocation hit
-//     path, and calibration feedback: every rendered frame's measured
-//     wall time flows into the calibrator, so serving traffic refits
-//     the models that gate it. internal/lru is the one generic LRU
-//     shared by the admission memo, the frame cache, and the cluster's
-//     scene cache.
+//     scheduler whose workers render cached prepared scenes on their
+//     own arenas (scenario.SceneCache shares immutable prepared scenes
+//     across requests and workers; scenario.Arenas holds a worker's
+//     devices and frame buffers), an LRU frame cache with a
+//     zero-allocation hit path, and calibration feedback: every
+//     rendered frame's measured wall time flows into the calibrator, so
+//     serving traffic refits the models that gate it. internal/lru is
+//     the one generic LRU shared by the admission memo, the frame cache,
+//     and the cluster's shard-slice cache.
 //
 // Entry points: cmd/repro regenerates every table and figure of the
 // paper's evaluation (with -parallel N measuring the study on N

@@ -51,7 +51,7 @@ func main() {
 	})
 	defer srv.Close()
 
-	// 2. Open a session: admitted once, runner pinned, camera path
+	// 2. Open a session: admitted once, scene pinned, camera path
 	// tracked from here on. Camera fields are the opening pose.
 	sess, err := srv.OpenSession(serve.FrameRequest{
 		Backend: core.RayTrace, Sim: "kripke", N: 12, Width: 96,
@@ -99,6 +99,6 @@ func main() {
 	fmt.Printf("server:  %d speculative renders scheduled, %d rendered, %d stale, %d held back (no headroom: %d in-flight cap, %d think-time budget, %d foreground load)\n",
 		st.PrefetchScheduled, st.PrefetchRendered, st.PrefetchStale, st.PrefetchNoHeadroom,
 		st.PrefetchNoHeadroomInflight, st.PrefetchNoHeadroomBudget, st.PrefetchNoHeadroomScheduler)
-	fmt.Printf("runner cache: %d leases, %d pinned\n",
-		st.RunnerCache.Leases, st.RunnerCache.Pinned)
+	fmt.Printf("scene cache: %d lookups, %d scenes prepared, %d pinned\n",
+		st.RunnerCache.Leases, st.RunnerCache.Prepared, st.RunnerCache.Pinned)
 }

@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"insitu/internal/comm"
 	"insitu/internal/core"
+	"insitu/internal/device"
 	"insitu/internal/registry"
 )
 
@@ -244,5 +247,49 @@ func TestRenderTimeoutAndRecovery(t *testing.T) {
 	}
 	if res.Image == nil {
 		t.Fatal("no image")
+	}
+}
+
+// TestRankDevicesClosed: every device a rank opened to render is closed
+// by shardState.Close, and RenderStandalone closes every device its
+// ranks opened before it returns.
+func TestRankDevicesClosed(t *testing.T) {
+	job := Job{Backend: string(core.RayTrace), Sim: "kripke", Arch: "cpu", N: 8, Width: 48, Height: 48, Shards: 2, Azimuth: 30, Zoom: 1}
+	deviceOf := func(st *shardState) *device.Device {
+		dev, err := st.arenas.Device(job.Arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dev
+	}
+
+	st := newShardState(1, 1)
+	wj := wireJob{Backend: job.Backend, Sim: job.Sim, Arch: job.Arch, N: job.N, Width: job.Width, Height: job.Height,
+		Shards: 1, Azimuth: job.Azimuth, Zoom: job.Zoom, Members: []int{0}}
+	if err := comm.NewWorld(1).Run(func(c *comm.Comm) error {
+		if res, img := st.render(c, &wj); res == nil || res.Err != "" || img == nil {
+			return fmt.Errorf("rank render: %+v", res)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dev := deviceOf(st)
+	if dev.Closed() {
+		t.Fatal("the rank's device is closed while its state is live")
+	}
+	st.Close()
+	if !dev.Closed() {
+		t.Error("shardState.Close left the rank's device open")
+	}
+
+	states := []*shardState{newShardState(1, 1), newShardState(1, 1)}
+	if _, err := renderStandalone(job, states); err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range states {
+		if !deviceOf(st).Closed() {
+			t.Errorf("rank %d's device still open after the standalone render", i)
+		}
 	}
 }

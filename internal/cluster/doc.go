@@ -7,7 +7,7 @@
 // (owned by the serving layer) and ranks 1..W as long-lived worker loops.
 // Each worker serially drains its link from the router, rendering jobs in
 // arrival order. A job names the worker ranks it spans (chosen by
-// rendezvous placement over the shard's runner-cache identity, so a
+// rendezvous placement over the shard's scene-cache identity, so a
 // shard's prepared scene and device stay hot on one rank); those workers
 // form a comm sub-communicator, render their shard of the weak-scaled
 // domain decomposition through the sort-last frame protocol of

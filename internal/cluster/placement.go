@@ -5,12 +5,11 @@ import (
 	"hash/fnv"
 )
 
-// shardKey is the placement identity of one shard: the resolution- and
-// workload-independent prefix of the worker-side runner cache key. Keying
-// placement on it means a request degraded to a lower resolution or
-// workload still lands each shard on the rank already holding its sliced
-// scene and prepared device, while distinct (sim, n, shard-count) tuples
-// spread across the fleet.
+// shardKey is the placement identity of one shard: the worker-side scene
+// cache key, which leaves out resolution and workload. Keying placement
+// on it means a request degraded to a lower resolution or workload still
+// lands each shard on the rank already holding its prepared scene, while
+// distinct (sim, n, shard-count) tuples spread across the fleet.
 func shardKey(job *Job, shard int) string {
 	return fmt.Sprintf("%s|%s|%s|n%d|k%d|s%d", job.Arch, job.Backend, job.Sim, job.N, job.Shards, shard)
 }
@@ -23,7 +22,7 @@ func shardKey(job *Job, shard int) string {
 // would deadlock in the frame's collectives. The assignment is a pure
 // function of the job parameters and the set of live ranks, so repeated
 // requests for the same configuration always reuse the same ranks (hot
-// runner caches) and the standalone reference path can reproduce the
+// scene caches) and the standalone reference path can reproduce the
 // grouping.
 //
 // dead (nil = all live) excludes evicted ranks. The HRW property makes

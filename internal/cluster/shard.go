@@ -7,48 +7,51 @@ import (
 	"insitu/internal/comm"
 	"insitu/internal/composite"
 	"insitu/internal/core"
-	"insitu/internal/device"
 	"insitu/internal/framebuffer"
 	"insitu/internal/lru"
 	"insitu/internal/render"
 	"insitu/internal/scenario"
 )
 
-// sceneKey identifies one cached shard slice: the simulation block a rank
+// sliceKey identifies one cached shard slice: the simulation block a rank
 // renders is a pure function of (proxy, size, decomposition, shard).
-type sceneKey struct {
+type sliceKey struct {
 	sim              string
 	n, shards, shard int
 }
 
-// runnerKey identifies one prepared frame runner. It extends sceneKey
-// with everything preparation bakes in: architecture, backend, image
-// size, and ray-tracing workload.
-type runnerKey struct {
-	arch, backend, sim            string
-	n, w, h, rt, shards, shardIdx int
+// sceneKey identifies one prepared scene: the slice plus the
+// architecture and backend that prepare it (placement's shardKey).
+// Image size and ray tracing workload are per frame, so every quality
+// of a shard renders one scene.
+type sceneKey struct {
+	arch, backend string
+	sliceKey
 }
 
-// shardState is one worker's long-lived render state: sliced scenes and
-// prepared runners cached across jobs (the hot state rendezvous placement
-// protects), plus a compositor whose per-rank scratch persists across
-// exchanges. A shardState is confined to its worker's serial loop — no
-// internal locking beyond the runner cache's own.
+// shardState is one worker's long-lived render state: shard slices and
+// prepared scenes cached across jobs (the hot state rendezvous placement
+// protects), the rank's own devices and arenas, and a compositor whose
+// per-rank scratch persists across exchanges. A shardState is confined
+// to its worker's serial loop — no internal locking beyond the scene
+// cache's own.
 type shardState struct {
-	scenes  *lru.Cache[sceneKey, *scenario.ShardData]
-	runners *scenario.RunnerCache[runnerKey]
-	comp    *composite.Compositor
+	slices *lru.Cache[sliceKey, *scenario.ShardData]
+	scenes *scenario.SceneCache[sceneKey]
+	arenas scenario.Arenas
+	comp   *composite.Compositor
 }
 
-func newShardState(sceneCap, runnerCap int) *shardState {
+func newShardState(sliceCap, sceneCap int) *shardState {
 	return &shardState{
-		scenes:  lru.New[sceneKey, *scenario.ShardData](sceneCap),
-		runners: scenario.NewRunnerCache[runnerKey](runnerCap),
-		comp:    composite.BinarySwap(),
+		slices: lru.New[sliceKey, *scenario.ShardData](sliceCap),
+		scenes: scenario.NewSceneCache[sceneKey](sceneCap),
+		comp:   composite.BinarySwap(),
 	}
 }
 
-func (st *shardState) Close() { st.runners.Close() }
+// Close releases the rank's devices.
+func (st *shardState) Close() { st.arenas.Close() }
 
 // render executes one shard of a job on the group communicator gc, whose
 // rank i is the renderer of shard i (the job's Members order). It runs
@@ -72,56 +75,41 @@ func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebu
 	// must keep participating in the frame's collectives.
 	var sd *scenario.ShardData
 	backend, rerr := scenario.Lookup(core.Renderer(job.Backend))
+	slice := sliceKey{job.Sim, job.N, job.Shards, shard}
 	if rerr == nil {
-		sk := sceneKey{job.Sim, job.N, job.Shards, shard}
-		if v, ok := st.scenes.Get(sk); ok {
+		if v, ok := st.slices.Get(slice); ok {
 			sd = v
 		} else if sd, rerr = scenario.BuildShard(job.Sim, job.N, job.Shards, shard, 1); rerr == nil {
-			st.scenes.Add(sk, sd)
+			st.slices.Add(slice, sd)
 		}
 	}
 	view := g.ReduceView(sd)
 	cam := render.OrbitCamera(view.Bounds, job.Azimuth, 20, job.Zoom)
 
-	// Lease this shard's prepared runner (preparing on first use) and
-	// render the local partial image.
+	// Render the local partial image from this shard's prepared scene
+	// (preparing it on first use) on the rank's arena of the backend.
 	var (
-		lease     *scenario.RunnerLease[runnerKey]
+		ps        *scenario.PreparedScene
 		img       *framebuffer.Image
 		renderSec float64
 		buildSec  float64
 		in        core.Inputs
 	)
 	if rerr == nil {
-		rk := runnerKey{job.Arch, job.Backend, job.Sim, job.N, job.Width, job.Height, job.RTWorkload, job.Shards, shard}
-		lease, rerr = st.runners.Acquire(rk, func(scenario.FrameRunner) (scenario.FrameRunner, func(), error) {
-			dev, err := device.Profile(job.Arch)
+		ps, rerr = st.scenes.Get(sceneKey{job.Arch, job.Backend, slice}, func() (*scenario.PreparedScene, error) {
+			dev, err := st.arenas.Device(job.Arch)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			sc := view.Scene(dev, sd, cam, job.Width, job.Height)
-			sc.RTWorkload = job.RTWorkload
-			r, err := backend.Prepare(sc)
-			if err != nil {
-				dev.Close()
-				return nil, nil, err
-			}
-			return r, dev.Close, nil
+			return backend.PrepareScene(view.Scene(dev, sd, cam, job.Width, job.Height))
 		})
 	}
 	if rerr == nil {
-		// The lease is held through the render and the composite, and a
-		// bound communicator abandons the attempt by panicking
-		// mid-collective when its deadline expires (see renderJob): the
-		// deferred release covers both. The returned composite outlives
-		// the lease; the comment at the return says why that is safe.
-		defer lease.Release()
-		runner := lease.Runner()
-		runner.SetCamera(cam)
-		buildSec = runner.BuildSeconds()
+		buildSec = ps.BuildSeconds
 		in = core.Inputs{Pixels: float64(job.Width * job.Height), Tasks: gc.Size()}
+		f := scenario.Frame{Width: job.Width, Height: job.Height, Camera: cam, RTWorkload: job.RTWorkload}
 		var elapsed time.Duration
-		elapsed, img, rerr = runner.RenderFrame(&in)
+		elapsed, img, rerr = st.arenas.Render(job.Arch, ps, f, &in)
 		renderSec = elapsed.Seconds()
 	}
 
@@ -154,11 +142,11 @@ func (st *shardState) render(gc *comm.Comm, job *wireJob) (*wireResult, *framebu
 	if !leader {
 		return nil, nil
 	}
-	// The composited image aliases compositor (or runner-arena) scratch
-	// that this shardState's next job overwrites, and it is returned
-	// without a copy: the worker loop's encodeResult copies the pixels
-	// into the result message before taking its next job, and
-	// RenderStandalone's shardState renders no other job.
+	// The composited image aliases compositor (or arena) scratch that
+	// this shardState's next job overwrites, and it is returned without a
+	// copy: the worker loop's encodeResult copies the pixels into the
+	// result message before taking its next job, and RenderStandalone's
+	// shardState renders no other job.
 	return &wireResult{
 		JobID:                job.JobID,
 		W:                    out.W,

@@ -15,6 +15,16 @@ import (
 // pipeline run too — so any divergence in the served path is a transport
 // or bookkeeping bug, never a rendering difference.
 func RenderStandalone(job Job) (*Result, error) {
+	states := make([]*shardState, max(job.Shards, 0))
+	for i := range states {
+		states[i] = newShardState(1, 1)
+	}
+	return renderStandalone(job, states)
+}
+
+// renderStandalone renders job with states[i] as shard i's rank state
+// and closes each state when its rank is done.
+func renderStandalone(job Job, states []*shardState) (*Result, error) {
 	k := job.Shards
 	if k < 1 {
 		return nil, errors.New("cluster: standalone render needs >= 1 shard")
@@ -36,7 +46,7 @@ func RenderStandalone(job Job) (*Result, error) {
 	}
 	world := comm.NewWorld(k)
 	outs, err := comm.RunCollect(world, func(c *comm.Comm) (out, error) {
-		st := newShardState(1, 1)
+		st := states[c.Rank()]
 		defer st.Close()
 		res, img := st.render(c, &wj)
 		if res != nil && res.Err != "" {

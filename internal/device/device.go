@@ -39,6 +39,7 @@ type Device struct {
 	// share the pool, so treat Device values as handles, not data.
 	poolOnce sync.Once
 	pool     *Pool
+	closed   atomic.Bool
 }
 
 // New returns a device with sensible defaults for the given worker count.

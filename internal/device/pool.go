@@ -107,7 +107,12 @@ func (d *Device) Pool() *Pool {
 // remains usable afterwards: launches simply run on the calling
 // goroutine. Close is idempotent.
 func (d *Device) Close() {
+	d.closed.Store(true)
 	if d.pool != nil {
 		d.pool.Close()
 	}
 }
+
+// Closed reports whether Close has been called: whoever opened the
+// device has released it.
+func (d *Device) Closed() bool { return d.closed.Load() }

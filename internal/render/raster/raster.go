@@ -49,7 +49,8 @@ func (s *Stats) PPT() float64 {
 // (projected triangles, visibility flags, the packed depth buffer, the
 // output image, and the pipeline kernels), so steady-state frames perform
 // no heap allocation; the returned image and stats are valid until the
-// next Render call. Not safe for concurrent use.
+// next Render call. Rendering only reads Mesh, which may be repointed
+// between frames. Not safe for concurrent use.
 type Renderer struct {
 	Dev  *device.Device
 	Mesh *mesh.TriangleMesh

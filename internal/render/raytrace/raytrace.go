@@ -96,6 +96,8 @@ func (s *Stats) MRaysPerSec() float64 {
 // Renderer owns the acceleration structure for a mesh and the reusable
 // frame arena. Building once and rendering many times matches the model's
 // separation of the c0*O + c1 build term from the per-frame terms.
+// Rendering only reads Mesh and BVH, so renderers may share them, and a
+// renderer may be repointed at another mesh and its BVH between frames.
 // A Renderer is not safe for concurrent use.
 type Renderer struct {
 	Dev  *device.Device

@@ -75,16 +75,24 @@ func (s *StructuredStats) SPR() float64 {
 	return float64(s.TotalSamples) / float64(s.ActivePixels)
 }
 
-// StructuredRenderer ray-casts one structured grid. The renderer owns a
-// frame arena (output image, stats, and the ray-cast kernel itself), so
-// steady-state frames perform no heap allocation; the returned image and
-// stats are valid until the next Render call. A StructuredRenderer is
-// not safe for concurrent use.
-type StructuredRenderer struct {
-	Dev     *device.Device
+// StructuredScene is a structured grid prepared for ray casting: the
+// grid, its plotted vertex field and the field's trilinear sampler.
+// Rendering only reads it, so any number of renderers may cast one
+// scene at once.
+type StructuredScene struct {
 	Grid    *mesh.StructuredGrid
 	field   *mesh.Field
 	sampler *gridSampler
+}
+
+// StructuredRenderer ray-casts one structured scene. The renderer owns a
+// frame arena (output image, stats, and the ray-cast kernel itself), so
+// steady-state frames perform no heap allocation; the returned image and
+// stats are valid until the next Render call. Scene may be repointed
+// between frames. A StructuredRenderer is not safe for concurrent use.
+type StructuredRenderer struct {
+	Dev   *device.Device
+	Scene *StructuredScene
 
 	arena structuredArena
 }
@@ -130,9 +138,9 @@ func (a *structuredArena) init(r *StructuredRenderer) {
 	a.packetFn = a.castPackets
 }
 
-// NewStructured prepares a renderer for the named vertex field. The
-// trilinear sampler is built once here, not per frame.
-func NewStructured(dev *device.Device, g *mesh.StructuredGrid, fieldName string) (*StructuredRenderer, error) {
+// NewStructuredScene prepares the named vertex field of g for ray
+// casting. The trilinear sampler is built once here, not per frame.
+func NewStructuredScene(g *mesh.StructuredGrid, fieldName string) (*StructuredScene, error) {
 	f, err := g.Field(fieldName)
 	if err != nil {
 		return nil, err
@@ -144,7 +152,16 @@ func NewStructured(dev *device.Device, g *mesh.StructuredGrid, fieldName string)
 	if err != nil {
 		return nil, err
 	}
-	return &StructuredRenderer{Dev: dev, Grid: g, field: f, sampler: sampler}, nil
+	return &StructuredScene{Grid: g, field: f, sampler: sampler}, nil
+}
+
+// NewStructured prepares a renderer for the named vertex field.
+func NewStructured(dev *device.Device, g *mesh.StructuredGrid, fieldName string) (*StructuredRenderer, error) {
+	sc, err := NewStructuredScene(g, fieldName)
+	if err != nil {
+		return nil, err
+	}
+	return &StructuredRenderer{Dev: dev, Scene: sc}, nil
 }
 
 // Render casts one ray per pixel, sampling the field with trilinear
@@ -171,7 +188,7 @@ func (r *StructuredRenderer) Render(opts StructuredOptions) (*framebuffer.Image,
 	}
 	a.cam = opts.Camera.Normalized()
 	a.raygen = a.cam.NewRayGen(opts.Width, opts.Height)
-	g := r.Grid
+	g := r.Scene.Grid
 	cx, cy, cz := g.CellDims()
 	stats := &a.stats
 	stats.Phases.Reset()
@@ -184,7 +201,7 @@ func (r *StructuredRenderer) Render(opts StructuredOptions) (*framebuffer.Image,
 	lo, hi := opts.FieldRange[0], opts.FieldRange[1]
 	if lo == 0 && hi == 0 {
 		var err error
-		lo, hi, err = g.FieldRange(r.field.Name)
+		lo, hi, err = g.FieldRange(r.Scene.field.Name)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -240,7 +257,7 @@ func (a *structuredArena) castKernel(plo, phi int) {
 // structured_oracle_test.go is the loop it replaced; the oracle test
 // compares every output bit against it.
 func (a *structuredArena) castRay(p int) int64 {
-	s := a.r.sampler
+	s := a.r.Scene.sampler
 	tab := &a.tfTab
 	width := a.opts.Width
 	step := a.step

@@ -44,7 +44,7 @@ func (a *structuredArena) castKernelOracle(plo, phi int) {
 // the composited color, the first composited sample's depth and the
 // samples taken.
 func (a *structuredArena) rayOracle(ray vecmath.Ray, t, t1 float64) (cr, cg, cb, ca float64, firstT float32, samples int64) {
-	sampler := a.r.sampler
+	sampler := a.r.Scene.sampler
 	step := a.step
 	exp := step / a.refStep
 	firstT = float32(framebuffer.MaxDepth)

@@ -104,7 +104,7 @@ func splat32(x int) [4]int32 {
 // table path only, on an AVX2 host with 32-bit corner indices and a
 // device that is not Scalar; every other frame runs castRay.
 func (a *structuredArena) preparePackets() bool {
-	s := a.r.sampler
+	s := a.r.Scene.sampler
 	tab := &a.tfTab
 	if !hasPackets || a.r.Dev.Scalar || !s.uniform || a.step/a.refStep != 1 || tab.flat ||
 		len(s.vals) > math.MaxInt32 {

@@ -45,7 +45,8 @@ type UnstructuredStats struct {
 // frame arena — projection buffers, pass-selection flags, the slab sample
 // buffer, accumulators, and the phase kernels — so steady-state frames
 // perform no heap allocation; the returned image and stats are valid
-// until the next Render call. Not safe for concurrent use.
+// until the next Render call. Rendering only reads Mesh, which may be
+// repointed between frames. Not safe for concurrent use.
 type UnstructuredRenderer struct {
 	Dev  *device.Device
 	Mesh *mesh.TetMesh

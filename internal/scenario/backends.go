@@ -4,64 +4,44 @@ import (
 	"fmt"
 	"time"
 
-	"insitu/internal/composite"
 	"insitu/internal/core"
 	"insitu/internal/device"
 	"insitu/internal/framebuffer"
 	"insitu/internal/mesh"
-	"insitu/internal/render"
 	"insitu/internal/render/raster"
 	"insitu/internal/render/raytrace"
 	"insitu/internal/render/volume"
 )
 
+// Each technique below is its one-time setup, which fills a
+// PreparedScene, and its arena, which repoints a renderer with no scene
+// of its own at the prepared one for every frame.
+
 // --- ray tracing ---
 
-type raytraceBackend struct{}
-
-func (raytraceBackend) CompositeOp() composite.Op { return composite.DepthOp }
-func (raytraceBackend) NeedsStructured() bool     { return false }
-
-func (raytraceBackend) Prepare(sc *Scene) (FrameRunner, error) {
+func prepareRaytrace(sc *Scene, ps *PreparedScene) error {
 	tri, err := sc.SurfaceMesh()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	raytrace.New(sc.Dev, tri) // warm-up build (cold-cache effects)
 	rdr := raytrace.New(sc.Dev, tri)
-	wl := raytrace.Workload(sc.RTWorkload)
-	if wl == 0 {
-		wl = raytrace.Workload2
-	}
-	return &raytraceRunner{
-		rdr: rdr,
-		opts: raytrace.Options{
-			Width: sc.Width, Height: sc.Height,
-			Camera: sc.Camera, Workload: wl,
-		},
-	}, nil
+	ps.surface, ps.bvh, ps.BuildSeconds = rdr.Mesh, rdr.BVH, rdr.BVH.BuildTime.Seconds()
+	return nil
 }
 
-type raytraceRunner struct {
-	rdr  *raytrace.Renderer
-	opts raytrace.Options
+type raytraceArena struct{ rdr *raytrace.Renderer }
+
+func newRaytraceArena(dev *device.Device) Arena {
+	return &raytraceArena{&raytrace.Renderer{Dev: dev}}
 }
 
-func (r *raytraceRunner) BuildSeconds() float64       { return r.rdr.BVH.BuildTime.Seconds() }
-func (r *raytraceRunner) SetCamera(cam render.Camera) { r.opts.Camera = cam }
-
-// Fork shares the mesh and the BVH; it reads none of the fields a frame
-// writes (the camera, the frame arena).
-func (r *raytraceRunner) Fork(dev *device.Device) FrameRunner {
-	return &raytraceRunner{
-		rdr:  &raytrace.Renderer{Dev: dev, Mesh: r.rdr.Mesh, BVH: r.rdr.BVH},
-		opts: raytrace.Options{Width: r.opts.Width, Height: r.opts.Height, Workload: r.opts.Workload},
-	}
-}
-
-func (r *raytraceRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
+func (a *raytraceArena) Render(ps *PreparedScene, f Frame, in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
+	a.rdr.Mesh, a.rdr.BVH = ps.surface, ps.bvh
 	start := time.Now()
-	img, st, err := r.rdr.Render(r.opts)
+	img, st, err := a.rdr.Render(raytrace.Options{
+		Width: f.Width, Height: f.Height, Camera: f.Camera, Workload: raytrace.Workload(f.RTWorkload),
+	})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -72,33 +52,23 @@ func (r *raytraceRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuff
 
 // --- rasterization ---
 
-type rasterBackend struct{}
-
-func (rasterBackend) CompositeOp() composite.Op { return composite.DepthOp }
-func (rasterBackend) NeedsStructured() bool     { return false }
-
-func (rasterBackend) Prepare(sc *Scene) (FrameRunner, error) {
+func prepareRaster(sc *Scene, ps *PreparedScene) error {
 	tri, err := sc.SurfaceMesh()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &rasterRunner{
-		rdr:  raster.New(sc.Dev, tri),
-		opts: raster.Options{Width: sc.Width, Height: sc.Height, Camera: sc.Camera},
-	}, nil
+	ps.surface = raster.New(sc.Dev, tri).Mesh
+	return nil
 }
 
-type rasterRunner struct {
-	rdr  *raster.Renderer
-	opts raster.Options
-}
+type rasterArena struct{ rdr *raster.Renderer }
 
-func (r *rasterRunner) BuildSeconds() float64       { return 0 }
-func (r *rasterRunner) SetCamera(cam render.Camera) { r.opts.Camera = cam }
+func newRasterArena(dev *device.Device) Arena { return &rasterArena{&raster.Renderer{Dev: dev}} }
 
-func (r *rasterRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
+func (a *rasterArena) Render(ps *PreparedScene, f Frame, in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
+	a.rdr.Mesh = ps.surface
 	start := time.Now()
-	img, st, err := r.rdr.Render(r.opts)
+	img, st, err := a.rdr.Render(raster.Options{Width: f.Width, Height: f.Height, Camera: f.Camera})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -111,47 +81,38 @@ func (r *rasterRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffer
 
 // --- structured volume rendering ---
 
-type volumeBackend struct{}
-
-func (volumeBackend) CompositeOp() composite.Op { return composite.BlendOp }
-func (volumeBackend) NeedsStructured() bool     { return true }
-
-func (volumeBackend) Prepare(sc *Scene) (FrameRunner, error) {
+func prepareVolume(sc *Scene, ps *PreparedScene) error {
 	g := sc.Grid()
 	if g == nil {
-		return nil, fmt.Errorf("scenario: %q needs a structured block", core.Volume)
+		return fmt.Errorf("scenario: %q needs a structured block", core.Volume)
 	}
 	if _, ok := g.Fields[sc.FieldName]; !ok {
 		if err := g.AddField(sc.FieldName, mesh.VertexAssoc, sc.Values); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	vr, err := volume.NewStructured(sc.Dev, g, sc.FieldName)
+	vs, err := volume.NewStructuredScene(g, sc.FieldName)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	lo, hi := sc.FieldRange()
-	return &volumeRunner{
-		rdr: vr,
-		opts: volume.StructuredOptions{
-			Width: sc.Width, Height: sc.Height,
-			Camera: sc.Camera, FieldRange: [2]float64{lo, hi},
-			Samples: sc.SamplesZ,
-		},
-	}, nil
+	ps.grid = vs
+	return nil
 }
 
-type volumeRunner struct {
-	rdr  *volume.StructuredRenderer
-	opts volume.StructuredOptions
+type volumeArena struct{ rdr *volume.StructuredRenderer }
+
+func newVolumeArena(dev *device.Device) Arena {
+	return &volumeArena{&volume.StructuredRenderer{Dev: dev}}
 }
 
-func (r *volumeRunner) BuildSeconds() float64       { return 0 }
-func (r *volumeRunner) SetCamera(cam render.Camera) { r.opts.Camera = cam }
-
-func (r *volumeRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
+func (a *volumeArena) Render(ps *PreparedScene, f Frame, in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
+	a.rdr.Scene = ps.grid
 	start := time.Now()
-	img, st, err := r.rdr.Render(r.opts)
+	img, st, err := a.rdr.Render(volume.StructuredOptions{
+		Width: f.Width, Height: f.Height,
+		Camera: f.Camera, FieldRange: ps.fieldRange,
+		Samples: f.SamplesZ,
+	})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -164,38 +125,29 @@ func (r *volumeRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffer
 
 // --- unstructured (tetrahedral) volume rendering ---
 
-type volumeUnstructuredBackend struct{}
-
-func (volumeUnstructuredBackend) CompositeOp() composite.Op { return composite.BlendOp }
-func (volumeUnstructuredBackend) NeedsStructured() bool     { return false }
-
-func (volumeUnstructuredBackend) Prepare(sc *Scene) (FrameRunner, error) {
+func prepareTets(sc *Scene, ps *PreparedScene) error {
 	tm, err := sc.TetMesh()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	lo, hi := sc.FieldRange()
-	return &volumeUnstructuredRunner{
-		rdr: volume.NewUnstructured(sc.Dev, tm),
-		opts: volume.UnstructuredOptions{
-			Width: sc.Width, Height: sc.Height,
-			Camera: sc.Camera, FieldRange: [2]float64{lo, hi},
-			SamplesZ: sc.SamplesZ,
-		},
-	}, nil
+	ps.tets = volume.NewUnstructured(sc.Dev, tm).Mesh
+	return nil
 }
 
-type volumeUnstructuredRunner struct {
-	rdr  *volume.UnstructuredRenderer
-	opts volume.UnstructuredOptions
+type tetsArena struct{ rdr *volume.UnstructuredRenderer }
+
+func newTetsArena(dev *device.Device) Arena {
+	return &tetsArena{&volume.UnstructuredRenderer{Dev: dev}}
 }
 
-func (r *volumeUnstructuredRunner) BuildSeconds() float64       { return 0 }
-func (r *volumeUnstructuredRunner) SetCamera(cam render.Camera) { r.opts.Camera = cam }
-
-func (r *volumeUnstructuredRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
+func (a *tetsArena) Render(ps *PreparedScene, f Frame, in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
+	a.rdr.Mesh = ps.tets
 	start := time.Now()
-	img, st, err := r.rdr.Render(r.opts)
+	img, st, err := a.rdr.Render(volume.UnstructuredOptions{
+		Width: f.Width, Height: f.Height,
+		Camera: f.Camera, FieldRange: ps.fieldRange,
+		SamplesZ: f.SamplesZ,
+	})
 	if err != nil {
 		return 0, nil, err
 	}

@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"insitu/internal/conduit"
@@ -189,11 +191,11 @@ func TestSceneLazyGeometryIsCached(t *testing.T) {
 	}
 }
 
-// TestForkDrawsTheSameFrames: every Forker's fork, made while its seed
-// renders on another goroutine, draws the seed's frames bit for bit and
-// reports the same inputs and build time. Under -race it also checks
-// that Fork reads nothing a frame writes.
-func TestForkDrawsTheSameFrames(t *testing.T) {
+// TestSharedSceneDrawsTheSameFrames: two goroutines render one prepared
+// scene at once, each on its own arena and device, and draw the same
+// frames bit for bit with the same inputs, for every backend. Under
+// -race it also checks that rendering writes nothing in the scene.
+func TestSharedSceneDrawsTheSameFrames(t *testing.T) {
 	for _, name := range Names() {
 		b, err := Lookup(name)
 		if err != nil {
@@ -203,64 +205,73 @@ func TestForkDrawsTheSameFrames(t *testing.T) {
 			if b.NeedsStructured() && !sim.Structured(proxy) {
 				continue
 			}
-			sc := simScene(t, proxy, 8, 48)
-			seed, err := b.Prepare(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, ok := seed.(Forker)
-			if !ok {
-				continue
-			}
 			t.Run(string(name)+"/"+proxy, func(t *testing.T) {
-				cams := []render.Camera{sc.Camera, render.OrbitCamera(sc.Mesh.LocalBounds(), 75, 10, 1.2)}
-				type frame struct {
-					in    core.Inputs
-					color []float32
-					depth []float32
+				sc := simScene(t, proxy, 8, 48)
+				ps, err := b.PrepareScene(sc)
+				if err != nil {
+					t.Fatal(err)
 				}
-				draw := func(r FrameRunner, cam render.Camera) frame {
-					r.SetCamera(cam)
-					var in core.Inputs
-					_, img, err := r.RenderFrame(&in)
-					if err != nil {
-						t.Error(err)
-						return frame{}
-					}
-					return frame{in, slices.Clone(img.Color), slices.Clone(img.Depth)}
+				frames := []Frame{
+					{Width: 48, Height: 48, Camera: sc.Camera},
+					{Width: 40, Height: 32, Camera: render.OrbitCamera(ps.Bounds, 75, 10, 1.2), RTWorkload: 3},
 				}
-				want := make(chan []frame)
-				go func() {
-					var fs []frame
-					for _, cam := range cams {
-						fs = append(fs, draw(seed, cam))
-					}
-					want <- fs
-				}()
-				dev := device.CPU()
-				defer dev.Close()
-				fork := f.Fork(dev)
-				seedFrames := <-want
-				if fork.BuildSeconds() != seed.BuildSeconds() {
-					t.Errorf("fork build %v s, seed %v s", fork.BuildSeconds(), seed.BuildSeconds())
+				var drawn [2][]frame
+				var wg sync.WaitGroup
+				for g := range drawn {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						dev := device.CPU()
+						defer dev.Close()
+						arena := b.NewArena(dev)
+						for _, f := range frames {
+							drawn[g] = append(drawn[g], drawFrame(t, arena, ps, f))
+						}
+					}()
 				}
-				bits := func(v []float32) []uint32 {
-					u := make([]uint32, len(v))
-					for i, x := range v {
-						u[i] = math.Float32bits(x)
-					}
-					return u
-				}
-				for i, cam := range cams {
-					got, want := draw(fork, cam), seedFrames[i]
-					if got.in != want.in {
-						t.Errorf("camera %d: fork inputs %+v, seed %+v", i, got.in, want.in)
-					}
-					if !slices.Equal(bits(got.color), bits(want.color)) || !slices.Equal(bits(got.depth), bits(want.depth)) {
-						t.Errorf("camera %d: the fork's frame differs from the seed's", i)
+				wg.Wait()
+				for i := range frames {
+					if msg := drawn[0][i].diff(drawn[1][i]); msg != "" {
+						t.Errorf("frame %d: %s", i, msg)
 					}
 				}
 			})
 		}
 	}
+}
+
+// frame is one rendered frame, copied out of its arena.
+type frame struct {
+	in           core.Inputs
+	color, depth []float32
+}
+
+// drawFrame renders f of ps on arena and copies the result out.
+func drawFrame(t *testing.T, arena Arena, ps *PreparedScene, f Frame) frame {
+	var in core.Inputs
+	_, img, err := arena.Render(ps, f, &in)
+	if err != nil {
+		t.Error(err)
+		return frame{}
+	}
+	return frame{in, slices.Clone(img.Color), slices.Clone(img.Depth)}
+}
+
+// diff describes how got differs from want, bit for bit; "" when it
+// does not.
+func (got frame) diff(want frame) string {
+	bits := func(v []float32) []uint32 {
+		u := make([]uint32, len(v))
+		for i, x := range v {
+			u[i] = math.Float32bits(x)
+		}
+		return u
+	}
+	if got.in != want.in {
+		return fmt.Sprintf("inputs %+v, want %+v", got.in, want.in)
+	}
+	if !slices.Equal(bits(got.color), bits(want.color)) || !slices.Equal(bits(got.depth), bits(want.depth)) {
+		return "pixels or depths differ"
+	}
+	return ""
 }

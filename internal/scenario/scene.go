@@ -14,6 +14,9 @@ import (
 // which scalar range. The same Scene drives every backend, so the study
 // harness, the repro table generators, and the in situ pipeline set a
 // scene up once and let the backend decide how to consume it.
+// Backend.PrepareScene reads only what to render, the device and the
+// scalar range; the camera, size, SamplesZ and RTWorkload are what
+// Backend.Prepare's runner renders at (per frame, see Frame).
 type Scene struct {
 	Dev           *device.Device
 	Camera        render.Camera
@@ -31,8 +34,8 @@ type Scene struct {
 	SamplesZ int
 	// RTWorkload selects the ray tracing pipeline depth (1, 2, or 3;
 	// 0 uses the backend default, the paper's shaded Workload2). The
-	// serving layer degrades it to fit deadlines; the study leaves it at
-	// the default so fitted models stay on one workload.
+	// study leaves it at the default so fitted models stay on one
+	// workload; the serving layer degrades Frame.RTWorkload instead.
 	RTWorkload int
 
 	// Mesh is the parsed simulation block (nil for prebuilt-geometry

@@ -235,7 +235,7 @@ func (s *Server) degradeOnce(req *FrameRequest, q quality, surface bool, deadlin
 
 // predictQuality asks the advisor engine what a frame at quality q
 // costs: per-image render plus compositing plus the build amortized
-// over the configured runner reuse, with the serving-side workload
+// over runnerReuse renderings of the cached scene, with the serving-side workload
 // derate applied. The second return is the compositing model's share
 // (the paper's Tc) — charged whenever the frame is sharded, 0 otherwise.
 func (s *Server) predictQuality(arch string, backend core.Renderer, q quality) (float64, float64, error) {

@@ -94,7 +94,7 @@ type Stats struct {
 	Counters
 
 	// CachedFrames is the frame cache's entry count; QueueDepth the
-	// queued foreground jobs; RunnersLive the warm runners held.
+	// queued foreground jobs; RunnersLive the prepared scenes cached.
 	CachedFrames int `json:"cached_frames"`
 	QueueDepth   int `json:"queue_depth"`
 	RunnersLive  int `json:"runners_live"`
@@ -124,8 +124,8 @@ type Stats struct {
 	PrefetchQueueDepth    int     `json:"prefetch_queue_depth"`
 	ForegroundLoadSeconds float64 `json:"foreground_load_seconds"`
 
-	// RunnerCache is the lease/eviction view of the warm-runner cache
-	// sessions pin themselves into.
+	// RunnerCache is the lookup/eviction view of the prepared-scene
+	// cache sessions pin themselves into.
 	RunnerCache scenario.RunnerCacheStats `json:"runner_cache"`
 
 	// FrameStages is the per-stage latency breakdown of every committed
@@ -142,11 +142,12 @@ type Stats struct {
 // Stats snapshots the serving counters and gauges.
 func (s *Server) Stats() Stats {
 	n := obs.LoadCounters(&s.n)
+	scenes := s.scenes.Stats()
 	st := Stats{
 		Counters:                              n,
 		CachedFrames:                          s.frames.Len(),
 		QueueDepth:                            s.sched.depth(),
-		RunnersLive:                           s.runners.Len(),
+		RunnersLive:                           scenes.Live,
 		Refits:                                s.engine.Registry().Publishes(),
 		RenderSecondsTotal:                    float64(n.RenderNanos) / 1e9,
 		ClusterCompositeSecondsTotal:          float64(n.ClusterCompositeNanos) / 1e9,
@@ -155,7 +156,7 @@ func (s *Server) Stats() Stats {
 		PrefetchNoHeadroom:                    n.PrefetchNoHeadroomInflight + n.PrefetchNoHeadroomBudget + n.PrefetchNoHeadroomScheduler,
 		PrefetchQueueDepth:                    s.sched.bgDepth(),
 		ForegroundLoadSeconds:                 s.sched.foregroundLoad(),
-		RunnerCache:                           s.runners.Stats(),
+		RunnerCache:                           scenes,
 		FrameStages:                           s.stageLat.JSON(),
 		ModelDrift:                            s.residuals.JSON(),
 	}

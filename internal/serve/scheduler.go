@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"insitu/internal/framebuffer"
+	"insitu/internal/scenario"
 )
 
 // ErrQueueFull reports a render queue at capacity; clients should retry
@@ -22,12 +23,15 @@ var ErrClosed = errors.New("serve: server closed")
 var errNoHeadroom = errors.New("serve: no idle headroom for background work")
 
 // workerState is the per-worker scratch that persists across jobs: the
-// PNG encoder's compressor and buffers and the buffer it encodes into
-// stay warm, so steady-state frame encoding allocates only the
-// exact-size copy of the PNG a frame result publishes.
+// worker's devices and render arenas (one per arch and backend), and the
+// PNG encoder's compressor and buffers and the buffer it encodes into,
+// so steady-state frame encoding allocates only the exact-size copy of
+// the PNG a frame result publishes. The worker closes its devices when
+// it exits.
 type workerState struct {
-	enc framebuffer.PNGEncoder
-	png bytes.Buffer
+	arenas scenario.Arenas
+	enc    framebuffer.PNGEncoder
+	png    bytes.Buffer
 }
 
 // job is one queued foreground render with its absolute deadline (zero
@@ -248,6 +252,7 @@ func (s *scheduler) bgSlots() int {
 func (s *scheduler) worker() {
 	defer s.wg.Done()
 	ws := &workerState{}
+	defer ws.arenas.Close()
 	for {
 		s.mu.Lock()
 		for !s.closed && len(s.jobs) == 0 && !s.canRunBackgroundLocked() {

@@ -4,15 +4,15 @@
 // any pixel is touched — rejected with the prediction when no quality
 // fits the deadline, or degraded (resolution, geometry, ray tracing
 // workload) until the prediction fits — then scheduled
-// earliest-deadline-first on a bounded worker pool of persistent,
-// cached scenario FrameRunners, and served as PNG from an LRU frame
-// cache. Measured wall times feed back into the engine's observer, so
+// earliest-deadline-first on a bounded worker pool, rendered from a
+// cached prepared scene on the worker's own arena, and served as PNG
+// from an LRU frame cache. Measured wall times feed back into the engine's observer, so
 // the traffic the scheduler admits continuously refits the very models
 // it admits with: the paper's predict → act → measure → refit loop in
 // one process.
 //
 // Interactive clients open persistent Sessions (OpenSession): a session
-// is admitted once, soft-pins its configuration's key in the RunnerCache,
+// is admitted once, soft-pins its configuration's scene in the scene cache,
 // memoizes its admission per model generation, and tracks the client's
 // camera path. After each frame it extrapolates the next poses
 // (OrbitPredictor) and speculatively renders the uncached ones into
@@ -26,11 +26,12 @@
 // validate, fleet-health clamp, memoized admission, rejection). A frame
 // cache hit is then answered allocation-free; a miss goes to the one
 // flight leader (lead) that foreground misses and speculative prefetch
-// share. It draws on one of three execution paths — a leased warm runner
-// (spans runner_lease, render), the worker fleet (shard_dispatch with
-// rank_render and composite nested), or the standalone fallback (render
-// with composite nested) — and all three end in one tail, finishFrame:
-// encode, deadline test, residuals, calibration feed.
+// share. It draws on one of three execution paths — a cached scene on
+// the worker's arena (spans runner_lease, the scene lookup, and render),
+// the worker fleet (shard_dispatch with rank_render and composite
+// nested), or the standalone fallback (render with composite nested) —
+// and all three end in one tail, finishFrame: encode, deadline test,
+// residuals, calibration feed.
 package serve
 
 import (
@@ -52,7 +53,6 @@ import (
 	"insitu/internal/render"
 	"insitu/internal/scenario"
 	"insitu/internal/sim"
-	"insitu/internal/vecmath"
 )
 
 // FrameRequest is one frame a client wants rendered. The zero values of
@@ -146,8 +146,9 @@ type Config struct {
 	Workers  int // default 2
 	QueueCap int // default 64
 	// FrameCacheEntries bounds the encoded-frame LRU; RunnerCacheEntries
-	// the idle prepared runners kept warm. A configuration holds up to
-	// one runner per worker, so that many of its frames render at once.
+	// the prepared scenes kept warm, one per (arch, backend, sim, n):
+	// every quality the degrade ladder serves of one configuration shares
+	// its scene, and every worker renders it at once on its own arena.
 	FrameCacheEntries  int // default 256
 	RunnerCacheEntries int // default 8
 	// ObserveQueue buffers measured samples for the engine's observer;
@@ -194,7 +195,8 @@ const (
 	// admitCacheEntries bounds the memoized admission decisions.
 	admitCacheEntries = 4096
 	// runnerReuse amortizes one-time build costs over this many frames
-	// in predictions (runners are cached, so builds really are reused).
+	// in predictions (prepared scenes are cached, so builds really are
+	// reused).
 	runnerReuse = 100
 	// minDegradeSize and minDegradeN floor the degradation ladder;
 	// maxImageSize and maxN bound what a request may ask for at all.
@@ -253,22 +255,21 @@ type frameKey struct {
 	q       quality
 }
 
-// runnerKey identifies a prepared runner: the frame key minus the
-// camera. Geometry and acceleration structures are camera-independent
-// (FrameRunner.SetCamera repoints per frame), so an orbiting client
-// reuses one warm runner instead of re-preparing the scene per angle.
-type runnerKey struct {
+// sceneKey identifies a prepared scene: only what preparation reads.
+// Geometry and acceleration structures depend on neither the camera nor
+// the image size nor the ray tracing workload — those are per frame —
+// so an orbiting client and every rung of the degrade ladder that keeps
+// n share one scene.
+type sceneKey struct {
 	arch    string
 	backend core.Renderer
 	sim     string
-	q       quality
+	n       int
 }
 
-// preparedRunner couples a cached runner with the scene bounds the
-// per-request orbit camera is derived from.
-type preparedRunner struct {
-	scenario.FrameRunner
-	bounds vecmath.AABB
+// sceneKeyFor is the scene a normalized request renders at quality q.
+func sceneKeyFor(req *FrameRequest, q quality) sceneKey {
+	return sceneKey{arch: req.Arch, backend: req.Backend, sim: req.Sim, n: q.N}
 }
 
 // cachedFrame is one encoded frame plus the measurements that produced
@@ -310,11 +311,11 @@ type Server struct {
 	sims     map[string]bool
 	profiles map[string]bool
 
-	admit   *lru.Cache[admitKey, decision]
-	frames  *lru.Cache[frameKey, cachedFrame]
-	runners *scenario.RunnerCache[runnerKey]
-	sched   *scheduler
-	brk     *breaker
+	admit  *lru.Cache[admitKey, decision]
+	frames *lru.Cache[frameKey, cachedFrame]
+	scenes *scenario.SceneCache[sceneKey]
+	sched  *scheduler
+	brk    *breaker
 
 	flightMu sync.Mutex
 	flights  map[frameKey]*flight
@@ -350,7 +351,7 @@ func New(engine *advisor.Engine, cfg Config) *Server {
 		profiles: map[string]bool{},
 		admit:    lru.New[admitKey, decision](admitCacheEntries),
 		frames:   lru.New[frameKey, cachedFrame](cfg.FrameCacheEntries),
-		runners:  scenario.NewRunnerCache[runnerKey](cfg.RunnerCacheEntries),
+		scenes:   scenario.NewSceneCache[sceneKey](cfg.RunnerCacheEntries),
 		sched:    newScheduler(cfg.Workers, cfg.QueueCap, prefetchQueueCap),
 		brk:      newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		flights:  map[frameKey]*flight{},
@@ -405,9 +406,9 @@ func (s *Server) commitTrace(tr *obs.FrameTrace, now time.Time) {
 	s.stageLat.ObserveTrace(tr)
 }
 
-// Close drains active sessions (releasing their runner pins), sheds
-// queued speculative work, drains the scheduler, stops the calibration
-// feed, and releases cached runners (device worker pools).
+// Close drains active sessions (releasing their scene pins), sheds
+// queued speculative work, drains the scheduler (whose workers release
+// their devices as they exit), and stops the calibration feed.
 func (s *Server) Close() {
 	s.closeAllSessions()
 	s.sched.close()
@@ -418,7 +419,6 @@ func (s *Server) Close() {
 	}
 	s.obsMu.Unlock()
 	s.obsWG.Wait()
-	s.runners.Close()
 }
 
 // normalize validates the request and fills defaults in place. It
@@ -765,24 +765,22 @@ func (s *Server) renderScheduled(req *FrameRequest, d decision, tr *obs.FrameTra
 }
 
 // renderFrame runs on a scheduler worker: draw the frame on its execution
-// path — a leased warm runner for one shard, else the worker fleet, else
-// (fleet failed or breaker open) the standalone renderer — and measure it
-// through the one tail. The paths differ only in how they draw.
-// deadline (zero = none) bounds a fleet frame's recovery retries.
+// path — the configuration's cached scene on the worker's arena for one
+// shard, else the worker fleet, else (fleet failed or breaker open) the
+// standalone renderer — and measure it through the one tail. The paths
+// differ only in how they draw. deadline (zero = none) bounds a fleet
+// frame's recovery retries.
 func (s *Server) renderFrame(ws *workerState, req *FrameRequest, d decision, deadline time.Time, tr *obs.FrameTrace) (FrameResult, error) {
 	if d.q.Shards <= 1 {
-		leaseStart := time.Now()
-		rk := runnerKey{arch: req.Arch, backend: req.Backend, sim: req.Sim, q: d.q}
-		lease, err := s.runners.Acquire(rk, func(seed scenario.FrameRunner) (scenario.FrameRunner, func(), error) {
-			return s.prepareRunner(req, d.q, seed)
+		lookupStart := time.Now()
+		ps, err := s.scenes.Get(sceneKeyFor(req, d.q), func() (*scenario.PreparedScene, error) {
+			return prepareScene(ws, req, d.q.N)
 		})
 		if err != nil {
 			return FrameResult{}, err
 		}
-		// The image lives in the runner's arena: hold the lease across the tail.
-		defer lease.Release()
-		tr.Span(obs.StageRunnerLease, leaseStart, time.Since(leaseStart))
-		res, err := s.drawLocal(lease.Runner().(*preparedRunner), req, d.q, tr)
+		tr.Span(obs.StageRunnerLease, lookupStart, time.Since(lookupStart))
+		res, err := drawLocal(ws, ps, req, d.q, tr)
 		if err != nil {
 			return FrameResult{}, err
 		}
@@ -804,21 +802,25 @@ func (s *Server) renderFrame(ws *workerState, req *FrameRequest, d decision, dea
 	return s.finishFrame(ws, req, d, res, true, tr)
 }
 
-// drawLocal points the leased runner's camera at this request's orbit
-// position and renders. The image lives in the runner's arena, so the
-// caller holds the lease until the tail is done.
-func (s *Server) drawLocal(pr *preparedRunner, req *FrameRequest, q quality, tr *obs.FrameTrace) (*cluster.Result, error) {
-	pr.SetCamera(render.OrbitCamera(pr.bounds, req.Azimuth, 20, req.Zoom))
+// drawLocal renders the prepared scene at quality q from this request's
+// orbit position on the worker's arena of the scene's backend. The image
+// lives in that arena until the worker's next frame, so the tail that
+// encodes it runs on the same worker first.
+func drawLocal(ws *workerState, ps *scenario.PreparedScene, req *FrameRequest, q quality, tr *obs.FrameTrace) (*cluster.Result, error) {
+	f := scenario.Frame{
+		Width: q.W, Height: q.H, RTWorkload: q.RTWorkload,
+		Camera: render.OrbitCamera(ps.Bounds, req.Azimuth, 20, req.Zoom),
+	}
 	in := core.Inputs{Pixels: float64(q.W * q.H), Tasks: 1}
 	renderStart := time.Now()
-	elapsed, img, err := pr.RenderFrame(&in)
+	elapsed, img, err := ws.arenas.Render(req.Arch, ps, f, &in)
 	if err != nil {
 		return nil, fmt.Errorf("serve: rendering %s/%s: %w", req.Backend, req.Sim, err)
 	}
 	tr.Span(obs.StageRender, renderStart, elapsed)
 	in.AvgAP = in.AP
 	return &cluster.Result{
-		Image: img, In: in, BuildSeconds: pr.BuildSeconds(), RenderSeconds: elapsed.Seconds(),
+		Image: img, In: in, BuildSeconds: ps.BuildSeconds, RenderSeconds: elapsed.Seconds(),
 	}, nil
 }
 
@@ -934,43 +936,27 @@ func (s *Server) finishFrame(ws *workerState, req *FrameRequest, d decision, res
 	}, nil
 }
 
-// prepareRunner builds the scene — scenario.BuildShard's one-rank block,
-// orbited by the request's camera — and hands it to the backend. A key's
-// further runners fork seed, a prepared runner of the key, when its
-// backend can (scenario.Forker): the fork shares the scene and owns
-// only a device and a frame arena. The returned close hook releases the
-// runner's device worker pool when the runner cache evicts the runner.
-func (s *Server) prepareRunner(req *FrameRequest, q quality, seed scenario.FrameRunner) (scenario.FrameRunner, func(), error) {
-	if pr, ok := seed.(*preparedRunner); ok {
-		if f, ok := pr.FrameRunner.(scenario.Forker); ok {
-			dev, err := device.Profile(req.Arch)
-			if err != nil {
-				return nil, nil, err
-			}
-			return &preparedRunner{FrameRunner: f.Fork(dev), bounds: pr.bounds}, dev.Close, nil
-		}
-	}
+// prepareScene builds the configuration's scene — scenario.BuildShard's
+// one-rank block at n — and hands it to the backend, which prepares it
+// on the worker's device of the request's arch.
+func prepareScene(ws *workerState, req *FrameRequest, n int) (*scenario.PreparedScene, error) {
 	backend, err := scenario.Lookup(req.Backend)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sd, err := scenario.BuildShard(req.Sim, q.N, 1, 0, 1)
+	sd, err := scenario.BuildShard(req.Sim, n, 1, 0, 1)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	dev, err := device.Profile(req.Arch)
+	dev, err := ws.arenas.Device(req.Arch)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cam := render.OrbitCamera(sd.LocalBounds, req.Azimuth, 20, req.Zoom)
-	sc := scenario.NewScene(dev, sd.Mesh, sd.Field, sd.Values, cam, q.W, q.H)
-	sc.RTWorkload = q.RTWorkload
-	runner, err := backend.Prepare(sc)
+	ps, err := backend.PrepareScene(scenario.NewScene(dev, sd.Mesh, sd.Field, sd.Values, render.Camera{}, 0, 0))
 	if err != nil {
-		dev.Close()
-		return nil, nil, fmt.Errorf("serve: preparing %s for sim %q: %w", req.Backend, req.Sim, err)
+		return nil, fmt.Errorf("serve: preparing %s for sim %q: %w", req.Backend, req.Sim, err)
 	}
-	return &preparedRunner{FrameRunner: runner, bounds: sd.LocalBounds}, dev.Close, nil
+	return ps, nil
 }
 
 // feedObservation queues the served frame's measurement for the

@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"image/png"
-	"math"
-	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"insitu/internal/advisor"
+	"insitu/internal/composite"
 	"insitu/internal/core"
+	"insitu/internal/device"
 	"insitu/internal/framebuffer"
 	"insitu/internal/registry"
-	"insitu/internal/render"
 	"insitu/internal/scenario"
 	"insitu/internal/study"
 	"insitu/internal/vecmath"
@@ -526,18 +526,28 @@ func TestInvalidRequestsRejected(t *testing.T) {
 	}
 }
 
-// barrierRunner is a stub warm runner whose frames each wait until
-// `want` frames have started on the key's runners, so it completes only
-// if frames of one configuration render at the same time. one closes
-// when the first frame starts.
-type barrierRunner struct {
-	started  *atomic.Int32
+// barrierBackend is a stub backend whose frames each wait until `want`
+// frames have started, so they complete only if frames of one
+// configuration render at the same time. one closes when the first frame
+// starts. It is its own arena: every worker's arena of it is the one
+// (concurrency-safe) stub.
+type barrierBackend struct {
+	started  atomic.Int32
 	one, all chan struct{}
 	want     int32
-	w, h     int
 }
 
-func (b *barrierRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
+func (b *barrierBackend) CompositeOp() composite.Op { return composite.DepthOp }
+func (b *barrierBackend) NeedsStructured() bool     { return false }
+func (b *barrierBackend) PrepareScene(*scenario.Scene) (*scenario.PreparedScene, error) {
+	return &scenario.PreparedScene{Backend: b, Bounds: vecmath.AABB{Max: vecmath.V(1, 1, 1)}}, nil
+}
+func (b *barrierBackend) NewArena(*device.Device) scenario.Arena { return b }
+func (b *barrierBackend) Prepare(*scenario.Scene) (scenario.FrameRunner, error) {
+	return nil, errors.New("barrierBackend renders only through arenas")
+}
+
+func (b *barrierBackend) Render(_ *scenario.PreparedScene, f scenario.Frame, in *core.Inputs) (time.Duration, *framebuffer.Image, error) {
 	n := b.started.Add(1)
 	if n == 1 {
 		close(b.one)
@@ -550,16 +560,15 @@ func (b *barrierRunner) RenderFrame(in *core.Inputs) (time.Duration, *framebuffe
 	case <-time.After(10 * time.Second):
 		return 0, nil, errors.New("the other same-key frame never started: frames of one configuration serialized")
 	}
-	in.AP = float64(b.w * b.h)
-	return time.Millisecond, framebuffer.NewImage(b.w, b.h), nil
+	in.AP = float64(f.Width * f.Height)
+	return time.Millisecond, framebuffer.NewImage(f.Width, f.Height), nil
 }
-func (b *barrierRunner) BuildSeconds() float64       { return 0 }
-func (b *barrierRunner) SetCamera(cam render.Camera) {}
 
 // TestSameKeyFramesRenderConcurrently: two misses of one configuration
-// render at once on a two-worker server, each on its own runner of the
-// key's pool. The stub runners block until both frames have started, so
-// a server that serialized same-key frames on one runner would time out.
+// render at once on a two-worker server, each worker drawing the key's
+// one cached scene on its own arena. The stub scene's frames block until
+// both frames have started, so a server that serialized same-key frames
+// would time out.
 func TestSameKeyFramesRenderConcurrently(t *testing.T) {
 	s := testServer(t, Config{Workers: 2})
 	req := FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64}
@@ -568,33 +577,15 @@ func TestSameKeyFramesRenderConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rk := runnerKey{arch: norm.Arch, backend: norm.Backend, sim: norm.Sim, q: d.q}
-	var started atomic.Int32
-	one, all := make(chan struct{}), make(chan struct{})
-	prepare := func(scenario.FrameRunner) (scenario.FrameRunner, func(), error) {
-		stub := &barrierRunner{started: &started, one: one, all: all, want: 2, w: d.q.W, h: d.q.H}
-		return &preparedRunner{FrameRunner: stub, bounds: vecmath.AABB{Max: vecmath.V(1, 1, 1)}}, nil, nil
-	}
-	// Two leases held at once prepare the key's two stub runners, as two
-	// earlier concurrent frames would have.
-	leases := make(chan *scenario.RunnerLease[runnerKey], 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			if l, err := s.runners.Acquire(rk, prepare); err == nil {
-				leases <- l
-			}
-		}()
-	}
-	var held [2]*scenario.RunnerLease[runnerKey]
-	for i := range held {
-		select {
-		case held[i] = <-leases:
-		case <-time.After(10 * time.Second):
-			t.Fatal("no second runner was prepared while the key's first was leased")
-		}
+	stub := &barrierBackend{one: make(chan struct{}), all: make(chan struct{}), want: 2}
+	// The key's scene is the stub's, as if an earlier frame had prepared it.
+	if _, err := s.scenes.Get(sceneKeyFor(&norm, d.q), func() (*scenario.PreparedScene, error) {
+		return stub.PrepareScene(nil)
+	}); err != nil {
+		t.Fatal(err)
 	}
 	errs := make(chan error, 2)
-	renderAt := func(az float64) {
+	for _, az := range []float64{10, 20} {
 		go func() {
 			r := req
 			r.Azimuth = az
@@ -602,18 +593,6 @@ func TestSameKeyFramesRenderConcurrently(t *testing.T) {
 			errs <- err
 		}()
 	}
-	// Frame 1 takes the first stub. The second is released only once
-	// frame 1 renders, so it is the key's one idle runner when frame 2
-	// arrives.
-	held[0].Release()
-	renderAt(10)
-	select {
-	case <-one:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the first frame never started")
-	}
-	held[1].Release()
-	renderAt(20)
 	for i := 0; i < 2; i++ {
 		select {
 		case err := <-errs:
@@ -624,52 +603,70 @@ func TestSameKeyFramesRenderConcurrently(t *testing.T) {
 			t.Fatal("same-key frames did not finish")
 		}
 	}
-	if st := s.Stats().RunnerCache; st.Prepared != 2 || st.Live != 1 {
-		t.Errorf("runner cache %+v, want the 2 stub runners prepared and 1 kept once both frames are done", st)
+	if st := s.Stats().RunnerCache; st.Prepared != 1 || st.Hits != 2 || st.Live != 1 {
+		t.Errorf("runner cache %+v, want the stub scene prepared once and found by both frames", st)
 	}
 }
 
-// TestSecondRunnerForksTheFirst: a key's second runner, prepared while
-// its first is leased, forks the first — same scene bounds, the first's
-// BVH (so its build time), and the same frames.
-func TestSecondRunnerForksTheFirst(t *testing.T) {
+// TestQualitiesShareOneScene: one configuration served at three image
+// sizes — the resolution rungs of the degrade ladder — prepares one
+// scene, because a scene's key is only what preparation reads.
+func TestQualitiesShareOneScene(t *testing.T) {
+	s := testServer(t, Config{})
+	for _, w := range []int{256, 128, 64} {
+		res, err := s.Render(FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Width != w || res.CacheHit {
+			t.Fatalf("width %d: served %dx%d, cache hit %v", w, res.Width, res.Height, res.CacheHit)
+		}
+	}
+	if st := s.Stats().RunnerCache; st.Prepared != 1 || st.Hits != 2 {
+		t.Errorf("runner cache %+v, want 1 scene prepared and found by the 2 later sizes", st)
+	}
+}
+
+// TestServerCloseClosesWorkerDevices: every device a render worker opened
+// is closed once Server.Close returns.
+func TestServerCloseClosesWorkerDevices(t *testing.T) {
 	s := testServer(t, Config{Workers: 2})
-	req := FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64, Azimuth: 30}
-	d, _, err := s.front(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rk := runnerKey{arch: req.Arch, backend: req.Backend, sim: req.Sim, q: d.q}
-	prepare := func(seed scenario.FrameRunner) (scenario.FrameRunner, func(), error) {
-		return s.prepareRunner(&req, d.q, seed)
-	}
-	var runners [2]*preparedRunner
-	for i := range runners {
-		l, err := s.runners.Acquire(rk, prepare)
-		if err != nil {
+	for _, w := range []int{64, 48} {
+		if _, err := s.Render(FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: w}); err != nil {
 			t.Fatal(err)
 		}
-		defer l.Release()
-		runners[i] = l.Runner().(*preparedRunner)
 	}
-	first, second := runners[0], runners[1]
-	if second.bounds != first.bounds || second.BuildSeconds() != first.BuildSeconds() {
-		t.Fatalf("second runner (bounds %v, build %v s) is not a fork of the first (%v, %v s)",
-			second.bounds, second.BuildSeconds(), first.bounds, first.BuildSeconds())
-	}
-	var frames [2][]float32
-	for i, pr := range runners {
-		pr.SetCamera(render.OrbitCamera(pr.bounds, req.Azimuth, 20, req.Zoom))
-		var in core.Inputs
-		_, img, err := pr.RenderFrame(&in)
-		if err != nil {
+	// One job per worker, each holding its worker until both have
+	// started, reads the device that worker renders the server's arch on.
+	var started sync.WaitGroup
+	started.Add(2)
+	devs := make(chan *device.Device, 2)
+	for i := 0; i < 2; i++ {
+		if err := s.sched.submit(time.Time{}, 0, func(ws *workerState) {
+			started.Done()
+			started.Wait()
+			dev, err := ws.arenas.Device(s.cfg.Arch)
+			if err != nil {
+				t.Error(err)
+			}
+			devs <- dev
+		}); err != nil {
 			t.Fatal(err)
 		}
-		frames[i] = slices.Concat(img.Color, img.Depth)
 	}
-	for i := range frames[0] {
-		if math.Float32bits(frames[0][i]) != math.Float32bits(frames[1][i]) {
-			t.Fatalf("the fork's frame differs from the first runner's at word %d", i)
+	got := []*device.Device{<-devs, <-devs}
+	if got[0] == got[1] {
+		t.Fatal("two workers share one device")
+	}
+	for i, dev := range got {
+		if dev.Closed() {
+			t.Fatalf("worker %d's device closed while the server runs", i)
+		}
+	}
+	s.Close()
+	for i, dev := range got {
+		if !dev.Closed() {
+			t.Errorf("worker %d's device still open after Server.Close", i)
 		}
 	}
 }

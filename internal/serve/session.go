@@ -25,20 +25,18 @@ var ErrTooManySessions = errors.New("serve: too many open sessions")
 // camera-free frame configuration it opened with, its recent camera
 // path, and the speculative-prefetch machinery that renders predicted
 // next frames into the shared frame cache during idle headroom. A
-// session soft-pins its configuration's runner-cache key so request
-// churn cannot cold-start the key's last warm runner, and its per-frame
-// admission stays memoized, so the steady-state Frame path — pose
-// record, prediction, cache probes, cache hit — performs zero heap
-// allocations.
+// session soft-pins its configuration's prepared scene so request churn
+// cannot cold-start it, and its per-frame admission stays memoized, so
+// the steady-state Frame path — pose record, prediction, cache probes,
+// cache hit — performs zero heap allocations.
 //
 // Sessions are safe for concurrent use, but one client's frames
 // naturally serialize; fairness across thousands of sessions comes from
 // per-session prefetch caps (at most PrefetchDepth speculative renders
 // in flight per session), the shed-oldest background queue, and the
-// runner cache: sessions of one configuration share its key's runners,
-// and a frame that finds all of them leased prepares another instead of
-// waiting, so no session's frame queues behind another's render (the
-// render workers bound a key's runners).
+// scene cache: sessions of one configuration share its prepared scene,
+// and every render worker draws it on its own arena, so no session's
+// frame queues behind another's render of the same configuration.
 type Session struct {
 	srv   *Server
 	id    uint64
@@ -54,7 +52,7 @@ type Session struct {
 	frames       atomic.Uint64
 	prefetchHits atomic.Uint64
 
-	// mu guards the path history, prediction scratch, and runner pin.
+	// mu guards the path history, prediction scratch, and scene pin.
 	mu      sync.Mutex
 	hist    [4]Pose
 	nhist   int
@@ -72,7 +70,7 @@ type Session struct {
 	verified    [2 * MaxPrefetchDepth]cameraKey
 	nVerified   int
 	newVerified [MaxPrefetchDepth]cameraKey
-	pinned      runnerKey
+	pinned      sceneKey
 	hasPin      bool
 	d           decision // latest admitted decision (quality, prediction)
 	gen         uint64   // model generation sess.d was admitted under
@@ -120,7 +118,7 @@ type SessionInfo struct {
 
 // OpenSession runs the request front half once (camera fields are the
 // opening pose) — validation, the fleet-health clamp, admission —
-// registers the session, and soft-pins its runner-cache key so the
+// registers the session, and soft-pins its scene-cache key so the
 // scene stays warm between frames. A deadline no quality fits is refused with the
 // same RejectionError a one-shot Render would get. At MaxSessions,
 // sessions idle longer than SessionIdleTimeout are reaped to make room;
@@ -200,7 +198,7 @@ func (s *Server) DrainSessions() { s.closeAllSessions() }
 
 // closeAllSessions drains every session on server shutdown: marks them
 // closed (in-flight speculative jobs see the flag and no-op) and
-// releases their runner pins.
+// releases their scene pins.
 func (s *Server) closeAllSessions() {
 	s.sessMu.Lock()
 	s.sessClose = true
@@ -245,7 +243,7 @@ func (sess *Session) LastPose() Pose {
 	return sess.hist[sess.nhist-1]
 }
 
-// Close unregisters the session and releases its runner pin. In-flight
+// Close unregisters the session and releases its scene pin. In-flight
 // speculative renders for it become no-ops. Idempotent.
 func (sess *Session) Close() {
 	s := sess.srv
@@ -266,7 +264,7 @@ func (sess *Session) finish() {
 	sess.hasPin = false
 	sess.mu.Unlock()
 	if hasPin {
-		sess.srv.runners.Unpin(pinned)
+		sess.srv.scenes.Unpin(pinned)
 	}
 	atomic.AddUint64(&sess.srv.n.SessionsClosed, 1)
 }
@@ -353,7 +351,7 @@ func (sess *Session) fastFrame(req *FrameRequest) (res FrameResult, d decision, 
 // refreshDecision memoizes an admission outcome: the opening one, then
 // each one the slow path re-admits. When the admitted quality changed
 // (at open, or after a continuous-calibration refit), the soft
-// runner-cache pin moves to the new quality's key.
+// scene-cache pin moves to the new quality's key.
 func (sess *Session) refreshDecision(req *FrameRequest, d decision) {
 	s := sess.srv
 	gen := s.engine.Registry().Generation()
@@ -367,13 +365,13 @@ func (sess *Session) refreshDecision(req *FrameRequest, d decision) {
 		sess.nVerified = 0
 		sess.hasPin = d.q.Shards <= 1
 		if sess.hasPin {
-			sess.pinned = runnerKey{arch: req.Arch, backend: req.Backend, sim: req.Sim, q: d.q}
-			s.runners.Pin(sess.pinned)
+			sess.pinned = sceneKeyFor(req, d.q)
+			s.scenes.Pin(sess.pinned)
 		}
 	}
 	sess.mu.Unlock()
 	if unpin {
-		s.runners.Unpin(old)
+		s.scenes.Unpin(old)
 	}
 }
 
