@@ -4,8 +4,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -18,24 +20,41 @@ import (
 	"insitu/internal/strawman"
 )
 
-func main() {
-	proxy := flag.String("sim", "cloverleaf", "proxy: cloverleaf, kripke, or lulesh")
-	steps := flag.Int("steps", 5, "simulation cycles")
-	every := flag.Int("every", 1, "render every k-th cycle")
-	n := flag.Int("n", 24, "grid points per axis per task")
-	tasks := flag.Int("tasks", 1, "simulated MPI tasks")
-	renderer := flag.String("renderer", "raytracer", "raytracer, rasterizer, or volume")
-	size := flag.Int("size", 512, "image size")
-	dev := flag.String("device", "cpu", "device profile: "+strings.Join(device.ProfileNames(), ", "))
-	out := flag.String("out", "insitu_out", "output directory")
-	web := flag.Int("web", 0, "stream images on this local port (0 = off)")
-	flag.Parse()
+// errUsage marks a flag value run refuses; main exits 2 on it, as flag does.
+var errUsage = errors.New("usage")
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
+func main() {
+	if err := run(os.Args[1:], os.Stdout); errors.Is(err, errUsage) {
+		fmt.Fprintln(os.Stderr, "insitu:", err)
+		os.Exit(2)
+	} else if err != nil {
 		log.Fatal(err)
 	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("insitu", flag.ExitOnError)
+	proxy := fs.String("sim", "cloverleaf", "proxy: cloverleaf, kripke, or lulesh")
+	steps := fs.Int("steps", 5, "simulation cycles")
+	every := fs.Int("every", 1, "render every k-th cycle")
+	n := fs.Int("n", 24, "grid points per axis per task")
+	tasks := fs.Int("tasks", 1, "simulated MPI tasks")
+	renderer := fs.String("renderer", "raytracer", "raytracer, rasterizer, or volume")
+	size := fs.Int("size", 512, "image size")
+	dev := fs.String("device", "cpu", "device profile: "+strings.Join(device.ProfileNames(), ", "))
+	out := fs.String("out", "insitu_out", "output directory")
+	web := fs.Int("web", 0, "stream images on this local port (0 = off)")
+	_ = fs.Parse(args) // ExitOnError: flag itself exits on a bad flag or -h
+	if *every < 1 || *tasks < 1 || *steps < 0 || *size < 1 {
+		return fmt.Errorf("%w: -every %d -tasks %d -steps %d -size %d: want every, tasks and size >= 1, steps >= 0",
+			errUsage, *every, *tasks, *steps, *size)
+	}
+
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		return err
+	}
 	world := comm.NewWorld(*tasks)
-	err := world.Run(func(c *comm.Comm) error {
+	return world.Run(func(c *comm.Comm) error {
 		s, err := sim.New(*proxy, *n, *tasks, c.Rank())
 		if err != nil {
 			return err
@@ -79,13 +98,10 @@ func main() {
 				return err
 			}
 			if c.Rank() == 0 {
-				fmt.Printf("cycle %4d  t=%.5f  vis=%.3fs\n",
+				fmt.Fprintf(stdout, "cycle %4d  t=%.5f  vis=%.3fs\n",
 					s.Cycle(), s.Time(), sman.LastVisTime.Seconds())
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 }

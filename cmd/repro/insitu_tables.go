@@ -72,7 +72,7 @@ func publishLoC(src string) int {
 }
 
 // integrationSnippetLoC reports the action-description and API-call line
-// counts of the canonical integration (the code in examples/imagedb).
+// counts of the canonical integration (describe, publish, execute).
 func integrationSnippetLoC() (actions, api int) {
 	// The canonical action description is 10 lines; the API sequence is
 	// Open/Publish/Execute/Close plus the options node: 7 lines. These are

@@ -90,10 +90,11 @@
 // measured samples posted to /v1/observations joining its calibration
 // queue; cmd/insitu runs a proxy simulation with in situ rendering;
 // cmd/render renders a synthetic dataset through the scenario backend
-// registry; the examples/ directory holds runnable walkthroughs,
-// including examples/advisor for the measure -> export -> serve path,
-// examples/calibrate for the continuous-calibration loop, and
-// examples/renderd for the full predict -> act -> measure -> refit
+// registry. Each command has a test that runs it, and the walkthroughs
+// are tests too: cmd/renderd's TestFeasibilityServedFromExportedRegistry
+// for the measure -> export -> serve path, internal/study's
+// TestCalibrator* for the continuous-calibration loop, and
+// TestRenderdClosedLoop for the full predict -> act -> measure -> refit
 // serving loop. bench_test.go in this directory carries one benchmark
 // per reproduced table and figure.
 package insitu

@@ -110,6 +110,12 @@ func TestClusterMatchesStandalone(t *testing.T) {
 			}
 		})
 	}
+	// The fleet counts every frame it dispatched (retries dispatch
+	// again) and the bytes its transport carried.
+	if st := cl.Stats(); st.FramesDispatched < int64(len(cases)) || st.BytesSent <= 0 {
+		t.Errorf("fleet stats: %d frames dispatched, %d bytes sent; want >= %d frames and some bytes",
+			st.FramesDispatched, st.BytesSent, len(cases))
+	}
 }
 
 // TestClusterFrameIsCacheStable: repeated renders of the same job (now

@@ -154,6 +154,16 @@ func TestCacheHitReturnsIdenticalBytes(t *testing.T) {
 	if st.CacheHits != 1 || st.CacheMisses != 1 || st.FramesRendered != 1 {
 		t.Errorf("stats: %+v", st)
 	}
+	// A deadline the full-quality prediction fits admits the frame as
+	// asked, so it is the same cache entry.
+	req.DeadlineMillis = 1000 * first.PredictedSeconds * 1e3
+	third, err := s.Render(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !third.CacheHit || third.Degraded || third.Width != 64 || !bytes.Equal(third.PNG, first.PNG) {
+		t.Errorf("generous deadline: hit=%v degraded=%v width=%d", third.CacheHit, third.Degraded, third.Width)
+	}
 }
 
 // TestTightDeadlineDegrades: a deadline between the floor-quality and

@@ -118,8 +118,8 @@ func TestSessionOrbitPrefetchHits(t *testing.T) {
 	if hits == 0 {
 		t.Fatalf("no prefetch hits over a constant-velocity orbit; stats %+v", s.Stats())
 	}
-	if got := sess.Info().PrefetchHits; got != uint64(hits) {
-		t.Errorf("session counted %d prefetch hits, result flags said %d", got, hits)
+	if info := sess.Info(); info.PrefetchHits != uint64(hits) || info.Frames != 10 {
+		t.Errorf("session counted %d frames and %d prefetch hits, want 10 and %d", info.Frames, info.PrefetchHits, hits)
 	}
 	st := s.Stats()
 	if st.PrefetchHits != uint64(hits) || st.PrefetchRendered == 0 {

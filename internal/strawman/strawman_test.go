@@ -382,7 +382,7 @@ func TestCameraOverridesChangeImage(t *testing.T) {
 	s.Step()
 	data := conduit.NewNode()
 	s.Publish(data)
-	render := func(azimuth float64) *framebuffer.Image {
+	render := func(key string, v float64) *framebuffer.Image {
 		sm, err := Open(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -392,21 +392,32 @@ func TestCameraOverridesChangeImage(t *testing.T) {
 			t.Fatal(err)
 		}
 		actions := basicActions("energy", "raytracer", filepath.Join(dir, "cam"), 48)
-		actions.List()[2].Set("camera/azimuth", azimuth)
+		actions.List()[2].Set(key, v)
 		if err := sm.Execute(actions); err != nil {
 			t.Fatal(err)
 		}
 		return sm.LastImages[filepath.Join(dir, "cam")]
 	}
-	a := render(0)
-	b := render(120)
-	diff := 0
-	for i := range a.Color {
-		if a.Color[i] != b.Color[i] {
-			diff++
+	// Every camera override the image-database workflow sets per view
+	// must reach the renderer.
+	for _, c := range []struct {
+		key  string
+		a, b float64
+	}{
+		{"camera/azimuth", 0, 120},
+		{"camera/elevation", 20, 60},
+		{"camera/zoom", 1.2, 2},
+	} {
+		a := render(c.key, c.a)
+		b := render(c.key, c.b)
+		diff := 0
+		for i := range a.Color {
+			if a.Color[i] != b.Color[i] {
+				diff++
+			}
 		}
-	}
-	if diff == 0 {
-		t.Error("camera azimuth override had no effect")
+		if diff == 0 {
+			t.Errorf("%s override had no effect", c.key)
+		}
 	}
 }

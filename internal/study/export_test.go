@@ -1,6 +1,7 @@
 package study
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -38,6 +39,13 @@ func TestExportModelsRoundTrip(t *testing.T) {
 	}
 	if snap.Source != "study-test" || len(snap.Models) != 2 {
 		t.Fatalf("snapshot: source=%q models=%d", snap.Source, len(snap.Models))
+	}
+	// Each model carries its fit quality: six rows per renderer, an R2
+	// no better than perfect and a finite, non-negative residual.
+	for _, m := range snap.Models {
+		if f := m.Fit; f.N != 6 || !(f.R2 <= 1) || !(f.ResidualSD >= 0) || math.IsInf(f.ResidualSD, 0) {
+			t.Errorf("%s/%s fit: n=%d R2=%v residual=%v", m.Arch, m.Renderer, f.N, f.R2, f.ResidualSD)
+		}
 	}
 
 	// Refit directly and compare predictions on the measured inputs.
