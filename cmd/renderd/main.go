@@ -17,10 +17,10 @@
 // compositing times.
 //
 // Interactive clients open persistent sessions: the session is admitted
-// once, pins its prepared scene, tracks the camera path, and speculatively
-// renders model-predicted next poses into the frame cache during the
-// client's think time — strictly below foreground deadline work — so a
-// predictable camera (an orbit) sees cache-hit time-to-photon.
+// once, tracks the camera path, and speculatively renders model-predicted
+// next poses into the frame cache during the client's think time —
+// strictly below foreground deadline work — so a predictable camera (an
+// orbit) sees cache-hit time-to-photon.
 //
 // The same engine answers the paper's viability questions directly:
 // what a configuration costs, how many images fit a budget, how much
@@ -37,7 +37,7 @@
 //	GET    /v1/session/{id}/frame   next pose (query: azimuth, zoom) -> image/png
 //	GET    /v1/session/{id}/stream  server-paced orbit (query: step, fps, frames)
 //	                             -> multipart/x-mixed-replace PNG parts
-//	DELETE /v1/session/{id}      close the session, release its scene pin
+//	DELETE /v1/session/{id}      close the session
 //	GET    /v1/models            served models + calibration generation
 //	POST   /v1/predict           cost one configuration (or a JSON array: batch)
 //	POST   /v1/feasibility       images-per-budget curve ("X1 images in X2 s?")
@@ -143,9 +143,9 @@ func main() {
 
 	// Graceful drain: when Shutdown starts, close every streaming session
 	// first — active /v1/session/{id}/stream handlers see ErrSessionClosed
-	// on their next frame and end their multipart streams, speculative
-	// prefetch jobs become no-ops, and scene pins release — so Shutdown's
-	// wait for in-flight requests actually terminates.
+	// on their next frame and end their multipart streams, and speculative
+	// prefetch jobs become no-ops — so Shutdown's wait for in-flight
+	// requests actually terminates.
 	httpSrv.RegisterOnShutdown(srv.DrainSessions)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -87,7 +87,7 @@ var serveKeys = []string{
 	"prefetch_queue_depth",
 	"prefetch_rendered", "prefetch_scheduled", "prefetch_shed",
 	"prefetch_stale", "queue_depth", "queue_full", "refits", "rejected",
-	"render_seconds_total", "runner_cache", "runners_live", "session_frames",
+	"render_seconds_total", "runner_cache", "session_frames",
 	"sessions_closed", "sessions_open", "sessions_opened",
 }
 
@@ -145,11 +145,10 @@ var servePromNames = []string{
 	"renderd_serve_queue_full", "renderd_serve_refits",
 	"renderd_serve_rejected", "renderd_serve_render_seconds_total",
 	"renderd_serve_runner_cache_evicted",
-	"renderd_serve_runner_cache_evicted_pinned",
 	"renderd_serve_runner_cache_hits", "renderd_serve_runner_cache_leases",
-	"renderd_serve_runner_cache_live", "renderd_serve_runner_cache_pinned",
+	"renderd_serve_runner_cache_live",
 	"renderd_serve_runner_cache_prepare_errors",
-	"renderd_serve_runner_cache_prepared", "renderd_serve_runners_live",
+	"renderd_serve_runner_cache_prepared",
 	"renderd_serve_session_frames", "renderd_serve_sessions_closed",
 	"renderd_serve_sessions_open", "renderd_serve_sessions_opened",
 }

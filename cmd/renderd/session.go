@@ -14,10 +14,10 @@ import (
 	"insitu/internal/serve"
 )
 
-// Session endpoints: a session pins a warm renderer, tracks the
-// client's camera path, and speculatively renders the predicted next
-// frames into the cache during idle headroom, so a well-predicted
-// interactive orbit is served at cache-hit latency.
+// Session endpoints: a session tracks the client's camera path and
+// speculatively renders the predicted next frames into the cache during
+// idle headroom, so a well-predicted interactive orbit is served at
+// cache-hit latency.
 //
 //	POST   /v1/session              open (body: frame request; camera = opening pose)
 //	GET    /v1/session/{id}         session info + prefetch counters

@@ -91,9 +91,6 @@ func TestRenderdSessionLifecycle(t *testing.T) {
 	if got := metrics.Serve.PrefetchHits; got != uint64(prefetchHits) {
 		t.Errorf("metrics prefetch hits %d, headers said %d", got, prefetchHits)
 	}
-	if metrics.Serve.RunnerCache.Pinned != 1 {
-		t.Errorf("runner cache pins: %+v", metrics.Serve.RunnerCache)
-	}
 
 	var gotInfo serve.SessionInfo
 	if code := getJSON(t, ts, "/v1/session/"+info.ID, &gotInfo); code != http.StatusOK {

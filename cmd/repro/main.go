@@ -7,16 +7,17 @@
 //
 // Usage:
 //
-//	repro [-short] [-out DIR] <experiment>...
+//	repro [-short] [-out DIR] [-parallel N] <experiment>...
 //	repro list
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"text/tabwriter"
 )
@@ -50,28 +51,40 @@ func registerStandalone(name, desc string, run func(*env) error) {
 	experiments = append(experiments, experiment{name: name, desc: desc, run: run, standalone: true})
 }
 
+// errUsage marks arguments run refuses; main exits 2 on it, as flag does.
+var errUsage = errors.New("usage")
+
 func main() {
-	short := flag.Bool("short", false, "run reduced-size experiments")
-	out := flag.String("out", "repro_out", "output directory for images and CSVs")
-	parallel := flag.Int("parallel", 1, "concurrent study configurations (1 reproduces the paper's serial measurement discipline)")
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
+	if err := run(os.Args[1:]); errors.Is(err, errUsage) {
+		fmt.Fprintln(os.Stderr, "repro:", err)
 		usage()
 		os.Exit(2)
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
+	} else if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	e := &env{short: *short, outDir: *out, parallel: *parallel, corpus: &corpusCache{}}
+}
 
-	sort.Slice(experiments, func(i, j int) bool { return experiments[i].name < experiments[j].name })
+// run parses the flags and runs the named experiments. It refuses an
+// empty or unknown experiment list before it creates the output
+// directory; "list" names the experiments and creates nothing.
+func run(args []string) error {
+	slices.SortFunc(experiments, func(a, b experiment) int { return strings.Compare(a.name, b.name) })
+	fs := flag.NewFlagSet("repro", flag.ExitOnError)
+	fs.Usage = usage
+	short := fs.Bool("short", false, "run reduced-size experiments")
+	out := fs.String("out", "repro_out", "output directory for images and CSVs")
+	parallel := fs.Int("parallel", 1, "concurrent study configurations (1 reproduces the paper's serial measurement discipline)")
+	_ = fs.Parse(args) // ExitOnError: flag itself exits on a bad flag or -h
+	args = fs.Args()
+	if len(args) == 0 {
+		return fmt.Errorf("%w: name an experiment, all, or list", errUsage)
+	}
 	if args[0] == "list" {
 		for _, ex := range experiments {
 			fmt.Fprintf(stdout, "  %-10s %s\n", ex.name, ex.desc)
 		}
-		return
+		return stdout.Flush()
 	}
 	want := map[string]bool{}
 	for _, a := range args {
@@ -86,18 +99,15 @@ func main() {
 			}
 			continue
 		}
+		if !slices.ContainsFunc(experiments, func(ex experiment) bool { return ex.name == a }) {
+			return fmt.Errorf("%w: unknown experiment %q (try: repro list)", errUsage, a)
+		}
 		want[a] = true
 	}
-	known := map[string]bool{}
-	for _, ex := range experiments {
-		known[ex.name] = true
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		return err
 	}
-	for name := range want {
-		if !known[name] {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try: repro list)\n", name)
-			os.Exit(2)
-		}
-	}
+	e := &env{short: *short, outDir: *out, parallel: *parallel, corpus: &corpusCache{}}
 	for _, ex := range experiments {
 		if !want[ex.name] {
 			continue
@@ -106,20 +116,19 @@ func main() {
 		err := ex.run(e)
 		stdout.Flush()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", ex.name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", ex.name, err)
 		}
 	}
+	return nil
 }
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `repro regenerates the paper's tables and figures.
 
-usage: repro [-short] [-out DIR] <experiment>... | all | list
+usage: repro [-short] [-out DIR] [-parallel N] <experiment>... | all | list
 
 experiments:
 `)
-	sort.Slice(experiments, func(i, j int) bool { return experiments[i].name < experiments[j].name })
 	for _, ex := range experiments {
 		fmt.Fprintf(os.Stderr, "  %-10s %s\n", ex.name, ex.desc)
 	}

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"text/tabwriter"
@@ -38,6 +41,48 @@ func TestTableColumnsFitWidestCell(t *testing.T) {
 				t.Errorf("line %q: cell %q starts at %d, want %d", line, f, at, starts[i])
 			}
 			at += len(f)
+		}
+	}
+}
+
+// TestListNamesEveryExperiment: "list" prints every registered
+// experiment and creates no output directory.
+func TestListNamesEveryExperiment(t *testing.T) {
+	defer func(w *tabwriter.Writer) { stdout = w }(stdout)
+	var buf bytes.Buffer
+	stdout = newTableWriter(&buf)
+	out := filepath.Join(t.TempDir(), "out")
+	if err := run([]string{"-out", out, "list"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(experiments) == 0 {
+		t.Fatal("no experiments registered")
+	}
+	listed := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		listed[strings.Fields(line)[0]] = true
+	}
+	for _, ex := range experiments {
+		if !listed[ex.name] {
+			t.Errorf("list does not name %q:\n%s", ex.name, buf.String())
+		}
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("list created %s", out)
+	}
+}
+
+// TestRefusesBadArguments: no experiment, or an unknown one, is a usage
+// error, returned before the output directory is created.
+func TestRefusesBadArguments(t *testing.T) {
+	for _, args := range [][]string{{}, {"bogus"}, {"table1", "bogus"}} {
+		out := filepath.Join(t.TempDir(), "out")
+		err := run(append([]string{"-out", out}, args...))
+		if !errors.Is(err, errUsage) {
+			t.Errorf("%q: err = %v, want a usage error", args, err)
+		}
+		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%q: created %s anyway", args, out)
 		}
 	}
 }

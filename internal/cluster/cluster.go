@@ -307,15 +307,7 @@ func (cl *Cluster) renderAttempt(ctx context.Context, job *Job, members []int) (
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	wj := wireJob{
-		JobID:   id,
-		Backend: job.Backend, Sim: job.Sim, Arch: job.Arch,
-		N: job.N, Width: job.Width, Height: job.Height,
-		Shards: job.Shards, RTWorkload: job.RTWorkload,
-		Azimuth: job.Azimuth, Zoom: job.Zoom,
-		Members:           members,
-		DeadlineUnixNanos: deadline.UnixNano(),
-	}
+	wj := wireJob{JobID: id, Job: *job, Members: members, DeadlineUnixNanos: deadline.UnixNano()}
 	msg, err := packJSON(&wj)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: encoding job: %w", err), false
@@ -363,15 +355,7 @@ func (cl *Cluster) renderAttempt(ctx context.Context, job *Job, members []int) (
 			}
 			return nil, fmt.Errorf("cluster: %s", m.res.Err), false
 		}
-		return &Result{
-			Image:                m.img,
-			In:                   m.res.In,
-			BuildSeconds:         m.res.BuildSeconds,
-			RenderSeconds:        m.res.RenderSeconds,
-			CompositeSeconds:     m.res.CompositeSeconds,
-			RankRenderSeconds:    m.res.RankRenderSeconds,
-			RankCompositeSeconds: m.res.RankCompositeSeconds,
-		}, nil, false
+		return m.res.result(m.img), nil, false
 	}
 
 	select {
@@ -446,9 +430,9 @@ func (cl *Cluster) workerLoop(w int) {
 				e.SendCtx(cl.ctx, 0, tagResult, msg)
 			}
 		case tagEvict:
-			// Evicted (possibly wedged, not dead): drop shard caches so a
-			// hypothetical re-admission would rebuild its scenes from
-			// scratch, and free the device state the shards held.
+			// Evicted (possibly wedged, not dead). Eviction is sticky, so
+			// the rank renders no further job: drop its shard caches and
+			// the device state they hold to free the rank's memory.
 			st.Close()
 			st = newShardState(8, 4)
 		}

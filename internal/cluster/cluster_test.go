@@ -270,8 +270,8 @@ func TestRankDevicesClosed(t *testing.T) {
 	}
 
 	st := newShardState(1, 1)
-	wj := wireJob{Backend: job.Backend, Sim: job.Sim, Arch: job.Arch, N: job.N, Width: job.Width, Height: job.Height,
-		Shards: 1, Azimuth: job.Azimuth, Zoom: job.Zoom, Members: []int{0}}
+	wj := wireJob{Job: job, Members: []int{0}}
+	wj.Shards = 1
 	if err := comm.NewWorld(1).Run(func(c *comm.Comm) error {
 		if res, img := st.render(c, &wj); res == nil || res.Err != "" || img == nil {
 			return fmt.Errorf("rank render: %+v", res)

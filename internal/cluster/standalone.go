@@ -33,13 +33,7 @@ func renderStandalone(job Job, states []*shardState) (*Result, error) {
 	for i := range members {
 		members[i] = i
 	}
-	wj := wireJob{
-		Backend: job.Backend, Sim: job.Sim, Arch: job.Arch,
-		N: job.N, Width: job.Width, Height: job.Height,
-		Shards: k, RTWorkload: job.RTWorkload,
-		Azimuth: job.Azimuth, Zoom: job.Zoom,
-		Members: members,
-	}
+	wj := wireJob{Job: job, Members: members}
 	type out struct {
 		res *wireResult
 		img *framebuffer.Image
@@ -61,13 +55,5 @@ func renderStandalone(job Job, states []*shardState) (*Result, error) {
 	if lead.res == nil || lead.img == nil {
 		return nil, errors.New("cluster: standalone render produced no frame")
 	}
-	return &Result{
-		Image:                lead.img,
-		In:                   lead.res.In,
-		BuildSeconds:         lead.res.BuildSeconds,
-		RenderSeconds:        lead.res.RenderSeconds,
-		CompositeSeconds:     lead.res.CompositeSeconds,
-		RankRenderSeconds:    lead.res.RankRenderSeconds,
-		RankCompositeSeconds: lead.res.RankCompositeSeconds,
-	}, nil
+	return lead.res.result(lead.img), nil
 }

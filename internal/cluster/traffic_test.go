@@ -38,11 +38,11 @@ func TestFrameTrafficPinned(t *testing.T) {
 			for i := range members {
 				members[i] = i
 			}
-			job := wireJob{
+			job := wireJob{Job: Job{
 				Backend: string(tc.backend), Sim: tc.sim, Arch: "serial",
 				N: 8, Width: 48, Height: 48, Shards: tc.shards,
-				Azimuth: 30, Zoom: 1, Members: members,
-			}
+				Azimuth: 30, Zoom: 1,
+			}, Members: members}
 			world := comm.NewWorld(tc.shards)
 			err := world.Run(func(c *comm.Comm) error {
 				st := newShardState(1, 1)

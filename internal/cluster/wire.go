@@ -21,20 +21,12 @@ const (
 // wireJob is the render order broadcast to every member of a sharded
 // frame. Members lists the world ranks in shard order: member i renders
 // shard i of the Shards-wide domain decomposition and becomes rank i of
-// the job's sub-communicator.
+// the job's sub-communicator. The embedded Job's fields encode in place,
+// between JobID and Members.
 type wireJob struct {
-	JobID      uint64
-	Backend    string
-	Sim        string
-	Arch       string
-	N          int
-	Width      int
-	Height     int
-	Shards     int
-	RTWorkload int
-	Azimuth    float64
-	Zoom       float64
-	Members    []int
+	JobID uint64
+	Job
+	Members []int
 	// DeadlineUnixNanos is the attempt's absolute abort deadline: every
 	// member abandons the frame's collectives past it (0 = none). The
 	// JobID doubles as the attempt's comm epoch.
@@ -58,6 +50,19 @@ type wireResult struct {
 	CompositeSeconds     float64
 	RankRenderSeconds    []float64
 	RankCompositeSeconds []float64
+}
+
+// result is the finished frame res describes, with img as its image.
+func (res *wireResult) result(img *framebuffer.Image) *Result {
+	return &Result{
+		Image:                img,
+		In:                   res.In,
+		BuildSeconds:         res.BuildSeconds,
+		RenderSeconds:        res.RenderSeconds,
+		CompositeSeconds:     res.CompositeSeconds,
+		RankRenderSeconds:    res.RankRenderSeconds,
+		RankCompositeSeconds: res.RankCompositeSeconds,
+	}
 }
 
 // wireDone is a member's completion note for one attempt, sent whether

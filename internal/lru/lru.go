@@ -1,11 +1,11 @@
 // Package lru is the one LRU cache shared by every serving-path layer:
 // the render-serving subsystem keys admission decisions and encoded
-// frames with it, and cluster workers keep sliced scenes in it. Keeping
-// one implementation means one eviction policy, one concurrency
-// discipline (a single mutex — every use site is a lookup measured in
-// nanoseconds), and one place to audit for allocation behaviour: Get on
-// a present key performs no heap allocation, which the zero-allocation
-// frame path depends on.
+// frames with it, scenario.SceneCache keeps prepared scenes in it, and
+// cluster workers keep sliced scenes in it. Keeping one implementation
+// means one eviction policy, one concurrency discipline (a single mutex
+// — every use site is a lookup measured in nanoseconds), and one place
+// to audit for allocation behaviour: Get on a present key performs no
+// heap allocation, which the zero-allocation frame path depends on.
 package lru
 
 import (
@@ -63,12 +63,38 @@ func (c *Cache[K, V]) Add(k K, v V) {
 		el.Value.(*entry[K, V]).val = v
 		return
 	}
-	c.items[k] = c.ll.PushFront(&entry[K, V]{key: k, val: v})
-	if c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*entry[K, V]).key)
+	c.pushLocked(k, v)
+}
+
+// AddIfAbsent inserts k with v unless k is already cached, and returns
+// the value stored under k: v, or the one already there, which becomes
+// the most recently used. evicted reports that the insert dropped the
+// least recently used entry. On a disabled cache it stores nothing and
+// returns v.
+func (c *Cache[K, V]) AddIfAbsent(k K, v V) (stored V, evicted bool) {
+	if c.cap <= 0 {
+		return v, false
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		c.ll.MoveToFront(el)
+		return el.Value.(*entry[K, V]).val, false
+	}
+	return v, c.pushLocked(k, v)
+}
+
+// pushLocked inserts the absent key k and drops the least recently used
+// entry past capacity, reporting whether it did. Caller holds c.mu.
+func (c *Cache[K, V]) pushLocked(k K, v V) (evicted bool) {
+	c.items[k] = c.ll.PushFront(&entry[K, V]{key: k, val: v})
+	if c.ll.Len() <= c.cap {
+		return false
+	}
+	oldest := c.ll.Back()
+	c.ll.Remove(oldest)
+	delete(c.items, oldest.Value.(*entry[K, V]).key)
+	return true
 }
 
 // Len returns the current entry count.

@@ -38,3 +38,34 @@ func TestAddRefreshesValue(t *testing.T) {
 		t.Errorf("len = %d", c.Len())
 	}
 }
+
+// TestAddIfAbsent: the first value stored under a key wins and is
+// returned to later inserts, an insert past capacity reports its
+// eviction, and a disabled cache stores nothing.
+func TestAddIfAbsent(t *testing.T) {
+	c := New[string, int](2)
+	if v, evicted := c.AddIfAbsent("a", 1); v != 1 || evicted {
+		t.Errorf("first insert = %d, %v; want 1, false", v, evicted)
+	}
+	if v, evicted := c.AddIfAbsent("a", 2); v != 1 || evicted {
+		t.Errorf("second insert = %d, %v; want the stored 1, false", v, evicted)
+	}
+	if v, evicted := c.AddIfAbsent("b", 3); v != 3 || evicted {
+		t.Errorf("insert at capacity = %d, %v; want 3, false", v, evicted)
+	}
+	c.AddIfAbsent("a", 4) // a is now the most recently used
+	if v, evicted := c.AddIfAbsent("c", 5); v != 5 || !evicted {
+		t.Errorf("insert past capacity = %d, %v; want 5, true", v, evicted)
+	}
+	if _, ok := c.Get("b"); ok {
+		t.Error("the least recently used entry survived the eviction")
+	}
+	if v, ok := c.Get("a"); !ok || v != 1 {
+		t.Errorf("a = %d, %v; want the first value stored, 1", v, ok)
+	}
+
+	off := New[string, int](0)
+	if v, evicted := off.AddIfAbsent("a", 1); v != 1 || evicted || off.Len() != 0 {
+		t.Errorf("disabled cache: %d, %v, len %d; want 1, false, 0", v, evicted, off.Len())
+	}
+}

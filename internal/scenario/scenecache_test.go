@@ -83,37 +83,6 @@ func TestRunnerCachePrepareFailureNotCached(t *testing.T) {
 	}
 }
 
-// TestRunnerCacheSoftPins: eviction takes unpinned scenes before pinned
-// ones even when the pinned one is older, and takes a pinned scene when
-// every other scene is pinned, so pins never grow the cache past its
-// capacity.
-func TestRunnerCacheSoftPins(t *testing.T) {
-	c := NewSceneCache[string](2)
-	var prepared atomic.Int32
-	c.Pin("a")
-	getScene(t, c, "a", &prepared)
-	getScene(t, c, "b", &prepared)
-	getScene(t, c, "c", &prepared) // over capacity: unpinned b goes, not the older a
-	if st := c.Stats(); st.Evicted != 1 || st.EvictedPinned != 0 || st.Pinned != 1 {
-		t.Errorf("stats %+v, want 1 unpinned eviction and 1 pinned key", st)
-	}
-	before := prepared.Load()
-	getScene(t, c, "a", &prepared)
-	if prepared.Load() != before {
-		t.Error("the pinned scene was evicted before an unpinned one")
-	}
-	c.Pin("c")
-	getScene(t, c, "d", &prepared) // every other scene pinned: the LRU one (c) goes
-	if st := c.Stats(); st.Evicted != 2 || st.EvictedPinned != 1 || st.Live != 2 {
-		t.Errorf("stats %+v, want 2 evictions, 1 of them pinned, 2 live", st)
-	}
-	c.Unpin("a")
-	c.Unpin("c")
-	if st := c.Stats(); st.Pinned != 0 {
-		t.Errorf("%d keys pinned after every Unpin", st.Pinned)
-	}
-}
-
 // TestRunnerCacheSameKeyConcurrent: concurrent misses of one key never
 // wait on each other. They may each prepare, but every lookup gets the
 // scene stored first, so the key ends up with one scene. Under -race it

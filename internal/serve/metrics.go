@@ -94,10 +94,9 @@ type Stats struct {
 	Counters
 
 	// CachedFrames is the frame cache's entry count; QueueDepth the
-	// queued foreground jobs; RunnersLive the prepared scenes cached.
+	// queued foreground jobs.
 	CachedFrames int `json:"cached_frames"`
 	QueueDepth   int `json:"queue_depth"`
-	RunnersLive  int `json:"runners_live"`
 
 	// Refits is the registry's publish count. The registry counts each
 	// publish under the lock that installs its generation, so a reader
@@ -125,8 +124,8 @@ type Stats struct {
 	ForegroundLoadSeconds float64 `json:"foreground_load_seconds"`
 
 	// RunnerCache is the lookup/eviction view of the prepared-scene
-	// cache sessions pin themselves into.
-	RunnerCache scenario.RunnerCacheStats `json:"runner_cache"`
+	// cache; its Live is the prepared scenes cached.
+	RunnerCache scenario.SceneCacheStats `json:"runner_cache"`
 
 	// FrameStages is the per-stage latency breakdown of every committed
 	// frame trace: one histogram per lifecycle stage plus end-to-end wall
@@ -142,12 +141,10 @@ type Stats struct {
 // Stats snapshots the serving counters and gauges.
 func (s *Server) Stats() Stats {
 	n := obs.LoadCounters(&s.n)
-	scenes := s.scenes.Stats()
 	st := Stats{
 		Counters:                              n,
 		CachedFrames:                          s.frames.Len(),
 		QueueDepth:                            s.sched.depth(),
-		RunnersLive:                           scenes.Live,
 		Refits:                                s.engine.Registry().Publishes(),
 		RenderSecondsTotal:                    float64(n.RenderNanos) / 1e9,
 		ClusterCompositeSecondsTotal:          float64(n.ClusterCompositeNanos) / 1e9,
@@ -156,7 +153,7 @@ func (s *Server) Stats() Stats {
 		PrefetchNoHeadroom:                    n.PrefetchNoHeadroomInflight + n.PrefetchNoHeadroomBudget + n.PrefetchNoHeadroomScheduler,
 		PrefetchQueueDepth:                    s.sched.bgDepth(),
 		ForegroundLoadSeconds:                 s.sched.foregroundLoad(),
-		RunnerCache:                           scenes,
+		RunnerCache:                           s.scenes.Stats(),
 		FrameStages:                           s.stageLat.JSON(),
 		ModelDrift:                            s.residuals.JSON(),
 	}

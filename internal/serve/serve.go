@@ -12,9 +12,8 @@
 // one process.
 //
 // Interactive clients open persistent Sessions (OpenSession): a session
-// is admitted once, soft-pins its configuration's scene in the scene cache,
-// memoizes its admission per model generation, and tracks the client's
-// camera path. After each frame it extrapolates the next poses
+// is admitted once, memoizes its admission per model generation, and
+// tracks the client's camera path. After each frame it extrapolates the next poses
 // (OrbitPredictor) and speculatively renders the uncached ones into
 // the frame cache through a strictly-background scheduler class —
 // admitted only into idle headroom, budgeted by the model's predicted
@@ -406,8 +405,7 @@ func (s *Server) commitTrace(tr *obs.FrameTrace, now time.Time) {
 	s.stageLat.ObserveTrace(tr)
 }
 
-// Close drains active sessions (releasing their scene pins), sheds
-// queued speculative work, drains the scheduler (whose workers release
+// Close drains active sessions, sheds queued speculative work, drains the scheduler (whose workers release
 // their devices as they exit), and stops the calibration feed.
 func (s *Server) Close() {
 	s.closeAllSessions()

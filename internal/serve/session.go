@@ -24,11 +24,10 @@ var ErrTooManySessions = errors.New("serve: too many open sessions")
 // Session is one interactive client's persistent streaming state: the
 // camera-free frame configuration it opened with, its recent camera
 // path, and the speculative-prefetch machinery that renders predicted
-// next frames into the shared frame cache during idle headroom. A
-// session soft-pins its configuration's prepared scene so request churn
-// cannot cold-start it, and its per-frame admission stays memoized, so
-// the steady-state Frame path — pose record, prediction, cache probes,
-// cache hit — performs zero heap allocations.
+// next frames into the shared frame cache during idle headroom. Its
+// per-frame admission stays memoized, so the steady-state Frame path —
+// pose record, prediction, cache probes, cache hit — performs zero heap
+// allocations.
 //
 // Sessions are safe for concurrent use, but one client's frames
 // naturally serialize; fairness across thousands of sessions comes from
@@ -52,7 +51,8 @@ type Session struct {
 	frames       atomic.Uint64
 	prefetchHits atomic.Uint64
 
-	// mu guards the path history, prediction scratch, and scene pin.
+	// mu guards the path history, prediction scratch, and the memoized
+	// decision.
 	mu      sync.Mutex
 	hist    [4]Pose
 	nhist   int
@@ -70,8 +70,6 @@ type Session struct {
 	verified    [2 * MaxPrefetchDepth]cameraKey
 	nVerified   int
 	newVerified [MaxPrefetchDepth]cameraKey
-	pinned      sceneKey
-	hasPin      bool
 	d           decision // latest admitted decision (quality, prediction)
 	gen         uint64   // model generation sess.d was admitted under
 }
@@ -118,9 +116,8 @@ type SessionInfo struct {
 
 // OpenSession runs the request front half once (camera fields are the
 // opening pose) — validation, the fleet-health clamp, admission —
-// registers the session, and soft-pins its scene-cache key so the
-// scene stays warm between frames. A deadline no quality fits is refused with the
-// same RejectionError a one-shot Render would get. At MaxSessions,
+// and registers the session. A deadline no quality fits is refused with
+// the same RejectionError a one-shot Render would get. At MaxSessions,
 // sessions idle longer than SessionIdleTimeout are reaped to make room;
 // with none to reap, ErrTooManySessions.
 func (s *Server) OpenSession(req FrameRequest) (*Session, error) {
@@ -153,7 +150,7 @@ func (s *Server) OpenSession(req FrameRequest) (*Session, error) {
 	sess.lastUsed.Store(now.UnixNano())
 	sess.hist[0] = Pose{Azimuth: req.Azimuth, Zoom: req.Zoom}
 	sess.nhist = 1
-	sess.refreshDecision(&req, d)
+	sess.refreshDecision(d)
 	s.sessions[sess.id] = sess
 	s.sessMu.Unlock()
 	atomic.AddUint64(&s.n.SessionsOpened, 1)
@@ -197,18 +194,13 @@ func (s *Server) SessionsOpen() int {
 func (s *Server) DrainSessions() { s.closeAllSessions() }
 
 // closeAllSessions drains every session on server shutdown: marks them
-// closed (in-flight speculative jobs see the flag and no-op) and
-// releases their scene pins.
+// closed, so in-flight speculative jobs see the flag and no-op.
 func (s *Server) closeAllSessions() {
 	s.sessMu.Lock()
+	defer s.sessMu.Unlock()
 	s.sessClose = true
-	drained := make([]*Session, 0, len(s.sessions))
 	for id, sess := range s.sessions {
 		delete(s.sessions, id)
-		drained = append(drained, sess)
-	}
-	s.sessMu.Unlock()
-	for _, sess := range drained {
 		sess.finish()
 	}
 }
@@ -243,8 +235,8 @@ func (sess *Session) LastPose() Pose {
 	return sess.hist[sess.nhist-1]
 }
 
-// Close unregisters the session and releases its scene pin. In-flight
-// speculative renders for it become no-ops. Idempotent.
+// Close unregisters the session. In-flight speculative renders for it
+// become no-ops. Idempotent.
 func (sess *Session) Close() {
 	s := sess.srv
 	s.sessMu.Lock()
@@ -253,18 +245,11 @@ func (sess *Session) Close() {
 	sess.finish()
 }
 
-// finish marks the session closed and releases its pin; callers have
-// already unregistered it.
+// finish marks the session closed; callers have already unregistered
+// it.
 func (sess *Session) finish() {
 	if sess.closed.Swap(true) {
 		return
-	}
-	sess.mu.Lock()
-	hasPin, pinned := sess.hasPin, sess.pinned
-	sess.hasPin = false
-	sess.mu.Unlock()
-	if hasPin {
-		sess.srv.scenes.Unpin(pinned)
 	}
 	atomic.AddUint64(&sess.srv.n.SessionsClosed, 1)
 }
@@ -308,7 +293,7 @@ func (sess *Session) Frame(azimuth, zoom float64) (FrameResult, error) {
 		if err != nil {
 			return res, err
 		}
-		sess.refreshDecision(&req, d)
+		sess.refreshDecision(d)
 	}
 	sess.frames.Add(1)
 	atomic.AddUint64(&s.n.SessionFrames, 1)
@@ -349,30 +334,17 @@ func (sess *Session) fastFrame(req *FrameRequest) (res FrameResult, d decision, 
 }
 
 // refreshDecision memoizes an admission outcome: the opening one, then
-// each one the slow path re-admits. When the admitted quality changed
-// (at open, or after a continuous-calibration refit), the soft
-// scene-cache pin moves to the new quality's key.
-func (sess *Session) refreshDecision(req *FrameRequest, d decision) {
-	s := sess.srv
-	gen := s.engine.Registry().Generation()
+// each one the slow path re-admits.
+func (sess *Session) refreshDecision(d decision) {
+	gen := sess.srv.engine.Registry().Generation()
 	sess.mu.Lock()
-	qChanged := d.q != sess.d.q
-	old, unpin := sess.pinned, sess.hasPin && qChanged
-	sess.d, sess.gen = d, gen
-	if qChanged {
+	if d.q != sess.d.q {
 		// Verified poses identified frames at the old quality; the new
 		// quality's frames must be re-probed.
 		sess.nVerified = 0
-		sess.hasPin = d.q.Shards <= 1
-		if sess.hasPin {
-			sess.pinned = sceneKeyFor(req, d.q)
-			s.scenes.Pin(sess.pinned)
-		}
 	}
+	sess.d, sess.gen = d, gen
 	sess.mu.Unlock()
-	if unpin {
-		s.scenes.Unpin(old)
-	}
 }
 
 // pushPoseLocked appends to the fixed-size path history, dropping the

@@ -177,9 +177,8 @@ func TestSessionReverseDirection(t *testing.T) {
 	}
 }
 
-// TestSessionLifecycle: open registers and pins, close unregisters and
-// unpins, frames after close are refused, and lookup round-trips the
-// token.
+// TestSessionLifecycle: open registers, close unregisters, frames after
+// close are refused, and lookup round-trips the token.
 func TestSessionLifecycle(t *testing.T) {
 	s := testServer(t, Config{})
 	sess, err := s.OpenSession(sessionRequest())
@@ -192,16 +191,10 @@ func TestSessionLifecycle(t *testing.T) {
 	if s.SessionsOpen() != 1 {
 		t.Fatalf("SessionsOpen = %d, want 1", s.SessionsOpen())
 	}
-	if st := s.Stats(); st.RunnerCache.Pinned != 1 {
-		t.Errorf("open session pinned %d runner keys, want 1", st.RunnerCache.Pinned)
-	}
 	sess.Close()
 	sess.Close() // idempotent
 	if s.SessionsOpen() != 0 {
 		t.Errorf("SessionsOpen after close = %d, want 0", s.SessionsOpen())
-	}
-	if st := s.Stats(); st.RunnerCache.Pinned != 0 {
-		t.Errorf("closed session left %d pins", st.RunnerCache.Pinned)
 	}
 	if _, ok := s.LookupSession(sess.Token()); ok {
 		t.Error("closed session still resolvable")
@@ -239,8 +232,8 @@ func TestSessionCapReapsIdle(t *testing.T) {
 	}
 }
 
-// TestSessionServerCloseDrains: Server.Close ends every session and
-// releases pins; opening afterwards is refused.
+// TestSessionServerCloseDrains: Server.Close ends every session;
+// opening afterwards is refused.
 func TestSessionServerCloseDrains(t *testing.T) {
 	s := testServer(t, Config{})
 	sess, err := s.OpenSession(sessionRequest())
@@ -261,8 +254,8 @@ func TestSessionServerCloseDrains(t *testing.T) {
 
 // TestSessionFairnessSharedRunnerCache: many concurrent sessions with
 // distinct scene configurations share a runner cache smaller than the
-// session population. Soft pinning degrades to LRU instead of
-// starving: every session's frames complete.
+// session population. The sessions' scenes evict each other, and every
+// session's frames still complete.
 func TestSessionFairnessSharedRunnerCache(t *testing.T) {
 	const sessions = 6
 	s := testServer(t, Config{
@@ -304,6 +297,9 @@ func TestSessionFairnessSharedRunnerCache(t *testing.T) {
 	}
 	if st.RunnerCache.Live > sessions {
 		t.Errorf("runner cache grew past the session population: %+v", st.RunnerCache)
+	}
+	if st.RunnerCache.Evicted == 0 {
+		t.Errorf("three scene keys through a cache of two evicted nothing: %+v", st.RunnerCache)
 	}
 }
 
