@@ -10,12 +10,12 @@ build:
 	$(GO) build ./...
 
 # cross keeps the build-tag split of the assembly honest (the AVX2 probe
-# in device, the packet kernels in bvh and volume): arm64 vets the
+# in device, the packet kernels in bvh, volume and raytrace): arm64 vets the
 # portable path (go vet's asmdecl also checks the amd64 .s files against
 # their Go declarations in the native vet), and a 32-bit build compiles
 # everything without the packet kernels.
 cross:
-	GOARCH=arm64 $(GO) vet ./internal/device/ ./internal/bvh/ ./internal/render/volume/
+	GOARCH=arm64 $(GO) vet ./internal/device/ ./internal/bvh/ ./internal/render/volume/ ./internal/render/raytrace/
 	GOARCH=386 $(GO) build ./...
 
 test:
@@ -45,7 +45,8 @@ vet:
 	$(GO) vet ./...
 
 # oracles runs the bitwise oracle tests of the rewritten kernels (slab
-# test, BVH traversal and its AVX2 primary-ray packet kernel, volume
+# test, BVH traversal and its AVX2 primary-ray packet kernel, the ray
+# tracer's AVX2 raygen and shade kernels and their x^30, volume
 # sampling loop and its AVX2 packet kernel, PNG writer), plus the root
 # package's check that every device profile renders the same ray-traced
 # and volume frames and scenario's check that a reused render arena draws
@@ -61,7 +62,7 @@ vet:
 # refuses to start elsewhere, so oracles first starts one with no tests
 # and, when the runtime names the missing microarchitecture, skips the
 # v3 half and says why; ci runs oracles and stays green on any host.
-ORACLE_TESTS := 'Oracle|HitRayMatches|TFTable|PNGEncoder|Clamp8|StructuredPacket|PrimaryPackets|DeviceProfilesAllRender|LeanArenaMatchesReference|WorkerArenaMatchesFreshRunner'
+ORACLE_TESTS := 'Oracle|HitRayMatches|TFTable|PNGEncoder|Clamp8|StructuredPacket|PrimaryPackets|QuadKernels|Pow30|ShadeMatchesScalar|DeviceProfilesAllRender|LeanArenaMatchesReference|WorkerArenaMatchesFreshRunner'
 ORACLE_PKGS := . ./internal/vecmath/ ./internal/bvh/ ./internal/render/raytrace/ ./internal/render/volume/ ./internal/framebuffer/ ./internal/scenario/
 oracles:
 	$(GO) test -count=1 -run $(ORACLE_TESTS) $(ORACLE_PKGS)

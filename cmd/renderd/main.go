@@ -69,16 +69,19 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"insitu/internal/advisor"
 	"insitu/internal/cluster"
+	"insitu/internal/device"
 	"insitu/internal/serve"
 )
 
@@ -95,30 +98,83 @@ func pprofHandler() http.Handler {
 	return mux
 }
 
-func main() {
-	var (
-		addr       = flag.String("addr", ":8090", "listen address")
-		debugAddr  = flag.String("debug-addr", "", "optional debug listen address serving net/http/pprof (empty = disabled)")
-		regPath    = flag.String("registry", "", "registry snapshot JSON (from 'repro export')")
-		bootstrap  = flag.Bool("bootstrap", false, "if the registry file is missing, run a short study and fit one")
-		calibrate  = flag.Bool("calibrate", true, "feed served frames and POST /v1/observations into continuous model refits")
-		refitEvery = flag.Int("refit-every", 8, "observed samples between refits")
-		arch       = flag.String("arch", "cpu", "default device profile / model architecture to render on")
-		workers    = flag.Int("workers", 2, "concurrent render workers")
-		queue      = flag.Int("queue", 64, "render queue capacity (EDF-ordered)")
-		frames     = flag.Int("frame-cache", 256, "encoded-frame LRU entries")
-		runners    = flag.Int("runners", 8, "prepared scenes kept warm, one per (arch, backend, sim, n)")
-		clusterN   = flag.Int("cluster", 0, "worker ranks for sharded frames (0 = single-process serving only)")
-	)
-	flag.Parse()
+// errUsage marks a flag value run refuses; main exits 2 on it, as flag does.
+var errUsage = errors.New("usage")
 
-	srv, fleet, err := buildServer(*regPath, *bootstrap, *calibrate, *refitEvery, *clusterN, nil, serve.Config{
-		Arch: *arch, Workers: *workers, QueueCap: *queue,
-		FrameCacheEntries: *frames, RunnerCacheEntries: *runners,
-		Logf: log.Printf,
-	})
-	if err != nil {
+func main() {
+	if err := run(os.Args[1:]); errors.Is(err, errUsage) {
+		fmt.Fprintln(os.Stderr, "renderd:", err)
+		os.Exit(2)
+	} else if err != nil {
 		log.Fatal(err)
+	}
+}
+
+// options are renderd's flags.
+type options struct {
+	addr, debugAddr, regPath string
+	bootstrap, calibrate     bool
+	refitEvery, clusterN     int
+	cfg                      serve.Config
+}
+
+// parseFlags reads renderd's flags and refuses, as a usage error, every
+// value serve.Config's defaults would silently replace (a worker count,
+// queue, scene cache or frame cache of 0) and every value with no
+// meaning: a negative -cluster, a -refit-every below 1, or an -arch that
+// names no device profile. A negative -frame-cache keeps its meaning:
+// no frame is cached.
+func parseFlags(args []string) (options, error) {
+	fs := flag.NewFlagSet("renderd", flag.ExitOnError)
+	var o options
+	fs.StringVar(&o.addr, "addr", ":8090", "listen address")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "optional debug listen address serving net/http/pprof (empty = disabled)")
+	fs.StringVar(&o.regPath, "registry", "", "registry snapshot JSON (from 'repro export')")
+	fs.BoolVar(&o.bootstrap, "bootstrap", false, "if the registry file is missing, run a short study and fit one")
+	fs.BoolVar(&o.calibrate, "calibrate", true, "feed served frames and POST /v1/observations into continuous model refits")
+	fs.IntVar(&o.refitEvery, "refit-every", 8, "observed samples between refits (>= 1)")
+	fs.StringVar(&o.cfg.Arch, "arch", "cpu", "default device profile / model architecture to render on: "+strings.Join(device.ProfileNames(), ", "))
+	fs.IntVar(&o.cfg.Workers, "workers", 2, "concurrent render workers (>= 1)")
+	fs.IntVar(&o.cfg.QueueCap, "queue", 64, "render queue capacity, EDF-ordered (>= 1)")
+	fs.IntVar(&o.cfg.FrameCacheEntries, "frame-cache", 256, "encoded-frame LRU entries (< 0 caches no frame)")
+	fs.IntVar(&o.cfg.RunnerCacheEntries, "runners", 8, "prepared scenes kept warm, one per (arch, backend, sim, n) (>= 1)")
+	fs.IntVar(&o.clusterN, "cluster", 0, "worker ranks for sharded frames (0 = single-process serving only)")
+	_ = fs.Parse(args) // ExitOnError: flag itself exits on a bad flag or -h
+	if fs.NArg() > 0 {
+		return o, fmt.Errorf("%w: unexpected arguments %q", errUsage, fs.Args())
+	}
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"workers", o.cfg.Workers}, {"queue", o.cfg.QueueCap}, {"runners", o.cfg.RunnerCacheEntries}, {"refit-every", o.refitEvery}} {
+		if c.v < 1 {
+			return o, fmt.Errorf("%w: -%s %d: want >= 1", errUsage, c.name, c.v)
+		}
+	}
+	if o.cfg.FrameCacheEntries == 0 {
+		return o, fmt.Errorf("%w: -frame-cache 0: want >= 1, or < 0 to cache no frame", errUsage)
+	}
+	if o.clusterN < 0 {
+		return o, fmt.Errorf("%w: -cluster %d: want >= 0", errUsage, o.clusterN)
+	}
+	if _, err := device.Profile(o.cfg.Arch); err != nil {
+		return o, fmt.Errorf("%w: -arch: %v", errUsage, err)
+	}
+	o.cfg.Logf = log.Printf
+	return o, nil
+}
+
+// run serves until SIGINT or SIGTERM, then drains. Flag values it
+// refuses come back as errUsage before the registry is opened or a port
+// is bound.
+func run(args []string) error {
+	o, err := parseFlags(args)
+	if err != nil {
+		return err
+	}
+	srv, fleet, err := buildServer(o.regPath, o.bootstrap, o.calibrate, o.refitEvery, o.clusterN, nil, o.cfg)
+	if err != nil {
+		return err
 	}
 	// Deferred in reverse: the server drains in-flight frames before the
 	// fleet it dispatches them to goes away.
@@ -127,16 +183,16 @@ func main() {
 	}
 	defer srv.Close()
 
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		go func() {
-			log.Printf("pprof debug server on %s", *debugAddr)
-			log.Printf("pprof debug server exited: %v", http.ListenAndServe(*debugAddr, pprofHandler()))
+			log.Printf("pprof debug server on %s", o.debugAddr)
+			log.Printf("pprof debug server exited: %v", http.ListenAndServe(o.debugAddr, pprofHandler()))
 		}()
 	}
 
 	web := newWebServer(srv, fleet)
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           serve.LogRequests(log.Printf, web.handler()),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
@@ -152,13 +208,13 @@ func main() {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("renderd listening on %s (arch %s, %d workers)", *addr, *arch, *workers)
+		log.Printf("renderd listening on %s (arch %s, %d workers)", o.addr, o.cfg.Arch, o.cfg.Workers)
 		errc <- httpSrv.ListenAndServe()
 	}()
 	select {
 	case err := <-errc:
 		if !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
+			return err
 		}
 	case <-ctx.Done():
 		log.Printf("shutting down...")
@@ -169,6 +225,7 @@ func main() {
 		}
 	}
 	log.Printf("bye")
+	return nil
 }
 
 // buildServer assembles the full serving stack: registry, advisor

@@ -3,9 +3,9 @@
 // coefficients per architecture; here an architecture is a profile, a
 // pair (kernel set, workers) that executes differently on the host (see
 // Profiles). The host kernel set takes the AVX2 packet kernels of BVH
-// primary-ray traversal and structured volume sampling wherever HasAVX2
-// reports them; the scalar set runs their scalar loops. Both produce the
-// same pixels.
+// primary-ray traversal, ray generation and shading, and structured
+// volume sampling wherever HasAVX2 reports them; the scalar set runs
+// their scalar loops. Both produce the same pixels.
 package device
 
 import (

@@ -12,6 +12,15 @@
 // afterwards, so a steady-state Render performs no heap allocation. The
 // morton pixel order, as pixel coordinates, is cached per (width,
 // height) across all renderers.
+//
+// Three phases have four-lane AVX2 kernels on amd64: raygen (raygen4),
+// primary-ray traversal (bvh.IntersectClosest4) and shade (shade4, with
+// an exact |n.h|^30 that leaves only out-of-range lanes to math.Pow).
+// A frame takes all three when bvh.Packets reports the host runs them
+// and the device is not Scalar; otherwise, and for compact, ao, shadow
+// and accumulate always, it runs the scalar loops. Each kernel lane
+// computes its scalar loop's expressions in the same order, so both
+// paths draw the same bits.
 package raytrace
 
 import (
@@ -199,14 +208,20 @@ type frameArena struct {
 	nodeTests, triTests, castRays atomic.Int64
 
 	// packets is the per-worker traversal scratch. quads is this frame's
-	// choice of primary traversal: IntersectClosest4 where the host runs
-	// its packet kernel, unless the device asks for the scalar loop.
-	packets []packetScratch
-	quads   bool
+	// choice of kernels: IntersectClosest4 and the four-lane raygen and
+	// shade kernels where the host runs the packet kernels, unless the
+	// device asks for the scalar loops. shadeQuads is whether shade4 can
+	// shade this frame, and rgFrame and shFrame are its kernels' frames.
+	packets    []packetScratch
+	quads      bool
+	shadeQuads bool
+	rgFrame    raygenFrame
+	shFrame    shadeFrame
 
 	raygenFn, flagsFn, initFn func(lo, hi int)
 	aoFn, shadowFn            func(lo, hi int)
 	shadeFn, accumFn, hitsFn  func(lo, hi int)
+	raygenQuadFn, shadeQuadFn func(lo, hi int)
 	traceFn                   func(worker, lo, hi int)
 }
 
@@ -228,6 +243,8 @@ func (a *frameArena) init(r *Renderer) {
 	a.shadeFn = a.shadeKernel
 	a.accumFn = a.accumKernel
 	a.hitsFn = a.hitsKernel
+	a.raygenQuadFn = a.raygenQuadKernel
+	a.shadeQuadFn = a.shadeQuadKernel
 }
 
 // ensure sizes the per-frame buffers workload wl uses for n rays and
@@ -297,7 +314,13 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 	numPixels := len(a.xy)
 	n := numPixels * a.spp
 	a.ensure(opts.Workload, n, opts.Width, opts.Height)
-	dpp.For(r.Dev, n, a.raygenFn)
+	a.quads = bvh.Packets() && !r.Dev.Scalar
+	a.shadeQuads = a.quads && a.setQuadFrames()
+	raygenFn := a.raygenFn
+	if a.quads {
+		raygenFn = a.raygenQuadFn
+	}
+	dpp.For(r.Dev, n, raygenFn)
 	stats.Phases.Add("raygen", time.Since(start))
 	stats.PrimaryRays = n
 	stats.TotalRays = int64(n)
@@ -307,7 +330,6 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 	if workers := max(r.Dev.Workers, 1); len(a.packets) < workers {
 		a.packets = make([]packetScratch, workers)
 	}
-	a.quads = bvh.Packets() && !r.Dev.Scalar
 	dpp.ForWorker(r.Dev, n, a.traceFn)
 	stats.NodeTests += a.nodeTests.Load()
 	stats.TriTests += a.triTests.Load()
@@ -349,7 +371,11 @@ func (r *Renderer) Render(opts Options) (*framebuffer.Image, *Stats, error) {
 	// Shading: Blinn-Phong over interpolated normals and color-mapped
 	// scalars, modulated by AO and shadow terms.
 	start = time.Now()
-	dpp.For(r.Dev, len(a.live), a.shadeFn)
+	shadeFn := a.shadeFn
+	if a.shadeQuads {
+		shadeFn = a.shadeQuadFn
+	}
+	dpp.For(r.Dev, len(a.live), shadeFn)
 	stats.Phases.Add("shade", time.Since(start))
 
 	// Accumulate into the framebuffer; with supersampling this is the
@@ -499,25 +525,33 @@ func (a *frameArena) shadowKernel(lo, hi int) {
 // pixel's color, written into the image's RGB words (accumulate adds
 // alpha and depth).
 func (a *frameArena) shadeKernel(lo, hi int) {
-	m := a.r.Mesh
-	rays := &a.rays
-	w := a.img.W
 	for li := lo; li < hi; li++ {
 		i := int(a.live[li])
-		prim := rays.hitPrim[i]
-		dir := rays.dir(i)
-		pos := a.origin.Add(dir.Scale(rays.hitT[i]))
-		nrm, scalar := interpolateHit(m, prim, rays.hitU[i], rays.hitV[i])
-		base := a.cmap.Sample(a.norm.Normalize(scalar))
-		c := shade(base, pos, nrm, dir, a.light)
-		if a.spp > 1 {
-			a.colors[i] = c.Scale(a.occlusion[i] * a.shadow[i])
-		} else {
-			p := a.xy[i]
-			rgb := a.img.Color[4*(int(p.Y)*w+int(p.X)):][:3]
-			rgb[0], rgb[1], rgb[2] = float32(c.X), float32(c.Y), float32(c.Z)
-		}
+		a.storeShade(i, a.shadeRay(i))
 	}
+}
+
+// shadeRay is ray i's Blinn-Phong color.
+func (a *frameArena) shadeRay(i int) vecmath.Vec3 {
+	rays := &a.rays
+	dir := rays.dir(i)
+	pos := a.origin.Add(dir.Scale(rays.hitT[i]))
+	nrm, scalar := interpolateHit(a.r.Mesh, rays.hitPrim[i], rays.hitU[i], rays.hitV[i])
+	base := a.cmap.Sample(a.norm.Normalize(scalar))
+	return shade(base, pos, nrm, dir, a.light)
+}
+
+// storeShade writes ray i's color c: scaled by its occlusion and shadow
+// terms into colors with supersampling, into its pixel's RGB words
+// without.
+func (a *frameArena) storeShade(i int, c vecmath.Vec3) {
+	if a.spp > 1 {
+		a.colors[i] = c.Scale(a.occlusion[i] * a.shadow[i])
+		return
+	}
+	p := a.xy[i]
+	rgb := a.img.Color[4*(int(p.Y)*a.img.W+int(p.X)):][:3]
+	rgb[0], rgb[1], rgb[2] = float32(c.X), float32(c.Y), float32(c.Z)
 }
 
 // accumKernel gathers each pixel's samples into the framebuffer.

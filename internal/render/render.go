@@ -97,6 +97,13 @@ func (g *RayGen) Ray(px, py, jx, jy float64) vecmath.Ray {
 // Origin is the position every ray of Ray starts from.
 func (g *RayGen) Origin() vecmath.Vec3 { return g.pos }
 
+// Frame returns the once-computed values Ray combines, for a kernel that
+// evaluates Ray's expressions itself: the camera basis, the FOV tangent,
+// the aspect ratio and the image size.
+func (g *RayGen) Frame() (right, up, forward vecmath.Vec3, tanF, aspect, w, h float64) {
+	return g.right, g.up, g.forward, g.tanF, g.aspect, g.w, g.h
+}
+
 // Matrix returns the combined viewport * projection * view transform used
 // by the object-order renderers. Transformed points land in pixel
 // coordinates with depth in [0,1].
