@@ -94,7 +94,9 @@ fmt:
 # bench runs the table/figure benchmarks at the repo root and the
 # package benchmarks (advisor, scenario dispatch, small-plan study,
 # serving, cluster, obs, traversal, PNG encode, volume sampling),
-# printing ns/op and allocs/op for people to read. Speed claims cite
+# printing ns/op and allocs/op for people to read. The session orbit
+# pair reports time-to-photon percentiles, so it runs 100 frames a side
+# (at 1x both sides report their first frame, a miss). Speed claims cite
 # BENCHMARK.json (`make bench-e2e`); the 0 allocs/op paths are pinned
 # by TestZeroAlloc in the plain test run.
 bench:
@@ -102,7 +104,8 @@ bench:
 	$(GO) test -run '^$$' -benchmem -bench BenchmarkAdvisorPredict ./internal/advisor/
 	$(GO) test -run '^$$' -benchmem -bench BenchmarkScenarioDispatch -benchtime 1x ./internal/scenario/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkStudySmallPlan|BenchmarkPlanGeneration' -benchtime 1x ./internal/study/
-	$(GO) test -run '^$$' -benchmem -bench BenchmarkRenderd -benchtime 1x ./internal/serve/
+	$(GO) test -run '^$$' -benchmem -bench BenchmarkRenderd -skip BenchmarkRenderdSessionOrbit -benchtime 1x ./internal/serve/
+	$(GO) test -run '^$$' -benchmem -bench BenchmarkRenderdSessionOrbit -benchtime 100x ./internal/serve/
 	$(GO) test -run '^$$' -benchmem -bench BenchmarkClusterThroughput -benchtime 1x ./internal/cluster/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkHistogramObserve|BenchmarkTraceSpan|BenchmarkDriftObserve' -benchtime 1x ./internal/obs/
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkHitRay|BenchmarkIntersectClosest|BenchmarkIntersectAny|BenchmarkPrimaryTraversal' -benchtime 1x ./internal/vecmath/ ./internal/bvh/

@@ -246,8 +246,6 @@ func buildServer(regPath string, bootstrap, calibrate bool, refitEvery, clusterN
 	if calibrate {
 		engine.SetObserver(serve.NewCalibrator(reg, regPath, "renderd-frames", refitEvery, log.Printf))
 		log.Printf("continuous calibration enabled (served frames and POST /v1/observations refit the models)")
-	} else {
-		cfg.ObserveQueue = -1
 	}
 	var fleet *cluster.Cluster
 	if clusterN > 0 {

@@ -14,8 +14,8 @@ import (
 	"insitu/internal/serve"
 )
 
-// Session endpoints: a session tracks the client's camera path and
-// speculatively renders the predicted next frames into the cache during
+// Session endpoints: a session keeps the client's last camera pose and
+// speculatively renders the predicted next frame into the cache during
 // idle headroom, so a well-predicted interactive orbit is served at
 // cache-hit latency.
 //

@@ -121,6 +121,34 @@ func TestRenderdSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestRenderdSessionFrameZeroZoom: ?zoom=0 keeps the previous frame's
+// zoom, not the opening one, so the same pose again is a cache hit with
+// the same bytes.
+func TestRenderdSessionFrameZeroZoom(t *testing.T) {
+	ts, _ := startRenderd(t, 1000)
+	info := openTestSession(t, ts, serve.FrameRequest{
+		Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64,
+	})
+	get := func(query string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/v1/session/" + info.ID + "/frame?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", query, resp.StatusCode, body)
+		}
+		return resp, body
+	}
+	_, zoomed := get("azimuth=30&zoom=2")
+	resp, again := get("azimuth=30&zoom=0")
+	if got := resp.Header.Get("X-Renderd-Cache"); got != "hit" || !bytes.Equal(again, zoomed) {
+		t.Errorf("zoom=0 after zoom=2: cache %q, same bytes %v; want the zoom-2 frame again", got, bytes.Equal(again, zoomed))
+	}
+}
+
 // TestRenderdSessionStream: the stream endpoint pushes
 // multipart/x-mixed-replace PNG parts and terminates after the
 // requested frame count.

@@ -125,6 +125,9 @@ func (e *Engine) Registry() *registry.Registry { return e.reg }
 // Call before serving; it is not synchronized against in-flight requests.
 func (e *Engine) SetObserver(o Observer) { e.observer = o }
 
+// HasObserver reports whether observation ingestion is enabled.
+func (e *Engine) HasObserver() bool { return e.observer != nil }
+
 // Metrics snapshots every operation's counters in a stable order.
 func (e *Engine) Metrics() []OpStats {
 	out := make([]OpStats, 0, len(ops))

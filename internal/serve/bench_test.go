@@ -143,9 +143,9 @@ func BenchmarkRenderdThroughput(b *testing.B) {
 
 // sessionPrefetchHitStep opens an orbiting session on s, warms one full
 // lap of its orbit into the cache, and returns the steady-state step:
-// the next orbit frame through Session.Frame (pose record, path
-// prediction, verified-window probe, cache hit), reporting whether it
-// was a prefetch hit.
+// the next orbit frame through Session.Frame (the served frame's cache
+// hit, then the next pose's prediction and cache probe), reporting
+// whether it was a prefetch hit.
 func sessionPrefetchHitStep(tb testing.TB, s *Server) func() bool {
 	tb.Helper()
 	sess, err := s.OpenSession(FrameRequest{
@@ -236,28 +236,34 @@ func TestZeroAlloc(t *testing.T) {
 	}
 }
 
-// benchOrbitTTP drives one orbiting session with think time between
+// benchOrbitTTP drives one orbiting client with think time between
 // frames — the interactive workload — against a frame cache smaller
-// than the orbit (8 entries vs 24 angles), so without prefetch every
-// revisited angle has been evicted and must re-render, while prefetch
-// keeps renders 1-3 frames ahead of the client. Reports the
-// time-to-photon distribution.
-func benchOrbitTTP(b *testing.B, depth int) (lats []time.Duration, prefetchHits int) {
+// than the orbit (8 entries vs 24 angles), so every revisited angle has
+// been evicted. With session set the client orbits through a Session,
+// whose prefetch keeps the next frame rendered ahead of it; otherwise it
+// sends the same poses through Server.Render, which re-renders each one.
+// Reports the time-to-photon distribution.
+func benchOrbitTTP(b *testing.B, session bool) (lats []time.Duration, prefetchHits int) {
 	b.Helper()
 	s := New(advisor.New(testRegistry(b)), Config{
 		Arch: "serial", Workers: 2,
 		FrameCacheEntries: 8,
-		PrefetchDepth:     depth,
 		Logf:              func(string, ...any) {},
 	})
 	b.Cleanup(s.Close)
-	sess, err := s.OpenSession(FrameRequest{
-		Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64, DeadlineMillis: 1000,
-	})
-	if err != nil {
-		b.Fatal(err)
+	req := FrameRequest{Backend: core.RayTrace, Sim: "kripke", N: 8, Width: 64, DeadlineMillis: 1000}
+	frame := func(az float64) (FrameResult, error) {
+		req.Azimuth = az
+		return s.Render(req)
 	}
-	defer sess.Close()
+	if session {
+		sess, err := s.OpenSession(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer sess.Close()
+		frame = func(az float64) (FrameResult, error) { return sess.Frame(az, 1) }
+	}
 	const step, think = 15.0, 10 * time.Millisecond
 	az := 0.0
 	lats = make([]time.Duration, 0, b.N)
@@ -267,7 +273,7 @@ func benchOrbitTTP(b *testing.B, depth int) (lats []time.Duration, prefetchHits 
 			az -= 360
 		}
 		start := time.Now()
-		res, err := sess.Frame(az, 1)
+		res, err := frame(az)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -295,17 +301,19 @@ func reportTTP(b *testing.B, lats []time.Duration, prefetchHits int) {
 }
 
 // BenchmarkRenderdSessionOrbitPrefetch and ...OrbitNoPrefetch are the
-// PR 8 contrast pair: the same orbiting interactive client with
-// speculation on vs off. ns/op includes the client's think time
-// (identical in both) — the figure of merit is p99-ttp-ns, which must
-// be at least 5x lower with prefetch: correct predictions collapse the
-// tail from a full render to a cache hit.
+// prefetch contrast pair: the same orbiting client with the same think
+// time, through a Session vs through Server.Render. ns/op includes the
+// think time (identical in both) — the figure of merit is p99-ttp-ns,
+// which must be at least 5x lower through the session: correct
+// predictions collapse the tail from a full render to a cache hit. Run
+// them with enough frames for percentiles (make bench uses 100x); at 1x
+// both report the first frame, a miss.
 func BenchmarkRenderdSessionOrbitPrefetch(b *testing.B) {
-	lats, hits := benchOrbitTTP(b, 3)
+	lats, hits := benchOrbitTTP(b, true)
 	reportTTP(b, lats, hits)
 }
 
 func BenchmarkRenderdSessionOrbitNoPrefetch(b *testing.B) {
-	lats, hits := benchOrbitTTP(b, -1)
+	lats, hits := benchOrbitTTP(b, false)
 	reportTTP(b, lats, hits)
 }

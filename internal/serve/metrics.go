@@ -70,9 +70,10 @@ type Counters struct {
 	// speculation by outcome (stale: the frame arrived or a flight
 	// started before the job ran); Shed counts jobs dropped by queue
 	// overflow or shutdown. The NoHeadroom counts are submissions
-	// refused for lack of idle capacity, by reason: the session's
-	// in-flight depth cap, its think-time budget, or the scheduler's
-	// foreground-load gate.
+	// refused for lack of idle capacity, by reason: the session's cap of
+	// one speculative render in flight, its think-time budget, or the
+	// scheduler's idle check (a foreground job queued, or no worker
+	// free).
 	SessionsOpened uint64 `json:"sessions_opened"`
 	SessionsClosed uint64 `json:"sessions_closed"`
 	SessionFrames  uint64 `json:"session_frames"`
@@ -118,8 +119,9 @@ type Stats struct {
 	PrefetchNoHeadroom uint64 `json:"prefetch_no_headroom"`
 	// PrefetchQueueDepth is the queued (not yet running) speculative
 	// render count; ForegroundLoadSeconds the model-predicted cost of
-	// queued plus running foreground work — the headroom signal
-	// background admission gates on.
+	// queued plus running foreground work. The load is reported only:
+	// background admission checks for a queued foreground job and a free
+	// worker, not this sum.
 	PrefetchQueueDepth    int     `json:"prefetch_queue_depth"`
 	ForegroundLoadSeconds float64 `json:"foreground_load_seconds"`
 

@@ -10,43 +10,30 @@ type Pose struct {
 	Zoom    float64
 }
 
-// OrbitPredictor extrapolates where a session's camera goes next with
-// constant velocity: the next poses continue the last observed
-// per-frame azimuth and zoom deltas. Azimuth arithmetic is modular —
-// the velocity is the shortest angular step between the last two poses
-// and predictions wrap into [0, 360) — so a client orbiting 0°, 30°, …,
-// 330°, 0° predicts seamlessly across the wrap (frame-cache keys
-// quantize raw azimuth, so the predictor and an orbiting client must
-// agree on the wrapped representative).
-type OrbitPredictor struct{}
-
-// Predict reads the recent path (oldest first, most recent last) and
-// fills dst with up to len(dst) future poses in arrival order,
-// returning how many it filled. It runs on the zero-allocation session
-// frame path with caller-owned buffers, returns 0 rather than guess
-// when the history is too short or the camera is parked, and stops
-// early if zoom would leave (0, maxZoom].
-func (OrbitPredictor) Predict(history []Pose, dst []Pose) int {
-	n := len(history)
-	if n < 2 {
-		return 0
+// nextPose extrapolates where a session's camera goes after last with
+// constant velocity: it repeats the azimuth and zoom step from prev to
+// last once. Azimuth arithmetic is modular — the velocity is the
+// shortest angular step between the two poses and the prediction wraps
+// into [0, 360) — so a client orbiting 0°, 30°, …, 330°, 0° predicts
+// seamlessly across the wrap (frame-cache keys quantize raw azimuth, so
+// the predictor and an orbiting client must agree on the wrapped
+// representative). It returns false rather than guess when there is no
+// previous pose (a zero prev: no served pose has zoom 0), when the
+// camera is parked, and when zoom would leave (0, maxZoom].
+func nextPose(prev, last Pose) (Pose, bool) {
+	if prev.Zoom <= 0 {
+		return Pose{}, false
 	}
-	last, prev := history[n-1], history[n-2]
 	dAz := wrapDelta(last.Azimuth - prev.Azimuth)
 	dZoom := last.Zoom - prev.Zoom
 	if dAz == 0 && dZoom == 0 {
-		return 0 // a parked camera has nothing to prefetch
+		return Pose{}, false // a parked camera has nothing to prefetch
 	}
-	az, zoom := last.Azimuth, last.Zoom
-	for i := range dst {
-		az = wrap360(az + dAz)
-		zoom += dZoom
-		if zoom <= 0 || zoom > maxZoom {
-			return i
-		}
-		dst[i] = Pose{Azimuth: az, Zoom: zoom}
+	zoom := last.Zoom + dZoom
+	if zoom <= 0 || zoom > maxZoom {
+		return Pose{}, false
 	}
-	return len(dst)
+	return Pose{Azimuth: wrap360(last.Azimuth + dAz), Zoom: zoom}, true
 }
 
 // wrap360 maps an angle in degrees onto [0, 360).

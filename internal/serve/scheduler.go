@@ -18,8 +18,8 @@ var ErrQueueFull = errors.New("serve: render queue full")
 // ErrClosed reports a server that has stopped accepting work.
 var ErrClosed = errors.New("serve: server closed")
 
-// errNoHeadroom reports a background submission refused because the
-// predicted foreground load leaves no idle capacity to speculate in.
+// errNoHeadroom reports a background submission refused because a
+// foreground job is queued or no worker is free.
 var errNoHeadroom = errors.New("serve: no idle headroom for background work")
 
 // workerState is the per-worker scratch that persists across jobs: the
@@ -36,8 +36,7 @@ type workerState struct {
 
 // job is one queued foreground render with its absolute deadline (zero
 // time means no deadline and sorts last), the admission-time predicted
-// cost (for the foreground-load accounting background admission reads),
-// and a FIFO tiebreaker.
+// cost (for the foreground-load gauge in Stats), and a FIFO tiebreaker.
 type job struct {
 	deadline  time.Time
 	predNanos int64
@@ -102,7 +101,7 @@ const speculationGrace = 500 * time.Microsecond
 //   - admitted only when no foreground job is queued and an idle worker
 //     exists (the predicted foreground load — the sum of admission-time
 //     cost predictions for queued and running foreground jobs — is
-//     tracked and exposed so callers can gate further);
+//     tracked for Stats, not gated on);
 //   - dequeued only when the foreground heap is empty, so a queued
 //     foreground job is never delayed or reordered by prefetch;
 //   - capped at workers-1 concurrent executions (one worker is always

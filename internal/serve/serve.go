@@ -12,14 +12,15 @@
 // one process.
 //
 // Interactive clients open persistent Sessions (OpenSession): a session
-// is admitted once, memoizes its admission per model generation, and
-// tracks the client's camera path. After each frame it extrapolates the next poses
-// (OrbitPredictor) and speculatively renders the uncached ones into
-// the frame cache through a strictly-background scheduler class —
-// admitted only into idle headroom, budgeted by the model's predicted
+// is admitted once and keeps the client's last camera pose. Each session
+// frame is served like a Render (same front half, admission memo and
+// frame cache); after it the session extrapolates one pose ahead
+// (nextPose) and, when that frame is not cached, speculatively renders
+// it into the frame cache through a strictly-background scheduler class
+// — admitted only into idle headroom, budgeted by the model's predicted
 // cost against the measured client think time, shed first under
-// pressure — so a predictable camera path sees cache-hit
-// time-to-photon while foreground deadline traffic is never delayed.
+// pressure — so a predictable camera path sees cache-hit time-to-photon
+// while foreground deadline traffic is never delayed.
 //
 // Frame pipeline: Render and OpenSession share one front half (front:
 // validate, fleet-health clamp, memoized admission, rejection). A frame
@@ -151,12 +152,9 @@ type Config struct {
 	FrameCacheEntries  int // default 256
 	RunnerCacheEntries int // default 8
 	// ObserveQueue buffers measured samples for the engine's observer;
-	// negative disables calibration feedback.
+	// negative disables calibration feedback, and so does an engine
+	// without an observer.
 	ObserveQueue int // default 256
-	// PrefetchDepth is how many predicted poses ahead a streaming
-	// session speculatively renders (capped at MaxPrefetchDepth);
-	// negative disables prefetch, 0 picks the default 3.
-	PrefetchDepth int
 	// MaxSessions bounds concurrently open streaming sessions;
 	// SessionIdleTimeout lets an at-capacity OpenSession reap sessions
 	// idle longer than this instead of refusing.
@@ -224,10 +222,6 @@ func (c *Config) setDefaults() {
 	orDefault(&c.RunnerCacheEntries, 1, 8)
 	orDefault(&c.BreakerThreshold, 1, 3)
 	orDefault(&c.BreakerCooldown, 1, 5*time.Second)
-	if c.PrefetchDepth == 0 {
-		c.PrefetchDepth = 3
-	}
-	c.PrefetchDepth = min(c.PrefetchDepth, MaxPrefetchDepth)
 	orDefault(&c.MaxSessions, 1, 4096)
 	orDefault(&c.SessionIdleTimeout, 1, 5*time.Minute)
 	if c.Logf == nil {
@@ -247,11 +241,12 @@ func orDefault[T int | time.Duration](v *T, floor, def T) {
 // millidegrees so float noise cannot fragment the cache (normalize
 // bounds them, so the quantization cannot overflow).
 type frameKey struct {
-	arch    string
-	backend core.Renderer
-	sim     string
-	cam     cameraKey
-	q       quality
+	arch      string
+	backend   core.Renderer
+	sim       string
+	azMilli   int64
+	zoomMilli int64
+	q         quality
 }
 
 // sceneKey identifies a prepared scene: only what preparation reads.
@@ -339,8 +334,10 @@ type Server struct {
 }
 
 // New builds a server over the engine. When the engine has an observer
-// configured (advisor.Engine.SetObserver) and cfg.ObserveQueue is not
-// negative, every served frame's measurement feeds the observer.
+// configured (advisor.Engine.SetObserver, before New) and
+// cfg.ObserveQueue is not negative, every served frame's measurement
+// feeds the observer; otherwise no calibration queue starts and
+// QueueObservations answers ErrCalibrationOff.
 func New(engine *advisor.Engine, cfg Config) *Server {
 	cfg.setDefaults()
 	s := &Server{
@@ -372,7 +369,7 @@ func New(engine *advisor.Engine, cfg Config) *Server {
 	for _, name := range device.ProfileNames() {
 		s.profiles[name] = true
 	}
-	if cfg.ObserveQueue >= 0 {
+	if cfg.ObserveQueue >= 0 && engine.HasObserver() {
 		q := cfg.ObserveQueue
 		if q == 0 {
 			q = 256
@@ -652,8 +649,9 @@ func (s *Server) commitHitTrace(req *FrameRequest, d *decision, start time.Time,
 func frameKeyFor(req *FrameRequest, q quality) frameKey {
 	return frameKey{
 		arch: req.Arch, backend: req.Backend, sim: req.Sim,
-		cam: cameraKeyFor(Pose{Azimuth: req.Azimuth, Zoom: req.Zoom}),
-		q:   q,
+		azMilli:   int64(math.Round(req.Azimuth * 1e3)),
+		zoomMilli: int64(math.Round(req.Zoom * 1e3)),
+		q:         q,
 	}
 }
 

@@ -433,6 +433,28 @@ func TestQueueObservationsAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestNoObserverNoObservationQueue: over an engine with no observer the
+// calibration queue does not start, whatever ObserveQueue says: posted
+// observations are ErrCalibrationOff and a served frame queues no
+// sample.
+func TestNoObserverNoObservationQueue(t *testing.T) {
+	s := testServer(t, Config{})
+	err := s.QueueObservations([]advisor.Observation{{
+		Arch: "serial", Renderer: "volume",
+		Inputs:        core.Inputs{O: 1000, AP: 5000, SPR: 100, CS: 10, Pixels: 20000, AvgAP: 5000, Tasks: 1},
+		RenderSeconds: 0.01,
+	}})
+	if !errors.Is(err, ErrCalibrationOff) {
+		t.Errorf("QueueObservations without an observer: %v, want ErrCalibrationOff", err)
+	}
+	if _, err := s.Render(FrameRequest{Backend: core.Volume, Sim: "kripke", N: 8, Width: 64}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().ObservationsQueued; got != 0 {
+		t.Errorf("observations queued = %d, want 0", got)
+	}
+}
+
 // TestSchedulerEDFOrder: queued jobs run earliest-deadline-first with
 // no-deadline jobs last, regardless of submission order.
 func TestSchedulerEDFOrder(t *testing.T) {

@@ -2,17 +2,11 @@ package serve
 
 import (
 	"errors"
-	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// MaxPrefetchDepth caps how many predicted poses ahead a session may
-// speculate; Session pose scratch and the verified-key window are sized
-// by it.
-const MaxPrefetchDepth = 8
 
 // ErrSessionClosed reports a frame request on a closed session.
 var ErrSessionClosed = errors.New("serve: session closed")
@@ -22,80 +16,41 @@ var ErrSessionClosed = errors.New("serve: session closed")
 var ErrTooManySessions = errors.New("serve: too many open sessions")
 
 // Session is one interactive client's persistent streaming state: the
-// camera-free frame configuration it opened with, its recent camera
-// path, and the speculative-prefetch machinery that renders predicted
-// next frames into the shared frame cache during idle headroom. Its
-// per-frame admission stays memoized, so the steady-state Frame path —
-// pose record, prediction, cache probes, cache hit — performs zero heap
-// allocations.
+// camera-free frame configuration it opened with, its last camera pose,
+// and the speculative prefetch that renders the predicted next frame
+// into the shared frame cache during idle headroom. A session frame is a
+// served frame — the front half, admission memo and frame cache Render
+// uses — plus one predicted pose, so the steady-state Frame path (cache
+// hit, prediction, one cache probe) performs zero heap allocations.
 //
 // Sessions are safe for concurrent use, but one client's frames
 // naturally serialize; fairness across thousands of sessions comes from
-// per-session prefetch caps (at most PrefetchDepth speculative renders
-// in flight per session), the shed-oldest background queue, and the
-// scene cache: sessions of one configuration share its prepared scene,
-// and every render worker draws it on its own arena, so no session's
-// frame queues behind another's render of the same configuration.
+// the per-session cap of one speculative render in flight, the
+// shed-oldest background queue, and the scene cache: sessions of one
+// configuration share its prepared scene, and every render worker draws
+// it on its own arena, so no session's frame queues behind another's
+// render of the same configuration.
 type Session struct {
 	srv   *Server
 	id    uint64
 	token string
 	// base is the normalized opening request; per-frame requests copy
 	// it and overwrite the camera.
-	base  FrameRequest
-	depth int
+	base FrameRequest
 
 	closed       atomic.Bool
 	lastUsed     atomic.Int64 // unix nanos of the last Frame
-	inflight     atomic.Int32 // outstanding speculative renders
+	inflight     atomic.Int32 // outstanding speculative renders (0 or 1)
 	frames       atomic.Uint64
 	prefetchHits atomic.Uint64
 
-	// mu guards the path history, prediction scratch, and the memoized
+	// mu guards the last pose, the think-time estimate and the latest
 	// decision.
-	mu      sync.Mutex
-	hist    [4]Pose
-	nhist   int
-	lastT   time.Time
-	emaGap  float64 // EMA of client inter-frame seconds (the think time)
-	scratch [MaxPrefetchDepth]Pose
-	cands   [MaxPrefetchDepth]prefetchCand
-	// verified is the sliding window of predicted camera poses already
-	// found cached or submitted on the previous Frame; re-probing them
-	// every frame would double the steady-state cache traffic. Only the
-	// quantized camera is stored — everything else in a session's frame
-	// key is fixed per admitted quality, and the window resets when a
-	// refit changes that quality — so the scan is integer compares, not
-	// struct equality over strings.
-	verified    [2 * MaxPrefetchDepth]cameraKey
-	nVerified   int
-	newVerified [MaxPrefetchDepth]cameraKey
-	d           decision // latest admitted decision (quality, prediction)
-	gen         uint64   // model generation sess.d was admitted under
-}
-
-// prefetchCand is one predicted pose whose frame is not cached yet.
-type prefetchCand struct {
-	pose Pose
-	fk   frameKey
-}
-
-// cameraKey is the camera half of a frameKey: the pose quantized to
-// millidegrees. A session's verified-pose window stores these instead of
-// full frame keys — within one admitted quality they identify a frame
-// uniquely, and comparing two is a pair of integer compares.
-type cameraKey struct {
-	azMilli   int64
-	zoomMilli int64
-}
-
-// cameraKeyFor quantizes a pose (normalize bounds the camera, so the
-// quantization cannot overflow).
-func cameraKeyFor(p Pose) cameraKey {
-	return cameraKey{
-		azMilli:   int64(math.Round(p.Azimuth * 1e3)),
-		zoomMilli: int64(math.Round(p.Zoom * 1e3)),
-	}
+	mu     sync.Mutex
+	last   Pose // the last served pose; the opening pose before any frame
+	lastT  time.Time
+	emaGap float64  // EMA of client inter-frame seconds (the think time)
+	d      decision // latest admitted decision (quality, prediction)
 }
 
 // SessionInfo is the client-visible identity and admitted quality of a
@@ -109,9 +64,11 @@ type SessionInfo struct {
 	Shards           int     `json:"shards"`
 	PredictedSeconds float64 `json:"predicted_seconds"`
 	Degraded         bool    `json:"degraded"`
-	PrefetchDepth    int     `json:"prefetch_depth"`
-	Frames           uint64  `json:"frames"`
-	PrefetchHits     uint64  `json:"prefetch_hits"`
+	// PrefetchDepth is how many predicted poses ahead the session
+	// renders: always 1.
+	PrefetchDepth int    `json:"prefetch_depth"`
+	Frames        uint64 `json:"frames"`
+	PrefetchHits  uint64 `json:"prefetch_hits"`
 }
 
 // OpenSession runs the request front half once (camera fields are the
@@ -144,13 +101,10 @@ func (s *Server) OpenSession(req FrameRequest) (*Session, error) {
 		id:    s.nextSess,
 		token: strconv.FormatUint(s.nextSess, 16),
 		base:  req,
-		depth: s.cfg.PrefetchDepth,
+		last:  Pose{Azimuth: req.Azimuth, Zoom: req.Zoom},
+		d:     d,
 	}
-	now := time.Now()
-	sess.lastUsed.Store(now.UnixNano())
-	sess.hist[0] = Pose{Azimuth: req.Azimuth, Zoom: req.Zoom}
-	sess.nhist = 1
-	sess.refreshDecision(d)
+	sess.lastUsed.Store(time.Now().UnixNano())
 	s.sessions[sess.id] = sess
 	s.sessMu.Unlock()
 	atomic.AddUint64(&s.n.SessionsOpened, 1)
@@ -219,20 +173,18 @@ func (sess *Session) Info() SessionInfo {
 		RTWorkload: d.q.RTWorkload, Shards: max(d.q.Shards, 1),
 		PredictedSeconds: d.predicted,
 		Degraded:         d.degraded,
-		PrefetchDepth:    max(sess.depth, 0),
+		PrefetchDepth:    1,
 		Frames:           sess.frames.Load(),
 		PrefetchHits:     sess.prefetchHits.Load(),
 	}
 }
 
-// LastPose returns the most recent camera pose the session served.
+// LastPose returns the most recent camera pose the session served (the
+// opening pose before its first frame).
 func (sess *Session) LastPose() Pose {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.nhist == 0 {
-		return Pose{Azimuth: sess.base.Azimuth, Zoom: sess.base.Zoom}
-	}
-	return sess.hist[sess.nhist-1]
+	return sess.last
 }
 
 // Close unregisters the session. In-flight speculative renders for it
@@ -255,11 +207,10 @@ func (sess *Session) finish() {
 }
 
 // Frame serves the session's next camera pose (zoom <= 0 keeps the
-// previous zoom): record the pose, serve through the shared admission /
-// frame-cache / scheduler path, then extrapolate the next poses and
-// speculatively render the uncached ones into idle headroom. When the
-// prediction was right, this frame was already cached and the whole
-// call is a sub-microsecond, zero-allocation cache hit.
+// previous zoom) through the path Render takes, then predicts the pose
+// after it and speculatively renders that frame into idle headroom when
+// it is not cached. When the prediction was right, this frame was
+// already cached and the whole call is a zero-allocation cache hit.
 func (sess *Session) Frame(azimuth, zoom float64) (FrameResult, error) {
 	s := sess.srv
 	if sess.closed.Load() {
@@ -269,103 +220,26 @@ func (sess *Session) Frame(azimuth, zoom float64) (FrameResult, error) {
 	sess.lastUsed.Store(now.UnixNano())
 
 	req := sess.base
-	req.Azimuth = azimuth
-	if zoom > 0 {
-		req.Zoom = zoom
+	req.Azimuth, req.Zoom = azimuth, zoom
+	if zoom <= 0 {
+		req.Zoom = sess.LastPose().Zoom
 	}
-	// Only the camera changes between a session's frames; bound it here
-	// so the fast path can skip full normalization (everything else was
-	// validated at open and copied from base).
-	if math.IsNaN(azimuth) || math.Abs(azimuth) > maxAzimuthDegrees ||
-		math.IsNaN(req.Zoom) || req.Zoom <= 0 || req.Zoom > maxZoom {
-		atomic.AddUint64(&s.n.BadRequests, 1)
-		return FrameResult{}, badRequestf("session camera out of range: azimuth %g zoom %g", azimuth, req.Zoom)
-	}
-
-	// Steady-state fast path: the session's admission is memoized per
-	// model generation, so a correctly predicted (already cached) frame
-	// costs one atomic generation read and one cache probe — no
-	// normalization, no admission LRU.
-	res, d, served := sess.fastFrame(&req)
-	if !served {
-		var err error
-		res, d, err = s.serveFrame(req, sess)
-		if err != nil {
-			return res, err
-		}
-		sess.refreshDecision(d)
+	res, d, err := s.serveFrame(req, sess)
+	if err != nil {
+		return res, err
 	}
 	sess.frames.Add(1)
 	atomic.AddUint64(&s.n.SessionFrames, 1)
-
-	if n := sess.planPrefetch(now, &req, d); n > 0 {
-		sess.submitPrefetch(&req, d, n)
-	}
+	sess.prefetch(now, req, d)
 	return res, nil
 }
 
-// fastFrame is the memoized session frame path: reuse the stored
-// admission decision while the model generation it was made under
-// still stands, and serve straight from the frame cache. Returns
-// served=false (and an unusable result) on a generation change or a
-// cache miss — the caller then takes the full serveFrame path.
-func (sess *Session) fastFrame(req *FrameRequest) (res FrameResult, d decision, served bool) {
+// prefetch records the served pose and decision, predicts the next pose
+// and, when its frame is not cached, hands it to submitPrefetch. A
+// correct prediction costs one cache probe and no allocation.
+func (sess *Session) prefetch(now time.Time, req FrameRequest, d decision) {
 	s := sess.srv
-	start := time.Now()
-	gen := s.engine.Registry().Generation()
-	sess.mu.Lock()
-	d, current := sess.d, sess.gen == gen
-	sess.mu.Unlock()
-	if !current {
-		return FrameResult{}, decision{}, false
-	}
-	fk := frameKeyFor(req, d.q)
-	cf, ok := s.frames.Get(fk)
-	if !ok {
-		return FrameResult{}, decision{}, false
-	}
-	atomic.AddUint64(&s.n.Admitted, 1)
-	if d.degraded {
-		atomic.AddUint64(&s.n.Degraded, 1)
-	}
-	s.hitFrame(&res, &cf, &d, sess)
-	s.commitHitTrace(req, &d, start, time.Since(start))
-	return res, d, true
-}
-
-// refreshDecision memoizes an admission outcome: the opening one, then
-// each one the slow path re-admits.
-func (sess *Session) refreshDecision(d decision) {
-	gen := sess.srv.engine.Registry().Generation()
-	sess.mu.Lock()
-	if d.q != sess.d.q {
-		// Verified poses identified frames at the old quality; the new
-		// quality's frames must be re-probed.
-		sess.nVerified = 0
-	}
-	sess.d, sess.gen = d, gen
-	sess.mu.Unlock()
-}
-
-// pushPoseLocked appends to the fixed-size path history, dropping the
-// oldest pose. Caller holds sess.mu.
-func (sess *Session) pushPoseLocked(p Pose) {
-	if sess.nhist < len(sess.hist) {
-		sess.hist[sess.nhist] = p
-		sess.nhist++
-		return
-	}
-	copy(sess.hist[:], sess.hist[1:])
-	sess.hist[len(sess.hist)-1] = p
-}
-
-// planPrefetch extrapolates the next poses and fills sess.cands with
-// the ones whose frames are not cached, verified recently, or already
-// in flight. It is the zero-allocation half of prefetch: predictions
-// that are already cached cost one LRU probe the first frame and a key
-// comparison afterwards.
-func (sess *Session) planPrefetch(now time.Time, req *FrameRequest, d decision) int {
-	s := sess.srv
+	pose := Pose{Azimuth: req.Azimuth, Zoom: req.Zoom}
 	sess.mu.Lock()
 	// The inter-frame gap EMA is the measured think time — the idle
 	// headroom budget speculative renders must fit into. The first frame
@@ -379,122 +253,58 @@ func (sess *Session) planPrefetch(now time.Time, req *FrameRequest, d decision) 
 		}
 	}
 	sess.lastT = now
-	sess.pushPoseLocked(Pose{Azimuth: req.Azimuth, Zoom: req.Zoom})
-	if sess.depth <= 0 {
-		sess.mu.Unlock()
-		return 0
-	}
-	n := OrbitPredictor{}.Predict(sess.hist[:sess.nhist], sess.scratch[:sess.depth])
-	ncand, nverify := 0, 0
-	for i := 0; i < n; i++ {
-		pose := sess.scratch[i]
-		ck := cameraKeyFor(pose)
-		if sess.verifiedLocked(ck) {
-			if nverify < len(sess.newVerified) {
-				sess.newVerified[nverify] = ck
-				nverify++
-			}
-			continue
-		}
-		// Only a pose outside the verified window — in steady state the
-		// single newly entered horizon pose — pays for a full frame key
-		// and a cache probe.
-		req.Azimuth, req.Zoom = pose.Azimuth, pose.Zoom
-		fk := frameKeyFor(req, d.q)
-		if _, ok := s.frames.Get(fk); ok {
-			if nverify < len(sess.newVerified) {
-				sess.newVerified[nverify] = ck
-				nverify++
-			}
-			continue
-		}
-		if ncand < len(sess.cands) {
-			sess.cands[ncand] = prefetchCand{pose: pose, fk: fk}
-			ncand++
-		}
-	}
-	// The verified window carries over keys still inside the horizon so
-	// steady state re-probes only the newly entered pose.
-	copy(sess.verified[:], sess.newVerified[:nverify])
-	sess.nVerified = nverify
-	sess.mu.Unlock()
-	return ncand
-}
-
-// verifiedLocked reports whether the pose was found cached (or
-// submitted) on the previous Frame. Caller holds sess.mu.
-func (sess *Session) verifiedLocked(ck cameraKey) bool {
-	for i := 0; i < sess.nVerified; i++ {
-		if sess.verified[i] == ck {
-			return true
-		}
-	}
-	return false
-}
-
-// submitPrefetch enqueues background renders for the planned
-// candidates, gated three ways: per-session in-flight cap (fairness
-// across sessions), the model-predicted think-time budget (speculation
-// must fit the headroom the client's own cadence leaves), and the
-// scheduler's idle-headroom admission (no queued foreground work, a
-// free worker). Refusals are counted, never retried — the next Frame
-// replans from fresher poses.
-func (sess *Session) submitPrefetch(req *FrameRequest, d decision, n int) {
-	s := sess.srv
+	next, ok := nextPose(sess.last, pose)
+	sess.last, sess.d = pose, d
 	// Think-time budget: the client's inter-frame gap times the workers
 	// left after the foreground reserve. Zero means "not measured yet"
 	// — bootstrap speculatively.
-	//
-	// Snapshot the candidates in the same critical section: sess.cands is
-	// prediction scratch that a concurrent Frame's planPrefetch rewrites
-	// under sess.mu, so reading it lock-free here would tear.
-	sess.mu.Lock()
 	budget := sess.emaGap * float64(s.sched.bgSlots())
-	var cands [MaxPrefetchDepth]prefetchCand
-	copy(cands[:], sess.cands[:n])
 	sess.mu.Unlock()
-	spent := 0.0
-	for i := 0; i < n; i++ {
-		cand := cands[i]
-		if int(sess.inflight.Load()) >= sess.depth {
-			atomic.AddUint64(&s.n.PrefetchNoHeadroomInflight, 1)
-			continue
-		}
-		if budget > 0 && spent+d.predicted > budget {
-			atomic.AddUint64(&s.n.PrefetchNoHeadroomBudget, 1)
-			continue
-		}
-		pr := *req
-		pr.Azimuth, pr.Zoom = cand.pose.Azimuth, cand.pose.Zoom
-		pr.DeadlineMillis = 0 // speculative work has no client deadline
-		fk := cand.fk
-		sess.inflight.Add(1)
-		err := s.sched.submitBackground(
-			func(ws *workerState) { s.runPrefetchJob(ws, sess, pr, d, fk) },
-			func() {
-				sess.inflight.Add(-1)
-				atomic.AddUint64(&s.n.PrefetchShed, 1)
-			},
-		)
-		if err != nil {
+	if !ok {
+		return
+	}
+	req.Azimuth, req.Zoom = next.Azimuth, next.Zoom
+	fk := frameKeyFor(&req, d.q)
+	if _, cached := s.frames.Get(fk); !cached {
+		sess.submitPrefetch(req, d, fk, budget)
+	}
+}
+
+// submitPrefetch enqueues a background render of the predicted frame fk,
+// gated three ways: the model-predicted think-time budget (speculation
+// must fit the headroom the client's own cadence leaves), one
+// speculative render in flight per session (fairness across sessions),
+// and the scheduler's idle-headroom admission (no queued foreground
+// work, a free worker). Refusals are counted, never retried — the next
+// Frame predicts from a fresher pose. It is separate from prefetch
+// because the job's closure moves its captures to the heap.
+func (sess *Session) submitPrefetch(req FrameRequest, d decision, fk frameKey, budget float64) {
+	s := sess.srv
+	if budget > 0 && d.predicted > budget {
+		atomic.AddUint64(&s.n.PrefetchNoHeadroomBudget, 1)
+		return
+	}
+	if !sess.inflight.CompareAndSwap(0, 1) {
+		atomic.AddUint64(&s.n.PrefetchNoHeadroomInflight, 1)
+		return
+	}
+	req.DeadlineMillis = 0 // speculative work has no client deadline
+	err := s.sched.submitBackground(
+		func(ws *workerState) { s.runPrefetchJob(ws, sess, req, d, fk) },
+		func() {
 			sess.inflight.Add(-1)
-			if errors.Is(err, errNoHeadroom) {
-				atomic.AddUint64(&s.n.PrefetchNoHeadroomScheduler, 1)
-			} else {
-				atomic.AddUint64(&s.n.PrefetchShed, 1)
-			}
-			return // no headroom now; further candidates fare no better
-		}
+			atomic.AddUint64(&s.n.PrefetchShed, 1)
+		},
+	)
+	switch {
+	case err == nil:
 		atomic.AddUint64(&s.n.PrefetchScheduled, 1)
-		spent += d.predicted
-		// Submitted predictions join the verified window so the next
-		// Frame does not re-candidate them while they render.
-		sess.mu.Lock()
-		if sess.nVerified < len(sess.verified) {
-			sess.verified[sess.nVerified] = fk.cam
-			sess.nVerified++
-		}
-		sess.mu.Unlock()
+	case errors.Is(err, errNoHeadroom):
+		sess.inflight.Add(-1)
+		atomic.AddUint64(&s.n.PrefetchNoHeadroomScheduler, 1)
+	default:
+		sess.inflight.Add(-1)
+		atomic.AddUint64(&s.n.PrefetchShed, 1)
 	}
 }
 

@@ -14,18 +14,9 @@ import (
 // TestOrbitPredictorConstantVelocity: a steady orbit extrapolates at
 // the observed angular velocity.
 func TestOrbitPredictorConstantVelocity(t *testing.T) {
-	var p OrbitPredictor
-	hist := []Pose{{Azimuth: 0, Zoom: 1}, {Azimuth: 15, Zoom: 1}}
-	var dst [3]Pose
-	n := p.Predict(hist, dst[:])
-	if n != 3 {
-		t.Fatalf("Predict filled %d poses, want 3", n)
-	}
-	want := []float64{30, 45, 60}
-	for i, w := range want {
-		if dst[i].Azimuth != w || dst[i].Zoom != 1 {
-			t.Errorf("dst[%d] = %+v, want azimuth %g zoom 1", i, dst[i], w)
-		}
+	got, ok := nextPose(Pose{Azimuth: 0, Zoom: 1}, Pose{Azimuth: 15, Zoom: 1})
+	if !ok || got != (Pose{Azimuth: 30, Zoom: 1}) {
+		t.Errorf("nextPose = %+v, %v, want azimuth 30 zoom 1", got, ok)
 	}
 }
 
@@ -33,41 +24,31 @@ func TestOrbitPredictorConstantVelocity(t *testing.T) {
 // [0, 360), matching the wrapped azimuths orbiting clients request (and
 // therefore the frame keys they will hit).
 func TestOrbitPredictorWrapsAround(t *testing.T) {
-	var p OrbitPredictor
-	hist := []Pose{{Azimuth: 330, Zoom: 1}, {Azimuth: 345, Zoom: 1}}
-	var dst [3]Pose
-	if n := p.Predict(hist, dst[:]); n != 3 {
-		t.Fatalf("Predict filled %d poses, want 3", n)
-	}
-	want := []float64{0, 15, 30}
-	for i, w := range want {
-		if dst[i].Azimuth != w {
-			t.Errorf("dst[%d].Azimuth = %g, want %g", i, dst[i].Azimuth, w)
-		}
+	if got, ok := nextPose(Pose{Azimuth: 330, Zoom: 1}, Pose{Azimuth: 345, Zoom: 1}); !ok || got.Azimuth != 0 {
+		t.Errorf("345 after 330: got %+v, %v, want azimuth 0", got, ok)
 	}
 	// And the velocity itself is modular: 350 -> 5 is +15, not -345.
-	hist = []Pose{{Azimuth: 350, Zoom: 1}, {Azimuth: 5, Zoom: 1}}
-	if n := p.Predict(hist, dst[:1]); n != 1 || dst[0].Azimuth != 20 {
-		t.Errorf("wrap velocity: got n=%d az=%g, want 1 pose at 20", n, dst[0].Azimuth)
+	if got, ok := nextPose(Pose{Azimuth: 350, Zoom: 1}, Pose{Azimuth: 5, Zoom: 1}); !ok || got.Azimuth != 20 {
+		t.Errorf("wrap velocity: got %+v, %v, want azimuth 20", got, ok)
 	}
 }
 
-// TestOrbitPredictorRefusesToGuess: too-short history and a parked
-// camera predict nothing, and a zooming-out path stops at the zoom
-// bound instead of predicting impossible poses.
+// TestOrbitPredictorRefusesToGuess: no previous pose and a parked
+// camera predict nothing, and neither does a step that would take zoom
+// out of (0, maxZoom].
 func TestOrbitPredictorRefusesToGuess(t *testing.T) {
-	var p OrbitPredictor
-	var dst [4]Pose
-	if n := p.Predict([]Pose{{Azimuth: 10, Zoom: 1}}, dst[:]); n != 0 {
-		t.Errorf("single-pose history predicted %d poses, want 0", n)
-	}
-	parked := []Pose{{Azimuth: 90, Zoom: 2}, {Azimuth: 90, Zoom: 2}}
-	if n := p.Predict(parked, dst[:]); n != 0 {
-		t.Errorf("parked camera predicted %d poses, want 0", n)
-	}
-	zoomingOut := []Pose{{Azimuth: 0, Zoom: 0.8}, {Azimuth: 10, Zoom: 0.3}}
-	if n := p.Predict(zoomingOut, dst[:]); n != 0 {
-		t.Errorf("zoom about to cross 0 predicted %d poses, want 0", n)
+	for _, c := range []struct {
+		name       string
+		prev, last Pose
+	}{
+		{"no previous pose", Pose{}, Pose{Azimuth: 10, Zoom: 1}},
+		{"parked camera", Pose{Azimuth: 90, Zoom: 2}, Pose{Azimuth: 90, Zoom: 2}},
+		{"zoom about to cross 0", Pose{Azimuth: 0, Zoom: 0.8}, Pose{Azimuth: 10, Zoom: 0.3}},
+		{"zoom about to pass maxZoom", Pose{Azimuth: 0, Zoom: maxZoom - 2}, Pose{Azimuth: 10, Zoom: maxZoom - 0.5}},
+	} {
+		if got, ok := nextPose(c.prev, c.last); ok {
+			t.Errorf("%s: predicted %+v, want nothing", c.name, got)
+		}
 	}
 }
 
@@ -130,25 +111,6 @@ func TestSessionOrbitPrefetchHits(t *testing.T) {
 	}
 }
 
-// TestSessionPrefetchDisabled: PrefetchDepth < 0 turns speculation off —
-// frames still serve, nothing is scheduled.
-func TestSessionPrefetchDisabled(t *testing.T) {
-	s := testServer(t, Config{PrefetchDepth: -1})
-	sess, err := s.OpenSession(sessionRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	for i := 1; i <= 5; i++ {
-		if _, err := sess.Frame(float64(15*i), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Stats(); st.PrefetchScheduled != 0 || st.PrefetchHits != 0 {
-		t.Errorf("prefetch ran while disabled: %+v", st)
-	}
-}
-
 // TestSessionReverseDirection: the predictor follows a direction
 // change (negative angular velocity) instead of prefetching the old
 // heading forever.
@@ -207,6 +169,31 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestSessionFrameKeepsPreviousZoom: a frame with zoom <= 0 keeps the
+// zoom of the previous frame, not the opening one, so it is the same
+// frame as the previous one and hits the cache.
+func TestSessionFrameKeepsPreviousZoom(t *testing.T) {
+	s := testServer(t, Config{})
+	sess, err := s.OpenSession(sessionRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.Frame(30, 2); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Frame(30, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.CacheHit {
+		t.Error("Frame(30, 0) after Frame(30, 2) missed the cache")
+	}
+	if got := sess.LastPose(); got != (Pose{Azimuth: 30, Zoom: 2}) {
+		t.Errorf("LastPose = %+v, want azimuth 30 zoom 2", got)
+	}
+}
+
 // TestSessionCapReapsIdle: at MaxSessions, opening reaps sessions idle
 // past the timeout; with nothing idle it refuses with
 // ErrTooManySessions.
@@ -261,7 +248,6 @@ func TestSessionFairnessSharedRunnerCache(t *testing.T) {
 	s := testServer(t, Config{
 		Workers:            2,
 		RunnerCacheEntries: 2, // far fewer warm runners than sessions
-		PrefetchDepth:      2,
 	})
 	var wg sync.WaitGroup
 	errs := make(chan error, sessions)
@@ -416,7 +402,7 @@ func TestSchedulerShedsOldestBackground(t *testing.T) {
 // -race this is also the concurrency check on the session/scheduler
 // interaction.
 func TestSessionPrefetchUnderForegroundPressure(t *testing.T) {
-	s := testServer(t, Config{Workers: 1, PrefetchDepth: 3})
+	s := testServer(t, Config{Workers: 1})
 	sess, err := s.OpenSession(sessionRequest())
 	if err != nil {
 		t.Fatal(err)
@@ -464,12 +450,11 @@ func TestSessionPrefetchUnderForegroundPressure(t *testing.T) {
 }
 
 // TestSessionConcurrentFramesRace hammers one session from many
-// goroutines: Sessions document themselves safe for concurrent use, and
-// under -race this held a regression where prediction scratch
-// (sess.cands, written under sess.mu in planPrefetch) was read lock-free
-// by submitPrefetch, tearing between a concurrent Frame's replan.
+// goroutines: Sessions document themselves safe for concurrent use, so
+// under -race the pose, think-time and decision updates and the
+// one-in-flight prefetch cap must hold up against concurrent Frames.
 func TestSessionConcurrentFramesRace(t *testing.T) {
-	s := testServer(t, Config{Workers: 4, PrefetchDepth: 8})
+	s := testServer(t, Config{Workers: 4})
 	sess, err := s.OpenSession(sessionRequest())
 	if err != nil {
 		t.Fatal(err)
